@@ -4,11 +4,10 @@
 // broken down over multiplication / addition / shifting / registering.
 //
 // Both sweeps run through the DSE subsystem (GridStrategy over
-// dse::geometry_space priced by GeometryEvaluator on the engine pool —
-// what SimEngine::explore_design_space is built on); the sequential
-// core::explore_design_space pass is kept (timed) to anchor the
-// speedup-vs-sequential number in BENCH_fig4.json — the two are
-// bit-identical by the subsystem's determinism contract. The full sweep
+// dse::geometry_space priced by GeometryEvaluator on the engine pool);
+// the sequential core::explore_design_space pass is kept (timed) to
+// anchor the speedup-vs-sequential number in BENCH_fig4.json — the two
+// are bit-identical by the subsystem's determinism contract. The full sweep
 // additionally maintains the power/area/utilization Pareto frontier, and
 // core::best_design's pick is checked to sit on it.
 #include <cstdio>
@@ -36,22 +35,26 @@ int main() {
   const std::vector<int> full_alphas{1, 2, 4}, full_lanes{1, 2, 4, 8, 16};
 
   // The Fig. 4 grid (no mix) and the full mix-scored sweep, both as DSE
-  // searches. The full sweep's frontier trades per-MAC power and area
-  // against mix utilization.
+  // grid searches. The full sweep's frontier trades per-MAC power and
+  // area against mix utilization.
   const std::vector<dse::Objective> objectives{
       dse::objective(dse::Metric::kMacPower),
       dse::objective(dse::Metric::kMacArea),
       dse::objective(dse::Metric::kUtilization)};
+  const auto sweep = [&](const std::vector<int>& alphas,
+                         const std::vector<int>& lanes,
+                         const std::vector<core::BitwidthMixEntry>& m) {
+    const dse::ParamSpace space = dse::geometry_space(alphas, lanes);
+    dse::GridStrategy strategy(space);
+    dse::GeometryEvaluator evaluator(eng, space, objectives, m);
+    return dse::run_search(strategy, evaluator, objectives);
+  };
   std::vector<core::DesignPoint> points, full;
   std::vector<dse::Evaluation> frontier_entries;
   std::size_t frontier_size = 0;
   const double batch_s = time_s([&] {
-    points = eng.explore_design_space(fig_alphas, fig_lanes);
-    const dse::ParamSpace space = dse::geometry_space(full_alphas, full_lanes);
-    dse::GridStrategy strategy(space);
-    dse::GeometryEvaluator evaluator(eng, space, objectives, mix);
-    const dse::SearchOutcome outcome =
-        dse::run_search(strategy, evaluator, objectives);
+    points = dse::design_points(sweep(fig_alphas, fig_lanes, {}));
+    const dse::SearchOutcome outcome = sweep(full_alphas, full_lanes, mix);
     full = dse::design_points(outcome);
     frontier_entries = outcome.frontier.entries();
     frontier_size = outcome.frontier.size();

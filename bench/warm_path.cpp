@@ -1,34 +1,22 @@
-// Warm-path throughput: what a repeated grid replay costs under the v3
-// disk-cache format and the striped memo caches.
+// Warm-path throughput: what a repeated grid replay costs under the
+// packed-shard disk cache and the striped memo caches.
 //
-// Four measurements over the ci_gate manifest (the CI regression grid),
+// Two measurements over the ci_gate manifest (the CI regression grid),
 // emitted as BENCH_warm_path.json:
 //
 //   1. Cold vs warm replay — the grid priced on a fresh engine with a
 //      fresh cache dir (cold), then on a second fresh engine over the
 //      same dir (warm disk), then again on that engine (warm memo).
 //      The warm disk pass must price ZERO simulations and open at most
-//      2 cache files (the batch seals ONE shard; v2 opened one JSON
-//      file per scenario — 43 on this grid). Results must be
-//      byte-identical across all three passes. CI asserts
-//      warm_simulations == 0 and warm_disk_file_opens <= 2.
+//      2 cache files (the cold batch seals ONE shard). Results must be
+//      byte-identical (as packed run_result_encode records) across the
+//      passes. CI asserts warm_simulations == 0 and
+//      warm_disk_file_opens <= 2.
 //
-//   2. v2 vs v3 load path — every cold result is written both as v2
-//      one-JSON-file-per-entry and as one v3 shard, then each format is
-//      load-looped (open+parse per entry vs pread+checksum+decode).
-//      v3_vs_v2_speedup is the warm replay's format win measured in the
-//      same run; CI asserts it is >= 1.
-//
-//   3. Lock-contention proxy — the warm-memo replay at 1 thread and at
+//   2. Lock-contention proxy — the warm-memo replay at 1 thread and at
 //      hardware concurrency, with the engine's serial plan_s phase (the
 //      only phase that holds shard locks) reported for both. With
 //      striped caches plan_s must not grow with the thread count.
-//
-//   4. parallel_for grain — the warm replay timed at explicit grains of
-//      1/2/4/8/16 stealable tasks per worker. EngineOptions::grain = 0
-//      (auto) resolves to 4 tasks per worker, the setting this
-//      micro-measurement picks; the bench reports the sweep so a future
-//      machine where that stops being true shows up in the artifacts.
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -36,6 +24,7 @@
 
 #include "bench/bench_common.h"
 #include "src/cli/manifest.h"
+#include "src/common/binio.h"
 #include "src/engine/disk_cache.h"
 
 namespace {
@@ -58,44 +47,26 @@ std::string find_manifest(int argc, char** argv) {
       "cannot find bench/manifests/ci_gate.json (pass the path as argv[1])");
 }
 
-/// Serialized form used for the byte-identity self-check across passes.
+/// Serialized form used for the byte-identity self-check across passes:
+/// the packed record body the disk cache stores (bit-exact doubles).
 std::string result_bytes(const std::vector<sim::RunResult>& results) {
-  std::string all;
-  for (const sim::RunResult& r : results) {
-    all += engine::run_result_to_json(r).dump(0);
-    all += '\n';
-  }
-  return all;
+  common::binio::Writer w;
+  for (const sim::RunResult& r : results) engine::run_result_encode(w, r);
+  return w.take();
 }
 
 /// Wall seconds of one warm run_batch on a fresh engine over `dir`.
 double warm_replay_s(const std::vector<engine::Scenario>& scenarios,
-                     const std::string& dir, int threads, std::size_t grain,
-                     engine::EngineStats* stats_out = nullptr) {
+                     const std::string& dir, int threads,
+                     engine::EngineStats* stats_out) {
   engine::EngineOptions options;
   options.num_threads = threads;
   options.disk_cache_dir = dir;
-  options.grain = grain;
   engine::SimEngine eng(options);
   const double wall_s =
       bench::time_s([&] { (void)eng.run_batch(scenarios); });
-  if (stats_out != nullptr) *stats_out = eng.stats();
+  *stats_out = eng.stats();
   return wall_s;
-}
-
-/// Loads/sec of `pass` (which performs `loads_per_pass` cache loads),
-/// repeated until at least ~0.2 s of wall clock has accumulated so the
-/// v2-vs-v3 comparison is not a single-pass fluke.
-template <typename Fn>
-double loads_per_s(std::size_t loads_per_pass, Fn&& pass) {
-  double total_s = 0.0;
-  std::size_t passes = 0;
-  while (total_s < 0.2 || passes < 3) {
-    total_s += bench::time_s(pass);
-    ++passes;
-  }
-  const double loads = static_cast<double>(loads_per_pass * passes);
-  return total_s > 0 ? loads / total_s : 0.0;
 }
 
 }  // namespace
@@ -113,21 +84,19 @@ int main(int argc, char** argv) {
   const double n = static_cast<double>(scenarios.size());
   std::printf("warm path: %zu ci_gate scenarios\n", scenarios.size());
 
-  // Scratch dirs under the working directory; removed on every exit path
-  // below (the bench reruns cleanly either way: cold passes use fresh
-  // subdirectories).
+  // Scratch dir under the working directory; removed before the cold
+  // pass and again on exit, so reruns start cold.
   const fs::path scratch = "bench_warm_path.tmp";
   fs::remove_all(scratch);
   fs::create_directories(scratch);
-  const std::string v3_dir = (scratch / "v3").string();
-  const std::string v2_dir = (scratch / "v2").string();
+  const std::string cache_dir = (scratch / "cache").string();
 
   // ----- 1. cold vs warm replay ---------------------------------------
   engine::EngineStats cold;
   std::vector<sim::RunResult> cold_results;
   const double cold_s = [&] {
     engine::EngineOptions options;
-    options.disk_cache_dir = v3_dir;
+    options.disk_cache_dir = cache_dir;
     engine::SimEngine eng(options);
     const double s =
         time_s([&] { cold_results = eng.run_batch(scenarios); });
@@ -141,7 +110,7 @@ int main(int argc, char** argv) {
   engine::EngineStats warm_memo;
   const double warm_s = [&] {
     engine::EngineOptions options;
-    options.disk_cache_dir = v3_dir;
+    options.disk_cache_dir = cache_dir;
     engine::SimEngine eng(options);
     const double s = time_s([&] { warm_results = eng.run_batch(scenarios); });
     warm = eng.stats();
@@ -163,8 +132,8 @@ int main(int argc, char** argv) {
   }
   if (warm_opens > 2) {
     std::printf("ERROR: warm disk replay opened %zu cache files "
-                "(expected <= 2; v2 opened %zu)\n",
-                warm_opens, scenarios.size());
+                "(expected <= 2)\n",
+                warm_opens);
     ok = false;
   }
   if (memo_sims != 0) {
@@ -210,71 +179,14 @@ int main(int argc, char** argv) {
               std::to_string(memo_sims), "0"});
   t1.print();
 
-  // ----- 2. v2 vs v3 load path ----------------------------------------
-  // Same records in both formats, loaded entry-by-entry: v2 is one
-  // open + JSON parse per entry (what every warm replay used to pay per
-  // scenario), v3 is one pread + checksum + fixed-width decode against
-  // the already-open shard.
-  fs::create_directories(v2_dir);
-  std::vector<std::string> v2_paths;
-  v2_paths.reserve(cold_results.size());
-  for (std::size_t i = 0; i < cold_results.size(); ++i) {
-    v2_paths.push_back(engine::write_v2_entry(
-        v2_dir, static_cast<std::uint64_t>(i), 0, cold_results[i]));
-  }
-  const std::string v3_load_dir = (scratch / "v3_load").string();
-  engine::DiskCache v3_cache(v3_load_dir);
-  {
-    std::vector<engine::DiskCache::PendingStore> pending;
-    pending.reserve(cold_results.size());
-    for (std::size_t i = 0; i < cold_results.size(); ++i) {
-      pending.push_back({static_cast<std::uint64_t>(i), 0, &cold_results[i]});
-    }
-    if (v3_cache.store_batch(pending) != cold_results.size()) {
-      std::printf("ERROR: v3 baseline store_batch did not store %zu "
-                  "records\n",
-                  cold_results.size());
-      ok = false;
-    }
-  }
-  const double v2_lps = loads_per_s(v2_paths.size(), [&] {
-    for (const std::string& path : v2_paths) {
-      (void)engine::load_v2_entry(path);
-    }
-  });
-  const double v3_lps = loads_per_s(cold_results.size(), [&] {
-    for (std::size_t i = 0; i < cold_results.size(); ++i) {
-      if (v3_cache.load(static_cast<std::uint64_t>(i), 0) == nullptr) {
-        throw Error("v3 load-loop miss (key " + std::to_string(i) + ")");
-      }
-    }
-  });
-  const double v3_speedup = v2_lps > 0 ? v3_lps / v2_lps : 0.0;
-  if (v3_speedup < 1.0) {
-    std::printf("ERROR: v3 load path (%.0f loads/s) is not faster than v2 "
-                "(%.0f loads/s)\n",
-                v3_lps, v2_lps);
-    ok = false;
-  }
-  json.add_metric("v2_loads_per_s", v2_lps);
-  json.add_metric("v3_loads_per_s", v3_lps);
-  json.add_metric("v3_vs_v2_speedup", v3_speedup);
-
-  Table t2("disk-cache load path, same records in both formats");
-  t2.set_header({"Format", "Loads/s", "Files"});
-  t2.add_row({"v2 (JSON per entry)", Table::num(v2_lps, 0),
-              std::to_string(v2_paths.size())});
-  t2.add_row({"v3 (packed shard)", Table::num(v3_lps, 0), "1"});
-  t2.print();
-
-  // ----- 3. lock-contention proxy -------------------------------------
+  // ----- 2. lock-contention proxy -------------------------------------
   // plan_s is the only phase that takes shard locks serially; with the
   // striped caches it must stay flat as threads scale (it used to sit
   // behind one global mutex).
   engine::EngineStats warm_1t;
-  const double warm_1t_s = warm_replay_s(scenarios, v3_dir, 1, 0, &warm_1t);
+  const double warm_1t_s = warm_replay_s(scenarios, cache_dir, 1, &warm_1t);
   engine::EngineStats warm_nt;
-  const double warm_nt_s = warm_replay_s(scenarios, v3_dir, 0, 0, &warm_nt);
+  const double warm_nt_s = warm_replay_s(scenarios, cache_dir, 0, &warm_nt);
   const int hw_threads = engine::SimEngine({/*num_threads=*/0}).num_threads();
   json.add_metric("warm_wall_s_1thread", warm_1t_s);
   json.add_metric("warm_wall_s_nthreads", warm_nt_s);
@@ -284,40 +196,16 @@ int main(int argc, char** argv) {
   std::printf("contention proxy: plan %.6fs at 1 thread, %.6fs at %d\n",
               warm_1t.plan_s, warm_nt.plan_s, hw_threads);
 
-  // ----- 4. parallel_for grain ----------------------------------------
-  // Warm replays at explicit grains. auto (grain = 0) resolves to
-  // jobs / (threads * 4); the sweep shows where that sits.
-  double best_s = warm_nt_s;
-  std::size_t best_tpw = 0;  // 0 = auto
-  for (const std::size_t tpw : {1u, 2u, 4u, 8u, 16u}) {
-    const std::size_t grain = std::max<std::size_t>(
-        1, scenarios.size() /
-               (static_cast<std::size_t>(hw_threads) * tpw));
-    const double s = warm_replay_s(scenarios, v3_dir, 0, grain);
-    json.add_metric("warm_wall_s_grain_tpw" + std::to_string(tpw), s);
-    if (s < best_s) {
-      best_s = s;
-      best_tpw = tpw;
-    }
-  }
-  json.add_metric("grain_best_tasks_per_worker",
-                  static_cast<double>(best_tpw));
-  const std::string best_label =
-      best_tpw == 0 ? std::string("auto")
-                    : std::to_string(best_tpw) + " tasks/worker";
-  std::printf("grain sweep: best %s (auto resolves to 4 tasks/worker)\n",
-              best_label.c_str());
-
   json.add_metric("ok", ok ? 1.0 : 0.0);
   json.write();
   fs::remove_all(scratch);
 
   if (ok) {
     std::printf("cold %.0f scen/s, warm disk %.0f scen/s (%zu file opens), "
-                "warm memo %.0f scen/s, v3 load %.1fx v2\n",
+                "warm memo %.0f scen/s\n",
                 cold_s > 0 ? n / cold_s : 0.0,
                 warm_s > 0 ? n / warm_s : 0.0, warm_opens,
-                warm_memo_s > 0 ? n / warm_memo_s : 0.0, v3_speedup);
+                warm_memo_s > 0 ? n / warm_memo_s : 0.0);
   }
   return ok ? 0 : 1;
 }

@@ -30,9 +30,17 @@ int main() {
       {8, 8, 0.10}, {4, 4, 0.65}, {8, 2, 0.15}, {2, 2, 0.10}};
 
   // ---- pass 1: geometry-only sweep (the Fig. 4 cost model) ----------
+  // A grid over the geometry axes, priced on the engine's pool.
   engine::SimEngine eng;
+  const dse::ParamSpace geometry =
+      dse::geometry_space({1, 2, 4}, {1, 2, 4, 8, 16, 32});
+  const std::vector<dse::Objective> per_mac{
+      dse::objective(dse::Metric::kMacPower),
+      dse::objective(dse::Metric::kMacArea)};
+  dse::GridStrategy sweep(geometry);
+  dse::GeometryEvaluator priced(eng, geometry, per_mac, mix);
   const auto points =
-      eng.explore_design_space({1, 2, 4}, {1, 2, 4, 8, 16, 32}, 8, mix);
+      dse::design_points(dse::run_search(sweep, priced, per_mac));
 
   Table t("CVU design space (per 8bx8b MAC, normalized to conventional)");
   t.set_header({"Geometry", "Power/op", "Area/op"});

@@ -227,7 +227,6 @@ DriverResult run_manifest(const DriverOptions& options, std::ostream& out) {
   serve::SessionOptions session_options;
   session_options.threads = options.threads;
   session_options.cache_dir = options.cache_dir;
-  session_options.grain = options.grain;
   serve::Session session(session_options);
   // Extra networks first: their tokens must be valid when the manifest
   // parses. Registration is idempotent for identical files.
@@ -345,9 +344,6 @@ std::string usage() {
       "                     report so identical configs yield byte-identical\n"
       "                     files (what the CI gate cmp's)\n"
       "  --threads N        worker threads (default: hardware concurrency)\n"
-      "  --grain N          engine parallel_for grain: indices per pool\n"
-      "                     task in the batch phases (default 0 = auto;\n"
-      "                     results are grain-invariant)\n"
       "  --csv              print a full-precision scenario CSV to stdout\n"
       "  --no-table         skip the human-readable table\n"
       "  --version          print build identity (SIMD variant, disk-cache\n"
@@ -407,10 +403,6 @@ int main_cli(int argc, const char* const* argv, std::ostream& out,
         options.deterministic_report = true;
       } else if (arg == "--threads") {
         options.threads = std::stoi(need_value(i, "--threads"));
-      } else if (arg == "--grain") {
-        const long long g = std::stoll(need_value(i, "--grain"));
-        if (g < 0) throw Error("--grain must be >= 0");
-        options.grain = static_cast<std::size_t>(g);
       } else if (arg == "--csv") {
         options.print_csv = true;
       } else if (arg == "--no-table") {

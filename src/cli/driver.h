@@ -85,9 +85,6 @@ struct DriverOptions {
   /// JSON document (useful with --deterministic-report).
   std::string stats_path;
   int threads = 0;               // <= 0: hardware concurrency
-  /// Engine parallel_for grain (EngineOptions::grain); 0 = auto.
-  /// Results are grain-invariant — this only tunes task granularity.
-  std::size_t grain = 0;
   bool print_table = true;       // scenario comparison table on stdout
   bool print_csv = false;        // scenario CSV on stdout
   bool write_report = true;

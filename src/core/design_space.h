@@ -33,16 +33,17 @@ std::vector<bitslice::CvuGeometry> design_grid(
 
 /// Prices one geometry. Pure and re-entrant: builds its own cost model,
 /// touches no shared mutable state — safe to call from many threads at
-/// once (SimEngine::explore_design_space fans the grid out this way).
+/// once (dse::GeometryEvaluator fans the grid out this way).
 DesignPoint price_design_point(const bitslice::CvuGeometry& geometry);
 
 /// Variant that also fills `mix_utilization` over a bitwidth mix.
 DesignPoint price_design_point(const bitslice::CvuGeometry& geometry,
                                const std::vector<BitwidthMixEntry>& mix);
 
-/// Sweeps slice widths × lanes and prices every point (sequentially;
-/// engine::SimEngine::explore_design_space is the parallel equivalent and
-/// produces bit-identical points).
+/// Sweeps slice widths × lanes and prices every point (sequentially; a
+/// dse::GridStrategy over dse::geometry_space priced by
+/// dse::GeometryEvaluator is the parallel equivalent and produces
+/// bit-identical points).
 std::vector<DesignPoint> explore_design_space(
     const std::vector<int>& slice_widths, const std::vector<int>& lanes,
     int max_bits = 8);

@@ -13,8 +13,9 @@
 // Enumeration order is canonical: flat index → candidate is row-major
 // with the *first* axis outermost. geometry_space() orders its axes
 // [slice_bits, lanes], which makes grid enumeration bit-identical to
-// core::design_grid — the contract SimEngine::explore_design_space and
-// the legacy Fig. 4 sweep rely on.
+// core::design_grid — the contract the parallel Fig. 4 sweep (a
+// GridStrategy priced by GeometryEvaluator) and the sequential
+// core::explore_design_space reference rely on.
 #pragma once
 
 #include <cstdint>

@@ -15,12 +15,6 @@ namespace {
 
 constexpr std::size_t kDefaultBatch = 256;
 
-std::size_t pool_grain(const engine::SimEngine& engine, std::size_t jobs) {
-  const std::size_t lanes =
-      static_cast<std::size_t>(engine.num_threads()) * 4;
-  return std::max<std::size_t>(1, jobs / std::max<std::size_t>(1, lanes));
-}
-
 double geometry_metric(Metric metric, const core::DesignPoint& design) {
   switch (metric) {
     case Metric::kMacPower: return design.cost.power_total();
@@ -58,23 +52,20 @@ GeometryEvaluator::GeometryEvaluator(engine::SimEngine& engine,
 std::vector<Evaluation> GeometryEvaluator::evaluate(
     const std::vector<Candidate>& batch) {
   std::vector<Evaluation> out(batch.size());
-  engine_.pool().parallel_for(
-      batch.size(),
-      [&](std::size_t i) {
-        Evaluation& e = out[i];
-        e.candidate = batch[i];
-        e.key = space_.candidate_key(batch[i]);
-        const bitslice::CvuGeometry g =
-            space_.geometry(batch[i], bitslice::CvuGeometry{});
-        e.design = mix_.empty() ? core::price_design_point(g)
-                                : core::price_design_point(g, mix_);
-        e.id = g.to_string();
-        e.objectives.reserve(objectives_.size());
-        for (const Objective& o : objectives_) {
-          e.objectives.push_back(geometry_metric(o.metric, e.design));
-        }
-      },
-      pool_grain(engine_, batch.size()));
+  engine_.for_each(batch.size(), [&](std::size_t i) {
+    Evaluation& e = out[i];
+    e.candidate = batch[i];
+    e.key = space_.candidate_key(batch[i]);
+    const bitslice::CvuGeometry g =
+        space_.geometry(batch[i], bitslice::CvuGeometry{});
+    e.design = mix_.empty() ? core::price_design_point(g)
+                            : core::price_design_point(g, mix_);
+    e.id = g.to_string();
+    e.objectives.reserve(objectives_.size());
+    for (const Objective& o : objectives_) {
+      e.objectives.push_back(geometry_metric(o.metric, e.design));
+    }
+  });
   return out;
 }
 

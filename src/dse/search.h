@@ -8,8 +8,9 @@
 //                      out on the engine's thread pool. Pure per-MAC
 //                      cost-model pricing; bit-identical to
 //                      core::explore_design_space over the same grid
-//                      (SimEngine::explore_design_space is exactly this
-//                      evaluator under a GridStrategy).
+//                      when driven by a GridStrategy (the Fig. 4 sweep).
+//                      Scheduled at the engine's batch grain
+//                      (SimEngine::for_each).
 //   ScenarioEvaluator  the full path — candidates materialize into
 //                      engine::Scenarios and ride SimEngine::run_batch,
 //                      so the scenario memo cache, layer cache, and
@@ -152,8 +153,8 @@ SearchOutcome run_search(SearchStrategy& strategy, Evaluator& evaluator,
                          std::vector<Objective> objectives,
                          const SearchOptions& options = {});
 
-/// Projects an outcome onto the legacy explore_design_space shape:
-/// one core::DesignPoint per evaluation, proposal order.
+/// Projects an outcome onto the core::explore_design_space shape: one
+/// core::DesignPoint per evaluation, proposal order.
 std::vector<core::DesignPoint> design_points(const SearchOutcome& outcome);
 
 }  // namespace bpvec::dse

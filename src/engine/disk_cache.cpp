@@ -29,78 +29,6 @@ namespace binio = common::binio;
 namespace {
 
 // --------------------------------------------------------------------------
-// JSON codec — the v2 entry body, kept for migrate-v2, benchmarks, and
-// report builders.
-
-Value energy_to_json(const sim::EnergyBreakdown& e) {
-  Value v = Value::object();
-  v.set("compute_pj", e.compute_pj);
-  v.set("sram_pj", e.sram_pj);
-  v.set("dram_pj", e.dram_pj);
-  v.set("static_pj", e.static_pj);
-  return v;
-}
-
-sim::EnergyBreakdown energy_from_json(const Value& v) {
-  sim::EnergyBreakdown e;
-  e.compute_pj = v.at("compute_pj").as_double();
-  e.sram_pj = v.at("sram_pj").as_double();
-  e.dram_pj = v.at("dram_pj").as_double();
-  e.static_pj = v.at("static_pj").as_double();
-  return e;
-}
-
-dnn::LayerKind layer_kind_from_string(const std::string& s) {
-  if (s == "conv") return dnn::LayerKind::kConv;
-  if (s == "fc") return dnn::LayerKind::kFullyConnected;
-  if (s == "pool") return dnn::LayerKind::kPool;
-  if (s == "recurrent") return dnn::LayerKind::kRecurrent;
-  throw Error("unknown layer kind: " + s);
-}
-
-Value layer_to_json(const sim::LayerResult& l) {
-  Value v = Value::object();
-  v.set("name", l.name);
-  v.set("kind", dnn::to_string(l.kind));
-  v.set("x_bits", l.x_bits);
-  v.set("w_bits", l.w_bits);
-  v.set("macs", l.macs);
-  v.set("compute_cycles", l.compute_cycles);
-  v.set("memory_cycles", l.memory_cycles);
-  v.set("total_cycles", l.total_cycles);
-  v.set("utilization", l.utilization);
-  v.set("dram_bytes", l.dram_bytes);
-  v.set("sram_bytes", l.sram_bytes);
-  v.set("energy", energy_to_json(l.energy));
-  v.set("memory_bound", l.memory_bound);
-  v.set("runtime_s", l.runtime_s);
-  v.set("measured_wall_s", l.measured_wall_s);
-  v.set("measured_macs", l.measured_macs);
-  return v;
-}
-
-sim::LayerResult layer_from_json(const Value& v) {
-  sim::LayerResult l;
-  l.name = v.at("name").as_string();
-  l.kind = layer_kind_from_string(v.at("kind").as_string());
-  l.x_bits = static_cast<int>(v.at("x_bits").as_int());
-  l.w_bits = static_cast<int>(v.at("w_bits").as_int());
-  l.macs = v.at("macs").as_int();
-  l.compute_cycles = v.at("compute_cycles").as_int();
-  l.memory_cycles = v.at("memory_cycles").as_int();
-  l.total_cycles = v.at("total_cycles").as_int();
-  l.utilization = v.at("utilization").as_double();
-  l.dram_bytes = v.at("dram_bytes").as_int();
-  l.sram_bytes = v.at("sram_bytes").as_int();
-  l.energy = energy_from_json(v.at("energy"));
-  l.memory_bound = v.at("memory_bound").as_bool();
-  l.runtime_s = v.at("runtime_s").as_double();
-  l.measured_wall_s = v.at("measured_wall_s").as_double();
-  l.measured_macs = v.at("measured_macs").as_int();
-  return l;
-}
-
-// --------------------------------------------------------------------------
 // Binary codec — the v3 record body.
 
 std::uint8_t kind_to_u8(dnn::LayerKind k) {
@@ -388,7 +316,7 @@ std::string publish_shard(const std::string& dir, const std::string& bytes,
 /// Binary shards hold every double bit-exactly, but results that price to
 /// inf/nan signal a broken scenario, and replaying them from cache would
 /// hide the breakage behind a hit. Refuse them up front (counted
-/// store_failures), matching the v2 JSON-era contract.
+/// store_failures).
 bool all_finite(const sim::RunResult& r) {
   const auto energy_finite = [](const sim::EnergyBreakdown& e) {
     return std::isfinite(e.compute_pj) && std::isfinite(e.sram_pj) &&
@@ -409,60 +337,7 @@ bool all_finite(const sim::RunResult& r) {
   return true;
 }
 
-std::string key_hex(std::uint64_t key) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(key));
-  return buf;
-}
-
 }  // namespace
-
-Value run_result_to_json(const sim::RunResult& r) {
-  Value v = Value::object();
-  v.set("platform", r.platform);
-  v.set("network", r.network);
-  v.set("memory", r.memory);
-  v.set("backend", r.backend);
-  v.set("total_cycles", r.total_cycles);
-  v.set("total_macs", r.total_macs);
-  v.set("energy", energy_to_json(r.energy));
-  v.set("runtime_s", r.runtime_s);
-  v.set("energy_j", r.energy_j);
-  v.set("average_power_w", r.average_power_w);
-  v.set("gops_per_s", r.gops_per_s);
-  v.set("gops_per_w", r.gops_per_w);
-  v.set("measured_wall_s", r.measured_wall_s);
-  v.set("measured_macs", r.measured_macs);
-  Value layers = Value::array();
-  for (const sim::LayerResult& l : r.layers) {
-    layers.push_back(layer_to_json(l));
-  }
-  v.set("layers", std::move(layers));
-  return v;
-}
-
-sim::RunResult run_result_from_json(const Value& v) {
-  sim::RunResult r;
-  r.platform = v.at("platform").as_string();
-  r.network = v.at("network").as_string();
-  r.memory = v.at("memory").as_string();
-  r.backend = v.at("backend").as_string();
-  r.total_cycles = v.at("total_cycles").as_int();
-  r.total_macs = v.at("total_macs").as_int();
-  r.energy = energy_from_json(v.at("energy"));
-  r.runtime_s = v.at("runtime_s").as_double();
-  r.energy_j = v.at("energy_j").as_double();
-  r.average_power_w = v.at("average_power_w").as_double();
-  r.gops_per_s = v.at("gops_per_s").as_double();
-  r.gops_per_w = v.at("gops_per_w").as_double();
-  r.measured_wall_s = v.at("measured_wall_s").as_double();
-  r.measured_macs = v.at("measured_macs").as_int();
-  for (const Value& l : v.at("layers").as_array()) {
-    r.layers.push_back(layer_from_json(l));
-  }
-  return r;
-}
 
 void run_result_encode(binio::Writer& w, const sim::RunResult& r) {
   w.str(r.platform);
@@ -702,12 +577,6 @@ CacheDirInfo inspect_cache_dir(const std::string& dir) {
     info.shards.push_back(std::move(si));
   }
   info.live_records = live.size();
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (entry.is_regular_file(ec) && entry.path().extension() == ".json") {
-      info.v2_files += 1;
-    }
-  }
   return info;
 }
 
@@ -726,7 +595,6 @@ Value to_json(const CacheDirInfo& info) {
   v.set("records_total", static_cast<std::int64_t>(info.records_total));
   v.set("live_records", static_cast<std::int64_t>(info.live_records));
   v.set("rejected_total", static_cast<std::int64_t>(info.rejected_total));
-  v.set("v2_files", static_cast<std::int64_t>(info.v2_files));
   v.set("bytes_total", static_cast<std::int64_t>(info.bytes_total));
   return v;
 }
@@ -774,77 +642,6 @@ CompactResult compact_cache_dir(const std::string& dir) {
     fs::remove(path, ec);
   }
   return res;
-}
-
-MigrateResult migrate_v2_cache_dir(const std::string& dir) {
-  MigrateResult res;
-  std::vector<std::string> files;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (entry.is_regular_file(ec) && entry.path().extension() == ".json") {
-      files.push_back(entry.path().string());
-    }
-  }
-  std::sort(files.begin(), files.end());
-  std::string bytes = shard_header();
-  std::vector<std::string> migrated;
-  for (const std::string& path : files) {
-    try {
-      const V2Entry entry = load_v2_entry(path);
-      bytes += encode_record(entry.key, entry.generation, entry.result);
-      migrated.push_back(path);
-    } catch (const std::exception&) {
-      res.failed += 1;  // left in place for inspection
-    }
-  }
-  if (!migrated.empty()) {
-    std::uint64_t next = 0;
-    for (const auto& [number, path] : list_shards(dir)) {
-      (void)path;
-      next = std::max(next, number + 1);
-    }
-    const std::string path = publish_shard(dir, bytes, next);
-    if (path.empty()) {
-      throw Error("migrate-v2: cannot publish shard in " + dir);
-    }
-    for (const std::string& file : migrated) {
-      std::error_code rec;
-      fs::remove(file, rec);
-    }
-    res.migrated = migrated.size();
-  }
-  return res;
-}
-
-std::string write_v2_entry(const std::string& dir, std::uint64_t key,
-                           std::uint64_t generation,
-                           const sim::RunResult& result) {
-  Value entry = Value::object();
-  entry.set("format_version", DiskCache::kV2FormatVersion);
-  entry.set("key", key_hex(key));
-  entry.set("generation", static_cast<std::int64_t>(generation));
-  entry.set("result", run_result_to_json(result));
-  const std::string path = (fs::path(dir) / (key_hex(key) + ".json")).string();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << entry.dump(1);
-  out.flush();
-  if (!out.good()) throw Error("cannot write v2 entry " + path);
-  return path;
-}
-
-V2Entry load_v2_entry(const std::string& path) {
-  const Value entry = common::json::parse_file(path);
-  if (entry.at("format_version").as_int() != DiskCache::kV2FormatVersion) {
-    throw Error("not a v2 entry: " + path);
-  }
-  V2Entry out;
-  const std::string hex = entry.at("key").as_string();
-  if (hex.size() != 16) throw Error("bad v2 key: " + path);
-  out.key = std::strtoull(hex.c_str(), nullptr, 16);
-  out.generation =
-      static_cast<std::uint64_t>(entry.at("generation").as_int());
-  out.result = run_result_from_json(entry.at("result"));
-  return out;
 }
 
 }  // namespace bpvec::engine

@@ -8,8 +8,8 @@
 // `bpvec_run --cache-dir` serves every repeated scenario without
 // simulating at all.
 //
-// Format v3: append-only packed binary shard files instead of one JSON
-// file per entry. A shard (`shard-NNNN.bpc`) is
+// Format v3: append-only packed binary shard files. A shard
+// (`shard-NNNN.bpc`) is
 //
 //   header:  magic "BPC3" + u32 format version
 //   records: u32 payload_len
@@ -34,8 +34,7 @@
 // registrations of one backend key with different knobs can never share
 // an entry. Each record additionally carries:
 //   * the shard header's format version — bumping kFormatVersion orphans
-//     every old shard (rejected on scan, never misread; v2 JSON entries
-//     can be recovered with `bpvec_cache migrate-v2`), and
+//     every old shard (rejected on scan, never misread), and
 //   * the backend key's registry generation — records written under one
 //     registration are ignored after a re-registration, mirroring the
 //     in-memory scenario cache's staleness rule. Generations are a
@@ -94,9 +93,6 @@ class DiskCache {
   /// Bump when the record schema changes; all older shards/entries are
   /// rejected.
   static constexpr std::int64_t kFormatVersion = 3;  // v3: packed shards
-  /// The one-JSON-file-per-entry format this replaced (still readable by
-  /// `bpvec_cache migrate-v2`).
-  static constexpr std::int64_t kV2FormatVersion = 2;
 
   /// A store_batch work item. `result` is borrowed — it must stay alive
   /// for the duration of the call.
@@ -125,8 +121,8 @@ class DiskCache {
   /// Seals every entry into one new shard (temp file + atomic link
   /// publish) and indexes them. Entries with non-finite doubles are
   /// refused up front (counted store_failures: such results can poison a
-  /// comparison downstream, and refusing keeps store/load symmetric with
-  /// the JSON-era contract). Returns the number of records stored; on an
+  /// comparison downstream, so a cache hit never hides the breakage).
+  /// Returns the number of records stored; on an
   /// I/O failure nothing is published and every finite entry counts a
   /// store_failure.
   std::size_t store_batch(const std::vector<PendingStore>& pending) const;
@@ -173,19 +169,7 @@ class DiskCache {
   mutable std::atomic<std::size_t> stores_{0};
   mutable std::atomic<std::size_t> store_failures_{0};
   mutable std::atomic<std::size_t> file_opens_{0};
-  mutable std::atomic<std::uint64_t> tmp_seq_{0};
 };
-
-/// Full-fidelity JSON serialization of a RunResult (every field,
-/// including per-layer results and energy breakdowns). Doubles are
-/// written so they round-trip bit-exactly; from_json of to_json is the
-/// identity. Used by the v2 on-disk format (kept for `bpvec_cache
-/// migrate-v2` and benchmarks) and by report builders.
-common::json::Value run_result_to_json(const sim::RunResult& result);
-
-/// Strict inverse of run_result_to_json: throws bpvec::Error on missing
-/// or mistyped fields.
-sim::RunResult run_result_from_json(const common::json::Value& v);
 
 /// Packed binary serialization of a RunResult (common::binio; the v3
 /// record body). decode is the strict inverse and throws bpvec::Error on
@@ -209,7 +193,6 @@ struct CacheDirInfo {
   std::size_t records_total = 0;  // valid records across shards
   std::size_t live_records = 0;   // distinct keys (last writer wins)
   std::size_t rejected_total = 0;
-  std::size_t v2_files = 0;  // orphaned v2 *.json entries present
   std::uint64_t bytes_total = 0;
 };
 
@@ -229,28 +212,5 @@ struct CompactResult {
 /// verbatim — compaction can never change what a later load returns.
 /// Must not race concurrent writers to the same dir.
 CompactResult compact_cache_dir(const std::string& dir);
-
-struct MigrateResult {
-  std::size_t migrated = 0;
-  std::size_t failed = 0;  // unreadable/foreign v2 files, left in place
-};
-
-/// Converts v2 one-file-per-entry JSON caches into one v3 shard, deleting
-/// each successfully migrated .json file.
-MigrateResult migrate_v2_cache_dir(const std::string& dir);
-
-/// Writes one v2-format JSON entry (exposed for migration tests and the
-/// v2-vs-v3 benchmark baseline). Returns the entry path.
-std::string write_v2_entry(const std::string& dir, std::uint64_t key,
-                           std::uint64_t generation,
-                           const sim::RunResult& result);
-
-/// Parses a v2 entry file; throws bpvec::Error on anything unexpected.
-struct V2Entry {
-  std::uint64_t key = 0;
-  std::uint64_t generation = 0;
-  sim::RunResult result;
-};
-V2Entry load_v2_entry(const std::string& path);
 
 }  // namespace bpvec::engine

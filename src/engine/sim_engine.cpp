@@ -10,7 +10,6 @@
 #include "src/backend/backend_registry.h"
 #include "src/common/error.h"
 #include "src/common/hash.h"
-#include "src/dse/search.h"
 #include "src/kernels/weight_cache.h"
 
 namespace bpvec::engine {
@@ -77,16 +76,13 @@ SimEngine::SimEngine(EngineOptions options)
     : pool_(options.num_threads),
       cache_enabled_(options.cache_enabled),
       layer_cache_enabled_(options.layer_cache_enabled),
-      grain_(options.grain),
       disk_(options.disk_cache_dir.empty()
                 ? nullptr
                 : std::make_unique<DiskCache>(options.disk_cache_dir)) {}
 
 std::size_t SimEngine::batch_grain(std::size_t jobs) const {
-  if (grain_ > 0) return grain_;
-  // Auto: aim for ~4 stealable tasks per worker so micro-scale jobs
-  // amortize queue overhead while load balancing still has slack (the
-  // winning setting in bench/warm_path.cpp's grain micro-measurement).
+  // ~4 stealable tasks per worker: micro-scale jobs amortize queue
+  // overhead while load balancing still has slack.
   const std::size_t lanes = static_cast<std::size_t>(pool_.num_threads()) * 4;
   return std::max<std::size_t>(1, jobs / std::max<std::size_t>(1, lanes));
 }
@@ -490,35 +486,6 @@ std::vector<sim::RunResult> SimEngine::run_batch(
 
 sim::RunResult SimEngine::run(const Scenario& scenario) {
   return run_batch({scenario}).front();
-}
-
-std::vector<core::DesignPoint> SimEngine::explore_design_space(
-    const std::vector<int>& slice_widths, const std::vector<int>& lanes,
-    int max_bits) {
-  return explore_design_space(slice_widths, lanes, max_bits, {});
-}
-
-std::vector<core::DesignPoint> SimEngine::explore_design_space(
-    const std::vector<int>& slice_widths, const std::vector<int>& lanes,
-    int max_bits, const std::vector<core::BitwidthMixEntry>& mix) {
-  // Rebased onto the DSE subsystem: a GridStrategy over geometry_space
-  // enumerates the identical α-outer L-inner grid, and GeometryEvaluator
-  // prices each point with the identical core::price_design_point — so
-  // the result is bit-identical to core::explore_design_space, just
-  // fanned out on the pool.
-  if (slice_widths.empty() || lanes.empty()) return {};
-  const dse::ParamSpace space =
-      dse::geometry_space(slice_widths, lanes, max_bits);
-  dse::GridStrategy strategy(space);
-  dse::GeometryEvaluator evaluator(
-      *this, space,
-      {dse::objective(dse::Metric::kMacPower),
-       dse::objective(dse::Metric::kMacArea)},
-      mix);
-  return dse::design_points(dse::run_search(
-      strategy, evaluator,
-      {dse::objective(dse::Metric::kMacPower),
-       dse::objective(dse::Metric::kMacArea)}));
 }
 
 EngineStats SimEngine::stats() const {

@@ -41,9 +41,6 @@
 //     and assemble() is a pure fold, so reassembly cannot drift.
 //   * Results come back in input order, one per input scenario, even
 //     when the caches deduplicate the actual pricing work.
-//   * explore_design_space is bit-identical to
-//     core::explore_design_space (it parallelizes the identical
-//     per-point pricing function over the identical grid).
 //
 // Thread safety: concurrent run_batch/stats/clear_cache calls on one
 // engine are safe (see tests/test_sim_engine.cpp racing test and
@@ -68,7 +65,6 @@
 
 #include "src/backend/cost_backend.h"
 #include "src/common/json.h"
-#include "src/core/design_space.h"
 #include "src/engine/cache_shards.h"
 #include "src/engine/disk_cache.h"
 #include "src/engine/scenario.h"
@@ -139,13 +135,6 @@ struct EngineOptions {
   /// Non-empty: persist scenario results under this directory and serve
   /// repeats from it across processes (created on demand).
   std::string disk_cache_dir{};
-  /// Indices per ThreadPool::parallel_for task in the batch phases.
-  /// 0 = auto: jobs / (threads × 4) — ~4 stealable tasks per worker,
-  /// the setting bench/warm_path.cpp's grain micro-measurement picks on
-  /// every machine we've measured (queue overhead amortized, stealing
-  /// slack kept). Set explicitly to trade steal balance against task
-  /// overhead for unusual batch shapes.
-  std::size_t grain = 0;
 };
 
 class SimEngine {
@@ -160,20 +149,6 @@ class SimEngine {
 
   /// Single-scenario convenience (still consults/feeds the caches).
   sim::RunResult run(const Scenario& scenario);
-
-  /// Parallel Fig. 4 sweep: a dse::GridStrategy over dse::geometry_space
-  /// priced by dse::GeometryEvaluator on the pool. Bit-identical to
-  /// core::explore_design_space over the same axes (identical grid order,
-  /// identical per-point pricing function).
-  std::vector<core::DesignPoint> explore_design_space(
-      const std::vector<int>& slice_widths, const std::vector<int>& lanes,
-      int max_bits = 8);
-
-  /// Variant that also evaluates `mix_utilization` per point (the
-  /// expensive half of a best_design query) in parallel.
-  std::vector<core::DesignPoint> explore_design_space(
-      const std::vector<int>& slice_widths, const std::vector<int>& lanes,
-      int max_bits, const std::vector<core::BitwidthMixEntry>& mix);
 
   /// Counter snapshot, safe to call concurrently with run_batch. Shard
   /// tallies are read one shard lock at a time; every scenario's ticks
@@ -204,18 +179,20 @@ class SimEngine {
   /// one EngineStats block carries the whole dispatch-cost split).
   void record_construct_seconds(double seconds);
 
- private:
-  /// Indices per pool task for a batch of `jobs` parallel units.
-  std::size_t batch_grain(std::size_t jobs) const;
-
-  /// parallel_for that skips the pool for a single unit of work (the
-  /// run() fast path: no queue round-trip for one job).
+  /// Runs fn(0..n-1) on the pool at the batch grain — the engine's one
+  /// scheduling policy, shared with callers that fan their own work out
+  /// (dse::GeometryEvaluator). A single unit skips the pool (the run()
+  /// fast path: no queue round-trip for one job).
   void for_each(std::size_t n, const std::function<void(std::size_t)>& fn);
+
+ private:
+  /// Indices per pool task for a batch of `jobs` parallel units:
+  /// jobs / (threads × 4), so each worker has ~4 stealable tasks.
+  std::size_t batch_grain(std::size_t jobs) const;
 
   ThreadPool pool_;
   bool cache_enabled_;
   bool layer_cache_enabled_;
-  std::size_t grain_;                // 0 = auto (see EngineOptions::grain)
   std::unique_ptr<DiskCache> disk_;  // null when not configured
 
   // Striped scenario cache + per-shard counter tallies (cache_shards.h).

@@ -122,14 +122,6 @@ Value Server::handle_line(const std::string& line) {
   return handle(envelope);
 }
 
-void Server::apply_engine_tuning(const Value& envelope) {
-  if (const Value* grain = envelope.find("grain")) {
-    const std::int64_t g = grain->as_int();
-    if (g < 0) throw Error("\"grain\" must be >= 0");
-    session_.set_grain(static_cast<std::size_t>(g));
-  }
-}
-
 Value Server::dispatch(const Value& envelope, const CancelToken& token) {
   if (!envelope.is_object()) {
     throw Error("request must be a JSON object envelope");
@@ -146,8 +138,6 @@ Value Server::dispatch(const Value& envelope, const CancelToken& token) {
       session_.register_network_file(f.as_string());
     }
   }
-
-  apply_engine_tuning(envelope);
 
   // Engine-touching ops return the Response's report + both counter
   // blocks; administrative ops return their own payloads.
@@ -282,22 +272,8 @@ void Server::serve_connection(int fd, Connection* conn) {
         final_response = error_response(
             std::string("request is not valid JSON: ") + e.what());
       }
-      if (final_response.is_null()) {
-        if (op == "price" || op == "search") {
-          // Engine tuning must land BEFORE run_streaming touches
-          // session_.engine() to submit the task — that call builds the
-          // lazy engine, and a "grain" arriving with the very request
-          // that warms the daemon would otherwise be rejected as a
-          // post-construction conflict. dispatch() re-applies the same
-          // value on the pool thread, which set_grain accepts.
-          try {
-            apply_engine_tuning(envelope);
-          } catch (const std::exception& e) {
-            final_response = error_response(e.what());
-          }
-        } else {
-          final_response = handle(envelope);
-        }
+      if (final_response.is_null() && op != "price" && op != "search") {
+        final_response = handle(envelope);
       }
       if (final_response.is_null()) {
         CancelToken token;

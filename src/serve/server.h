@@ -12,14 +12,7 @@
 //                           "deterministic_report" (bool), optional
 //                           "chunk" (int, cancellation granularity),
 //                           optional "network_files" (array of paths
-//                           registered before the manifest parses),
-//                           optional "grain" (int >= 0, engine
-//                           parallel_for grain; 0 = auto. An engine
-//                           construction parameter: honored before the
-//                           first price/search builds the engine,
-//                           afterwards it must match the live engine's
-//                           value or the request errors. Results are
-//                           grain-invariant)
+//                           registered before the manifest parses)
 //               "search"    same fields; runs the manifest's "search"
 //                           block
 //               "validate"  "manifest" (+"base_dir"/"network_files"),
@@ -142,15 +135,6 @@ class Server {
   /// session's price/search loops.
   common::json::Value dispatch(const common::json::Value& envelope,
                                const CancelToken& token);
-
-  /// Applies the envelope's engine-tuning fields ("grain") to the
-  /// session. Called from dispatch AND — crucially — from the
-  /// connection loop before run_streaming submits onto the engine's
-  /// pool, because that submission is what builds the lazy engine:
-  /// tuning carried by the daemon-warming request itself must land
-  /// first. Idempotent for a matching value; throws bpvec::Error on a
-  /// conflict or a negative grain.
-  void apply_engine_tuning(const common::json::Value& envelope);
 
   /// Runs a price/search dispatch on the session pool, streaming
   /// heartbeats to `fd` while it executes; returns the final response.

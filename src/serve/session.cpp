@@ -34,24 +34,9 @@ engine::SimEngine& Session::engine() {
     engine::EngineOptions engine_options;
     engine_options.num_threads = options_.threads;
     engine_options.disk_cache_dir = options_.cache_dir;
-    engine_options.grain = options_.grain;
     engine_ = std::make_unique<engine::SimEngine>(engine_options);
   }
   return *engine_;
-}
-
-void Session::set_grain(std::size_t grain) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (engine_ != nullptr) {
-    if (options_.grain != grain) {
-      throw Error(
-          "\"grain\" cannot change once the engine exists (current " +
-          std::to_string(options_.grain) + ", requested " +
-          std::to_string(grain) + "); restart the daemon to re-tune it");
-    }
-    return;
-  }
-  options_.grain = grain;
 }
 
 engine::EngineStats Session::fleet_stats() {

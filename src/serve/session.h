@@ -63,8 +63,6 @@ struct SessionOptions {
   /// Default scenarios per engine batch for price requests — the
   /// cancellation granularity. Counters and results are chunk-invariant.
   std::size_t price_chunk = 256;
-  /// Engine parallel_for grain (EngineOptions::grain); 0 = auto.
-  std::size_t grain = 0;
 };
 
 class Session {
@@ -94,14 +92,6 @@ class Session {
   /// The shared engine (constructed lazily on first use, so validate/
   /// list-only sessions never spin up a thread pool).
   engine::SimEngine& engine();
-
-  /// Sets the engine parallel_for grain (the envelope's "grain" key).
-  /// The grain is an engine-construction parameter, so this must happen
-  /// before the engine exists (before the first price/search request);
-  /// afterwards it is accepted only when it matches the live engine's
-  /// value and throws bpvec::Error otherwise. Results are
-  /// grain-invariant either way — this only tunes task granularity.
-  void set_grain(std::size_t grain);
 
   /// Cumulative engine counters; all-zero before the engine exists.
   engine::EngineStats fleet_stats();

@@ -1,7 +1,7 @@
-// DiskCache tests: serialization round trips (JSON and packed binary),
-// hit/miss accounting, corrupt-shard tolerance, format-version and
-// registry-generation invalidation, one-shard-per-batch sealing,
-// compaction/migration/inspection, concurrent writers, and — the
+// DiskCache tests: the packed-record round trip, hit/miss accounting,
+// corrupt-shard tolerance, format-version and registry-generation
+// invalidation, one-shard-per-batch sealing, compaction/inspection,
+// foreign files in the directory, concurrent writers, and — the
 // contract everything else leans on — run_batch bit-identity with the
 // disk cache off, cold, and warm.
 #include "src/engine/disk_cache.h"
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/common/error.h"
-#include "src/common/json.h"
 #include "src/dnn/model_zoo.h"
 #include "src/engine/scenario.h"
 #include "src/engine/sim_engine.h"
@@ -69,13 +68,6 @@ sim::RunResult other_result() {
   sim::RunResult r = sample_result();
   r.runtime_s += 1.0;
   return r;
-}
-
-TEST_F(DiskCacheTest, JsonSerializationIsTheIdentity) {
-  const sim::RunResult original = sample_result();
-  const sim::RunResult round_tripped = run_result_from_json(
-      common::json::parse(run_result_to_json(original).dump(1)));
-  expect_bit_identical(original, round_tripped);
 }
 
 TEST_F(DiskCacheTest, BinarySerializationIsTheIdentity) {
@@ -152,7 +144,7 @@ TEST_F(DiskCacheTest, WarmReopenIsOneFileOpenPerShard) {
     ASSERT_EQ(cache.store_batch(pending), 20u);
   }
   DiskCache warm(dir_);
-  EXPECT_EQ(warm.stats().file_opens, 1u);  // the scan; v2 paid one per key
+  EXPECT_EQ(warm.stats().file_opens, 1u);  // the scan, not one per key
   for (std::uint64_t key = 0; key < 20; ++key) {
     ASSERT_NE(warm.load(key, 1), nullptr);
   }
@@ -332,42 +324,75 @@ TEST_F(DiskCacheTest, CompactMergesShardsAndKeepsLiveRecords) {
   expect_bit_identical(second, *two);
 }
 
-TEST_F(DiskCacheTest, MigratesV2EntriesIntoAShard) {
-  fs::create_directories(dir_);
+TEST_F(DiskCacheTest, ForeignFilesAreIgnoredAndLeftInPlace) {
   const sim::RunResult a = sample_result();
   const sim::RunResult b = other_result();
-  (void)write_v2_entry(dir_, 11, 1, a);
-  (void)write_v2_entry(dir_, 12, 1, b);
+  // A sealed shard holding key 77, re-filed under names the scanner must
+  // not index: an unpublished temp file (its writer was killed before
+  // link(2)) and a shard- name without a number. Plus a stray JSON file.
   {
-    std::ofstream out(dir_ + "/not-an-entry.json");
-    out << "{\"broken\": true}";
+    DiskCache donor(dir_);
+    ASSERT_TRUE(donor.store(77, 1, a));
   }
-  EXPECT_EQ(inspect_cache_dir(dir_).v2_files, 3u);
+  const fs::path dir(dir_);
+  ASSERT_EQ(shard_files(), std::vector<std::string>{"shard-0000.bpc"});
+  fs::copy_file(dir / "shard-0000.bpc", dir / "shard-x.bpc");
+  fs::rename(dir / "shard-0000.bpc", dir / "tmp-4242-0.bpc");
+  {
+    std::ofstream out(dir / "0123456789abcdef.json");
+    out << R"({"format_version": 2, "key": "0123456789abcdef"})";
+  }
+  const auto files = [&] {
+    std::vector<std::string> names;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  };
 
-  const MigrateResult r = migrate_v2_cache_dir(dir_);
-  EXPECT_EQ(r.migrated, 2u);
-  EXPECT_EQ(r.failed, 1u);  // the broken file stays in place
+  const CacheDirInfo before = inspect_cache_dir(dir_);
+  EXPECT_TRUE(before.shards.empty());
+  EXPECT_EQ(before.records_total, 0u);
+  EXPECT_EQ(before.live_records, 0u);
+  EXPECT_EQ(before.rejected_total, 0u);
+  EXPECT_EQ(before.bytes_total, 0u);
+
+  {
+    DiskCache cache(dir_);
+    EXPECT_EQ(cache.stats().shards, 0u);
+    EXPECT_EQ(cache.stats().rejected, 0u);
+    EXPECT_EQ(cache.load(77, 1), nullptr);  // never published
+    ASSERT_EQ(cache.store_batch({{1, 1, &a}, {2, 1, &b}}), 2u);
+    const auto one = cache.load(1, 1);
+    ASSERT_NE(one, nullptr);
+    expect_bit_identical(a, *one);
+  }
+  EXPECT_EQ(files(),
+            (std::vector<std::string>{"0123456789abcdef.json",
+                                      "shard-0000.bpc", "shard-x.bpc",
+                                      "tmp-4242-0.bpc"}));
+
+  DiskCache reopened(dir_);
+  EXPECT_EQ(reopened.stats().shards, 1u);
+  EXPECT_EQ(reopened.stats().rejected, 0u);
+  const auto two = reopened.load(2, 1);
+  ASSERT_NE(two, nullptr);
+  expect_bit_identical(b, *two);
+  EXPECT_EQ(reopened.load(77, 1), nullptr);
+
   const CacheDirInfo after = inspect_cache_dir(dir_);
-  EXPECT_EQ(after.v2_files, 1u);
+  ASSERT_EQ(after.shards.size(), 1u);
   EXPECT_EQ(after.live_records, 2u);
+  EXPECT_EQ(after.rejected_total, 0u);
+  EXPECT_EQ(after.bytes_total, after.shards[0].bytes);
 
-  DiskCache cache(dir_);
-  const auto eleven = cache.load(11, 1);
-  const auto twelve = cache.load(12, 1);
-  ASSERT_NE(eleven, nullptr);
-  ASSERT_NE(twelve, nullptr);
-  expect_bit_identical(a, *eleven);
-  expect_bit_identical(b, *twelve);
-}
-
-TEST_F(DiskCacheTest, V2EntryRoundTrips) {
-  fs::create_directories(dir_);
-  const sim::RunResult original = sample_result();
-  const std::string path = write_v2_entry(dir_, 99, 4, original);
-  const V2Entry entry = load_v2_entry(path);
-  EXPECT_EQ(entry.key, 99u);
-  EXPECT_EQ(entry.generation, 4u);
-  expect_bit_identical(original, entry.result);
+  // Compaction replaces only real shards.
+  EXPECT_EQ(compact_cache_dir(dir_).records_kept, 2u);
+  EXPECT_EQ(files(),
+            (std::vector<std::string>{"0123456789abcdef.json",
+                                      "shard-0001.bpc", "shard-x.bpc",
+                                      "tmp-4242-0.bpc"}));
 }
 
 // ----- engine integration --------------------------------------------

@@ -1,5 +1,5 @@
 // DSE subsystem end to end: strategy determinism, grid-strategy
-// bit-identity against the legacy core::explore_design_space path,
+// bit-identity against the sequential core::explore_design_space path,
 // engine-cache dedup of repeat-heavy searches, budgets, constraints, and
 // the bpvec_run `search` subcommand (cold/warm byte-identity through the
 // disk cache, --validate dry runs).
@@ -47,6 +47,18 @@ engine::Scenario lstm_base() {
 
 // ----- grid bit-identity against the legacy path ---------------------
 
+/// The parallel Fig. 4 sweep: a grid over geometry_space priced by
+/// GeometryEvaluator on `eng`'s pool.
+std::vector<core::DesignPoint> parallel_sweep(
+    engine::SimEngine& eng, const std::vector<int>& alphas,
+    const std::vector<int>& lanes,
+    const std::vector<core::BitwidthMixEntry>& mix = {}) {
+  const ParamSpace space = geometry_space(alphas, lanes);
+  GridStrategy strategy(space);
+  GeometryEvaluator evaluator(eng, space, kGeomObjectives, mix);
+  return design_points(run_search(strategy, evaluator, kGeomObjectives));
+}
+
 TEST(GridSearch, BitIdenticalToLegacyExploreDesignSpace) {
   const std::vector<int> alphas{1, 2, 4};
   const std::vector<int> lanes{1, 2, 4, 8, 16};
@@ -76,19 +88,36 @@ TEST(GridSearch, BitIdenticalToLegacyExploreDesignSpace) {
     EXPECT_EQ(via_dse[i].mix_utilization, legacy[i].mix_utilization);
   }
 
-  // And the engine façade (rebased onto the same subsystem) agrees.
-  const auto via_engine =
-      eng.explore_design_space(alphas, lanes, 8, mix);
-  ASSERT_EQ(via_engine.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(via_engine[i].cost.power_total(),
-              legacy[i].cost.power_total());
-    EXPECT_EQ(via_engine[i].mix_utilization, legacy[i].mix_utilization);
-  }
-
   // Grid searches propose each point exactly once.
   EXPECT_EQ(outcome.candidates, space.size());
   EXPECT_EQ(outcome.unique_candidates, space.size());
+
+  // Without a mix, the parallel sweep equals the sequential
+  // core::explore_design_space.
+  const auto parallel = parallel_sweep(eng, alphas, lanes);
+  const auto sequential = core::explore_design_space(alphas, lanes);
+  ASSERT_EQ(parallel.size(), sequential.size());
+  for (std::size_t i = 0; i < parallel.size(); ++i) {
+    EXPECT_EQ(parallel[i].geometry.slice_bits,
+              sequential[i].geometry.slice_bits);
+    EXPECT_EQ(parallel[i].geometry.lanes, sequential[i].geometry.lanes);
+    EXPECT_EQ(parallel[i].cost.power_total(), sequential[i].cost.power_total());
+    EXPECT_EQ(parallel[i].cost.area_total(), sequential[i].cost.area_total());
+  }
+}
+
+TEST(GridSearch, ParallelSweepWithMixFindsThePaperOptimum) {
+  engine::SimEngine eng({4, true});
+  const std::vector<core::BitwidthMixEntry> mix{
+      {8, 8, 0.2}, {4, 4, 0.6}, {8, 2, 0.1}, {2, 2, 0.1}};
+  const auto points = parallel_sweep(eng, {1, 2, 4}, {1, 2, 4, 8, 16}, mix);
+  for (const auto& p : points) {
+    EXPECT_EQ(p.mix_utilization, core::mix_utilization(p.geometry, mix));
+  }
+  // best_design over the parallel points reproduces the paper's optimum.
+  const auto best = core::best_design(points, mix, 0.99);
+  EXPECT_EQ(best.geometry.slice_bits, 2);
+  EXPECT_EQ(best.geometry.lanes, 16);
 }
 
 // ----- determinism ----------------------------------------------------

@@ -351,51 +351,6 @@ TEST(Server, VersionStatsAndPriceOpsRoundTrip) {
   EXPECT_EQ(body.at("cache_hit_rates").at("scenario_memo").as_double(), 0.0);
 }
 
-TEST(Server, GrainEnvelopeKeyTunesTheEngineBeforeItExists) {
-  Server server(ServerOptions{});
-  const char* manifest =
-      R"("manifest": {
-        "name": "grain_grid",
-        "grids": [{"platforms": ["bpvec"], "memories": ["ddr4"],
-                   "networks": ["lstm"], "bitwidth_modes": ["heterogeneous"]}]
-      })";
-
-  // "grain" before the engine exists: accepted (validate never builds an
-  // engine, so the grain is still pending after it).
-  const Value validated = server.handle_line(
-      std::string(R"({"op": "validate", "grain": 16, )") + manifest + "}");
-  ASSERT_EQ(validated.at("status").as_string(), "ok") << validated.dump();
-
-  // First price builds the engine with grain 16; results are
-  // grain-invariant so the report is the usual document.
-  const Value priced = server.handle_line(
-      std::string(
-          R"({"op": "price", "deterministic_report": true, "grain": 16, )") +
-      manifest + "}");
-  ASSERT_EQ(priced.at("status").as_string(), "ok") << priced.dump();
-
-  // Same grain again: fine. A different grain after the engine exists:
-  // a structured error, and the session keeps serving.
-  const Value same = server.handle_line(
-      std::string(
-          R"({"op": "price", "deterministic_report": true, "grain": 16, )") +
-      manifest + "}");
-  EXPECT_EQ(same.at("status").as_string(), "ok");
-  const Value conflict = server.handle_line(
-      std::string(R"({"op": "price", "grain": 8, )") + manifest + "}");
-  ASSERT_EQ(conflict.at("status").as_string(), "error");
-  EXPECT_NE(conflict.at("error").as_string().find("cannot change"),
-            std::string::npos)
-      << conflict.at("error").as_string();
-  const Value negative =
-      server.handle_line(R"({"op": "ping", "grain": -1})");
-  ASSERT_EQ(negative.at("status").as_string(), "error");
-  EXPECT_NE(negative.at("error").as_string().find("must be >= 0"),
-            std::string::npos);
-  EXPECT_EQ(server.handle_line(R"({"op": "ping"})").at("status").as_string(),
-            "ok");
-}
-
 TEST(Session, StatsJsonReportsWeightPlaneHitRate) {
   Session session;
   PriceRequest request;

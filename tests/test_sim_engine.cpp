@@ -129,37 +129,6 @@ TEST(SimEngine, EmptyBatchIsFine) {
   EXPECT_TRUE(eng.run_batch({}).empty());
 }
 
-TEST(SimEngine, ExploreDesignSpaceMatchesCoreSequential) {
-  SimEngine eng({4, true});
-  const std::vector<int> alphas{1, 2, 4};
-  const std::vector<int> lanes{1, 2, 4, 8, 16};
-  const auto parallel = eng.explore_design_space(alphas, lanes);
-  const auto sequential = core::explore_design_space(alphas, lanes);
-  ASSERT_EQ(parallel.size(), sequential.size());
-  for (std::size_t i = 0; i < parallel.size(); ++i) {
-    EXPECT_EQ(parallel[i].geometry.slice_bits,
-              sequential[i].geometry.slice_bits);
-    EXPECT_EQ(parallel[i].geometry.lanes, sequential[i].geometry.lanes);
-    EXPECT_EQ(parallel[i].cost.power_total(), sequential[i].cost.power_total());
-    EXPECT_EQ(parallel[i].cost.area_total(), sequential[i].cost.area_total());
-  }
-}
-
-TEST(SimEngine, ExploreWithMixFillsUtilizationIdentically) {
-  SimEngine eng({4, true});
-  const std::vector<core::BitwidthMixEntry> mix{
-      {8, 8, 0.2}, {4, 4, 0.6}, {8, 2, 0.1}, {2, 2, 0.1}};
-  const auto points =
-      eng.explore_design_space({1, 2, 4}, {1, 2, 4, 8, 16}, 8, mix);
-  for (const auto& p : points) {
-    EXPECT_EQ(p.mix_utilization, core::mix_utilization(p.geometry, mix));
-  }
-  // best_design over the parallel points reproduces the paper's optimum.
-  const auto best = core::best_design(points, mix, 0.99);
-  EXPECT_EQ(best.geometry.slice_bits, 2);
-  EXPECT_EQ(best.geometry.lanes, 16);
-}
-
 TEST(Scenario, FingerprintIsStableAndSensitive) {
   const auto base = make_scenario(
       Platform::kBpvec, core::Memory::kDdr4,

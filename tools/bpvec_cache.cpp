@@ -3,7 +3,8 @@
 //   bpvec_cache inspect DIR
 //       Walk the shard files and print a JSON summary: per-shard record
 //       and byte counts, rejected (corrupt/foreign) records, live record
-//       count after last-writer-wins, and any orphaned v2 .json entries.
+//       count after last-writer-wins, and total bytes. Files that are
+//       not shards are ignored.
 //       Read-only; safe against a live cache.
 //
 //   bpvec_cache compact DIR
@@ -12,11 +13,6 @@
 //       are copied verbatim, so compaction can never change what a later
 //       load returns. Do not run against a directory another process is
 //       actively writing.
-//
-//   bpvec_cache migrate-v2 DIR
-//       Convert v2 one-JSON-file-per-entry caches (orphaned by the v3
-//       format bump) into one v3 shard, deleting each migrated .json
-//       file. Unreadable files are left in place and counted.
 //
 // All logic lives in src/engine/disk_cache.cpp so tests can drive it
 // in-process.
@@ -28,11 +24,8 @@
 namespace {
 
 void usage(std::ostream& out) {
-  out << "usage: bpvec_cache inspect DIR      summarize shard files (JSON)\n"
-         "       bpvec_cache compact DIR      merge shards, drop dead "
-         "records\n"
-         "       bpvec_cache migrate-v2 DIR   convert v2 .json entries to "
-         "a v3 shard\n";
+  out << "usage: bpvec_cache inspect DIR   summarize shard files (JSON)\n"
+         "       bpvec_cache compact DIR   merge shards, drop dead records\n";
 }
 
 }  // namespace
@@ -58,13 +51,6 @@ int main(int argc, char** argv) {
                 << " shards -> " << r.shards_after << ", " << r.records_kept
                 << " records kept, " << r.records_dropped << " dropped\n";
       return 0;
-    }
-    if (cmd == "migrate-v2") {
-      const bpvec::engine::MigrateResult r =
-          bpvec::engine::migrate_v2_cache_dir(dir);
-      std::cout << "migrated " << dir << ": " << r.migrated
-                << " v2 entries converted, " << r.failed << " failed\n";
-      return r.failed == 0 ? 0 : 1;
     }
   } catch (const std::exception& e) {
     std::cerr << "bpvec_cache: " << e.what() << "\n";

@@ -1,7 +1,7 @@
 // bpvec_serve — the resident pricing daemon, and its line client.
 //
 //   bpvec_serve --socket PATH [--cache-dir DIR] [--threads N]
-//               [--grain N] [--network-file FILE]...
+//               [--network-file FILE]...
 //       Serve forever over the Unix socket; SIGTERM/SIGINT drain
 //       gracefully (in-flight requests finish, then the socket closes).
 //
@@ -54,9 +54,6 @@ void usage(std::ostream& out) {
          "bpvec_run)\n"
          "  --threads N            engine worker threads (default: "
          "hardware)\n"
-         "  --grain N              engine parallel_for grain (default 0 = "
-         "auto;\n"
-         "                         results are grain-invariant)\n"
          "  --network-file FILE    register a workload-schema network at "
          "startup\n"
          "\n"
@@ -70,9 +67,6 @@ void usage(std::ostream& out) {
          "  --search               validate the \"search\" block (with --op "
          "validate)\n"
          "  --chunk N              price cancellation granularity\n"
-         "  --grain N              ask the daemon to use this engine grain\n"
-         "                         (honored before its engine exists; must\n"
-         "                         match afterwards)\n"
          "  --report OUT           write the served report document here\n"
          "  --network-file FILE    ask the daemon to register this file\n"
          "\n"
@@ -156,7 +150,6 @@ struct ClientOptions {
   bool deterministic_report = false;
   bool search = false;
   std::int64_t chunk = 0;
-  std::int64_t grain = -1;  // < 0: leave the envelope key out
 };
 
 int run_client(const ClientOptions& options) {
@@ -175,7 +168,6 @@ int run_client(const ClientOptions& options) {
   if (options.deterministic_report) envelope.set("deterministic_report", true);
   if (options.search) envelope.set("search", true);
   if (options.chunk > 0) envelope.set("chunk", options.chunk);
-  if (options.grain >= 0) envelope.set("grain", options.grain);
   if (!options.network_files.empty()) {
     Value files = Value::array();
     for (const std::string& f : options.network_files) files.push_back(f);
@@ -271,9 +263,6 @@ int main_serve(int argc, char** argv) {
       server_options.session.cache_dir = value_of(arg);
     } else if (!client_mode && arg == "--threads") {
       server_options.session.threads = std::stoi(value_of(arg));
-    } else if (!client_mode && arg == "--grain") {
-      server_options.session.grain =
-          static_cast<std::size_t>(std::stoull(value_of(arg)));
     } else if (client_mode && arg == "--op") {
       client.op = value_of(arg);
     } else if (client_mode && arg == "--manifest") {
@@ -286,9 +275,6 @@ int main_serve(int argc, char** argv) {
       client.search = true;
     } else if (client_mode && arg == "--chunk") {
       client.chunk = std::stoll(value_of(arg));
-    } else if (client_mode && arg == "--grain") {
-      client.grain = std::stoll(value_of(arg));
-      if (client.grain < 0) throw Error("--grain must be >= 0");
     } else {
       throw Error("unknown flag: " + arg);
     }
