@@ -91,9 +91,12 @@ TEST(GridSearch, BitIdenticalToLegacyExploreDesignSpace) {
   // Grid searches propose each point exactly once.
   EXPECT_EQ(outcome.candidates, space.size());
   EXPECT_EQ(outcome.unique_candidates, space.size());
+}
 
-  // Without a mix, the parallel sweep equals the sequential
-  // core::explore_design_space.
+TEST(GridSearch, ParallelSweepWithoutMixMatchesCoreSequential) {
+  engine::SimEngine eng({4, true});
+  const std::vector<int> alphas{1, 2, 4};
+  const std::vector<int> lanes{1, 2, 4, 8, 16};
   const auto parallel = parallel_sweep(eng, alphas, lanes);
   const auto sequential = core::explore_design_space(alphas, lanes);
   ASSERT_EQ(parallel.size(), sequential.size());

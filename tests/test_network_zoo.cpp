@@ -27,6 +27,10 @@ struct ZooCase {
   bool all_4bit;                    // heterogeneous regime
 };
 
+// Without a printer gtest dumps the raw bytes of ZooCase (pointers and
+// padding) into each test's listed name, so the name changes every run.
+void PrintTo(const ZooCase& c, std::ostream* os) { *os << c.name; }
+
 class ModelZooTest : public ::testing::TestWithParam<ZooCase> {};
 
 TEST_P(ModelZooTest, TableOneStatistics) {
