@@ -1,5 +1,5 @@
 // Warm-path throughput: what a repeated grid replay costs under the
-// packed-shard disk cache and the striped memo caches.
+// packed-shard disk cache and the in-memory memo caches.
 //
 // Two measurements over the ci_gate manifest (the CI regression grid),
 // emitted as BENCH_warm_path.json:
@@ -15,8 +15,9 @@
 //
 //   2. Lock-contention proxy — the warm-memo replay at 1 thread and at
 //      hardware concurrency, with the engine's serial plan_s phase (the
-//      only phase that holds shard locks) reported for both. With
-//      striped caches plan_s must not grow with the thread count.
+//      scenario-cache probe) reported for both. The memo caches sit
+//      behind one reader-writer lock each; plan_s must not grow with
+//      the thread count.
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -180,9 +181,9 @@ int main(int argc, char** argv) {
   t1.print();
 
   // ----- 2. lock-contention proxy -------------------------------------
-  // plan_s is the only phase that takes shard locks serially; with the
-  // striped caches it must stay flat as threads scale (it used to sit
-  // behind one global mutex).
+  // plan_s probes the scenario memo serially under its reader lock; it
+  // must stay flat as threads scale. At 4 threads one lock measured
+  // the same as 16 lock stripes, which is why the memo is not striped.
   engine::EngineStats warm_1t;
   const double warm_1t_s = warm_replay_s(scenarios, cache_dir, 1, &warm_1t);
   engine::EngineStats warm_nt;

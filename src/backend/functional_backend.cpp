@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <utility>
 
 #include "src/bitslice/cvu.h"
@@ -61,14 +62,14 @@ void probe_conv(const dnn::Layer& probe, const FunctionalConfig& fc,
   // Weight draw + pack, once per (probe config, layer) key — repeat
   // probes hit the cache and skip both. The draw rides its own Rng
   // stream, so skipping it never perturbs the input stream above.
-  const auto entry = weight_cache().get_or_pack(weight_key, [&] {
+  const auto entry = weight_cache().get_or_build(weight_key, [&] {
     kernels::PackedWeights pw;
     pw.values = weight_rng.signed_vector(
         static_cast<std::size_t>(p.out_c) * p.in_c * p.kh * p.kw,
         probe.w_bits);
     pw.planes.push_back(
         kernels::pack_values(pw.values.data(), p.out_c, k, probe.w_bits));
-    return pw;
+    return std::make_shared<const kernels::PackedWeights>(std::move(pw));
   });
   const std::vector<std::int32_t>& weights = entry->values;
 
@@ -108,14 +109,14 @@ void probe_fc(const dnn::Layer& probe, const FunctionalConfig& fc,
   const dnn::FcParams& p = probe.fc();
   const auto input = input_rng.signed_vector(
       static_cast<std::size_t>(p.in_features), probe.x_bits);
-  const auto entry = weight_cache().get_or_pack(weight_key, [&] {
+  const auto entry = weight_cache().get_or_build(weight_key, [&] {
     kernels::PackedWeights pw;
     pw.values = weight_rng.signed_vector(
         static_cast<std::size_t>(p.in_features) * p.out_features,
         probe.w_bits);
     pw.planes.push_back(kernels::pack_values(pw.values.data(), p.out_features,
                                              p.in_features, probe.w_bits));
-    return pw;
+    return std::make_shared<const kernels::PackedWeights>(std::move(pw));
   });
   const std::vector<std::int32_t>& weights = entry->values;
 
@@ -185,7 +186,7 @@ void probe_recurrent(const dnn::Layer& probe, const FunctionalConfig& fc,
   const int gates = p.gates();
   const std::size_t gate_size =
       static_cast<std::size_t>(p.hidden_size) * static_cast<std::size_t>(k);
-  const auto entry = weight_cache().get_or_pack(weight_key, [&] {
+  const auto entry = weight_cache().get_or_build(weight_key, [&] {
     kernels::PackedWeights pw;
     pw.values = weight_rng.signed_vector(gates * gate_size, probe.w_bits);
     for (int g = 0; g < gates; ++g) {
@@ -193,7 +194,7 @@ void probe_recurrent(const dnn::Layer& probe, const FunctionalConfig& fc,
           pw.values.data() + static_cast<std::size_t>(g) * gate_size,
           p.hidden_size, k, probe.w_bits));
     }
-    return pw;
+    return std::make_shared<const kernels::PackedWeights>(std::move(pw));
   });
 
   for (int t = 0; t < p.time_steps; ++t) {

@@ -1,10 +1,9 @@
 #include "src/engine/sim_engine.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
-#include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "src/backend/backend_registry.h"
@@ -164,66 +163,32 @@ std::vector<sim::RunResult> SimEngine::run_batch(
   std::vector<std::shared_ptr<const sim::RunResult>> hits(batch.size());
 
   t_phase = SteadyClock::now();
-  if (!cache_enabled_) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      slots[i].job = jobs.size();
-      jobs.push_back(i);
-    }
-    // No fingerprints to stripe on — all counter ticks land on shard 0
-    // (cache_shards.h counter contract).
-    auto& sh = scenario_cache_.shard(0);
-    std::lock_guard<std::mutex> lock(sh.mu);
-    sh.counters.scenarios_submitted += batch.size();
-  } else {
-    // Probe shard by shard: bucket the batch by fingerprint shard and
-    // take each touched shard's lock exactly once, counting submissions
-    // and hits under it (submitted before hits — the per-shard counter
-    // invariant). Concurrent batches touching disjoint shards never
-    // contend.
-    std::array<std::vector<std::size_t>, kCacheShards> by_shard;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      by_shard[cache_shard_of(prints[i])].push_back(i);
-    }
-    std::vector<char> found(batch.size(), 0);
-    for (std::size_t s = 0; s < kCacheShards; ++s) {
-      if (by_shard[s].empty()) continue;
-      auto& sh = scenario_cache_.shard(s);
-      std::lock_guard<std::mutex> lock(sh.mu);
-      sh.counters.scenarios_submitted += by_shard[s].size();
-      for (const std::size_t i : by_shard[s]) {
-        if (auto it = sh.map.find(prints[i]); it != sh.map.end()) {
-          hits[i] = it->second;
-          found[i] = 1;
-          ++sh.counters.cache_hits;
-        }
-      }
-    }
-    // Serial in-input-order dedup of the misses; an in-batch duplicate
-    // is a cache hit on its fingerprint's shard (applied in one more
-    // locking round below so the dedup itself stays lock-free).
-    std::array<std::size_t, kCacheShards> dup_hits{};
-    std::unordered_map<std::uint64_t, std::size_t> first_job;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (found[i]) {
+  // Submissions are counted before any hit or simulation of this batch
+  // (the counter order stats() relies on).
+  scenarios_submitted_ += batch.size();
+  // Serial in-input-order probe + dedup: a cache hit or an in-batch
+  // duplicate of an earlier miss is a hit; the rest become jobs.
+  std::size_t batch_hits = 0;
+  std::unordered_map<std::uint64_t, std::size_t> first_job;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (cache_enabled_) {
+      if (auto hit = scenario_cache_.find(prints[i])) {
+        hits[i] = std::move(*hit);
         slots[i].cached = true;
+        ++batch_hits;
         continue;
       }
       if (auto it = first_job.find(prints[i]); it != first_job.end()) {
         slots[i].job = it->second;  // duplicate within this batch
-        ++dup_hits[cache_shard_of(prints[i])];
+        ++batch_hits;
         continue;
       }
       first_job.emplace(prints[i], jobs.size());
-      slots[i].job = jobs.size();
-      jobs.push_back(i);
     }
-    for (std::size_t s = 0; s < kCacheShards; ++s) {
-      if (dup_hits[s] == 0) continue;
-      auto& sh = scenario_cache_.shard(s);
-      std::lock_guard<std::mutex> lock(sh.mu);
-      sh.counters.cache_hits += dup_hits[s];
-    }
+    slots[i].job = jobs.size();
+    jobs.push_back(i);
   }
+  cache_hits_ += batch_hits;
   plan_s += seconds_since(t_phase);
 
   // Delta-pricing pipeline over the unique jobs, in four phases. Each
@@ -250,8 +215,8 @@ std::vector<sim::RunResult> SimEngine::run_batch(
   std::atomic<std::size_t> probe_hits{0};
 
   // Phase 1 — per job: construct the backend, probe the disk cache, and
-  // probe the layer cache for every layer key (one reader lock per job;
-  // pool threads probe concurrently).
+  // probe the layer cache for every layer key (pool threads probe
+  // concurrently under the cache's reader lock).
   t_phase = SteadyClock::now();
   for_each(jobs.size(), [&](std::size_t j) {
     const std::size_t i = jobs[j];
@@ -282,14 +247,8 @@ std::vector<sim::RunResult> SimEngine::run_batch(
     js.layers.resize(net_layers.size());
     for (std::size_t k = 0; k < net_layers.size(); ++k) {
       js.keys[k] = js.be->layer_key(be_print, net_layers[k]);
-    }
-    for (std::size_t k = 0; k < net_layers.size(); ++k) {
-      // One reader lock per key, on the key's own shard — concurrent
-      // jobs probing different shards never serialize.
-      auto& sh = layer_cache_.shard_for(js.keys[k]);
-      std::shared_lock<std::shared_mutex> lock(sh.mu);
-      if (auto it = sh.map.find(js.keys[k]); it != sh.map.end()) {
-        js.layers[k] = it->second;
+      if (auto hit = layer_cache_.find(js.keys[k])) {
+        js.layers[k] = std::move(*hit);
         // The fingerprint deliberately ignores names so ResNet's
         // repeated blocks share an entry; restore this layer's own.
         js.layers[k].name = net_layers[k].name;
@@ -313,7 +272,6 @@ std::vector<sim::RunResult> SimEngine::run_batch(
     std::size_t layer;
   };
   std::vector<MissRef> unique;
-  std::vector<std::uint64_t> unique_keys;
   std::size_t aliased = 0;
   if (layer_cache_enabled_) {
     std::unordered_map<std::uint64_t, std::size_t> owner;
@@ -327,7 +285,6 @@ std::vector<sim::RunResult> SimEngine::run_batch(
         if (it == owner.end()) {
           it = owner.emplace(key, unique.size()).first;
           unique.push_back({j, layer});
-          unique_keys.push_back(key);
           ++owned;
         } else {
           ++aliased;
@@ -343,10 +300,10 @@ std::vector<sim::RunResult> SimEngine::run_batch(
 
   // Phase 3 — price the unique misses in parallel at *layer*
   // granularity (balances uneven networks better than per-scenario
-  // fan-out), then publish them to the layer cache under one writer
-  // lock per batch. Which backend instance prices a shared key is
-  // irrelevant: equal keys mean equal backend and layer fingerprints,
-  // and fingerprints cover every pricing knob.
+  // fan-out), then publish them to the layer cache. Which backend
+  // instance prices a shared key is irrelevant: equal keys mean equal
+  // backend and layer fingerprints, and fingerprints cover every pricing
+  // knob.
   t_phase = SteadyClock::now();
   std::vector<sim::LayerResult> priced(unique.size());
   if (!unique.empty()) {
@@ -357,19 +314,9 @@ std::vector<sim::RunResult> SimEngine::run_batch(
           state[ref.job].be->price_layer(s.network.layers()[ref.layer]);
     });
     layers_priced_.fetch_add(unique.size(), std::memory_order_relaxed);
-    // Publish shard by shard: bucket the fresh keys and take each
-    // touched shard's writer lock exactly once per batch.
-    std::array<std::vector<std::size_t>, kCacheShards> publish;
     for (std::size_t u = 0; u < unique.size(); ++u) {
-      publish[cache_shard_of(unique_keys[u])].push_back(u);
-    }
-    for (std::size_t s = 0; s < kCacheShards; ++s) {
-      if (publish[s].empty()) continue;
-      auto& sh = layer_cache_.shard(s);
-      std::unique_lock<std::shared_mutex> lock(sh.mu);
-      for (const std::size_t u : publish[s]) {
-        sh.map.emplace(unique_keys[u], priced[u]);
-      }
+      layer_cache_.insert(state[unique[u].job].keys[unique[u].layer],
+                          priced[u]);
     }
   }
   layer_cache_hits_.fetch_add(
@@ -443,31 +390,20 @@ std::vector<sim::RunResult> SimEngine::run_batch(
   }
   const double assemble_s = seconds_since(t_phase);
 
-  {
-    // Accounted after the fact so disk-served jobs don't inflate
-    // simulations_run; the mid-batch invariant simulations_run +
-    // cache_hits <= scenarios_submitted still holds per shard (counters
-    // lag work, and each job ticks the shard its fingerprint was
-    // submitted on — shard 0 when the cache is disabled).
-    std::array<std::vector<std::size_t>, kCacheShards> by_shard;
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      const std::size_t s =
-          cache_enabled_ ? cache_shard_of(prints[jobs[j]]) : 0;
-      by_shard[s].push_back(j);
-    }
-    for (std::size_t s = 0; s < kCacheShards; ++s) {
-      if (by_shard[s].empty()) continue;
-      auto& sh = scenario_cache_.shard(s);
-      std::lock_guard<std::mutex> lock(sh.mu);
-      for (const std::size_t j : by_shard[s]) {
-        if (!state[j].disk_served) ++sh.counters.simulations_run;
-        if (state[j].delta) ++sh.counters.delta_scenarios;
-        if (cache_enabled_) {
-          sh.map.emplace(prints[jobs[j]], std::move(fresh[j]));
-        }
-      }
+  // Accounted after the fact so disk-served jobs don't inflate
+  // simulations_run; counters lag work, so a mid-batch snapshot still
+  // sees simulations_run + cache_hits <= scenarios_submitted.
+  std::size_t batch_sims = 0;
+  std::size_t batch_deltas = 0;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (!state[j].disk_served) ++batch_sims;
+    if (state[j].delta) ++batch_deltas;
+    if (cache_enabled_) {
+      scenario_cache_.insert(prints[jobs[j]], std::move(fresh[j]));
     }
   }
+  simulations_run_ += batch_sims;
+  delta_scenarios_ += batch_deltas;
   {
     std::lock_guard<std::mutex> lock(timer_mu_);
     timers_.hash_s += hash_s;
@@ -490,12 +426,13 @@ sim::RunResult SimEngine::run(const Scenario& scenario) {
 
 EngineStats SimEngine::stats() const {
   EngineStats s;
-  // Disk counters read BEFORE the scenario tallies: a scenario's submit
-  // tick precedes its disk probe, so any disk hit in this snapshot has
-  // its submit included in the (later-read) shard totals — keeping the
-  // mid-flight invariant scenarios_submitted >= cache_hits +
-  // simulations_run + disk_hits. The reverse order could catch a probe
-  // whose submit the totals missed.
+  // Read order: disk counters, then hits, simulations and deltas, then
+  // scenarios_submitted last. Every hit, simulation or disk hit is
+  // ticked after its scenario's submission, so whatever this snapshot
+  // sees of the former, it sees the submissions behind them — keeping
+  // scenarios_submitted >= cache_hits + simulations_run + disk_hits at
+  // every instant. The reverse order could catch a tick whose
+  // submission it missed.
   if (disk_ != nullptr) {
     const DiskCacheStats d = disk_->stats();
     s.disk_hits = d.hits;
@@ -505,11 +442,10 @@ EngineStats SimEngine::stats() const {
     s.disk_store_failures = d.store_failures;
     s.disk_file_opens = d.file_opens;
   }
-  const ScenarioShardCounters t = scenario_cache_.totals();
-  s.scenarios_submitted = t.scenarios_submitted;
-  s.simulations_run = t.simulations_run;
-  s.cache_hits = t.cache_hits;
-  s.delta_scenarios = t.delta_scenarios;
+  s.cache_hits = cache_hits_.load();
+  s.simulations_run = simulations_run_.load();
+  s.delta_scenarios = delta_scenarios_.load();
+  s.scenarios_submitted = scenarios_submitted_.load();
   {
     std::lock_guard<std::mutex> lock(timer_mu_);
     s.construct_s = timers_.construct_s;
@@ -523,11 +459,6 @@ EngineStats SimEngine::stats() const {
   s.weight_cache_hits = kernels::WeightPlaneCache::instance().hits();
   s.weight_cache_misses = kernels::WeightPlaneCache::instance().misses();
   return s;
-}
-
-std::array<ScenarioShardCounters, kCacheShards>
-SimEngine::scenario_shard_counters() const {
-  return scenario_cache_.per_shard();
 }
 
 void SimEngine::clear_cache() {

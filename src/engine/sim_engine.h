@@ -45,13 +45,12 @@
 // Thread safety: concurrent run_batch/stats/clear_cache calls on one
 // engine are safe (see tests/test_sim_engine.cpp racing test and
 // tests/test_cache_shards.cpp stress test). Both memo caches are
-// lock-striped into kCacheShards shards keyed by fingerprint bits
-// (src/engine/cache_shards.h), so concurrent sessions and the parallel
-// probe phases stop contending on global locks. The scenario counters
-// are tallied per shard under the same shard locks and summed by
-// stats(); each scenario's ticks land on one shard, so the summed
-// snapshot still satisfies the engine invariant (see cache_shards.h for
-// the counter contract). Layer counters stay relaxed atomics.
+// common::Memo maps, each behind one reader-writer lock. The scenario
+// counters are atomics: run_batch counts a submission before any hit or
+// simulation for that scenario, and stats() reads scenarios_submitted
+// last, so every snapshot satisfies scenarios_submitted >= cache_hits +
+// simulations_run + disk_hits without a lock. Layer counters are relaxed
+// atomics.
 #pragma once
 
 #include <atomic>
@@ -59,13 +58,11 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "src/backend/cost_backend.h"
 #include "src/common/json.h"
-#include "src/engine/cache_shards.h"
+#include "src/common/memo.h"
 #include "src/engine/disk_cache.h"
 #include "src/engine/scenario.h"
 #include "src/engine/thread_pool.h"
@@ -150,17 +147,10 @@ class SimEngine {
   /// Single-scenario convenience (still consults/feeds the caches).
   sim::RunResult run(const Scenario& scenario);
 
-  /// Counter snapshot, safe to call concurrently with run_batch. Shard
-  /// tallies are read one shard lock at a time; every scenario's ticks
-  /// live on a single shard, so the summed counters still satisfy the
-  /// engine invariant (see cache_shards.h).
+  /// Counter snapshot, safe to call concurrently with run_batch; it
+  /// satisfies the engine invariant at every instant (see the thread
+  /// safety note above).
   EngineStats stats() const;
-
-  /// Per-shard scenario-counter snapshot (exposed for the shard stress
-  /// test, which asserts the counter invariant per shard, not just in
-  /// aggregate).
-  std::array<ScenarioShardCounters, kCacheShards> scenario_shard_counters()
-      const;
 
   /// Drops both in-memory caches (scenario and layer). The disk cache is
   /// untouched — it belongs to the directory, not the engine; delete the
@@ -195,14 +185,16 @@ class SimEngine {
   bool layer_cache_enabled_;
   std::unique_ptr<DiskCache> disk_;  // null when not configured
 
-  // Striped scenario cache + per-shard counter tallies (cache_shards.h).
-  // When the scenario cache is disabled no fingerprints exist, so all
-  // counter ticks land on shard 0.
-  ScenarioCacheShards scenario_cache_;
+  // Scenario cache: fingerprint × backend generation → shared result.
+  common::Memo<std::shared_ptr<const sim::RunResult>> scenario_cache_;
+  // Scenario counters. Ordering matters (see stats()), so these use the
+  // default sequentially consistent operations.
+  std::atomic<std::size_t> scenarios_submitted_{0};
+  std::atomic<std::size_t> cache_hits_{0};
+  std::atomic<std::size_t> simulations_run_{0};
+  std::atomic<std::size_t> delta_scenarios_{0};
 
-  // Phase timers accumulate under their own lock — they are batch-scoped
-  // wall-clock sums, not per-scenario ticks, so they never belonged to a
-  // fingerprint shard.
+  // Phase timers: batch-scoped wall-clock sums under their own lock.
   struct PhaseTimers {
     double construct_s = 0.0;
     double hash_s = 0.0;
@@ -213,10 +205,9 @@ class SimEngine {
   mutable std::mutex timer_mu_;
   PhaseTimers timers_;
 
-  // Striped layer cache: reader-writer locked per shard (hits only probe
-  // + copy), stored by value — LayerResults are small (a RunResult is
-  // bulky and stays behind a shared_ptr above).
-  LayerCacheShards layer_cache_;
+  // Layer cache, stored by value — LayerResults are small (a RunResult
+  // is bulky and stays behind a shared_ptr above).
+  common::Memo<sim::LayerResult> layer_cache_;
   std::atomic<std::size_t> layers_priced_{0};
   std::atomic<std::size_t> layer_cache_hits_{0};
 };

@@ -16,23 +16,19 @@
 // deliberately NOT in the key: switching variants mid-process keeps the
 // planes valid.
 //
-// Concurrency: lookups take a shared lock; inserts take an exclusive
-// lock. Concurrent misses on one key may both build — the first insert
-// wins and the duplicate (bit-identical by determinism) is dropped, so
-// results never depend on the race. Hit/miss counters are monotone
-// atomics surfaced through EngineStats (engine::SimEngine::stats reads
-// them), which keeps the serve layer's before/after delta semantics
-// valid; clear() drops entries but never rewinds counters.
+// Concurrency and counters: a common::Memo (see src/common/memo.h).
+// Concurrent misses on one key may both build; the first insert wins and
+// the duplicate (bit-identical by determinism) is dropped, so results
+// never depend on the race. Hit/miss counters surface through EngineStats
+// (engine::SimEngine::stats reads them) and are monotone, which keeps the
+// serve layer's before/after delta semantics valid.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/memo.h"
 #include "src/kernels/bitplane.h"
 
 namespace bpvec::kernels {
@@ -45,43 +41,23 @@ struct PackedWeights {
   std::vector<BitPlanes> planes;
 };
 
-class WeightPlaneCache {
+/// The process-wide memo of probe weights, keyed by
+/// FunctionalBackend::weight_key. Entries are immutable and stay valid
+/// across clear().
+class WeightPlaneCache
+    : public common::Memo<std::shared_ptr<const PackedWeights>> {
  public:
   /// Entry-count cap. Far above any real probe working set (the zoo has
-  /// ~10² unique layers); on overflow the map is cleared wholesale —
-  /// entries are recomputable, so eviction policy is not worth state.
+  /// ~10² unique layers).
   static constexpr std::size_t kMaxEntries = 4096;
 
-  static WeightPlaneCache& instance();
-
-  using Factory = std::function<PackedWeights()>;
-
-  /// Returns the entry for `key`, invoking `make` (outside any lock) to
-  /// build it on a miss. The returned pointer is immutable and safe to
-  /// hold across clear().
-  std::shared_ptr<const PackedWeights> get_or_pack(std::uint64_t key,
-                                                   const Factory& make);
-
-  std::uint64_t hits() const {
-    return hits_.load(std::memory_order_relaxed);
+  static WeightPlaneCache& instance() {
+    static WeightPlaneCache cache;
+    return cache;
   }
-  std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  std::size_t size() const;
-
-  /// Drops every entry (counters keep counting — they are monotone by
-  /// contract). Outstanding shared_ptrs stay valid.
-  void clear();
 
  private:
-  WeightPlaneCache() = default;
-
-  mutable std::shared_mutex mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const PackedWeights>>
-      entries_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
+  WeightPlaneCache() : Memo(kMaxEntries) {}
 };
 
 }  // namespace bpvec::kernels

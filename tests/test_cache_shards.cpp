@@ -1,24 +1,18 @@
-// Striped-cache stress tests (run under TSan in CI — see the tsan job's
-// binary list). The lock-striped scenario cache moved the engine's
-// counters from one mutex into per-shard tallies; these tests hammer
-// run_batch / clear_cache / stats from concurrent threads and assert the
-// counter contract cache_shards.h promises:
+// Engine-cache stress tests (run under TSan in CI — see the tsan job's
+// binary list). The scenario counters are lock-free atomics; these tests
+// hammer run_batch / clear_cache / stats from concurrent threads and
+// assert the counter contract sim_engine.h promises:
 //
-//   per shard, at any instant:
-//     scenarios_submitted >= cache_hits + simulations_run
-//   in aggregate, once every batch has returned (disk cache off):
-//     scenarios_submitted == cache_hits + simulations_run
+//   at any instant:
+//     scenarios_submitted >= cache_hits + simulations_run + disk_hits
+//   once every batch has returned:
+//     scenarios_submitted == cache_hits + simulations_run + disk_hits
 //
-// The per-shard inequality is the load-bearing one — it is what makes a
-// summed one-shard-lock-at-a-time stats() snapshot meaningful while
-// batches are in flight.
-#include "src/engine/cache_shards.h"
-
+// The inequality is the load-bearing one — it is what makes a lock-free
+// stats() snapshot meaningful while batches are in flight.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
-#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -31,19 +25,8 @@
 namespace bpvec::engine {
 namespace {
 
-TEST(CacheShardsTest, ShardOfIsMaskedFingerprintBits) {
-  static_assert(kCacheShards > 0 && (kCacheShards & (kCacheShards - 1)) == 0,
-                "shard count must be a power of two");
-  for (const std::uint64_t fp :
-       {0ull, 1ull, 15ull, 16ull, 0xDEADBEEFCAFEF00Dull,
-        ~0ull}) {
-    EXPECT_EQ(cache_shard_of(fp), fp & (kCacheShards - 1));
-    EXPECT_LT(cache_shard_of(fp), kCacheShards);
-  }
-}
-
 /// A cheap batch of distinct scenarios (tiny generated MLPs at several
-/// widths × both memories) whose fingerprints spread across shards.
+/// widths × both memories).
 std::vector<Scenario> tiny_batch() {
   std::vector<Scenario> batch;
   for (const int width : {8, 12, 16, 24}) {
@@ -68,43 +51,6 @@ TEST(CacheShardsTest, PerShardCountersSumToStats) {
   EXPECT_EQ(stats.scenarios_submitted, 2 * batch.size());
   EXPECT_EQ(stats.cache_hits, batch.size());
   EXPECT_EQ(stats.simulations_run, batch.size());
-
-  const auto shards = eng.scenario_shard_counters();
-  ScenarioShardCounters sum;
-  std::size_t populated = 0;
-  for (const ScenarioShardCounters& c : shards) {
-    // Per-shard instance of the engine invariant.
-    EXPECT_GE(c.scenarios_submitted, c.cache_hits + c.simulations_run);
-    // Quiescent, no disk: per shard it is an equality.
-    EXPECT_EQ(c.scenarios_submitted, c.cache_hits + c.simulations_run);
-    sum.scenarios_submitted += c.scenarios_submitted;
-    sum.cache_hits += c.cache_hits;
-    sum.simulations_run += c.simulations_run;
-    sum.delta_scenarios += c.delta_scenarios;
-    if (c.scenarios_submitted > 0) ++populated;
-  }
-  EXPECT_EQ(sum.scenarios_submitted, stats.scenarios_submitted);
-  EXPECT_EQ(sum.cache_hits, stats.cache_hits);
-  EXPECT_EQ(sum.simulations_run, stats.simulations_run);
-  EXPECT_EQ(sum.delta_scenarios, stats.delta_scenarios);
-  // The batch was built to spread: more than one shard carries ticks
-  // (otherwise the striping would be decorative).
-  EXPECT_GT(populated, 1u);
-}
-
-TEST(CacheShardsTest, CacheDisabledTicksLandOnShardZero) {
-  const std::vector<Scenario> batch = tiny_batch();
-  EngineOptions opts;
-  opts.num_threads = 2;
-  opts.cache_enabled = false;
-  SimEngine eng(opts);
-  (void)eng.run_batch(batch);
-  const auto shards = eng.scenario_shard_counters();
-  EXPECT_EQ(shards[0].scenarios_submitted, batch.size());
-  EXPECT_EQ(shards[0].simulations_run, batch.size());
-  for (std::size_t i = 1; i < shards.size(); ++i) {
-    EXPECT_EQ(shards[i].scenarios_submitted, 0u) << "shard " << i;
-  }
 }
 
 TEST(CacheShardsTest, ClearCachePreservesCounters) {
@@ -122,10 +68,9 @@ TEST(CacheShardsTest, ClearCachePreservesCounters) {
   EXPECT_EQ(eng.stats().simulations_run, 2 * batch.size());
 }
 
-// The TSan centerpiece: concurrent run_batch + clear_cache + stats +
-// per-shard snapshots on one engine. Any missing lock in the striped
-// maps or counter tallies shows up as a TSan report; any counter-order
-// bug shows up as a violated per-shard inequality.
+// The TSan centerpiece: concurrent run_batch + clear_cache + stats on
+// one engine. Any missing lock in the memo maps shows up as a TSan
+// report; any counter-order bug shows up as a violated inequality.
 TEST(CacheShardsTest, ConcurrentBatchesClearsAndStatsKeepInvariants) {
   const std::vector<Scenario> batch = tiny_batch();
   SimEngine eng({/*num_threads=*/2});
@@ -152,14 +97,8 @@ TEST(CacheShardsTest, ConcurrentBatchesClearsAndStatsKeepInvariants) {
   });
   std::thread observer([&] {
     while (!done.load(std::memory_order_acquire)) {
-      // Mid-flight snapshots must satisfy the per-shard inequality and
-      // its aggregate consequence at every instant.
-      const auto shards = eng.scenario_shard_counters();
-      for (const ScenarioShardCounters& c : shards) {
-        if (c.scenarios_submitted < c.cache_hits + c.simulations_run) {
-          failed.store(true);
-        }
-      }
+      // Mid-flight snapshots must satisfy the inequality at every
+      // instant.
       const EngineStats s = eng.stats();
       if (s.scenarios_submitted < s.cache_hits + s.simulations_run) {
         failed.store(true);
@@ -174,22 +113,11 @@ TEST(CacheShardsTest, ConcurrentBatchesClearsAndStatsKeepInvariants) {
   observer.join();
   EXPECT_FALSE(failed.load());
 
-  // Quiescent, no disk cache: exact aggregate accounting, in total and
-  // per shard.
+  // Quiescent, no disk cache: exact aggregate accounting.
   const EngineStats s = eng.stats();
   EXPECT_EQ(s.scenarios_submitted,
             static_cast<std::size_t>(kRunners) * kRounds * batch.size());
   EXPECT_EQ(s.scenarios_submitted, s.cache_hits + s.simulations_run);
-  ScenarioShardCounters sum;
-  for (const ScenarioShardCounters& c : eng.scenario_shard_counters()) {
-    EXPECT_EQ(c.scenarios_submitted, c.cache_hits + c.simulations_run);
-    sum.scenarios_submitted += c.scenarios_submitted;
-    sum.cache_hits += c.cache_hits;
-    sum.simulations_run += c.simulations_run;
-  }
-  EXPECT_EQ(sum.scenarios_submitted, s.scenarios_submitted);
-  EXPECT_EQ(sum.cache_hits, s.cache_hits);
-  EXPECT_EQ(sum.simulations_run, s.simulations_run);
 }
 
 // Same stress with the disk cache in the loop: the sealed-shard store

@@ -265,7 +265,7 @@ TEST(FunctionalBackend, WeightKeySeparatesLayersAndProbeConfigs) {
 }
 
 TEST(FunctionalBackend, WeightPlaneCacheIsSafeUnderConcurrentProbes) {
-  // Threads hammer get_or_pack on a mix of shared and distinct keys
+  // Threads hammer get_or_build on a mix of shared and distinct keys
   // (exercising the build-outside-lock race, first-insert-wins, and the
   // shared-lock hit path). TSan covers this test in CI.
   auto& cache = kernels::WeightPlaneCache::instance();
