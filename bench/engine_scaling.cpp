@@ -81,8 +81,7 @@ int main() {
   json.add_metric("sequential_wall_s", sequential_s);
 
   Table t("run_batch vs sequential simulate loop");
-  t.set_header({"Threads", "Cold cache", "Warm cache", "No cache",
-                "Layer$ cold", "Layer$ warm", "Bit-identical"});
+  t.set_header({"Threads", "Cold cache", "Warm cache", "Bit-identical"});
 
   double best_speedup = 0.0;
   int best_threads = 1;
@@ -90,72 +89,39 @@ int main() {
   for (int threads : thread_counts) {
     // Fresh engine per thread count: a cold cache keeps the comparison
     // honest (every scenario actually simulates). The warm rerun shows
-    // the memoization payoff; the no-cache run (both caches off) is the
-    // purest measure of parallel scaling; the layer-cache-only run
-    // isolates the per-layer memoization win (repeated blocks and
-    // networks shared across the matrix price each unique layer once).
-    engine::SimEngine eng({threads, /*cache_enabled=*/true});
+    // the scenario-memo payoff.
+    engine::SimEngine eng({threads});
     std::vector<sim::RunResult> results;
     const double cold_s = time_s([&] { results = eng.run_batch(batch); });
     const double warm_s = time_s([&] { (void)eng.run_batch(batch); });
-    engine::SimEngine raw({threads, /*cache_enabled=*/false,
-                           /*layer_cache_enabled=*/false});
-    const double nocache_s = time_s([&] { (void)raw.run_batch(batch); });
-    // Layer cache, scenario cache off: the cold pass pays the hashing
-    // and map fills; the warm pass is the steady-state regime (every
-    // scenario reassembled from memoized per-layer results — what a
-    // long-lived pricing service sees).
-    engine::SimEngine lc({threads, /*cache_enabled=*/false,
-                          /*layer_cache_enabled=*/true});
-    std::vector<sim::RunResult> lc_results;
-    const double layercache_cold_s =
-        time_s([&] { lc_results = lc.run_batch(batch); });
-    const double layercache_warm_s =
-        time_s([&] { (void)lc.run_batch(batch); });
 
-    bool ok = results.size() == reference.size() &&
-              lc_results.size() == reference.size();
+    bool ok = results.size() == reference.size();
     for (std::size_t i = 0; ok && i < results.size(); ++i) {
-      ok = identical(results[i], reference[i]) &&
-           identical(lc_results[i], reference[i]);
+      ok = identical(results[i], reference[i]);
     }
     all_identical = all_identical && ok;
 
     const double cold_sp = cold_s > 0 ? sequential_s / cold_s : 0.0;
     const double warm_sp = warm_s > 0 ? sequential_s / warm_s : 0.0;
-    const double nocache_sp = nocache_s > 0 ? sequential_s / nocache_s : 0.0;
-    const double lc_cold_sp =
-        layercache_cold_s > 0 ? sequential_s / layercache_cold_s : 0.0;
-    const double lc_warm_sp =
-        layercache_warm_s > 0 ? sequential_s / layercache_warm_s : 0.0;
-    if (nocache_sp > best_speedup) {
-      best_speedup = nocache_sp;
+    if (cold_sp > best_speedup) {
+      best_speedup = cold_sp;
       best_threads = threads;
     }
     t.add_row({std::to_string(threads), Table::ratio(cold_sp),
-               Table::ratio(warm_sp), Table::ratio(nocache_sp),
-               Table::ratio(lc_cold_sp), Table::ratio(lc_warm_sp),
-               ok ? "yes" : "NO"});
+               Table::ratio(warm_sp), ok ? "yes" : "NO"});
     const std::string suffix = "_t" + std::to_string(threads);
     json.add_metric("cold_wall_s" + suffix, cold_s);
     json.add_metric("warm_wall_s" + suffix, warm_s);
-    json.add_metric("nocache_wall_s" + suffix, nocache_s);
-    json.add_metric("layercache_cold_wall_s" + suffix, layercache_cold_s);
-    json.add_metric("layercache_warm_wall_s" + suffix, layercache_warm_s);
     json.add_metric("speedup_cold" + suffix, cold_sp);
     json.add_metric("speedup_warm" + suffix, warm_sp);
-    json.add_metric("speedup_nocache" + suffix, nocache_sp);
-    json.add_metric("speedup_layercache_cold" + suffix, lc_cold_sp);
-    json.add_metric("speedup_layercache_warm" + suffix, lc_warm_sp);
   }
   t.print();
 
-  // One clean cold pass through a default engine (both caches on) for
-  // the engine_stats block: counters describe exactly one submission of
-  // the matrix, so hit rates are interpretable.
+  // One clean cold pass through a default engine for the engine_stats
+  // block: counters describe exactly one submission of the matrix, so
+  // hit rates are interpretable.
   {
-    engine::SimEngine stats_eng({1, /*cache_enabled=*/true,
-                                 /*layer_cache_enabled=*/true});
+    engine::SimEngine stats_eng({1});
     (void)stats_eng.run_batch(batch);
     json.set_engine_stats(stats_eng.stats());
   }

@@ -112,9 +112,9 @@ int main() {
   const auto stats = eng.stats();
   std::printf(
       "\nEngine: %zu scenarios, %zu priced, %zu layer pricings "
-      "(%zu served by the layer cache — ResNet's repeated blocks and the\n"
-      "network shared across backends price each unique layer once per "
-      "backend).\n",
+      "(%zu served by the layer memo — analytical backends price a layer\n"
+      "faster than a memo lookup, so only backends that opt in with\n"
+      "memoize_layers(), such as \"functional\", use it).\n",
       stats.scenarios_submitted, stats.simulations_run, stats.layers_priced,
       stats.layer_cache_hits);
   return 0;

@@ -49,9 +49,6 @@ class BitSerialBackend : public CostBackend {
   /// or "BitSerial-Loom").
   const std::string& display_name() const { return display_name_; }
 
- protected:
-  int hash_time_chunk() const override { return platform_.time_chunk; }
-
  private:
   baselines::BitSerialConfig serial_;
   sim::AcceleratorConfig platform_;

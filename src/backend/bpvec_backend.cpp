@@ -28,7 +28,7 @@ sim::LayerResult BpvecBackend::price_layer(const dnn::Layer& layer) const {
 sim::RunResult BpvecBackend::assemble(
     const dnn::Network& network, std::vector<sim::LayerResult> layers) const {
   // The exact fold Simulator::run performs — the shared helper guarantees
-  // reassembled (layer-cached) runs are bit-identical to direct runs.
+  // reassembled runs are bit-identical to direct runs.
   return sim::assemble_run(sim_.config().name, network.name(),
                            sim_.dram().name, name(), std::move(layers),
                            sim_.config().frequency_hz);

@@ -26,11 +26,6 @@ class BpvecBackend : public CostBackend {
 
   const sim::Simulator& simulator() const { return sim_; }
 
- protected:
-  int hash_time_chunk() const override {
-    return sim_.config().time_chunk;
-  }
-
  private:
   sim::Simulator sim_;
 };

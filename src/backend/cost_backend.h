@@ -7,11 +7,11 @@
 // sim::RunResult shape so all comparators ride the same SimEngine batch
 // path, the same result cache, and the same report tables.
 //
-// The interface is layer-granular on purpose: the engine memoizes
-// price_layer results keyed by (backend fingerprint × layer
-// fingerprint), so ResNet's repeated blocks and cross-scenario shared
+// The interface is layer-granular on purpose: when memoize_layers() is
+// true the engine memoizes price_layer results keyed by (backend
+// fingerprint × layer fingerprint), so repeated blocks and shared
 // networks price each unique layer once. The contract that makes the
-// cache safe:
+// memo safe:
 //
 //   run(network)  ==  assemble(network, [price_layer(l) for l in layers])
 //
@@ -56,11 +56,11 @@ class CostBackend {
   /// 64-bit hash over every knob that can change this backend's pricing
   /// (its own config plus whatever platform/memory state it uses). The
   /// engine folds it into the scenario hash — two different cost models
-  /// of the same scenario must not collide — and into layer-cache keys.
+  /// of the same scenario must not collide — and into layer-memo keys.
   virtual std::uint64_t fingerprint() const = 0;
 
   /// Prices one layer in isolation. Must be pure and re-entrant: the
-  /// engine calls it from many threads and memoizes the result.
+  /// engine calls it from many threads and may memoize the result.
   virtual sim::LayerResult price_layer(const dnn::Layer& layer) const = 0;
 
   /// Folds per-layer results (in network layer order) into the common
@@ -69,7 +69,12 @@ class CostBackend {
                                   std::vector<sim::LayerResult> layers)
       const = 0;
 
-  /// Cache key for one layer under this backend:
+  /// Whether the engine memoizes price_layer. Worth it only when a layer
+  /// costs more to price than to hash and look up; analytical models
+  /// keep the default and are priced with run().
+  virtual bool memoize_layers() const { return false; }
+
+  /// Layer-memo key for one layer under this backend:
   /// backend_fingerprint × layer_fingerprint(layer, hash_time_chunk()).
   /// Callers hash many layers per scenario, so they compute fingerprint()
   /// once and pass it back in.
@@ -80,14 +85,13 @@ class CostBackend {
   }
 
   /// Prices the whole network: price_layer over every layer, then
-  /// assemble. This is the reference ("direct") path the engine's cached
-  /// path must reproduce bit for bit.
+  /// assemble. This is the reference ("direct") path the engine's
+  /// layer-memo path must reproduce bit for bit.
   sim::RunResult run(const dnn::Network& network) const;
 
  protected:
-  /// time_chunk used when hashing layers (cycle backends return their
-  /// platform's; time-based backends keep the default — it only needs to
-  /// be consistent per backend instance and covered by fingerprint()).
+  /// time_chunk used when hashing layers (only needs to be consistent
+  /// per backend instance and covered by fingerprint()).
   virtual int hash_time_chunk() const { return 16; }
 };
 

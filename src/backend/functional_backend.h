@@ -24,10 +24,10 @@
 // its weight planes, every later probe of the same (probe config, layer)
 // key — zoo sweeps, DSE candidates, warm serve requests — reuses them
 // without re-drawing or re-packing; the separate input stream is what
-// makes skipping the draw safe. Because assemble is the same pure fold
-// the other cycle backends use, functional runs ride the engine's
-// scenario/layer/disk caches unchanged: a warm run replays the measured
-// numbers verbatim and executes zero layers.
+// makes skipping the draw safe. A probe costs milliseconds, so functional
+// opts into the engine's layer memo; with assemble the same pure fold,
+// it rides the scenario/layer memos and the disk cache unchanged: a warm
+// run replays the measured numbers verbatim and executes zero layers.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +64,8 @@ class FunctionalBackend : public CostBackend {
   sim::LayerResult price_layer(const dnn::Layer& layer) const override;
   sim::RunResult assemble(const dnn::Network& network,
                           std::vector<sim::LayerResult> layers) const override;
+  /// A verified probe costs far more than a memo lookup.
+  bool memoize_layers() const override { return true; }
 
   const FunctionalConfig& functional_config() const { return functional_; }
 

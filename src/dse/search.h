@@ -13,8 +13,9 @@
 //                      (SimEngine::for_each).
 //   ScenarioEvaluator  the full path — candidates materialize into
 //                      engine::Scenarios and ride SimEngine::run_batch,
-//                      so the scenario memo cache, layer cache, and
-//                      persistent disk cache all apply. Repeat-heavy
+//                      so the scenario memo, the layer memo (for
+//                      backends that opt in) and the persistent disk
+//                      cache apply. Repeat-heavy
 //                      strategies (random, hill_climb) re-propose
 //                      candidates freely: the engine prices each unique
 //                      scenario once (EngineStats::simulations_run stays

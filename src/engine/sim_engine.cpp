@@ -73,8 +73,6 @@ EngineStats operator-(const EngineStats& after, const EngineStats& before) {
 
 SimEngine::SimEngine(EngineOptions options)
     : pool_(options.num_threads),
-      cache_enabled_(options.cache_enabled),
-      layer_cache_enabled_(options.layer_cache_enabled),
       disk_(options.disk_cache_dir.empty()
                 ? nullptr
                 : std::make_unique<DiskCache>(options.disk_cache_dir)) {}
@@ -136,19 +134,16 @@ std::vector<sim::RunResult> SimEngine::run_batch(
   // pool so the cache feature doesn't serialize the parallel region. The
   // disk cache keys off the raw fingerprint (registry generations are
   // process-local; the disk key instead folds the backend instance's own
-  // fingerprint, see below), the memo cache folds the generation in.
+  // fingerprint, see below), the scenario memo folds the generation in.
   // Networks memoize their structural fingerprint, so a batch of
   // candidates copied off one base scenario hashes the workload once.
   t_phase = SteadyClock::now();
-  const bool need_prints = cache_enabled_ || disk_ != nullptr;
   std::vector<std::uint64_t> raw_prints(batch.size());
   std::vector<std::uint64_t> prints(batch.size());
-  if (need_prints) {
-    for_each(batch.size(), [&](std::size_t i) {
-      raw_prints[i] = batch[i].fingerprint();
-      prints[i] = common::hash_combine(raw_prints[i], generations[i]);
-    });
-  }
+  for_each(batch.size(), [&](std::size_t i) {
+    raw_prints[i] = batch[i].fingerprint();
+    prints[i] = common::hash_combine(raw_prints[i], generations[i]);
+  });
   const double hash_s = seconds_since(t_phase);
 
   // Plan: resolve each scenario against the cache, keeping only the first
@@ -171,52 +166,53 @@ std::vector<sim::RunResult> SimEngine::run_batch(
   std::size_t batch_hits = 0;
   std::unordered_map<std::uint64_t, std::size_t> first_job;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (cache_enabled_) {
-      if (auto hit = scenario_cache_.find(prints[i])) {
-        hits[i] = std::move(*hit);
-        slots[i].cached = true;
-        ++batch_hits;
-        continue;
-      }
-      if (auto it = first_job.find(prints[i]); it != first_job.end()) {
-        slots[i].job = it->second;  // duplicate within this batch
-        ++batch_hits;
-        continue;
-      }
-      first_job.emplace(prints[i], jobs.size());
+    if (auto hit = scenario_cache_.find(prints[i])) {
+      hits[i] = std::move(*hit);
+      slots[i].cached = true;
+      ++batch_hits;
+      continue;
     }
+    if (auto it = first_job.find(prints[i]); it != first_job.end()) {
+      slots[i].job = it->second;  // duplicate within this batch
+      ++batch_hits;
+      continue;
+    }
+    first_job.emplace(prints[i], jobs.size());
     slots[i].job = jobs.size();
     jobs.push_back(i);
   }
   cache_hits_ += batch_hits;
   plan_s += seconds_since(t_phase);
 
-  // Delta-pricing pipeline over the unique jobs, in four phases. Each
-  // job constructs and owns its backend instance; cached layer results
-  // are exact copies and assemble() is a pure fold, so every result is
-  // bit-identical to a direct be.run(network) for any cache state, any
-  // thread count, and any batch composition. The disk cache sits below
-  // the memo caches: only memo misses probe it, a hit skips pricing
-  // entirely (the loaded result is bit-identical by the DiskCache
-  // contract), and a miss prices then persists.
+  // Pricing pipeline over the unique jobs, in four phases. Each job
+  // constructs and owns its backend instance. A job whose backend does
+  // not memoize layers prices with be->run(network) in phase 1; the
+  // rest go through the layer memo (phases 2–4), whose cached layer
+  // results are exact copies and whose assemble() is a pure fold, so
+  // every result is bit-identical to a direct be->run(network) for any
+  // cache state, any thread count, and any batch composition. The disk
+  // cache sits below the scenario memo: only memo misses probe it, a hit
+  // skips pricing entirely (the loaded result is bit-identical by the
+  // DiskCache contract), and a miss prices then persists.
   struct JobState {
     std::unique_ptr<backend::CostBackend> be;
     bool disk_served = false;
-    bool delta = false;  // assembled with at least one cached layer
+    bool memoized = false;  // prices through the layer memo (phases 2–4)
+    bool delta = false;     // assembled with at least one cached layer
     std::uint64_t disk_key = 0;
-    std::vector<std::uint64_t> keys;       // per-layer cache keys
+    std::vector<std::uint64_t> keys;       // per-layer memo keys
     std::vector<sim::LayerResult> layers;  // assembled per-layer results
     /// (layer index, unique-miss index) pairs still needing a price.
     std::vector<std::pair<std::size_t, std::size_t>> need;
   };
   std::vector<JobState> state(jobs.size());
-  std::vector<std::shared_ptr<const sim::RunResult>> fresh(
-      cache_enabled_ ? jobs.size() : 0);
+  std::vector<std::shared_ptr<const sim::RunResult>> fresh(jobs.size());
   std::atomic<std::size_t> probe_hits{0};
 
-  // Phase 1 — per job: construct the backend, probe the disk cache, and
-  // probe the layer cache for every layer key (pool threads probe
-  // concurrently under the cache's reader lock).
+  // Phase 1 — per job: construct the backend, probe the disk cache, then
+  // either price the whole network directly or probe the layer memo for
+  // every layer key (pool threads probe concurrently under the memo's
+  // reader lock).
   t_phase = SteadyClock::now();
   for_each(jobs.size(), [&](std::size_t j) {
     const std::size_t i = jobs[j];
@@ -234,14 +230,20 @@ std::vector<sim::RunResult> SimEngine::run_batch(
       if (auto cached = disk_->load(js.disk_key, generations[i])) {
         results[i] = *cached;
         js.disk_served = true;
-        // Reuse the loaded copy as the memo cache's shared entry —
+        // Reuse the loaded copy as the scenario memo's shared entry —
         // no second deep copy of the layer vector per warm scenario.
-        if (cache_enabled_) fresh[j] = std::move(cached);
+        fresh[j] = std::move(cached);
         return;
       }
     }
-    if (!layer_cache_enabled_) return;  // phase 4 prices via be->run
     const auto& net_layers = s.network.layers();
+    if (!js.be->memoize_layers()) {
+      layers_priced_.fetch_add(net_layers.size(), std::memory_order_relaxed);
+      results[i] = js.be->run(s.network);
+      fresh[j] = std::make_shared<const sim::RunResult>(results[i]);
+      return;
+    }
+    js.memoized = true;
     const std::uint64_t be_print = js.be->fingerprint();
     js.keys.resize(net_layers.size());
     js.layers.resize(net_layers.size());
@@ -262,45 +264,45 @@ std::vector<sim::RunResult> SimEngine::run_batch(
   double price_s = seconds_since(t_phase);
 
   // Phase 2 — serial dedup: collect the unique missing layer keys across
-  // the whole batch. A key shared by several jobs (a net_depth sweep's
-  // common prefix, repeated blocks across candidates) prices exactly
-  // once — this is what makes a warm neighbor a *delta*: only the layers
-  // its changed axis actually touched are re-priced.
+  // the batch's memoizing jobs. A key shared by several jobs (a net_depth
+  // sweep's common prefix, repeated blocks across candidates) prices
+  // exactly once — this is what makes a warm neighbor a *delta*: only the
+  // layers its changed axis actually touched are re-priced.
   t_phase = SteadyClock::now();
   struct MissRef {
     std::size_t job;
     std::size_t layer;
   };
   std::vector<MissRef> unique;
+  std::vector<std::size_t> memo_jobs;  // indices into `jobs`
   std::size_t aliased = 0;
-  if (layer_cache_enabled_) {
-    std::unordered_map<std::uint64_t, std::size_t> owner;
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      JobState& js = state[j];
-      if (js.disk_served) continue;
-      std::size_t owned = 0;
-      for (auto& [layer, miss] : js.need) {
-        const std::uint64_t key = js.keys[layer];
-        auto it = owner.find(key);
-        if (it == owner.end()) {
-          it = owner.emplace(key, unique.size()).first;
-          unique.push_back({j, layer});
-          ++owned;
-        } else {
-          ++aliased;
-        }
-        miss = it->second;
+  std::unordered_map<std::uint64_t, std::size_t> owner;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    JobState& js = state[j];
+    if (!js.memoized) continue;
+    memo_jobs.push_back(j);
+    std::size_t owned = 0;
+    for (auto& [layer, miss] : js.need) {
+      const std::uint64_t key = js.keys[layer];
+      auto it = owner.find(key);
+      if (it == owner.end()) {
+        it = owner.emplace(key, unique.size()).first;
+        unique.push_back({j, layer});
+        ++owned;
+      } else {
+        ++aliased;
       }
-      // Fewer layers priced here than the network has = a delta
-      // assembly (the rest came from the cache or a batch sibling).
-      js.delta = owned < js.keys.size();
+      miss = it->second;
     }
+    // Fewer layers priced here than the network has = a delta assembly
+    // (the rest came from the memo or a batch sibling).
+    js.delta = owned < js.keys.size();
   }
   plan_s += seconds_since(t_phase);
 
   // Phase 3 — price the unique misses in parallel at *layer*
   // granularity (balances uneven networks better than per-scenario
-  // fan-out), then publish them to the layer cache. Which backend
+  // fan-out), then publish them to the layer memo. Which backend
   // instance prices a shared key is irrelevant: equal keys mean equal
   // backend and layer fingerprints, and fingerprints cover every pricing
   // knob.
@@ -324,32 +326,24 @@ std::vector<sim::RunResult> SimEngine::run_batch(
       std::memory_order_relaxed);
   price_s += seconds_since(t_phase);
 
-  // Phase 4 — assemble each job from its cached + freshly priced layers
-  // (or fully price it when the layer cache is disabled) and make the
-  // scenario cache's shared copy. Fresh results are persisted in one
-  // store_batch afterwards: the whole batch seals a single new shard
-  // file instead of writing one file per scenario.
+  // Phase 4 — assemble each memoizing job from its cached + freshly
+  // priced layers and make the scenario memo's shared copy. Fresh
+  // results are persisted in one store_batch afterwards: the whole batch
+  // seals a single new shard file instead of writing one file per
+  // scenario.
   t_phase = SteadyClock::now();
-  for_each(jobs.size(), [&](std::size_t j) {
+  for_each(memo_jobs.size(), [&](std::size_t m) {
+    const std::size_t j = memo_jobs[m];
     const std::size_t i = jobs[j];
     const Scenario& s = batch[i];
     JobState& js = state[j];
-    if (js.disk_served) return;
-    if (!layer_cache_enabled_) {
-      layers_priced_.fetch_add(s.network.layers().size(),
-                               std::memory_order_relaxed);
-      results[i] = js.be->run(s.network);
-    } else {
-      const auto& net_layers = s.network.layers();
-      for (const auto& [layer, miss] : js.need) {
-        js.layers[layer] = priced[miss];
-        js.layers[layer].name = net_layers[layer].name;
-      }
-      results[i] = js.be->assemble(s.network, std::move(js.layers));
+    const auto& net_layers = s.network.layers();
+    for (const auto& [layer, miss] : js.need) {
+      js.layers[layer] = priced[miss];
+      js.layers[layer].name = net_layers[layer].name;
     }
-    if (cache_enabled_) {
-      fresh[j] = std::make_shared<const sim::RunResult>(results[i]);
-    }
+    results[i] = js.be->assemble(s.network, std::move(js.layers));
+    fresh[j] = std::make_shared<const sim::RunResult>(results[i]);
   });
   if (disk_ != nullptr) {
     std::vector<DiskCache::PendingStore> pending;
@@ -398,9 +392,7 @@ std::vector<sim::RunResult> SimEngine::run_batch(
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     if (!state[j].disk_served) ++batch_sims;
     if (state[j].delta) ++batch_deltas;
-    if (cache_enabled_) {
-      scenario_cache_.insert(prints[jobs[j]], std::move(fresh[j]));
-    }
+    scenario_cache_.insert(prints[jobs[j]], std::move(fresh[j]));
   }
   simulations_run_ += batch_sims;
   delta_scenarios_ += batch_deltas;
@@ -408,14 +400,8 @@ std::vector<sim::RunResult> SimEngine::run_batch(
     std::lock_guard<std::mutex> lock(timer_mu_);
     timers_.hash_s += hash_s;
     timers_.plan_s += plan_s;
-    // With the layer cache off, phase 4 is full pricing, not reassembly
-    // — attribute its wall time accordingly.
-    if (layer_cache_enabled_) {
-      timers_.price_s += price_s;
-      timers_.assemble_s += assemble_s;
-    } else {
-      timers_.price_s += price_s + assemble_s;
-    }
+    timers_.price_s += price_s;
+    timers_.assemble_s += assemble_s;
   }
   return results;
 }

@@ -5,40 +5,36 @@
 // grids — now × cost backend: the Fig. 9 GPU roofline and the Fig. 1
 // bit-serial baselines ride the same batch as the cycle simulator).
 // SimEngine prices whole batches at once on a work-stealing thread pool
-// and memoizes at three granularities:
+// behind up to three caches:
 //
-//   * scenario cache — keyed by Scenario::fingerprint × the backend
+//   * scenario memo — keyed by Scenario::fingerprint × the backend
 //     key's registry generation (re-registering a backend abandons its
 //     stale entries); repeated design points price once. Fingerprints
 //     are structural on the workload axis (names excluded), so a JSON
 //     copy of a zoo network dedupes against the builtin; run_batch
 //     restores each scenario's own network/layer labels on the way out.
-//   * layer cache — keyed by backend fingerprint × layer shape/bits
-//     fingerprint; ResNet's repeated blocks and networks shared across
-//     scenarios price each unique layer once (a wall-clock win on the
-//     Fig. 5–9 grids even single-threaded). run_batch prices at this
-//     granularity: each batch collects the unique missing layer keys
-//     across all of its scenarios, prices each exactly once, and
-//     assembles every scenario from the shared results — so a candidate
-//     that differs from an already-priced neighbor in one axis re-prices
-//     only the layers that axis actually changed (delta pricing; see
-//     EngineStats::delta_scenarios).
+//   * layer memo — only for backends whose memoize_layers() is true
+//     (analytical ones price a layer faster than a lookup and call
+//     CostBackend::run). Keyed by backend × layer shape/bits
+//     fingerprint: each batch prices every unique missing layer key
+//     once and assembles its scenarios from the shared results, so a
+//     neighbor that differs in one axis re-prices only the layers that
+//     axis changed (delta pricing; see EngineStats::delta_scenarios).
 //   * disk cache (optional, EngineOptions::disk_cache_dir) — persistent
 //     scenario-level results keyed by Scenario::fingerprint × the
-//     resolved backend instance's fingerprint, below the memo caches:
-//     probed only for scenarios the in-memory caches miss, and fed back
-//     into the scenario cache on hit. Survives the process — warm
-//     `bpvec_run --cache-dir` replays serve whole grids without
-//     simulating (see src/engine/disk_cache.h for the staleness and
-//     atomicity story).
+//     resolved backend instance's fingerprint, below the memos: probed
+//     only for scenarios the scenario memo misses, and fed back into it
+//     on hit. Survives the process — warm `bpvec_run --cache-dir`
+//     replays serve whole grids without simulating (see
+//     src/engine/disk_cache.h for the staleness and atomicity story).
 //
 // Guarantees:
 //   * run_batch results are bit-identical to resolving each scenario's
 //     CostBackend and calling run() directly (for "bpvec" scenarios,
 //     that is bit-identical to a sequential sim::Simulator loop), for
-//     any thread count and any cache configuration. Each job is a pure
-//     function of its Scenario; cached layer results are exact copies
-//     and assemble() is a pure fold, so reassembly cannot drift.
+//     any thread count and any cache state. Each job is a pure function
+//     of its Scenario; cached layer results are exact copies and
+//     assemble() is a pure fold, so reassembly cannot drift.
 //   * Results come back in input order, one per input scenario, even
 //     when the caches deduplicate the actual pricing work.
 //
@@ -75,9 +71,9 @@ struct EngineStats {
   std::size_t simulations_run = 0;  // actual backend run invocations
   std::size_t cache_hits = 0;       // served from the scenario cache
   std::size_t layers_priced = 0;    // actual price_layer invocations
-  std::size_t layer_cache_hits = 0; // layers served from the layer cache
+  std::size_t layer_cache_hits = 0; // layers served from the layer memo
   /// Simulations assembled as a delta: at least one layer came from the
-  /// layer cache (or from another scenario in the same batch) instead of
+  /// layer memo (or from another scenario in the same batch) instead of
   /// being re-priced. delta_scenarios <= simulations_run.
   std::size_t delta_scenarios = 0;
   // Disk-cache counters (all zero when no disk cache is configured).
@@ -102,7 +98,7 @@ struct EngineStats {
   // build Scenarios for the engine (ScenarioEvaluator's materialize
   // pass, via record_construct_seconds); the rest are run_batch's own
   // phases: fingerprint hashing, serial cache planning, backend pricing
-  // (disk probes + layer pricing), and per-scenario reassembly.
+  // (disk probes + pricing), and per-scenario reassembly.
   double construct_s = 0.0;
   double hash_s = 0.0;
   double plan_s = 0.0;
@@ -126,9 +122,7 @@ common::json::Value to_json(const EngineStats& stats);
 EngineStats operator-(const EngineStats& after, const EngineStats& before);
 
 struct EngineOptions {
-  int num_threads = 0;              // <= 0: hardware concurrency
-  bool cache_enabled = true;        // scenario-level result memoization
-  bool layer_cache_enabled = true;  // layer-granular memoization
+  int num_threads = 0;  // <= 0: hardware concurrency
   /// Non-empty: persist scenario results under this directory and serve
   /// repeats from it across processes (created on demand).
   std::string disk_cache_dir{};
@@ -136,6 +130,11 @@ struct EngineOptions {
 
 class SimEngine {
  public:
+  /// Memo caps (a full memo clears, see common::Memo): far above the
+  /// largest committed batch, engine_scaling's ~1.3k scenarios.
+  static constexpr std::size_t kMaxScenarioEntries = 8192;
+  static constexpr std::size_t kMaxLayerEntries = 65536;
+
   explicit SimEngine(EngineOptions options = {});
 
   /// Prices every scenario through its cost backend, in parallel, and
@@ -152,7 +151,7 @@ class SimEngine {
   /// safety note above).
   EngineStats stats() const;
 
-  /// Drops both in-memory caches (scenario and layer). The disk cache is
+  /// Drops both in-memory memos (scenario and layer). The disk cache is
   /// untouched — it belongs to the directory, not the engine; delete the
   /// directory to invalidate it. Counters are preserved (they describe
   /// work done, not cache contents).
@@ -181,12 +180,11 @@ class SimEngine {
   std::size_t batch_grain(std::size_t jobs) const;
 
   ThreadPool pool_;
-  bool cache_enabled_;
-  bool layer_cache_enabled_;
   std::unique_ptr<DiskCache> disk_;  // null when not configured
 
   // Scenario cache: fingerprint × backend generation → shared result.
-  common::Memo<std::shared_ptr<const sim::RunResult>> scenario_cache_;
+  common::Memo<std::shared_ptr<const sim::RunResult>> scenario_cache_{
+      kMaxScenarioEntries};
   // Scenario counters. Ordering matters (see stats()), so these use the
   // default sequentially consistent operations.
   std::atomic<std::size_t> scenarios_submitted_{0};
@@ -205,9 +203,9 @@ class SimEngine {
   mutable std::mutex timer_mu_;
   PhaseTimers timers_;
 
-  // Layer cache, stored by value — LayerResults are small (a RunResult
+  // Layer memo, stored by value — LayerResults are small (a RunResult
   // is bulky and stays behind a shared_ptr above).
-  common::Memo<sim::LayerResult> layer_cache_;
+  common::Memo<sim::LayerResult> layer_cache_{kMaxLayerEntries};
   std::atomic<std::size_t> layers_priced_{0};
   std::atomic<std::size_t> layer_cache_hits_{0};
 };

@@ -117,8 +117,7 @@ class Simulator {
 
   RunResult run(const dnn::Network& network) const;
 
-  /// Prices one layer in isolation — the unit the engine's layer cache
-  /// memoizes. `run` is exactly run_layer over every layer followed by
+  /// Prices one layer in isolation. `run` is exactly run_layer over every layer followed by
   /// assemble_run.
   LayerResult run_layer(const dnn::Layer& layer) const;
 

@@ -1,9 +1,12 @@
-// Delta pricing: the layer-cache engine must be a pure optimization —
-// bit-identical results to full pricing, at any thread count, while
+// Delta pricing: the layer memo must be a pure optimization — results
+// bit-identical to the backend's own run(), at any thread count, while
 // provably pricing fewer layers (EngineStats) whenever scenarios share
-// layers in-network, across the batch, or with a warm cache.
+// layers in-network, across the batch, or with a warm memo. The memo
+// path runs on the deterministic memoizing "bpvec" wrapper; analytical
+// backends bypass the memo entirely (see the policy test at the end).
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -11,37 +14,38 @@
 #include "src/engine/scenario.h"
 #include "src/engine/sim_engine.h"
 #include "src/workload/generators.h"
+#include "tests/memo_bpvec_backend.h"
 #include "tests/run_result_identical.h"
 
 namespace bpvec::engine {
 namespace {
 
 Scenario bpvec_scenario(dnn::Network net) {
-  return make_scenario(Platform::kBpvec, core::Memory::kDdr4,
-                       std::move(net));
+  return memoized(
+      make_scenario(Platform::kBpvec, core::Memory::kDdr4, std::move(net)));
 }
 
-/// Runs `batch` with the layer cache on and off and demands byte-equal
-/// results at the given thread count.
+std::size_t total_layers(const std::vector<Scenario>& batch) {
+  std::size_t n = 0;
+  for (const Scenario& s : batch) n += s.network.layers().size();
+  return n;
+}
+
+/// Prices `batch` through the layer memo and demands byte-equal results
+/// to the plain backend's run() at the given thread count.
 void expect_delta_matches_full(const std::vector<Scenario>& batch,
                                int threads) {
-  SimEngine delta({threads, /*cache_enabled=*/false,
-                   /*layer_cache_enabled=*/true});
-  SimEngine full({threads, /*cache_enabled=*/false,
-                  /*layer_cache_enabled=*/false});
+  SimEngine delta({threads});
   const std::vector<sim::RunResult> a = delta.run_batch(batch);
-  const std::vector<sim::RunResult> b = full.run_batch(batch);
   ASSERT_EQ(a.size(), batch.size());
-  ASSERT_EQ(b.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     SCOPED_TRACE(batch[i].id + " @ " + std::to_string(threads) +
                  " threads");
-    expect_bit_identical(a[i], b[i]);
+    expect_bit_identical(a[i], direct_bpvec_run(batch[i]));
   }
-  // Same arithmetic, fewer invocations: the delta engine never prices
-  // more layers than the full engine.
-  EXPECT_LE(delta.stats().layers_priced, full.stats().layers_priced);
-  EXPECT_EQ(full.stats().layer_cache_hits, 0u);
+  // Same arithmetic, fewer invocations: the memo never prices more
+  // layers than a direct run of every scenario would.
+  EXPECT_LE(delta.stats().layers_priced, total_layers(batch));
 }
 
 std::vector<Scenario> zoo_batch(dnn::BitwidthMode mode) {
@@ -74,12 +78,6 @@ std::vector<Scenario> family_sweep(const std::string& family, int depth,
   return batch;
 }
 
-std::size_t total_layers(const std::vector<Scenario>& batch) {
-  std::size_t n = 0;
-  for (const Scenario& s : batch) n += s.network.layers().size();
-  return n;
-}
-
 TEST(DeltaPricing, BitIdenticalOnAllZooNets) {
   for (auto mode : {dnn::BitwidthMode::kHomogeneous8b,
                     dnn::BitwidthMode::kHeterogeneous}) {
@@ -104,8 +102,7 @@ TEST(DeltaPricing, InNetworkDuplicatesPriceOnce) {
   // engine prices 3 unique layers per candidate instead of 6.
   const std::vector<Scenario> batch = family_sweep("mlp_family", 6, 256);
   for (int threads : {1, 4}) {
-    SimEngine eng({threads, /*cache_enabled=*/true,
-                   /*layer_cache_enabled=*/true});
+    SimEngine eng({threads});
     (void)eng.run_batch(batch);
     const EngineStats stats = eng.stats();
     EXPECT_LT(stats.layers_priced, total_layers(batch));
@@ -117,18 +114,17 @@ TEST(DeltaPricing, InNetworkDuplicatesPriceOnce) {
 }
 
 TEST(DeltaPricing, WarmNeighborPricesOnlyNewLayers) {
-  // Warm the cache with the depth-6 MLP, then price its depth-5
+  // Warm the memo with the depth-6 MLP, then price its depth-5
   // neighbor: every layer of the neighbor is already cached (fc0, the
   // hidden block, the classifier head), so the delta run prices zero
-  // layers — and still matches a cold full engine byte for byte.
+  // layers — and still matches a direct run byte for byte.
   const Scenario deep = bpvec_scenario(
       workload::generate(family_spec("mlp_family", 6, 256, 8)));
   const Scenario neighbor = bpvec_scenario(
       workload::generate(family_spec("mlp_family", 5, 256, 8)));
 
   for (int threads : {1, 4}) {
-    SimEngine eng({threads, /*cache_enabled=*/true,
-                   /*layer_cache_enabled=*/true});
+    SimEngine eng({threads});
     (void)eng.run_batch({deep});
     const std::size_t priced_cold = eng.stats().layers_priced;
     const std::vector<sim::RunResult> warm = eng.run_batch({neighbor});
@@ -139,13 +135,9 @@ TEST(DeltaPricing, WarmNeighborPricesOnlyNewLayers) {
                   neighbor.network.layers().size());
     EXPECT_GT(stats.delta_scenarios, 0u);
 
-    SimEngine cold_full({threads, /*cache_enabled=*/false,
-                         /*layer_cache_enabled=*/false});
-    const std::vector<sim::RunResult> full = cold_full.run_batch({neighbor});
     ASSERT_EQ(warm.size(), 1u);
-    ASSERT_EQ(full.size(), 1u);
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_bit_identical(warm[0], full[0]);
+    expect_bit_identical(warm[0], direct_bpvec_run(neighbor));
   }
 }
 
@@ -158,6 +150,46 @@ TEST(DeltaPricing, MixedZooAndGeneratedBatchStaysIdentical) {
   }
   expect_delta_matches_full(batch, 1);
   expect_delta_matches_full(batch, 4);
+}
+
+TEST(DeltaPricing, AnalyticalBackendsPriceStraightThrough) {
+  // The memo policy: an analytical backend prices every layer of every
+  // scenario directly (ResNet-50's repeated bottlenecks included) and
+  // never touches the layer memo; the memoizing wrapper prices each
+  // unique layer of the same batch exactly once.
+  std::vector<Scenario> analytical;
+  for (const auto& net :
+       {dnn::make_resnet50(dnn::BitwidthMode::kHeterogeneous),
+        dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b)}) {
+    analytical.push_back(
+        make_scenario(Platform::kBpvec, core::Memory::kDdr4, net));
+    analytical.push_back(make_scenario("bit_serial", Platform::kTpuLike,
+                                       core::Memory::kDdr4, net));
+  }
+  SimEngine direct({2});
+  (void)direct.run_batch(analytical);
+  const EngineStats d = direct.stats();
+  EXPECT_EQ(d.layer_cache_hits, 0u);
+  EXPECT_EQ(d.delta_scenarios, 0u);
+  EXPECT_EQ(d.layers_priced, total_layers(analytical));
+
+  std::vector<Scenario> memo_batch;
+  std::set<std::uint64_t> unique_keys;
+  for (const Scenario& s : analytical) {
+    if (s.backend != "bpvec") continue;
+    memo_batch.push_back(memoized(s));
+    const MemoBpvecBackend be(s.platform, s.memory);
+    for (const dnn::Layer& layer : s.network.layers()) {
+      unique_keys.insert(be.layer_key(be.fingerprint(), layer));
+    }
+  }
+  SimEngine memo({2});
+  (void)memo.run_batch(memo_batch);
+  const EngineStats m = memo.stats();
+  EXPECT_EQ(m.layers_priced, unique_keys.size());
+  EXPECT_LT(m.layers_priced, total_layers(memo_batch));
+  EXPECT_EQ(m.layers_priced + m.layer_cache_hits, total_layers(memo_batch));
+  EXPECT_GT(m.delta_scenarios, 0u);
 }
 
 }  // namespace

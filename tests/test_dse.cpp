@@ -94,7 +94,7 @@ TEST(GridSearch, BitIdenticalToLegacyExploreDesignSpace) {
 }
 
 TEST(GridSearch, ParallelSweepWithoutMixMatchesCoreSequential) {
-  engine::SimEngine eng({4, true});
+  engine::SimEngine eng({4});
   const std::vector<int> alphas{1, 2, 4};
   const std::vector<int> lanes{1, 2, 4, 8, 16};
   const auto parallel = parallel_sweep(eng, alphas, lanes);
@@ -110,7 +110,7 @@ TEST(GridSearch, ParallelSweepWithoutMixMatchesCoreSequential) {
 }
 
 TEST(GridSearch, ParallelSweepWithMixFindsThePaperOptimum) {
-  engine::SimEngine eng({4, true});
+  engine::SimEngine eng({4});
   const std::vector<core::BitwidthMixEntry> mix{
       {8, 8, 0.2}, {4, 4, 0.6}, {8, 2, 0.1}, {2, 2, 0.1}};
   const auto points = parallel_sweep(eng, {1, 2, 4}, {1, 2, 4, 8, 16}, mix);

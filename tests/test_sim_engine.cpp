@@ -10,6 +10,7 @@
 #include "src/dnn/model_zoo.h"
 #include "src/engine/scenario.h"
 #include "src/sim/simulator.h"
+#include "tests/memo_bpvec_backend.h"
 #include "tests/run_result_identical.h"
 
 namespace bpvec::engine {
@@ -34,7 +35,7 @@ std::vector<Scenario> sample_grid() {
 
 TEST(SimEngine, RunBatchMatchesSequentialSimulateBitForBit) {
   const auto grid = sample_grid();
-  SimEngine eng({/*num_threads=*/4, /*cache_enabled=*/true});
+  SimEngine eng({/*num_threads=*/4});
   const auto batch = eng.run_batch(grid);
 
   ASSERT_EQ(batch.size(), grid.size());
@@ -47,8 +48,8 @@ TEST(SimEngine, RunBatchMatchesSequentialSimulateBitForBit) {
 
 TEST(SimEngine, ThreadCountDoesNotChangeResults) {
   const auto grid = sample_grid();
-  SimEngine one({/*num_threads=*/1, /*cache_enabled=*/false});
-  SimEngine many({/*num_threads=*/8, /*cache_enabled=*/true});
+  SimEngine one({/*num_threads=*/1});
+  SimEngine many({/*num_threads=*/8});
   const auto a = one.run_batch(grid);
   const auto b = many.run_batch(grid);
   ASSERT_EQ(a.size(), b.size());
@@ -59,7 +60,7 @@ TEST(SimEngine, ThreadCountDoesNotChangeResults) {
 
 TEST(SimEngine, ResultsComeBackInInputOrder) {
   auto grid = sample_grid();
-  SimEngine eng({2, true});
+  SimEngine eng({2});
   const auto batch = eng.run_batch(grid);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     EXPECT_EQ(batch[i].platform, grid[i].platform.name);
@@ -70,7 +71,7 @@ TEST(SimEngine, ResultsComeBackInInputOrder) {
 
 TEST(SimEngine, CacheServesRepeatedDesignPoints) {
   const auto grid = sample_grid();
-  SimEngine eng({2, true});
+  SimEngine eng({2});
   (void)eng.run_batch(grid);
   const auto after_first = eng.stats();
   EXPECT_EQ(after_first.scenarios_submitted, grid.size());
@@ -93,7 +94,7 @@ TEST(SimEngine, DuplicatesWithinOneBatchSimulateOnce) {
       Platform::kBpvec, core::Memory::kDdr4,
       dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b));
   std::vector<Scenario> batch(5, one);
-  SimEngine eng({2, true});
+  SimEngine eng({2});
   const auto results = eng.run_batch(batch);
   EXPECT_EQ(eng.stats().simulations_run, 1u);
   EXPECT_EQ(eng.stats().cache_hits, 4u);
@@ -106,26 +107,36 @@ TEST(SimEngine, ClearCacheForcesResimulation) {
   const auto one = make_scenario(
       Platform::kTpuLike, core::Memory::kHbm2,
       dnn::make_rnn(dnn::BitwidthMode::kHomogeneous8b));
-  SimEngine eng({2, true});
+  SimEngine eng({2});
   (void)eng.run(one);
   eng.clear_cache();
   (void)eng.run(one);
   EXPECT_EQ(eng.stats().simulations_run, 2u);
 }
 
-TEST(SimEngine, DisabledCacheAlwaysSimulates) {
-  const auto one = make_scenario(
-      Platform::kBpvec, core::Memory::kDdr4,
-      dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b));
-  SimEngine eng({2, /*cache_enabled=*/false});
-  (void)eng.run(one);
-  (void)eng.run(one);
-  EXPECT_EQ(eng.stats().simulations_run, 2u);
-  EXPECT_EQ(eng.stats().cache_hits, 0u);
+TEST(SimEngine, ScenarioMemoIsBounded) {
+  // cap + 1 distinct design points overflow the scenario memo, which
+  // clears before taking the last; the first must then re-price, and
+  // re-price to the same bits.
+  dnn::Network tiny("tiny", dnn::NetworkType::kCnn);
+  tiny.add(dnn::make_fc("fc", {64, 64}));
+  std::vector<Scenario> batch;
+  for (std::size_t k = 0; k <= SimEngine::kMaxScenarioEntries; ++k) {
+    sim::AcceleratorConfig cfg = sim::bpvec_accelerator();
+    cfg.scratchpad_bytes += static_cast<std::int64_t>(k) * 64;
+    batch.push_back(make_scenario(cfg, arch::ddr4(), tiny));
+  }
+  SimEngine eng({2});
+  const auto first = eng.run_batch(batch);
+  const std::size_t priced = eng.stats().simulations_run;
+  EXPECT_EQ(priced, batch.size());
+  const auto again = eng.run(batch.front());
+  EXPECT_EQ(eng.stats().simulations_run, priced + 1);
+  expect_bit_identical(again, first.front());
 }
 
 TEST(SimEngine, EmptyBatchIsFine) {
-  SimEngine eng({2, true});
+  SimEngine eng({2});
   EXPECT_TRUE(eng.run_batch({}).empty());
 }
 
@@ -212,8 +223,7 @@ std::vector<Scenario> mixed_backend_grid() {
 
 TEST(SimEngineBackends, MixedBatchBitIdenticalToDirectBackendRuns) {
   const auto grid = mixed_backend_grid();
-  SimEngine eng({/*num_threads=*/4, /*cache_enabled=*/true,
-                 /*layer_cache_enabled=*/true});
+  SimEngine eng({/*num_threads=*/4});
   const auto batch = eng.run_batch(grid);
   ASSERT_EQ(batch.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -232,7 +242,7 @@ TEST(SimEngineBackends, SameScenarioDifferentBackendDoesNotCollide) {
       make_scenario(Platform::kTpuLike, core::Memory::kDdr4, net);
   const auto serial = make_scenario("bit_serial", Platform::kTpuLike,
                                     core::Memory::kDdr4, net);
-  SimEngine eng({2, true, true});
+  SimEngine eng({2});
   const auto results = eng.run_batch({bpvec, serial, bpvec, serial});
   EXPECT_EQ(eng.stats().simulations_run, 2u);  // one per backend
   EXPECT_EQ(eng.stats().cache_hits, 2u);
@@ -245,7 +255,8 @@ TEST(SimEngineBackends, SameScenarioDifferentBackendDoesNotCollide) {
 
 TEST(SimEngineBackends, LayerCacheBitIdenticalOnVsOffWithHits) {
   // Fig. 5-style grid: platforms × memories over networks with repeated
-  // blocks (ResNet) — the layer cache must fire and must not change a
+  // blocks (ResNet), priced by the memoizing wrapper ("on") and by plain
+  // "bpvec" ("off") — the layer memo must fire and must not change a
   // single bit.
   std::vector<Scenario> grid;
   for (Platform p :
@@ -257,10 +268,11 @@ TEST(SimEngineBackends, LayerCacheBitIdenticalOnVsOffWithHits) {
           p, m, dnn::make_resnet50(dnn::BitwidthMode::kHeterogeneous)));
     }
   }
-  SimEngine with({2, /*cache_enabled=*/false, /*layer_cache_enabled=*/true});
-  SimEngine without({2, /*cache_enabled=*/false,
-                     /*layer_cache_enabled=*/false});
-  const auto a = with.run_batch(grid);
+  std::vector<Scenario> memo_grid;
+  for (const Scenario& s : grid) memo_grid.push_back(memoized(s));
+  SimEngine with({2});
+  SimEngine without({2});
+  const auto a = with.run_batch(memo_grid);
   const auto b = without.run_batch(grid);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -272,16 +284,17 @@ TEST(SimEngineBackends, LayerCacheBitIdenticalOnVsOffWithHits) {
 }
 
 TEST(SimEngineBackends, ClearCacheDropsLayerCacheToo) {
-  const auto one = make_scenario(
+  const auto one = memoized(make_scenario(
       Platform::kBpvec, core::Memory::kDdr4,
-      dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b));
-  SimEngine eng({2, /*cache_enabled=*/false, /*layer_cache_enabled=*/true});
+      dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b)));
+  SimEngine eng({2});
   (void)eng.run(one);
   const auto first = eng.stats().layers_priced;
   eng.clear_cache();
   (void)eng.run(one);
-  // Cold layer cache again: the second run re-prices (at least the
-  // unique layers; without clear_cache it would re-price nothing).
+  // Cold layer memo again: the second run re-prices (at least the
+  // unique layers; had clear_cache dropped only the scenario memo, the
+  // layer memo would serve every layer and nothing would be re-priced).
   EXPECT_GE(eng.stats().layers_priced, first + 1);
 }
 
@@ -291,7 +304,7 @@ TEST(SimEngineBackends, StatsStayConsistentUnderConcurrentRunBatch) {
   // bit-identical to its direct run, and the final counters balance:
   // every submitted scenario was either priced or served from a cache.
   const auto grid = mixed_backend_grid();
-  SimEngine eng({2, true, true});
+  SimEngine eng({2});
   std::atomic<bool> stop{false};
   std::thread reader([&] {
     while (!stop.load()) {
