@@ -85,7 +85,7 @@ void probe_conv(const dnn::Layer& probe, const FunctionalConfig& fc,
                       probe.name);
 
   // Scalar CVU datapath on a sub-block of the same lowered GEMM.
-  const dnn::Matrix a = head_rows(dnn::im2col(input, p), fc.check_rows);
+  const dnn::Matrix a = dnn::im2col_rows(input, p, 0, fc.check_rows);
   const dnn::Matrix b =
       head_rows(dnn::weights_as_matrix(weights, p), fc.check_cols);
   bitslice::Cvu cvu = make_check_cvu();

@@ -1,27 +1,36 @@
 #include "src/dnn/gemm_lowering.h"
 
+#include <algorithm>
+
 #include "src/common/error.h"
 
 namespace bpvec::dnn {
 
 Matrix im2col(const Tensor& input, const ConvParams& p) {
+  return im2col_rows(input, p, 0,
+                     static_cast<std::int64_t>(p.out_h()) * p.out_w());
+}
+
+Matrix im2col_rows(const Tensor& input, const ConvParams& p,
+                   std::int64_t first, std::int64_t count) {
   BPVEC_CHECK(input.channels() == p.in_c && input.height() == p.in_h &&
               input.width() == p.in_w);
+  BPVEC_CHECK(first >= 0 && count >= 0);
+  const std::int64_t pixels = static_cast<std::int64_t>(p.out_h()) * p.out_w();
   Matrix m;
-  m.rows = static_cast<std::int64_t>(p.out_h()) * p.out_w();
+  m.rows = std::max<std::int64_t>(0, std::min(count, pixels - first));
   m.cols = static_cast<std::int64_t>(p.in_c) * p.kh * p.kw;
   m.data.assign(static_cast<std::size_t>(m.rows * m.cols), 0);
-  std::int64_t row = 0;
-  for (int oy = 0; oy < p.out_h(); ++oy) {
-    for (int ox = 0; ox < p.out_w(); ++ox, ++row) {
-      std::int64_t col = 0;
-      for (int ic = 0; ic < p.in_c; ++ic) {
-        for (int ky = 0; ky < p.kh; ++ky) {
-          for (int kx = 0; kx < p.kw; ++kx, ++col) {
-            const int iy = oy * p.stride - p.pad + ky;
-            const int ix = ox * p.stride - p.pad + kx;
-            m.at(row, col) = input.at_padded(ic, iy, ix);
-          }
+  for (std::int64_t row = 0; row < m.rows; ++row) {
+    const int oy = static_cast<int>((first + row) / p.out_w());
+    const int ox = static_cast<int>((first + row) % p.out_w());
+    std::int64_t col = 0;
+    for (int ic = 0; ic < p.in_c; ++ic) {
+      for (int ky = 0; ky < p.kh; ++ky) {
+        for (int kx = 0; kx < p.kw; ++kx, ++col) {
+          const int iy = oy * p.stride - p.pad + ky;
+          const int ix = ox * p.stride - p.pad + kx;
+          m.at(row, col) = input.at_padded(ic, iy, ix);
         }
       }
     }

@@ -29,6 +29,13 @@ struct Matrix {
 /// the receptive field of output pixel m (zero-padded at borders).
 Matrix im2col(const Tensor& input, const ConvParams& p);
 
+/// Rows [first, first + count) of im2col(input, p), clamped to the last
+/// output pixel (so the result may have fewer than `count` rows, or
+/// none). Costs O(count·K) rather than O(out_h·out_w·K): the functional
+/// backend's CVU cross-check reads only a few rows.
+Matrix im2col_rows(const Tensor& input, const ConvParams& p,
+                   std::int64_t first, std::int64_t count);
+
 /// Reshapes [out_c][in_c][kh][kw] weights into [out_c, in_c·kh·kw].
 Matrix weights_as_matrix(const std::vector<std::int32_t>& weights,
                          const ConvParams& p);

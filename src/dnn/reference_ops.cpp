@@ -19,27 +19,47 @@ std::vector<std::int64_t> conv2d_reference(
   std::vector<std::int64_t> out(
       static_cast<std::size_t>(p.out_c) * oh * ow, 0);
 
-  auto w_at = [&](int oc, int ic, int ky, int kx) {
-    return weights[((static_cast<std::size_t>(oc) * p.in_c + ic) * p.kh +
-                    ky) *
-                       p.kw +
-                   kx];
-  };
+  // Zero-pad once, so every window load below is in bounds without a
+  // per-MAC check. The extent also covers a window that overhangs the
+  // padded input: out_h() admits one when in + 2·pad < k and the stride
+  // truncates the negative quotient to zero.
+  const int ph = std::max(p.in_h + 2 * p.pad, (oh - 1) * p.stride + p.kh);
+  const int pw = std::max(p.in_w + 2 * p.pad, (ow - 1) * p.stride + p.kw);
+  std::vector<std::int32_t> padded(
+      static_cast<std::size_t>(p.in_c) * ph * pw, 0);
+  const std::int32_t* src = input.data().data();
+  for (int ic = 0; ic < p.in_c; ++ic) {
+    for (int y = 0; y < p.in_h; ++y, src += p.in_w) {
+      std::copy(src, src + p.in_w,
+                padded.begin() +
+                    static_cast<std::ptrdiff_t>(
+                        (static_cast<std::size_t>(ic) * ph + y + p.pad) * pw +
+                        p.pad));
+    }
+  }
 
-  for (int oc = 0; oc < p.out_c; ++oc) {
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
+  // One receptive field at a time, gathered in the weights' (ic, ky, kx)
+  // order, then dotted with each contiguous [oc][K] weight row.
+  const std::size_t k = static_cast<std::size_t>(p.in_c) * p.kh * p.kw;
+  std::vector<std::int32_t> field(k);
+  for (int oy = 0; oy < oh; ++oy) {
+    for (int ox = 0; ox < ow; ++ox) {
+      std::size_t i = 0;
+      for (int ic = 0; ic < p.in_c; ++ic) {
+        for (int ky = 0; ky < p.kh; ++ky) {
+          const std::int32_t* row =
+              padded.data() +
+              (static_cast<std::size_t>(ic) * ph + oy * p.stride + ky) * pw +
+              ox * p.stride;
+          for (int kx = 0; kx < p.kw; ++kx) field[i++] = row[kx];
+        }
+      }
+      for (int oc = 0; oc < p.out_c; ++oc) {
+        const std::int32_t* w =
+            weights.data() + static_cast<std::size_t>(oc) * k;
         std::int64_t acc = 0;
-        for (int ic = 0; ic < p.in_c; ++ic) {
-          for (int ky = 0; ky < p.kh; ++ky) {
-            for (int kx = 0; kx < p.kw; ++kx) {
-              const int iy = oy * p.stride - p.pad + ky;
-              const int ix = ox * p.stride - p.pad + kx;
-              acc += static_cast<std::int64_t>(
-                         input.at_padded(ic, iy, ix)) *
-                     w_at(oc, ic, ky, kx);
-            }
-          }
+        for (std::size_t j = 0; j < k; ++j) {
+          acc += static_cast<std::int64_t>(field[j]) * w[j];
         }
         out[(static_cast<std::size_t>(oc) * oh + oy) * ow + ox] = acc;
       }

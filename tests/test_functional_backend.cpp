@@ -345,14 +345,16 @@ TEST(FunctionalBackend, ProbeKeepsFullDepthAndCapsOutputs) {
   // LSTM: gate depth input+hidden preserved, steps capped.
   dnn::Layer lstm = dnn::make_recurrent(
       "l", {dnn::RecurrentCellKind::kLstm, 2048, 1024, 512});
-  const auto& rp = be.probe_layer(lstm).recurrent();
+  const dnn::Layer lstm_probe = be.probe_layer(lstm);
+  const auto& rp = lstm_probe.recurrent();
   EXPECT_EQ(rp.input_size, 64);
   EXPECT_EQ(rp.hidden_size, 64);
   EXPECT_EQ(rp.time_steps, 4);
 
   // A layer already under the caps is untouched.
   dnn::Layer tiny = dnn::make_conv("t", {3, 4, 4, 8, 3, 3, 1, 1});
-  const auto& tp = be.probe_layer(tiny).conv();
+  const dnn::Layer tiny_probe = be.probe_layer(tiny);
+  const auto& tp = tiny_probe.conv();
   EXPECT_EQ(tp.in_h, 4);
   EXPECT_EQ(tp.out_c, 8);
 }

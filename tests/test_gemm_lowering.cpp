@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "src/common/error.h"
@@ -29,6 +30,36 @@ TEST(Im2col, ShapeAndContent) {
   EXPECT_EQ(m.at(0, 1), 2);
   EXPECT_EQ(m.at(0, 2), 4);
   EXPECT_EQ(m.at(0, 3), 5);
+}
+
+TEST(Im2colRows, EqualsTheHeadOfTheFullLoweringAtEveryOffset) {
+  Rng rng(41);
+  // Padded + strided with a ragged last window, and a plain 1x1 case.
+  for (const ConvParams& p : {ConvParams{3, 8, 6, 2, 3, 2, 2, 1},
+                              ConvParams{2, 4, 5, 1, 1, 1, 1, 0}}) {
+    Tensor in(p.in_c, p.in_h, p.in_w);
+    for (auto& v : in.data()) v = rng.signed_value(8);
+    const Matrix full = im2col(in, p);
+    for (std::int64_t first = 0; first <= full.rows + 1; ++first) {
+      for (const std::int64_t count : {0, 1, 2, 5, 100}) {
+        // Expected: rows [first, first + count) of `full`, clamped.
+        const std::int64_t rows =
+            std::clamp<std::int64_t>(full.rows - first, 0, count);
+        const auto begin = full.data.begin() +
+                           static_cast<std::ptrdiff_t>(
+                               std::min(first, full.rows) * full.cols);
+        const std::vector<std::int32_t> expected(
+            begin, begin + static_cast<std::ptrdiff_t>(rows * full.cols));
+        const Matrix got = im2col_rows(in, p, first, count);
+        EXPECT_EQ(got.rows, rows) << first << "+" << count;
+        EXPECT_EQ(got.cols, full.cols);
+        EXPECT_EQ(got.data, expected) << first << "+" << count;
+      }
+    }
+  }
+  const ConvParams p{1, 3, 3, 1, 2, 2, 1, 0};
+  EXPECT_THROW(im2col_rows(Tensor(1, 3, 3), p, -1, 1), Error);
+  EXPECT_THROW(im2col_rows(Tensor(1, 3, 3), p, 0, -1), Error);
 }
 
 TEST(WeightsAsMatrix, ShapeChecked) {

@@ -165,6 +165,82 @@ TEST(BitPlanes, PackRejectsOutOfRangeValues) {
   EXPECT_NO_THROW(pack_vector({255}, 8, /*signed=*/false));
 }
 
+/// `cols` random values across a `bits`-wide operand's whole range, with
+/// the range ends forced into the first and last lanes.
+std::vector<std::int32_t> full_range_row(Rng& rng, std::int64_t cols,
+                                         int bits, bool is_signed) {
+  const std::int32_t lo = is_signed ? -(1 << (bits - 1)) : 0;
+  const std::int32_t hi = is_signed ? (1 << (bits - 1)) - 1 : (1 << bits) - 1;
+  std::vector<std::int32_t> row(static_cast<std::size_t>(cols));
+  for (auto& v : row) v = static_cast<std::int32_t>(rng.uniform(lo, hi));
+  row.front() = lo;
+  row.back() = hi;
+  return row;
+}
+
+TEST(BitPlanes, BlockPackingRoundTripsAtEveryTailWidth) {
+  Rng rng(17);
+  for (const std::int64_t cols : {1, 63, 64, 65, 130}) {
+    for (const int bits : {1, 2, 8, 16}) {
+      for (const bool is_signed : {true, false}) {
+        constexpr std::int64_t kRows = 3;
+        std::vector<std::int32_t> values;
+        for (std::int64_t r = 0; r < kRows; ++r) {
+          const auto row = full_range_row(rng, cols, bits, is_signed);
+          values.insert(values.end(), row.begin(), row.end());
+        }
+        const BitPlanes planes =
+            pack_values(values.data(), kRows, cols, bits, is_signed);
+        ASSERT_EQ(planes.words, static_cast<std::size_t>((cols + 63) / 64));
+        for (std::int64_t r = 0; r < kRows; ++r) {
+          for (std::int64_t i = 0; i < cols; ++i) {
+            ASSERT_EQ(unpack_element(planes, r, i),
+                      values[static_cast<std::size_t>(r * cols + i)])
+                << "cols=" << cols << " bits=" << bits
+                << " signed=" << is_signed << " r=" << r << " i=" << i;
+          }
+          // Tail lanes past `cols` are zero in every plane.
+          const int used = static_cast<int>(cols % 64);
+          if (used == 0) continue;
+          const std::uint64_t tail = ~std::uint64_t{0} << used;
+          for (int p = 0; p < bits; ++p) {
+            EXPECT_EQ(planes.plane(r, p)[planes.words - 1] & tail, 0u)
+                << "cols=" << cols << " bits=" << bits << " plane=" << p;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BitPlanes, BlockRangeCheckCatchesAnOutlierAnywhere) {
+  // 130 lanes: two full blocks and a 2-lane tail. The outlier sits at the
+  // first element, mid-block, and the last element of the tail block.
+  constexpr std::int64_t kCols = 130;
+  for (const std::int64_t at : {std::int64_t{0}, std::int64_t{70},
+                                kCols - 1}) {
+    std::vector<std::int32_t> v(kCols, 3);
+    v[static_cast<std::size_t>(at)] = 128;  // int8 max + 1
+    EXPECT_THROW(pack_values(v.data(), 1, kCols, 8), Error) << at;
+    v[static_cast<std::size_t>(at)] = -129;  // int8 min − 1
+    EXPECT_THROW(pack_values(v.data(), 1, kCols, 8), Error) << at;
+    v[static_cast<std::size_t>(at)] = -1;  // negative, unsigned operand
+    EXPECT_THROW(pack_values(v.data(), 1, kCols, 8, /*is_signed=*/false),
+                 Error)
+        << at;
+    v[static_cast<std::size_t>(at)] = 256;  // uint8 max + 1
+    EXPECT_THROW(pack_values(v.data(), 1, kCols, 8, /*is_signed=*/false),
+                 Error)
+        << at;
+    v[static_cast<std::size_t>(at)] = 127;
+    EXPECT_NO_THROW(pack_values(v.data(), 1, kCols, 8)) << at;
+  }
+  // The outlier in a later row (the first row is clean).
+  std::vector<std::int32_t> two_rows(2 * kCols, 0);
+  two_rows.back() = 2;
+  EXPECT_THROW(pack_values(two_rows.data(), 2, kCols, 2), Error);
+}
+
 TEST(BitPlanes, PackedDotMatchesDirectDotAtMixedBitwidths) {
   Rng rng(13);
   for (const auto& [xb, wb] : {std::pair{8, 8}, {4, 8}, {1, 8}, {3, 5},

@@ -2,11 +2,46 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/common/error.h"
 #include "src/common/rng.h"
 
 namespace bpvec::dnn {
 namespace {
+
+/// The textbook convolution: one bounds-checked at_padded load per MAC.
+/// Slow but obviously right — the oracle the pad-once conv2d_reference
+/// is swept against.
+std::vector<std::int64_t> conv_at_padded(
+    const Tensor& input, const std::vector<std::int32_t>& weights,
+    const ConvParams& p) {
+  const int oh = p.out_h(), ow = p.out_w();
+  std::vector<std::int64_t> out(
+      static_cast<std::size_t>(p.out_c) * oh * ow, 0);
+  for (int oc = 0; oc < p.out_c; ++oc) {
+    for (int oy = 0; oy < oh; ++oy) {
+      for (int ox = 0; ox < ow; ++ox) {
+        std::int64_t acc = 0;
+        for (int ic = 0; ic < p.in_c; ++ic) {
+          for (int ky = 0; ky < p.kh; ++ky) {
+            for (int kx = 0; kx < p.kw; ++kx) {
+              const int iy = oy * p.stride - p.pad + ky;
+              const int ix = ox * p.stride - p.pad + kx;
+              const std::size_t wi =
+                  ((static_cast<std::size_t>(oc) * p.in_c + ic) * p.kh + ky) *
+                      p.kw +
+                  kx;
+              acc += std::int64_t{input.at_padded(ic, iy, ix)} * weights[wi];
+            }
+          }
+        }
+        out[(static_cast<std::size_t>(oc) * oh + oy) * ow + ox] = acc;
+      }
+    }
+  }
+  return out;
+}
 
 TEST(ConvReference, IdentityKernelCopiesInput) {
   Tensor in(1, 3, 3);
@@ -59,6 +94,63 @@ TEST(ConvReference, MultiChannelAccumulates) {
   const ConvParams p{2, 1, 1, 1, 1, 1, 1, 0};
   const auto out = conv2d_reference(in, {2, 5}, p);
   EXPECT_EQ(out[0], 6 - 20);
+}
+
+TEST(ConvReference, MatchesTheAtPaddedOracleOverASeededShapeSweep) {
+  Rng rng(2024);
+  int ragged = 0, all_padding = 0, overhang = 0, checked = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    ConvParams p;
+    p.in_c = trial % 5 == 0 ? 1 : static_cast<int>(rng.uniform(1, 6));
+    p.kh = trial % 7 == 0 ? 1 : static_cast<int>(rng.uniform(1, 5));
+    p.kw = trial % 7 == 0 ? 1 : static_cast<int>(rng.uniform(1, 5));
+    p.stride = static_cast<int>(rng.uniform(1, 4));
+    // Pad reaches past kh/2 so some windows lie wholly in the padding.
+    p.pad = static_cast<int>(
+        rng.uniform(0, std::max(p.kh, p.kw) / 2 + 2));
+    p.in_h = static_cast<int>(rng.uniform(1, 9));
+    p.in_w = static_cast<int>(rng.uniform(1, 9));
+    p.out_c = static_cast<int>(rng.uniform(1, 4));
+    // Only shapes with no output are skipped. Windows that overhang the
+    // padded input stay in: out_h() admits them when the stride
+    // truncates a negative quotient to zero.
+    if (p.out_h() < 1 || p.out_w() < 1) continue;
+    ++checked;
+    if ((p.in_h + 2 * p.pad - p.kh) % p.stride != 0 ||
+        (p.in_w + 2 * p.pad - p.kw) % p.stride != 0) {
+      ++ragged;
+    }
+    if (p.pad >= p.kh || p.pad >= p.kw) ++all_padding;
+    if (p.in_h + 2 * p.pad < p.kh || p.in_w + 2 * p.pad < p.kw) ++overhang;
+
+    Tensor in(p.in_c, p.in_h, p.in_w);
+    for (auto& v : in.data()) v = rng.signed_value(8);
+    const auto w = rng.signed_vector(
+        static_cast<std::size_t>(p.out_c) * p.in_c * p.kh * p.kw, 8);
+    EXPECT_EQ(conv2d_reference(in, w, p), conv_at_padded(in, w, p))
+        << "in " << p.in_c << "x" << p.in_h << "x" << p.in_w << " k "
+        << p.kh << "x" << p.kw << " out_c " << p.out_c << " stride "
+        << p.stride << " pad " << p.pad;
+  }
+  // The sweep really reached the edge cases it exists for.
+  EXPECT_GT(checked, 350);
+  EXPECT_GT(ragged, 100);
+  EXPECT_GT(all_padding, 100);
+  EXPECT_GT(overhang, 5);
+}
+
+TEST(ConvReference, WindowsWhollyInThePaddingAreZero) {
+  // 1×1 input, 2×2 kernel, pad 2: only the windows touching the centre
+  // see the value; the corner windows read nothing but padding.
+  Tensor in(1, 1, 1);
+  in.at(0, 0, 0) = 7;
+  const ConvParams p{1, 1, 1, 1, 2, 2, 1, 2};
+  const auto out = conv2d_reference(in, {1, 1, 1, 1}, p);
+  ASSERT_EQ(out.size(), 16u);
+  EXPECT_EQ(out, conv_at_padded(in, {1, 1, 1, 1}, p));
+  EXPECT_EQ(out[0], 0);
+  EXPECT_EQ(out[5], 7);
+  EXPECT_EQ(out[15], 0);
 }
 
 TEST(ConvReference, RejectsShapeMismatch) {
