@@ -4,15 +4,18 @@
 // finishes in seconds). Every path is verified bit-identical before its
 // numbers are reported — a fast wrong kernel is worthless.
 //
-// Beyond the CVU anchor this bench measures the two kernel-overhaul
-// claims in the SAME run (no cross-machine constants):
-//   * cache-blocked GEMM vs the flat unblocked loop on pre-packed
-//     planes (metrics.geomean_blocked_vs_unblocked; CI gates >= 1.0),
-//     plus a block-geometry sweep on the deepest-K tile justifying the
-//     kGemmBlock{M,N,Words} defaults;
-//   * im2col-free direct conv vs the materialize-patches im2col path on
-//     downscaled AlexNet conv layers — wall time AND KernelStats
-//     peak_bytes (metrics.conv_peak_bytes_ratio_max; CI gates < 1.0).
+// Beyond the CVU anchor this bench measures the kernel design against
+// two baselines that live only here, in the SAME run (no cross-machine
+// constants):
+//   * the blocked GEMM vs gemm_per_pair — every output walks its bits²
+//     plane pairs with one 1-plane planes_dot call each, over full K —
+//     on pre-packed planes (metrics.geomean_blocked_vs_unblocked; CI
+//     gates >= 1.0);
+//   * im2col-free direct conv vs conv_im2col — materialize the patch
+//     matrix, pack it, packed_gemm, transpose — on downscaled AlexNet
+//     conv layers: wall time (metrics.geomean_direct_vs_im2col,
+//     recorded, not gated) AND analytic peak transient bytes
+//     (metrics.conv_peak_bytes_ratio_max; CI gates < 1.0).
 //
 // Emits BENCH_functional_kernels.json with per-shape GMAC/s at 1 and N
 // threads plus speedups over the scalar CVU path; CI gates on
@@ -121,7 +124,7 @@ std::vector<ConvShape> alexnet_conv_tiles() {
   return tiles;
 }
 
-/// Median-of-reps wall time of fn() — reruns until the total exceeds a
+/// Minimum-of-reps wall time of fn() — reruns until the total exceeds a
 /// floor so microsecond-scale kernels don't drown in timer noise.
 template <typename Fn>
 double timed(Fn&& fn) {
@@ -139,6 +142,79 @@ double timed(Fn&& fn) {
 
 double gmacs(std::int64_t macs, double seconds) {
   return seconds > 0 ? static_cast<double>(macs) / seconds * 1e-9 : 0.0;
+}
+
+/// Storage footprint of a BitPlanes over rows×cols values at `bits`.
+std::int64_t planes_bytes(std::int64_t rows, std::int64_t cols, int bits) {
+  return rows * bits * ((cols + 63) / 64) * 8;
+}
+
+/// The unblocked baseline: out[m·b.rows + n] with each output consuming
+/// its full-length planes one (p, q) significance pair per 1-plane
+/// planes_dot call — no output tiles, no K-chunks, no fused plane pairs.
+/// The dispatch and the plane-weight products are hoisted, as in
+/// packed_gemm, so only the loop structure differs.
+std::vector<std::int64_t> gemm_per_pair(const kernels::BitPlanes& a,
+                                        const kernels::BitPlanes& b) {
+  const kernels::PlanesDotFn dot = kernels::simd_planes_dot_fn();
+  std::vector<std::int64_t> products;
+  for (int p = 0; p < a.bits; ++p) {
+    for (int q = 0; q < b.bits; ++q) {
+      products.push_back(kernels::plane_weight(p, a.bits, a.is_signed) *
+                         kernels::plane_weight(q, b.bits, b.is_signed));
+    }
+  }
+  std::vector<std::int64_t> out(static_cast<std::size_t>(a.rows * b.rows));
+  for (std::int64_t m = 0; m < a.rows; ++m) {
+    for (std::int64_t n = 0; n < b.rows; ++n) {
+      std::int64_t acc = 0;
+      const std::int64_t* product = products.data();
+      for (int p = 0; p < a.bits; ++p) {
+        for (int q = 0; q < b.bits; ++q, ++product) {
+          acc += dot(a.plane(m, p), a.words, 1, b.plane(n, q), b.words, 1,
+                     a.words, product);
+        }
+      }
+      out[static_cast<std::size_t>(m * b.rows + n)] = acc;
+    }
+  }
+  return out;
+}
+
+/// The im2col baseline direct conv is measured against: materialize the
+/// full patch matrix, pack both operands, packed_gemm, transpose into
+/// conv2d_reference order. `*peak_bytes` receives its transient bytes,
+/// counted like KernelStats::peak_bytes: the patch matrix, the weight
+/// matrix copy, both packed operand plane sets and the pre-transpose
+/// GEMM buffer, all live at once.
+std::vector<std::int64_t> conv_im2col(const dnn::Tensor& input,
+                                      const std::vector<std::int32_t>& weights,
+                                      const dnn::ConvParams& p, int x_bits,
+                                      int w_bits,
+                                      std::int64_t* peak_bytes = nullptr) {
+  const dnn::Matrix patches = dnn::im2col(input, p);
+  const dnn::Matrix wm = dnn::weights_as_matrix(weights, p);
+  const std::vector<std::int64_t> gemm = kernels::packed_gemm(
+      kernels::pack_rows(patches, x_bits), kernels::pack_rows(wm, w_bits));
+  // gemm[m·out_c + oc] with m = oy·out_w + ox  →  reference order
+  // out[oc·(out_h·out_w) + m].
+  const std::int64_t pixels = patches.rows;
+  std::vector<std::int64_t> out(gemm.size());
+  for (std::int64_t m = 0; m < pixels; ++m) {
+    for (int oc = 0; oc < p.out_c; ++oc) {
+      out[static_cast<std::size_t>(oc * pixels + m)] =
+          gemm[static_cast<std::size_t>(m * p.out_c + oc)];
+    }
+  }
+  if (peak_bytes != nullptr) {
+    constexpr auto kI32 = static_cast<std::int64_t>(sizeof(std::int32_t));
+    *peak_bytes = patches.rows * patches.cols * kI32 +
+                  wm.rows * wm.cols * kI32 +
+                  planes_bytes(patches.rows, patches.cols, x_bits) +
+                  planes_bytes(wm.rows, wm.cols, w_bits) +
+                  static_cast<std::int64_t>(gemm.size() * sizeof(std::int64_t));
+  }
+  return out;
 }
 
 }  // namespace
@@ -165,7 +241,6 @@ int main() {
   double pack_s_total = 0.0;
   std::int64_t packed_elems = 0;
   double min_speedup = 1e300;
-  const Shape* deepest = nullptr;
   std::vector<Shape> shapes = alexnet_conv_shapes();
   for (const Shape& s : shapes) {
     const std::int64_t macs = s.a.rows * s.b.rows * s.a.cols;
@@ -180,7 +255,7 @@ int main() {
       BPVEC_CHECK_MSG(scalar == expected &&
                           kernels::packed_gemm(ap, bp) == expected &&
                           kernels::packed_gemm(ap, bp, &pool) == expected &&
-                          kernels::packed_gemm_unblocked(ap, bp) == expected,
+                          gemm_per_pair(ap, bp) == expected,
                       "functional kernel bench: paths disagree on " + s.id);
     }
 
@@ -211,9 +286,7 @@ int main() {
     const double blocked_s = timed([&] {
       (void)kernels::packed_gemm(ap, bp);
     });
-    const double unblocked_s = timed([&] {
-      (void)kernels::packed_gemm_unblocked(ap, bp);
-    });
+    const double unblocked_s = timed([&] { (void)gemm_per_pair(ap, bp); });
     const double blocked_ratio = blocked_s > 0 ? unblocked_s / blocked_s : 0.0;
     blocked_ratios.push_back(blocked_ratio);
 
@@ -224,7 +297,6 @@ int main() {
     const double vs_ref = packed_1t > 0 ? ref_s / packed_1t : 0.0;
     vs_reference.push_back(vs_ref);
     min_speedup = std::min(min_speedup, sp_1t);
-    if (deepest == nullptr || s.a.cols > deepest->a.cols) deepest = &s;
 
     t.add_row({s.id, std::to_string(s.a.cols), std::to_string(macs),
                Table::num(gmacs(macs, ref_s), 2),
@@ -250,52 +322,17 @@ int main() {
   }
   t.print();
 
-  // Block-geometry sweep on the deepest-K tile (fc6, K = 9216): the
-  // measurements behind the kGemmBlock{M,N,Words} defaults. Every
-  // geometry is exactness-equivalent (int64 accumulation is
-  // associative), so this sweep is pure perf data.
-  {
-    const Shape& s = *deepest;
-    const auto ap = kernels::pack_rows(s.a, s.x_bits);
-    const auto bp = kernels::pack_rows(s.b, s.w_bits);
-    const std::int64_t macs = s.a.rows * s.b.rows * s.a.cols;
-    Table sweep("GEMM block-geometry sweep on " + s.id + " [K=" +
-                std::to_string(s.a.cols) + "]");
-    sweep.set_header({"m x n x words", "GMAC/s", "vs default"});
-    const double default_s = timed([&] { (void)kernels::packed_gemm(ap, bp); });
-    for (const std::int64_t m : {4, 8, 16}) {
-      for (const std::int64_t n : {4, 8, 16}) {
-        for (const std::size_t words : {std::size_t{32}, std::size_t{64},
-                                        std::size_t{128}, std::size_t{256}}) {
-          const kernels::GemmBlocking blocking{m, n, words};
-          const double t_s = timed([&] {
-            (void)kernels::packed_gemm(ap, bp, nullptr, nullptr, blocking);
-          });
-          const std::string id = std::to_string(m) + "x" + std::to_string(n) +
-                                 "x" + std::to_string(words);
-          sweep.add_row({id, Table::num(gmacs(macs, t_s), 2),
-                         Table::ratio(default_s / t_s)});
-          json.add_entry("sweep_" + id,
-                         {{"block_m", static_cast<double>(m)},
-                          {"block_n", static_cast<double>(n)},
-                          {"block_words", static_cast<double>(words)},
-                          {"gmacs", gmacs(macs, t_s)},
-                          {"vs_default", default_s / t_s}});
-        }
-      }
-    }
-    sweep.print();
-  }
-
   // Direct conv vs im2col on AlexNet's conv geometry: wall time and the
   // analytic peak kernel bytes (the memory win the direct path exists
   // for). Verified against conv2d_reference before timing.
   double conv_peak_ratio_max = 0.0;
+  std::vector<double> direct_vs_im2col;
   {
     Rng rng(2021);
     Table ct("AlexNet conv tiles: direct vs im2col [output <= 12x12]");
     ct.set_header({"Layer", "K", "Direct GMAC/s", "Im2col GMAC/s",
-                   "Direct peak KiB", "Im2col peak KiB", "Peak ratio"});
+                   "Direct/Im2col", "Direct peak KiB", "Im2col peak KiB",
+                   "Peak ratio"});
     for (const ConvShape& c : alexnet_conv_tiles()) {
       dnn::Tensor input(c.p.in_c, c.p.in_h, c.p.in_w);
       for (auto& v : input.data()) v = rng.signed_value(c.x_bits);
@@ -303,45 +340,47 @@ int main() {
           static_cast<std::size_t>(c.p.out_c) * c.p.in_c * c.p.kh * c.p.kw,
           c.w_bits);
       const auto expected = dnn::conv2d_reference(input, weights, c.p);
-      kernels::KernelStats direct_stats, im2col_stats;
+      kernels::KernelStats direct_stats;
+      std::int64_t im2col_peak_bytes = 0;
       BPVEC_CHECK_MSG(
           kernels::packed_conv(input, weights, c.p, c.x_bits, c.w_bits,
                                nullptr, &direct_stats) == expected &&
-              kernels::packed_conv_im2col(input, weights, c.p, c.x_bits,
-                                          c.w_bits, nullptr,
-                                          &im2col_stats) == expected,
+              conv_im2col(input, weights, c.p, c.x_bits, c.w_bits,
+                          &im2col_peak_bytes) == expected,
           "functional kernel bench: conv paths disagree on " + c.id);
       const double direct_s = timed([&] {
         (void)kernels::packed_conv(input, weights, c.p, c.x_bits, c.w_bits);
       });
       const double im2col_s = timed([&] {
-        (void)kernels::packed_conv_im2col(input, weights, c.p, c.x_bits,
-                                          c.w_bits);
+        (void)conv_im2col(input, weights, c.p, c.x_bits, c.w_bits);
       });
       const std::int64_t k = std::int64_t{c.p.in_c} * c.p.kh * c.p.kw;
       const std::int64_t macs =
           std::int64_t{c.p.out_h()} * c.p.out_w() * c.p.out_c * k;
-      const double peak_ratio =
-          static_cast<double>(direct_stats.peak_bytes) /
-          static_cast<double>(im2col_stats.peak_bytes);
+      const double speed_ratio = direct_s > 0 ? im2col_s / direct_s : 0.0;
+      direct_vs_im2col.push_back(speed_ratio);
+      const double peak_ratio = static_cast<double>(direct_stats.peak_bytes) /
+                                static_cast<double>(im2col_peak_bytes);
       conv_peak_ratio_max = std::max(conv_peak_ratio_max, peak_ratio);
       ct.add_row({c.id, std::to_string(k),
                   Table::num(gmacs(macs, direct_s), 2),
                   Table::num(gmacs(macs, im2col_s), 2),
+                  Table::ratio(speed_ratio),
                   Table::num(static_cast<double>(direct_stats.peak_bytes) /
                                  1024.0, 1),
-                  Table::num(static_cast<double>(im2col_stats.peak_bytes) /
-                                 1024.0, 1),
+                  Table::num(static_cast<double>(im2col_peak_bytes) / 1024.0,
+                             1),
                   Table::ratio(peak_ratio)});
       json.add_entry("conv_" + c.id,
                      {{"k", static_cast<double>(k)},
                       {"macs", static_cast<double>(macs)},
                       {"gmacs_direct", gmacs(macs, direct_s)},
                       {"gmacs_im2col", gmacs(macs, im2col_s)},
+                      {"direct_vs_im2col", speed_ratio},
                       {"direct_peak_bytes",
                        static_cast<double>(direct_stats.peak_bytes)},
                       {"im2col_peak_bytes",
-                       static_cast<double>(im2col_stats.peak_bytes)},
+                       static_cast<double>(im2col_peak_bytes)},
                       {"peak_bytes_ratio", peak_ratio}});
     }
     ct.print();
@@ -361,6 +400,7 @@ int main() {
       pack_s_total / static_cast<double>(packed_elems) * 1e9;
   json.add_metric("pack_ns_per_elem", pack_ns_per_elem);
   json.add_metric("geomean_packed_1t_vs_reference", geomean(vs_reference));
+  json.add_metric("geomean_direct_vs_im2col", geomean(direct_vs_im2col));
   json.write();
 
   std::printf("min packed-1T speedup vs scalar CVU: %.1fx (gate: >= 4x)\n",
@@ -374,5 +414,7 @@ int main() {
   std::printf("geomean packed-1T vs gemm_reference: %.2fx "
               "(recorded, not gated)\n",
               geomean(vs_reference));
+  std::printf("geomean direct conv vs im2col: %.2fx (recorded, not gated)\n",
+              geomean(direct_vs_im2col));
   return 0;
 }

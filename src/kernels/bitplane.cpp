@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/error.h"
-#include "src/kernels/simd.h"
 
 namespace bpvec::kernels {
 
@@ -112,22 +111,6 @@ std::int64_t unpack_element(const BitPlanes& planes, std::int64_t row,
     if (bit) value += plane_weight(p, planes.bits, planes.is_signed);
   }
   return value;
-}
-
-std::int64_t packed_dot(const BitPlanes& a, std::int64_t a_row,
-                        const BitPlanes& b, std::int64_t b_row) {
-  BPVEC_CHECK_MSG(a.cols == b.cols, "packed dot: lane counts disagree");
-  std::int64_t acc = 0;
-  for (int p = 0; p < a.bits; ++p) {
-    const std::uint64_t* ap = a.plane(a_row, p);
-    const std::int64_t wa = plane_weight(p, a.bits, a.is_signed);
-    for (int q = 0; q < b.bits; ++q) {
-      const std::int64_t count =
-          and_popcount(ap, b.plane(b_row, q), a.words);
-      acc += wa * plane_weight(q, b.bits, b.is_signed) * count;
-    }
-  }
-  return acc;
 }
 
 }  // namespace bpvec::kernels

@@ -16,6 +16,9 @@
 //
 // where σ is ±1 sign-plane weighting — evaluated exactly in int64, so
 // packed kernels are bit-identical to the integer reference operators.
+// This file only packs; the double sum itself is kernels::planes_dot
+// (simd.h), which every packed kernel reaches through the blocked GEMM
+// tile loop in packed_kernels.cpp.
 #pragma once
 
 #include <cstdint>
@@ -71,10 +74,5 @@ BitPlanes pack_vector(const std::vector<std::int32_t>& values, int bits,
 /// tests to prove pack ∘ unpack is the identity.
 std::int64_t unpack_element(const BitPlanes& planes, std::int64_t row,
                             std::int64_t i);
-
-/// Exact dot product of row `a_row` of `a` with row `b_row` of `b` via
-/// the popcount double sum. Requires equal `cols`.
-std::int64_t packed_dot(const BitPlanes& a, std::int64_t a_row,
-                        const BitPlanes& b, std::int64_t b_row);
 
 }  // namespace bpvec::kernels

@@ -54,102 +54,103 @@ void add_gemm_work(KernelStats* stats, const BitPlanes& a,
                      b.bits * static_cast<std::int64_t>(a.words);
 }
 
+/// Bytes of one kGemmBlockM × kGemmBlockN int64 tile accumulator.
+constexpr std::int64_t kTileAccBytes =
+    kGemmBlockM * kGemmBlockN * static_cast<std::int64_t>(sizeof(std::int64_t));
+
+/// The per-(p, q) significance products plane_weight(p)·plane_weight(q)
+/// that planes_dot consumes, [p·b_bits + q].
+std::vector<std::int64_t> plane_products(int a_bits, bool a_signed,
+                                         int b_bits, bool b_signed) {
+  std::vector<std::int64_t> products(static_cast<std::size_t>(a_bits) *
+                                     b_bits);
+  for (int p = 0; p < a_bits; ++p) {
+    for (int q = 0; q < b_bits; ++q) {
+      products[static_cast<std::size_t>(p) * b_bits + q] =
+          plane_weight(p, a_bits, a_signed) * plane_weight(q, b_bits, b_signed);
+    }
+  }
+  return products;
+}
+
+/// The one packed dot loop behind every MAC-bearing kernel: for a-rows
+/// [m0, m1) × b-rows [n0, n1) (at most kGemmBlockM × kGemmBlockN),
+/// writes out[m·m_stride + n·n_stride] = Σ_k a[m][k]·b[n][k]. K is
+/// consumed in kGemmBlockWords chunks so the tile's plane segments stay
+/// cache-resident across its bits² plane-pair passes, one fused `dot`
+/// call per (m, n, chunk); per (m, n) the chunk sums are int64
+/// additions, so the result is bit-identical to any other order. The
+/// stride pair lets packed_gemm write [m][n] and packed_conv [oc][pixel].
+void gemm_tile(const BitPlanes& a, std::int64_t m0, std::int64_t m1,
+               const BitPlanes& b, std::int64_t n0, std::int64_t n1,
+               PlanesDotFn dot, const std::int64_t* products,
+               std::int64_t* out, std::int64_t m_stride,
+               std::int64_t n_stride) {
+  std::int64_t acc[kGemmBlockM][kGemmBlockN] = {};
+  for (std::size_t w0 = 0; w0 < a.words; w0 += kGemmBlockWords) {
+    const std::size_t chunk = std::min(kGemmBlockWords, a.words - w0);
+    for (std::int64_t m = m0; m < m1; ++m) {
+      for (std::int64_t n = n0; n < n1; ++n) {
+        acc[m - m0][n - n0] +=
+            dot(a.plane(m, 0) + w0, a.words, a.bits, b.plane(n, 0) + w0,
+                b.words, b.bits, chunk, products);
+      }
+    }
+  }
+  for (std::int64_t m = m0; m < m1; ++m) {
+    for (std::int64_t n = n0; n < n1; ++n) {
+      out[m * m_stride + n * n_stride] = acc[m - m0][n - n0];
+    }
+  }
+}
+
+/// Peak transient bytes of the pre-packed packed_conv: per concurrent
+/// task, one gathered int32 window tile, its packed planes and one tile
+/// accumulator.
+std::int64_t conv_transient_bytes(const dnn::ConvParams& p, int x_bits,
+                                  engine::ThreadPool* pool) {
+  const std::int64_t k = static_cast<std::int64_t>(p.in_c) * p.kh * p.kw;
+  const std::int64_t pixels =
+      static_cast<std::int64_t>(p.out_h()) * p.out_w();
+  const std::int64_t tile_rows =
+      std::min(kConvPixelTile, std::max<std::int64_t>(pixels, 1));
+  return workers(pool) *
+         (tile_rows * k * static_cast<std::int64_t>(sizeof(std::int32_t)) +
+          planes_bytes(tile_rows, k, x_bits) + kTileAccBytes);
+}
+
 }  // namespace
 
 std::vector<std::int64_t> packed_gemm(const BitPlanes& a, const BitPlanes& b,
                                       engine::ThreadPool* pool,
-                                      KernelStats* stats,
-                                      const GemmBlocking& blocking) {
+                                      KernelStats* stats) {
   BPVEC_CHECK_MSG(a.cols == b.cols, "packed gemm: K dimensions disagree");
-  BPVEC_CHECK_MSG(
-      blocking.m_rows >= 1 && blocking.n_rows >= 1 && blocking.words >= 1,
-      "packed gemm: block sizes must be positive");
-  const std::int64_t m_blocks =
-      (a.rows + blocking.m_rows - 1) / blocking.m_rows;
-  const std::int64_t n_blocks =
-      (b.rows + blocking.n_rows - 1) / blocking.n_rows;
+  const std::int64_t m_blocks = (a.rows + kGemmBlockM - 1) / kGemmBlockM;
+  const std::int64_t n_blocks = (b.rows + kGemmBlockN - 1) / kGemmBlockN;
   const std::size_t tiles = static_cast<std::size_t>(m_blocks * n_blocks);
   std::vector<std::int64_t> out(static_cast<std::size_t>(a.rows * b.rows), 0);
-  const std::int64_t per_tile_words = blocking.m_rows * blocking.n_rows *
-                                      a.bits * b.bits *
+  const std::int64_t per_tile_words = kGemmBlockM * kGemmBlockN * a.bits *
+                                      b.bits *
                                       static_cast<std::int64_t>(a.words);
-  // Hoisted out of the tile loops: the resolved fused plane-pair dot —
-  // ONE indirect call per (m, n, chunk) covers all bits² significance
-  // pairs, reusing each loaded A-vector across B-planes inside the SIMD
-  // kernel — and the per-(p, q) significance products it consumes.
+  // Hoisted out of the tile loops: the resolved fused plane-pair dot and
+  // the significance products it consumes.
   const PlanesDotFn dot = simd_planes_dot_fn();
-  std::vector<std::int64_t> plane_products(
-      static_cast<std::size_t>(a.bits) * b.bits);
-  for (int p = 0; p < a.bits; ++p) {
-    for (int q = 0; q < b.bits; ++q) {
-      plane_products[static_cast<std::size_t>(p) * b.bits + q] =
-          plane_weight(p, a.bits, a.is_signed) *
-          plane_weight(q, b.bits, b.is_signed);
-    }
-  }
+  const std::vector<std::int64_t> products =
+      plane_products(a.bits, a.is_signed, b.bits, b.is_signed);
   // One task per (m-block, n-block) output tile: disjoint writes, shared
-  // immutable operands. Inside a tile, K is consumed in chunks of
-  // blocking.words so the tile's plane segments stay cache-resident
-  // across its bits² plane-pair passes; per (m, n) the chunk/plane sums
-  // are int64 additions, so every order — and every block geometry —
-  // yields bit-identical results.
+  // immutable operands.
   for_each_output(pool, tiles, per_tile_words, [&](std::size_t ti) {
     const std::int64_t m0 =
-        (static_cast<std::int64_t>(ti) / n_blocks) * blocking.m_rows;
+        (static_cast<std::int64_t>(ti) / n_blocks) * kGemmBlockM;
     const std::int64_t n0 =
-        (static_cast<std::int64_t>(ti) % n_blocks) * blocking.n_rows;
-    const std::int64_t m1 = std::min(a.rows, m0 + blocking.m_rows);
-    const std::int64_t n1 = std::min(b.rows, n0 + blocking.n_rows);
-    const std::int64_t tn = n1 - n0;
-    std::vector<std::int64_t> acc(static_cast<std::size_t>((m1 - m0) * tn), 0);
-    for (std::size_t w0 = 0; w0 < a.words; w0 += blocking.words) {
-      const std::size_t chunk = std::min(blocking.words, a.words - w0);
-      for (std::int64_t m = m0; m < m1; ++m) {
-        std::int64_t* acc_row =
-            acc.data() + static_cast<std::size_t>(m - m0) * tn;
-        for (std::int64_t n = n0; n < n1; ++n) {
-          // All bits² plane pairs of this (m, n, chunk) in one fused
-          // call; acc is touched once per (m, n, chunk), not once per
-          // plane pair.
-          acc_row[n - n0] +=
-              dot(a.plane(m, 0) + w0, a.words, a.bits, b.plane(n, 0) + w0,
-                  b.words, b.bits, chunk, plane_products.data());
-        }
-      }
-    }
-    for (std::int64_t m = m0; m < m1; ++m) {
-      for (std::int64_t n = n0; n < n1; ++n) {
-        out[static_cast<std::size_t>(m * b.rows + n)] =
-            acc[static_cast<std::size_t>((m - m0) * tn + (n - n0))];
-      }
-    }
+        (static_cast<std::int64_t>(ti) % n_blocks) * kGemmBlockN;
+    gemm_tile(a, m0, std::min(a.rows, m0 + kGemmBlockM), b, n0,
+              std::min(b.rows, n0 + kGemmBlockN), dot, products.data(),
+              out.data(), b.rows, 1);
   });
   add_gemm_work(stats, a, b);
   // Transients: one tile accumulator per concurrent task.
-  note_peak(stats,
-            workers(pool) * blocking.m_rows * blocking.n_rows *
-                static_cast<std::int64_t>(sizeof(std::int64_t)));
-  return out;
-}
-
-std::vector<std::int64_t> packed_gemm_unblocked(const BitPlanes& a,
-                                                const BitPlanes& b,
-                                                engine::ThreadPool* pool,
-                                                KernelStats* stats) {
-  BPVEC_CHECK_MSG(a.cols == b.cols, "packed gemm: K dimensions disagree");
-  const std::size_t total = static_cast<std::size_t>(a.rows * b.rows);
-  std::vector<std::int64_t> out(total, 0);
-  const std::int64_t per_output_words =
-      static_cast<std::int64_t>(a.bits) * b.bits *
-      static_cast<std::int64_t>(a.words);
-  // Flattened (m, n) output index: every index writes one disjoint
-  // element, each consuming its full-length planes in one pass.
-  for_each_output(pool, total, per_output_words, [&](std::size_t i) {
-    const std::int64_t m = static_cast<std::int64_t>(i) / b.rows;
-    const std::int64_t n = static_cast<std::int64_t>(i) % b.rows;
-    out[i] = packed_dot(a, m, b, n);
-  });
-  add_gemm_work(stats, a, b);
+  note_peak(stats, workers(pool) * kTileAccBytes);
   return out;
 }
 
@@ -167,17 +168,21 @@ std::vector<std::int64_t> packed_conv(const dnn::Tensor& input,
       static_cast<std::int64_t>(p.out_h()) * p.out_w();
   std::vector<std::int64_t> out(
       static_cast<std::size_t>(p.out_c) * pixels, 0);
-  const std::int64_t tile_rows = std::min(kConvPixelTile, std::max<std::int64_t>(pixels, 1));
   const std::size_t tiles =
       static_cast<std::size_t>((pixels + kConvPixelTile - 1) / kConvPixelTile);
-  const std::int64_t per_tile_words = tile_rows * p.out_c * x_bits * w.bits *
-                                      static_cast<std::int64_t>(w.words);
+  const std::int64_t per_tile_words =
+      std::min(kConvPixelTile, pixels) * p.out_c * x_bits * w.bits *
+      static_cast<std::int64_t>(w.words);
+  const PlanesDotFn dot = simd_planes_dot_fn();
+  // The window tiles are packed signed (pack_values' default).
+  const std::vector<std::int64_t> products =
+      plane_products(x_bits, /*a_signed=*/true, w.bits, w.is_signed);
   // Each task gathers ≤ kConvPixelTile windows straight from the input
-  // tensor (at_padded supplies the zero padding), packs them, and dots
-  // them against the shared filter planes, writing its disjoint pixel
-  // range of every output channel in reference order. The gathered tile
-  // is the ONLY activation transient — the full im2col matrix never
-  // exists.
+  // tensor (at_padded supplies the zero padding), packs them, and runs
+  // them through the GEMM tile loop against the shared filter planes,
+  // writing its disjoint pixel range of every output channel in
+  // reference order. The gathered tile is the ONLY activation transient
+  // — the full im2col matrix never exists.
   for_each_output(pool, tiles, per_tile_words, [&](std::size_t ti) {
     const std::int64_t m0 = static_cast<std::int64_t>(ti) * kConvPixelTile;
     const std::int64_t m1 = std::min(pixels, m0 + kConvPixelTile);
@@ -200,11 +205,14 @@ std::vector<std::int64_t> packed_conv(const dnn::Tensor& input,
         }
       }
     }
+    // The packed tile is the A operand of the GEMM tile loop; each
+    // (pixel, oc) result lands at out[oc·pixels + m] directly.
     const BitPlanes x = pack_values(window.data(), m1 - m0, k, x_bits);
-    for (std::int64_t m = m0; m < m1; ++m) {
-      for (int oc = 0; oc < p.out_c; ++oc) {
-        out[static_cast<std::size_t>(oc) * pixels + m] =
-            packed_dot(x, m - m0, w, oc);
+    for (std::int64_t t0 = 0; t0 < x.rows; t0 += kGemmBlockM) {
+      for (std::int64_t oc0 = 0; oc0 < w.rows; oc0 += kGemmBlockN) {
+        gemm_tile(x, t0, std::min(x.rows, t0 + kGemmBlockM), w, oc0,
+                  std::min(w.rows, oc0 + kGemmBlockN), dot, products.data(),
+                  out.data() + m0, 1, pixels);
       }
     }
   });
@@ -213,14 +221,7 @@ std::vector<std::int64_t> packed_conv(const dnn::Tensor& input,
     stats->word_ops += pixels * p.out_c * static_cast<std::int64_t>(x_bits) *
                        w.bits * static_cast<std::int64_t>(w.words);
   }
-  // Transients: the shared filter planes plus, per concurrent task, one
-  // gathered int32 window tile and its packed planes.
-  note_peak(stats,
-            planes_bytes(p.out_c, k, w.bits) +
-                workers(pool) *
-                    (tile_rows * k *
-                         static_cast<std::int64_t>(sizeof(std::int32_t)) +
-                     planes_bytes(tile_rows, k, x_bits)));
+  note_peak(stats, conv_transient_bytes(p, x_bits, pool));
   return out;
 }
 
@@ -234,44 +235,9 @@ std::vector<std::int64_t> packed_conv(const dnn::Tensor& input,
   // The weight vector is already row-major [out_c][in_c·kh·kw] — pack it
   // in place, no weights_as_matrix copy.
   const BitPlanes w = pack_values(weights.data(), p.out_c, k, w_bits);
-  return packed_conv(input, w, p, x_bits, pool, stats);
-}
-
-std::vector<std::int64_t> packed_conv_im2col(
-    const dnn::Tensor& input, const std::vector<std::int32_t>& weights,
-    const dnn::ConvParams& p, int x_bits, int w_bits,
-    engine::ThreadPool* pool, KernelStats* stats) {
-  // The systolic model's lowering, executed literally: materialize the
-  // full patch matrix, pack both operands, GEMM, transpose.
-  const dnn::Matrix patches = dnn::im2col(input, p);
-  const dnn::Matrix wm = dnn::weights_as_matrix(weights, p);
-  const BitPlanes x = pack_rows(patches, x_bits);
-  const BitPlanes w = pack_rows(wm, w_bits);
-  const std::vector<std::int64_t> gemm = packed_gemm(x, w, pool, stats);
-
-  // gemm[m·out_c + oc] with m = oy·out_w + ox  →  reference order
-  // out[(oc·out_h + oy)·out_w + ox] = out[oc·(out_h·out_w) + m].
-  const std::int64_t pixels =
-      static_cast<std::int64_t>(p.out_h()) * p.out_w();
-  std::vector<std::int64_t> out(gemm.size());
-  for (std::int64_t m = 0; m < pixels; ++m) {
-    for (int oc = 0; oc < p.out_c; ++oc) {
-      out[static_cast<std::size_t>(oc) * pixels + m] =
-          gemm[static_cast<std::size_t>(m) * p.out_c + oc];
-    }
-  }
-  // Transients: patch matrix + weight matrix copy + both packed operand
-  // plane sets + the pre-transpose GEMM buffer, all live at once. This
-  // is the number direct conv exists to beat.
-  note_peak(stats,
-            patches.rows * patches.cols *
-                    static_cast<std::int64_t>(sizeof(std::int32_t)) +
-                wm.rows * wm.cols *
-                    static_cast<std::int64_t>(sizeof(std::int32_t)) +
-                planes_bytes(patches.rows, patches.cols, x_bits) +
-                planes_bytes(wm.rows, wm.cols, w_bits) +
-                static_cast<std::int64_t>(gemm.size()) *
-                    static_cast<std::int64_t>(sizeof(std::int64_t)));
+  auto out = packed_conv(input, w, p, x_bits, pool, stats);
+  note_peak(stats, planes_bytes(p.out_c, k, w_bits) +
+                       conv_transient_bytes(p, x_bits, pool));
   return out;
 }
 

@@ -6,19 +6,19 @@
 // against the scalar CVU executor in core/gemm_executor).
 //
 // Throughput design (this is the hot path of every functional probe):
-//   * packed_gemm is cache-blocked: output tiles of kGemmBlockM ×
-//     kGemmBlockN rows are computed over K-word chunks of kGemmBlockWords
-//     so the operand planes a tile touches stay L1-resident instead of
-//     being streamed bits-squared times. Blocking only reorders int64
-//     additions, so results are bit-identical to the unblocked fold at
-//     any block size (packed_gemm_unblocked remains as the in-run
-//     baseline the perf gate measures against).
+//   * One dot path. Every MAC-bearing kernel runs the same blocked tile
+//     loop: output tiles of kGemmBlockM × kGemmBlockN rows are computed
+//     over K-word chunks of kGemmBlockWords, one fused planes_dot call
+//     (simd.h) per (m, n, chunk), so the operand planes a tile touches
+//     stay L1-resident instead of being streamed bits-squared times.
+//     Blocking only reorders exact int64 additions, so results are
+//     bit-identical to any other summation order.
 //   * packed_conv is DIRECT (im2col-free): each filter is packed once,
 //     and output pixels stream through per-task scratch tiles packed
-//     straight from the input tensor — the O(out_h·out_w·k²·C) im2col
-//     materialization never exists. packed_conv_im2col keeps the old
-//     lowering alive as the exactness/peak-memory baseline;
-//     KernelStats::peak_bytes quantifies the difference.
+//     straight from the input tensor, each run through the tile loop
+//     against the filter planes — the O(out_h·out_w·k²·C) im2col
+//     materialization never exists. bench/functional_kernels keeps an
+//     im2col lowering as the baseline it is measured against.
 //   * conv/fc/rnn kernels take pre-packed weight planes (BitPlanes)
 //     overloads so a persistent weight cache (weight_cache.h) can
 //     amortize packing across probes; the value-vector overloads pack
@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/dnn/gemm_lowering.h"
 #include "src/dnn/layer.h"
 #include "src/dnn/tensor.h"
 #include "src/engine/thread_pool.h"
@@ -48,59 +47,41 @@ struct KernelStats {
   std::int64_t macs = 0;      // multiply-accumulates computed
   std::int64_t word_ops = 0;  // 64-bit AND+popcount words consumed
   /// Peak transient working-set bytes the kernel allocated beyond its
-  /// inputs and final output (im2col buffers, packed operand planes,
-  /// scratch window tiles, per-task accumulators). Computed analytically
-  /// from the shapes and the worker count — deterministic, never sampled
-  /// — and folded with max() across calls, so one KernelStats can track
-  /// a whole probe. This is the number that proves direct conv beats the
-  /// im2col lowering on memory.
+  /// inputs and final output (packed operand planes, scratch window
+  /// tiles, per-task tile accumulators). Pre-packed weight planes are an
+  /// input; the raw-weights overloads, which pack them, count them.
+  /// Computed analytically from the shapes and the worker count —
+  /// deterministic, never sampled — and folded with max() across calls,
+  /// so one KernelStats can track a whole probe. This is the number that
+  /// proves direct conv beats an im2col lowering on memory.
   std::int64_t peak_bytes = 0;
 };
 
-// Default GEMM block sizes (see the sweep in bench/functional_kernels,
-// which reports these against neighboring geometries in-run, on the
-// machine being measured). Two regimes drove the choices:
+// GEMM tile geometry. Two regimes drove the choices:
 //   * kGemmBlockWords = 256 (16 Ki lanes per chunk). Below ~256 words a
 //     per-(m,n) pass's operand planes (2 · bits · words · 8 B ≈ 18 KiB
 //     for 8-bit fc6) are ALREADY L1-resident, so finer K-chunks only add
-//     per-chunk call overhead — the sweep shows words = 32 losing ~30%
-//     to words = 256. The chunk exists to bound the working set for
+//     per-chunk call overhead (words = 32 measured ~30% slower than
+//     words = 256 on fc6). The chunk exists to bound the working set for
 //     pathological K (beyond ~16 Ki lanes a chunk of one tile touches
 //     (8+8)·8·256·8 B = 256 KiB, held L2-resident across the tile's
 //     bits² plane-pair passes instead of streaming from L3/DRAM).
 //   * kGemmBlockM = kGemmBlockN = 8: an 8×8 output tile reuses each
 //     loaded B-plane segment across 8 A-rows (and vice versa) while the
-//     64-entry int64 accumulator tile stays register/L1-trivial; the
-//     sweep shows the m/n choice is flat within noise at these probe
-//     sizes, so the smallest geometry with full reuse wins.
+//     64-entry int64 accumulator tile lives on the stack; m/n choices
+//     from 4 to 16 measured flat within noise at these probe sizes, so
+//     the smallest geometry with full reuse wins.
 inline constexpr std::int64_t kGemmBlockM = 8;
 inline constexpr std::int64_t kGemmBlockN = 8;
 inline constexpr std::size_t kGemmBlockWords = 256;
 
-/// Cache-blocking geometry for packed_gemm. Any positive values are
-/// valid (tails are handled); results are bit-identical across
-/// geometries because blocking only reorders exact int64 additions.
-struct GemmBlocking {
-  std::int64_t m_rows = kGemmBlockM;  // A-rows (outputs) per tile
-  std::int64_t n_rows = kGemmBlockN;  // B-rows (outputs) per tile
-  std::size_t words = kGemmBlockWords;  // K-words per resident chunk
-};
-
-/// out[m·b.rows + n] = Σ_k a[m][k]·b[n][k], exact in int64, cache-blocked
-/// per `blocking`. Output tiles are distributed over `pool` when given;
-/// pass nullptr for the serial loop.
+/// out[m·b.rows + n] = Σ_k a[m][k]·b[n][k], exact in int64, computed in
+/// kGemmBlockM × kGemmBlockN output tiles over kGemmBlockWords K-chunks.
+/// Output tiles are distributed over `pool` when given; pass nullptr for
+/// the serial loop.
 std::vector<std::int64_t> packed_gemm(const BitPlanes& a, const BitPlanes& b,
                                       engine::ThreadPool* pool = nullptr,
-                                      KernelStats* stats = nullptr,
-                                      const GemmBlocking& blocking = {});
-
-/// The pre-blocking baseline: flat (m, n) outputs, each consuming its
-/// full-length planes in one pass. Bit-identical to packed_gemm; kept so
-/// the bench/CI perf gate can assert blocked ≥ unblocked in the same
-/// run, on the same machine.
-std::vector<std::int64_t> packed_gemm_unblocked(
-    const BitPlanes& a, const BitPlanes& b,
-    engine::ThreadPool* pool = nullptr, KernelStats* stats = nullptr);
+                                      KernelStats* stats = nullptr);
 
 /// Output pixels per direct-convolution scratch tile: bounds the only
 /// transient the direct path allocates (one tile of gathered windows per
@@ -111,8 +92,10 @@ inline constexpr std::int64_t kConvPixelTile = 64;
 /// Direct packed convolution over pre-packed filter planes (`w` is
 /// pack_values over the [out_c][in_c·kh·kw] weight vector): output
 /// pixels stream through per-task scratch tiles of ≤ kConvPixelTile
-/// gathered windows — no im2col matrix is ever materialized. Returns
-/// results in conv2d_reference order (out[(oc·out_h + oy)·out_w + ox]).
+/// gathered windows, each packed and run through packed_gemm's tile
+/// loop against `w` — no im2col matrix is ever materialized. Returns
+/// results in conv2d_reference order (out[(oc·out_h + oy)·out_w + ox]),
+/// written straight from the tile accumulators.
 std::vector<std::int64_t> packed_conv(const dnn::Tensor& input,
                                       const BitPlanes& w,
                                       const dnn::ConvParams& p, int x_bits,
@@ -128,15 +111,6 @@ std::vector<std::int64_t> packed_conv(const dnn::Tensor& input,
                                       int w_bits,
                                       engine::ThreadPool* pool = nullptr,
                                       KernelStats* stats = nullptr);
-
-/// The former lowering, kept as the direct path's baseline: im2col →
-/// pack → popcount GEMM → transpose. Bit-identical to packed_conv;
-/// reports a much larger KernelStats::peak_bytes (the bench/CI gate
-/// asserts direct < im2col on every measured shape).
-std::vector<std::int64_t> packed_conv_im2col(
-    const dnn::Tensor& input, const std::vector<std::int32_t>& weights,
-    const dnn::ConvParams& p, int x_bits, int w_bits,
-    engine::ThreadPool* pool = nullptr, KernelStats* stats = nullptr);
 
 /// Packed fully-connected layer over pre-packed weight planes (`w` is
 /// pack_values over the [out_features][in_features] vector),

@@ -1,8 +1,12 @@
 // The one SIMD-variant-specific primitive behind the bit-packed kernels:
-// AND two bit-plane word streams and count the surviving ones.
+// planes_dot, which ANDs every (activation-plane, weight-plane)
+// significance pair of two operand rows, counts the surviving ones and
+// shift-adds the counts by plane weight — the software form of the
+// paper's Eq. 2/Eq. 4 composition. Every packed kernel reaches popcount
+// only through it.
 //
 // Everything above this call site is portable C++; the variant is chosen
-// at RUNTIME, on the first and_popcount call, by cpuid — not at configure
+// at RUNTIME, on the first planes_dot call, by cpuid — not at configure
 // time. On x86-64 three implementations are compiled side by side via
 // function target attributes (scalar baseline, AVX2+POPCNT, AVX-512
 // VPOPCNTDQ) and the best one the host supports wins; on aarch64 NEON is
@@ -24,30 +28,13 @@
 
 namespace bpvec::kernels {
 
-/// Σ_i popcount(a[i] & b[i]) over `words` 64-bit words. The inner loop of
-/// every packed kernel: one call scores one (activation-plane,
-/// weight-plane) significance pair over 64·words lanes.
-std::int64_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
-                          std::size_t words);
-
-/// The resolved and_popcount implementation as a raw function pointer.
-/// Hot kernels (the blocked GEMM tile loop) fetch this once per call and
-/// invoke it directly, hoisting the per-call dispatch lookup out of
-/// plane-pair loops that run bits² × K-chunks times. The pointer stays
-/// valid for the process lifetime; it reflects the variant selected at
-/// the moment of the call (re-fetch after simd_set_variant to follow a
-/// switch).
-using PopcountFn = std::int64_t (*)(const std::uint64_t*,
-                                    const std::uint64_t*, std::size_t);
-PopcountFn simd_popcount_fn();
-
 /// Fused plane-pair dot: Σ_p Σ_q products[p·b_bits + q] ·
 /// Σ_i popcount(a[p·a_stride + i] & b[q·b_stride + i]) over `words`
 /// words. One call scores one (A-row, B-row) pair over ALL bits²
 /// significance-plane combinations — the wide variants keep each loaded
-/// A-vector live across several B-planes and amortize call/reduce
-/// overhead bits² ways, which is where the blocked GEMM's throughput
-/// edge over the per-pair baseline comes from. `a` points at the row's
+/// A-vector live across two B-planes and amortize call/reduce overhead
+/// bits² ways, which is where the blocked GEMM's throughput edge over a
+/// loop of one-plane calls comes from. `a` points at the row's
 /// plane 0 (consecutive planes `a_stride` words apart — BitPlanes
 /// layout), likewise `b`; `products` is the precomputed
 /// plane_weight(p)·plane_weight(q) table. Exact int64; bit-identical
@@ -63,11 +50,15 @@ std::int64_t planes_dot(const std::uint64_t* a, std::size_t a_stride,
                         std::size_t b_stride, int b_bits, std::size_t words,
                         const std::int64_t* products);
 
-/// The resolved planes_dot implementation; same hoisting contract as
-/// simd_popcount_fn.
+/// The resolved planes_dot implementation as a raw function pointer.
+/// The blocked GEMM tile loop fetches this once per kernel call and
+/// invokes it directly, hoisting the dispatch lookup out of a loop that
+/// runs once per (m, n, K-chunk). The pointer stays valid for the process
+/// lifetime; it reflects the variant selected at the moment of the call
+/// (re-fetch after simd_set_variant to follow a switch).
 PlanesDotFn simd_planes_dot_fn();
 
-/// Name of the variant and_popcount currently dispatches to: "avx512",
+/// Name of the variant planes_dot currently dispatches to: "avx512",
 /// "avx2", "neon", or "scalar". Resolves the dispatch (cpuid +
 /// BPVEC_SIMD override) if no call has done so yet.
 const char* simd_variant();

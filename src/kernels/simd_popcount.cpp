@@ -22,9 +22,6 @@ namespace bpvec::kernels {
 
 namespace {
 
-using PopcountFn = std::int64_t (*)(const std::uint64_t*,
-                                    const std::uint64_t*, std::size_t);
-
 inline std::int64_t scalar_fold(const std::uint64_t* a,
                                 const std::uint64_t* b, std::size_t words) {
   std::int64_t count = 0;
@@ -32,11 +29,6 @@ inline std::int64_t scalar_fold(const std::uint64_t* a,
     count += __builtin_popcountll(a[i] & b[i]);
   }
   return count;
-}
-
-std::int64_t and_popcount_scalar(const std::uint64_t* a,
-                                 const std::uint64_t* b, std::size_t words) {
-  return scalar_fold(a, b, words);
 }
 
 /// Fused plane-pair dot, scalar flavor. The wide variants below pair
@@ -63,7 +55,10 @@ std::int64_t planes_dot_scalar(const std::uint64_t* a, std::size_t a_stride,
 
 #if defined(__x86_64__)
 
-__attribute__((target("avx2,popcnt"))) std::int64_t and_popcount_avx2(
+// Single plane-pair folds: each planes_dot variant below pairs B-planes
+// and falls back to its fold for the last plane of an odd b_bits.
+
+__attribute__((target("avx2,popcnt"))) std::int64_t fold_avx2(
     const std::uint64_t* a, const std::uint64_t* b, std::size_t words) {
   std::int64_t count = 0;
   std::size_t i = 0;
@@ -88,9 +83,8 @@ __attribute__((target("avx2,popcnt"))) std::int64_t and_popcount_avx2(
   return count + scalar_fold(a + i, b + i, words - i);
 }
 
-__attribute__((target("avx512f,avx512vpopcntdq"))) std::int64_t
-and_popcount_avx512(const std::uint64_t* a, const std::uint64_t* b,
-                    std::size_t words) {
+__attribute__((target("avx512f,avx512vpopcntdq"))) std::int64_t fold_avx512(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t words) {
   // VPOPCNTDQ counts all 8 lanes of the AND in one instruction; the
   // per-lane counts accumulate vertically in int64 lanes (a plane word
   // contributes at most 64, so 2^57 iterations would be needed to wrap —
@@ -156,9 +150,8 @@ __attribute__((target("avx2,popcnt"))) std::int64_t planes_dot_avx2(
       total += row[q] * c0 + row[q + 1] * c1;
     }
     if (q < b_bits) {
-      total += row[q] * and_popcount_avx2(
-                            ap, b + static_cast<std::size_t>(q) * b_stride,
-                            words);
+      const std::uint64_t* bq = b + static_cast<std::size_t>(q) * b_stride;
+      total += row[q] * fold_avx2(ap, bq, words);
     }
   }
   return total;
@@ -200,9 +193,8 @@ planes_dot_avx512(const std::uint64_t* a, std::size_t a_stride, int a_bits,
       total += row[q] * c0 + row[q + 1] * c1;
     }
     if (q < b_bits) {
-      total += row[q] * and_popcount_avx512(
-                            ap, b + static_cast<std::size_t>(q) * b_stride,
-                            words);
+      const std::uint64_t* bq = b + static_cast<std::size_t>(q) * b_stride;
+      total += row[q] * fold_avx512(ap, bq, words);
     }
   }
   return total;
@@ -211,8 +203,8 @@ planes_dot_avx512(const std::uint64_t* a, std::size_t a_stride, int a_bits,
 #elif defined(__aarch64__)
 
 // NEON is baseline on aarch64 — no target attribute, no cpuid needed.
-std::int64_t and_popcount_neon(const std::uint64_t* a, const std::uint64_t* b,
-                               std::size_t words) {
+std::int64_t fold_neon(const std::uint64_t* a, const std::uint64_t* b,
+                       std::size_t words) {
   std::int64_t count = 0;
   std::size_t i = 0;
   for (; i + 2 <= words; i += 2) {
@@ -251,9 +243,8 @@ std::int64_t planes_dot_neon(const std::uint64_t* a, std::size_t a_stride,
       total += row[q] * c0 + row[q + 1] * c1;
     }
     if (q < b_bits) {
-      total += row[q] * and_popcount_neon(
-                            ap, b + static_cast<std::size_t>(q) * b_stride,
-                            words);
+      const std::uint64_t* bq = b + static_cast<std::size_t>(q) * b_stride;
+      total += row[q] * fold_neon(ap, bq, words);
     }
   }
   return total;
@@ -263,18 +254,15 @@ std::int64_t planes_dot_neon(const std::uint64_t* a, std::size_t a_stride,
 
 struct Dispatch {
   const char* name;
-  PopcountFn fn;
   PlanesDotFn dot;
 };
 
-constexpr Dispatch kScalar{"scalar", &and_popcount_scalar,
-                           &planes_dot_scalar};
+constexpr Dispatch kScalar{"scalar", &planes_dot_scalar};
 #if defined(__x86_64__)
-constexpr Dispatch kAvx2{"avx2", &and_popcount_avx2, &planes_dot_avx2};
-constexpr Dispatch kAvx512{"avx512", &and_popcount_avx512,
-                           &planes_dot_avx512};
+constexpr Dispatch kAvx2{"avx2", &planes_dot_avx2};
+constexpr Dispatch kAvx512{"avx512", &planes_dot_avx512};
 #elif defined(__aarch64__)
-constexpr Dispatch kNeon{"neon", &and_popcount_neon, &planes_dot_neon};
+constexpr Dispatch kNeon{"neon", &planes_dot_neon};
 #endif
 
 bool host_supports(const Dispatch& d) {
@@ -340,14 +328,7 @@ const Dispatch& active() {
 
 }  // namespace
 
-std::int64_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
-                          std::size_t words) {
-  return active().fn(a, b, words);
-}
-
 const char* simd_variant() { return active().name; }
-
-PopcountFn simd_popcount_fn() { return active().fn; }
 
 std::int64_t planes_dot(const std::uint64_t* a, std::size_t a_stride,
                         int a_bits, const std::uint64_t* b,

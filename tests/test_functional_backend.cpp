@@ -29,6 +29,7 @@
 #include "src/kernels/packed_kernels.h"
 #include "src/kernels/simd.h"
 #include "src/kernels/weight_cache.h"
+#include "tests/auto_variant_guard.h"
 #include "tests/run_result_identical.h"
 
 namespace bpvec::backend {
@@ -187,16 +188,18 @@ TEST(FunctionalBackend, ZooLayersVerifyOnEveryReachableDispatchVariant) {
   ASSERT_GT(unique_layers.size(), 50u);
 
   std::vector<std::vector<std::int64_t>> macs_per_variant;
-  for (const std::string& v : kernels::simd_available_variants()) {
-    ASSERT_TRUE(kernels::simd_set_variant(v)) << v;
-    std::vector<std::int64_t> macs;
-    macs.reserve(unique_layers.size());
-    for (const dnn::Layer& layer : unique_layers) {
-      macs.push_back(be.price_layer(layer).measured_macs);
+  {
+    const AutoVariantGuard guard;
+    for (const std::string& v : kernels::simd_available_variants()) {
+      ASSERT_TRUE(kernels::simd_set_variant(v)) << v;
+      std::vector<std::int64_t> macs;
+      macs.reserve(unique_layers.size());
+      for (const dnn::Layer& layer : unique_layers) {
+        macs.push_back(be.price_layer(layer).measured_macs);
+      }
+      macs_per_variant.push_back(std::move(macs));
     }
-    macs_per_variant.push_back(std::move(macs));
   }
-  ASSERT_TRUE(kernels::simd_set_variant("auto"));
   for (std::size_t i = 1; i < macs_per_variant.size(); ++i) {
     EXPECT_EQ(macs_per_variant[i], macs_per_variant[0])
         << kernels::simd_available_variants()[i];

@@ -1,5 +1,5 @@
 // Bit-plane packing and the packed popcount kernels: pack/unpack is the
-// identity, the SIMD and_popcount primitive agrees with a scalar fold,
+// identity, every SIMD variant of planes_dot agrees with a scalar fold,
 // and every layer kernel is bit-identical to its reference operator —
 // serially and through a thread pool.
 #include "src/kernels/packed_kernels.h"
@@ -14,6 +14,7 @@
 #include "src/dnn/quantize.h"
 #include "src/dnn/reference_ops.h"
 #include "src/kernels/simd.h"
+#include "tests/auto_variant_guard.h"
 
 namespace bpvec::kernels {
 namespace {
@@ -34,7 +35,18 @@ TEST(Simd, AvailableVariantsAlwaysEndWithScalar) {
   EXPECT_TRUE(found) << simd_variant();
 }
 
+/// Σ_i popcount(a[i] & b[i]): the test-local oracle for one plane pair.
+std::int64_t scalar_fold(const std::uint64_t* a, const std::uint64_t* b,
+                         std::size_t words) {
+  std::int64_t count = 0;
+  for (std::size_t i = 0; i < words; ++i) {
+    count += __builtin_popcountll(a[i] & b[i]);
+  }
+  return count;
+}
+
 TEST(Simd, SetVariantSwitchesAndRejectsUnsupported) {
+  const AutoVariantGuard guard;
   for (const std::string& v : simd_available_variants()) {
     ASSERT_TRUE(simd_set_variant(v)) << v;
     EXPECT_EQ(simd_variant(), v);
@@ -42,33 +54,34 @@ TEST(Simd, SetVariantSwitchesAndRejectsUnsupported) {
   const std::string before = simd_variant();
   EXPECT_FALSE(simd_set_variant("not-a-variant"));
   EXPECT_EQ(simd_variant(), before);  // unchanged on rejection
-  ASSERT_TRUE(simd_set_variant("auto"));
 }
 
 TEST(Simd, EveryReachableVariantMatchesTheScalarFold) {
+  const AutoVariantGuard guard;
   Rng rng(43);
+  // A 1×1-plane planes_dot with product 1 is one plane pair's popcount:
+  // it runs each variant's single-plane fold (the odd-plane tail).
   // Lengths cover every vector body + tail split (AVX-512 eats 8 words
-  // per iteration, AVX2 4, NEON 2).
+  // per iteration, AVX2 4, NEON 2), including the empty row.
   const std::vector<std::size_t> lengths = {0,  1,  2,  3,  4,  5,  7, 8,
                                             9,  15, 16, 17, 31, 64, 129};
+  const std::int64_t one = 1;
   for (const std::string& v : simd_available_variants()) {
     ASSERT_TRUE(simd_set_variant(v)) << v;
     for (const std::size_t words : lengths) {
       std::vector<std::uint64_t> a(words), b(words);
       for (auto& w : a) w = rng.next_u64();
       for (auto& w : b) w = rng.next_u64();
-      std::int64_t expected = 0;
-      for (std::size_t i = 0; i < words; ++i) {
-        expected += __builtin_popcountll(a[i] & b[i]);
-      }
-      EXPECT_EQ(and_popcount(a.data(), b.data(), words), expected)
+      EXPECT_EQ(planes_dot(a.data(), words, 1, b.data(), words, 1, words,
+                           &one),
+                scalar_fold(a.data(), b.data(), words))
           << v << " words=" << words;
     }
   }
-  ASSERT_TRUE(simd_set_variant("auto"));
 }
 
 TEST(Simd, PlanesDotMatchesPerPairPopcountsOnEveryVariant) {
+  const AutoVariantGuard guard;
   Rng rng(91);
   // Odd/even plane counts hit both the paired B-plane body and the
   // single-plane cleanup; lengths cover vector bodies + tails.
@@ -94,8 +107,8 @@ TEST(Simd, PlanesDotMatchesPerPairPopcountsOnEveryVariant) {
             for (int q = 0; q < b_bits; ++q) {
               expected +=
                   products[static_cast<std::size_t>(p) * b_bits + q] *
-                  and_popcount(a.data() + p * a_stride,
-                               b.data() + q * b_stride, words);
+                  scalar_fold(a.data() + p * a_stride,
+                              b.data() + q * b_stride, words);
             }
           }
           EXPECT_EQ(planes_dot(a.data(), a_stride, a_bits, b.data(),
@@ -106,23 +119,6 @@ TEST(Simd, PlanesDotMatchesPerPairPopcountsOnEveryVariant) {
         }
       }
     }
-  }
-  ASSERT_TRUE(simd_set_variant("auto"));
-}
-
-TEST(Simd, AndPopcountMatchesScalarFoldAcrossLengths) {
-  Rng rng(7);
-  // Cover the vector body and every tail length (AVX2 consumes 4 words
-  // per iteration, NEON 2; words % 4 exercises all remainders).
-  for (std::size_t words : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 31u, 64u, 129u}) {
-    std::vector<std::uint64_t> a(words), b(words);
-    for (auto& w : a) w = rng.next_u64();
-    for (auto& w : b) w = rng.next_u64();
-    std::int64_t expected = 0;
-    for (std::size_t i = 0; i < words; ++i) {
-      expected += __builtin_popcountll(a[i] & b[i]);
-    }
-    EXPECT_EQ(and_popcount(a.data(), b.data(), words), expected) << words;
   }
 }
 
@@ -251,10 +247,11 @@ TEST(BitPlanes, PackedDotMatchesDirectDotAtMixedBitwidths) {
     for (std::size_t i = 0; i < x.size(); ++i) {
       expected += std::int64_t{x[i]} * w[i];
     }
-    const BitPlanes xp = pack_vector(x, xb);
-    const BitPlanes wp = pack_vector(w, wb);
-    EXPECT_EQ(packed_dot(xp, 0, wp, 0), expected)
-        << "x_bits=" << xb << " w_bits=" << wb;
+    // A 1×1 packed_gemm is one packed dot product.
+    const std::vector<std::int64_t> out =
+        packed_gemm(pack_vector(x, xb), pack_vector(w, wb));
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0], expected) << "x_bits=" << xb << " w_bits=" << wb;
   }
 }
 
@@ -381,11 +378,13 @@ TEST(BitPlanes, PackValuesMatchesPackRowsAndPackVector) {
 TEST(PackedGemm, TileBoundaryShapesMatchReference) {
   Rng rng(53);
   // M and N straddle the kGemmBlockM/kGemmBlockN = 8 boundaries (1, just
-  // under, exact, just over, 2×+1); cols straddle the 64-lane word and
-  // the kGemmBlockWords K-chunk.
+  // under, exact, just over, 2×+1); cols straddle the 64-lane word, and
+  // 16449 = 257 words crosses the kGemmBlockWords = 256 K-chunk by one
+  // partial word (VGG fc, K = 25088, crosses it in production).
+  static_assert(kGemmBlockWords == 256);
   for (const std::int64_t m : {1, 7, 8, 9, 17}) {
     for (const std::int64_t n : {1, 3, 8, 9}) {
-      for (const std::int64_t cols : {63, 64, 65, 130}) {
+      for (const std::int64_t cols : {63, 64, 65, 130, 16449}) {
         dnn::Matrix a{m, cols, {}};
         dnn::Matrix b{n, cols, {}};
         a.data = rng.signed_vector(static_cast<std::size_t>(m * cols), 5);
@@ -403,30 +402,7 @@ TEST(PackedGemm, TileBoundaryShapesMatchReference) {
   }
 }
 
-TEST(PackedGemm, BlockedEqualsUnblockedForAnyBlocking) {
-  Rng rng(59);
-  dnn::Matrix a{13, 200, {}};
-  dnn::Matrix b{11, 200, {}};
-  a.data = rng.signed_vector(static_cast<std::size_t>(a.rows * a.cols), 8);
-  b.data = rng.signed_vector(static_cast<std::size_t>(b.rows * b.cols), 8);
-  const BitPlanes ap = pack_rows(a, 8);
-  const BitPlanes bp = pack_rows(b, 8);
-  const auto expected = packed_gemm_unblocked(ap, bp);
-  EXPECT_EQ(expected, dnn::gemm_reference(a, b));
-  // Exactness is blocking-invariant: int64 accumulation is associative,
-  // so ANY tile geometry must reproduce the unblocked result bit-for-bit
-  // — including degenerate 1×1×1-word tiles.
-  for (const GemmBlocking blocking :
-       {GemmBlocking{3, 5, 1}, GemmBlocking{1, 1, 2}, GemmBlocking{64, 64, 512},
-        GemmBlocking{}}) {
-    EXPECT_EQ(packed_gemm(ap, bp, nullptr, nullptr, blocking), expected)
-        << blocking.m_rows << "x" << blocking.n_rows << "x" << blocking.words;
-    engine::ThreadPool pool(2);
-    EXPECT_EQ(packed_gemm(ap, bp, &pool, nullptr, blocking), expected);
-  }
-}
-
-TEST(PackedConv, BoundaryShapesMatchReferenceDirectAndIm2col) {
+TEST(PackedConv, BoundaryShapesMatchReference) {
   Rng rng(61);
   struct Shape {
     dnn::ConvParams p;
@@ -446,6 +422,10 @@ TEST(PackedConv, BoundaryShapesMatchReferenceDirectAndIm2col) {
       // Single output pixel count not divisible by the pixel tile is the
       // common case above; also check out_c == 1.
       {{4, 8, 8, 1, 3, 3, 2, 1}, 8, 8},
+      // 10×10 = 100 output pixels: a full kConvPixelTile tile plus a
+      // 36-pixel tail tile whose last GEMM row block is 4 rows; out_c = 11
+      // leaves a 3-channel tail block.
+      {{3, 10, 10, 11, 3, 3, 1, 1}, 6, 7},
   };
   for (const auto& [p, x_bits, w_bits] : shapes) {
     dnn::Tensor input(p.in_c, p.in_h, p.in_w);
@@ -454,20 +434,16 @@ TEST(PackedConv, BoundaryShapesMatchReferenceDirectAndIm2col) {
         static_cast<std::size_t>(p.out_c) * p.in_c * p.kh * p.kw, w_bits);
     const auto expected = dnn::conv2d_reference(input, weights, p);
     const auto label = [&] {
-      return "in_c=" + std::to_string(p.in_c) + " k=" + std::to_string(p.kh) +
+      return "in_c=" + std::to_string(p.in_c) + " out_c=" +
+             std::to_string(p.out_c) + " k=" + std::to_string(p.kh) +
              "x" + std::to_string(p.kw) + " stride=" +
              std::to_string(p.stride) + " pad=" + std::to_string(p.pad);
     };
     EXPECT_EQ(packed_conv(input, weights, p, x_bits, w_bits), expected)
         << label();
-    EXPECT_EQ(packed_conv_im2col(input, weights, p, x_bits, w_bits), expected)
-        << label() << " im2col";
     engine::ThreadPool pool(3);
     EXPECT_EQ(packed_conv(input, weights, p, x_bits, w_bits, &pool), expected)
         << label() << " threaded";
-    EXPECT_EQ(packed_conv_im2col(input, weights, p, x_bits, w_bits, &pool),
-              expected)
-        << label() << " im2col threaded";
   }
 }
 
@@ -481,16 +457,48 @@ TEST(PackedConv, DirectConvPeakBytesBeatIm2col) {
   for (auto& v : input.data()) v = rng.signed_value(4);
   const auto weights = rng.signed_vector(
       static_cast<std::size_t>(p.out_c) * p.in_c * p.kh * p.kw, 4);
-  KernelStats direct, im2col;
-  const auto out_direct = packed_conv(input, weights, p, 4, 4, nullptr,
-                                      &direct);
-  const auto out_im2col = packed_conv_im2col(input, weights, p, 4, 4, nullptr,
-                                             &im2col);
-  EXPECT_EQ(out_direct, out_im2col);
+  KernelStats direct;
+  EXPECT_EQ(packed_conv(input, weights, p, 4, 4, nullptr, &direct),
+            dnn::conv2d_reference(input, weights, p));
+  // An im2col lowering holds, at once: the int32 patch matrix and weight
+  // matrix, both packed operands and the int64 pixels×out_c GEMM output.
+  const std::int64_t pixels = std::int64_t{p.out_h()} * p.out_w();
+  const std::int64_t k = std::int64_t{p.in_c} * p.kh * p.kw;
+  const std::int64_t words = (k + 63) / 64;
+  const std::int64_t im2col_bytes = (pixels + p.out_c) * k * 4 +
+                                    (pixels + p.out_c) * 4 * words * 8 +
+                                    pixels * p.out_c * 8;
   EXPECT_GT(direct.peak_bytes, 0);
-  EXPECT_GT(im2col.peak_bytes, 0);
-  EXPECT_LT(direct.peak_bytes, im2col.peak_bytes);
-  EXPECT_EQ(direct.macs, im2col.macs);
+  EXPECT_LT(direct.peak_bytes, im2col_bytes);
+}
+
+TEST(PackedConv, StatsReportTiledPeakBytes) {
+  Rng rng(73);
+  // 10×10 = 100 output pixels, so full kConvPixelTile tiles exist.
+  const dnn::ConvParams p{5, 10, 10, 6, 3, 3, 1, 1};
+  const int x_bits = 5, w_bits = 3;
+  dnn::Tensor input(p.in_c, p.in_h, p.in_w);
+  for (auto& v : input.data()) v = rng.signed_value(x_bits);
+  const auto weights = rng.signed_vector(
+      static_cast<std::size_t>(p.out_c) * p.in_c * p.kh * p.kw, w_bits);
+  const std::int64_t k = std::int64_t{p.in_c} * p.kh * p.kw;  // 45
+  const BitPlanes w = pack_values(weights.data(), p.out_c, k, w_bits);
+
+  // Serial pre-packed conv: one worker holding a kConvPixelTile × K
+  // int32 window tile, its x_bits packed planes (one word per row) and
+  // one kGemmBlockM × kGemmBlockN int64 tile accumulator. The filter
+  // planes are an input, so they are not counted.
+  KernelStats prepacked;
+  (void)packed_conv(input, w, p, x_bits, nullptr, &prepacked);
+  const std::int64_t transient = kConvPixelTile * k * 4 +
+                                 kConvPixelTile * x_bits * 1 * 8 +
+                                 kGemmBlockM * kGemmBlockN * 8;
+  EXPECT_EQ(prepacked.peak_bytes, transient);
+
+  // The raw-weights overload packs the filters, so it adds their planes.
+  KernelStats raw;
+  (void)packed_conv(input, weights, p, x_bits, w_bits, nullptr, &raw);
+  EXPECT_EQ(raw.peak_bytes, transient + p.out_c * w_bits * 1 * 8);
 }
 
 TEST(PackedGemm, StatsReportBlockedPeakBytes) {
