@@ -191,23 +191,4 @@ inline double speedup(const sim::RunResult& reference,
          static_cast<double>(candidate.total_cycles);
 }
 
-/// Energy reduction of candidate vs reference.
-inline double energy_reduction(const sim::RunResult& reference,
-                               const sim::RunResult& candidate) {
-  return reference.energy_j / candidate.energy_j;
-}
-
-/// Appends a GEOMEAN row to per-network ratio columns; `trailing_blanks`
-/// pads when the table carries extra annotation columns.
-inline void add_geomean_row(Table& table,
-                            const std::vector<std::vector<double>>& columns,
-                            std::size_t trailing_blanks = 0) {
-  std::vector<std::string> row{"GEOMEAN"};
-  for (const auto& col : columns) {
-    row.push_back(Table::ratio(geomean(col)));
-  }
-  for (std::size_t i = 0; i < trailing_blanks; ++i) row.emplace_back("");
-  table.add_row(row);
-}
-
 }  // namespace bpvec::bench

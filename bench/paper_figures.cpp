@@ -1,0 +1,195 @@
+// Reproduces Figs. 5–9. Each figure's grid is defined once, as data, in
+// bench/manifests/figN.json; this bench expands each manifest, prices
+// it as one engine batch on a fresh SimEngine, and prints the figure's
+// ratio tables from the spec table below. Results are looked up by
+// scenario id, so a manifest edit can never shift a row onto another
+// scenario's numbers. Writes BENCH_fig5.json … BENCH_fig9.json.
+#include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "bench/bench_common.h"
+#include "src/cli/manifest.h"
+
+namespace {
+
+using namespace bpvec;
+
+enum class Ratio { kSpeedup, kEnergyReduction, kPerfPerWatt };
+
+// Scenario ids below are manifest ids with '*' standing for the network.
+struct Column {
+  const char* header;
+  Ratio ratio;
+  const char* subject;
+  const char* bench_key;  // geomean recorded in BENCH json, or nullptr
+};
+
+struct Panel {
+  const char* title;
+  const char* reference;  // every column is normalized to this scenario
+  std::vector<Column> columns;
+};
+
+struct Figure {
+  const char* name;  // bench/manifests/<name>.json → BENCH_<name>.json
+  std::vector<Panel> panels;
+  const char* paper;
+};
+
+const Figure kFigures[] = {
+    {"fig5",
+     {{"normalized to TPU-like / DDR4",
+       "bpvec:TPU-like/*/DDR4",
+       {{"BPVeC Speedup", Ratio::kSpeedup, "bpvec:BPVeC/*/DDR4",
+         "geomean_speedup"},
+        {"BPVeC Energy Reduction", Ratio::kEnergyReduction,
+         "bpvec:BPVeC/*/DDR4", "geomean_energy_reduction"}}}},
+     "geomean 1.39x speedup / 1.43x energy reduction; RNN and LSTM ~1.0x"
+     " (DDR4 bandwidth starves the extra compute)."},
+    {"fig6",
+     {{"normalized to TPU-like / DDR4",
+       "bpvec:TPU-like/*/DDR4",
+       {{"Baseline Speedup", Ratio::kSpeedup, "bpvec:TPU-like/*/HBM2",
+         nullptr},
+        {"BPVeC Speedup", Ratio::kSpeedup, "bpvec:BPVeC/*/HBM2",
+         "geomean_bpvec_speedup"},
+        {"Baseline Energy Red.", Ratio::kEnergyReduction,
+         "bpvec:TPU-like/*/HBM2", nullptr},
+        {"BPVeC Energy Red.", Ratio::kEnergyReduction, "bpvec:BPVeC/*/HBM2",
+         "geomean_bpvec_energy_reduction"}}}},
+     "baseline gains little from HBM2 (geomean 1.06x/1.34x) while BPVeC"
+     " reaches 2.11x speedup / 2.28x energy reduction — the composable"
+     " design is the one able to exploit the boosted bandwidth."},
+    {"fig7",
+     {{"normalized to BitFusion / DDR4",
+       "bpvec:BitFusion/*/DDR4",
+       {{"BPVeC Speedup", Ratio::kSpeedup, "bpvec:BPVeC/*/DDR4",
+         "geomean_speedup"},
+        {"BPVeC Energy Reduction", Ratio::kEnergyReduction,
+         "bpvec:BPVeC/*/DDR4", "geomean_energy_reduction"}}}},
+     "geomean 1.45x speedup / 1.13x energy reduction — vector-level"
+     " composability integrates ~2.3x the compute of BitFusion under the"
+     " same core power, but DDR4 bandwidth caps the benefit on the"
+     " traffic-heavy networks."},
+    {"fig8",
+     {{"normalized to BitFusion / DDR4",
+       "bpvec:BitFusion/*/DDR4",
+       {{"BitFusion Speedup", Ratio::kSpeedup, "bpvec:BitFusion/*/HBM2",
+         nullptr},
+        {"BPVeC Speedup", Ratio::kSpeedup, "bpvec:BPVeC/*/HBM2",
+         "geomean_bpvec_speedup"},
+        {"BitFusion Energy Red.", Ratio::kEnergyReduction,
+         "bpvec:BitFusion/*/HBM2", nullptr},
+        {"BPVeC Energy Red.", Ratio::kEnergyReduction, "bpvec:BPVeC/*/HBM2",
+         "geomean_bpvec_energy_reduction"}}}},
+     "BPVeC reaches 3.48x speedup / 2.66x energy reduction over"
+     " BitFusion-DDR4; the bandwidth-hungry RNN and LSTM see the largest"
+     " gains (~4.5x) because they exploit both the extra compute and the"
+     " extra bandwidth."},
+    {"fig9",
+     {{"(a) homogeneous 8-bit, perf/W normalized to the RTX 2080 Ti",
+       "gpu:BPVeC/*/DDR4",
+       {{"BPVeC-DDR4", Ratio::kPerfPerWatt, "bpvec:BPVeC/*/DDR4",
+         "geomean_ddr4_ratio_homogeneous"},
+        {"BPVeC-HBM2", Ratio::kPerfPerWatt, "bpvec:BPVeC/*/HBM2",
+         "geomean_hbm2_ratio_homogeneous"}}},
+      {"(b) heterogeneous, perf/W normalized to the RTX 2080 Ti (INT4)",
+       "gpu:BPVeC/*/DDR4 @heterogeneous",
+       {{"BPVeC-DDR4", Ratio::kPerfPerWatt,
+         "bpvec:BPVeC/*/DDR4 @heterogeneous",
+         "geomean_ddr4_ratio_heterogeneous"},
+        {"BPVeC-HBM2", Ratio::kPerfPerWatt,
+         "bpvec:BPVeC/*/HBM2 @heterogeneous",
+         "geomean_hbm2_ratio_heterogeneous"}}}},
+     "geomean 33.7x/31.1x (homogeneous, DDR4/HBM2) and 28.0x/29.8x"
+     " (heterogeneous); RNN models see the largest ratios (130-225x) —"
+     " GEMV-shaped recurrent inference wastes the GPU's tensor cores at"
+     " batch 1."},
+};
+
+double ratio(Ratio kind, const sim::RunResult& reference,
+             const sim::RunResult& subject) {
+  switch (kind) {
+    case Ratio::kSpeedup:
+      return bench::speedup(reference, subject);
+    case Ratio::kEnergyReduction:
+      return reference.energy_j / subject.energy_j;
+    case Ratio::kPerfPerWatt:
+      return subject.gops_per_w / reference.gops_per_w;
+  }
+  return 0.0;
+}
+
+void run_figure(const Figure& fig, const std::filesystem::path& dir) {
+  const cli::Manifest manifest =
+      cli::load_manifest((dir / (std::string(fig.name) + ".json")).string());
+  const std::vector<engine::Scenario> batch = cli::expand(manifest);
+
+  engine::SimEngine eng;
+  bench::BenchJson json(fig.name);
+  const auto results = bench::run_batch_timed(eng, batch, json);
+
+  std::map<std::string, const sim::RunResult*> by_id;
+  std::vector<std::string> nets;  // distinct, in manifest order
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    BPVEC_CHECK_MSG(by_id.emplace(batch[i].id, &results[i]).second,
+                    std::string(fig.name) + ": duplicate scenario id \"" +
+                        batch[i].id + "\"");
+    const std::string& net = batch[i].network.name();
+    if (std::find(nets.begin(), nets.end(), net) == nets.end()) {
+      nets.push_back(net);
+    }
+  }
+  auto lookup = [&](const char* pattern,
+                    const std::string& net) -> const sim::RunResult& {
+    std::string id = pattern;
+    id.replace(id.find('*'), 1, net);
+    const auto it = by_id.find(id);
+    BPVEC_CHECK_MSG(it != by_id.end(), std::string(fig.name) +
+                                           ": no scenario \"" + id + "\"");
+    return *it->second;
+  };
+
+  std::printf("%s\n", manifest.description.c_str());
+  for (const Panel& panel : fig.panels) {
+    Table t(panel.title);
+    std::vector<std::string> header{"Network"};
+    for (const Column& c : panel.columns) header.push_back(c.header);
+    t.set_header(header);
+    std::vector<std::vector<double>> columns(panel.columns.size());
+    for (const std::string& net : nets) {
+      const sim::RunResult& reference = lookup(panel.reference, net);
+      std::vector<std::string> row{net};
+      for (std::size_t c = 0; c < panel.columns.size(); ++c) {
+        columns[c].push_back(ratio(panel.columns[c].ratio, reference,
+                                   lookup(panel.columns[c].subject, net)));
+        row.push_back(Table::ratio(columns[c].back()));
+      }
+      t.add_row(row);
+    }
+    std::vector<std::string> geo{"GEOMEAN"};
+    for (std::size_t c = 0; c < panel.columns.size(); ++c) {
+      geo.push_back(Table::ratio(geomean(columns[c])));
+      if (panel.columns[c].bench_key != nullptr) {
+        json.add_metric(panel.columns[c].bench_key, geomean(columns[c]));
+      }
+    }
+    t.add_row(geo);
+    t.print();
+  }
+  std::printf("\nPaper: %s\n", fig.paper);
+  json.write();
+  std::puts("");
+}
+
+}  // namespace
+
+int main() {
+  const auto dir = std::filesystem::path(__FILE__).parent_path() / "manifests";
+  for (const Figure& fig : kFigures) run_figure(fig, dir);
+  return 0;
+}

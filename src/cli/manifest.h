@@ -249,6 +249,11 @@ std::vector<std::string> register_workloads(const Manifest& manifest);
 /// order (registering declared workloads first). Validates backend keys
 /// against the BackendRegistry and the overridden configs; throws
 /// bpvec::Error naming the grid on failure.
+/// Default ids (<backend>:<platform>/<network>/<memory>) do not name the
+/// bitwidth mode, so they are unique only within one bitwidth mode: a
+/// manifest pricing the same cell in two modes repeats the id with
+/// different numbers. Give one of the grids an id_suffix (fig9.json uses
+/// " @heterogeneous") when ids must tell the modes apart.
 std::vector<engine::Scenario> expand(const Manifest& manifest);
 
 /// Number of scenarios expand() would produce (cheap — no networks are

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
+#include <utility>
 
 #include "src/backend/backend_registry.h"
 #include "src/cli/driver.h"
@@ -81,8 +84,9 @@ TEST(Manifest, FunctionalBackendTokenExpands) {
 }
 
 TEST(Manifest, ExpansionMatchesHandWrittenFig5Batch) {
-  // The manifest expansion must reproduce the fig5 bench's batch exactly
-  // (same scenarios, same order, same ids → same fingerprints).
+  // The manifest expansion must reproduce the hand-written
+  // `make_scenario` batch exactly (same scenarios, same order, same ids →
+  // same fingerprints).
   const auto scenarios = expand(from_text(kFig5Text));
   const auto nets = dnn::all_models(dnn::BitwidthMode::kHomogeneous8b);
   std::vector<engine::Scenario> expected;
@@ -327,6 +331,25 @@ TEST(Manifest, LoadManifestReportsPath) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("missing_manifest.json"),
               std::string::npos);
+  }
+}
+
+TEST(Manifest, CommittedFigureManifestsHaveUniqueIds) {
+  // bench/paper_figures looks figure results up by scenario id, so every
+  // id must name one scenario within its figure.
+  const auto dir =
+      std::filesystem::path(__FILE__).parent_path().parent_path() /
+      "bench/manifests";
+  const std::pair<const char*, std::size_t> figures[] = {
+      {"fig5", 12}, {"fig6", 18}, {"fig7", 12}, {"fig8", 18}, {"fig9", 36}};
+  for (const auto& [name, count] : figures) {
+    const auto scenarios =
+        expand(load_manifest((dir / (std::string(name) + ".json")).string()));
+    EXPECT_EQ(scenarios.size(), count) << name;
+    std::set<std::string> ids;
+    for (const auto& s : scenarios) {
+      EXPECT_TRUE(ids.insert(s.id).second) << name << ": " << s.id;
+    }
   }
 }
 
