@@ -67,6 +67,25 @@ void BM_GemmThroughCvu(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmThroughCvu)->Arg(8)->Arg(16);
 
+// The functional probe's scalar-CVU check at its real shape: the probe's
+// CVU geometry {2,16,16}, a 2-row x 8-column block of the lowered GEMM,
+// and K = 3x3x512 (a late AlexNet/VGG conv receptive field).
+void BM_ProbeCvuCheck(benchmark::State& state) {
+  const int bits = static_cast<int>(state.range(0));
+  constexpr std::int64_t kK = 3 * 3 * 512;
+  Rng rng(11);
+  dnn::Matrix a{2, kK, {}};
+  dnn::Matrix b{8, kK, {}};
+  a.data = rng.signed_vector(static_cast<std::size_t>(a.rows * a.cols), bits);
+  b.data = rng.signed_vector(static_cast<std::size_t>(b.rows * b.cols), bits);
+  bitslice::Cvu cvu({2, 16, 16});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::execute_gemm(cvu, a, b, bits, bits));
+  }
+  state.SetItemsProcessed(state.iterations() * a.rows * b.rows * kK);
+}
+BENCHMARK(BM_ProbeCvuCheck)->Arg(8)->Arg(4)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

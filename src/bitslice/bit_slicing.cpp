@@ -26,8 +26,20 @@ bool fits_unsigned(std::int64_t value, int bits) {
   return value >= 0 && value <= (std::int64_t{1} << bits) - 1;
 }
 
+namespace {
+// Operands are 32-bit, so a wider operand or slice would shift past the
+// value's width.
+void check_widths(int operand_bits, int slice_bits) {
+  BPVEC_CHECK_MSG(operand_bits >= 1 && operand_bits <= 32,
+                  "operand_bits must be in [1, 32]");
+  BPVEC_CHECK_MSG(slice_bits >= 1 && slice_bits <= 32,
+                  "slice_bits must be in [1, 32]");
+}
+}  // namespace
+
 std::vector<std::int32_t> slice_signed(std::int32_t value, int operand_bits,
                                        int slice_bits) {
+  check_widths(operand_bits, slice_bits);
   BPVEC_CHECK_MSG(fits_signed(value, operand_bits),
                   "value out of range for operand_bits");
   const int n = num_slices(operand_bits, slice_bits);
@@ -54,6 +66,7 @@ std::vector<std::int32_t> slice_signed(std::int32_t value, int operand_bits,
 
 std::vector<std::int32_t> slice_unsigned(std::uint32_t value,
                                          int operand_bits, int slice_bits) {
+  check_widths(operand_bits, slice_bits);
   BPVEC_CHECK_MSG(fits_unsigned(static_cast<std::int64_t>(value), operand_bits),
                   "value out of range for operand_bits");
   const int n = num_slices(operand_bits, slice_bits);
@@ -78,21 +91,36 @@ std::int64_t recompose(const std::vector<std::int32_t>& slices,
 }
 
 namespace {
+// Writes each element's slices straight into sv.sub[j][i], from one
+// two's-complement pattern per element; element for element the same
+// slices as slice_signed / slice_unsigned, with no per-element allocation.
 SlicedVector slice_vector_impl(const std::vector<std::int32_t>& values,
                                int operand_bits, int slice_bits,
                                bool is_signed) {
+  check_widths(operand_bits, slice_bits);
   SlicedVector sv;
   sv.operand_bits = operand_bits;
   sv.slice_bits = slice_bits;
   sv.is_signed = is_signed;
   const int n = num_slices(operand_bits, slice_bits);
   sv.sub.assign(n, std::vector<std::int32_t>(values.size()));
+  const std::uint64_t mask = (std::uint64_t{1} << slice_bits) - 1;
+  const int top_shift = (n - 1) * slice_bits;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    const auto slices =
-        is_signed ? slice_signed(values[i], operand_bits, slice_bits)
-                  : slice_unsigned(static_cast<std::uint32_t>(values[i]),
-                                   operand_bits, slice_bits);
-    for (int j = 0; j < n; ++j) sv.sub[j][i] = slices[j];
+    const std::int64_t v =
+        is_signed ? std::int64_t{values[i]}
+                  : std::int64_t{static_cast<std::uint32_t>(values[i])};
+    BPVEC_CHECK_MSG(is_signed ? fits_signed(v, operand_bits)
+                              : fits_unsigned(v, operand_bits),
+                    "value out of range for operand_bits");
+    const auto pattern = static_cast<std::uint64_t>(v);
+    for (int j = 0; j + 1 < n; ++j) {
+      sv.sub[j][i] =
+          static_cast<std::int32_t>((pattern >> (j * slice_bits)) & mask);
+    }
+    // v fits operand_bits, so the arithmetic shift leaves exactly the top
+    // slice: sign-extended when signed, zero-extended when unsigned.
+    sv.sub[n - 1][i] = static_cast<std::int32_t>(v >> top_shift);
   }
   return sv;
 }

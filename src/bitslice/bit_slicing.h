@@ -27,7 +27,9 @@ int padded_bits(int operand_bits, int slice_bits);
 /// Splits a signed two's-complement value into α-bit slices, least
 /// significant slice first. `value` must be representable in `operand_bits`
 /// bits. Lower slices are returned zero-extended (in [0, 2^α)), the top
-/// slice sign-extended (in [-2^(α-1), 2^(α-1))).
+/// slice sign-extended (in [-2^(α-1), 2^(α-1))). Operands are 32-bit:
+/// `operand_bits` and `slice_bits` outside [1, 32] throw bpvec::Error (as
+/// they do for every slicing function below).
 std::vector<std::int32_t> slice_signed(std::int32_t value, int operand_bits,
                                        int slice_bits);
 
@@ -59,7 +61,8 @@ struct SlicedVector {
   std::size_t length() const { return sub.empty() ? 0 : sub[0].size(); }
 };
 
-/// Slices every element of `values` (signed interpretation).
+/// Slices every element of `values` (signed interpretation); element for
+/// element the same slices as slice_signed, built in place.
 SlicedVector slice_vector_signed(const std::vector<std::int32_t>& values,
                                  int operand_bits, int slice_bits);
 

@@ -22,15 +22,28 @@ CompositionPlan Cvu::plan_for(int x_bits, int w_bits) const {
 CvuResult Cvu::dot_product(const std::vector<std::int32_t>& x,
                            const std::vector<std::int32_t>& w, int x_bits,
                            int w_bits, bool x_signed, bool w_signed) {
-  BPVEC_CHECK_MSG(x.size() == w.size(), "operand vectors differ in length");
-  const CompositionPlan plan = plan_composition(geometry_, x_bits, w_bits);
+  (void)plan_composition(geometry_, x_bits, w_bits);
+  const int alpha = geometry_.slice_bits;
+  return dot_product(x_signed ? slice_vector_signed(x, x_bits, alpha)
+                              : slice_vector_unsigned(x, x_bits, alpha),
+                     w_signed ? slice_vector_signed(w, w_bits, alpha)
+                              : slice_vector_unsigned(w, w_bits, alpha));
+}
 
-  const SlicedVector xs =
-      x_signed ? slice_vector_signed(x, x_bits, geometry_.slice_bits)
-               : slice_vector_unsigned(x, x_bits, geometry_.slice_bits);
-  const SlicedVector ws =
-      w_signed ? slice_vector_signed(w, w_bits, geometry_.slice_bits)
-               : slice_vector_unsigned(w, w_bits, geometry_.slice_bits);
+CvuResult Cvu::dot_product(const SlicedVector& xs, const SlicedVector& ws) {
+  // Every sub-vector of both operands must be as long as xs: the cycle
+  // loop below reads them all over [0, xs.length()).
+  for (const SlicedVector* v : {&xs, &ws}) {
+    for (const std::vector<std::int32_t>& sub : v->sub) {
+      BPVEC_CHECK_MSG(sub.size() == xs.length(),
+                      "operand vectors differ in length");
+    }
+  }
+  BPVEC_CHECK_MSG(xs.slice_bits == geometry_.slice_bits &&
+                      ws.slice_bits == geometry_.slice_bits,
+                  "operand slice width differs from the CVU's alpha");
+  const CompositionPlan plan =
+      plan_composition(geometry_, xs.operand_bits, ws.operand_bits);
   BPVEC_CHECK(xs.slices() == plan.x_slices);
   BPVEC_CHECK(ws.slices() == plan.w_slices);
 
@@ -38,7 +51,7 @@ CvuResult Cvu::dot_product(const std::vector<std::int32_t>& x,
   result.utilization = plan.utilization();
 
   const int lanes = geometry_.lanes;
-  const std::size_t n = x.size();
+  const std::size_t n = xs.length();
   const std::size_t per_cycle =
       static_cast<std::size_t>(plan.elements_per_cycle());
 

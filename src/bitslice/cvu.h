@@ -42,11 +42,21 @@ class Cvu {
   /// Exact dot product of x·w where x has `x_bits` and w has `w_bits`
   /// two's-complement bits (or unsigned when the flags say so). Vectors may
   /// be any equal length; the CVU iterates in chunks of
-  /// plan.elements_per_cycle().
+  /// plan.elements_per_cycle(). Validates the plan, slices both vectors
+  /// and runs the sliced overload below.
   CvuResult dot_product(const std::vector<std::int32_t>& x,
                         const std::vector<std::int32_t>& w, int x_bits,
                         int w_bits, bool x_signed = true,
                         bool w_signed = true);
+
+  /// The same dot product on operands sliced by the caller, so an operand
+  /// reused across many dot products (a GEMM row) is sliced once. The
+  /// bitwidths are xs.operand_bits / ws.operand_bits. Throws bpvec::Error
+  /// unless the lengths are equal, both slice_bits equal the geometry's α,
+  /// the bitwidths have a composition plan, and the slice counts equal the
+  /// plan's x_slices / w_slices. Every cycle still runs Nbve::dot_cycle
+  /// with its per-lane datapath range check.
+  CvuResult dot_product(const SlicedVector& xs, const SlicedVector& ws);
 
   /// The plan the CVU would use for a bitwidth pair (for inspection).
   CompositionPlan plan_for(int x_bits, int w_bits) const;

@@ -23,6 +23,9 @@ struct GemmExecutionStats {
 
 /// out[m][n] = Σ_k a[m][k] · b[n][k], every dot product executed through
 /// `cvu` at the given operand bitwidths. Returns the exact 64-bit results.
+/// Each operand row is sliced once per GEMM (all a rows up front, then one
+/// b row at a time) and reused across its dot products, so the transient
+/// memory is (a.rows · ceil(x_bits/α) + ceil(w_bits/α)) · K int32.
 std::vector<std::int64_t> execute_gemm(bitslice::Cvu& cvu,
                                        const dnn::Matrix& a,
                                        const dnn::Matrix& b, int x_bits,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
 
 #include "src/common/error.h"
@@ -139,6 +140,116 @@ TEST(SliceUnsigned, TopSliceStaysUnsignedWhereSignedWouldGoNegative) {
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0], 255);
   EXPECT_EQ(recompose(one, 8), 255);
+}
+
+TEST(SliceWidths, RejectsOperandsWiderThan32Bits) {
+  // Operands are int32_t / uint32_t: a wider operand_bits used to shift a
+  // 32-bit value by 32 (unsigned) or build 1 << 64 (signed).
+  EXPECT_THROW(slice_unsigned(5u, 40, 8), Error);
+  EXPECT_THROW(slice_unsigned(5u, 33, 1), Error);
+  EXPECT_THROW(slice_signed(-5, 62, 8), Error);
+  EXPECT_THROW(slice_signed(-5, 33, 2), Error);
+  EXPECT_THROW(slice_signed(-5, 8, 64), Error);  // slice wider than 32
+  EXPECT_THROW(slice_vector_signed({1, -5}, 62, 8), Error);
+  EXPECT_THROW(slice_vector_unsigned({1, 5}, 40, 8), Error);
+  EXPECT_THROW(slice_signed(0, 0, 2), Error);
+
+  // 32 bits is the widest operand, and it still slices exactly.
+  const std::int32_t min32 = std::numeric_limits<std::int32_t>::min();
+  EXPECT_EQ(recompose(slice_signed(min32, 32, 8), 8), min32);
+  EXPECT_EQ(recompose(slice_unsigned(0xFFFFFFFFu, 32, 8), 8), 0xFFFFFFFFll);
+  EXPECT_EQ(recompose(slice_signed(-5, 32, 32), 32), -5);
+}
+
+// ---- slice_vector_* builds in place what slice_signed/unsigned return ----
+
+void expect_matches_scalar_slicing(const std::vector<std::int32_t>& values,
+                                   int bits, int alpha, bool is_signed) {
+  const SlicedVector sv = is_signed
+                              ? slice_vector_signed(values, bits, alpha)
+                              : slice_vector_unsigned(values, bits, alpha);
+  ASSERT_EQ(sv.slices(), num_slices(bits, alpha));
+  ASSERT_EQ(sv.length(), values.size());
+  EXPECT_EQ(sv.operand_bits, bits);
+  EXPECT_EQ(sv.slice_bits, alpha);
+  EXPECT_EQ(sv.is_signed, is_signed);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const auto oracle =
+        is_signed ? slice_signed(values[i], bits, alpha)
+                  : slice_unsigned(static_cast<std::uint32_t>(values[i]),
+                                   bits, alpha);
+    for (int j = 0; j < sv.slices(); ++j) {
+      ASSERT_EQ(sv.sub[static_cast<std::size_t>(j)][i],
+                oracle[static_cast<std::size_t>(j)])
+          << "bits=" << bits << " a=" << alpha << " signed=" << is_signed
+          << " value=" << values[i] << " slice=" << j;
+    }
+  }
+}
+
+class SliceVectorMatchesScalar
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(SliceVectorMatchesScalar, EveryInRangeValue) {
+  const auto [bits, alpha] = GetParam();
+  std::vector<std::int32_t> signed_values, unsigned_values;
+  for (std::int64_t v = -(std::int64_t{1} << (bits - 1));
+       v < (std::int64_t{1} << (bits - 1)); ++v) {
+    signed_values.push_back(static_cast<std::int32_t>(v));
+  }
+  for (std::int64_t v = 0; v < (std::int64_t{1} << bits); ++v) {
+    unsigned_values.push_back(static_cast<std::int32_t>(v));
+  }
+  expect_matches_scalar_slicing(signed_values, bits, alpha, true);
+  expect_matches_scalar_slicing(unsigned_values, bits, alpha, false);
+}
+
+TEST_P(SliceVectorMatchesScalar, OneOutOfRangeElementAnywhereThrows) {
+  const auto [bits, alpha] = GetParam();
+  const std::int32_t signed_over = std::int32_t{1} << (bits - 1);
+  const std::int32_t unsigned_over = std::int32_t{1} << bits;
+  for (const std::size_t at : {0, 3, 7}) {
+    std::vector<std::int32_t> values(8, 0);
+    values[at] = signed_over;
+    EXPECT_THROW(slice_vector_signed(values, bits, alpha), Error) << at;
+    values[at] = -signed_over - 1;
+    EXPECT_THROW(slice_vector_signed(values, bits, alpha), Error) << at;
+    values[at] = unsigned_over;
+    EXPECT_THROW(slice_vector_unsigned(values, bits, alpha), Error) << at;
+    values[at] = -1;
+    EXPECT_THROW(slice_vector_unsigned(values, bits, alpha), Error) << at;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BitsByAlpha, SliceVectorMatchesScalar,
+    ::testing::Combine(::testing::Range(1, 11),
+                       ::testing::Values(1, 2, 3, 4, 8)),
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+      return "bits" + std::to_string(std::get<0>(info.param)) + "_alpha" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+TEST(SliceVectorMatchesScalar, SampledWideOperands) {
+  for (const int bits : {16, 32}) {
+    for (const int alpha : {1, 2, 3, 4, 8}) {
+      Rng rng(static_cast<std::uint64_t>(bits * 577 + alpha));
+      auto signed_values = rng.signed_vector(1000, bits);
+      std::vector<std::int32_t> unsigned_values;
+      for (int i = 0; i < 1000; ++i) {
+        unsigned_values.push_back(
+            static_cast<std::int32_t>(rng.unsigned_value(bits)));
+      }
+      // The range ends, where sign handling goes wrong first.
+      const std::int64_t half = std::int64_t{1} << (bits - 1);
+      signed_values.push_back(static_cast<std::int32_t>(-half));
+      signed_values.push_back(static_cast<std::int32_t>(half - 1));
+      unsigned_values.push_back(
+          static_cast<std::int32_t>((std::int64_t{1} << bits) - 1));
+      expect_matches_scalar_slicing(signed_values, bits, alpha, true);
+      expect_matches_scalar_slicing(unsigned_values, bits, alpha, false);
+    }
+  }
 }
 
 // ---- Property: slice → recompose is the identity over full sweeps ----

@@ -142,5 +142,78 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(p.w_bits);
     });
 
+// ---- The sliced overload is the same dot product, sliced by the caller ----
+
+void expect_same_result(const CvuResult& sliced, const CvuResult& vec) {
+  EXPECT_EQ(sliced.value, vec.value);
+  EXPECT_EQ(sliced.cycles, vec.cycles);
+  EXPECT_EQ(sliced.mult_ops, vec.mult_ops);
+  EXPECT_EQ(sliced.shift_ops, vec.shift_ops);
+  EXPECT_EQ(sliced.add_ops, vec.add_ops);
+  EXPECT_DOUBLE_EQ(sliced.utilization, vec.utilization);
+}
+
+TEST(CvuSlicedOverload, MatchesVectorOverloadOnEveryBitwidthPair) {
+  for (const CvuGeometry g : {CvuGeometry{2, 8, 16}, CvuGeometry{2, 16, 16}}) {
+    Cvu cvu(g);
+    for (int xb = 1; xb <= 8; ++xb) {
+      for (int wb = 1; wb <= 8; ++wb) {
+        const int per_cycle = cvu.plan_for(xb, wb).elements_per_cycle();
+        // 0 and 1, plus lengths that leave a partial last cycle.
+        for (const int n : {0, 1, per_cycle - 1, per_cycle + 5,
+                            3 * per_cycle + 7}) {
+          Rng rng(static_cast<std::uint64_t>(xb * 1009 + wb * 31 + n));
+          const auto x = rng.signed_vector(static_cast<std::size_t>(n), xb);
+          const auto w = rng.signed_vector(static_cast<std::size_t>(n), wb);
+          SCOPED_TRACE(g.to_string() + " x_bits=" + std::to_string(xb) +
+                       " w_bits=" + std::to_string(wb) +
+                       " n=" + std::to_string(n));
+          const CvuResult vec = cvu.dot_product(x, w, xb, wb);
+          const CvuResult sliced =
+              cvu.dot_product(slice_vector_signed(x, xb, g.slice_bits),
+                              slice_vector_signed(w, wb, g.slice_bits));
+          EXPECT_EQ(vec.value, reference_dot(x, w));
+          expect_same_result(sliced, vec);
+        }
+      }
+    }
+  }
+}
+
+TEST(CvuSlicedOverload, UnsignedOperandMatchesVectorOverload) {
+  Cvu cvu({2, 8, 16});
+  Rng rng(29);
+  std::vector<std::int32_t> x;
+  for (int i = 0; i < 77; ++i) {
+    x.push_back(static_cast<std::int32_t>(rng.unsigned_value(6)));
+  }
+  const auto w = rng.signed_vector(x.size(), 8);
+  expect_same_result(cvu.dot_product(slice_vector_unsigned(x, 6, 2),
+                                     slice_vector_signed(w, 8, 2)),
+                     cvu.dot_product(x, w, 6, 8, /*x_signed=*/false));
+}
+
+TEST(CvuSlicedOverload, RejectsInconsistentOperands) {
+  Cvu cvu({2, 8, 16});
+  const std::vector<std::int32_t> x{1, -2, 3, -4, 5};
+  const auto xs = slice_vector_signed(x, 8, 2);
+  // Slices of the wrong width for the CVU's α.
+  EXPECT_THROW(cvu.dot_product(xs, slice_vector_signed(x, 8, 4)), Error);
+  EXPECT_THROW(cvu.dot_product(slice_vector_signed(x, 8, 1), xs), Error);
+  // Operands of different lengths.
+  EXPECT_THROW(
+      cvu.dot_product(xs, slice_vector_signed({1, -2, 3, -4}, 8, 2)), Error);
+  // One sub-vector shorter than the rest.
+  auto ragged = xs;
+  ragged.sub.back().pop_back();
+  EXPECT_THROW(cvu.dot_product(xs, ragged), Error);
+  // A bitwidth the CVU has no plan for.
+  EXPECT_THROW(cvu.dot_product(slice_vector_signed(x, 10, 2), xs), Error);
+  // A slice count that disagrees with the plan for operand_bits.
+  auto relabelled = xs;
+  relabelled.operand_bits = 4;
+  EXPECT_THROW(cvu.dot_product(relabelled, xs), Error);
+}
+
 }  // namespace
 }  // namespace bpvec::bitslice

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/error.h"
 #include "src/common/rng.h"
 #include "src/dnn/quantize.h"
 #include "src/dnn/reference_ops.h"
@@ -94,6 +95,23 @@ TEST(GemmExecutor, QuantizedFcEndToEnd) {
                        xq.scale * wq.scale;
     EXPECT_NEAR(got, expected, 0.05) << "n=" << n;
   }
+}
+
+TEST(GemmExecutor, OutOfRangeOperandInAnyRowThrows) {
+  // Each row is sliced once per GEMM; slicing still range-checks every
+  // element of every a row and every b row.
+  Rng rng(19);
+  dnn::Matrix a{3, 20, rng.signed_vector(60, 4)};
+  dnn::Matrix b{4, 20, rng.signed_vector(80, 4)};
+  bitslice::Cvu cvu({2, 8, 16});
+  ASSERT_EQ(execute_gemm(cvu, a, b, 4, 4), dnn::gemm_reference(a, b));
+
+  dnn::Matrix bad_a = a;
+  bad_a.at(2, 19) = 8;  // 4-bit signed range is [-8, 7]
+  EXPECT_THROW(execute_gemm(cvu, bad_a, b, 4, 4), Error);
+  dnn::Matrix bad_b = b;
+  bad_b.at(3, 0) = -9;
+  EXPECT_THROW(execute_gemm(cvu, a, bad_b, 4, 4), Error);
 }
 
 }  // namespace
