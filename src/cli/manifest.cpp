@@ -1,9 +1,7 @@
 #include "src/cli/manifest.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "src/backend/backend_registry.h"
@@ -18,87 +16,23 @@ using common::json::Value;
 
 namespace {
 
-/// Token matching ignores case, '-' and '_' so manifests can say
-/// "ResNet-18" or "resnet18", "tpu_like" or "TPU-like" (the shared rule
-/// in common::normalize_token — the dse vocabularies use the same one).
+// Tokens match under common::normalize_token (case, '-' and '_' ignored)
+// so manifests can say "ResNet-18" or "resnet18", "tpu_like" or
+// "TPU-like" — the rule every vocabulary shares.
 using common::normalize_token;
 using common::quoted_token_list;
+using common::json::FieldReader;
 
-[[noreturn]] void fail(const std::string& context,
-                       const std::string& message) {
-  throw Error("manifest: " + (context.empty() ? message
-                                              : context + ": " + message));
+FieldReader reader(std::string context = {}) {
+  return FieldReader("manifest", std::move(context));
 }
 
-/// Resolves `value` against the canonical `options` (normalized match);
-/// the error names the offending value and every valid choice.
-std::size_t match_token(const std::string& context, const char* what,
-                        const std::string& value,
-                        const std::vector<std::string>& options) {
-  const std::string norm = normalize_token(value);
-  for (std::size_t i = 0; i < options.size(); ++i) {
-    if (normalize_token(options[i]) == norm) return i;
-  }
-  fail(context, std::string("unknown ") + what + " \"" + value +
-                    "\"; expected one of " + quoted_token_list(options));
-}
-
-/// Errors on any member key outside `allowed` — unknown keys are silent
-/// typos otherwise ("platform_override" quietly doing nothing).
-void check_keys(const std::string& context, const Value& obj,
-                const std::vector<std::string>& allowed) {
-  for (const auto& [key, value] : obj.members()) {
-    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-      fail(context, "unknown key \"" + key + "\"; allowed keys: " +
-                        quoted_token_list(allowed));
-    }
-  }
-}
-
-const Value& require(const std::string& context, const Value& obj,
-                     const std::string& key) {
-  const Value* v = obj.find(key);
-  if (v == nullptr) fail(context, "missing required key \"" + key + "\"");
-  return *v;
-}
-
-std::string parse_string(const std::string& context, const Value& v,
-                         const std::string& key) {
-  if (!v.is_string()) fail(context, "\"" + key + "\" must be a string");
-  return v.as_string();
-}
-
-std::vector<std::string> parse_string_list(const std::string& context,
-                                           const Value& v,
-                                           const std::string& key) {
-  if (!v.is_array() || v.as_array().empty()) {
-    fail(context, "\"" + key + "\" must be a non-empty array of strings");
-  }
-  std::vector<std::string> out;
-  for (const Value& e : v.as_array()) {
-    if (!e.is_string()) {
-      fail(context, "\"" + key + "\" must contain only strings");
-    }
-    out.push_back(e.as_string());
-  }
-  return out;
-}
-
-int parse_int(const std::string& context, const Value& v,
-              const std::string& key) {
-  if (!v.is_int()) fail(context, "\"" + key + "\" must be an integer");
-  const std::int64_t i = v.as_int();
-  if (i < std::numeric_limits<int>::min() ||
-      i > std::numeric_limits<int>::max()) {
-    fail(context, "\"" + key + "\" out of range");
-  }
-  return static_cast<int>(i);
-}
-
-double parse_double(const std::string& context, const Value& v,
-                    const std::string& key) {
-  if (!v.is_number()) fail(context, "\"" + key + "\" must be a number");
-  return v.as_double();
+/// Sets `out` from the optional member `key` of `obj`, read with `get`
+/// (a FieldReader typed read); leaves it unset when the key is absent.
+template <typename T, typename Get>
+void read_optional(const FieldReader& r, const Value& obj, const char* key,
+                   std::optional<T>& out, Get get) {
+  if (const Value* f = obj.find(key)) out = (r.*get)(*f, key);
 }
 
 // ----- token tables --------------------------------------------------
@@ -141,6 +75,16 @@ void apply_bitwidth_override(dnn::Network& net, const BitwidthOverride& o) {
   }
 }
 
+/// The zoo builtin token that `name` names (normalized match), or
+/// nullptr.
+const std::string* builtin_named(const std::string& name) {
+  const std::string norm = normalize_token(name);
+  for (const std::string& b : workload::NetworkRegistry::builtin_tokens()) {
+    if (normalize_token(b) == norm) return &b;
+  }
+  return nullptr;
+}
+
 /// The full network vocabulary for error messages: meta tokens, every
 /// registered network, and the manifest's own (possibly not yet
 /// registered) workload names.
@@ -164,7 +108,7 @@ std::vector<std::string> network_vocabulary(
 /// `workload_names` are valid even before registration, so parse-time
 /// validation and scenario_count need no registry side effects.
 std::vector<std::string> resolve_networks(
-    const std::string& context, const std::vector<std::string>& names,
+    const FieldReader& r, const std::vector<std::string>& names,
     const std::vector<std::string>& workload_names) {
   const auto& registry = workload::NetworkRegistry::instance();
   std::vector<std::string> out;
@@ -172,18 +116,17 @@ std::vector<std::string> resolve_networks(
     const std::string norm = normalize_token(name);
     if (norm == "all") {
       if (names.size() != 1) {
-        fail(context, "\"all\" must be the only entry in \"networks\"");
+        r.fail("\"all\" must be the only entry in \"networks\"");
       }
       return workload::NetworkRegistry::builtin_tokens();
     }
     if (norm == "workloads") {
       if (names.size() != 1) {
-        fail(context,
-             "\"workloads\" must be the only entry in \"networks\"");
+        r.fail("\"workloads\" must be the only entry in \"networks\"");
       }
       if (workload_names.empty()) {
-        fail(context, "\"workloads\" needs a non-empty manifest "
-                      "\"workloads\" block");
+        r.fail("\"workloads\" needs a non-empty manifest \"workloads\" "
+               "block");
       }
       return workload_names;
     }
@@ -198,88 +141,94 @@ std::vector<std::string> resolve_networks(
       out.push_back(*it);
       continue;
     }
-    fail(context, "unknown network \"" + name + "\"; expected one of " +
-                      quoted_token_list(network_vocabulary(workload_names)));
+    r.fail("unknown network \"" + name + "\"; expected one of " +
+           quoted_token_list(network_vocabulary(workload_names)));
   }
   return out;
 }
 
+/// The omitted-key default mode (homogeneous8b) rewrites every layer to
+/// 8/8 — right for the zoo's Table I regimes, but it would silently
+/// discard a custom network's declared bitwidths (flattening e.g. a
+/// generator bitwidth_policy sweep into identical scenarios). Make the
+/// author choose. `key` is the block's mode key: the grid's
+/// "bitwidth_modes" list or the search's "bitwidth_mode" string.
+void require_mode_for_custom_networks(const FieldReader& r,
+                                      const Value& block,
+                                      const std::string& key,
+                                      const std::vector<std::string>& nets) {
+  if (block.find(key) != nullptr) return;
+  const bool grid = key == "bitwidth_modes";
+  const auto value = [&](const std::string& mode) {
+    return grid ? "[\"" + mode + "\"]" : "\"" + mode + "\"";
+  };
+  for (const std::string& net : nets) {
+    if (builtin_named(net) != nullptr) continue;
+    r.fail("network \"" + net + "\" has declared bitwidths, but the " +
+           (grid ? "grid" : "search") + " omits \"" + key +
+           "\" and the default (homogeneous8b) would rewrite every layer "
+           "to 8-bit; set \"" + key + "\" to " + value("heterogeneous") +
+           " to keep the declared bits (or " + value("homogeneous8b") +
+           " to mean it)");
+  }
+}
+
 // ----- overrides ------------------------------------------------------
 
-PlatformOverrides parse_platform_overrides(const std::string& context,
+PlatformOverrides parse_platform_overrides(const FieldReader& r,
                                            const Value& v) {
-  if (!v.is_object()) fail(context, "\"platform_overrides\" must be an object");
-  check_keys(context, v,
-             {"rows", "cols", "scratchpad_bytes", "frequency_hz",
-              "time_chunk", "batch_size", "static_core_mw",
-              "cvu_slice_bits", "cvu_max_bits", "cvu_lanes"});
+  if (!v.is_object()) r.fail("\"platform_overrides\" must be an object");
+  r.check_keys(v, {"rows", "cols", "scratchpad_bytes", "frequency_hz",
+                   "time_chunk", "batch_size", "static_core_mw",
+                   "cvu_slice_bits", "cvu_max_bits", "cvu_lanes"});
   PlatformOverrides o;
-  if (const Value* f = v.find("rows")) o.rows = parse_int(context, *f, "rows");
-  if (const Value* f = v.find("cols")) o.cols = parse_int(context, *f, "cols");
-  if (const Value* f = v.find("scratchpad_bytes")) {
-    if (!f->is_int()) fail(context, "\"scratchpad_bytes\" must be an integer");
-    o.scratchpad_bytes = f->as_int();
-  }
-  if (const Value* f = v.find("frequency_hz")) {
-    o.frequency_hz = parse_double(context, *f, "frequency_hz");
-  }
-  if (const Value* f = v.find("time_chunk")) {
-    o.time_chunk = parse_int(context, *f, "time_chunk");
-  }
-  if (const Value* f = v.find("batch_size")) {
-    o.batch_size = parse_int(context, *f, "batch_size");
-  }
-  if (const Value* f = v.find("static_core_mw")) {
-    o.static_core_mw = parse_double(context, *f, "static_core_mw");
-  }
-  if (const Value* f = v.find("cvu_slice_bits")) {
-    o.cvu_slice_bits = parse_int(context, *f, "cvu_slice_bits");
-  }
-  if (const Value* f = v.find("cvu_max_bits")) {
-    o.cvu_max_bits = parse_int(context, *f, "cvu_max_bits");
-  }
-  if (const Value* f = v.find("cvu_lanes")) {
-    o.cvu_lanes = parse_int(context, *f, "cvu_lanes");
-  }
+  read_optional(r, v, "rows", o.rows, &FieldReader::get_int);
+  read_optional(r, v, "cols", o.cols, &FieldReader::get_int);
+  read_optional(r, v, "scratchpad_bytes", o.scratchpad_bytes,
+                &FieldReader::get_int64);
+  read_optional(r, v, "frequency_hz", o.frequency_hz,
+                &FieldReader::get_number);
+  read_optional(r, v, "time_chunk", o.time_chunk, &FieldReader::get_int);
+  read_optional(r, v, "batch_size", o.batch_size, &FieldReader::get_int);
+  read_optional(r, v, "static_core_mw", o.static_core_mw,
+                &FieldReader::get_number);
+  read_optional(r, v, "cvu_slice_bits", o.cvu_slice_bits,
+                &FieldReader::get_int);
+  read_optional(r, v, "cvu_max_bits", o.cvu_max_bits, &FieldReader::get_int);
+  read_optional(r, v, "cvu_lanes", o.cvu_lanes, &FieldReader::get_int);
   return o;
 }
 
-MemoryOverrides parse_memory_overrides(const std::string& context,
-                                       const Value& v) {
-  if (!v.is_object()) fail(context, "\"memory_overrides\" must be an object");
-  check_keys(context, v,
-             {"bandwidth_gbps", "energy_pj_per_bit", "startup_latency_ns",
-              "background_power_w"});
+MemoryOverrides parse_memory_overrides(const FieldReader& r, const Value& v) {
+  if (!v.is_object()) r.fail("\"memory_overrides\" must be an object");
+  r.check_keys(v, {"bandwidth_gbps", "energy_pj_per_bit",
+                   "startup_latency_ns", "background_power_w"});
   MemoryOverrides o;
-  if (const Value* f = v.find("bandwidth_gbps")) {
-    o.bandwidth_gbps = parse_double(context, *f, "bandwidth_gbps");
-  }
-  if (const Value* f = v.find("energy_pj_per_bit")) {
-    o.energy_pj_per_bit = parse_double(context, *f, "energy_pj_per_bit");
-  }
-  if (const Value* f = v.find("startup_latency_ns")) {
-    o.startup_latency_ns = parse_double(context, *f, "startup_latency_ns");
-  }
-  if (const Value* f = v.find("background_power_w")) {
-    o.background_power_w = parse_double(context, *f, "background_power_w");
-  }
+  read_optional(r, v, "bandwidth_gbps", o.bandwidth_gbps,
+                &FieldReader::get_number);
+  read_optional(r, v, "energy_pj_per_bit", o.energy_pj_per_bit,
+                &FieldReader::get_number);
+  read_optional(r, v, "startup_latency_ns", o.startup_latency_ns,
+                &FieldReader::get_number);
+  read_optional(r, v, "background_power_w", o.background_power_w,
+                &FieldReader::get_number);
   return o;
 }
 
-BitwidthOverride parse_bitwidth_override(const std::string& context,
+BitwidthOverride parse_bitwidth_override(const FieldReader& r,
                                          const Value& v) {
-  if (!v.is_object()) fail(context, "\"bitwidth_override\" must be an object");
-  check_keys(context, v, {"x_bits", "w_bits"});
+  if (!v.is_object()) r.fail("\"bitwidth_override\" must be an object");
+  r.check_keys(v, {"x_bits", "w_bits"});
   BitwidthOverride o;
-  o.x_bits = parse_int(context, require(context, v, "x_bits"), "x_bits");
-  o.w_bits = parse_int(context, require(context, v, "w_bits"), "w_bits");
+  o.x_bits = r.get_int(r.require(v, "x_bits"), "x_bits");
+  o.w_bits = r.get_int(r.require(v, "w_bits"), "w_bits");
   if (o.x_bits < 1 || o.x_bits > 8 || o.w_bits < 1 || o.w_bits > 8) {
-    fail(context, "bitwidth_override bits must be in [1, 8]");
+    r.fail("bitwidth_override bits must be in [1, 8]");
   }
   return o;
 }
 
-sim::AcceleratorConfig apply_overrides(const std::string& context,
+sim::AcceleratorConfig apply_overrides(const FieldReader& r,
                                        sim::AcceleratorConfig config,
                                        const PlatformOverrides& o) {
   if (o.rows) config.rows = *o.rows;
@@ -295,15 +244,13 @@ sim::AcceleratorConfig apply_overrides(const std::string& context,
   try {
     config.validate();
   } catch (const Error& e) {
-    fail(context,
-         std::string("platform_overrides produce an invalid platform: ") +
-             e.what());
+    r.fail(std::string("platform_overrides produce an invalid platform: ") +
+           e.what());
   }
   return config;
 }
 
-arch::DramModel apply_overrides(const std::string& context,
-                                arch::DramModel memory,
+arch::DramModel apply_overrides(const FieldReader& r, arch::DramModel memory,
                                 const MemoryOverrides& o) {
   if (o.bandwidth_gbps) memory.bandwidth_gbps = *o.bandwidth_gbps;
   if (o.energy_pj_per_bit) memory.energy_pj_per_bit = *o.energy_pj_per_bit;
@@ -313,43 +260,38 @@ arch::DramModel apply_overrides(const std::string& context,
   }
   if (memory.bandwidth_gbps <= 0 || memory.energy_pj_per_bit < 0 ||
       memory.startup_latency_ns < 0 || memory.background_power_w < 0) {
-    fail(context, "memory_overrides produce an invalid memory system");
+    r.fail("memory_overrides produce an invalid memory system");
   }
   return memory;
 }
 
-GridSpec parse_grid(const std::string& context, const Value& v,
+GridSpec parse_grid(const FieldReader& r, const Value& v,
                     const std::vector<std::string>& workload_names) {
-  if (!v.is_object()) fail(context, "grid must be an object");
-  check_keys(context, v,
-             {"backends", "platforms", "memories", "networks",
-              "bitwidth_modes", "platform_overrides", "memory_overrides",
-              "bitwidth_override", "id_suffix"});
+  if (!v.is_object()) r.fail("grid must be an object");
+  r.check_keys(v, {"backends", "platforms", "memories", "networks",
+                   "bitwidth_modes", "platform_overrides", "memory_overrides",
+                   "bitwidth_override", "id_suffix"});
   GridSpec g;
   if (const Value* f = v.find("backends")) {
-    g.backends = parse_string_list(context, *f, "backends");
+    g.backends = r.get_string_list(*f, "backends");
   }
-  g.platforms =
-      parse_string_list(context, require(context, v, "platforms"),
-                        "platforms");
-  g.memories = parse_string_list(context, require(context, v, "memories"),
-                                 "memories");
-  g.networks = parse_string_list(context, require(context, v, "networks"),
-                                 "networks");
+  g.platforms = r.get_string_list(r.require(v, "platforms"), "platforms");
+  g.memories = r.get_string_list(r.require(v, "memories"), "memories");
+  g.networks = r.get_string_list(r.require(v, "networks"), "networks");
   if (const Value* f = v.find("bitwidth_modes")) {
-    g.bitwidth_modes = parse_string_list(context, *f, "bitwidth_modes");
+    g.bitwidth_modes = r.get_string_list(*f, "bitwidth_modes");
   }
   if (const Value* f = v.find("platform_overrides")) {
-    g.platform_overrides = parse_platform_overrides(context, *f);
+    g.platform_overrides = parse_platform_overrides(r, *f);
   }
   if (const Value* f = v.find("memory_overrides")) {
-    g.memory_overrides = parse_memory_overrides(context, *f);
+    g.memory_overrides = parse_memory_overrides(r, *f);
   }
   if (const Value* f = v.find("bitwidth_override")) {
-    g.bitwidth_override = parse_bitwidth_override(context, *f);
+    g.bitwidth_override = parse_bitwidth_override(r, *f);
   }
   if (const Value* f = v.find("id_suffix")) {
-    g.id_suffix = parse_string(context, *f, "id_suffix");
+    g.id_suffix = r.get_string(*f, "id_suffix");
   }
 
   // Validate every axis token now — expansion errors should name the
@@ -357,41 +299,19 @@ GridSpec parse_grid(const std::string& context, const Value& v,
   // are checked against the registry at expand() time instead (custom
   // backends may be registered between parse and expand).
   for (const std::string& p : g.platforms) {
-    (void)match_token(context, "platform", p, platform_tokens());
+    (void)r.token_index(p, "platform", platform_tokens());
   }
   for (const std::string& m : g.memories) {
-    (void)match_token(context, "memory", m, memory_tokens());
+    (void)r.token_index(m, "memory", memory_tokens());
   }
-  const std::vector<std::string> net_tokens =
-      resolve_networks(context, g.networks, workload_names);
-  if (v.find("bitwidth_modes") == nullptr) {
-    // The default mode (homogeneous8b) rewrites every layer to 8/8 —
-    // correct for the zoo's Table I regimes, but it would silently
-    // discard a custom workload's declared bitwidths (flattening e.g. a
-    // generator bitwidth_policy sweep into identical scenarios). Make
-    // the author choose.
-    const auto& builtins = workload::NetworkRegistry::builtin_tokens();
-    for (const std::string& token : net_tokens) {
-      const std::string norm = normalize_token(token);
-      const bool builtin = std::any_of(
-          builtins.begin(), builtins.end(), [&](const std::string& b) {
-            return normalize_token(b) == norm;
-          });
-      if (!builtin) {
-        fail(context,
-             "network \"" + token + "\" has declared bitwidths, but the "
-             "grid omits \"bitwidth_modes\" and the default "
-             "(homogeneous8b) would rewrite every layer to 8-bit; set "
-             "\"bitwidth_modes\" to [\"heterogeneous\"] to keep the "
-             "declared bits (or [\"homogeneous8b\"] to mean it)");
-      }
-    }
-  }
+  require_mode_for_custom_networks(
+      r, v, "bitwidth_modes",
+      resolve_networks(r, g.networks, workload_names));
   for (const std::string& m : g.bitwidth_modes) {
-    (void)match_token(context, "bitwidth mode", m, bitwidth_mode_tokens());
+    (void)r.token_index(m, "bitwidth mode", bitwidth_mode_tokens());
   }
   for (const std::string& b : g.backends) {
-    if (b.empty()) fail(context, "backend keys must be non-empty");
+    if (b.empty()) r.fail("backend keys must be non-empty");
   }
   return g;
 }
@@ -416,88 +336,73 @@ std::string resolve_workload_path(const std::string& base_dir,
 
 /// Generator knob lists: a positive integer, or a non-empty array of
 /// positive integers.
-std::vector<int> parse_knob_list(const std::string& context, const Value& v,
+std::vector<int> parse_knob_list(const FieldReader& r, const Value& v,
                                  const std::string& key) {
   std::vector<int> out;
   if (v.is_int()) {
-    out.push_back(parse_int(context, v, key));
+    out.push_back(r.get_int(v, key));
   } else if (v.is_array() && !v.as_array().empty()) {
-    for (const Value& e : v.as_array()) {
-      out.push_back(parse_int(context, e, key));
-    }
+    for (const Value& e : v.as_array()) out.push_back(r.get_int(e, key));
   } else {
-    fail(context, "\"" + key + "\" must be a positive integer or a "
-                      "non-empty array of positive integers");
+    r.fail("\"" + key + "\" must be a positive integer or a non-empty "
+           "array of positive integers");
   }
   for (int i : out) {
     if (i < 1) {
-      fail(context, "\"" + key + "\" values must be positive, got " +
-                        std::to_string(i));
+      r.fail("\"" + key + "\" values must be positive, got " +
+             std::to_string(i));
     }
   }
   return out;
 }
 
-WorkloadSpec parse_workload(const std::string& context, const Value& v,
+WorkloadSpec parse_workload(const FieldReader& r, const Value& v,
                             const std::string& base_dir) {
-  if (!v.is_object()) fail(context, "workload must be an object");
+  if (!v.is_object()) r.fail("workload must be an object");
   WorkloadSpec w;
   const bool has_file = v.find("file") != nullptr;
   const bool has_inline = v.find("network") != nullptr;
   const bool has_generator = v.find("generator") != nullptr;
   if (has_file + has_inline + has_generator != 1) {
-    fail(context, "workload needs exactly one of \"file\", \"network\", "
-                  "or \"generator\"");
+    r.fail("workload needs exactly one of \"file\", \"network\", or "
+           "\"generator\"");
   }
   if (has_file) {
-    check_keys(context, v, {"file"});
+    r.check_keys(v, {"file"});
     w.kind = WorkloadSpec::Kind::kFile;
-    w.file = parse_string(context, v.at("file"), "file");
-    if (w.file.empty()) fail(context, "\"file\" must be non-empty");
-    try {
-      w.prototypes.push_back(
-          workload::load_network(resolve_workload_path(base_dir, w.file)));
-    } catch (const Error& e) {
-      fail(context, e.what());
-    }
+    w.file = r.get_string(v.at("file"), "file");
+    if (w.file.empty()) r.fail("\"file\" must be non-empty");
+    w.prototypes.push_back(r.nest([&] {
+      return workload::load_network(resolve_workload_path(base_dir, w.file));
+    }));
     w.names.push_back(w.prototypes.back().name());
     return w;
   }
   if (has_inline) {
-    check_keys(context, v, {"network"});
+    r.check_keys(v, {"network"});
     w.kind = WorkloadSpec::Kind::kInline;
-    try {
-      w.prototypes.push_back(workload::parse_network(v.at("network")));
-    } catch (const Error& e) {
-      fail(context, e.what());
-    }
+    w.prototypes.push_back(
+        r.nest([&] { return workload::parse_network(v.at("network")); }));
     w.names.push_back(w.prototypes.back().name());
     return w;
   }
-  check_keys(context, v, {"generator", "depth", "width", "bitwidth_policy"});
+  r.check_keys(v, {"generator", "depth", "width", "bitwidth_policy"});
   w.kind = WorkloadSpec::Kind::kGenerator;
-  const std::string family =
-      parse_string(context, v.at("generator"), "generator");
-  w.generator = workload::generator_tokens()[match_token(
-      context, "workload generator", family, workload::generator_tokens())];
+  w.generator = r.token(r.get_string(v.at("generator"), "generator"),
+                        "workload generator", workload::generator_tokens());
   if (const Value* f = v.find("depth")) {
-    w.depths = parse_knob_list(context, *f, "depth");
+    w.depths = parse_knob_list(r, *f, "depth");
   }
   if (const Value* f = v.find("width")) {
-    w.widths = parse_knob_list(context, *f, "width");
+    w.widths = parse_knob_list(r, *f, "width");
   }
   if (const Value* f = v.find("bitwidth_policy")) {
-    if (f->is_string()) {
-      w.policies.push_back(parse_string(context, *f, "bitwidth_policy"));
-    } else {
-      w.policies =
-          parse_string_list(context, *f, "bitwidth_policy");
-    }
+    w.policies = f->is_string()
+                     ? std::vector<std::string>{f->as_string()}
+                     : r.get_string_list(*f, "bitwidth_policy");
     for (const std::string& p : w.policies) {
       if (!workload::is_bitwidth_policy(p)) {
-        fail(context, "unknown bitwidth_policy \"" + p +
-                          "\"; expected \"uniform:<1..8>\" or "
-                          "\"first_last_8\"");
+        r.fail(workload::unknown_bitwidth_policy(p));
       }
     }
   }
@@ -513,11 +418,8 @@ WorkloadSpec parse_workload(const std::string& context, const Value& v,
     for (int width : widths) {
       for (const std::string& policy : policies) {
         workload::GeneratorSpec spec{w.generator, depth, width, policy, ""};
-        try {
-          w.prototypes.push_back(workload::generate(spec));
-        } catch (const Error& e) {
-          fail(context, e.what());
-        }
+        w.prototypes.push_back(
+            r.nest([&] { return workload::generate(spec); }));
         w.names.push_back(w.prototypes.back().name());
       }
     }
@@ -538,28 +440,25 @@ std::vector<std::string> workload_names_of(const Manifest& manifest) {
 std::vector<WorkloadSpec> parse_workloads(const Value& v,
                                           const std::string& base_dir) {
   if (!v.is_array() || v.as_array().empty()) {
-    fail("", "\"workloads\" must be a non-empty array of workload objects");
+    reader().fail("\"workloads\" must be a non-empty array of workload "
+                  "objects");
   }
   std::vector<WorkloadSpec> out;
   std::vector<std::string> seen;  // normalized names, across entries
   for (std::size_t i = 0; i < v.as_array().size(); ++i) {
-    const std::string context = workload_context(i);
-    WorkloadSpec w = parse_workload(context, v.as_array()[i], base_dir);
+    const FieldReader r = reader(workload_context(i));
+    WorkloadSpec w = parse_workload(r, v.as_array()[i], base_dir);
     for (const std::string& name : w.names) {
       const std::string norm = normalize_token(name);
       if (std::find(seen.begin(), seen.end(), norm) != seen.end()) {
-        fail(context, "duplicate workload name \"" + name + "\"");
+        r.fail("duplicate workload name \"" + name + "\"");
       }
       // Colliding with a zoo builtin would shadow every manifest that
       // names the token; registration would throw later, but the error
       // is clearer with the workload entry named.
-      for (const std::string& b :
-           workload::NetworkRegistry::builtin_tokens()) {
-        if (normalize_token(b) == norm) {
-          fail(context, "workload name \"" + name +
-                            "\" collides with the builtin network \"" + b +
-                            "\"");
-        }
+      if (const std::string* b = builtin_named(name)) {
+        r.fail("workload name \"" + name +
+               "\" collides with the builtin network \"" + *b + "\"");
       }
       seen.push_back(norm);
     }
@@ -570,29 +469,28 @@ std::vector<WorkloadSpec> parse_workloads(const Value& v,
 
 // ----- search block ---------------------------------------------------
 
-std::vector<dse::Axis> parse_search_space(const std::string& context,
+std::vector<dse::Axis> parse_search_space(const FieldReader& r,
                                           const Value& v) {
   if (!v.is_object() || v.members().empty()) {
-    fail(context,
-         "\"space\" must be a non-empty object mapping knob names to "
-         "value arrays");
+    r.fail("\"space\" must be a non-empty object mapping knob names to "
+           "value arrays");
   }
   std::vector<dse::Axis> axes;
   for (const auto& [key, values] : v.members()) {
     const auto knob = dse::knob_from_token(key);
     if (!knob) {
-      fail(context, "unknown knob \"" + key + "\"; valid knobs: " +
-                        quoted_token_list(dse::knob_tokens()));
+      r.fail("unknown knob \"" + key + "\"; valid knobs: " +
+             quoted_token_list(dse::knob_tokens()));
     }
     if (!values.is_array() || values.as_array().empty()) {
-      fail(context, "knob \"" + key + "\" must map to a non-empty array "
-                        "of numbers");
+      r.fail("knob \"" + key + "\" must map to a non-empty array of "
+             "numbers");
     }
     dse::Axis axis;
     axis.knob = *knob;
     for (const Value& e : values.as_array()) {
       if (!e.is_number()) {
-        fail(context, "knob \"" + key + "\" has a non-numeric value");
+        r.fail("knob \"" + key + "\" has a non-numeric value");
       }
       axis.values.push_back(e.as_double());
     }
@@ -600,19 +498,17 @@ std::vector<dse::Axis> parse_search_space(const std::string& context,
   }
   // Re-validate through ParamSpace now so the error carries manifest
   // context (duplicate knobs, integral knobs with fractional values…).
-  try {
+  r.nest([&] {
     dse::ParamSpace space;
     for (const dse::Axis& a : axes) space.add_axis(a.knob, a.values);
-  } catch (const Error& e) {
-    fail(context, e.what());
-  }
+  });
   return axes;
 }
 
-std::vector<dse::Objective> parse_objectives(const std::string& context,
+std::vector<dse::Objective> parse_objectives(const FieldReader& r,
                                              const Value& v) {
   if (!v.is_array() || v.as_array().empty()) {
-    fail(context, "\"objectives\" must be a non-empty array");
+    r.fail("\"objectives\" must be a non-empty array");
   }
   std::vector<dse::Objective> objectives;
   for (const Value& e : v.as_array()) {
@@ -621,28 +517,25 @@ std::vector<dse::Objective> parse_objectives(const std::string& context,
     if (e.is_string()) {
       token = e.as_string();
     } else if (e.is_object()) {
-      check_keys(context, e, {"metric", "maximize"});
-      token = parse_string(context, require(context, e, "metric"), "metric");
+      r.check_keys(e, {"metric", "maximize"});
+      token = r.get_string(r.require(e, "metric"), "metric");
     } else {
-      fail(context, "objectives must be metric names or "
-                        "{\"metric\", \"maximize\"} objects");
+      r.fail("objectives must be metric names or {\"metric\", "
+             "\"maximize\"} objects");
     }
     const auto metric = dse::metric_from_token(token);
     if (!metric) {
-      fail(context, "unknown metric \"" + token + "\"; valid metrics: " +
-                        quoted_token_list(dse::metric_tokens()));
+      r.fail("unknown metric \"" + token + "\"; valid metrics: " +
+             quoted_token_list(dse::metric_tokens()));
     }
     o.metric = *metric;
     o.maximize = dse::default_maximize(*metric);
-    if (e.is_object()) {
-      if (const Value* m = e.find("maximize")) {
-        if (!m->is_bool()) fail(context, "\"maximize\" must be a boolean");
-        o.maximize = m->as_bool();
-      }
+    if (const Value* m = e.find("maximize")) {
+      o.maximize = r.get_bool(*m, "maximize");
     }
     for (const dse::Objective& seen : objectives) {
       if (seen.metric == o.metric) {
-        fail(context, "duplicate objective \"" + token + "\"");
+        r.fail("duplicate objective \"" + token + "\"");
       }
     }
     objectives.push_back(o);
@@ -650,192 +543,152 @@ std::vector<dse::Objective> parse_objectives(const std::string& context,
   return objectives;
 }
 
-dse::Constraints parse_constraints(const std::string& context,
-                                   const Value& v) {
-  if (!v.is_object()) fail(context, "\"constraints\" must be an object");
-  check_keys(context, v,
-             {"min_utilization", "max_power_w", "max_energy_j",
-              "max_runtime_s", "max_cycles"});
+dse::Constraints parse_constraints(const FieldReader& r, const Value& v) {
+  if (!v.is_object()) r.fail("\"constraints\" must be an object");
+  r.check_keys(v, {"min_utilization", "max_power_w", "max_energy_j",
+                   "max_runtime_s", "max_cycles"});
   dse::Constraints c;
   if (const Value* f = v.find("min_utilization")) {
-    c.min_utilization = parse_double(context, *f, "min_utilization");
+    c.min_utilization = r.get_number(*f, "min_utilization");
     if (*c.min_utilization < 0.0 || *c.min_utilization > 1.0) {
-      fail(context, "\"min_utilization\" must be in [0, 1]");
+      r.fail("\"min_utilization\" must be in [0, 1]");
     }
   }
   // The max_* caps must be positive: a zero or negative cap marks every
   // candidate infeasible, which can only be a typo.
   if (const Value* f = v.find("max_power_w")) {
-    c.max_power_w = parse_double(context, *f, "max_power_w");
-    if (*c.max_power_w <= 0.0) fail(context, "\"max_power_w\" must be positive");
+    c.max_power_w = r.get_number(*f, "max_power_w");
+    if (*c.max_power_w <= 0.0) r.fail("\"max_power_w\" must be positive");
   }
   if (const Value* f = v.find("max_energy_j")) {
-    c.max_energy_j = parse_double(context, *f, "max_energy_j");
-    if (*c.max_energy_j <= 0.0) {
-      fail(context, "\"max_energy_j\" must be positive");
-    }
+    c.max_energy_j = r.get_number(*f, "max_energy_j");
+    if (*c.max_energy_j <= 0.0) r.fail("\"max_energy_j\" must be positive");
   }
   if (const Value* f = v.find("max_runtime_s")) {
-    c.max_runtime_s = parse_double(context, *f, "max_runtime_s");
-    if (*c.max_runtime_s <= 0.0) {
-      fail(context, "\"max_runtime_s\" must be positive");
-    }
+    c.max_runtime_s = r.get_number(*f, "max_runtime_s");
+    if (*c.max_runtime_s <= 0.0) r.fail("\"max_runtime_s\" must be positive");
   }
   if (const Value* f = v.find("max_cycles")) {
-    if (!f->is_int()) fail(context, "\"max_cycles\" must be an integer");
-    if (f->as_int() <= 0) fail(context, "\"max_cycles\" must be positive");
-    c.max_cycles = f->as_int();
+    c.max_cycles = r.get_int64(*f, "max_cycles");
+    if (*c.max_cycles <= 0) r.fail("\"max_cycles\" must be positive");
   }
   return c;
 }
 
-std::vector<core::BitwidthMixEntry> parse_mix(const std::string& context,
+std::vector<core::BitwidthMixEntry> parse_mix(const FieldReader& r,
                                               const Value& v) {
   if (!v.is_array() || v.as_array().empty()) {
-    fail(context, "\"mix\" must be a non-empty array");
+    r.fail("\"mix\" must be a non-empty array");
   }
   std::vector<core::BitwidthMixEntry> mix;
   for (const Value& e : v.as_array()) {
-    if (!e.is_object()) fail(context, "mix entries must be objects");
-    check_keys(context, e, {"x_bits", "w_bits", "weight"});
+    if (!e.is_object()) r.fail("mix entries must be objects");
+    r.check_keys(e, {"x_bits", "w_bits", "weight"});
     core::BitwidthMixEntry m;
-    m.x_bits = parse_int(context, require(context, e, "x_bits"), "x_bits");
-    m.w_bits = parse_int(context, require(context, e, "w_bits"), "w_bits");
+    m.x_bits = r.get_int(r.require(e, "x_bits"), "x_bits");
+    m.w_bits = r.get_int(r.require(e, "w_bits"), "w_bits");
     if (m.x_bits < 1 || m.x_bits > 8 || m.w_bits < 1 || m.w_bits > 8) {
-      fail(context, "mix bitwidths must be in [1, 8]");
+      r.fail("mix bitwidths must be in [1, 8]");
     }
     if (const Value* w = e.find("weight")) {
-      m.weight = parse_double(context, *w, "weight");
-      if (m.weight <= 0.0) fail(context, "mix weights must be positive");
+      m.weight = r.get_number(*w, "weight");
+      if (m.weight <= 0.0) r.fail("mix weights must be positive");
     }
     mix.push_back(m);
   }
   return mix;
 }
 
-workload::GeneratorSpec parse_search_workload(const std::string& context,
+workload::GeneratorSpec parse_search_workload(const FieldReader& r,
                                               const Value& v) {
-  if (!v.is_object()) fail(context, "\"workload\" must be an object");
-  check_keys(context, v, {"generator", "depth", "width", "bitwidth_policy"});
+  if (!v.is_object()) r.fail("\"workload\" must be an object");
+  r.check_keys(v, {"generator", "depth", "width", "bitwidth_policy"});
   workload::GeneratorSpec spec;
-  const std::string family = parse_string(
-      context, require(context, v, "generator"), "generator");
-  spec.family = workload::generator_tokens()[match_token(
-      context, "workload generator", family, workload::generator_tokens())];
+  spec.family = r.token(r.get_string(r.require(v, "generator"), "generator"),
+                        "workload generator", workload::generator_tokens());
   if (const Value* f = v.find("depth")) {
-    spec.depth = parse_int(context, *f, "depth");
-    if (spec.depth < 1) fail(context, "\"depth\" must be positive");
+    spec.depth = r.get_int(*f, "depth");
+    if (spec.depth < 1) r.fail("\"depth\" must be positive");
   }
   if (const Value* f = v.find("width")) {
-    spec.width = parse_int(context, *f, "width");
-    if (spec.width < 1) fail(context, "\"width\" must be positive");
+    spec.width = r.get_int(*f, "width");
+    if (spec.width < 1) r.fail("\"width\" must be positive");
   }
   if (const Value* f = v.find("bitwidth_policy")) {
-    spec.bitwidth_policy = parse_string(context, *f, "bitwidth_policy");
+    spec.bitwidth_policy = r.get_string(*f, "bitwidth_policy");
     if (!workload::is_bitwidth_policy(spec.bitwidth_policy)) {
-      fail(context, "unknown bitwidth_policy \"" + spec.bitwidth_policy +
-                        "\"; expected \"uniform:<1..8>\" or "
-                        "\"first_last_8\"");
+      r.fail(workload::unknown_bitwidth_policy(spec.bitwidth_policy));
     }
   }
   // Validate the resolved knobs now (range errors carry search context).
-  try {
-    (void)workload::generated_name(spec);
-  } catch (const Error& e) {
-    fail(context, e.what());
-  }
+  (void)r.nest([&] { return workload::generated_name(spec); });
   return spec;
 }
 
 SearchSpec parse_search(const Value& v,
                         const std::vector<std::string>& workload_names) {
-  const std::string context = "search";
-  if (!v.is_object()) fail("", "\"search\" must be an object");
-  check_keys(context, v,
-             {"backend", "platform", "memory", "network", "workload",
-              "bitwidth_mode", "bitwidth_override", "space", "strategy",
-              "budget", "seed", "restarts", "population", "objectives",
-              "constraints", "mix"});
+  if (!v.is_object()) reader().fail("\"search\" must be an object");
+  const FieldReader r = reader("search");
+  r.check_keys(v, {"backend", "platform", "memory", "network", "workload",
+                   "bitwidth_mode", "bitwidth_override", "space", "strategy",
+                   "budget", "seed", "restarts", "population", "objectives",
+                   "constraints", "mix"});
   SearchSpec s;
   if (const Value* f = v.find("backend")) {
-    s.backend = parse_string(context, *f, "backend");
-    if (s.backend.empty()) fail(context, "backend key must be non-empty");
+    s.backend = r.get_string(*f, "backend");
+    if (s.backend.empty()) r.fail("backend key must be non-empty");
   }
   if (const Value* f = v.find("platform")) {
-    const std::string p = parse_string(context, *f, "platform");
-    s.platform = platform_tokens()[match_token(context, "platform", p,
-                                               platform_tokens())];
+    s.platform = r.token(r.get_string(*f, "platform"), "platform",
+                         platform_tokens());
   }
   if (const Value* f = v.find("memory")) {
-    const std::string m = parse_string(context, *f, "memory");
     s.memory =
-        memory_tokens()[match_token(context, "memory", m, memory_tokens())];
+        r.token(r.get_string(*f, "memory"), "memory", memory_tokens());
   }
   if (const Value* f = v.find("workload")) {
     if (v.find("network") != nullptr) {
-      fail(context, "\"network\" and \"workload\" are mutually exclusive "
-                    "(the workload generator is the network)");
+      r.fail("\"network\" and \"workload\" are mutually exclusive (the "
+             "workload generator is the network)");
     }
     if (v.find("bitwidth_mode") != nullptr) {
-      fail(context, "\"bitwidth_mode\" does not apply to a \"workload\" "
-                    "generator (its bitwidth_policy owns the bits)");
+      r.fail("\"bitwidth_mode\" does not apply to a \"workload\" generator "
+             "(its bitwidth_policy owns the bits)");
     }
     if (v.find("bitwidth_override") != nullptr) {
       // net_* axes regenerate the network per candidate, which would
       // silently drop a post-hoc override; the generator's
       // bitwidth_policy (and the net_bits axis) own the bits instead.
-      fail(context, "\"bitwidth_override\" does not apply to a "
-                    "\"workload\" generator (set its bitwidth_policy, or "
-                    "sweep \"net_bits\")");
+      r.fail("\"bitwidth_override\" does not apply to a \"workload\" "
+             "generator (set its bitwidth_policy, or sweep \"net_bits\")");
     }
-    s.workload = parse_search_workload(context, *f);
+    s.workload = parse_search_workload(r, *f);
   } else {
-    const std::string n =
-        parse_string(context, require(context, v, "network"), "network");
+    const std::string n = r.get_string(r.require(v, "network"), "network");
     const std::vector<std::string> resolved =
-        resolve_networks(context, {n}, workload_names);
+        resolve_networks(r, {n}, workload_names);
     if (resolved.size() != 1) {
-      fail(context, "\"network\" must name a single network (not \"" + n +
-                        "\")");
+      r.fail("\"network\" must name a single network (not \"" + n + "\")");
     }
     s.network = resolved.front();
-    // Same trap the grid path rejects: the omitted-key default mode
-    // (homogeneous8b) would rewrite a custom workload's declared
-    // bitwidths to 8/8 — make the author choose.
-    if (v.find("bitwidth_mode") == nullptr) {
-      const std::string norm = normalize_token(s.network);
-      const auto& builtins = workload::NetworkRegistry::builtin_tokens();
-      const bool builtin = std::any_of(
-          builtins.begin(), builtins.end(), [&](const std::string& b) {
-            return normalize_token(b) == norm;
-          });
-      if (!builtin) {
-        fail(context,
-             "network \"" + s.network + "\" has declared bitwidths, but "
-             "the search omits \"bitwidth_mode\" and the default "
-             "(homogeneous8b) would rewrite every layer to 8-bit; set "
-             "\"bitwidth_mode\" to \"heterogeneous\" to keep the "
-             "declared bits (or \"homogeneous8b\" to mean it)");
-      }
-    }
+    require_mode_for_custom_networks(r, v, "bitwidth_mode", resolved);
   }
   if (const Value* f = v.find("bitwidth_mode")) {
-    const std::string m = parse_string(context, *f, "bitwidth_mode");
-    s.bitwidth_mode =
-        bitwidth_mode_tokens()[match_token(context, "bitwidth mode", m, bitwidth_mode_tokens())];
+    s.bitwidth_mode = r.token(r.get_string(*f, "bitwidth_mode"),
+                              "bitwidth mode", bitwidth_mode_tokens());
   }
   if (const Value* f = v.find("bitwidth_override")) {
-    s.bitwidth_override = parse_bitwidth_override(context, *f);
+    s.bitwidth_override = parse_bitwidth_override(r, *f);
   }
-  s.space = parse_search_space(context, require(context, v, "space"));
+  s.space = parse_search_space(r, r.require(v, "space"));
   for (const dse::Axis& a : s.space) {
     const bool net_axis =
         a.knob == dse::Knob::kNetDepth || a.knob == dse::Knob::kNetWidth ||
         a.knob == dse::Knob::kNetBits;
     if (!net_axis) continue;
     if (!s.workload) {
-      fail(context, std::string("knob \"") + dse::to_string(a.knob) +
-                        "\" needs a \"workload\" generator block");
+      r.fail(std::string("knob \"") + dse::to_string(a.knob) +
+             "\" needs a \"workload\" generator block");
     }
     // Range-check every axis value against the family's own caps now —
     // a bad value must fail --validate, not abort the search mid-run
@@ -845,9 +698,8 @@ SearchSpec parse_search(const Value& v,
       workload::GeneratorSpec probe = *s.workload;
       const int i = static_cast<int>(std::llround(value));
       if (i < 1) {
-        fail(context, std::string("knob \"") + dse::to_string(a.knob) +
-                          "\" values must be positive, got " +
-                          std::to_string(i));
+        r.fail(std::string("knob \"") + dse::to_string(a.knob) +
+               "\" values must be positive, got " + std::to_string(i));
       }
       switch (a.knob) {
         case dse::Knob::kNetDepth: probe.depth = i; break;
@@ -857,51 +709,48 @@ SearchSpec parse_search(const Value& v,
       try {
         (void)workload::generated_name(probe);
       } catch (const Error& e) {
-        fail(context, std::string("knob \"") + dse::to_string(a.knob) +
-                          "\" value " + std::to_string(i) + ": " + e.what());
+        r.fail(std::string("knob \"") + dse::to_string(a.knob) + "\" value " +
+               std::to_string(i) + ": " + e.what());
       }
     }
   }
   if (const Value* f = v.find("strategy")) {
-    const std::string t = parse_string(context, *f, "strategy");
-    s.strategy = dse::strategy_tokens()[match_token(
-        context, "strategy", t, dse::strategy_tokens())];
+    s.strategy = r.token(r.get_string(*f, "strategy"), "strategy",
+                         dse::strategy_tokens());
   }
   if (const Value* f = v.find("budget")) {
-    const int b = parse_int(context, *f, "budget");
-    if (b <= 0) fail(context, "\"budget\" must be positive");
+    const int b = r.get_int(*f, "budget");
+    if (b <= 0) r.fail("\"budget\" must be positive");
     s.budget = static_cast<std::size_t>(b);
   }
   if (s.budget == 0 && (s.strategy == "random" || s.strategy == "annealing" ||
                         s.strategy == "genetic")) {
-    fail(context, "strategy \"" + s.strategy +
-                      "\" requires a \"budget\" (its proposal count)");
+    r.fail("strategy \"" + s.strategy +
+           "\" requires a \"budget\" (its proposal count)");
   }
   if (const Value* f = v.find("seed")) {
     if (!f->is_int() || f->as_int() < 0) {
-      fail(context, "\"seed\" must be a non-negative integer");
+      r.fail("\"seed\" must be a non-negative integer");
     }
     s.seed = static_cast<std::uint64_t>(f->as_int());
   }
   if (const Value* f = v.find("restarts")) {
-    const int r = parse_int(context, *f, "restarts");
-    if (r <= 0) fail(context, "\"restarts\" must be positive");
-    s.restarts = static_cast<std::size_t>(r);
+    const int n = r.get_int(*f, "restarts");
+    if (n <= 0) r.fail("\"restarts\" must be positive");
+    s.restarts = static_cast<std::size_t>(n);
   }
   if (const Value* f = v.find("population")) {
-    const int p = parse_int(context, *f, "population");
-    if (p < 2) fail(context, "\"population\" must be at least 2");
+    const int p = r.get_int(*f, "population");
+    if (p < 2) r.fail("\"population\" must be at least 2");
     s.population = static_cast<std::size_t>(p);
   }
   if (const Value* f = v.find("objectives")) {
-    s.objectives = parse_objectives(context, *f);
+    s.objectives = parse_objectives(r, *f);
   }
   if (const Value* f = v.find("constraints")) {
-    s.constraints = parse_constraints(context, *f);
+    s.constraints = parse_constraints(r, *f);
   }
-  if (const Value* f = v.find("mix")) {
-    s.mix = parse_mix(context, *f);
-  }
+  if (const Value* f = v.find("mix")) s.mix = parse_mix(r, *f);
   return s;
 }
 
@@ -940,14 +789,14 @@ const std::vector<std::string>& bitwidth_mode_tokens() {
 }
 
 Manifest parse_manifest(const Value& root, const std::string& base_dir) {
-  if (!root.is_object()) fail("", "document must be an object");
-  check_keys("", root, {"name", "description", "workloads", "grids",
-                        "search"});
+  const FieldReader r = reader();
+  if (!root.is_object()) r.fail("document must be an object");
+  r.check_keys(root, {"name", "description", "workloads", "grids", "search"});
   Manifest m;
-  m.name = parse_string("", require("", root, "name"), "name");
-  if (m.name.empty()) fail("", "\"name\" must be non-empty");
+  m.name = r.get_string(r.require(root, "name"), "name");
+  if (m.name.empty()) r.fail("\"name\" must be non-empty");
   if (const Value* d = root.find("description")) {
-    m.description = parse_string("", *d, "description");
+    m.description = r.get_string(*d, "description");
   }
   // Workloads first: grid/search network tokens may name them.
   if (const Value* workloads = root.find("workloads")) {
@@ -956,18 +805,18 @@ Manifest parse_manifest(const Value& root, const std::string& base_dir) {
   const std::vector<std::string> workload_names = workload_names_of(m);
   if (const Value* grids = root.find("grids")) {
     if (!grids->is_array() || grids->as_array().empty()) {
-      fail("", "\"grids\" must be a non-empty array");
+      r.fail("\"grids\" must be a non-empty array");
     }
     for (std::size_t i = 0; i < grids->as_array().size(); ++i) {
-      m.grids.push_back(parse_grid(grid_context(i), grids->as_array()[i],
-                                   workload_names));
+      m.grids.push_back(parse_grid(reader(grid_context(i)),
+                                   grids->as_array()[i], workload_names));
     }
   }
   if (const Value* search = root.find("search")) {
     m.search = parse_search(*search, workload_names);
   }
   if (m.grids.empty() && !m.search) {
-    fail("", "manifest needs \"grids\", a \"search\" block, or both");
+    r.fail("manifest needs \"grids\", a \"search\" block, or both");
   }
   return m;
 }
@@ -1166,11 +1015,9 @@ std::vector<std::string> register_workloads(const Manifest& manifest) {
   for (std::size_t wi = 0; wi < manifest.workloads.size(); ++wi) {
     const WorkloadSpec& w = manifest.workloads[wi];
     for (std::size_t i = 0; i < w.prototypes.size(); ++i) {
-      try {
+      reader(workload_context(wi)).nest([&] {
         registry.register_network(w.names[i], w.prototypes[i]);
-      } catch (const Error& e) {
-        fail(workload_context(wi), e.what());
-      }
+      });
       names.push_back(w.names[i]);
     }
   }
@@ -1185,12 +1032,12 @@ std::vector<engine::Scenario> expand(const Manifest& manifest) {
   std::vector<engine::Scenario> scenarios;
   for (std::size_t gi = 0; gi < manifest.grids.size(); ++gi) {
     const GridSpec& g = manifest.grids[gi];
-    const std::string context = grid_context(gi);
+    const FieldReader r = reader(grid_context(gi));
 
     for (const std::string& b : g.backends) {
       if (!registry.contains(b)) {
-        fail(context, "unknown backend \"" + b + "\"; registered backends: " +
-                          quoted_token_list(registry.keys()));
+        r.fail("unknown backend \"" + b + "\"; registered backends: " +
+               quoted_token_list(registry.keys()));
       }
     }
 
@@ -1198,24 +1045,23 @@ std::vector<engine::Scenario> expand(const Manifest& manifest) {
     std::vector<sim::AcceleratorConfig> platforms;
     for (const std::string& p : g.platforms) {
       platforms.push_back(apply_overrides(
-          context,
+          r,
           platform_config_from_index(
-              match_token(context, "platform", p, platform_tokens())),
+              r.token_index(p, "platform", platform_tokens())),
           g.platform_overrides));
     }
     std::vector<arch::DramModel> memories;
     for (const std::string& m : g.memories) {
       memories.push_back(apply_overrides(
-          context,
-          memory_from_index(match_token(context, "memory", m, memory_tokens())),
+          r, memory_from_index(r.token_index(m, "memory", memory_tokens())),
           g.memory_overrides));
     }
     const std::vector<std::string> net_tokens =
-        resolve_networks(context, g.networks, workload_names);
+        resolve_networks(r, g.networks, workload_names);
 
     for (const std::string& mode_name : g.bitwidth_modes) {
       const dnn::BitwidthMode mode = mode_from_index(
-          match_token(context, "bitwidth mode", mode_name, bitwidth_mode_tokens()));
+          r.token_index(mode_name, "bitwidth mode", bitwidth_mode_tokens()));
       for (const std::string& net_token : net_tokens) {
         dnn::Network net = networks.create(net_token, mode);
         if (g.bitwidth_override) {
@@ -1243,7 +1089,8 @@ std::size_t scenario_count(const Manifest& manifest) {
   for (std::size_t gi = 0; gi < manifest.grids.size(); ++gi) {
     const GridSpec& g = manifest.grids[gi];
     const std::size_t nets =
-        resolve_networks(grid_context(gi), g.networks, workload_names).size();
+        resolve_networks(reader(grid_context(gi)), g.networks, workload_names)
+            .size();
     total += g.bitwidth_modes.size() * nets * g.platforms.size() *
              g.memories.size() * g.backends.size();
   }
@@ -1252,44 +1099,33 @@ std::size_t scenario_count(const Manifest& manifest) {
 
 dse::ParamSpace search_space(const SearchSpec& spec) {
   dse::ParamSpace space;
-  try {
+  reader("search").nest([&] {
     for (const dse::Axis& a : spec.space) space.add_axis(a.knob, a.values);
-  } catch (const Error& e) {
-    fail("search", e.what());
-  }
+  });
   return space;
 }
 
 engine::Scenario search_base_scenario(const SearchSpec& spec) {
-  const std::string context = "search";
+  const FieldReader r = reader("search");
   auto& registry = backend::BackendRegistry::instance();
   if (!registry.contains(spec.backend)) {
-    fail(context, "unknown backend \"" + spec.backend +
-                      "\"; registered backends: " +
-                      quoted_token_list(registry.keys()));
+    r.fail("unknown backend \"" + spec.backend + "\"; registered backends: " +
+           quoted_token_list(registry.keys()));
   }
   sim::AcceleratorConfig config = platform_config_from_index(
-      match_token(context, "platform", spec.platform, platform_tokens()));
+      r.token_index(spec.platform, "platform", platform_tokens()));
   arch::DramModel memory = memory_from_index(
-      match_token(context, "memory", spec.memory, memory_tokens()));
+      r.token_index(spec.memory, "memory", memory_tokens()));
   dnn::Network net = [&] {
     if (spec.workload) {
       // The generator's bitwidth_policy owns the bits; no mode applies.
-      try {
-        return workload::generate(*spec.workload);
-      } catch (const Error& e) {
-        fail(context, e.what());
-      }
+      return r.nest([&] { return workload::generate(*spec.workload); });
     }
-    const dnn::BitwidthMode mode = mode_from_index(match_token(
-        context, "bitwidth mode", spec.bitwidth_mode,
-        bitwidth_mode_tokens()));
-    try {
-      return workload::NetworkRegistry::instance().create(spec.network,
-                                                          mode);
-    } catch (const Error& e) {
-      fail(context, e.what());
-    }
+    const dnn::BitwidthMode mode = mode_from_index(r.token_index(
+        spec.bitwidth_mode, "bitwidth mode", bitwidth_mode_tokens()));
+    return r.nest([&] {
+      return workload::NetworkRegistry::instance().create(spec.network, mode);
+    });
   }();
   if (spec.bitwidth_override) {
     apply_bitwidth_override(net, *spec.bitwidth_override);

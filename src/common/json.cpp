@@ -1,5 +1,6 @@
 #include "src/common/json.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <sstream>
 
 #include "src/common/error.h"
+#include "src/common/token.h"
 
 namespace bpvec::common::json {
 
@@ -522,6 +524,83 @@ Value parse_file(const std::string& path) {
   } catch (const Error& e) {
     throw Error(path + ": " + e.what());
   }
+}
+
+void FieldReader::fail(const std::string& message) const {
+  std::string what = context_.empty() ? message : context_ + ": " + message;
+  throw Error(prefix_.empty() ? what : prefix_ + ": " + what);
+}
+
+void FieldReader::check_keys(const Value& obj,
+                             const std::vector<std::string>& allowed) const {
+  for (const auto& [key, value] : obj.members()) {
+    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
+      fail("unknown key \"" + key + "\"; allowed keys: " +
+           quoted_token_list(allowed));
+    }
+  }
+}
+
+const Value& FieldReader::require(const Value& obj,
+                                  const std::string& key) const {
+  const Value* v = obj.find(key);
+  if (v == nullptr) fail("missing required key \"" + key + "\"");
+  return *v;
+}
+
+std::string FieldReader::get_string(const Value& v,
+                                    const std::string& key) const {
+  if (!v.is_string()) fail("\"" + key + "\" must be a string");
+  return v.as_string();
+}
+
+std::int64_t FieldReader::get_int64(const Value& v,
+                                    const std::string& key) const {
+  if (!v.is_int()) fail("\"" + key + "\" must be an integer");
+  return v.as_int();
+}
+
+int FieldReader::get_int(const Value& v, const std::string& key) const {
+  const std::int64_t i = get_int64(v, key);
+  if (i < std::numeric_limits<int>::min() ||
+      i > std::numeric_limits<int>::max()) {
+    fail("\"" + key + "\" out of range");
+  }
+  return static_cast<int>(i);
+}
+
+double FieldReader::get_number(const Value& v, const std::string& key) const {
+  if (!v.is_number()) fail("\"" + key + "\" must be a number");
+  return v.as_double();
+}
+
+bool FieldReader::get_bool(const Value& v, const std::string& key) const {
+  if (!v.is_bool()) fail("\"" + key + "\" must be a boolean");
+  return v.as_bool();
+}
+
+std::vector<std::string> FieldReader::get_string_list(
+    const Value& v, const std::string& key) const {
+  if (!v.is_array() || v.as_array().empty()) {
+    fail("\"" + key + "\" must be a non-empty array of strings");
+  }
+  std::vector<std::string> out;
+  for (const Value& e : v.as_array()) {
+    if (!e.is_string()) fail("\"" + key + "\" must contain only strings");
+    out.push_back(e.as_string());
+  }
+  return out;
+}
+
+std::size_t FieldReader::token_index(
+    const std::string& value, const std::string& what,
+    const std::vector<std::string>& options) const {
+  const std::string norm = normalize_token(value);
+  for (std::size_t i = 0; i < options.size(); ++i) {
+    if (normalize_token(options[i]) == norm) return i;
+  }
+  fail("unknown " + what + " \"" + value + "\"; expected one of " +
+       quoted_token_list(options));
 }
 
 }  // namespace bpvec::common::json

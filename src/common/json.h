@@ -17,6 +17,13 @@
 //     byte-identical files (the CI gate compares reports with cmp).
 //   * Parse errors carry line/column and a message — manifests are
 //     hand-written, so "unexpected token" alone is not acceptable.
+//
+// FieldReader is the one field-level reader over parsed documents:
+// scenario manifests, workload-schema network files and serve request
+// envelopes all check keys, types, ranges and token vocabularies through
+// it. Its errors read "<prefix>: <context>: <message>", the prefix
+// ("manifest", "network schema", or none for envelopes) and the context
+// (e.g. `grids[0]`, `layers[2] ("c1")`) dropped when empty.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +31,8 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "src/common/error.h"
 
 namespace bpvec::common::json {
 
@@ -119,6 +128,67 @@ Value parse(std::string_view text);
 
 /// Reads and parses `path`; error messages include the path.
 Value parse_file(const std::string& path);
+
+/// Typed, context-carrying reads of document fields (see the header
+/// comment for the error format). `key` names the field in errors.
+class FieldReader {
+ public:
+  explicit FieldReader(std::string prefix, std::string context = {})
+      : prefix_(std::move(prefix)), context_(std::move(context)) {}
+
+  /// The same reader in another context.
+  FieldReader in(std::string context) const {
+    return FieldReader(prefix_, std::move(context));
+  }
+  const std::string& context() const { return context_; }
+
+  [[noreturn]] void fail(const std::string& message) const;
+
+  /// Runs `f` and returns its result; a bpvec::Error from it (a nested
+  /// reader's, say, for a network file inside a manifest) is re-raised
+  /// with this reader's prefix and context in front.
+  template <typename F>
+  decltype(auto) nest(F&& f) const {
+    try {
+      return f();
+    } catch (const Error& e) {
+      fail(e.what());
+    }
+  }
+
+  /// Rejects any member of `obj` outside `allowed` — an unknown key is a
+  /// silent typo otherwise ("platform_override" quietly doing nothing).
+  void check_keys(const Value& obj,
+                  const std::vector<std::string>& allowed) const;
+  /// The member `key` of `obj`; fails when it is absent.
+  const Value& require(const Value& obj, const std::string& key) const;
+
+  std::string get_string(const Value& v, const std::string& key) const;
+  std::int64_t get_int64(const Value& v, const std::string& key) const;
+  /// get_int64 that must also fit in an int.
+  int get_int(const Value& v, const std::string& key) const;
+  /// An int or a double.
+  double get_number(const Value& v, const std::string& key) const;
+  bool get_bool(const Value& v, const std::string& key) const;
+  /// A non-empty array of strings.
+  std::vector<std::string> get_string_list(const Value& v,
+                                           const std::string& key) const;
+
+  /// The index of `value` in the closed vocabulary `options`, matched
+  /// under common::normalize_token; fails with `unknown <what> "<value>";
+  /// expected one of <options>`.
+  std::size_t token_index(const std::string& value, const std::string& what,
+                          const std::vector<std::string>& options) const;
+  /// The canonical spelling: options[token_index(...)].
+  std::string token(const std::string& value, const std::string& what,
+                    const std::vector<std::string>& options) const {
+    return options[token_index(value, what, options)];
+  }
+
+ private:
+  std::string prefix_;
+  std::string context_;
+};
 
 /// Formats a finite double so that parsing the result reproduces the
 /// identical bit pattern (%.17g, with ".0" appended to integral forms so

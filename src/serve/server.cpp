@@ -14,6 +14,7 @@
 
 #include "src/cli/report.h"
 #include "src/common/error.h"
+#include "src/common/token.h"
 
 namespace bpvec::serve {
 
@@ -34,17 +35,6 @@ Value error_response(const std::string& message) {
   return v;
 }
 
-/// Optional boolean envelope field; wrong-typed values are structured
-/// errors (thrown, caught at the dispatch boundary), not surprises.
-bool get_bool(const Value& envelope, const char* key) {
-  const Value* v = envelope.find(key);
-  if (v == nullptr) return false;
-  if (!v->is_bool()) {
-    throw Error(std::string("request field \"") + key + "\" must be a bool");
-  }
-  return v->as_bool();
-}
-
 /// Writes `line` + '\n' to the socket; false when the peer is gone.
 bool write_line(int fd, std::string line) {
   line.push_back('\n');
@@ -61,19 +51,53 @@ bool write_line(int fd, std::string line) {
   return true;
 }
 
-/// The manifest document embedded in a price/search/validate envelope.
-cli::Manifest parse_envelope_manifest(const Value& envelope) {
-  const Value* doc = envelope.find("manifest");
-  if (doc == nullptr) {
-    throw Error("request has no \"manifest\" document");
-  }
-  const Value* base = envelope.find("base_dir");
+/// A request envelope, read and validated whole before dispatch acts on
+/// any of it.
+struct Envelope {
+  std::string op;
+  const Value* manifest = nullptr;
   std::string base_dir;
-  if (base != nullptr) {
-    if (!base->is_string()) throw Error("\"base_dir\" must be a string");
-    base_dir = base->as_string();
+  bool deterministic_report = false;
+  bool search = false;
+  std::size_t chunk = 0;
+  std::vector<std::string> network_files;
+};
+
+Envelope read_envelope(const Value& v) {
+  const common::json::FieldReader r("");
+  if (!v.is_object()) r.fail("request must be a JSON object envelope");
+  r.check_keys(v, {"op", "manifest", "base_dir", "deterministic_report",
+                   "search", "chunk", "network_files"});
+  Envelope e;
+  const Value* op = v.find("op");
+  if (op == nullptr || !op->is_string()) {
+    r.fail("request envelope has no \"op\" string");
   }
-  return cli::parse_manifest(*doc, base_dir);
+  static const std::vector<std::string> kOps{
+      "price", "search", "validate", "list",
+      "stats", "version", "ping", "shutdown"};
+  e.op = r.token(op->as_string(), "op", kOps);
+  e.manifest = v.find("manifest");
+  if (e.manifest == nullptr &&
+      (e.op == "price" || e.op == "search" || e.op == "validate")) {
+    r.fail("request has no \"manifest\" document");
+  }
+  if (const Value* f = v.find("base_dir")) {
+    e.base_dir = r.get_string(*f, "base_dir");
+  }
+  if (const Value* f = v.find("deterministic_report")) {
+    e.deterministic_report = r.get_bool(*f, "deterministic_report");
+  }
+  if (const Value* f = v.find("search")) e.search = r.get_bool(*f, "search");
+  if (const Value* f = v.find("chunk")) {
+    const std::int64_t n = r.get_int64(*f, "chunk");
+    if (n < 0) r.fail("\"chunk\" must be >= 0");
+    e.chunk = static_cast<std::size_t>(n);
+  }
+  if (const Value* f = v.find("network_files")) {
+    e.network_files = r.get_string_list(*f, "network_files");
+  }
+  return e;
 }
 
 }  // namespace
@@ -123,20 +147,9 @@ Value Server::handle_line(const std::string& line) {
 }
 
 Value Server::dispatch(const Value& envelope, const CancelToken& token) {
-  if (!envelope.is_object()) {
-    throw Error("request must be a JSON object envelope");
-  }
-  const Value* op_field = envelope.find("op");
-  if (op_field == nullptr || !op_field->is_string()) {
-    throw Error("request envelope has no \"op\" string");
-  }
-  const std::string& op = op_field->as_string();
-
-  if (const Value* files = envelope.find("network_files")) {
-    if (!files->is_array()) throw Error("\"network_files\" must be an array");
-    for (const Value& f : files->as_array()) {
-      session_.register_network_file(f.as_string());
-    }
+  const Envelope e = read_envelope(envelope);
+  for (const std::string& file : e.network_files) {
+    session_.register_network_file(file);
   }
 
   // Engine-touching ops return the Response's report + both counter
@@ -152,57 +165,51 @@ Value Server::dispatch(const Value& envelope, const CancelToken& token) {
     return v;
   };
 
-  if (op == "price") {
+  if (e.op == "price") {
     PriceRequest request;
-    request.manifest = parse_envelope_manifest(envelope);
-    request.deterministic_report = get_bool(envelope, "deterministic_report");
-    if (const Value* chunk = envelope.find("chunk")) {
-      const std::int64_t n = chunk->as_int();
-      if (n < 0) throw Error("\"chunk\" must be >= 0");
-      request.chunk = static_cast<std::size_t>(n);
-    }
+    request.manifest = cli::parse_manifest(*e.manifest, e.base_dir);
+    request.deterministic_report = e.deterministic_report;
+    request.chunk = e.chunk;
     return finalize(session_.price(request, token));
   }
-  if (op == "search") {
+  if (e.op == "search") {
     SearchRequest request;
-    request.manifest = parse_envelope_manifest(envelope);
-    request.deterministic_report = get_bool(envelope, "deterministic_report");
+    request.manifest = cli::parse_manifest(*e.manifest, e.base_dir);
+    request.deterministic_report = e.deterministic_report;
     return finalize(session_.search(request, token));
   }
-  if (op == "validate") {
+  if (e.op == "validate") {
     ValidateRequest request;
-    request.manifest = parse_envelope_manifest(envelope);
-    request.search = get_bool(envelope, "search");
+    request.manifest = cli::parse_manifest(*e.manifest, e.base_dir);
+    request.search = e.search;
     return finalize(session_.validate(request));
   }
-  if (op == "list") {
+  if (e.op == "list") {
     return finalize(session_.list());
   }
-  if (op == "stats") {
+  if (e.op == "stats") {
     Value v = Value::object();
     v.set("status", "ok");
     v.set("stats", session_.stats_json());
     return v;
   }
-  if (op == "version") {
+  if (e.op == "version") {
     Value v = Value::object();
     v.set("status", "ok");
     v.set("version", cli::version_json());
     return v;
   }
-  if (op == "ping") {
+  if (e.op == "ping") {
     Value v = Value::object();
     v.set("status", "ok");
     return v;
   }
-  if (op == "shutdown") {
-    request_stop();
-    Value v = Value::object();
-    v.set("status", "ok");
-    v.set("draining", true);
-    return v;
-  }
-  throw Error("unknown op: \"" + op + "\"");
+  BPVEC_CHECK_MSG(e.op == "shutdown", "read_envelope admits an unserved op");
+  request_stop();
+  Value v = Value::object();
+  v.set("status", "ok");
+  v.set("draining", true);
+  return v;
 }
 
 Value Server::run_streaming(int fd, const CancelToken& token,
@@ -265,7 +272,8 @@ void Server::serve_connection(int fd, Connection* conn) {
         envelope = common::json::parse(line);
         if (envelope.is_object()) {
           if (const Value* f = envelope.find("op")) {
-            if (f->is_string()) op = f->as_string();
+            // Canonical form, as read_envelope resolves it.
+            if (f->is_string()) op = common::normalize_token(f->as_string());
           }
         }
       } catch (const std::exception& e) {

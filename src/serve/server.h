@@ -23,6 +23,10 @@
 //               "version"   no fields; build-identity document
 //               "ping"      no fields; liveness probe
 //               "shutdown"  acks, then begins graceful drain
+//             The envelope is read whole before anything runs: a key
+//             outside those fields, a wrong-typed field or an empty
+//             "network_files" is an error naming the field, and no
+//             network file registers from a rejected envelope.
 //
 //   response  zero or more {"status":"running","elapsed_s":<double>}
 //             heartbeats (price/search only, one per heartbeat_s while

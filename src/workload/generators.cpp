@@ -4,6 +4,7 @@
 #include <string>
 
 #include "src/common/error.h"
+#include "src/common/json.h"
 #include "src/common/token.h"
 #include "src/workload/schema.h"
 
@@ -26,14 +27,10 @@ const FamilyInfo kFamilies[] = {
     {Family::kTransformer, "transformer_block", 2, 256, 64, 8192},
 };
 
+/// generator_tokens() lists the families in kFamilies order.
 const FamilyInfo& resolve_family(const std::string& token) {
-  const std::string norm = common::normalize_token(token);
-  for (const FamilyInfo& f : kFamilies) {
-    if (common::normalize_token(f.token) == norm) return f;
-  }
-  throw Error("workload generator: unknown family \"" + token +
-              "\"; expected one of " +
-              common::quoted_token_list(generator_tokens()));
+  return kFamilies[common::json::FieldReader("workload generator")
+                       .token_index(token, "family", generator_tokens())];
 }
 
 /// Knobs with defaults resolved and ranges enforced.
@@ -61,9 +58,8 @@ Resolved resolve(const GeneratorSpec& spec) {
   }
   r.policy = spec.bitwidth_policy.empty() ? "uniform:8" : spec.bitwidth_policy;
   if (!is_bitwidth_policy(r.policy)) {
-    throw Error(std::string("workload generator: ") + r.info->token +
-                ": unknown bitwidth_policy \"" + r.policy +
-                "\"; expected \"uniform:<1..8>\" or \"first_last_8\"");
+    throw Error(std::string("workload generator: ") + r.info->token + ": " +
+                unknown_bitwidth_policy(r.policy));
   }
   // Canonicalize ("Uniform:4" → "uniform:4") so derived names are
   // spelling-independent.

@@ -1,7 +1,5 @@
 #include "src/workload/schema.h"
 
-#include <algorithm>
-#include <limits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -16,45 +14,7 @@ using common::json::Value;
 
 namespace {
 
-[[noreturn]] void fail(const std::string& context,
-                       const std::string& message) {
-  throw Error("network schema: " +
-              (context.empty() ? message : context + ": " + message));
-}
-
-void check_keys(const std::string& context, const Value& obj,
-                const std::vector<std::string>& allowed) {
-  for (const auto& [key, value] : obj.members()) {
-    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-      fail(context, "unknown key \"" + key + "\"; allowed keys: " +
-                        common::quoted_token_list(allowed));
-    }
-  }
-}
-
-const Value& require(const std::string& context, const Value& obj,
-                     const std::string& key) {
-  const Value* v = obj.find(key);
-  if (v == nullptr) fail(context, "missing required key \"" + key + "\"");
-  return *v;
-}
-
-std::string parse_string(const std::string& context, const Value& v,
-                         const std::string& key) {
-  if (!v.is_string()) fail(context, "\"" + key + "\" must be a string");
-  return v.as_string();
-}
-
-int parse_int(const std::string& context, const Value& v,
-              const std::string& key) {
-  if (!v.is_int()) fail(context, "\"" + key + "\" must be an integer");
-  const std::int64_t i = v.as_int();
-  if (i < std::numeric_limits<int>::min() ||
-      i > std::numeric_limits<int>::max()) {
-    fail(context, "\"" + key + "\" out of range");
-  }
-  return static_cast<int>(i);
-}
+using common::json::FieldReader;
 
 /// Every shape field is capped well below INT_MAX so downstream
 /// arithmetic (padded-input checks, out_h/out_w) cannot overflow int —
@@ -63,38 +23,33 @@ int parse_int(const std::string& context, const Value& v,
 constexpr int kMaxDim = 1 << 24;
 
 /// Required dimension: a strictly positive integer within kMaxDim.
-int parse_dim(const std::string& context, const Value& obj,
-              const std::string& key) {
-  const int v = parse_int(context, require(context, obj, key), key);
+int parse_dim(const FieldReader& r, const Value& obj, const std::string& key) {
+  const int v = r.get_int(r.require(obj, key), key);
   if (v < 1 || v > kMaxDim) {
-    fail(context, "\"" + key + "\" must be a positive integer <= " +
-                      std::to_string(kMaxDim) + ", got " +
-                      std::to_string(v));
+    r.fail("\"" + key + "\" must be a positive integer <= " +
+           std::to_string(kMaxDim) + ", got " + std::to_string(v));
   }
   return v;
 }
 
 /// Optional dimension with a default; must be in [floor, kMaxDim] when
 /// present.
-int parse_opt_int(const std::string& context, const Value& obj,
+int parse_opt_int(const FieldReader& r, const Value& obj,
                   const std::string& key, int fallback, int floor) {
   const Value* f = obj.find(key);
   if (f == nullptr) return fallback;
-  const int v = parse_int(context, *f, key);
+  const int v = r.get_int(*f, key);
   if (v < floor || v > kMaxDim) {
-    fail(context, "\"" + key + "\" must be in [" + std::to_string(floor) +
-                      ", " + std::to_string(kMaxDim) + "], got " +
-                      std::to_string(v));
+    r.fail("\"" + key + "\" must be in [" + std::to_string(floor) + ", " +
+           std::to_string(kMaxDim) + "], got " + std::to_string(v));
   }
   return v;
 }
 
-int parse_bits(const std::string& context, const Value& v,
-               const std::string& key) {
-  const int bits = parse_int(context, v, key);
+int parse_bits(const FieldReader& r, const Value& v, const std::string& key) {
+  const int bits = r.get_int(v, key);
   if (bits < 1 || bits > 8) {
-    fail(context, "\"" + key + "\" must be in [1, 8], got " +
-                      std::to_string(bits));
+    r.fail("\"" + key + "\" must be in [1, 8], got " + std::to_string(bits));
   }
   return bits;
 }
@@ -112,7 +67,7 @@ const std::vector<std::string>& kind_tokens() {
 /// ResNet-50; anything beyond it is a typo, not a workload.
 constexpr double kMaxLayerScale = 1e15;
 
-void check_layer_scale(const std::string& context, const dnn::Layer& layer) {
+void check_layer_scale(const FieldReader& r, const dnn::Layer& layer) {
   double macs = 0, in_elems = 0, out_elems = 0;
   switch (layer.kind) {
     case dnn::LayerKind::kConv: {
@@ -144,103 +99,84 @@ void check_layer_scale(const std::string& context, const dnn::Layer& layer) {
   }
   if (macs > kMaxLayerScale || in_elems > kMaxLayerScale ||
       out_elems > kMaxLayerScale) {
-    fail(context, "layer exceeds the supported scale (more than 1e15 "
-                  "MACs or elements)");
+    r.fail("layer exceeds the supported scale (more than 1e15 MACs or "
+           "elements)");
   }
 }
 
-dnn::Layer parse_layer(const std::string& context, const Value& v) {
-  if (!v.is_object()) fail(context, "layer must be an object");
-  const std::string kind = common::normalize_token(
-      parse_string(context, require(context, v, "kind"), "kind"));
-  const std::string name =
-      parse_string(context, require(context, v, "name"), "name");
-  if (name.empty()) fail(context, "\"name\" must be non-empty");
-  const std::string ctx = context + " (\"" + name + "\")";
+dnn::Layer parse_layer(const FieldReader& at, const Value& v) {
+  if (!v.is_object()) at.fail("layer must be an object");
+  const std::string kind = at.get_string(at.require(v, "kind"), "kind");
+  const std::string name = at.get_string(at.require(v, "name"), "name");
+  if (name.empty()) at.fail("\"name\" must be non-empty");
+  const FieldReader r = at.in(at.context() + " (\"" + name + "\")");
 
   dnn::Layer layer;
-  if (kind == "conv") {
-    check_keys(ctx, v,
-               {"kind", "name", "in_c", "in_h", "in_w", "out_c", "kh", "kw",
-                "stride", "pad", "x_bits", "w_bits"});
+  const std::string canonical = r.token(kind, "kind", kind_tokens());
+  if (canonical == "conv") {
+    r.check_keys(v, {"kind", "name", "in_c", "in_h", "in_w", "out_c", "kh",
+                     "kw", "stride", "pad", "x_bits", "w_bits"});
     dnn::ConvParams p;
-    p.in_c = parse_dim(ctx, v, "in_c");
-    p.in_h = parse_dim(ctx, v, "in_h");
-    p.in_w = parse_dim(ctx, v, "in_w");
-    p.out_c = parse_dim(ctx, v, "out_c");
-    p.kh = parse_dim(ctx, v, "kh");
-    p.kw = parse_dim(ctx, v, "kw");
-    p.stride = parse_opt_int(ctx, v, "stride", 1, 1);
-    p.pad = parse_opt_int(ctx, v, "pad", 0, 0);
+    p.in_c = parse_dim(r, v, "in_c");
+    p.in_h = parse_dim(r, v, "in_h");
+    p.in_w = parse_dim(r, v, "in_w");
+    p.out_c = parse_dim(r, v, "out_c");
+    p.kh = parse_dim(r, v, "kh");
+    p.kw = parse_dim(r, v, "kw");
+    p.stride = parse_opt_int(r, v, "stride", 1, 1);
+    p.pad = parse_opt_int(r, v, "pad", 0, 0);
     if (p.in_h + 2 * p.pad < p.kh || p.in_w + 2 * p.pad < p.kw) {
-      fail(ctx, "kernel larger than the padded input");
+      r.fail("kernel larger than the padded input");
     }
     layer = dnn::make_conv(name, p);
-  } else if (kind == "fc") {
-    check_keys(ctx, v,
-               {"kind", "name", "in_features", "out_features", "x_bits",
-                "w_bits"});
+  } else if (canonical == "fc") {
+    r.check_keys(v, {"kind", "name", "in_features", "out_features", "x_bits",
+                     "w_bits"});
     dnn::FcParams p;
-    p.in_features = parse_dim(ctx, v, "in_features");
-    p.out_features = parse_dim(ctx, v, "out_features");
+    p.in_features = parse_dim(r, v, "in_features");
+    p.out_features = parse_dim(r, v, "out_features");
     layer = dnn::make_fc(name, p);
-  } else if (kind == "pool") {
-    check_keys(ctx, v,
-               {"kind", "name", "channels", "in_h", "in_w", "k", "stride",
-                "pool", "x_bits", "w_bits"});
+  } else if (canonical == "pool") {
+    r.check_keys(v, {"kind", "name", "channels", "in_h", "in_w", "k",
+                     "stride", "pool", "x_bits", "w_bits"});
     dnn::PoolParams p;
-    p.channels = parse_dim(ctx, v, "channels");
-    p.in_h = parse_dim(ctx, v, "in_h");
-    p.in_w = parse_dim(ctx, v, "in_w");
-    p.k = parse_opt_int(ctx, v, "k", 2, 1);
-    p.stride = parse_opt_int(ctx, v, "stride", 2, 1);
+    p.channels = parse_dim(r, v, "channels");
+    p.in_h = parse_dim(r, v, "in_h");
+    p.in_w = parse_dim(r, v, "in_w");
+    p.k = parse_opt_int(r, v, "k", 2, 1);
+    p.stride = parse_opt_int(r, v, "stride", 2, 1);
     if (const Value* f = v.find("pool")) {
-      const std::string t =
-          common::normalize_token(parse_string(ctx, *f, "pool"));
-      if (t == "max") {
-        p.kind = dnn::PoolKind::kMax;
-      } else if (t == "average") {
-        p.kind = dnn::PoolKind::kAverage;
-      } else {
-        fail(ctx, "unknown pool \"" + f->as_string() +
-                      "\"; expected one of \"max\", \"average\"");
-      }
+      const std::string pool = r.get_string(*f, "pool");
+      p.kind = r.token_index(pool, "pool", {"max", "average"}) == 0
+                   ? dnn::PoolKind::kMax
+                   : dnn::PoolKind::kAverage;
     }
     if (p.in_h < p.k || p.in_w < p.k) {
-      fail(ctx, "pool window larger than the input");
+      r.fail("pool window larger than the input");
     }
     layer = dnn::make_pool(name, p);
-  } else if (kind == "recurrent") {
-    check_keys(ctx, v,
-               {"kind", "name", "cell", "input_size", "hidden_size",
-                "time_steps", "x_bits", "w_bits"});
+  } else {  // "recurrent"
+    r.check_keys(v, {"kind", "name", "cell", "input_size", "hidden_size",
+                     "time_steps", "x_bits", "w_bits"});
     dnn::RecurrentParams p;
-    const std::string cell = common::normalize_token(
-        parse_string(ctx, require(ctx, v, "cell"), "cell"));
-    if (cell == "rnn" || cell == "vanillarnn") {
-      p.cell = dnn::RecurrentCellKind::kVanillaRnn;
-    } else if (cell == "lstm") {
-      p.cell = dnn::RecurrentCellKind::kLstm;
-    } else {
-      fail(ctx, "unknown cell \"" + v.at("cell").as_string() +
-                    "\"; expected one of \"rnn\", \"lstm\"");
-    }
-    p.input_size = parse_dim(ctx, v, "input_size");
-    p.hidden_size = parse_dim(ctx, v, "hidden_size");
-    p.time_steps = parse_opt_int(ctx, v, "time_steps", 1, 1);
+    // "vanilla_rnn" is accepted as an alias of "rnn".
+    const std::string cell = r.get_string(r.require(v, "cell"), "cell");
+    p.cell = common::normalize_token(cell) == "vanillarnn" ||
+                     r.token_index(cell, "cell", {"rnn", "lstm"}) == 0
+                 ? dnn::RecurrentCellKind::kVanillaRnn
+                 : dnn::RecurrentCellKind::kLstm;
+    p.input_size = parse_dim(r, v, "input_size");
+    p.hidden_size = parse_dim(r, v, "hidden_size");
+    p.time_steps = parse_opt_int(r, v, "time_steps", 1, 1);
     layer = dnn::make_recurrent(name, p);
-  } else {
-    fail(ctx, "unknown kind \"" + v.at("kind").as_string() +
-                  "\"; expected one of " +
-                  common::quoted_token_list(kind_tokens()));
   }
   if (const Value* f = v.find("x_bits")) {
-    layer.x_bits = parse_bits(ctx, *f, "x_bits");
+    layer.x_bits = parse_bits(r, *f, "x_bits");
   }
   if (const Value* f = v.find("w_bits")) {
-    layer.w_bits = parse_bits(ctx, *f, "w_bits");
+    layer.w_bits = parse_bits(r, *f, "w_bits");
   }
-  check_layer_scale(ctx, layer);
+  check_layer_scale(r, layer);
   return layer;
 }
 
@@ -258,10 +194,14 @@ bool is_bitwidth_policy(const std::string& policy) {
   return false;
 }
 
+std::string unknown_bitwidth_policy(const std::string& policy) {
+  return "unknown bitwidth_policy \"" + policy +
+         "\"; expected \"uniform:<1..8>\" or \"first_last_8\"";
+}
+
 void apply_bitwidth_policy(dnn::Network& net, const std::string& policy) {
   if (!is_bitwidth_policy(policy)) {
-    throw Error("network schema: unknown bitwidth_policy \"" + policy +
-                "\"; expected \"uniform:<1..8>\" or \"first_last_8\"");
+    throw Error("network schema: " + unknown_bitwidth_policy(policy));
   }
   const std::string norm = common::normalize_token(policy);
   auto& layers = net.layers();
@@ -299,31 +239,25 @@ void apply_bitwidth_policy(dnn::Network& net, const std::string& policy) {
 }
 
 dnn::Network parse_network(const Value& root) {
-  if (!root.is_object()) fail("", "document must be an object");
-  check_keys("", root,
-             {"name", "type", "bitwidth_policy", "bitwidth_note", "layers"});
-  const std::string name =
-      parse_string("", require("", root, "name"), "name");
-  if (name.empty()) fail("", "\"name\" must be non-empty");
+  const FieldReader r("network schema");
+  if (!root.is_object()) r.fail("document must be an object");
+  r.check_keys(root,
+               {"name", "type", "bitwidth_policy", "bitwidth_note", "layers"});
+  const std::string name = r.get_string(r.require(root, "name"), "name");
+  if (name.empty()) r.fail("\"name\" must be non-empty");
+  const FieldReader named = r.in("\"" + name + "\"");
 
   dnn::NetworkType type = dnn::NetworkType::kCnn;
   if (const Value* f = root.find("type")) {
-    const std::string t =
-        common::normalize_token(parse_string("", *f, "type"));
-    if (t == "cnn") {
-      type = dnn::NetworkType::kCnn;
-    } else if (t == "rnn") {
-      type = dnn::NetworkType::kRnn;
-    } else {
-      fail("", "unknown type \"" + f->as_string() +
-                   "\"; expected one of \"cnn\", \"rnn\"");
-    }
+    const std::string t = r.get_string(*f, "type");
+    type = r.token_index(t, "type", {"cnn", "rnn"}) == 0
+               ? dnn::NetworkType::kCnn
+               : dnn::NetworkType::kRnn;
   }
 
-  const Value& layers = require("", root, "layers");
+  const Value& layers = r.require(root, "layers");
   if (!layers.is_array() || layers.as_array().empty()) {
-    fail("\"" + name + "\"",
-         "\"layers\" must be a non-empty array of layer objects");
+    named.fail("\"layers\" must be a non-empty array of layer objects");
   }
 
   dnn::Network net(name, type);
@@ -334,10 +268,9 @@ dnn::Network parse_network(const Value& root) {
   for (std::size_t i = 0; i < layers.as_array().size(); ++i) {
     const Value& lv = layers.as_array()[i];
     const std::string context = "layers[" + std::to_string(i) + "]";
-    dnn::Layer layer = parse_layer(context, lv);
+    dnn::Layer layer = parse_layer(r.in(context), lv);
     if (!seen_names.insert(layer.name).second) {
-      fail("\"" + name + "\"",
-           context + ": duplicate layer name \"" + layer.name + "\"");
+      named.fail(context + ": duplicate layer name \"" + layer.name + "\"");
     }
     explicit_bits.emplace_back(
         lv.find("x_bits") != nullptr ? layer.x_bits : -1,
@@ -346,11 +279,9 @@ dnn::Network parse_network(const Value& root) {
   }
 
   if (const Value* f = root.find("bitwidth_policy")) {
-    const std::string policy = parse_string("", *f, "bitwidth_policy");
+    const std::string policy = r.get_string(*f, "bitwidth_policy");
     if (!is_bitwidth_policy(policy)) {
-      fail("\"" + name + "\"",
-           "unknown bitwidth_policy \"" + policy +
-               "\"; expected \"uniform:<1..8>\" or \"first_last_8\"");
+      named.fail(unknown_bitwidth_policy(policy));
     }
     apply_bitwidth_policy(net, policy);
     for (std::size_t i = 0; i < explicit_bits.size(); ++i) {
@@ -363,7 +294,7 @@ dnn::Network parse_network(const Value& root) {
     }
   }
   if (const Value* f = root.find("bitwidth_note")) {
-    net.set_bitwidth_note(parse_string("", *f, "bitwidth_note"));
+    net.set_bitwidth_note(r.get_string(*f, "bitwidth_note"));
   }
   return net;
 }

@@ -67,6 +67,10 @@ common::json::Value to_json(const dnn::Network& net);
 /// True iff `policy` is a recognized bitwidth-policy token.
 bool is_bitwidth_policy(const std::string& policy);
 
+/// `unknown bitwidth_policy "<policy>"; expected ...` — the one wording
+/// for a rejected policy token, whichever reader met it.
+std::string unknown_bitwidth_policy(const std::string& policy);
+
 /// Applies a named policy to every layer (see the schema comment above
 /// for the vocabulary). Throws bpvec::Error on an unknown policy or a
 /// network with no compute layers. Sets the network's bitwidth_note to

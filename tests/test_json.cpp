@@ -11,6 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "src/common/error.h"
 
@@ -210,6 +211,48 @@ TEST(Json, ParseFileReportsPath) {
     EXPECT_NE(std::string(e.what()).find("definitely_missing.json"),
               std::string::npos);
   }
+}
+
+/// The what() of the bpvec::Error `f` throws ("" when it returns).
+template <typename F>
+std::string error_of(F f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FieldReader, ErrorsCarryPrefixAndContextWhenSet) {
+  const Value v = parse(R"({"n": "4", "big": 3000000000, "ok": 7})");
+  const FieldReader bare("");
+  const FieldReader doc("manifest");
+  const FieldReader grid = doc.in("grids[0]");
+  EXPECT_EQ(error_of([&] { bare.fail("m"); }), "m");
+  EXPECT_EQ(error_of([&] { bare.in("c").fail("m"); }), "c: m");
+  EXPECT_EQ(error_of([&] { doc.fail("m"); }), "manifest: m");
+  EXPECT_EQ(error_of([&] { grid.get_int(v.at("n"), "n"); }),
+            "manifest: grids[0]: \"n\" must be an integer");
+  EXPECT_EQ(error_of([&] { grid.get_int(v.at("big"), "big"); }),
+            "manifest: grids[0]: \"big\" out of range");
+  EXPECT_EQ(grid.get_int64(v.at("big"), "big"), 3000000000);
+  EXPECT_EQ(grid.get_int(v.at("ok"), "ok"), 7);
+  // A nested reader's error gains the outer prefix and context.
+  const auto inner_fails = [] { FieldReader("inner").fail("m"); };
+  EXPECT_EQ(error_of([&] { grid.nest(inner_fails); }),
+            "manifest: grids[0]: inner: m");
+  EXPECT_EQ(grid.nest([] { return 5; }), 5);
+}
+
+TEST(FieldReader, TokensMatchNormalizedAndReturnTheCanonicalSpelling) {
+  const FieldReader r("x");
+  const std::vector<std::string> options{"tpu_like", "bpvec"};
+  EXPECT_EQ(r.token("TPU-Like", "platform", options), "tpu_like");
+  EXPECT_EQ(r.token_index("BPVEC", "platform", options), 1u);
+  EXPECT_EQ(error_of([&] { r.token("gpu", "platform", options); }),
+            "x: unknown platform \"gpu\"; expected one of \"tpu_like\", "
+            "\"bpvec\"");
 }
 
 }  // namespace

@@ -548,7 +548,8 @@ TEST(SearchManifest, PopulationStrategiesParseAndValidate) {
     "name": "g",
     "search": {"network": "lstm", "space": {"cvu_lanes": [4, 16]}}
   })");
-  const auto* sv = to_json(grid).find("search");
+  const common::json::Value grid_json = to_json(grid);
+  const auto* sv = grid_json.find("search");
   ASSERT_NE(sv, nullptr);
   EXPECT_EQ(sv->find("population"), nullptr);
 

@@ -20,6 +20,7 @@
 #include "src/common/json.h"
 #include "src/engine/disk_cache.h"
 #include "src/serve/server.h"
+#include "src/workload/network_registry.h"
 
 namespace bpvec::serve {
 namespace {
@@ -306,6 +307,24 @@ TEST(Server, MalformedEnvelopesAreStructuredErrorsNotDisconnects) {
        "must be a bool"},
       {R"({"op": "price", "manifest": {"name": "x"}})",
        "manifest needs \"grids\""},
+      // Wrong-typed fields name the field.
+      {R"({"op": "price", "chunk": "4", "manifest": {"name": "x"}})",
+       "\"chunk\" must be an integer"},
+      {R"({"op": "price", "chunk": 1.5, "manifest": {"name": "x"}})",
+       "\"chunk\" must be an integer"},
+      {R"({"op": "price", "chunk": -1, "manifest": {"name": "x"}})",
+       "\"chunk\" must be >= 0"},
+      {R"({"op": "validate", "network_files": [3], "manifest": {}})",
+       "\"network_files\" must contain only strings"},
+      {R"({"op": "validate", "network_files": "a.json", "manifest": {}})",
+       "\"network_files\" must be a non-empty array of strings"},
+      {R"({"op": "validate", "base_dir": 1, "manifest": {}})",
+       "\"base_dir\" must be a string"},
+      {R"({"op": "validate", "search": "no", "manifest": {}})",
+       "\"search\" must be a boolean"},
+      // A misspelled key is an error, not a silently ignored field.
+      {R"({"op": "validate", "determinstic_report": true, "manifest": {}})",
+       "unknown key \"determinstic_report\""},
   };
   for (const auto& c : cases) {
     const Value response = server.handle_line(c.line);
@@ -318,6 +337,34 @@ TEST(Server, MalformedEnvelopesAreStructuredErrorsNotDisconnects) {
   // The server object survived every bad envelope and still serves.
   EXPECT_EQ(server.handle_line(R"({"op": "ping"})").at("status").as_string(),
             "ok");
+}
+
+TEST(Server, EnvelopesAreValidatedWholeBeforeNetworkFilesRegister) {
+  const fs::path dir =
+      fs::temp_directory_path() / "bpvec_serve_envelope_order";
+  fs::create_directories(dir);
+  const fs::path file = dir / "net.json";
+  std::ofstream(file) << R"({"name": "serve_envelope_probe", "layers": [)"
+                         R"({"kind": "fc", "name": "f", "in_features": 4, )"
+                         R"("out_features": 4}]})";
+  const std::string files = R"("network_files": [")" + file.string() + "\"]";
+  const auto& registry = workload::NetworkRegistry::instance();
+  Server server(ServerOptions{});
+
+  for (const std::string& bad :
+       {R"({"op": "frobnicate", )" + files + "}",
+        R"({"op": "price", "chunk": "4", "manifest": {}, )" + files + "}",
+        R"({"op": "ping", "typo": 1, )" + files + "}"}) {
+    EXPECT_EQ(server.handle_line(bad).at("status").as_string(), "error")
+        << bad;
+    EXPECT_FALSE(registry.contains("serve_envelope_probe")) << bad;
+  }
+  EXPECT_EQ(server.handle_line(R"({"op": "ping", )" + files + "}")
+                .at("status")
+                .as_string(),
+            "ok");
+  EXPECT_TRUE(registry.contains("serve_envelope_probe"));
+  fs::remove_all(dir);
 }
 
 TEST(Server, VersionStatsAndPriceOpsRoundTrip) {
