@@ -18,14 +18,28 @@
 //      scenario-cache probe) reported for both. The memo caches sit
 //      behind one reader-writer lock each; plan_s must not grow with
 //      the thread count.
+//
+//   3. Shard bound — the grid sealed one scenario per batch, three times
+//      over, through a threaded engine's disk cache into a fresh dir.
+//      Seals merge past DiskCache::kMaxShards, so CI asserts
+//      shard_bound_shards_end <= 8 (one shard per seal without the
+//      merge). shard_bound_replay_ratio is a fresh threaded engine's
+//      construction + warm replay over that dir, over the same on the
+//      one-shard dir of section 1. It is printed, not gated: a process
+//      never shrinks its fd table, so a ratio measured inside one process
+//      cannot reproduce the stall a fresh process pays for many shards.
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/backend/backend_registry.h"
 #include "src/cli/manifest.h"
 #include "src/common/binio.h"
+#include "src/common/hash.h"
 #include "src/engine/disk_cache.h"
 
 namespace {
@@ -68,6 +82,28 @@ double warm_replay_s(const std::vector<engine::Scenario>& scenarios,
       bench::time_s([&] { (void)eng.run_batch(scenarios); });
   *stats_out = eng.stats();
   return wall_s;
+}
+
+/// Wall seconds to construct a fresh threaded engine over `dir` and
+/// replay `scenarios` once; the replay's results land in `results`.
+double open_and_replay_s(const std::vector<engine::Scenario>& scenarios,
+                         const std::string& dir,
+                         std::vector<sim::RunResult>& results,
+                         std::size_t* sims) {
+  engine::EngineOptions options;
+  options.disk_cache_dir = dir;
+  std::optional<engine::SimEngine> eng;
+  const double wall_s = bench::time_s([&] {
+    eng.emplace(options);
+    results = eng->run_batch(scenarios);
+  });
+  *sims += eng->stats().simulations_run;
+  return wall_s;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 }  // namespace
@@ -196,6 +232,63 @@ int main(int argc, char** argv) {
   json.add_metric("plan_s_nthreads", warm_nt.plan_s);
   std::printf("contention proxy: plan %.6fs at 1 thread, %.6fs at %d\n",
               warm_1t.plan_s, warm_nt.plan_s, hw_threads);
+
+  // ----- 3. shard bound ------------------------------------------------
+  // Re-sealing a record needs the engine's own disk key (run_batch never
+  // stores a disk hit), so derive it the way run_batch does. A replay
+  // that simulates anything means the two disagree.
+  const std::string bound_dir = (scratch / "bound").string();
+  std::size_t seals = 0;
+  {
+    engine::EngineOptions options;
+    options.disk_cache_dir = bound_dir;
+    const engine::SimEngine sealer(options);
+    auto& registry = backend::BackendRegistry::instance();
+    for (int pass = 0; pass < 3; ++pass) {
+      for (std::size_t i = 0; i < scenarios.size(); ++i) {
+        const engine::Scenario& s = scenarios[i];
+        const auto resolved = registry.resolve(s.backend);
+        const std::uint64_t key = common::hash_combine(
+            s.fingerprint(),
+            resolved.factory(s.platform, s.memory)->fingerprint());
+        seals += sealer.disk_cache()->store(key, resolved.generation,
+                                            cold_results[i]);
+      }
+    }
+  }
+  const std::size_t shards_end =
+      engine::inspect_cache_dir(bound_dir).shards.size();
+  std::vector<double> one_shard_s;
+  std::vector<double> bound_s;
+  std::vector<sim::RunResult> replayed;
+  std::size_t replay_sims = 0;
+  bool bound_identical = true;
+  for (int rep = 0; rep < 5; ++rep) {
+    one_shard_s.push_back(
+        open_and_replay_s(scenarios, cache_dir, replayed, &replay_sims));
+    bound_s.push_back(
+        open_and_replay_s(scenarios, bound_dir, replayed, &replay_sims));
+    bound_identical = bound_identical &&
+                      result_bytes(replayed) == result_bytes(cold_results);
+  }
+  const double replay_ratio = median(bound_s) / median(one_shard_s);
+  if (shards_end > engine::DiskCache::kMaxShards) {
+    std::printf("ERROR: %zu seals left %zu shards (bound %zu)\n", seals,
+                shards_end, engine::DiskCache::kMaxShards);
+    ok = false;
+  }
+  if (replay_sims != 0 || !bound_identical) {
+    std::printf("ERROR: the open + replay passes priced %zu "
+                "simulations%s\n",
+                replay_sims, bound_identical ? "" : " and differ from cold");
+    ok = false;
+  }
+  json.add_metric("shard_bound_seals", static_cast<double>(seals));
+  json.add_metric("shard_bound_shards_end", static_cast<double>(shards_end));
+  json.add_metric("shard_bound_replay_ratio", replay_ratio);
+  std::printf("shard bound: %zu seals -> %zu shards; open + warm replay "
+              "%.2fx the one-shard dir\n",
+              seals, shards_end, replay_ratio);
 
   json.add_metric("ok", ok ? 1.0 : 0.0);
   json.write();

@@ -1,6 +1,7 @@
 #include "src/engine/disk_cache.h"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -11,9 +12,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <map>
 #include <mutex>
+#include <optional>
 #include <system_error>
 #include <unordered_set>
 #include <utility>
@@ -169,12 +169,17 @@ bool parse_shard_name(const std::string& name, std::uint64_t& number) {
 }
 
 /// Shard files in `dir`, sorted by shard number (scan order — later
-/// shards win duplicate keys).
+/// shards win duplicate keys). Throws bpvec::Error naming `dir` when it
+/// cannot be listed.
 std::vector<std::pair<std::uint64_t, std::string>> list_shards(
     const std::string& dir) {
   std::vector<std::pair<std::uint64_t, std::string>> shards;
   std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+  fs::directory_iterator it(dir, ec);
+  if (ec) {
+    throw Error("cannot read cache directory " + dir + ": " + ec.message());
+  }
+  for (const auto& entry : it) {
     std::uint64_t number = 0;
     if (entry.is_regular_file(ec) &&
         parse_shard_name(entry.path().filename().string(), number)) {
@@ -227,39 +232,9 @@ std::string encode_record(std::uint64_t key, std::uint64_t generation,
   payload.u64(generation);
   run_result_encode(payload, result);
   binio::Writer rec;
-  rec.u32(static_cast<std::uint32_t>(payload.size()));
-  return rec.take() + payload.bytes() +
-         [&] {
-           binio::Writer ck;
-           ck.u64(binio::checksum(payload.bytes()));
-           return ck.take();
-         }();
-}
-
-bool read_whole_fd(int fd, std::string& out) {
-  struct stat st;
-  if (::fstat(fd, &st) != 0) return false;
-  out.resize(static_cast<std::size_t>(st.st_size));
-  std::size_t got = 0;
-  while (got < out.size()) {
-    const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) break;
-    got += static_cast<std::size_t>(n);
-  }
-  out.resize(got);
-  return true;
-}
-
-bool read_whole_file(const std::string& path, std::string& out) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return false;
-  const bool ok = read_whole_fd(fd, out);
-  ::close(fd);
-  return ok;
+  rec.str(payload.bytes());  // u32 payload_len + payload
+  rec.u64(binio::checksum(payload.bytes()));
+  return rec.take();
 }
 
 bool pread_exact(int fd, char* buf, std::size_t len, std::uint64_t offset) {
@@ -277,41 +252,99 @@ bool pread_exact(int fd, char* buf, std::size_t len, std::uint64_t offset) {
   return true;
 }
 
+/// Positional whole-file read (never moves the offset of a shard fd that
+/// load() preads); `out` is empty on failure.
+bool read_whole_fd(int fd, std::string& out) {
+  struct stat st;
+  out.clear();
+  if (::fstat(fd, &st) != 0) return false;
+  out.resize(static_cast<std::size_t>(st.st_size));
+  if (pread_exact(fd, out.data(), out.size(), 0)) return true;
+  out.clear();
+  return false;
+}
+
+bool read_whole_file(const std::string& path, std::string& out) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return false;
+  const bool ok = read_whole_fd(fd, out);
+  ::close(fd);
+  return ok;
+}
+
+bool write_all(int fd, const std::string& bytes) {
+  std::size_t put = 0;
+  while (put < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + put, bytes.size() - put);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    put += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+struct Published {
+  std::string path;
+  int fd = -1;  // -1: nothing was published
+};
+
 /// Seals `bytes` as a new shard: written to a unique temp file in `dir`,
 /// then published with link(2) at the first free shard number ≥
 /// `next_number` (link fails with EEXIST instead of clobbering a shard a
-/// concurrent process published first). Returns the published path ("" on
-/// failure) and advances `next_number` past the claimed slot.
-std::string publish_shard(const std::string& dir, const std::string& bytes,
-                          std::uint64_t& next_number) {
+/// concurrent process published first). The temp file's fd is returned
+/// open, so serving the new shard needs no second open. Advances
+/// `next_number` past the claimed slot.
+Published publish_shard(const std::string& dir, const std::string& bytes,
+                        std::uint64_t& next_number) {
   static std::atomic<std::uint64_t> tmp_seq{0};
   const std::string tmp =
       (fs::path(dir) / ("tmp-" + std::to_string(::getpid()) + "-" +
                         std::to_string(tmp_seq.fetch_add(1)) + ".bpc"))
           .string();
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out.good()) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return {};
-    }
-  }
-  for (std::uint64_t n = next_number;; ++n) {
+  const int fd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0666);
+  if (fd < 0) return {};
+  bool ok = write_all(fd, bytes);
+  for (std::uint64_t n = next_number; ok; ++n) {
     const std::string path = (fs::path(dir) / shard_file_name(n)).string();
     if (::link(tmp.c_str(), path.c_str()) == 0) {
       ::unlink(tmp.c_str());
       next_number = n + 1;
-      return path;
+      return {path, fd};
     }
-    if (errno != EEXIST) {
-      ::unlink(tmp.c_str());
-      return {};
-    }
+    ok = errno == EEXIST;
   }
+  ::unlink(tmp.c_str());
+  ::close(fd);
+  return {};
 }
+
+/// True while `path` still names the file open as `fd`. A merge unlinks a
+/// shard only then, so it never deletes a shard another process has
+/// since published under a name an earlier merge freed.
+bool names_file(const std::string& path, int fd) {
+  struct stat open_st;
+  struct stat path_st;
+  return ::fstat(fd, &open_st) == 0 && ::stat(path.c_str(), &path_st) == 0 &&
+         open_st.st_dev == path_st.st_dev && open_st.st_ino == path_st.st_ino;
+}
+
+/// Exclusive flock(2) on the cache directory for the span of a merge.
+/// Merges take turns across processes and DiskCache instances, so no
+/// other merge can free a shard name between names_file() and the unlink.
+struct DirLock {
+  explicit DirLock(const std::string& dir)
+      : fd(::open(dir.c_str(), O_RDONLY | O_DIRECTORY)) {
+    if (fd >= 0) ::flock(fd, LOCK_EX);
+  }
+  ~DirLock() {
+    if (fd >= 0) ::close(fd);
+  }
+  DirLock(const DirLock&) = delete;
+  DirLock& operator=(const DirLock&) = delete;
+  int fd;
+};
 
 /// Binary shards hold every double bit-exactly, but results that price to
 /// inf/nan signal a broken scenario, and replaying them from cache would
@@ -432,8 +465,9 @@ void DiskCache::scan_dir() {
 
 std::shared_ptr<const sim::RunResult> DiskCache::load(
     std::uint64_t key, std::uint64_t generation) const {
-  int fd = -1;
   Loc loc;
+  std::string buf;
+  bool read = false;
   {
     std::shared_lock lock(index_mu_);
     const auto it = index_.find(key);
@@ -442,12 +476,12 @@ std::shared_ptr<const sim::RunResult> DiskCache::load(
       return nullptr;
     }
     loc = it->second;
-    fd = shards_[loc.shard].fd;
+    buf.resize(loc.len + 8);
+    // Read under the lock: a merge closes the fds of the shards it folds.
+    read = pread_exact(shards_[loc.shard].fd, buf.data(), buf.size(),
+                       loc.offset);
   }
-  // The fd stays open for the cache's lifetime, and records are never
-  // rewritten in place, so the positional read needs no lock.
-  std::string buf(loc.len + 8, '\0');
-  if (!pread_exact(fd, buf.data(), buf.size(), loc.offset)) {
+  if (!read) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
@@ -474,12 +508,10 @@ std::shared_ptr<const sim::RunResult> DiskCache::load(
 
 std::size_t DiskCache::store_batch(
     const std::vector<PendingStore>& pending) const {
-  std::string bytes = shard_header();
-  struct NewEntry {
-    std::uint64_t key;
-    Loc loc;
-  };
-  std::vector<NewEntry> entries;
+  // Encoded outside the lock. Offsets are relative to `fresh` until the
+  // bytes in front of it (the header, plus any merged records) are known.
+  std::string fresh;
+  std::vector<std::pair<std::uint64_t, Loc>> entries;
   entries.reserve(pending.size());
   for (const PendingStore& p : pending) {
     if (p.result == nullptr || !all_finite(*p.result)) {
@@ -487,32 +519,68 @@ std::size_t DiskCache::store_batch(
       continue;
     }
     const std::string rec = encode_record(p.key, p.generation, *p.result);
-    entries.push_back(NewEntry{
-        p.key, Loc{0, bytes.size() + 4,
-                   static_cast<std::uint32_t>(rec.size() - kRecordOverhead)}});
-    bytes += rec;
+    entries.emplace_back(
+        p.key,
+        Loc{0, fresh.size() + 4,
+            static_cast<std::uint32_t>(rec.size() - kRecordOverhead)});
+    fresh += rec;
   }
   if (entries.empty()) return 0;
 
   std::unique_lock lock(index_mu_);
-  const std::string path = publish_shard(dir_, bytes, next_shard_);
-  if (path.empty()) {
-    store_failures_.fetch_add(entries.size(), std::memory_order_relaxed);
-    return 0;
+  std::string bytes = shard_header();
+  // One more shard would pass the bound: the new shard also carries every
+  // live record of the shards this cache indexes, and replaces them.
+  const bool merge = shards_.size() >= kMaxShards;
+  std::optional<DirLock> dir_lock;
+  std::unordered_map<std::uint64_t, Loc> merged;
+  if (merge) {
+    dir_lock.emplace(dir_);
+    // Seeded with this batch's keys (re-pointed below), so no record the
+    // batch replaces is carried.
+    merged.insert(entries.begin(), entries.end());
+    for (std::uint32_t i = 0; i < shards_.size(); ++i) {
+      std::string old;
+      if (!read_whole_fd(shards_[i].fd, old)) continue;
+      // A live record (the index still points at it) moves verbatim:
+      // length prefix, payload and checksum, never re-encoded.
+      walk_shard_records(old, [&](const RawRecord& rec) {
+        const auto it = index_.find(rec.key);
+        if (it == index_.end() || it->second.shard != i ||
+            it->second.offset != rec.payload_off ||
+            merged.count(rec.key) != 0) {
+          return;
+        }
+        merged[rec.key] = Loc{0, bytes.size() + 4, rec.payload_len};
+        bytes.append(old, rec.payload_off - 4,
+                     rec.payload_len + kRecordOverhead);
+      });
+    }
   }
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    // Published but unservable from this process; other processes (and
-    // re-opens) will still see the records.
+  const std::uint64_t base = bytes.size();
+  bytes += fresh;
+  const Published shard = publish_shard(dir_, bytes, next_shard_);
+  if (shard.fd < 0) {
     store_failures_.fetch_add(entries.size(), std::memory_order_relaxed);
     return 0;
   }
   file_opens_.fetch_add(1, std::memory_order_relaxed);
+  if (merge) {
+    // Only now that the merged shard is published: drop exactly the
+    // shards it folded. Readers in other processes keep their open fds.
+    for (const Shard& s : shards_) {
+      if (names_file(s.path, s.fd)) ::unlink(s.path.c_str());
+      ::close(s.fd);
+    }
+    shards_.clear();
+    index_ = std::move(merged);
+  }
   const auto shard_idx = static_cast<std::uint32_t>(shards_.size());
-  shards_.push_back(Shard{path, fd});
-  for (NewEntry& e : entries) {
-    e.loc.shard = shard_idx;
-    index_[e.key] = e.loc;
+  shards_.push_back(Shard{shard.path, shard.fd});
+  for (auto& [key, loc] : entries) {
+    loc.shard = shard_idx;
+    loc.offset += base;
+    index_[key] = loc;
   }
   stores_.fetch_add(entries.size(), std::memory_order_relaxed);
   return entries.size();
@@ -556,15 +624,10 @@ CacheDirInfo inspect_cache_dir(const std::string& dir) {
     CacheShardInfo si;
     si.path = path;
     std::string bytes;
-    if (!read_whole_file(path, bytes)) {
-      si.rejected = 1;
-      info.shards.push_back(std::move(si));
-      info.rejected_total += 1;
-      continue;
-    }
+    const bool readable = read_whole_file(path, bytes);
     si.bytes = bytes.size();
     info.bytes_total += bytes.size();
-    if (!shard_header_ok(bytes)) {
+    if (!readable || !shard_header_ok(bytes)) {
       si.rejected = 1;
     } else {
       si.rejected = walk_shard_records(bytes, [&](const RawRecord& rec) {
@@ -597,51 +660,6 @@ Value to_json(const CacheDirInfo& info) {
   v.set("rejected_total", static_cast<std::int64_t>(info.rejected_total));
   v.set("bytes_total", static_cast<std::int64_t>(info.bytes_total));
   return v;
-}
-
-CompactResult compact_cache_dir(const std::string& dir) {
-  CompactResult res;
-  const auto shards = list_shards(dir);
-  res.shards_before = shards.size();
-  // Last writer wins: later shards overwrite earlier entries. std::map
-  // keeps the output shard's record order deterministic.
-  std::map<std::uint64_t, std::string> live;  // key -> raw record bytes
-  std::uint64_t max_number = 0;
-  std::size_t records_total = 0;
-  for (const auto& [number, path] : shards) {
-    max_number = std::max(max_number, number + 1);
-    std::string bytes;
-    if (!read_whole_file(path, bytes) || !shard_header_ok(bytes)) continue;
-    walk_shard_records(bytes, [&](const RawRecord& rec) {
-      records_total += 1;
-      // Copy the whole record verbatim (length prefix + payload +
-      // checksum): compaction moves records, it never re-encodes them.
-      live[rec.key] = bytes.substr(rec.payload_off - 4,
-                                   rec.payload_len + kRecordOverhead);
-    });
-  }
-  res.records_kept = live.size();
-  res.records_dropped = records_total - live.size();
-
-  if (!live.empty()) {
-    std::string out = shard_header();
-    for (const auto& [key, rec] : live) {
-      (void)key;
-      out += rec;
-    }
-    std::uint64_t next = max_number;
-    const std::string path = publish_shard(dir, out, next);
-    if (path.empty()) {
-      throw Error("compact: cannot publish compacted shard in " + dir);
-    }
-    res.shards_after = 1;
-  }
-  for (const auto& [number, path] : shards) {
-    (void)number;
-    std::error_code ec;
-    fs::remove(path, ec);
-  }
-  return res;
 }
 
 }  // namespace bpvec::engine

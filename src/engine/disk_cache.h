@@ -28,6 +28,12 @@
 // appended in place), so a warm replay of an M-scenario grid does
 // O(shards) file opens instead of O(M).
 //
+// Sealing is the only compaction: a seal that would leave this cache
+// indexing more than kMaxShards shards writes one merged shard of every
+// live indexed record (copied verbatim) plus the new ones. Once that is
+// published it unlinks exactly the shards it folded — never one it did
+// not index — and readers elsewhere keep serving from their open fds.
+//
 // Entry key: hash_combine(Scenario::fingerprint(), backend->fingerprint())
 // — both stable across processes (pure functions of the configs), and the
 // backend instance fingerprint covers every pricing knob, so two
@@ -94,6 +100,11 @@ class DiskCache {
   /// rejected.
   static constexpr std::int64_t kFormatVersion = 3;  // v3: packed shards
 
+  /// Most shards a cache indexes after a seal. Each holds an open fd, so
+  /// this stays far below the kernel's 64-entry default fd table: growing
+  /// that table in a threaded process waits in synchronize_rcu.
+  static constexpr std::size_t kMaxShards = 8;
+
   /// A store_batch work item. `result` is borrowed — it must stay alive
   /// for the duration of the call.
   struct PendingStore {
@@ -104,8 +115,8 @@ class DiskCache {
 
   /// Creates `dir` (and parents) if needed, then scans existing shards
   /// into the index; throws bpvec::Error when the directory cannot be
-  /// created. Unreadable or foreign-version shards count `rejected` and
-  /// are skipped (and are never written to).
+  /// created or listed. Unreadable or foreign-version shards count
+  /// `rejected` and are skipped (and are never written to or deleted).
   explicit DiskCache(std::string dir);
   ~DiskCache();
 
@@ -119,12 +130,12 @@ class DiskCache {
                                              std::uint64_t generation) const;
 
   /// Seals every entry into one new shard (temp file + atomic link
-  /// publish) and indexes them. Entries with non-finite doubles are
-  /// refused up front (counted store_failures: such results can poison a
-  /// comparison downstream, so a cache hit never hides the breakage).
-  /// Returns the number of records stored; on an
-  /// I/O failure nothing is published and every finite entry counts a
-  /// store_failure.
+  /// publish), merging past kMaxShards, and indexes them. Entries with
+  /// non-finite doubles are refused up front (counted store_failures:
+  /// such results can poison a comparison downstream, so a cache hit
+  /// never hides the breakage). Returns the number of records stored; on
+  /// an I/O failure nothing is published or unlinked and every finite
+  /// entry counts a store_failure.
   std::size_t store_batch(const std::vector<PendingStore>& pending) const;
 
   /// Single-entry convenience wrapper over store_batch: one record, one
@@ -158,7 +169,7 @@ class DiskCache {
 
   std::string dir_;
 
-  mutable std::shared_mutex index_mu_;  // guards shards_ + index_
+  mutable std::shared_mutex index_mu_;  // guards shards_ (and fds), index_
   mutable std::vector<Shard> shards_;
   mutable std::unordered_map<std::uint64_t, Loc> index_;
   mutable std::uint64_t next_shard_ = 0;
@@ -178,8 +189,8 @@ void run_result_encode(common::binio::Writer& w, const sim::RunResult& r);
 sim::RunResult run_result_decode(common::binio::Reader& r);
 
 // ---------------------------------------------------------------------------
-// Cache-directory maintenance (the `bpvec_cache` tool is a thin CLI over
-// these; exposed as library functions so tests can drive them directly).
+// Cache-directory inspection (`bpvec_cache inspect` is a thin CLI over
+// it; a library function so tests and e2e_trace can call it directly).
 
 struct CacheShardInfo {
   std::string path;
@@ -197,20 +208,8 @@ struct CacheDirInfo {
 };
 
 /// Read-only walk of a cache directory (no DiskCache instance needed).
+/// Throws bpvec::Error naming `dir` when it is missing or unreadable.
 CacheDirInfo inspect_cache_dir(const std::string& dir);
 common::json::Value to_json(const CacheDirInfo& info);
-
-struct CompactResult {
-  std::size_t shards_before = 0;
-  std::size_t shards_after = 0;  // 0 when the dir held no live records
-  std::size_t records_kept = 0;
-  std::size_t records_dropped = 0;  // superseded duplicates + corrupt
-};
-
-/// Rewrites every live record (checksum-valid, last writer wins) into one
-/// fresh shard, then removes the old shards. Record payloads are copied
-/// verbatim — compaction can never change what a later load returns.
-/// Must not race concurrent writers to the same dir.
-CompactResult compact_cache_dir(const std::string& dir);
 
 }  // namespace bpvec::engine

@@ -72,10 +72,10 @@ EngineStats operator-(const EngineStats& after, const EngineStats& before) {
 }
 
 SimEngine::SimEngine(EngineOptions options)
-    : pool_(options.num_threads),
-      disk_(options.disk_cache_dir.empty()
+    : disk_(options.disk_cache_dir.empty()
                 ? nullptr
-                : std::make_unique<DiskCache>(options.disk_cache_dir)) {}
+                : std::make_unique<DiskCache>(options.disk_cache_dir)),
+      pool_(options.num_threads) {}
 
 std::size_t SimEngine::batch_grain(std::size_t jobs) const {
   // ~4 stealable tasks per worker: micro-scale jobs amortize queue

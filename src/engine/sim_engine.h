@@ -179,8 +179,10 @@ class SimEngine {
   /// jobs / (threads × 4), so each worker has ~4 stealable tasks.
   std::size_t batch_grain(std::size_t jobs) const;
 
-  ThreadPool pool_;
+  // Before pool_: scan shards before threads start (growing the fd table
+  // of a threaded process waits in synchronize_rcu).
   std::unique_ptr<DiskCache> disk_;  // null when not configured
+  ThreadPool pool_;
 
   // Scenario cache: fingerprint × backend generation → shared result.
   common::Memo<std::shared_ptr<const sim::RunResult>> scenario_cache_{

@@ -285,8 +285,8 @@ common::json::Value Session::stats_json() {
                  fleet.weight_cache_hits + fleet.weight_cache_misses));
   v.set("cache_hit_rates", std::move(rates));
   // Disk-cache shard/size gauges (operator visibility: how many shard
-  // files the warm path rides, whether a compaction is due, whether
-  // stores are failing). Present only once the engine has a disk cache.
+  // files the warm path rides, whether stores are failing). Present only
+  // once the engine has a disk cache.
   const engine::DiskCache* disk = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);

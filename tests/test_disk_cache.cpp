@@ -1,7 +1,8 @@
 // DiskCache tests: the packed-record round trip, hit/miss accounting,
 // corrupt-shard tolerance, format-version and registry-generation
-// invalidation, one-shard-per-batch sealing, compaction/inspection,
-// foreign files in the directory, concurrent writers, and — the
+// invalidation, one-shard-per-batch sealing, merging past the shard
+// bound, inspection, foreign files in the directory, concurrent writers,
+// and — the
 // contract everything else leans on — run_batch bit-identity with the
 // disk cache off, cold, and warm.
 #include "src/engine/disk_cache.h"
@@ -63,10 +64,11 @@ sim::RunResult sample_result() {
       .run(dnn::make_alexnet(dnn::BitwidthMode::kHeterogeneous));
 }
 
-/// A second result distinguishable from sample_result() bit-for-bit.
-sim::RunResult other_result() {
+/// A result distinguishable from sample_result() bit-for-bit, one per
+/// `salt`.
+sim::RunResult other_result(double salt = 1.0) {
   sim::RunResult r = sample_result();
-  r.runtime_s += 1.0;
+  r.runtime_s += salt;
   return r;
 }
 
@@ -291,37 +293,131 @@ TEST_F(DiskCacheTest, ConcurrentWritersNeverTearARecord) {
   expect_bit_identical(original, *final_load);
 }
 
-// ----- maintenance ---------------------------------------------------
+// ----- the shard bound ---------------------------------------------------
 
-TEST_F(DiskCacheTest, CompactMergesShardsAndKeepsLiveRecords) {
-  const sim::RunResult first = sample_result();
-  const sim::RunResult second = other_result();
-  {
-    DiskCache cache(dir_);
-    ASSERT_TRUE(cache.store(1, 1, first));
-    ASSERT_TRUE(cache.store(2, 1, first));
-    ASSERT_TRUE(cache.store(2, 1, second));  // supersedes the key-2 record
+TEST_F(DiskCacheTest, SealsPastTheBoundMergeIntoOneShard) {
+  std::vector<sim::RunResult> results;
+  for (int k = 0; k < 28; ++k) results.push_back(other_result(k));
+  std::size_t merges = 0;
+  DiskCache cache(dir_);
+  // 20 single-record seals, then 8 more that supersede keys 0..7.
+  for (int seal = 0; seal < 28; ++seal) {
+    const std::uint64_t key = seal < 20 ? seal : seal - 20;
+    ASSERT_TRUE(cache.store(key, 1, results[seal]));
+    EXPECT_LE(cache.stats().shards, DiskCache::kMaxShards);
+    EXPECT_LE(shard_files().size(), DiskCache::kMaxShards);
+    if (seal > 0 && cache.stats().shards == 1) {
+      ++merges;
+      // The merged shard carries each live record once.
+      const CacheDirInfo info = inspect_cache_dir(dir_);
+      EXPECT_EQ(info.records_total, info.live_records) << "seal " << seal;
+      EXPECT_EQ(info.live_records, std::min<std::size_t>(seal + 1, 20));
+    }
   }
-  const CacheDirInfo before = inspect_cache_dir(dir_);
-  EXPECT_EQ(before.shards.size(), 3u);
-  EXPECT_EQ(before.records_total, 3u);
-  EXPECT_EQ(before.live_records, 2u);
+  EXPECT_EQ(merges, 3u);  // seals 9, 17 and 25
+  EXPECT_EQ(cache.stats().records, 20u);
 
-  const CompactResult r = compact_cache_dir(dir_);
-  EXPECT_EQ(r.shards_before, 3u);
-  EXPECT_EQ(r.shards_after, 1u);
-  EXPECT_EQ(r.records_kept, 2u);
-  EXPECT_EQ(r.records_dropped, 1u);
-  EXPECT_EQ(shard_files().size(), 1u);
+  // Merges copy records verbatim and the last writer wins.
+  DiskCache fresh(dir_);
+  EXPECT_EQ(fresh.stats().rejected, 0u);
+  for (std::uint64_t key = 0; key < 20; ++key) {
+    const auto loaded = fresh.load(key, 1);
+    ASSERT_NE(loaded, nullptr) << "key " << key;
+    expect_bit_identical(results[key < 8 ? key + 20 : key], *loaded);
+  }
+}
 
-  // Compaction copies record payloads verbatim: loads are unchanged.
-  DiskCache compacted(dir_);
-  const auto one = compacted.load(1, 1);
-  const auto two = compacted.load(2, 1);
-  ASSERT_NE(one, nullptr);
-  ASSERT_NE(two, nullptr);
-  expect_bit_identical(first, *one);
-  expect_bit_identical(second, *two);
+TEST_F(DiskCacheTest, ReaderKeepsItsShardsAcrossAnotherCachesMerge) {
+  std::vector<sim::RunResult> results;
+  for (int k = 0; k < 9; ++k) results.push_back(other_result(k));
+  DiskCache writer(dir_);
+  for (std::uint64_t key = 0; key < 8; ++key) {
+    ASSERT_TRUE(writer.store(key, 1, results[key]));
+  }
+  DiskCache reader(dir_);
+  ASSERT_EQ(reader.stats().shards, 8u);
+  ASSERT_TRUE(writer.store(8, 1, results[8]));  // merges and unlinks all 8
+  ASSERT_EQ(shard_files().size(), 1u);
+  for (std::uint64_t key = 0; key < 8; ++key) {
+    const auto loaded = reader.load(key, 1);
+    ASSERT_NE(loaded, nullptr) << "key " << key;
+    expect_bit_identical(results[key], *loaded);
+  }
+  EXPECT_EQ(reader.stats().rejected, 0u);
+}
+
+TEST_F(DiskCacheTest, MergeNeverDeletesAShardItDidNotIndex) {
+  // `stale` scanned the empty dir, so its next seal reuses the first
+  // shard name a merge frees. `b` indexed that name's earlier file; its
+  // own merge must leave the new file alone.
+  DiskCache stale(dir_);
+  DiskCache a(dir_);
+  ASSERT_TRUE(a.store(0, 1, other_result(0)));
+  DiskCache b(dir_);
+  ASSERT_EQ(b.stats().shards, 1u);
+  for (std::uint64_t key = 1; key <= DiskCache::kMaxShards; ++key) {
+    ASSERT_TRUE(a.store(key, 1, other_result(key)));
+  }
+  ASSERT_EQ(a.stats().shards, 1u);  // merged; shard-0000 is unlinked
+  const sim::RunResult kept = other_result(100);
+  ASSERT_TRUE(stale.store(100, 1, kept));
+  ASSERT_EQ(stale.shard_paths().at(0), dir_ + "/shard-0000.bpc");
+  for (std::uint64_t key = 200; key < 200 + DiskCache::kMaxShards; ++key) {
+    ASSERT_TRUE(b.store(key, 1, other_result(key)));
+  }
+  ASSERT_EQ(b.stats().shards, 1u);  // merged what it indexed
+  const auto loaded = DiskCache(dir_).load(100, 1);
+  ASSERT_NE(loaded, nullptr);
+  expect_bit_identical(kept, *loaded);
+}
+
+TEST_F(DiskCacheTest, TwoCachesSealingPastTheBoundLoseNoKey) {
+  constexpr std::uint64_t kSeals = 40;
+  const sim::RunResult result = sample_result();
+  DiskCache first(dir_);
+  for (std::uint64_t key = 0; key < 3; ++key) {
+    ASSERT_TRUE(first.store(key, 1, result));
+  }
+  // The second cache indexes the first's three shards, so both merges
+  // fold them.
+  DiskCache second(dir_);
+  const auto seal = [&result](const DiskCache& cache, std::uint64_t base) {
+    for (std::uint64_t key = base; key < base + kSeals; ++key) {
+      ASSERT_TRUE(cache.store(key, 1, result));
+      ASSERT_LE(cache.stats().shards, DiskCache::kMaxShards);
+    }
+  };
+  std::thread ta([&] { seal(first, 1000); });
+  std::thread tb([&] { seal(second, 2000); });
+  ta.join();
+  tb.join();
+
+  DiskCache fresh(dir_);
+  EXPECT_EQ(fresh.stats().rejected, 0u);
+  for (const std::uint64_t base : {0u, 1000u, 2000u}) {
+    for (std::uint64_t key = base; key < base + (base == 0 ? 3 : kSeals);
+         ++key) {
+      const auto loaded = fresh.load(key, 1);
+      ASSERT_NE(loaded, nullptr) << "key " << key;
+      expect_bit_identical(result, *loaded);
+    }
+  }
+}
+
+// ----- inspection ------------------------------------------------------
+
+TEST_F(DiskCacheTest, InspectRejectsAMissingOrUnreadableDirectory) {
+  for (const std::string& bad : {dir_ + "/missing", dir_ + "/file"}) {
+    fs::create_directories(dir_);
+    std::ofstream(dir_ + "/file") << "not a directory";
+    try {
+      (void)inspect_cache_dir(bad);
+      ADD_FAILURE() << "no error for " << bad;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(DiskCacheTest, ForeignFilesAreIgnoredAndLeftInPlace) {
@@ -387,12 +483,32 @@ TEST_F(DiskCacheTest, ForeignFilesAreIgnoredAndLeftInPlace) {
   EXPECT_EQ(after.rejected_total, 0u);
   EXPECT_EQ(after.bytes_total, after.shards[0].bytes);
 
-  // Compaction replaces only real shards.
-  EXPECT_EQ(compact_cache_dir(dir_).records_kept, 2u);
+  // A garbage-header shard joins them; then enough seals to force a
+  // merge. The merge replaces only the shards its cache indexed.
+  {
+    std::ofstream out(dir / "shard-0009.bpc", std::ios::binary);
+    out << "this is not a shard";
+  }
+  {
+    DiskCache merger(dir_);
+    EXPECT_EQ(merger.stats().shards, 1u);
+    EXPECT_EQ(merger.stats().rejected, 1u);
+    for (std::uint64_t key = 10; key < 10 + DiskCache::kMaxShards; ++key) {
+      ASSERT_TRUE(merger.store(key, 1, a));
+    }
+    EXPECT_EQ(merger.stats().shards, 1u);
+  }
   EXPECT_EQ(files(),
             (std::vector<std::string>{"0123456789abcdef.json",
-                                      "shard-0001.bpc", "shard-x.bpc",
-                                      "tmp-4242-0.bpc"}));
+                                      "shard-0009.bpc", "shard-0017.bpc",
+                                      "shard-x.bpc", "tmp-4242-0.bpc"}));
+  std::string still_garbage;
+  std::getline(std::ifstream(dir / "shard-0009.bpc"), still_garbage);
+  EXPECT_EQ(still_garbage, "this is not a shard");
+  DiskCache merged(dir_);
+  ASSERT_NE(merged.load(2, 1), nullptr);
+  expect_bit_identical(b, *merged.load(2, 1));
+  EXPECT_EQ(merged.load(77, 1), nullptr);
 }
 
 // ----- engine integration --------------------------------------------
