@@ -7,10 +7,11 @@
 //   1. subclass backend::CostBackend (price_layer + assemble + name +
 //      fingerprint),
 //   2. register a factory under a string key,
-//   3. put that key in Scenario::backend — benches, caches, and report
-//      tables pick it up with no engine changes.
+//   3. put that key in Scenario::backend — benches, caches, and reports
+//      pick it up with no engine changes.
 #include <cstdio>
 
+#include "src/common/table.h"
 #include "src/core/bpvec.h"
 
 namespace {
@@ -107,7 +108,16 @@ int main() {
   engine::SimEngine eng;
   const auto results = eng.run_batch(batch);
   std::puts("");
-  sim::comparison_table(results).print();
+  Table table(net.name());
+  table.set_header({"Platform", "Memory", "Backend", "Latency (ms)",
+                    "Energy (mJ)", "GOps/s", "GOps/W"});
+  for (const auto& r : results) {
+    table.add_row({r.platform, r.memory, r.backend,
+                   Table::num(r.runtime_s * 1e3, 3),
+                   Table::num(r.energy_j * 1e3, 3), Table::num(r.gops_per_s, 0),
+                   Table::num(r.gops_per_w, 0)});
+  }
+  table.print();
 
   const auto stats = eng.stats();
   std::printf(

@@ -1,5 +1,5 @@
 // Verified inference: run a complete quantized CNN twice — once through
-// the integer reference operators, once with every dot product dispatched
+// the integer reference operators, once with every GEMM dispatched
 // through a real Composable Vector Unit — and check the two are identical
 // bit for bit, layer by layer. This is the library's answer to "does the
 // composable datapath really compute the same network?"
@@ -47,10 +47,10 @@ int main() {
   const auto t1 = std::chrono::steady_clock::now();
 
   bitslice::Cvu cvu({2, 8, 16});
-  const dnn::DotEngine engine = [&cvu](const std::vector<std::int32_t>& x,
-                                       const std::vector<std::int32_t>& w,
-                                       int xb, int wb) {
-    return cvu.dot_product(x, w, xb, wb).value;
+  const dnn::GemmEngine engine = [&cvu](const dnn::Matrix& a,
+                                        const dnn::Matrix& b, int xb,
+                                        int wb) {
+    return core::execute_gemm(cvu, a, b, xb, wb);
   };
   const auto through_cvu = dnn::run_network(net, image, weights, engine);
   const auto t2 = std::chrono::steady_clock::now();

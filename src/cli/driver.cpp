@@ -1,12 +1,15 @@
 #include "src/cli/driver.h"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
+#include <string>
 #include <utility>
 
 #include "src/common/error.h"
 #include "src/common/table.h"
+#include "src/engine/thread_pool.h"
 #include "src/serve/session.h"
 
 namespace bpvec::cli {
@@ -351,6 +354,27 @@ std::string usage() {
       "  --help             this text\n";
 }
 
+std::int64_t parse_int_flag(const std::string& flag, const std::string& value,
+                            std::int64_t lo, std::int64_t hi) {
+  std::int64_t v = 0;
+  const char* end = value.data() + value.size();
+  const auto [p, ec] = std::from_chars(value.data(), end, v);
+  if (ec == std::errc::invalid_argument || p != end) {
+    throw Error(flag + " expects an integer, got \"" + value + "\"");
+  }
+  // On overflow `v` is unset; the sign says which bound was passed.
+  const bool overflow = ec == std::errc::result_out_of_range;
+  if (v > hi || (overflow && value[0] != '-')) {
+    throw Error(flag + " must be at most " + std::to_string(hi) + ", got " +
+                value);
+  }
+  if (v < lo || overflow) {
+    throw Error(flag + " must be at least " + std::to_string(lo) + ", got " +
+                value);
+  }
+  return v;
+}
+
 int main_cli(int argc, const char* const* argv, std::ostream& out,
              std::ostream& err) {
   DriverOptions options;
@@ -402,7 +426,10 @@ int main_cli(int argc, const char* const* argv, std::ostream& out,
       } else if (arg == "--deterministic-report") {
         options.deterministic_report = true;
       } else if (arg == "--threads") {
-        options.threads = std::stoi(need_value(i, "--threads"));
+        options.threads = static_cast<int>(
+            parse_int_flag("--threads", need_value(i, "--threads"),
+                           std::numeric_limits<int>::min(),
+                           engine::ThreadPool::kMaxThreads));
       } else if (arg == "--csv") {
         options.print_csv = true;
       } else if (arg == "--no-table") {

@@ -41,7 +41,9 @@
 // workload-schema networks for the invocation.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -113,5 +115,13 @@ int main_cli(int argc, const char* const* argv, std::ostream& out,
 
 /// The usage text (also printed on --help / bad flags).
 std::string usage();
+
+/// Parses a whole flag value as a base-10 integer in [lo, hi]. Trailing
+/// characters ("3x"), an empty value and a value out of range throw a
+/// bpvec::Error that names `flag`. Shared by bpvec_run and bpvec_serve.
+std::int64_t parse_int_flag(
+    const std::string& flag, const std::string& value,
+    std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t hi = std::numeric_limits<std::int64_t>::max());
 
 }  // namespace bpvec::cli

@@ -29,9 +29,8 @@
 #include "src/dnn/reference_ops.h"
 #include "src/dnn/runner.h"
 
-// Cycle-level simulation and reporting.
+// Cycle-level simulation.
 #include "src/sim/cycle_sim.h"
-#include "src/sim/report.h"
 #include "src/sim/simulator.h"
 
 // Unified cost backends (pluggable pricing models behind one interface).

@@ -26,27 +26,11 @@ int calibration_shift(const std::vector<std::int64_t>& accumulators,
 
 namespace {
 
-/// Runs one GEMM either through the reference loop or the injected engine.
+/// Runs one GEMM through the injected engine, or the reference loop.
 std::vector<std::int64_t> dispatch_gemm(const Matrix& a, const Matrix& b,
                                         int x_bits, int w_bits,
-                                        const DotEngine& engine) {
-  if (!engine) return gemm_reference(a, b);
-  std::vector<std::int64_t> out(static_cast<std::size_t>(a.rows * b.rows));
-  std::vector<std::int32_t> x(static_cast<std::size_t>(a.cols));
-  std::vector<std::int32_t> w(static_cast<std::size_t>(b.cols));
-  for (std::int64_t m = 0; m < a.rows; ++m) {
-    for (std::int64_t k = 0; k < a.cols; ++k) {
-      x[static_cast<std::size_t>(k)] = a.at(m, k);
-    }
-    for (std::int64_t n = 0; n < b.rows; ++n) {
-      for (std::int64_t k = 0; k < b.cols; ++k) {
-        w[static_cast<std::size_t>(k)] = b.at(n, k);
-      }
-      out[static_cast<std::size_t>(m * b.rows + n)] =
-          engine(x, w, x_bits, w_bits);
-    }
-  }
-  return out;
+                                        const GemmEngine& engine) {
+  return engine ? engine(a, b, x_bits, w_bits) : gemm_reference(a, b);
 }
 
 Tensor accumulators_to_tensor(const std::vector<std::int64_t>& acc,
@@ -93,7 +77,7 @@ void align_precision(Tensor& t, int& current_bits, int target_bits) {
 
 std::vector<Tensor> run_network(const Network& net, const Tensor& input,
                                 const std::vector<LayerWeights>& weights,
-                                const DotEngine& engine) {
+                                const GemmEngine& engine) {
   std::vector<Tensor> activations;
   Tensor current = input;
   std::size_t w_index = 0;
@@ -151,7 +135,7 @@ std::vector<Tensor> run_network(const Network& net, const Tensor& input,
 std::vector<std::vector<std::int32_t>> run_recurrent(
     const Layer& layer,
     const std::vector<std::vector<std::int32_t>>& inputs,
-    const LayerWeights& weights, const DotEngine& engine) {
+    const LayerWeights& weights, const GemmEngine& engine) {
   const auto& p = layer.recurrent();
   BPVEC_CHECK_MSG(p.cell == RecurrentCellKind::kVanillaRnn,
                   "run_recurrent executes vanilla RNN cells only");

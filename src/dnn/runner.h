@@ -13,6 +13,7 @@
 #include <functional>
 #include <vector>
 
+#include "src/dnn/gemm_lowering.h"
 #include "src/dnn/network.h"
 #include "src/dnn/tensor.h"
 
@@ -23,15 +24,16 @@ struct LayerWeights {
   std::vector<std::int32_t> values;
 };
 
-/// A dot-product engine the runner dispatches GEMMs through. Arguments:
-/// (x, w, x_bits, w_bits) → exact 64-bit dot product.
-using DotEngine = std::function<std::int64_t(
-    const std::vector<std::int32_t>&, const std::vector<std::int32_t>&, int,
-    int)>;
+/// A GEMM engine the runner dispatches every conv/FC/recurrent GEMM
+/// through: (a, b, x_bits, w_bits) → out[m·b.rows + n] = Σ_k a[m][k]·b[n][k]
+/// as exact 64-bit accumulators, gemm_reference's contract (e.g. a
+/// wrapper around core::execute_gemm on a CVU).
+using GemmEngine = std::function<std::vector<std::int64_t>(
+    const Matrix&, const Matrix&, int, int)>;
 
 /// Executes `net` on `input` with the given per-layer weights.
-/// `engine == nullptr` uses the reference operators directly; otherwise
-/// every conv/FC GEMM is dispatched through `engine` (e.g. a CVU).
+/// `engine == nullptr` runs every conv/FC GEMM through gemm_reference;
+/// otherwise through `engine`.
 /// After every layer, accumulators are requantized to the layer's
 /// activation bitwidth with a *calibrated* right-shift (chosen from the
 /// observed accumulator magnitudes, as post-training quantization does) —
@@ -41,7 +43,7 @@ using DotEngine = std::function<std::int64_t(
 /// Recurrent layers are rejected (use rnn_step_reference for cells).
 std::vector<Tensor> run_network(const Network& net, const Tensor& input,
                                 const std::vector<LayerWeights>& weights,
-                                const DotEngine& engine = nullptr);
+                                const GemmEngine& engine = nullptr);
 
 /// Deterministic synthetic weights for every compute layer of `net`,
 /// drawn at each layer's weight bitwidth.
@@ -66,6 +68,6 @@ int calibration_shift(const std::vector<std::int64_t>& accumulators,
 std::vector<std::vector<std::int32_t>> run_recurrent(
     const Layer& layer,
     const std::vector<std::vector<std::int32_t>>& inputs,
-    const LayerWeights& weights, const DotEngine& engine = nullptr);
+    const LayerWeights& weights, const GemmEngine& engine = nullptr);
 
 }  // namespace bpvec::dnn

@@ -78,8 +78,8 @@ SimEngine::SimEngine(EngineOptions options)
       pool_(options.num_threads) {}
 
 std::size_t SimEngine::batch_grain(std::size_t jobs) const {
-  // ~4 stealable tasks per worker: micro-scale jobs amortize queue
-  // overhead while load balancing still has slack.
+  // ~4 chunks per worker: micro-scale jobs amortize the claim overhead
+  // while load balancing still has slack.
   const std::size_t lanes = static_cast<std::size_t>(pool_.num_threads()) * 4;
   return std::max<std::size_t>(1, jobs / std::max<std::size_t>(1, lanes));
 }
@@ -88,8 +88,8 @@ void SimEngine::for_each(std::size_t n,
                          const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   if (n == 1) {
-    // run() and tiny batches skip the pool entirely: no task allocation,
-    // no queue round-trip, no wake. Identical semantics (parallel_for
+    // run() and tiny batches skip the pool entirely: no helper task, no
+    // queue round-trip, no wake. Identical semantics (parallel_for
     // runs caller-side too and rethrows the same exceptions).
     fn(0);
     return;

@@ -4,7 +4,7 @@
 // matrices (Fig. 4's α×L sweep, Figs. 5–9's platform×network×memory
 // grids — now × cost backend: the Fig. 9 GPU roofline and the Fig. 1
 // bit-serial baselines ride the same batch as the cycle simulator).
-// SimEngine prices whole batches at once on a work-stealing thread pool
+// SimEngine prices whole batches at once on a ThreadPool (one FIFO queue)
 // behind up to three caches:
 //
 //   * scenario memo — keyed by Scenario::fingerprint × the backend
@@ -175,8 +175,8 @@ class SimEngine {
   void for_each(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
-  /// Indices per pool task for a batch of `jobs` parallel units:
-  /// jobs / (threads × 4), so each worker has ~4 stealable tasks.
+  /// Indices per parallel_for chunk for a batch of `jobs` parallel units:
+  /// jobs / (threads × 4), so each worker claims ~4 chunks.
   std::size_t batch_grain(std::size_t jobs) const;
 
   // Before pool_: scan shards before threads start (growing the fd table

@@ -2,181 +2,132 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <limits>
+#include <memory>
+#include <string>
 
 #include "src/common/error.h"
 
 namespace bpvec::engine {
 
 ThreadPool::ThreadPool(int num_threads) {
-  std::size_t n = num_threads > 0
-                      ? static_cast<std::size_t>(num_threads)
-                      : std::max(1u, std::thread::hardware_concurrency());
-  queues_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    queues_.push_back(std::make_unique<Worker>());
+  if (num_threads > kMaxThreads) {
+    throw Error("thread pool: " + std::to_string(num_threads) +
+                " threads requested; at most " + std::to_string(kMaxThreads));
   }
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  if (num_threads <= 0) {
+    num_threads = std::clamp(
+        static_cast<int>(std::thread::hardware_concurrency()), 1, kMaxThreads);
+  }
+  for (int i = 0; i < num_threads; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  wake_cv_.notify_all();
+  wake_.notify_all();
   for (auto& t : workers_) t.join();
 }
 
 void ThreadPool::submit(std::function<void()> fn) {
   BPVEC_CHECK(fn != nullptr);
-  std::size_t target;
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    target = next_queue_++ % queues_.size();
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(fn));
   }
-  {
-    std::lock_guard<std::mutex> lock(queues_[target]->mu);
-    queues_[target]->tasks.push_back(std::move(fn));
-  }
-  {
-    // Order the push against a sleeper's empty-recheck (which runs under
-    // wake_mu_): without this fence a worker can verify the queues are
-    // empty, have the task land plus the notify fire before it reaches
-    // wait(), and sleep with runnable work queued (lost wakeup).
-    std::lock_guard<std::mutex> lock(wake_mu_);
-  }
-  wake_cv_.notify_one();
+  wake_.notify_one();
 }
 
-bool ThreadPool::try_acquire(std::size_t self, std::function<void()>& out) {
-  // Own deque first, newest task (LIFO keeps the working set warm).
-  {
-    Worker& w = *queues_[self];
-    std::lock_guard<std::mutex> lock(w.mu);
-    if (!w.tasks.empty()) {
-      out = std::move(w.tasks.back());
-      w.tasks.pop_back();
-      return true;
+void ThreadPool::worker_loop() {
+  for (;;) {
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      // Queued tasks are taken before the shutdown flag is honoured, so
+      // destruction drains the queue instead of dropping it.
+      wake_.wait(lock, [this] { return shutdown_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
+    }
+    try {
+      task();
+    } catch (...) {  // a detached task owns its error handling
     }
   }
-  // Steal oldest-first from the other deques.
-  for (std::size_t k = 1; k < queues_.size(); ++k) {
-    Worker& victim = *queues_[(self + k) % queues_.size()];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.tasks.empty()) {
-      out = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      return true;
-    }
-  }
-  return false;
 }
 
 namespace {
-// Tasks own their error handling (parallel_for's chunks catch per index);
-// an exception escaping a detached submit() task is dropped here rather
-// than terminating the worker or unwinding an unrelated caller-help loop.
-void run_guarded(const std::function<void()>& task) {
-  try {
-    task();
-  } catch (...) {
-  }
-}
-}  // namespace
 
-void ThreadPool::worker_loop(std::size_t self) {
-  for (;;) {
-    std::function<void()> task;
-    if (try_acquire(self, task)) {
-      run_guarded(task);
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(wake_mu_);
-    // Re-check under the wake lock: a submit between our scan and here
-    // would otherwise be missed until the next notify. Checked before the
-    // shutdown flag so destruction drains queued tasks instead of
-    // dropping them.
-    bool any = false;
-    for (auto& q : queues_) {
-      std::lock_guard<std::mutex> qlock(q->mu);
-      if (!q->tasks.empty()) {
-        any = true;
-        break;
+// One parallel_for call; chunks are claimed last-first. A helper that
+// starts after the last claim never touches `fn`, so it may outlive the call.
+struct ForState {
+  const std::function<void(std::size_t)>* fn = nullptr;
+  std::size_t n = 0, grain = 0, chunks = 0;
+  std::atomic<std::size_t> claimed{0};
+  std::mutex mu;  // guards done, error_index, error
+  std::condition_variable all_done;
+  std::size_t done = 0, error_index = std::numeric_limits<std::size_t>::max();
+  std::exception_ptr error;
+
+  void run_chunk(std::size_t chunk) {
+    const std::size_t hi = std::min(n, (chunk + 1) * grain);
+    for (std::size_t i = chunk * grain; i < hi; ++i) {
+      try {
+        (*fn)(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (i < error_index) {
+          error_index = i;
+          error = std::current_exception();
+        }
       }
     }
-    if (any) continue;
-    if (shutdown_) return;
-    wake_cv_.wait(lock);
+    std::lock_guard<std::mutex> lock(mu);
+    if (++done == chunks) all_done.notify_all();
   }
-}
+
+  void claim_and_run() {
+    for (std::size_t c; (c = claimed.fetch_add(1)) < chunks;) {
+      run_chunk(chunks - 1 - c);
+    }
+  }
+};
+
+}  // namespace
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn,
                               std::size_t grain) {
   if (n == 0) return;
   BPVEC_CHECK(fn != nullptr);
-  if (grain == 0) grain = 1;
-  const std::size_t num_tasks = (n + grain - 1) / grain;
+  auto state = std::make_shared<ForState>();
+  state->fn = &fn;
+  state->n = n;
+  state->grain = std::max<std::size_t>(grain, 1);
+  state->chunks = (n + state->grain - 1) / state->grain;
+  state->claimed = 1;  // the caller's claim on the last chunk comes first
 
-  struct State {
-    std::atomic<std::size_t> done{0};       // completed tasks
-    std::atomic<std::size_t> error_index;   // lowest failing index
-    std::exception_ptr error;               // exception at error_index
-    std::mutex mu;                          // guards error + wakes the caller
-    std::condition_variable all_done;
-    std::size_t num_tasks = 0;
-    State() : error_index(std::numeric_limits<std::size_t>::max()) {}
-  };
-  auto state = std::make_shared<State>();
-  state->num_tasks = num_tasks;
-
-  auto run_chunk = [state, &fn, n, grain](std::size_t t) {
-    const std::size_t lo = t * grain;
-    const std::size_t hi = std::min(n, lo + grain);
-    for (std::size_t i = lo; i < hi; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(state->mu);
-        if (i < state->error_index.load(std::memory_order_relaxed)) {
-          state->error_index.store(i, std::memory_order_relaxed);
-          state->error = std::current_exception();
-        }
-      }
-    }
-    if (state->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        state->num_tasks) {
-      std::lock_guard<std::mutex> lock(state->mu);  // pair with caller wait
-      state->all_done.notify_all();
-    }
-  };
-
-  for (std::size_t t = 0; t < num_tasks; ++t) {
-    submit([run_chunk, t] { run_chunk(t); });
+  const std::size_t helpers =
+      std::min(state->chunks - 1, static_cast<std::size_t>(num_threads()));
+  for (std::size_t h = 0; h < helpers; ++h) {
+    submit([state] { state->claim_and_run(); });
   }
+  state->run_chunk(state->chunks - 1);
+  state->claim_and_run();
 
-  // The caller lends a hand while there are acquirable tasks, then sleeps
-  // until the in-flight ones (possibly running on workers) finish.
-  std::size_t self = 0;
-  while (state->done.load(std::memory_order_acquire) < num_tasks) {
-    std::function<void()> task;
-    if (try_acquire(self, task)) {
-      run_guarded(task);  // may be a foreign task; don't let it unwind us
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->all_done.wait_for(lock, std::chrono::milliseconds(1), [&] {
-      return state->done.load(std::memory_order_acquire) >= num_tasks;
-    });
+  // Only chunks other threads claimed can still run. Take the error out of
+  // the state: a late helper may drop the state's last reference.
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->all_done.wait(lock, [&] { return state->done == state->chunks; });
+  if (std::exception_ptr error = std::move(state->error)) {
+    std::rethrow_exception(error);
   }
-
-  if (state->error) std::rethrow_exception(state->error);
 }
 
 }  // namespace bpvec::engine

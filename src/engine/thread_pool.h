@@ -1,10 +1,7 @@
-// Work-stealing thread pool backing bpvec::engine::SimEngine.
-//
-// Each worker owns a deque: it pushes/pops its own work LIFO (cache-warm)
-// and steals FIFO from the back of other workers' deques when it runs dry
-// (the classic Blumofe–Leiserson discipline; deques are mutex-guarded —
-// scenario jobs are milliseconds of simulation, so queue-op contention is
-// negligible next to the work itself).
+// Thread pool behind SimEngine, the packed kernels and bpvec_serve's
+// request queue: one FIFO (a deque, one mutex, one condvar) feeds every
+// worker. parallel_for's caller and helper tasks claim chunks from a
+// shared counter, so a caller never runs a task someone else submitted.
 //
 // Determinism contract: the pool schedules *when* a task runs, never what
 // it computes. Tasks must not share mutable state; anything stochastic
@@ -25,7 +22,11 @@ namespace bpvec::engine {
 
 class ThreadPool {
  public:
-  /// `num_threads <= 0` uses std::thread::hardware_concurrency().
+  /// Most workers a pool accepts; an automatic count is clamped to it.
+  static constexpr int kMaxThreads = 256;
+
+  /// `num_threads <= 0` uses std::thread::hardware_concurrency(). Throws
+  /// bpvec::Error above kMaxThreads, before any thread starts.
   explicit ThreadPool(int num_threads = 0);
   /// Drains every queued task, then joins the workers.
   ~ThreadPool();
@@ -35,39 +36,26 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueues `fn` on a worker deque (round-robin placement). Detached
-  /// tasks own their error handling: an exception escaping `fn` is
-  /// swallowed by the executing thread (use parallel_for when failures
-  /// must propagate to a caller).
+  /// Queues `fn` (FIFO). An exception escaping a detached task is
+  /// swallowed (use parallel_for when failures must reach a caller).
   void submit(std::function<void()> fn);
 
-  /// Runs fn(0) … fn(n-1) and blocks until every call has returned.
-  /// `grain` consecutive indices share one pool task (grain > 1 amortizes
-  /// queue overhead when the per-index work is micro-scale — simulation
-  /// jobs are a few to a few dozen microseconds). Exceptions are
-  /// captured; the one thrown by the lowest index is rethrown in the
-  /// caller. The calling thread also executes tasks while it waits, so a
-  /// 1-thread pool cannot deadlock and a k-thread pool effectively uses
-  /// k+1 lanes during the call.
+  /// Runs fn(0) … fn(n-1) in chunks of `grain` consecutive indices and
+  /// blocks until every call has returned. The caller claims chunks too
+  /// (last chunk first), so a k-thread pool uses k+1 lanes and a call
+  /// from inside a task finishes even while every worker is busy. The
+  /// exception thrown by the lowest index is rethrown in the caller.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t grain = 1);
 
  private:
-  struct Worker {
-    std::deque<std::function<void()>> tasks;  // guarded by `mu`
-    std::mutex mu;
-  };
+  void worker_loop();
 
-  void worker_loop(std::size_t self);
-  /// Pops from own deque (LIFO) or steals from a victim (FIFO).
-  bool try_acquire(std::size_t self, std::function<void()>& out);
-
-  std::vector<std::unique_ptr<Worker>> queues_;
+  std::deque<std::function<void()>> tasks_;  // guarded by mu_
+  std::mutex mu_;
+  std::condition_variable wake_;
+  bool shutdown_ = false;  // guarded by mu_
   std::vector<std::thread> workers_;
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  std::size_t next_queue_ = 0;  // round-robin submit cursor, guarded by wake_mu_
-  bool shutdown_ = false;       // guarded by wake_mu_
 };
 
 }  // namespace bpvec::engine

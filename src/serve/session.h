@@ -29,9 +29,10 @@
 // Concurrency: price/search/validate/list are safe to call from any
 // thread concurrently (SimEngine::run_batch is concurrency-safe; the
 // registries and the session's own history are mutex-guarded). submit()
-// queues a request closure onto the engine's work-stealing ThreadPool —
-// the same pool that prices the batches; nested parallel_for calls
-// caller-participate, so queued requests cannot deadlock the pool.
+// queues a request closure onto the engine's ThreadPool — the same pool
+// that prices the batches. A nested parallel_for claims its own chunks
+// and never runs another queued request, so queued requests cannot
+// deadlock the pool or run inside one another.
 //
 // Cancellation: cooperative, between engine batches. price() runs its
 // scenario list in chunks (SessionOptions::price_chunk) and checks the

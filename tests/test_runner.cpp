@@ -1,5 +1,5 @@
 // End-to-end functional verification: whole quantized networks through the
-// reference path vs the CVU-backed path must be bit-identical.
+// reference path vs the CVU-backed GEMM path must be bit-identical.
 #include "src/dnn/runner.h"
 
 #include <gtest/gtest.h>
@@ -7,6 +7,7 @@
 #include "src/bitslice/cvu.h"
 #include "src/common/error.h"
 #include "src/common/rng.h"
+#include "src/core/gemm_executor.h"
 #include "src/dnn/quantize.h"
 
 namespace bpvec::dnn {
@@ -92,10 +93,9 @@ TEST(Runner, CvuPathIsBitIdenticalToReference) {
   const auto reference = run_network(net, input, weights);
 
   bitslice::Cvu cvu({2, 8, 16});
-  const DotEngine engine = [&cvu](const std::vector<std::int32_t>& x,
-                                  const std::vector<std::int32_t>& w,
-                                  int xb, int wb) {
-    return cvu.dot_product(x, w, xb, wb).value;
+  const GemmEngine engine = [&cvu](const Matrix& a, const Matrix& b, int xb,
+                                   int wb) {
+    return core::execute_gemm(cvu, a, b, xb, wb);
   };
   const auto through_cvu = run_network(net, input, weights, engine);
 
@@ -114,10 +114,9 @@ TEST_P(RunnerSeeds, CvuEquivalenceAcrossSeeds) {
   const auto weights = random_weights(net, GetParam() ^ 0xabcdef);
 
   bitslice::Cvu cvu({2, 8, 16});
-  const DotEngine engine = [&cvu](const std::vector<std::int32_t>& x,
-                                  const std::vector<std::int32_t>& w,
-                                  int xb, int wb) {
-    return cvu.dot_product(x, w, xb, wb).value;
+  const GemmEngine engine = [&cvu](const Matrix& a, const Matrix& b, int xb,
+                                   int wb) {
+    return core::execute_gemm(cvu, a, b, xb, wb);
   };
   const auto a = run_network(net, input, weights);
   const auto b = run_network(net, input, weights, engine);
@@ -172,10 +171,9 @@ TEST(RunRecurrent, ReferenceAndCvuPathsBitIdentical) {
   const auto reference = run_recurrent(quantized, inputs, w);
 
   bitslice::Cvu cvu({2, 8, 16});
-  const DotEngine engine = [&cvu](const std::vector<std::int32_t>& x,
-                                  const std::vector<std::int32_t>& wv,
-                                  int xb, int wb) {
-    return cvu.dot_product(x, wv, xb, wb).value;
+  const GemmEngine engine = [&cvu](const Matrix& a, const Matrix& b, int xb,
+                                   int wb) {
+    return core::execute_gemm(cvu, a, b, xb, wb);
   };
   const auto through_cvu = run_recurrent(quantized, inputs, w, engine);
   ASSERT_EQ(reference.size(), through_cvu.size());

@@ -17,8 +17,10 @@
 
 #include "src/cli/driver.h"
 #include "src/cli/manifest.h"
+#include "src/common/error.h"
 #include "src/common/json.h"
 #include "src/engine/disk_cache.h"
+#include "src/engine/thread_pool.h"
 #include "src/serve/server.h"
 #include "src/workload/network_registry.h"
 
@@ -446,6 +448,42 @@ TEST_F(ServeCliTest, UsageErrorPaths) {
 
   EXPECT_EQ(run_cli({manifest_path_, "--threads"}, &out, &err), 1);
   EXPECT_NE(err.find("--threads requires a value"), std::string::npos);
+
+  // --threads takes the whole value as an integer and names itself.
+  EXPECT_EQ(run_cli({manifest_path_, "--threads", "abc"}, &out, &err), 1);
+  EXPECT_NE(err.find("--threads expects an integer, got \"abc\""),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(run_cli({manifest_path_, "--threads", "3x"}, &out, &err), 1);
+  EXPECT_NE(err.find("--threads expects an integer, got \"3x\""),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(run_cli({manifest_path_, "--threads", ""}, &out, &err), 1);
+  EXPECT_NE(err.find("--threads expects an integer, got \"\""),
+            std::string::npos)
+      << err;
+  // A count above the pool's bound is refused before any thread starts.
+  const std::string at_most =
+      "--threads must be at most " +
+      std::to_string(engine::ThreadPool::kMaxThreads) + ", got ";
+  EXPECT_EQ(run_cli({manifest_path_, "--threads", "100000"}, &out, &err), 1);
+  EXPECT_NE(err.find(at_most + "100000"), std::string::npos) << err;
+  EXPECT_EQ(run_cli({manifest_path_, "--threads", "99999999999"}, &out, &err),
+            1);
+  EXPECT_NE(err.find(at_most + "99999999999"), std::string::npos) << err;
+
+  // The same parser reads bpvec_serve's --threads and --chunk.
+  EXPECT_EQ(cli::parse_int_flag("--chunk", "-7"), -7);
+  EXPECT_THROW(cli::parse_int_flag("--chunk", "7 "), Error);
+  EXPECT_THROW(cli::parse_int_flag("--chunk", "+7"), Error);
+  try {
+    cli::parse_int_flag("--chunk", "-99999999999999999999");
+    ADD_FAILURE() << "expected a bpvec::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--chunk must be at least "),
+              std::string::npos)
+        << e.what();
+  }
 
   EXPECT_EQ(run_cli({"list", manifest_path_}, &out, &err), 1);
   EXPECT_NE(err.find("`list` takes no manifest"), std::string::npos);

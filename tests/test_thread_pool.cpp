@@ -4,9 +4,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <latch>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/error.h"
@@ -19,6 +23,18 @@ TEST(ThreadPool, ReportsThreadCount) {
   EXPECT_EQ(pool.num_threads(), 3);
   ThreadPool auto_pool(0);
   EXPECT_GE(auto_pool.num_threads(), 1);
+}
+
+TEST(ThreadPool, RejectsTooManyThreadsBeforeStartingAny) {
+  try {
+    ThreadPool pool(ThreadPool::kMaxThreads + 1);
+    FAIL() << "expected a bpvec::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "at most " + std::to_string(ThreadPool::kMaxThreads)),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
@@ -105,10 +121,9 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
 }
 
 TEST(ThreadPool, WorkIsStolenAcrossQueues) {
-  // Submit round-robins over worker deques, so with 4 workers a batch of
-  // serial-dependency-free tasks lands everywhere; completing all of them
-  // from a parallel_for requires cross-queue stealing when one worker's
-  // queue drains first. This is a liveness test: it must simply finish.
+  // One slow index pins whichever thread claimed its chunk; the other
+  // lanes must keep claiming the remaining chunks around it. This is a
+  // liveness test: it must simply finish.
   ThreadPool pool(4);
   std::atomic<int> slow{0}, fast{0};
   pool.parallel_for(128, [&](std::size_t i) {
@@ -131,6 +146,55 @@ TEST(ThreadPool, NestedSequentialParallelForsReuseThePool) {
     pool.parallel_for(37, [&](std::size_t) { n.fetch_add(1); });
     ASSERT_EQ(n.load(), 37);
   }
+}
+
+TEST(ThreadPool, CallerNeverRunsAForeignTask) {
+  // Both workers parked, one detached task queued behind them: a
+  // parallel_for from this thread must run its own chunks only, never the
+  // queued task (e.g. a served request nested inside another's batch).
+  std::latch parked(2), release(1);
+  std::promise<std::thread::id> foreign_ran_on;
+  ThreadPool pool(2);
+  for (int w = 0; w < 2; ++w) {
+    pool.submit([&] {
+      parked.count_down();
+      release.wait();
+    });
+  }
+  parked.wait();
+  pool.submit(
+      [&] { foreign_ran_on.set_value(std::this_thread::get_id()); });
+  std::atomic<int> ran{0};
+  pool.parallel_for(4, [&](std::size_t) { ran.fetch_add(1); });
+  release.count_down();
+  EXPECT_EQ(ran.load(), 4);
+  EXPECT_NE(foreign_ran_on.get_future().get(), std::this_thread::get_id());
+}
+
+TEST(ThreadPool, ParallelForInsideASubmittedTaskCompletesWhileWorkersAreBusy) {
+  // One worker parked, the other running the task that calls
+  // parallel_for: no worker is free, so the nested caller must claim
+  // every chunk itself.
+  std::latch parked(1), release(1);
+  std::promise<int> nested_sum;
+  ThreadPool pool(2);
+  pool.submit([&] {
+    parked.count_down();
+    release.wait();
+  });
+  parked.wait();
+  pool.submit([&] {
+    std::atomic<int> sum{0};
+    pool.parallel_for(
+        64, [&](std::size_t i) { sum.fetch_add(static_cast<int>(i)); }, 4);
+    nested_sum.set_value(sum.load());
+  });
+  auto done = nested_sum.get_future();
+  const bool finished =
+      done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.count_down();
+  ASSERT_TRUE(finished) << "nested parallel_for did not finish";
+  EXPECT_EQ(done.get(), 2016);
 }
 
 }  // namespace

@@ -25,12 +25,15 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "src/cli/driver.h"
 #include "src/cli/report.h"
 #include "src/common/error.h"
 #include "src/common/json.h"
+#include "src/engine/thread_pool.h"
 #include "src/serve/server.h"
 
 namespace {
@@ -262,7 +265,10 @@ int main_serve(int argc, char** argv) {
     } else if (!client_mode && arg == "--cache-dir") {
       server_options.session.cache_dir = value_of(arg);
     } else if (!client_mode && arg == "--threads") {
-      server_options.session.threads = std::stoi(value_of(arg));
+      server_options.session.threads = static_cast<int>(
+          bpvec::cli::parse_int_flag(arg, value_of(arg),
+                                     std::numeric_limits<int>::min(),
+                                     bpvec::engine::ThreadPool::kMaxThreads));
     } else if (client_mode && arg == "--op") {
       client.op = value_of(arg);
     } else if (client_mode && arg == "--manifest") {
@@ -274,7 +280,7 @@ int main_serve(int argc, char** argv) {
     } else if (client_mode && arg == "--search") {
       client.search = true;
     } else if (client_mode && arg == "--chunk") {
-      client.chunk = std::stoll(value_of(arg));
+      client.chunk = bpvec::cli::parse_int_flag(arg, value_of(arg));
     } else {
       throw Error("unknown flag: " + arg);
     }
