@@ -23,7 +23,11 @@
 // functional hot path against the honest baseline: pack_ns_per_elem
 // (pack_rows alone over the same tiles) and
 // geomean_packed_1t_vs_reference (packed GEMM including packing, over
-// the int32 gemm_reference, same run). The runtime-selected SIMD variant
+// the int32 gemm_reference, same run; CI gates >= 1.0). The reference
+// ops themselves are measured against bench-local copies of their
+// int64-only loops (conv_reference_wide, fc_reference_wide) on the conv
+// and fc tiles: metrics.geomean_reference_vs_wide, CI gates >= 1.0.
+// The runtime-selected SIMD variant
 // (kernels::simd_variant — cpuid at first call, BPVEC_SIMD override)
 // rides along in metrics.simd_variant so perf trajectories across
 // machines stay attributable.
@@ -57,6 +61,7 @@ struct Shape {
   dnn::Matrix b;  // weights tile [N, K]
   int x_bits = 8;
   int w_bits = 8;
+  bool fc = false;
 };
 
 std::vector<Shape> alexnet_conv_shapes() {
@@ -79,6 +84,7 @@ std::vector<Shape> alexnet_conv_shapes() {
       s.b.rows = std::min<std::int64_t>(p.out_c, kTileN);
     } else {
       const auto& p = layer.fc();
+      s.fc = true;
       k = p.in_features;
       s.b.rows = std::min<std::int64_t>(p.out_features, kTileN);
     }
@@ -217,6 +223,73 @@ std::vector<std::int64_t> conv_im2col(const dnn::Tensor& input,
   return out;
 }
 
+/// conv2d_reference as it was before its narrow path: int32 operands,
+/// int64 accumulation, pad once, gather each receptive field. The
+/// baseline geomean_reference_vs_wide times the library op against.
+std::vector<std::int64_t> conv_reference_wide(
+    const dnn::Tensor& input, const std::vector<std::int32_t>& weights,
+    const dnn::ConvParams& p) {
+  const int oh = p.out_h(), ow = p.out_w();
+  std::vector<std::int64_t> out(
+      static_cast<std::size_t>(p.out_c) * oh * ow, 0);
+  const int ph = std::max(p.in_h + 2 * p.pad, (oh - 1) * p.stride + p.kh);
+  const int pw = std::max(p.in_w + 2 * p.pad, (ow - 1) * p.stride + p.kw);
+  std::vector<std::int32_t> padded(
+      static_cast<std::size_t>(p.in_c) * ph * pw, 0);
+  const std::int32_t* src = input.data().data();
+  for (int ic = 0; ic < p.in_c; ++ic) {
+    for (int y = 0; y < p.in_h; ++y, src += p.in_w) {
+      std::copy(src, src + p.in_w,
+                padded.begin() +
+                    static_cast<std::ptrdiff_t>(
+                        (static_cast<std::size_t>(ic) * ph + y + p.pad) * pw +
+                        p.pad));
+    }
+  }
+  const std::size_t k = static_cast<std::size_t>(p.in_c) * p.kh * p.kw;
+  std::vector<std::int32_t> field(k);
+  for (int oy = 0; oy < oh; ++oy) {
+    for (int ox = 0; ox < ow; ++ox) {
+      std::size_t i = 0;
+      for (int ic = 0; ic < p.in_c; ++ic) {
+        for (int ky = 0; ky < p.kh; ++ky) {
+          const std::int32_t* row =
+              padded.data() +
+              (static_cast<std::size_t>(ic) * ph + oy * p.stride + ky) * pw +
+              ox * p.stride;
+          for (int kx = 0; kx < p.kw; ++kx) field[i++] = row[kx];
+        }
+      }
+      for (int oc = 0; oc < p.out_c; ++oc) {
+        const std::int32_t* w =
+            weights.data() + static_cast<std::size_t>(oc) * k;
+        std::int64_t acc = 0;
+        for (std::size_t j = 0; j < k; ++j) {
+          acc += static_cast<std::int64_t>(field[j]) * w[j];
+        }
+        out[(static_cast<std::size_t>(oc) * oh + oy) * ow + ox] = acc;
+      }
+    }
+  }
+  return out;
+}
+
+/// fc_reference as it was before its narrow path (int64 accumulation).
+std::vector<std::int64_t> fc_reference_wide(
+    const std::vector<std::int32_t>& input,
+    const std::vector<std::int32_t>& weights, const dnn::FcParams& p) {
+  std::vector<std::int64_t> out(static_cast<std::size_t>(p.out_features), 0);
+  for (int n = 0; n < p.out_features; ++n) {
+    std::int64_t acc = 0;
+    for (int k = 0; k < p.in_features; ++k) {
+      acc += static_cast<std::int64_t>(input[static_cast<std::size_t>(k)]) *
+             weights[static_cast<std::size_t>(n) * p.in_features + k];
+    }
+    out[static_cast<std::size_t>(n)] = acc;
+  }
+  return out;
+}
+
 }  // namespace
 
 int main() {
@@ -238,6 +311,9 @@ int main() {
                 "Packed 1T", "Packed NT", "Speedup vs CVU", "Blocked/Unblk"});
 
   std::vector<double> speedups_1t, speedups_nt, blocked_ratios, vs_reference;
+  // conv2d_reference / fc_reference over their bench-local int64 copies,
+  // one entry per conv tile and per fc tile.
+  std::vector<double> reference_vs_wide;
   double pack_s_total = 0.0;
   std::int64_t packed_elems = 0;
   double min_speedup = 1e300;
@@ -298,6 +374,33 @@ int main() {
     vs_reference.push_back(vs_ref);
     min_speedup = std::min(min_speedup, sp_1t);
 
+    // The fc reference on this tile's weights and first activation row:
+    // the probe's shape (N <= 64 features, full K).
+    if (s.fc) {
+      const dnn::FcParams fp{static_cast<int>(s.a.cols),
+                             static_cast<int>(s.b.rows)};
+      const std::vector<std::int32_t> x(
+          s.a.data.begin(),
+          s.a.data.begin() + static_cast<std::ptrdiff_t>(s.a.cols));
+      BPVEC_CHECK_MSG(dnn::fc_reference(x, s.b.data, fp) ==
+                          fc_reference_wide(x, s.b.data, fp),
+                      "functional kernel bench: fc references disagree on " +
+                          s.id);
+      const double fc_s =
+          timed([&] { (void)dnn::fc_reference(x, s.b.data, fp); });
+      const double fc_wide_s =
+          timed([&] { (void)fc_reference_wide(x, s.b.data, fp); });
+      const double ratio = fc_s > 0 ? fc_wide_s / fc_s : 0.0;
+      reference_vs_wide.push_back(ratio);
+      const std::int64_t fc_macs = s.b.rows * s.a.cols;
+      json.add_entry("reference_" + s.id,
+                     {{"k", static_cast<double>(s.a.cols)},
+                      {"macs", static_cast<double>(fc_macs)},
+                      {"gmacs_reference", gmacs(fc_macs, fc_s)},
+                      {"gmacs_reference_wide", gmacs(fc_macs, fc_wide_s)},
+                      {"reference_vs_wide", ratio}});
+    }
+
     t.add_row({s.id, std::to_string(s.a.cols), std::to_string(macs),
                Table::num(gmacs(macs, ref_s), 2),
                Table::num(gmacs(macs, cvu_s), 3),
@@ -332,7 +435,7 @@ int main() {
     Table ct("AlexNet conv tiles: direct vs im2col [output <= 12x12]");
     ct.set_header({"Layer", "K", "Direct GMAC/s", "Im2col GMAC/s",
                    "Direct/Im2col", "Direct peak KiB", "Im2col peak KiB",
-                   "Peak ratio"});
+                   "Peak ratio", "Ref/Wide"});
     for (const ConvShape& c : alexnet_conv_tiles()) {
       dnn::Tensor input(c.p.in_c, c.p.in_h, c.p.in_w);
       for (auto& v : input.data()) v = rng.signed_value(c.x_bits);
@@ -340,6 +443,9 @@ int main() {
           static_cast<std::size_t>(c.p.out_c) * c.p.in_c * c.p.kh * c.p.kw,
           c.w_bits);
       const auto expected = dnn::conv2d_reference(input, weights, c.p);
+      BPVEC_CHECK_MSG(conv_reference_wide(input, weights, c.p) == expected,
+                      "functional kernel bench: conv references disagree on " +
+                          c.id);
       kernels::KernelStats direct_stats;
       std::int64_t im2col_peak_bytes = 0;
       BPVEC_CHECK_MSG(
@@ -354,6 +460,12 @@ int main() {
       const double im2col_s = timed([&] {
         (void)conv_im2col(input, weights, c.p, c.x_bits, c.w_bits);
       });
+      const double ref_s =
+          timed([&] { (void)dnn::conv2d_reference(input, weights, c.p); });
+      const double ref_wide_s =
+          timed([&] { (void)conv_reference_wide(input, weights, c.p); });
+      const double ref_ratio = ref_s > 0 ? ref_wide_s / ref_s : 0.0;
+      reference_vs_wide.push_back(ref_ratio);
       const std::int64_t k = std::int64_t{c.p.in_c} * c.p.kh * c.p.kw;
       const std::int64_t macs =
           std::int64_t{c.p.out_h()} * c.p.out_w() * c.p.out_c * k;
@@ -370,7 +482,7 @@ int main() {
                                  1024.0, 1),
                   Table::num(static_cast<double>(im2col_peak_bytes) / 1024.0,
                              1),
-                  Table::ratio(peak_ratio)});
+                  Table::ratio(peak_ratio), Table::ratio(ref_ratio)});
       json.add_entry("conv_" + c.id,
                      {{"k", static_cast<double>(k)},
                       {"macs", static_cast<double>(macs)},
@@ -381,7 +493,10 @@ int main() {
                        static_cast<double>(direct_stats.peak_bytes)},
                       {"im2col_peak_bytes",
                        static_cast<double>(im2col_peak_bytes)},
-                      {"peak_bytes_ratio", peak_ratio}});
+                      {"peak_bytes_ratio", peak_ratio},
+                      {"gmacs_reference", gmacs(macs, ref_s)},
+                      {"gmacs_reference_wide", gmacs(macs, ref_wide_s)},
+                      {"reference_vs_wide", ref_ratio}});
     }
     ct.print();
   }
@@ -401,6 +516,7 @@ int main() {
   json.add_metric("pack_ns_per_elem", pack_ns_per_elem);
   json.add_metric("geomean_packed_1t_vs_reference", geomean(vs_reference));
   json.add_metric("geomean_direct_vs_im2col", geomean(direct_vs_im2col));
+  json.add_metric("geomean_reference_vs_wide", geomean(reference_vs_wide));
   json.write();
 
   std::printf("min packed-1T speedup vs scalar CVU: %.1fx (gate: >= 4x)\n",
@@ -411,9 +527,11 @@ int main() {
               conv_peak_ratio_max);
   std::printf("pack_rows: %.2f ns/element (recorded, not gated)\n",
               pack_ns_per_elem);
-  std::printf("geomean packed-1T vs gemm_reference: %.2fx "
-              "(recorded, not gated)\n",
+  std::printf("geomean packed-1T vs gemm_reference: %.2fx (gate: >= 1.0x)\n",
               geomean(vs_reference));
+  std::printf("geomean reference ops vs their int64 loops: %.2fx "
+              "(gate: >= 1.0x)\n",
+              geomean(reference_vs_wide));
   std::printf("geomean direct conv vs im2col: %.2fx (recorded, not gated)\n",
               geomean(direct_vs_im2col));
   return 0;

@@ -2,13 +2,20 @@
 // truth the packed kernels and the CVU-backed execution path are verified
 // against.
 //
-// Oracle contract: every operator here is a plain scalar loop nest over
-// int32 operands with int64 accumulation — no intrinsics, no bit-plane
-// packing, and no code shared with dnn::im2col or src/kernels, so a bug
-// in the lowering or the kernels cannot hide by appearing on both sides
-// of a check. Speed comes only from memory layout: conv2d_reference pads
-// its input once and gathers each receptive field contiguously, so the
-// inner loop is a bounds-check-free dot product.
+// Oracle contract: every operator here is a plain scalar loop nest — no
+// intrinsics, no target attributes, no bit-plane packing, and no code
+// shared with dnn::im2col or src/kernels, so a bug in the lowering or the
+// kernels cannot hide by appearing on both sides of a check. The results
+// are those of int32 operands with int64 accumulation. The dot-product
+// ops (conv, fc, RNN step) store and accumulate narrower only where a
+// bound checked on entry proves it exact: when max|x| ≤ 32767,
+// max|w| ≤ 32767 and K·max|x|·max|w| ≤ INT32_MAX, the operands are read
+// as int16 and summed in int32, which the compiler vectorizes; otherwise
+// the int64 loop runs. The bound comes from the operand values, never
+// from declared bitwidths. Speed otherwise comes only from memory
+// layout: conv2d_reference pads its input once and gathers blocks of
+// receptive fields contiguously, then dots each block with one weight
+// row at a time, so the inner loop is a bounds-check-free dot product.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +28,10 @@ namespace bpvec::dnn {
 
 /// Direct convolution. `weights` is laid out [out_c][in_c][kh][kw].
 /// Output element (oc, oy, ox) = Σ in(ic, oy·s − pad + ky, ox·s − pad + kx)
-/// · w(oc, ic, ky, kx), 64-bit accumulation returned per element
+/// · w(oc, ic, ky, kx), exact 64-bit values returned per element
 /// ([out_c][out_h][out_w]). Extra memory: one zero-padded copy of the
-/// input plus one in_c·kh·kw receptive-field buffer.
+/// input, a block of in_c·kh·kw receptive fields (32 KiB, or one field
+/// if that is larger) and one weight row, all int16 on the narrow path.
 std::vector<std::int64_t> conv2d_reference(
     const Tensor& input, const std::vector<std::int32_t>& weights,
     const ConvParams& p);

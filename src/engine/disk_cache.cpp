@@ -115,6 +115,17 @@ sim::LayerResult layer_decode(binio::Reader& r) {
   return l;
 }
 
+/// The fewest bytes layer_encode writes: a layer with an empty name. A
+/// layer count that could not fit in the bytes left is corrupt.
+std::size_t min_layer_bytes() {
+  static const std::size_t bytes = [] {
+    binio::Writer w;
+    layer_encode(w, sim::LayerResult{});
+    return w.size();
+  }();
+  return bytes;
+}
+
 // --------------------------------------------------------------------------
 // Shard file layout.
 
@@ -408,6 +419,11 @@ sim::RunResult run_result_decode(binio::Reader& r) {
   out.measured_wall_s = r.f64();
   out.measured_macs = r.i64();
   const std::uint32_t n_layers = r.u32();
+  if (n_layers > r.remaining() / min_layer_bytes()) {
+    throw Error("run result: " + std::to_string(n_layers) +
+                " layers cannot fit in the " + std::to_string(r.remaining()) +
+                " bytes left");
+  }
   out.layers.reserve(n_layers);
   for (std::uint32_t i = 0; i < n_layers; ++i) {
     out.layers.push_back(layer_decode(r));

@@ -184,7 +184,8 @@ class DiskCache {
 
 /// Packed binary serialization of a RunResult (common::binio; the v3
 /// record body). decode is the strict inverse and throws bpvec::Error on
-/// truncation.
+/// truncation, and on a layer count too large for the bytes left, before
+/// it allocates for the layers.
 void run_result_encode(common::binio::Writer& w, const sim::RunResult& r);
 sim::RunResult run_result_decode(common::binio::Reader& r);
 

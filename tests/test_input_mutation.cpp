@@ -1,26 +1,74 @@
-// Seeded mutation suite over the three input readers: every committed
-// scenario manifest and the committed network file, mutated by byte
-// flips, truncation, splices and inserted JSON tokens, must come back
-// from json::parse, cli::parse_manifest + scenario_count,
-// workload::parse_network and a serve "validate" request as a result or
-// a bpvec::Error — never as any other exception, a crash, or (under the
-// sanitizer build) a memory error or undefined behaviour.
+// Seeded mutation suites over the readers of outside input.
+//
+// The three JSON readers: every committed scenario manifest and the
+// committed network file, mutated by byte flips, truncation, splices and
+// inserted JSON tokens, must come back from json::parse,
+// cli::parse_manifest + scenario_count, workload::parse_network and a
+// serve "validate" request as a result or a bpvec::Error — never as any
+// other exception, a crash, or (under the sanitizer build) a memory error
+// or undefined behaviour.
+//
+// The disk cache's record body: encoded zoo RunResults, mutated by bit
+// flips, truncation, splices and length or count fields set to extremes,
+// must come back from engine::run_result_decode the same way, and no
+// single allocation made while decoding may exceed a small multiple of
+// the mutant's size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/arch/dram.h"
 #include "src/cli/manifest.h"
+#include "src/common/binio.h"
 #include "src/common/error.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
+#include "src/dnn/model_zoo.h"
+#include "src/engine/disk_cache.h"
 #include "src/serve/server.h"
+#include "src/sim/simulator.h"
 #include "src/workload/schema.h"
+
+namespace {
+
+/// The largest single operator-new request since the last reset. The
+/// replacements below feed it, so the decode suite can bound what a
+/// mutant makes the decoder allocate instead of trusting that a huge
+/// request fails loudly.
+std::atomic<std::size_t> g_largest_allocation{0};
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+  while (n > seen && !g_largest_allocation.compare_exchange_weak(
+                         seen, n, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+// GCC pairs any operator new with operator delete and so flags the
+// free() below as mismatched, even though the operator new it pairs
+// with is the malloc-backed one above.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace bpvec {
 namespace {
@@ -187,6 +235,155 @@ TEST(InputMutation, EveryReaderYieldsAResultOrABpvecError) {
   EXPECT_GT(manifests, 0u);
   EXPECT_GT(networks, 0u);
   EXPECT_GT(validated, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// engine::run_result_decode
+
+/// One encoded RunResult per zoo network, priced on BPVeC with DDR4.
+std::vector<std::string> encoded_zoo_results() {
+  const sim::Simulator simulator(sim::bpvec_accelerator(), arch::ddr4());
+  std::vector<std::string> encoded;
+  for (const dnn::Network& net :
+       dnn::all_models(dnn::BitwidthMode::kHeterogeneous)) {
+    common::binio::Writer w;
+    engine::run_result_encode(w, simulator.run(net));
+    encoded.push_back(w.take());
+  }
+  return encoded;
+}
+
+std::size_t encoded_size(const sim::RunResult& r) {
+  common::binio::Writer w;
+  engine::run_result_encode(w, r);
+  return w.size();
+}
+
+/// Offsets of every u32 length or count field in an encoded RunResult:
+/// the four string lengths, the layer count and each layer name's
+/// length. The fixed-width stretches between them are measured on the
+/// codec itself, from a blank result and a blank layer.
+std::vector<std::size_t> length_fields(const std::string& bytes) {
+  const std::size_t blank = encoded_size(sim::RunResult{});
+  sim::RunResult one_layer;
+  one_layer.layers.emplace_back();
+  const std::size_t layer_scalars = encoded_size(one_layer) - blank - 4;
+  const std::size_t head_scalars = blank - 4 * 4 - 4;
+
+  common::binio::Reader r(bytes);
+  std::vector<std::size_t> at;
+  const auto pos = [&] { return bytes.size() - r.remaining(); };
+  const auto skip = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) (void)r.u8();
+  };
+  for (int s = 0; s < 4; ++s) {
+    at.push_back(pos());
+    (void)r.str();
+  }
+  skip(head_scalars);
+  at.push_back(pos());
+  const std::uint32_t layers = r.u32();
+  for (std::uint32_t i = 0; i < layers; ++i) {
+    at.push_back(pos());
+    (void)r.str();
+    skip(layer_scalars);
+  }
+  EXPECT_TRUE(r.done()) << "length_fields disagrees with the codec";
+  return at;
+}
+
+void put_u32(std::string& bytes, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] =
+        static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+}
+
+/// Usually one edit, sometimes up to four, every choice drawn from
+/// `rng`.
+std::string mutate_record(std::string bytes,
+                          const std::vector<std::size_t>& fields,
+                          const std::vector<std::string>& inputs, Rng& rng) {
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const std::int64_t edits = rng.uniform(0, 3) == 0 ? rng.uniform(2, 4) : 1;
+  for (std::int64_t k = 0; k < edits; ++k) {
+    const std::size_t pos = pick(bytes.size() + 1);
+    const std::int64_t op = rng.uniform(0, 5);
+    if (op == 0 && pos < bytes.size()) {  // flip one bit
+      bytes[pos] = static_cast<char>(bytes[pos] ^ (1 << rng.uniform(0, 7)));
+    } else if (op == 1) {  // truncate
+      bytes.resize(pos);
+    } else if (op == 2) {  // splice in a slice of any encoded result
+      const std::string& donor = inputs[pick(inputs.size())];
+      bytes.insert(pos, donor.substr(pick(donor.size()), 1 + pick(256)));
+    } else {  // set a length or count field to an extreme
+      const std::size_t at = fields[pick(fields.size())];
+      if (at + 4 > bytes.size()) continue;
+      const std::uint32_t left = static_cast<std::uint32_t>(bytes.size() - at);
+      const std::uint32_t extremes[] = {0,          1,          left - 4,
+                                        left - 3,   left,       0x7f7f7f7fu,
+                                        0x80000000u, 0xffffffffu};
+      put_u32(bytes, at, extremes[pick(std::size(extremes))]);
+    }
+  }
+  return bytes;
+}
+
+/// Mutants per encoded zoo result (six networks). On a 4-vCPU x86-64
+/// host they take well under a second in the Debug ASan+UBSan build.
+constexpr std::uint64_t kRecordMutantsPerInput = 500;
+
+/// No single allocation while decoding may exceed this multiple of the
+/// mutant's size: a decoded layer takes a little more memory than its
+/// encoding, and every string is at most the bytes left.
+constexpr std::size_t kAllocationFactor = 4;
+
+TEST(RunResultDecode, RejectsALayerCountPastTheBufferBeforeAllocating) {
+  const std::string encoded = encoded_zoo_results().front();
+  const std::vector<std::size_t> fields = length_fields(encoded);
+  const std::size_t count_at = fields[4];
+  for (const std::uint32_t count : {0x7f7f7f7fu, 0xffffffffu}) {
+    std::string bytes = encoded;
+    put_u32(bytes, count_at, count);
+    common::binio::Reader r(bytes);
+    g_largest_allocation = 0;
+    EXPECT_THROW((void)engine::run_result_decode(r), Error) << count;
+    EXPECT_LE(g_largest_allocation.load(), kAllocationFactor * bytes.size())
+        << count;
+  }
+}
+
+TEST(RunResultDecode, EveryMutantDecodesOrThrowsABpvecError) {
+  const std::vector<std::string> inputs = encoded_zoo_results();
+  ASSERT_EQ(inputs.size(), 6u);
+  const Rng root(20261018);
+  std::size_t decoded = 0, rejected = 0;
+  for (std::size_t in = 0; in < inputs.size(); ++in) {
+    const std::vector<std::size_t> fields = length_fields(inputs[in]);
+    ASSERT_GT(fields.size(), 5u);
+    for (std::uint64_t k = 0; k < kRecordMutantsPerInput; ++k) {
+      Rng rng = root.fork(in * kRecordMutantsPerInput + k);
+      const std::string mutant =
+          mutate_record(inputs[in], fields, inputs, rng);
+      common::binio::Reader r(mutant);
+      g_largest_allocation = 0;
+      if (returns("run_result_decode", mutant,
+                  [&] { (void)engine::run_result_decode(r); })) {
+        ++decoded;
+      } else {
+        ++rejected;
+      }
+      EXPECT_LE(g_largest_allocation.load(),
+                kAllocationFactor * std::max<std::size_t>(mutant.size(), 64))
+          << "input " << in << " mutant " << k;
+    }
+  }
+  // Both outcomes occur: the suite reaches past the first bad field.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 
 #include "src/common/error.h"
 #include "src/common/rng.h"
+#include "src/dnn/quantize.h"
 
 namespace bpvec::dnn {
 namespace {
@@ -41,6 +44,174 @@ std::vector<std::int64_t> conv_at_padded(
     }
   }
   return out;
+}
+
+/// fc_reference's oracle: one int64 multiply-add per MAC.
+std::vector<std::int64_t> fc_wide(const std::vector<std::int32_t>& input,
+                                  const std::vector<std::int32_t>& weights,
+                                  const FcParams& p) {
+  std::vector<std::int64_t> out(static_cast<std::size_t>(p.out_features), 0);
+  for (int n = 0; n < p.out_features; ++n) {
+    for (int k = 0; k < p.in_features; ++k) {
+      out[static_cast<std::size_t>(n)] +=
+          std::int64_t{input[static_cast<std::size_t>(k)]} *
+          weights[static_cast<std::size_t>(n) * p.in_features + k];
+    }
+  }
+  return out;
+}
+
+/// rnn_step_reference's oracle: int64 accumulation over [x | h], then
+/// the same requantize.
+std::vector<std::int32_t> rnn_step_wide(
+    const std::vector<std::int32_t>& x, const std::vector<std::int32_t>& h,
+    const std::vector<std::int32_t>& weights, int hidden, int shift,
+    int out_bits) {
+  std::vector<std::int32_t> xh = x;
+  xh.insert(xh.end(), h.begin(), h.end());
+  std::vector<std::int32_t> out;
+  for (int n = 0; n < hidden; ++n) {
+    std::int64_t acc = 0;
+    for (std::size_t i = 0; i < xh.size(); ++i) {
+      acc += std::int64_t{xh[i]} * weights[n * xh.size() + i];
+    }
+    out.push_back(requantize(acc, shift, out_bits));
+  }
+  return out;
+}
+
+/// Checks all three dot-product ops against their oracles on one K-long
+/// operand pair: conv as in_c = K channels of a 1×1 input under a 1×1
+/// kernel, fc with one output row, and an RNN step with x = the first
+/// half of `x` and h = the rest. A second output row or channel carries
+/// the negated weights, so every case covers both signs of its sum. The
+/// RNN requantizes with shift 1 into 31 bits, which still tells a sum
+/// past INT32_MAX from one that wrapped to negative.
+void expect_all_ops_exact(const std::vector<std::int32_t>& x,
+                          const std::vector<std::int32_t>& w,
+                          const std::string& what) {
+  ASSERT_EQ(x.size(), w.size());
+  const int k = static_cast<int>(x.size());
+  std::vector<std::int32_t> rows = w;
+  for (const std::int32_t v : w) {
+    // Negating INT32_MIN is undefined; INT32_MAX stands in for it.
+    rows.push_back(v == INT32_MIN ? INT32_MAX : -v);
+  }
+
+  const ConvParams cp{k, 1, 1, 2, 1, 1, 1, 0};
+  Tensor in(k, 1, 1);
+  in.data() = x;
+  EXPECT_EQ(conv2d_reference(in, rows, cp), conv_at_padded(in, rows, cp))
+      << what;
+
+  const FcParams fp{k, 2};
+  EXPECT_EQ(fc_reference(x, rows, fp), fc_wide(x, rows, fp)) << what;
+
+  const auto half = static_cast<std::ptrdiff_t>(x.size() / 2);
+  const std::vector<std::int32_t> xs(x.begin(), x.begin() + half);
+  const std::vector<std::int32_t> hs(x.begin() + half, x.end());
+  EXPECT_EQ(rnn_step_reference(xs, hs, rows, 2, /*shift=*/1, /*out_bits=*/31),
+            rnn_step_wide(xs, hs, rows, 2, 1, 31))
+      << what;
+}
+
+TEST(ReferenceNarrowing, SeededOperandsAtEveryWidthFrom1To16Bits) {
+  Rng rng(1618);
+  for (int x_bits = 1; x_bits <= 16; ++x_bits) {
+    for (int w_bits = 1; w_bits <= 16; ++w_bits) {
+      const std::string what =
+          std::to_string(x_bits) + "x" + std::to_string(w_bits) + " bits";
+      // Conv with a real window: 3×3 kernel, pad 1, K up to 72.
+      ConvParams cp;
+      cp.in_c = static_cast<int>(rng.uniform(1, 8));
+      cp.in_h = cp.in_w = 5;
+      cp.out_c = 3;
+      cp.kh = cp.kw = 3;
+      cp.stride = 1;
+      cp.pad = 1;
+      Tensor in(cp.in_c, cp.in_h, cp.in_w);
+      for (auto& v : in.data()) v = rng.signed_value(x_bits);
+      const auto cw = rng.signed_vector(
+          static_cast<std::size_t>(cp.out_c) * cp.in_c * 9, w_bits);
+      EXPECT_EQ(conv2d_reference(in, cw, cp), conv_at_padded(in, cw, cp))
+          << what;
+
+      // K up to 2048, so 16-bit operands take the wide path.
+      const FcParams fp{static_cast<int>(rng.uniform(1, 2048)), 3};
+      const auto fx = rng.signed_vector(fp.in_features, x_bits);
+      const auto fw = rng.signed_vector(
+          static_cast<std::size_t>(fp.in_features) * fp.out_features, w_bits);
+      EXPECT_EQ(fc_reference(fx, fw, fp), fc_wide(fx, fw, fp)) << what;
+
+      const int input = static_cast<int>(rng.uniform(1, 40));
+      const int hidden = static_cast<int>(rng.uniform(1, 16));
+      const auto x = rng.signed_vector(input, x_bits);
+      const auto h = rng.signed_vector(hidden, x_bits);
+      const auto rw = rng.signed_vector(
+          static_cast<std::size_t>(hidden) * (input + hidden), w_bits);
+      EXPECT_EQ(rnn_step_reference(x, h, rw, hidden, /*shift=*/3, 31),
+                rnn_step_wide(x, h, rw, hidden, 3, 31))
+          << what;
+    }
+  }
+}
+
+TEST(ReferenceNarrowing, Int16Edges) {
+  constexpr std::int32_t kMax = 32767, kMin = -32768;
+  // 2·32767² = 2147352578 ≤ INT32_MAX: the largest all-±32767 sum the
+  // narrow path takes.
+  expect_all_ops_exact({kMax, kMax}, {kMax, kMax}, "2 x 32767^2");
+  expect_all_ops_exact({kMax, -kMax}, {-kMax, kMax}, "2 x -32767^2");
+  // One term more is past the bound.
+  expect_all_ops_exact({kMax, kMax, kMax}, {kMax, kMax, kMax},
+                       "3 x 32767^2");
+  // -32768 is an int16 value, but its magnitude is not, so any operand
+  // holding it takes the wide path: 2·(-32768)² = 2^31.
+  expect_all_ops_exact({kMin, kMin}, {kMin, kMin}, "2 x (-32768)^2");
+  expect_all_ops_exact({kMin, 1}, {1, kMin}, "-32768 in x and in w");
+  expect_all_ops_exact({kMax, kMin, kMax, kMin}, {kMin, kMax, kMax, kMin},
+                       "mixed int16 edges");
+}
+
+TEST(ReferenceNarrowing, Int32Extremes) {
+  // The wide path must stay exact for any int32 operand whose sum fits
+  // int64.
+  expect_all_ops_exact({INT32_MIN, INT32_MAX, 1}, {INT32_MIN, -1, INT32_MAX},
+                       "INT32_MIN^2 and INT32_MAX terms");
+  expect_all_ops_exact({INT32_MAX, INT32_MAX}, {INT32_MAX, INT32_MAX},
+                       "2 x INT32_MAX^2");
+  expect_all_ops_exact({INT32_MIN, 0, 0, 0}, {0, INT32_MIN, 7, -7},
+                       "extremes against zeros");
+  // A large activation against all-zero weights: the bound holds for any
+  // max|x| ≤ INT16_MAX when max|w| is 0.
+  expect_all_ops_exact({32767, -32767, 32767}, {0, 0, 0}, "zero weights");
+}
+
+TEST(ReferenceNarrowing, SameSignSumsAtAndPastInt32Max) {
+  // 2147483646 = 18·10261·11627: 18 equal products make INT32_MAX − 1
+  // with the bound K·max|x|·max|w| exactly equal to the sum, so the
+  // narrow path takes it.
+  std::vector<std::int32_t> x(18, 10261), w(18, 11627);
+  expect_all_ops_exact(x, w, "INT32_MAX - 1, narrow");
+  // One more 1·1 term lands exactly at INT32_MAX and pushes the bound
+  // past it: the fallback must take it.
+  x.push_back(1);
+  w.push_back(1);
+  expect_all_ops_exact(x, w, "INT32_MAX");
+  // One step past INT32_MAX.
+  w.back() = 2;
+  expect_all_ops_exact(x, w, "INT32_MAX + 1");
+  // The same edge reached through K alone, with max|w| = 1:
+  // 65538·32767 = INT32_MAX − 1 is the longest all-32767 sum the bound
+  // admits.
+  std::vector<std::int32_t> xs(65538, 32767), ws(65538, 1);
+  expect_all_ops_exact(xs, ws, "65538 x 32767, narrow");
+  // One more 1·1 term: exactly INT32_MAX, and past the bound.
+  xs.push_back(1);
+  ws.push_back(1);
+  expect_all_ops_exact(xs, ws, "65538 x 32767 + 1");
+  xs.back() = 2;
+  expect_all_ops_exact(xs, ws, "65538 x 32767 + 2");
 }
 
 TEST(ConvReference, IdentityKernelCopiesInput) {
