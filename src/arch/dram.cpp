@@ -4,6 +4,11 @@
 
 namespace bpvec::arch {
 
+bool DramModel::valid() const {
+  return bandwidth_gbps > 0 && energy_pj_per_bit >= 0 &&
+         startup_latency_ns >= 0 && background_power_w >= 0;
+}
+
 double DramModel::bytes_per_cycle(double frequency_hz) const {
   BPVEC_CHECK(frequency_hz > 0);
   return bandwidth_gbps * 1e9 / frequency_hz;

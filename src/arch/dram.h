@@ -19,6 +19,10 @@ struct DramModel {
   /// runtime in the paper's Figs. 5–8.
   double background_power_w = 0.0;
 
+  /// Positive bandwidth and non-negative energy, latency and background
+  /// power — what pricing needs of a memory system.
+  bool valid() const;
+
   /// Bytes transferable per accelerator cycle at `frequency_hz`.
   double bytes_per_cycle(double frequency_hz) const;
 

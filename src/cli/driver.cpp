@@ -160,38 +160,15 @@ void print_search_csv(std::ostream& out, const dse::ParamSpace& space,
   }
 }
 
-/// The search subcommand's pipeline, after the manifest is loaded.
-void run_search_mode(const DriverOptions& options, serve::Session& session,
-                     std::ostream& out, DriverResult& result) {
-  BPVEC_CHECK(result.manifest.search.has_value());
-
-  if (options.command == Command::kValidateSearch) {
-    serve::ValidateRequest request;
-    request.manifest = result.manifest;
-    request.search = true;
-    out << session.validate(request).text;
-    return;
-  }
-
-  serve::SearchRequest request;
-  request.manifest = result.manifest;
-  request.deterministic_report = options.deterministic_report;
-  serve::Response response = session.search(request);
-  // The session is fresh, so the per-request delta equals the engine's
-  // totals — the numbers this driver always reported.
-  result.stats = response.delta;
-  result.search = std::move(response.search);
-  result.report = std::move(response.report);
+/// Search mode's summary line and frontier table (below the shared
+/// "Manifest:" header) and its CSV.
+void print_search(const DriverOptions& options, const DriverResult& result,
+                  std::ostream& out) {
   const SearchSpec& spec = *result.manifest.search;
   const dse::ParamSpace space = search_space(spec);
   const dse::SearchOutcome& outcome = *result.search;
-
   if (options.print_table) {
-    out << "Manifest: " << result.manifest.name;
-    if (!result.manifest.description.empty()) {
-      out << " — " << result.manifest.description;
-    }
-    out << "\nsearch: " << spec.strategy << " over " << space.size()
+    out << "search: " << spec.strategy << " over " << space.size()
         << " candidates — " << outcome.candidates << " evaluated ("
         << outcome.unique_candidates << " unique, " << outcome.infeasible
         << " infeasible, " << result.stats.simulations_run << " simulated, "
@@ -203,21 +180,21 @@ void run_search_mode(const DriverOptions& options, serve::Session& session,
     print_frontier_table(out, space, outcome);
   }
   if (options.print_csv) print_search_csv(out, space, outcome);
+}
 
-  if (options.write_report) {
-    const std::string path =
-        options.report_path.empty()
-            ? "REPORT_" + result.manifest.name + ".json"
-            : options.report_path;
-    write_file(path, result.report.dump(1));
-    if (options.print_table) out << "\n[bpvec_run] wrote " << path << "\n";
+/// Price mode's summary line and scenario table (below the shared
+/// "Manifest:" header) and its CSV.
+void print_grid(const DriverOptions& options, const DriverResult& result,
+                std::ostream& out) {
+  if (options.print_table) {
+    out << result.scenarios.size() << " scenarios ("
+        << result.stats.simulations_run << " simulated, "
+        << result.stats.cache_hits << " memo hits, "
+        << result.stats.disk_hits << " disk hits"
+        << disk_trouble_summary(result.stats) << ")\n\n";
+    print_table(out, result.scenarios, result.results);
   }
-  if (!options.stats_path.empty()) {
-    write_file(options.stats_path, engine::to_json(result.stats).dump(1));
-    if (options.print_table) {
-      out << "[bpvec_run] wrote " << options.stats_path << "\n";
-    }
-  }
+  if (options.print_csv) print_csv(out, result.scenarios, result.results);
 }
 
 }  // namespace
@@ -242,39 +219,47 @@ DriverResult run_manifest(const DriverOptions& options, std::ostream& out) {
   }
   result.manifest = load_manifest(options.manifest_path);
 
-  if (options.command == Command::kSearch ||
-      options.command == Command::kValidateSearch) {
-    if (!result.manifest.search) {
-      throw Error(options.manifest_path +
-                  ": manifest has no \"search\" block (omit the search "
-                  "subcommand to run its grids)");
-    }
-    run_search_mode(options, session, out, result);
-    return result;
+  const bool search = options.command == Command::kSearch ||
+                      options.command == Command::kValidateSearch;
+  if (search && !result.manifest.search) {
+    throw Error(options.manifest_path +
+                ": manifest has no \"search\" block (omit the search "
+                "subcommand to run its grids)");
   }
-
-  if (result.manifest.grids.empty()) {
+  if (!search && result.manifest.grids.empty()) {
     throw Error(options.manifest_path +
                 ": manifest has no grids (use `bpvec_run search` for its "
                 "\"search\" block)");
   }
 
-  if (options.command == Command::kValidate) {
+  if (options.command == Command::kValidate ||
+      options.command == Command::kValidateSearch) {
     serve::ValidateRequest request;
     request.manifest = result.manifest;
+    request.search = search;
     serve::Response response = session.validate(request);
     result.scenarios = std::move(response.scenarios);
     out << response.text;
     return result;
   }
 
-  serve::PriceRequest request;
-  request.manifest = result.manifest;
-  request.deterministic_report = options.deterministic_report;
-  serve::Response response = session.price(request);
-  result.scenarios = std::move(response.scenarios);
-  result.results = std::move(response.results);
-  // Fresh session: the per-request delta equals the engine's totals.
+  serve::Response response;
+  if (search) {
+    serve::SearchRequest request;
+    request.manifest = result.manifest;
+    request.deterministic_report = options.deterministic_report;
+    response = session.search(request);
+    result.search = std::move(response.search);
+  } else {
+    serve::PriceRequest request;
+    request.manifest = result.manifest;
+    request.deterministic_report = options.deterministic_report;
+    response = session.price(request);
+    result.scenarios = std::move(response.scenarios);
+    result.results = std::move(response.results);
+  }
+  // The session is fresh, so the per-request delta equals the engine's
+  // totals — the numbers this driver always reported.
   result.stats = response.delta;
   result.report = std::move(response.report);
 
@@ -283,17 +268,13 @@ DriverResult run_manifest(const DriverOptions& options, std::ostream& out) {
     if (!result.manifest.description.empty()) {
       out << " — " << result.manifest.description;
     }
-    out << "\n" << result.scenarios.size() << " scenarios ("
-        << result.stats.simulations_run << " simulated, "
-        << result.stats.cache_hits << " memo hits, "
-        << result.stats.disk_hits << " disk hits"
-        << disk_trouble_summary(result.stats) << ")\n\n";
-    print_table(out, result.scenarios, result.results);
+    out << "\n";
   }
-  if (options.print_csv) {
-    print_csv(out, result.scenarios, result.results);
+  if (search) {
+    print_search(options, result, out);
+  } else {
+    print_grid(options, result, out);
   }
-
   if (options.write_report) {
     const std::string path =
         options.report_path.empty()

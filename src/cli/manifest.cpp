@@ -27,14 +27,6 @@ FieldReader reader(std::string context = {}) {
   return FieldReader("manifest", std::move(context));
 }
 
-/// Sets `out` from the optional member `key` of `obj`, read with `get`
-/// (a FieldReader typed read); leaves it unset when the key is absent.
-template <typename T, typename Get>
-void read_optional(const FieldReader& r, const Value& obj, const char* key,
-                   std::optional<T>& out, Get get) {
-  if (const Value* f = obj.find(key)) out = (r.*get)(*f, key);
-}
-
 // ----- token tables --------------------------------------------------
 
 engine::Platform platform_from_index(std::size_t i) {
@@ -175,44 +167,47 @@ void require_mode_for_custom_networks(const FieldReader& r,
 
 // ----- overrides ------------------------------------------------------
 
-PlatformOverrides parse_platform_overrides(const FieldReader& r,
-                                           const Value& v) {
-  if (!v.is_object()) r.fail("\"platform_overrides\" must be an object");
-  r.check_keys(v, {"rows", "cols", "scratchpad_bytes", "frequency_hz",
-                   "time_chunk", "batch_size", "static_core_mw",
-                   "cvu_slice_bits", "cvu_max_bits", "cvu_lanes"});
-  PlatformOverrides o;
-  read_optional(r, v, "rows", o.rows, &FieldReader::get_int);
-  read_optional(r, v, "cols", o.cols, &FieldReader::get_int);
-  read_optional(r, v, "scratchpad_bytes", o.scratchpad_bytes,
-                &FieldReader::get_int64);
-  read_optional(r, v, "frequency_hz", o.frequency_hz,
-                &FieldReader::get_number);
-  read_optional(r, v, "time_chunk", o.time_chunk, &FieldReader::get_int);
-  read_optional(r, v, "batch_size", o.batch_size, &FieldReader::get_int);
-  read_optional(r, v, "static_core_mw", o.static_core_mw,
-                &FieldReader::get_number);
-  read_optional(r, v, "cvu_slice_bits", o.cvu_slice_bits,
-                &FieldReader::get_int);
-  read_optional(r, v, "cvu_max_bits", o.cvu_max_bits, &FieldReader::get_int);
-  read_optional(r, v, "cvu_lanes", o.cvu_lanes, &FieldReader::get_int);
-  return o;
+/// A knob's value, read as the type dse's knob table gives it.
+double read_knob(const FieldReader& r, dse::Knob knob, const Value& v) {
+  const std::string key = dse::to_string(knob);
+  if (dse::knob_type(knob) == dse::KnobType::kInt) return r.get_int(v, key);
+  if (dse::knob_type(knob) == dse::KnobType::kNumber) {
+    return r.get_number(v, key);
+  }
+  // Knob values are doubles: integers past 2^53 would round silently.
+  constexpr std::int64_t kExact = std::int64_t{1} << 53;
+  const std::int64_t i = r.get_int64(v, key);
+  if (i > kExact || i < -kExact) {
+    r.fail("\"" + key + "\" out of range (beyond 2^53, which a knob value "
+           "cannot hold exactly)");
+  }
+  return static_cast<double>(i);
 }
 
-MemoryOverrides parse_memory_overrides(const FieldReader& r, const Value& v) {
-  if (!v.is_object()) r.fail("\"memory_overrides\" must be an object");
-  r.check_keys(v, {"bandwidth_gbps", "energy_pj_per_bit",
-                   "startup_latency_ns", "background_power_w"});
-  MemoryOverrides o;
-  read_optional(r, v, "bandwidth_gbps", o.bandwidth_gbps,
-                &FieldReader::get_number);
-  read_optional(r, v, "energy_pj_per_bit", o.energy_pj_per_bit,
-                &FieldReader::get_number);
-  read_optional(r, v, "startup_latency_ns", o.startup_latency_ns,
-                &FieldReader::get_number);
-  read_optional(r, v, "background_power_w", o.background_power_w,
-                &FieldReader::get_number);
-  return o;
+/// A grid's "platform_overrides" or "memory_overrides" block (`key`): the
+/// settings of the scope's `knobs`, in that order.
+std::vector<dse::KnobSetting> parse_overrides(
+    const FieldReader& r, const Value& v, const std::string& key,
+    const std::vector<dse::Knob>& knobs) {
+  if (!v.is_object()) r.fail("\"" + key + "\" must be an object");
+  std::vector<std::string> allowed;
+  for (const dse::Knob knob : knobs) allowed.emplace_back(dse::to_string(knob));
+  r.check_keys(v, allowed);
+  std::vector<dse::KnobSetting> settings;
+  for (const dse::Knob knob : knobs) {
+    if (const Value* f = v.find(dse::to_string(knob))) {
+      settings.push_back({knob, read_knob(r, knob, *f)});
+    }
+  }
+  return settings;
+}
+
+/// A knob value as manifests write it: integer knobs as JSON integers.
+Value knob_json(dse::Knob knob, double value) {
+  if (dse::knob_is_integer(knob)) {
+    return static_cast<std::int64_t>(std::llround(value));
+  }
+  return value;
 }
 
 BitwidthOverride parse_bitwidth_override(const FieldReader& r,
@@ -226,43 +221,6 @@ BitwidthOverride parse_bitwidth_override(const FieldReader& r,
     r.fail("bitwidth_override bits must be in [1, 8]");
   }
   return o;
-}
-
-sim::AcceleratorConfig apply_overrides(const FieldReader& r,
-                                       sim::AcceleratorConfig config,
-                                       const PlatformOverrides& o) {
-  if (o.rows) config.rows = *o.rows;
-  if (o.cols) config.cols = *o.cols;
-  if (o.scratchpad_bytes) config.scratchpad_bytes = *o.scratchpad_bytes;
-  if (o.frequency_hz) config.frequency_hz = *o.frequency_hz;
-  if (o.time_chunk) config.time_chunk = *o.time_chunk;
-  if (o.batch_size) config.batch_size = *o.batch_size;
-  if (o.static_core_mw) config.static_core_mw = *o.static_core_mw;
-  if (o.cvu_slice_bits) config.cvu.slice_bits = *o.cvu_slice_bits;
-  if (o.cvu_max_bits) config.cvu.max_bits = *o.cvu_max_bits;
-  if (o.cvu_lanes) config.cvu.lanes = *o.cvu_lanes;
-  try {
-    config.validate();
-  } catch (const Error& e) {
-    r.fail(std::string("platform_overrides produce an invalid platform: ") +
-           e.what());
-  }
-  return config;
-}
-
-arch::DramModel apply_overrides(const FieldReader& r, arch::DramModel memory,
-                                const MemoryOverrides& o) {
-  if (o.bandwidth_gbps) memory.bandwidth_gbps = *o.bandwidth_gbps;
-  if (o.energy_pj_per_bit) memory.energy_pj_per_bit = *o.energy_pj_per_bit;
-  if (o.startup_latency_ns) memory.startup_latency_ns = *o.startup_latency_ns;
-  if (o.background_power_w) {
-    memory.background_power_w = *o.background_power_w;
-  }
-  if (memory.bandwidth_gbps <= 0 || memory.energy_pj_per_bit < 0 ||
-      memory.startup_latency_ns < 0 || memory.background_power_w < 0) {
-    r.fail("memory_overrides produce an invalid memory system");
-  }
-  return memory;
 }
 
 GridSpec parse_grid(const FieldReader& r, const Value& v,
@@ -282,10 +240,12 @@ GridSpec parse_grid(const FieldReader& r, const Value& v,
     g.bitwidth_modes = r.get_string_list(*f, "bitwidth_modes");
   }
   if (const Value* f = v.find("platform_overrides")) {
-    g.platform_overrides = parse_platform_overrides(r, *f);
+    g.platform_overrides =
+        parse_overrides(r, *f, "platform_overrides", dse::platform_knobs());
   }
   if (const Value* f = v.find("memory_overrides")) {
-    g.memory_overrides = parse_memory_overrides(r, *f);
+    g.memory_overrides =
+        parse_overrides(r, *f, "memory_overrides", dse::memory_knobs());
   }
   if (const Value* f = v.find("bitwidth_override")) {
     g.bitwidth_override = parse_bitwidth_override(r, *f);
@@ -682,10 +642,7 @@ SearchSpec parse_search(const Value& v,
   }
   s.space = parse_search_space(r, r.require(v, "space"));
   for (const dse::Axis& a : s.space) {
-    const bool net_axis =
-        a.knob == dse::Knob::kNetDepth || a.knob == dse::Knob::kNetWidth ||
-        a.knob == dse::Knob::kNetBits;
-    if (!net_axis) continue;
+    if (!dse::is_workload_knob(a.knob)) continue;
     if (!s.workload) {
       r.fail(std::string("knob \"") + dse::to_string(a.knob) +
              "\" needs a \"workload\" generator block");
@@ -696,21 +653,16 @@ SearchSpec parse_search(const Value& v,
     // knob validation without building a network.
     for (double value : a.values) {
       workload::GeneratorSpec probe = *s.workload;
-      const int i = static_cast<int>(std::llround(value));
-      if (i < 1) {
-        r.fail(std::string("knob \"") + dse::to_string(a.knob) +
-               "\" values must be positive, got " + std::to_string(i));
-      }
-      switch (a.knob) {
-        case dse::Knob::kNetDepth: probe.depth = i; break;
-        case dse::Knob::kNetWidth: probe.width = i; break;
-        default: probe.bitwidth_policy = "uniform:" + std::to_string(i);
+      try {
+        dse::apply_workload_knob(a.knob, value, probe);
+      } catch (const Error& e) {
+        r.fail(std::string("knob ") + e.what());
       }
       try {
         (void)workload::generated_name(probe);
       } catch (const Error& e) {
         r.fail(std::string("knob \"") + dse::to_string(a.knob) + "\" value " +
-               std::to_string(i) + ": " + e.what());
+               dse::knob_value_string(a.knob, value) + ": " + e.what());
       }
     }
   }
@@ -755,17 +707,6 @@ SearchSpec parse_search(const Value& v,
 }
 
 }  // namespace
-
-bool PlatformOverrides::any() const {
-  return rows || cols || scratchpad_bytes || frequency_hz || time_chunk ||
-         batch_size || static_core_mw || cvu_slice_bits || cvu_max_bits ||
-         cvu_lanes;
-}
-
-bool MemoryOverrides::any() const {
-  return bandwidth_gbps || energy_pj_per_bit || startup_latency_ns ||
-         background_power_w;
-}
 
 const std::vector<std::string>& network_tokens() {
   return workload::NetworkRegistry::builtin_tokens();
@@ -863,13 +804,7 @@ common::json::Value to_json(const SearchSpec& s) {
   Value space = Value::object();
   for (const dse::Axis& axis : s.space) {
     Value values = Value::array();
-    for (double v : axis.values) {
-      if (dse::knob_is_integer(axis.knob)) {
-        values.push_back(static_cast<std::int64_t>(std::llround(v)));
-      } else {
-        values.push_back(v);
-      }
-    }
+    for (double v : axis.values) values.push_back(knob_json(axis.knob, v));
     space.set(dse::to_string(axis.knob), std::move(values));
   }
   sv.set("space", std::move(space));
@@ -965,36 +900,17 @@ common::json::Value to_json(const Manifest& manifest) {
     grid.set("memories", string_list(g.memories));
     grid.set("networks", string_list(g.networks));
     grid.set("bitwidth_modes", string_list(g.bitwidth_modes));
-    if (g.platform_overrides.any()) {
+    const auto overrides = [&grid](const char* key,
+                                   const std::vector<dse::KnobSetting>& s) {
+      if (s.empty()) return;
       Value o = Value::object();
-      const PlatformOverrides& p = g.platform_overrides;
-      if (p.rows) o.set("rows", *p.rows);
-      if (p.cols) o.set("cols", *p.cols);
-      if (p.scratchpad_bytes) o.set("scratchpad_bytes", *p.scratchpad_bytes);
-      if (p.frequency_hz) o.set("frequency_hz", *p.frequency_hz);
-      if (p.time_chunk) o.set("time_chunk", *p.time_chunk);
-      if (p.batch_size) o.set("batch_size", *p.batch_size);
-      if (p.static_core_mw) o.set("static_core_mw", *p.static_core_mw);
-      if (p.cvu_slice_bits) o.set("cvu_slice_bits", *p.cvu_slice_bits);
-      if (p.cvu_max_bits) o.set("cvu_max_bits", *p.cvu_max_bits);
-      if (p.cvu_lanes) o.set("cvu_lanes", *p.cvu_lanes);
-      grid.set("platform_overrides", std::move(o));
-    }
-    if (g.memory_overrides.any()) {
-      Value o = Value::object();
-      const MemoryOverrides& m = g.memory_overrides;
-      if (m.bandwidth_gbps) o.set("bandwidth_gbps", *m.bandwidth_gbps);
-      if (m.energy_pj_per_bit) {
-        o.set("energy_pj_per_bit", *m.energy_pj_per_bit);
+      for (const dse::KnobSetting& k : s) {
+        o.set(dse::to_string(k.knob), knob_json(k.knob, k.value));
       }
-      if (m.startup_latency_ns) {
-        o.set("startup_latency_ns", *m.startup_latency_ns);
-      }
-      if (m.background_power_w) {
-        o.set("background_power_w", *m.background_power_w);
-      }
-      grid.set("memory_overrides", std::move(o));
-    }
+      grid.set(key, std::move(o));
+    };
+    overrides("platform_overrides", g.platform_overrides);
+    overrides("memory_overrides", g.memory_overrides);
     if (g.bitwidth_override) {
       Value o = Value::object();
       o.set("x_bits", g.bitwidth_override->x_bits);
@@ -1041,20 +957,37 @@ std::vector<engine::Scenario> expand(const Manifest& manifest) {
       }
     }
 
-    // Resolve each axis once; the loops below only combine.
+    // Resolve each axis once; the loops below only combine. A platform
+    // knob sets no memory field and a memory knob no platform field, so
+    // each axis applies its overrides beside a throwaway of the other.
     std::vector<sim::AcceleratorConfig> platforms;
     for (const std::string& p : g.platforms) {
-      platforms.push_back(apply_overrides(
-          r,
-          platform_config_from_index(
-              r.token_index(p, "platform", platform_tokens())),
-          g.platform_overrides));
+      sim::AcceleratorConfig config = platform_config_from_index(
+          r.token_index(p, "platform", platform_tokens()));
+      arch::DramModel unused;
+      for (const dse::KnobSetting& k : g.platform_overrides) {
+        dse::apply_knob(k.knob, k.value, config, unused);
+      }
+      try {
+        config.validate();
+      } catch (const Error& e) {
+        r.fail(std::string("platform_overrides produce an invalid platform: ") +
+               e.what());
+      }
+      platforms.push_back(std::move(config));
     }
     std::vector<arch::DramModel> memories;
     for (const std::string& m : g.memories) {
-      memories.push_back(apply_overrides(
-          r, memory_from_index(r.token_index(m, "memory", memory_tokens())),
-          g.memory_overrides));
+      arch::DramModel memory =
+          memory_from_index(r.token_index(m, "memory", memory_tokens()));
+      sim::AcceleratorConfig unused;
+      for (const dse::KnobSetting& k : g.memory_overrides) {
+        dse::apply_knob(k.knob, k.value, unused, memory);
+      }
+      if (!memory.valid()) {
+        r.fail("memory_overrides produce an invalid memory system");
+      }
+      memories.push_back(std::move(memory));
     }
     const std::vector<std::string> net_tokens =
         resolve_networks(r, g.networks, workload_names);

@@ -92,8 +92,10 @@
 //     }
 //   }
 //
-// Knob tokens are the dse::Knob tokens (they match the grid override
-// keys); axis order in the manifest is the space's canonical axis order.
+// Knob tokens are the dse::Knob tokens; axis order in the manifest is the
+// space's canonical axis order. The grid override keys are the same
+// tokens: src/dse/param_space defines once how each token reads from JSON
+// and which config field it sets, for both overrides and search axes.
 #pragma once
 
 #include <cstdint>
@@ -107,34 +109,6 @@
 #include "src/workload/generators.h"
 
 namespace bpvec::cli {
-
-/// Platform-knob overrides applied to every platform cell of one grid
-/// (after the named platform's Table II factory runs). Unset fields keep
-/// the platform's value. The overridden config is re-validated.
-struct PlatformOverrides {
-  std::optional<int> rows;
-  std::optional<int> cols;
-  std::optional<std::int64_t> scratchpad_bytes;
-  std::optional<double> frequency_hz;
-  std::optional<int> time_chunk;
-  std::optional<int> batch_size;
-  std::optional<double> static_core_mw;
-  std::optional<int> cvu_slice_bits;
-  std::optional<int> cvu_max_bits;
-  std::optional<int> cvu_lanes;
-
-  bool any() const;
-};
-
-/// Memory-knob overrides, same contract as PlatformOverrides.
-struct MemoryOverrides {
-  std::optional<double> bandwidth_gbps;
-  std::optional<double> energy_pj_per_bit;
-  std::optional<double> startup_latency_ns;
-  std::optional<double> background_power_w;
-
-  bool any() const;
-};
 
 /// Forces every compute layer of every network in the grid to these
 /// operand bitwidths (pool layers are untouched). Sits on top of the
@@ -173,8 +147,12 @@ struct GridSpec {
   /// declares).
   std::vector<std::string> networks;
   std::vector<std::string> bitwidth_modes{"homogeneous8b"};
-  PlatformOverrides platform_overrides;
-  MemoryOverrides memory_overrides;
+  /// "platform_overrides" / "memory_overrides": knob settings applied to
+  /// every platform / memory cell of the grid (after the named Table II
+  /// factory runs) through dse::apply_knob, in dse::platform_knobs() /
+  /// dse::memory_knobs() order. The overridden configs are re-validated.
+  std::vector<dse::KnobSetting> platform_overrides;
+  std::vector<dse::KnobSetting> memory_overrides;
   std::optional<BitwidthOverride> bitwidth_override;
   /// Appended to every generated scenario id (default ids are
   /// <backend>:<platform>/<network>/<memory>, which collide between two

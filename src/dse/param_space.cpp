@@ -15,33 +15,28 @@ namespace {
 struct KnobInfo {
   Knob knob;
   const char* token;
-  bool integer;
+  KnobType type;
 };
 
 const KnobInfo kKnobs[] = {
-    {Knob::kCvuSliceBits, "cvu_slice_bits", true},
-    {Knob::kCvuMaxBits, "cvu_max_bits", true},
-    {Knob::kCvuLanes, "cvu_lanes", true},
-    {Knob::kRows, "rows", true},
-    {Knob::kCols, "cols", true},
-    {Knob::kScratchpadBytes, "scratchpad_bytes", true},
-    {Knob::kFrequencyHz, "frequency_hz", false},
-    {Knob::kTimeChunk, "time_chunk", true},
-    {Knob::kBatchSize, "batch_size", true},
-    {Knob::kStaticCoreMw, "static_core_mw", false},
-    {Knob::kMemBandwidthGbps, "bandwidth_gbps", false},
-    {Knob::kMemEnergyPjPerBit, "energy_pj_per_bit", false},
-    {Knob::kMemStartupLatencyNs, "startup_latency_ns", false},
-    {Knob::kMemBackgroundPowerW, "background_power_w", false},
-    {Knob::kNetDepth, "net_depth", true},
-    {Knob::kNetWidth, "net_width", true},
-    {Knob::kNetBits, "net_bits", true},
+    {Knob::kCvuSliceBits, "cvu_slice_bits", KnobType::kInt},
+    {Knob::kCvuMaxBits, "cvu_max_bits", KnobType::kInt},
+    {Knob::kCvuLanes, "cvu_lanes", KnobType::kInt},
+    {Knob::kRows, "rows", KnobType::kInt},
+    {Knob::kCols, "cols", KnobType::kInt},
+    {Knob::kScratchpadBytes, "scratchpad_bytes", KnobType::kInt64},
+    {Knob::kFrequencyHz, "frequency_hz", KnobType::kNumber},
+    {Knob::kTimeChunk, "time_chunk", KnobType::kInt},
+    {Knob::kBatchSize, "batch_size", KnobType::kInt},
+    {Knob::kStaticCoreMw, "static_core_mw", KnobType::kNumber},
+    {Knob::kMemBandwidthGbps, "bandwidth_gbps", KnobType::kNumber},
+    {Knob::kMemEnergyPjPerBit, "energy_pj_per_bit", KnobType::kNumber},
+    {Knob::kMemStartupLatencyNs, "startup_latency_ns", KnobType::kNumber},
+    {Knob::kMemBackgroundPowerW, "background_power_w", KnobType::kNumber},
+    {Knob::kNetDepth, "net_depth", KnobType::kInt},
+    {Knob::kNetWidth, "net_width", KnobType::kInt},
+    {Knob::kNetBits, "net_bits", KnobType::kInt},
 };
-
-bool is_workload_knob(Knob knob) {
-  return knob == Knob::kNetDepth || knob == Knob::kNetWidth ||
-         knob == Knob::kNetBits;
-}
 
 const KnobInfo& info(Knob knob) {
   for (const KnobInfo& k : kKnobs) {
@@ -58,7 +53,76 @@ bool is_integral(double v) {
 
 const char* to_string(Knob knob) { return info(knob).token; }
 
-bool knob_is_integer(Knob knob) { return info(knob).integer; }
+KnobType knob_type(Knob knob) { return info(knob).type; }
+
+bool knob_is_integer(Knob knob) {
+  return knob_type(knob) != KnobType::kNumber;
+}
+
+bool is_workload_knob(Knob knob) {
+  return knob == Knob::kNetDepth || knob == Knob::kNetWidth ||
+         knob == Knob::kNetBits;
+}
+
+const std::vector<Knob>& platform_knobs() {
+  static const std::vector<Knob> knobs{
+      Knob::kRows,         Knob::kCols,         Knob::kScratchpadBytes,
+      Knob::kFrequencyHz,  Knob::kTimeChunk,    Knob::kBatchSize,
+      Knob::kStaticCoreMw, Knob::kCvuSliceBits, Knob::kCvuMaxBits,
+      Knob::kCvuLanes};
+  return knobs;
+}
+
+const std::vector<Knob>& memory_knobs() {
+  static const std::vector<Knob> knobs{
+      Knob::kMemBandwidthGbps, Knob::kMemEnergyPjPerBit,
+      Knob::kMemStartupLatencyNs, Knob::kMemBackgroundPowerW};
+  return knobs;
+}
+
+void apply_knob(Knob knob, double value, sim::AcceleratorConfig& platform,
+                arch::DramModel& memory) {
+  const auto i = [value] { return static_cast<int>(std::llround(value)); };
+  switch (knob) {
+    case Knob::kCvuSliceBits: platform.cvu.slice_bits = i(); break;
+    case Knob::kCvuMaxBits: platform.cvu.max_bits = i(); break;
+    case Knob::kCvuLanes: platform.cvu.lanes = i(); break;
+    case Knob::kRows: platform.rows = i(); break;
+    case Knob::kCols: platform.cols = i(); break;
+    case Knob::kScratchpadBytes:
+      platform.scratchpad_bytes = std::llround(value);
+      break;
+    case Knob::kFrequencyHz: platform.frequency_hz = value; break;
+    case Knob::kTimeChunk: platform.time_chunk = i(); break;
+    case Knob::kBatchSize: platform.batch_size = i(); break;
+    case Knob::kStaticCoreMw: platform.static_core_mw = value; break;
+    case Knob::kMemBandwidthGbps: memory.bandwidth_gbps = value; break;
+    case Knob::kMemEnergyPjPerBit: memory.energy_pj_per_bit = value; break;
+    case Knob::kMemStartupLatencyNs: memory.startup_latency_ns = value; break;
+    case Knob::kMemBackgroundPowerW: memory.background_power_w = value; break;
+    case Knob::kNetDepth:
+    case Knob::kNetWidth:
+    case Knob::kNetBits:
+      break;  // apply_workload_knob sets these
+  }
+}
+
+void apply_workload_knob(Knob knob, double value,
+                         workload::GeneratorSpec& spec) {
+  const int v = static_cast<int>(std::llround(value));
+  if (v < 1) {
+    throw Error(std::string("\"") + to_string(knob) +
+                "\" values must be positive, got " + std::to_string(v));
+  }
+  switch (knob) {
+    case Knob::kNetDepth: spec.depth = v; break;
+    case Knob::kNetWidth: spec.width = v; break;
+    case Knob::kNetBits:
+      spec.bitwidth_policy = "uniform:" + std::to_string(v);
+      break;
+    default: break;
+  }
+}
 
 std::optional<Knob> knob_from_token(const std::string& token) {
   const std::string norm = common::normalize_token(token);
@@ -219,22 +283,10 @@ void ParamSpace::materialize_into(const Candidate& c,
                   "\"workload\" block)");
     }
     regenerate = true;
-    const int v = static_cast<int>(std::llround(value(c, a)));
-    // 0 means "family default" inside GeneratorSpec — on an axis it
-    // would silently duplicate the default candidate under a
-    // misleading label, so axis values must be explicit.
-    if (v < 1) {
-      throw Error(std::string("ParamSpace: axis \"") +
-                  to_string(axes_[a].knob) +
-                  "\" values must be positive, got " + std::to_string(v));
-    }
-    switch (axes_[a].knob) {
-      case Knob::kNetDepth: spec.depth = v; break;
-      case Knob::kNetWidth: spec.width = v; break;
-      case Knob::kNetBits:
-        spec.bitwidth_policy = "uniform:" + std::to_string(v);
-        break;
-      default: break;
+    try {
+      apply_workload_knob(axes_[a].knob, value(c, a), spec);
+    } catch (const Error& e) {
+      throw Error(std::string("ParamSpace: axis ") + e.what());
     }
   }
   if (regenerate) {
@@ -247,30 +299,7 @@ void ParamSpace::materialize_into(const Candidate& c,
     }
   }
   for (std::size_t a = 0; a < axes_.size(); ++a) {
-    const double v = value(c, a);
-    const auto i = [&] { return static_cast<int>(std::llround(v)); };
-    switch (axes_[a].knob) {
-      case Knob::kCvuSliceBits: s.platform.cvu.slice_bits = i(); break;
-      case Knob::kCvuMaxBits: s.platform.cvu.max_bits = i(); break;
-      case Knob::kCvuLanes: s.platform.cvu.lanes = i(); break;
-      case Knob::kRows: s.platform.rows = i(); break;
-      case Knob::kCols: s.platform.cols = i(); break;
-      case Knob::kScratchpadBytes:
-        s.platform.scratchpad_bytes = static_cast<std::int64_t>(std::llround(v));
-        break;
-      case Knob::kFrequencyHz: s.platform.frequency_hz = v; break;
-      case Knob::kTimeChunk: s.platform.time_chunk = i(); break;
-      case Knob::kBatchSize: s.platform.batch_size = i(); break;
-      case Knob::kStaticCoreMw: s.platform.static_core_mw = v; break;
-      case Knob::kMemBandwidthGbps: s.memory.bandwidth_gbps = v; break;
-      case Knob::kMemEnergyPjPerBit: s.memory.energy_pj_per_bit = v; break;
-      case Knob::kMemStartupLatencyNs: s.memory.startup_latency_ns = v; break;
-      case Knob::kMemBackgroundPowerW: s.memory.background_power_w = v; break;
-      case Knob::kNetDepth:
-      case Knob::kNetWidth:
-      case Knob::kNetBits:
-        break;  // applied above (network regeneration)
-    }
+    apply_knob(axes_[a].knob, value(c, a), s.platform, s.memory);
   }
   try {
     s.platform.validate();
@@ -278,8 +307,7 @@ void ParamSpace::materialize_into(const Candidate& c,
     throw Error("ParamSpace: candidate [" + label(c) +
                 "] produces an invalid platform: " + e.what());
   }
-  if (s.memory.bandwidth_gbps <= 0 || s.memory.energy_pj_per_bit < 0 ||
-      s.memory.startup_latency_ns < 0 || s.memory.background_power_w < 0) {
+  if (!s.memory.valid()) {
     throw Error("ParamSpace: candidate [" + label(c) +
                 "] produces an invalid memory system");
   }

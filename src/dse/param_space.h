@@ -23,16 +23,20 @@
 #include <string>
 #include <vector>
 
+#include "src/arch/dram.h"
 #include "src/bitslice/composition.h"
 #include "src/engine/scenario.h"
+#include "src/sim/config.h"
 #include "src/workload/generators.h"
 
 namespace bpvec::dse {
 
 /// Every knob a ParamSpace axis can vary. The tokens (to_string /
-/// knob_from_token) deliberately match the manifest override keys
-/// ("cvu_slice_bits", "bandwidth_gbps", …) so a search manifest reads
-/// like a grid manifest with values pluralized into axes.
+/// knob_from_token) are also the keys of a manifest grid's
+/// "platform_overrides" / "memory_overrides" ("cvu_slice_bits",
+/// "bandwidth_gbps", …), which set configs through apply_knob, so a
+/// search manifest reads like a grid manifest with values pluralized
+/// into axes. The enum order is hashed by candidate_key: append only.
 enum class Knob {
   // CVU geometry (the Fig. 4 axes).
   kCvuSliceBits,
@@ -63,8 +67,41 @@ enum class Knob {
 
 const char* to_string(Knob knob);
 
+/// How a knob's value reads from a manifest: an int, an int64
+/// (scratchpad_bytes) or any number.
+enum class KnobType { kInt, kInt64, kNumber };
+KnobType knob_type(Knob knob);
+
 /// True for knobs whose values must be integers (bits, lanes, rows, …).
 bool knob_is_integer(Knob knob);
+
+/// True for the net_* knobs, which set a workload::GeneratorSpec.
+bool is_workload_knob(Knob knob);
+
+/// The knobs a grid's "platform_overrides" (CVU and platform knobs) and
+/// "memory_overrides" accept, in the order manifests list and emit them.
+const std::vector<Knob>& platform_knobs();
+const std::vector<Knob>& memory_knobs();
+
+/// One knob fixed to one value, e.g. a grid override "rows": 4.
+struct KnobSetting {
+  Knob knob = Knob::kRows;
+  double value = 0.0;
+};
+
+/// Sets the platform or memory field `knob` names to `value` (integer
+/// knobs rounded to nearest). Validates nothing; workload knobs set
+/// neither config.
+void apply_knob(Knob knob, double value, sim::AcceleratorConfig& platform,
+                arch::DramModel& memory);
+
+/// Sets the generator field a net_* knob names (net_bits becomes the
+/// policy "uniform:<bits>"). Throws bpvec::Error
+/// `"<knob>" values must be positive, got <v>` for a value below 1: 0
+/// means "family default" inside GeneratorSpec, so it would silently
+/// duplicate the default network under a misleading label.
+void apply_workload_knob(Knob knob, double value,
+                         workload::GeneratorSpec& spec);
 
 /// Resolves a manifest token (case-insensitive, '-'/'_' ignored) to a
 /// knob; nullopt when unknown.

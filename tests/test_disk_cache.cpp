@@ -1,10 +1,10 @@
 // DiskCache tests: the packed-record round trip, hit/miss accounting,
 // corrupt-shard tolerance, format-version and registry-generation
 // invalidation, one-shard-per-batch sealing, merging past the shard
-// bound, inspection, foreign files in the directory, concurrent writers,
-// and — the
-// contract everything else leans on — run_batch bit-identity with the
-// disk cache off, cold, and warm.
+// bound (and healing a merge killed before its unlinks), inspection,
+// foreign files in the directory, concurrent writers, and — the contract
+// everything else leans on — run_batch bit-identity with the disk cache
+// off, cold, and warm.
 #include "src/engine/disk_cache.h"
 
 #include <gtest/gtest.h>
@@ -402,6 +402,51 @@ TEST_F(DiskCacheTest, TwoCachesSealingPastTheBoundLoseNoKey) {
       expect_bit_identical(result, *loaded);
     }
   }
+}
+
+TEST_F(DiskCacheTest, MergeKilledBetweenLinkAndUnlinksHeals) {
+  // A merge publishes its shard with link(2) before it unlinks the shards
+  // it folded. Rebuild the directory a kill between the two leaves: the
+  // folded shards beside the merged one.
+  std::vector<sim::RunResult> results;
+  for (int k = 0; k < 10; ++k) results.push_back(other_result(k));
+  const std::string saved = dir_ + "_folded";
+  fs::remove_all(saved);
+  {
+    DiskCache cache(dir_);
+    for (std::uint64_t key = 0; key < DiskCache::kMaxShards; ++key) {
+      ASSERT_TRUE(cache.store(key, 1, results[key]));
+    }
+    fs::create_directory(saved);
+    for (const std::string& name : shard_files()) {
+      fs::copy_file(dir_ + "/" + name, saved + "/" + name);
+    }
+    ASSERT_TRUE(cache.store(8, 1, results[8]));  // merges all nine
+    ASSERT_EQ(shard_files().size(), 1u);
+  }
+  for (const auto& entry : fs::directory_iterator(saved)) {
+    fs::copy_file(entry.path(), dir_ + "/" + entry.path().filename().string());
+  }
+  fs::remove_all(saved);
+  ASSERT_EQ(shard_files().size(), DiskCache::kMaxShards + 1);
+
+  const auto expect_every_key = [&](std::uint64_t keys) {
+    DiskCache fresh(dir_);
+    EXPECT_EQ(fresh.stats().rejected, 0u);
+    for (std::uint64_t key = 0; key < keys; ++key) {
+      const auto loaded = fresh.load(key, 1);
+      ASSERT_NE(loaded, nullptr) << "key " << key;
+      expect_bit_identical(results[key], *loaded);
+    }
+  };
+  expect_every_key(9);
+  {
+    DiskCache cache(dir_);
+    ASSERT_TRUE(cache.store(9, 1, results[9]));  // merges back under the bound
+    EXPECT_LE(cache.stats().shards, DiskCache::kMaxShards);
+  }
+  EXPECT_LE(shard_files().size(), DiskCache::kMaxShards);
+  expect_every_key(10);
 }
 
 // ----- inspection ------------------------------------------------------

@@ -151,6 +151,12 @@ const Row kRows[] = {
     {Reader::kManifest,
      GRID(R"(, "platform_overrides": {"scratchpad_bytes": 1.0})"),
      "manifest: grids[0]: \"scratchpad_bytes\" must be an integer"},
+    // Knob values are doubles: past 2^53 an integer would round.
+    {Reader::kManifest,
+     GRID(R"(, "platform_overrides": )"
+          R"({"scratchpad_bytes": 9007199254740993})"),
+     "manifest: grids[0]: \"scratchpad_bytes\" out of range (beyond 2^53, "
+     "which a knob value cannot hold exactly)"},
     {Reader::kManifest,
      GRID(R"(, "platform_overrides": {"frequency_hz": "1GHz"})"),
      "manifest: grids[0]: \"frequency_hz\" must be a number"},

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -45,8 +46,8 @@ TEST(Manifest, ParsesWithDefaults) {
   const GridSpec& g = m.grids[0];
   EXPECT_EQ(g.backends, std::vector<std::string>{"bpvec"});
   EXPECT_EQ(g.bitwidth_modes, std::vector<std::string>{"homogeneous8b"});
-  EXPECT_FALSE(g.platform_overrides.any());
-  EXPECT_FALSE(g.memory_overrides.any());
+  EXPECT_TRUE(g.platform_overrides.empty());
+  EXPECT_TRUE(g.memory_overrides.empty());
   EXPECT_FALSE(g.bitwidth_override.has_value());
   EXPECT_TRUE(g.id_suffix.empty());
 }
@@ -151,6 +152,21 @@ TEST(Manifest, AppliesPlatformAndMemoryOverrides) {
   EXPECT_DOUBLE_EQ(s.memory.startup_latency_ns, 100.0);
   EXPECT_DOUBLE_EQ(s.memory.background_power_w, 0.25);
   EXPECT_EQ(s.id, "bpvec:BPVeC/RNN/DDR4 @custom");
+}
+
+TEST(Manifest, IntegerOverridesAreExactUpTo2To53) {
+  // Knob values are doubles; 2^53 is the largest integer bound they hold
+  // exactly, and one past it is rejected (test_input_errors pins that).
+  const Manifest m = from_text(R"({"name": "big", "grids": [
+    {"platforms": ["bpvec"], "memories": ["ddr4"], "networks": ["rnn"],
+     "platform_overrides": {"scratchpad_bytes": 9007199254740992}}]})");
+  EXPECT_EQ(expand(m)[0].platform.scratchpad_bytes,
+            std::int64_t{9007199254740992});
+  const std::string text = to_json(m).dump();
+  EXPECT_NE(text.find("\"scratchpad_bytes\":9007199254740992"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(to_json(parse_manifest(parse(text))).dump(), text);
 }
 
 TEST(Manifest, AppliesBitwidthOverrideToComputeLayersOnly) {
@@ -443,6 +459,70 @@ TEST(SearchManifest, GridsAndSearchMayCoexist) {
   EXPECT_EQ(m.grids.size(), 1u);
   EXPECT_TRUE(m.search.has_value());
   EXPECT_EQ(expand(m).size(), 1u);
+}
+
+TEST(SearchManifest, GridOverrideEqualsAOneValueAxis) {
+  // Grid overrides and search axes set configs through the same dse knob
+  // code, so fixing a knob either way prices the same scenario.
+  const std::vector<std::pair<std::string, std::string>> knobs{
+      {"rows", "4"},
+      {"cols", "16"},
+      {"scratchpad_bytes", "65536"},
+      {"frequency_hz", "750000000.0"},
+      {"time_chunk", "8"},
+      {"batch_size", "2"},
+      {"static_core_mw", "12.5"},
+      {"cvu_slice_bits", "4"},
+      {"cvu_max_bits", "16"},
+      {"cvu_lanes", "8"},
+      {"bandwidth_gbps", "32.0"},
+      {"energy_pj_per_bit", "3.5"},
+      {"startup_latency_ns", "55.0"},
+      {"background_power_w", "0.125"}};
+  ASSERT_EQ(knobs.size(),
+            dse::platform_knobs().size() + dse::memory_knobs().size());
+  const engine::Scenario plain = expand(from_text(R"({"name": "plain",
+    "grids": [{"platforms": ["bpvec"], "memories": ["hbm2"],
+               "networks": ["lstm"]}]})"))[0];
+  for (const auto& [knob, value] : knobs) {
+    const dse::Knob k = *dse::knob_from_token(knob);
+    const bool memory = std::count(dse::memory_knobs().begin(),
+                                   dse::memory_knobs().end(), k) == 1;
+    const Manifest m = from_text(
+        R"({"name": "knob", "grids": [{"platforms": ["bpvec"], )"
+        R"("memories": ["hbm2"], "networks": ["lstm"], ")" +
+        std::string(memory ? "memory_overrides" : "platform_overrides") +
+        R"(": {")" + knob + R"(": )" + value +
+        R"(}}], "search": {"platform": "bpvec", "memory": "hbm2", )"
+        R"("network": "lstm", "space": {")" + knob + R"(": [)" + value +
+        "]}}}");
+    const engine::Scenario grid = expand(m).at(0);
+    const dse::ParamSpace space = search_space(*m.search);
+    const engine::Scenario axis =
+        space.materialize(space.at(0), search_base_scenario(*m.search));
+    const sim::AcceleratorConfig& a = grid.platform;
+    const sim::AcceleratorConfig& b = axis.platform;
+    EXPECT_EQ(a.rows, b.rows) << knob;
+    EXPECT_EQ(a.cols, b.cols) << knob;
+    EXPECT_EQ(a.scratchpad_bytes, b.scratchpad_bytes) << knob;
+    EXPECT_EQ(a.frequency_hz, b.frequency_hz) << knob;
+    EXPECT_EQ(a.time_chunk, b.time_chunk) << knob;
+    EXPECT_EQ(a.batch_size, b.batch_size) << knob;
+    EXPECT_EQ(a.static_core_mw, b.static_core_mw) << knob;
+    EXPECT_EQ(a.cvu.slice_bits, b.cvu.slice_bits) << knob;
+    EXPECT_EQ(a.cvu.max_bits, b.cvu.max_bits) << knob;
+    EXPECT_EQ(a.cvu.lanes, b.cvu.lanes) << knob;
+    EXPECT_EQ(grid.memory.bandwidth_gbps, axis.memory.bandwidth_gbps) << knob;
+    EXPECT_EQ(grid.memory.energy_pj_per_bit, axis.memory.energy_pj_per_bit)
+        << knob;
+    EXPECT_EQ(grid.memory.startup_latency_ns, axis.memory.startup_latency_ns)
+        << knob;
+    EXPECT_EQ(grid.memory.background_power_w, axis.memory.background_power_w)
+        << knob;
+    EXPECT_EQ(grid.fingerprint(), axis.fingerprint()) << knob;
+    EXPECT_NE(grid.fingerprint(), plain.fingerprint())
+        << knob << " left the scenario unchanged";
+  }
 }
 
 TEST(SearchManifest, RejectsBadBlocks) {
