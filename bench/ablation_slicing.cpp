@@ -27,7 +27,10 @@ int main() {
       {"binary-ish (2-bit everywhere)", {{2, 2, 1.0}}},
   };
 
-  const auto points = core::explore_design_space({1, 2, 4}, {16});
+  std::vector<core::DesignPoint> points;
+  for (int alpha : {1, 2, 4}) {
+    points.push_back(core::price_design_point({alpha, 8, 16}));
+  }
 
   for (const auto& m : mixes) {
     Table t(m.name);

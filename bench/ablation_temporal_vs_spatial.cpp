@@ -9,7 +9,7 @@
 
 #include "bench/bench_common.h"
 #include "src/arch/cvu_cost.h"
-#include "src/baselines/bit_serial.h"
+#include "src/backend/bit_serial_backend.h"
 #include "src/sim/config.h"
 
 int main() {
@@ -21,13 +21,13 @@ int main() {
 
   const arch::CvuCostModel model;
   const bitslice::CvuGeometry cvu{2, 8, 16};
-  const baselines::BitSerialConfig stripes{
-      baselines::SerialMode::kActivationSerial, 16, 8};
-  const baselines::BitSerialConfig loom{
-      baselines::SerialMode::kFullySerial, 16, 8};
+  const backend::BitSerialConfig stripes{
+      backend::SerialMode::kActivationSerial, 16, 8};
+  const backend::BitSerialConfig loom{
+      backend::SerialMode::kFullySerial, 16, 8};
   const auto stripes_cost =
-      baselines::bit_serial_cost(arch::tech_45nm(), stripes);
-  const auto loom_cost = baselines::bit_serial_cost(arch::tech_45nm(), loom);
+      backend::bit_serial_cost(arch::tech_45nm(), stripes);
+  const auto loom_cost = backend::bit_serial_cost(arch::tech_45nm(), loom);
   const auto cvu_cost = model.normalized_per_mac(cvu);
 
   Table c("Cost per 8bx8b MAC (power x, area x; lower is better)");

@@ -78,7 +78,7 @@ int main() {
   // ----- 1. search throughput, cold vs warm ---------------------------
   const dse::ParamSpace space = scaling_space();
   const engine::Scenario base = engine::make_scenario(
-      engine::Platform::kBpvec, core::Memory::kDdr4,
+      engine::Platform::kBpvec, engine::Memory::kDdr4,
       dnn::make_lstm(dnn::BitwidthMode::kHeterogeneous));
   std::printf("DSE scaling: %zu-candidate grid over %zu axes\n",
               space.size(), space.num_axes());
@@ -130,7 +130,7 @@ int main() {
   dse::ParamSpace bits_space;
   bits_space.add_axis(dse::Knob::kNetBits, {2, 4, 8});
   const engine::Scenario mlp_base = engine::make_scenario(
-      "functional", engine::Platform::kBpvec, core::Memory::kDdr4,
+      "functional", engine::Platform::kBpvec, engine::Memory::kDdr4,
       workload::generate(generator));
 
   // Full: FunctionalBackend::run per candidate, every layer priced. An

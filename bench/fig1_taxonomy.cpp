@@ -14,7 +14,7 @@
 
 #include "bench/bench_common.h"
 #include "src/arch/cvu_cost.h"
-#include "src/baselines/bit_serial.h"
+#include "src/backend/bit_serial_backend.h"
 
 int main() {
   using namespace bpvec;
@@ -25,8 +25,8 @@ int main() {
       "'boost@4b' = throughput multiplier with 4-bit operands");
 
   const arch::CvuCostModel model;
-  const auto stripes = baselines::bit_serial_cost(
-      arch::tech_45nm(), {baselines::SerialMode::kActivationSerial, 16, 8});
+  const auto stripes = backend::bit_serial_cost(
+      arch::tech_45nm(), {backend::SerialMode::kActivationSerial, 16, 8});
 
   Table t;
   t.set_header({"Design style (exemplars)", "Units", "Bit-flexible",
@@ -69,7 +69,7 @@ int main() {
   for (const auto& d : designs) {
     for (const auto mode : modes) {
       batch.push_back(engine::make_scenario(d.backend, d.platform,
-                                            core::Memory::kDdr4,
+                                            engine::Memory::kDdr4,
                                             dnn::make_alexnet(mode)));
     }
   }

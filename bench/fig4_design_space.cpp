@@ -5,7 +5,7 @@
 //
 // Both sweeps run through the DSE subsystem (GridStrategy over
 // dse::geometry_space priced by GeometryEvaluator on the engine pool);
-// the sequential core::explore_design_space pass is kept (timed) to
+// a sequential loop over core::price_design_point is kept (timed) to
 // anchor the speedup-vs-sequential number in BENCH_fig4.json — the two
 // are bit-identical by the subsystem's determinism contract. The full sweep
 // additionally maintains the power/area/utilization Pareto frontier, and
@@ -60,9 +60,13 @@ int main() {
     frontier_size = outcome.frontier.size();
   });
   const double sequential_s = time_s([&] {
-    (void)core::explore_design_space(fig_alphas, fig_lanes);
-    for (const auto& g : core::design_grid(full_alphas, full_lanes)) {
-      (void)core::price_design_point(g, mix);
+    for (int alpha : fig_alphas) {
+      for (int l : fig_lanes) (void)core::price_design_point({alpha, 8, l});
+    }
+    for (int alpha : full_alphas) {
+      for (int l : full_lanes) {
+        (void)core::price_design_point({alpha, 8, l}, mix);
+      }
     }
   });
   json.set_batch_timing(batch_s, sequential_s, eng.num_threads());

@@ -5,7 +5,7 @@
 
 #include "bench/bench_common.h"
 #include "src/arch/cvu_cost.h"
-#include "src/baselines/gpu_model.h"
+#include "src/backend/gpu_backend.h"
 
 int main() {
   using namespace bpvec;
@@ -25,7 +25,7 @@ int main() {
   }
   t.print();
 
-  const baselines::GpuSpec g;
+  const backend::GpuSpec g;
   Table gt("GPU platform");
   gt.set_header({"GPU", "# of Tensor Cores", "Architecture", "Memory",
                  "Frequency", "Technology"});

@@ -46,20 +46,13 @@ namespace {
 
 using namespace bpvec;
 
-/// The ci_gate manifest, from argv[1] or the usual run directories
-/// (repo root, build/, build/bench/).
+/// The ci_gate manifest: argv[1], or the one beside this source file
+/// (so the bench runs from any directory).
 std::string find_manifest(int argc, char** argv) {
   if (argc > 1) return argv[1];
-  const char* candidates[] = {
-      "bench/manifests/ci_gate.json",
-      "../bench/manifests/ci_gate.json",
-      "../../bench/manifests/ci_gate.json",
-  };
-  for (const char* path : candidates) {
-    if (std::filesystem::exists(path)) return path;
-  }
-  throw Error(
-      "cannot find bench/manifests/ci_gate.json (pass the path as argv[1])");
+  return (std::filesystem::path(__FILE__).parent_path() / "manifests" /
+          "ci_gate.json")
+      .string();
 }
 
 /// Serialized form used for the byte-identity self-check across passes:

@@ -92,17 +92,17 @@ int main() {
   // through the same engine, caches, and result shape.
   const auto net = dnn::make_resnet18(dnn::BitwidthMode::kHeterogeneous);
   std::vector<engine::Scenario> batch{
-      engine::make_scenario(engine::Platform::kTpuLike, core::Memory::kDdr4,
+      engine::make_scenario(engine::Platform::kTpuLike, engine::Memory::kDdr4,
                             net),
-      engine::make_scenario(engine::Platform::kBpvec, core::Memory::kDdr4,
+      engine::make_scenario(engine::Platform::kBpvec, engine::Memory::kDdr4,
                             net),
       engine::make_scenario("bit_serial", engine::Platform::kTpuLike,
-                            core::Memory::kDdr4, net),
+                            engine::Memory::kDdr4, net),
       engine::make_scenario("bit_serial_loom", engine::Platform::kTpuLike,
-                            core::Memory::kDdr4, net),
+                            engine::Memory::kDdr4, net),
       engine::make_gpu_scenario(net),
       engine::make_scenario("ideal", engine::Platform::kBpvec,
-                            core::Memory::kDdr4, net),
+                            engine::Memory::kDdr4, net),
   };
 
   engine::SimEngine eng;

@@ -5,7 +5,8 @@
 //
 // Three passes, cheapest to richest:
 //   1. the classic Fig. 4 geometry sweep (cost model only, parallel,
-//      bit-identical to core::explore_design_space) + best_design;
+//      bit-identical to pricing each point with core::price_design_point)
+//      + best_design;
 //   2. a full-pipeline grid search over geometry × batch size, priced by
 //      SimEngine::run_batch (so the scenario/layer caches apply), with a
 //      cycles/energy/area frontier;
@@ -83,7 +84,7 @@ int main() {
       dse::objective(dse::Metric::kEnergy),
       dse::objective(dse::Metric::kCoreArea)};
   const engine::Scenario base = engine::make_scenario(
-      engine::Platform::kBpvec, core::Memory::kDdr4,
+      engine::Platform::kBpvec, engine::Memory::kDdr4,
       dnn::make_resnet18(dnn::BitwidthMode::kHeterogeneous));
 
   dse::GridStrategy grid(space);

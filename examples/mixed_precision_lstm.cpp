@@ -6,10 +6,11 @@
 
 #include "src/common/rng.h"
 #include "src/common/table.h"
-#include "src/core/accelerator.h"
 #include "src/core/gemm_executor.h"
 #include "src/dnn/model_zoo.h"
 #include "src/dnn/reference_ops.h"
+#include "src/engine/scenario.h"
+#include "src/sim/simulator.h"
 
 int main() {
   using namespace bpvec;
@@ -50,20 +51,16 @@ int main() {
   Table t("512-step LSTM inference (heterogeneous 4-bit)");
   t.set_header({"Platform", "Memory", "Latency (ms)", "Energy (mJ)",
                 "GOps/W", "Bound"});
-  const struct {
-    core::Accelerator acc;
-  } rows[] = {
-      {core::Accelerator::bitfusion(core::Memory::kDdr4)},
-      {core::Accelerator::bitfusion(core::Memory::kHbm2)},
-      {core::Accelerator::bpvec(core::Memory::kDdr4)},
-      {core::Accelerator::bpvec(core::Memory::kHbm2)},
-  };
-  for (const auto& row : rows) {
-    const auto r = row.acc.simulate(net);
-    t.add_row({r.platform, r.memory, Table::num(r.runtime_s * 1e3, 2),
-               Table::num(r.energy_j * 1e3, 2),
-               Table::num(r.gops_per_w, 0),
-               r.layers[0].memory_bound ? "memory" : "compute"});
+  for (const auto& config :
+       {sim::bitfusion_accelerator(), sim::bpvec_accelerator()}) {
+    for (const auto memory : {engine::Memory::kDdr4, engine::Memory::kHbm2}) {
+      const auto r =
+          sim::Simulator(config, engine::make_memory(memory)).run(net);
+      t.add_row({r.platform, r.memory, Table::num(r.runtime_s * 1e3, 2),
+                 Table::num(r.energy_j * 1e3, 2),
+                 Table::num(r.gops_per_w, 0),
+                 r.layers[0].memory_bound ? "memory" : "compute"});
+    }
   }
   t.print();
 

@@ -10,18 +10,21 @@
 //               ./build/examples/example_quickstart
 #include <cstdio>
 
-#include "src/core/accelerator.h"
+#include "src/bitslice/cvu.h"
 #include "src/dnn/model_zoo.h"
+#include "src/engine/scenario.h"
+#include "src/sim/simulator.h"
 
 int main() {
   using namespace bpvec;
 
   // ---- 1. Exact arithmetic through bit-parallel vector composability.
-  const auto acc = core::Accelerator::bpvec(core::Memory::kDdr4);
+  const sim::AcceleratorConfig config = sim::bpvec_accelerator();
+  bitslice::Cvu cvu(config.cvu);
   const std::vector<std::int32_t> x{12, -7, 33, 101, -128, 5, 90, -44};
   const std::vector<std::int32_t> w{3, 14, -9, 27, 127, -61, 8, 2};
 
-  const auto result = acc.dot_product(x, w, /*x_bits=*/8, /*w_bits=*/8);
+  const auto result = cvu.dot_product(x, w, /*x_bits=*/8, /*w_bits=*/8);
   std::int64_t expected = 0;
   for (std::size_t i = 0; i < x.size(); ++i) {
     expected += static_cast<std::int64_t>(x[i]) * w[i];
@@ -37,7 +40,7 @@ int main() {
   // ---- 2. Dynamic composition: same silicon, narrower operands.
   std::puts("\nComposition plans (16 NBVEs, 2-bit slices, L = 16):");
   for (auto [xb, wb] : {std::pair{8, 8}, {8, 2}, {4, 4}, {2, 2}}) {
-    const auto plan = acc.plan(xb, wb);
+    const auto plan = bitslice::plan_composition(config.cvu, xb, wb);
     std::printf("  %db x %db : %2d cluster(s) -> %4d elements/cycle "
                 "(%2.0fx vs 8-bit)\n",
                 xb, wb, plan.clusters, plan.elements_per_cycle(),
@@ -46,7 +49,9 @@ int main() {
 
   // ---- 3. End-to-end simulation of a Table-I workload.
   const auto net = dnn::make_resnet18(dnn::BitwidthMode::kHeterogeneous);
-  const auto run = acc.simulate(net);
+  const auto run =
+      sim::Simulator(config, engine::make_memory(engine::Memory::kDdr4))
+          .run(net);
   std::printf("\n%s on %s/%s: %.2f ms, %.2f mJ, %.0f GOps/s, %.0f GOps/W\n",
               net.name().c_str(), run.platform.c_str(), run.memory.c_str(),
               run.runtime_s * 1e3, run.energy_j * 1e3, run.gops_per_s,

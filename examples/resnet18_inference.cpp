@@ -4,17 +4,17 @@
 #include <cstdio>
 
 #include "src/common/table.h"
-#include "src/core/accelerator.h"
 #include "src/dnn/model_zoo.h"
+#include "src/engine/scenario.h"
+#include "src/sim/simulator.h"
 
 int main() {
   using namespace bpvec;
 
   const auto net = dnn::make_resnet18(dnn::BitwidthMode::kHomogeneous8b);
-  const auto baseline =
-      core::Accelerator::tpu_like(core::Memory::kDdr4).simulate(net);
-  const auto bpvec =
-      core::Accelerator::bpvec(core::Memory::kDdr4).simulate(net);
+  const arch::DramModel ddr4 = engine::make_memory(engine::Memory::kDdr4);
+  const auto baseline = sim::Simulator(sim::tpu_like_baseline(), ddr4).run(net);
+  const auto bpvec = sim::Simulator(sim::bpvec_accelerator(), ddr4).run(net);
 
   Table t("ResNet-18, homogeneous 8-bit, DDR4 — per-layer");
   t.set_header({"Layer", "MACs (M)", "Base cycles (k)", "BPVeC cycles (k)",

@@ -70,8 +70,9 @@ int main() {
               identical ? "BIT-IDENTICAL across all layers" : "MISMATCH");
 
   // And what the accelerator would do with it, per Table II.
-  const auto run =
-      core::Accelerator::bpvec(core::Memory::kDdr4).simulate(net);
+  const auto run = sim::Simulator(sim::bpvec_accelerator(),
+                                  engine::make_memory(engine::Memory::kDdr4))
+                       .run(net);
   std::printf("simulated on BPVeC/DDR4: %.0f cycles (%.1f us), %.1f uJ\n",
               static_cast<double>(run.total_cycles), run.runtime_s * 1e6,
               run.energy_j * 1e6);

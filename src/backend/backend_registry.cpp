@@ -18,16 +18,14 @@ BackendRegistry::BackendRegistry() {
   register_backend("bit_serial", [](const sim::AcceleratorConfig& platform,
                                     const arch::DramModel& memory) {
     return std::make_unique<BitSerialBackend>(
-        baselines::BitSerialConfig{baselines::SerialMode::kActivationSerial,
-                                   16, 8},
-        platform, memory);
+        BitSerialConfig{SerialMode::kActivationSerial, 16, 8}, platform,
+        memory);
   });
   register_backend("bit_serial_loom",
                    [](const sim::AcceleratorConfig& platform,
                       const arch::DramModel& memory) {
                      return std::make_unique<BitSerialBackend>(
-                         baselines::BitSerialConfig{
-                             baselines::SerialMode::kFullySerial, 16, 8},
+                         BitSerialConfig{SerialMode::kFullySerial, 16, 8},
                          platform, memory);
                    });
   register_backend("functional", [](const sim::AcceleratorConfig& platform,

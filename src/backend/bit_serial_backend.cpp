@@ -2,13 +2,74 @@
 
 #include <utility>
 
+#include "src/arch/units.h"
 #include "src/common/error.h"
 #include "src/common/mathutil.h"
 #include "src/sim/memory_system.h"
 
 namespace bpvec::backend {
 
-BitSerialBackend::BitSerialBackend(baselines::BitSerialConfig serial,
+std::int64_t BitSerialConfig::cycles_per_mac(int x_bits, int w_bits) const {
+  BPVEC_CHECK(x_bits >= 1 && x_bits <= max_bits);
+  BPVEC_CHECK(w_bits >= 1 && w_bits <= max_bits);
+  switch (mode) {
+    case SerialMode::kActivationSerial:
+      return x_bits;
+    case SerialMode::kFullySerial:
+      return static_cast<std::int64_t>(x_bits) * w_bits;
+  }
+  return 1;
+}
+
+double BitSerialConfig::macs_per_cycle(int x_bits, int w_bits) const {
+  return static_cast<double>(lanes) /
+         static_cast<double>(cycles_per_mac(x_bits, w_bits));
+}
+
+BitSerialCost bit_serial_cost(const arch::Technology& tech,
+                              const BitSerialConfig& config) {
+  const auto conv = arch::conventional_mac_cost(tech, config.max_bits);
+  const double conv_area = conv.total().area_um2;
+  const double conv_energy = conv.total().energy_fj;
+
+  // One lane:
+  //  * activation-serial (Stripes): the serial bit ANDs a full-width
+  //    parallel weight (max_bits AND gates), feeding a shift-accumulator
+  //    of ~2·max_bits + log2(lanes) bits.
+  //  * fully serial (Loom): a single AND gate plus the accumulator.
+  const int acc_width = 2 * config.max_bits + 4;
+  arch::Cost lane;
+  if (config.mode == SerialMode::kActivationSerial) {
+    lane += arch::multiplier_cost(tech, 1, config.max_bits);
+  } else {
+    lane += arch::multiplier_cost(tech, 1, 1);
+  }
+  lane += arch::adder_cost(tech, acc_width);
+  lane += arch::register_cost(tech, acc_width);
+  // Lanes share an adder tree for the vector reduction.
+  const arch::Cost tree =
+      arch::adder_tree_cost(tech, config.lanes, acc_width);
+  const arch::Cost engine =
+      static_cast<double>(config.lanes) * lane + tree;
+
+  // Per 8-bit MAC at max bitwidth, the engine needs cycles_per_mac cycles
+  // per lane: energy integrates over those cycles; area is shared but each
+  // MAC monopolizes its lane for the full serial latency, so per-MAC area
+  // is lane-area × cycles (area-time product, the standard comparison).
+  const double serial_cycles = static_cast<double>(
+      config.cycles_per_mac(config.max_bits, config.max_bits));
+  const auto& pc = tech.power_cal;
+  const auto& ac = tech.area_cal;
+
+  BitSerialCost c;
+  c.power_per_mac = engine.energy_fj * pc.add / config.lanes *
+                    serial_cycles / conv_energy;
+  c.area_per_mac = engine.area_um2 * ac.add / config.lanes * serial_cycles /
+                   conv_area;
+  return c;
+}
+
+BitSerialBackend::BitSerialBackend(BitSerialConfig serial,
                                    sim::AcceleratorConfig platform,
                                    arch::DramModel memory)
     : serial_(serial),
@@ -18,13 +79,13 @@ BitSerialBackend::BitSerialBackend(baselines::BitSerialConfig serial,
       energy_(platform_, dram_, cost_) {
   platform_.validate();
   BPVEC_CHECK(serial_.lanes >= 1 && serial_.max_bits >= 1);
-  display_name_ = serial_.mode == baselines::SerialMode::kActivationSerial
+  display_name_ = serial_.mode == SerialMode::kActivationSerial
                       ? "BitSerial-Stripes"
                       : "BitSerial-Loom";
   // Anchor the serial lane's per-cycle energy to the conventional-MAC
   // scale: bit_serial_cost integrates one MAC's energy over its full
   // serial latency at max bitwidth, normalized to the conventional MAC.
-  const auto bsc = baselines::bit_serial_cost(cost_.technology(), serial_);
+  const auto bsc = bit_serial_cost(cost_.technology(), serial_);
   const double serial_cycles_at_max = static_cast<double>(
       serial_.cycles_per_mac(serial_.max_bits, serial_.max_bits));
   lane_cycle_energy_pj_ = bsc.power_per_mac *
@@ -35,8 +96,7 @@ BitSerialBackend::BitSerialBackend(baselines::BitSerialConfig serial,
 const std::string& BitSerialBackend::name() const {
   static const std::string kStripes = "bit_serial";
   static const std::string kLoom = "bit_serial_loom";
-  return serial_.mode == baselines::SerialMode::kActivationSerial ? kStripes
-                                                                  : kLoom;
+  return serial_.mode == SerialMode::kActivationSerial ? kStripes : kLoom;
 }
 
 std::uint64_t BitSerialBackend::fingerprint() const {

@@ -452,7 +452,11 @@ std::vector<dse::Axis> parse_search_space(const FieldReader& r,
       if (!e.is_number()) {
         r.fail("knob \"" + key + "\" has a non-numeric value");
       }
-      axis.values.push_back(e.as_double());
+      // An int64 knob's integers past 2^53 fail as in grid overrides
+      // instead of rounding; other values ParamSpace checks below.
+      const bool int64 = dse::knob_type(*knob) == dse::KnobType::kInt64;
+      axis.values.push_back(int64 && e.is_int() ? read_knob(r, *knob, e)
+                                                : e.as_double());
     }
     axes.push_back(std::move(axis));
   }

@@ -3,13 +3,14 @@
 //
 //   #include "src/core/bpvec.h"
 //
-//   auto acc = bpvec::core::Accelerator::bpvec(bpvec::core::Memory::kDdr4);
-//   auto run = acc.simulate(bpvec::dnn::make_resnet18(
-//       bpvec::dnn::BitwidthMode::kHeterogeneous));
+//   using namespace bpvec;
+//   const auto run =
+//       sim::Simulator(sim::bpvec_accelerator(),
+//                      engine::make_memory(engine::Memory::kDdr4))
+//           .run(dnn::make_resnet18(dnn::BitwidthMode::kHeterogeneous));
 #pragma once
 
-// Public API facade.
-#include "src/core/accelerator.h"
+// Design-point pricing (Fig. 4) and the functional GEMM executor.
 #include "src/core/design_space.h"
 #include "src/core/gemm_executor.h"
 
@@ -44,7 +45,3 @@
 #include "src/engine/scenario.h"
 #include "src/engine/sim_engine.h"
 #include "src/engine/thread_pool.h"
-
-// Comparison points (raw models; the backends above adapt them).
-#include "src/baselines/bit_serial.h"
-#include "src/baselines/gpu_model.h"

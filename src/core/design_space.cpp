@@ -7,21 +7,6 @@
 
 namespace bpvec::core {
 
-std::vector<bitslice::CvuGeometry> design_grid(
-    const std::vector<int>& slice_widths, const std::vector<int>& lanes,
-    int max_bits) {
-  std::vector<bitslice::CvuGeometry> grid;
-  grid.reserve(slice_widths.size() * lanes.size());
-  for (int alpha : slice_widths) {
-    for (int l : lanes) {
-      bitslice::CvuGeometry g{alpha, max_bits, l};
-      g.validate();
-      grid.push_back(g);
-    }
-  }
-  return grid;
-}
-
 DesignPoint price_design_point(const bitslice::CvuGeometry& geometry) {
   const arch::CvuCostModel cost;
   DesignPoint p;
@@ -35,16 +20,6 @@ DesignPoint price_design_point(const bitslice::CvuGeometry& geometry,
   DesignPoint p = price_design_point(geometry);
   p.mix_utilization = mix_utilization(geometry, mix);
   return p;
-}
-
-std::vector<DesignPoint> explore_design_space(
-    const std::vector<int>& slice_widths, const std::vector<int>& lanes,
-    int max_bits) {
-  std::vector<DesignPoint> points;
-  for (const auto& g : design_grid(slice_widths, lanes, max_bits)) {
-    points.push_back(price_design_point(g));
-  }
-  return points;
 }
 
 double mix_utilization(const bitslice::CvuGeometry& geometry,

@@ -1,5 +1,7 @@
-// Design-space exploration over CVU geometries (slice width α, vector
-// length L) — the machinery behind the paper's Fig. 4 and §III-B analysis.
+// Design-point pricing over CVU geometries (slice width α, vector length
+// L) — the per-point cost behind the paper's Fig. 4 and §III-B analysis.
+// The sweep over the α×L grid is dse::GridStrategy over
+// dse::geometry_space, priced point by point here.
 #pragma once
 
 #include <vector>
@@ -24,13 +26,6 @@ struct BitwidthMixEntry {
   double weight = 1.0;  // fraction of MACs at this mode
 };
 
-/// The α×L grid of candidate geometries (row-major: slice widths outer,
-/// lanes inner — the iteration order of Fig. 4). Empty axes give an empty
-/// grid. Every geometry is validated.
-std::vector<bitslice::CvuGeometry> design_grid(
-    const std::vector<int>& slice_widths, const std::vector<int>& lanes,
-    int max_bits = 8);
-
 /// Prices one geometry. Pure and re-entrant: builds its own cost model,
 /// touches no shared mutable state — safe to call from many threads at
 /// once (dse::GeometryEvaluator fans the grid out this way).
@@ -39,14 +34,6 @@ DesignPoint price_design_point(const bitslice::CvuGeometry& geometry);
 /// Variant that also fills `mix_utilization` over a bitwidth mix.
 DesignPoint price_design_point(const bitslice::CvuGeometry& geometry,
                                const std::vector<BitwidthMixEntry>& mix);
-
-/// Sweeps slice widths × lanes and prices every point (sequentially; a
-/// dse::GridStrategy over dse::geometry_space priced by
-/// dse::GeometryEvaluator is the parallel equivalent and produces
-/// bit-identical points).
-std::vector<DesignPoint> explore_design_space(
-    const std::vector<int>& slice_widths, const std::vector<int>& lanes,
-    int max_bits = 8);
 
 /// Utilization of a geometry averaged over a bitwidth mix.
 double mix_utilization(const bitslice::CvuGeometry& geometry,

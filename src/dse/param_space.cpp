@@ -319,8 +319,8 @@ void ParamSpace::materialize_into(const Candidate& c,
 
 ParamSpace geometry_space(const std::vector<int>& slice_widths,
                           const std::vector<int>& lanes, int max_bits) {
-  // Validate the full cross product eagerly — same errors as
-  // core::design_grid on an inconsistent axis.
+  // Validate the full cross product eagerly, before any candidate is
+  // priced.
   for (int alpha : slice_widths) {
     for (int l : lanes) {
       bitslice::CvuGeometry g{alpha, max_bits, l};

@@ -12,10 +12,10 @@
 //
 // Enumeration order is canonical: flat index → candidate is row-major
 // with the *first* axis outermost. geometry_space() orders its axes
-// [slice_bits, lanes], which makes grid enumeration bit-identical to
-// core::design_grid — the contract the parallel Fig. 4 sweep (a
-// GridStrategy priced by GeometryEvaluator) and the sequential
-// core::explore_design_space reference rely on.
+// [slice_bits, lanes], so grid enumeration is the Fig. 4 order (slice
+// widths outer, lanes inner) — the contract the parallel Fig. 4 sweep (a
+// GridStrategy priced by GeometryEvaluator) and a sequential nested loop
+// over core::price_design_point both rely on.
 #pragma once
 
 #include <cstdint>
@@ -190,9 +190,9 @@ class ParamSpace {
 std::string knob_value_string(Knob knob, double value);
 
 /// The Fig. 4 geometry space: axes [cvu_slice_bits, cvu_lanes] plus a
-/// fixed cvu_max_bits axis, in core::design_grid enumeration order.
-/// Every α×L×B combination is validated eagerly (same errors, same
-/// timing as core::design_grid).
+/// fixed cvu_max_bits axis, slice widths outer and lanes inner. Every
+/// α×L×B combination is validated eagerly: an inconsistent axis throws
+/// CvuGeometry::validate's error here, before any candidate is priced.
 ParamSpace geometry_space(const std::vector<int>& slice_widths,
                           const std::vector<int>& lanes, int max_bits = 8);
 

@@ -6,9 +6,9 @@
 //
 //   GeometryEvaluator  the Fig. 4 path — core::price_design_point fanned
 //                      out on the engine's thread pool. Pure per-MAC
-//                      cost-model pricing; bit-identical to
-//                      core::explore_design_space over the same grid
-//                      when driven by a GridStrategy (the Fig. 4 sweep).
+//                      cost-model pricing; bit-identical to a sequential
+//                      loop over the same grid when driven by a
+//                      GridStrategy (the Fig. 4 sweep).
 //                      Scheduled at the engine's batch grain
 //                      (SimEngine::for_each).
 //   ScenarioEvaluator  the full path — candidates materialize into
@@ -154,8 +154,8 @@ SearchOutcome run_search(SearchStrategy& strategy, Evaluator& evaluator,
                          std::vector<Objective> objectives,
                          const SearchOptions& options = {});
 
-/// Projects an outcome onto the core::explore_design_space shape: one
-/// core::DesignPoint per evaluation, proposal order.
+/// Projects an outcome onto core::DesignPoints: one per evaluation, in
+/// proposal order.
 std::vector<core::DesignPoint> design_points(const SearchOutcome& outcome);
 
 }  // namespace bpvec::dse

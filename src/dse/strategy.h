@@ -11,8 +11,8 @@
 //
 //   grid        exhaustive enumeration in the space's canonical
 //               (row-major, first-axis-outermost) order. Over
-//               geometry_space this is bit-identical to
-//               core::design_grid / core::explore_design_space.
+//               geometry_space this is the Fig. 4 order: slice
+//               widths outer, lanes inner.
 //   random      `samples` independent draws; draw j picks each axis
 //               uniformly from rng.fork(j). Batch size never changes
 //               which candidates are drawn. Repeats are possible by

@@ -17,6 +17,10 @@ const char* to_string(Platform platform) {
   return "?";
 }
 
+arch::DramModel make_memory(Memory memory) {
+  return memory == Memory::kDdr4 ? arch::ddr4() : arch::hbm2();
+}
+
 std::uint64_t Scenario::fingerprint() const {
   common::ConfigHash f;
   // Backend id first: two different cost models of the same platform ×
@@ -46,9 +50,9 @@ sim::AcceleratorConfig platform_config(Platform platform) {
 }
 }  // namespace
 
-Scenario make_scenario(Platform platform, core::Memory memory,
+Scenario make_scenario(Platform platform, Memory memory,
                        dnn::Network net, std::string id) {
-  return make_scenario(platform_config(platform), core::make_memory(memory),
+  return make_scenario(platform_config(platform), make_memory(memory),
                        std::move(net), std::move(id));
 }
 
@@ -59,10 +63,10 @@ Scenario make_scenario(sim::AcceleratorConfig config, arch::DramModel memory,
 }
 
 Scenario make_scenario(std::string backend, Platform platform,
-                       core::Memory memory, dnn::Network net,
+                       Memory memory, dnn::Network net,
                        std::string id) {
   return make_scenario(std::move(backend), platform_config(platform),
-                       core::make_memory(memory), std::move(net),
+                       make_memory(memory), std::move(net),
                        std::move(id));
 }
 
@@ -93,7 +97,7 @@ Scenario make_gpu_scenario(dnn::Network net, std::string id) {
     id = "gpu:RTX 2080 Ti/" + net.name() + "/GDDR6";
   }
   // Placeholder platform/memory: the gpu backend prices from its GpuSpec.
-  return make_scenario("gpu", Platform::kBpvec, core::Memory::kDdr4,
+  return make_scenario("gpu", Platform::kBpvec, Memory::kDdr4,
                        std::move(net), std::move(id));
 }
 

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/arch/dram.h"
-#include "src/core/accelerator.h"
 #include "src/dnn/network.h"
 #include "src/sim/config.h"
 
@@ -24,6 +23,11 @@ namespace bpvec::engine {
 enum class Platform { kTpuLike, kBitFusion, kBpvec };
 
 const char* to_string(Platform platform);
+
+/// The paper's two memory systems (Table II).
+enum class Memory { kDdr4, kHbm2 };
+
+arch::DramModel make_memory(Memory memory);
 
 struct Scenario {
   std::string id;  // label for reports/JSON; defaults to
@@ -52,7 +56,7 @@ struct Scenario {
 /// One cell of the Figs. 5–9 grids: a Table II platform × paper memory
 /// system × network, priced by the default "bpvec" cycle simulator.
 /// `bitwidth_mode` is carried by `net` (model zoo).
-Scenario make_scenario(Platform platform, core::Memory memory,
+Scenario make_scenario(Platform platform, Memory memory,
                        dnn::Network net, std::string id = "");
 
 /// Custom-config variant for sweeps.
@@ -62,7 +66,7 @@ Scenario make_scenario(sim::AcceleratorConfig config, arch::DramModel memory,
 /// Variant priced by an explicit BackendRegistry key (e.g. "bit_serial"
 /// for the Stripes-like baseline on the same platform envelope).
 Scenario make_scenario(std::string backend, Platform platform,
-                       core::Memory memory, dnn::Network net,
+                       Memory memory, dnn::Network net,
                        std::string id = "");
 
 /// Custom-config variant with an explicit backend key.

@@ -1,11 +1,11 @@
-#include "src/baselines/bit_serial.h"
+#include "src/backend/bit_serial_backend.h"
 
 #include <gtest/gtest.h>
 
 #include "src/arch/cvu_cost.h"
 #include "src/common/error.h"
 
-namespace bpvec::baselines {
+namespace bpvec::backend {
 namespace {
 
 TEST(BitSerial, CyclesPerMacStripes) {
@@ -84,4 +84,4 @@ TEST(BitSerialCost, PerMacCostRoughlyFlatInLanes) {
 }
 
 }  // namespace
-}  // namespace bpvec::baselines
+}  // namespace bpvec::backend

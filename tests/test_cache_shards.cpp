@@ -35,8 +35,8 @@ std::vector<Scenario> tiny_batch() {
     spec.depth = 2;
     spec.width = width;
     const dnn::Network net = workload::generate(spec);
-    batch.push_back(make_scenario(Platform::kBpvec, core::Memory::kDdr4, net));
-    batch.push_back(make_scenario(Platform::kBpvec, core::Memory::kHbm2, net));
+    batch.push_back(make_scenario(Platform::kBpvec, Memory::kDdr4, net));
+    batch.push_back(make_scenario(Platform::kBpvec, Memory::kHbm2, net));
   }
   return batch;
 }

@@ -22,7 +22,7 @@ namespace {
 
 Scenario bpvec_scenario(dnn::Network net) {
   return memoized(
-      make_scenario(Platform::kBpvec, core::Memory::kDdr4, std::move(net)));
+      make_scenario(Platform::kBpvec, Memory::kDdr4, std::move(net)));
 }
 
 std::size_t total_layers(const std::vector<Scenario>& batch) {
@@ -162,9 +162,9 @@ TEST(DeltaPricing, AnalyticalBackendsPriceStraightThrough) {
        {dnn::make_resnet50(dnn::BitwidthMode::kHeterogeneous),
         dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b)}) {
     analytical.push_back(
-        make_scenario(Platform::kBpvec, core::Memory::kDdr4, net));
+        make_scenario(Platform::kBpvec, Memory::kDdr4, net));
     analytical.push_back(make_scenario("bit_serial", Platform::kTpuLike,
-                                       core::Memory::kDdr4, net));
+                                       Memory::kDdr4, net));
   }
   SimEngine direct({2});
   (void)direct.run_batch(analytical);

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/common/error.h"
+#include "tests/sequential_sweep.h"
 
 namespace bpvec::core {
 namespace {
 
 TEST(DesignSpace, ExploresFullGrid) {
-  const auto points = explore_design_space({1, 2}, {1, 2, 4, 8, 16});
+  const auto points = sequential_sweep({1, 2}, {1, 2, 4, 8, 16});
   EXPECT_EQ(points.size(), 10u);
   for (const auto& p : points) {
     EXPECT_GT(p.cost.power_total(), 0.0);
@@ -52,7 +55,7 @@ TEST(MixUtilization, RejectsEmptyMix) {
 TEST(BestDesign, PicksTwoBitSixteenLanes) {
   // The paper's conclusion (§III-B): over the Table-I bitwidth mix, the
   // optimum is α = 2, L = 16.
-  const auto points = explore_design_space({1, 2, 4}, {1, 2, 4, 8, 16});
+  const auto points = sequential_sweep({1, 2, 4}, {1, 2, 4, 8, 16});
   const std::vector<BitwidthMixEntry> mix{
       {8, 8, 0.2}, {4, 4, 0.7}, {8, 2, 0.1}};
   const auto best = best_design(points, mix);
@@ -61,7 +64,7 @@ TEST(BestDesign, PicksTwoBitSixteenLanes) {
 }
 
 TEST(BestDesign, UtilizationBarFiltersDesigns) {
-  const auto points = explore_design_space({2, 4}, {16});
+  const auto points = sequential_sweep({2, 4}, {16});
   // A mix of 6-bit layers wastes bit-work on 4-bit slicing (pads to 8)
   // *and* on 2-bit slicing (9 of 16 engines); with the bar at 1.0 nothing
   // survives.
@@ -77,7 +80,7 @@ TEST(BestDesign, UtilizationBarFiltersDesigns) {
 TEST(BestDesign, TwoBitMixDisqualifiesFourBitSlicing) {
   // With 2-bit layers in the mix (the deep-quantized regime the paper
   // targets), 4-bit slicing pads 2→4 and wastes 3/4 of every product.
-  const auto points = explore_design_space({2, 4}, {16});
+  const auto points = sequential_sweep({2, 4}, {16});
   const std::vector<BitwidthMixEntry> mix{{2, 2, 1.0}};
   const auto best = best_design(points, mix, 0.9);
   EXPECT_EQ(best.geometry.slice_bits, 2);
@@ -101,7 +104,7 @@ TEST(BestDesign, EmptyPointSetErrorIsDocumented) {
 TEST(BestDesign, AllPointsBelowTheBarErrorNamesFloorAndBest) {
   // 6-bit operands on 2-bit slices use 9/16 engines — nothing reaches a
   // 0.99 floor, and the error must say how close the best point came.
-  const auto points = explore_design_space({2}, {16});
+  const auto points = sequential_sweep({2}, {16});
   try {
     (void)best_design(points, {{6, 6, 1.0}}, 0.99);
     FAIL() << "expected bpvec::Error";
@@ -116,19 +119,19 @@ TEST(BestDesign, AllPointsBelowTheBarErrorNamesFloorAndBest) {
 }
 
 TEST(BestDesign, RejectsEmptyMix) {
-  const auto points = explore_design_space({2}, {16});
+  const auto points = sequential_sweep({2}, {16});
   EXPECT_THROW(best_design(points, {}), Error);
 }
 
 TEST(BestDesign, NoPointMeetsTheUtilizationFloor) {
   // 6-bit operands on 2-bit slices use 9/16 engines; demanding a 0.99
   // floor over a single-point sweep leaves nothing.
-  const auto points = explore_design_space({2}, {16});
+  const auto points = sequential_sweep({2}, {16});
   EXPECT_THROW(best_design(points, {{6, 6, 1.0}}, 0.99), Error);
 }
 
 TEST(DesignSpace, SinglePointSweep) {
-  const auto points = explore_design_space({2}, {16});
+  const auto points = sequential_sweep({2}, {16});
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0].geometry.slice_bits, 2);
   EXPECT_EQ(points[0].geometry.lanes, 16);
@@ -138,26 +141,21 @@ TEST(DesignSpace, SinglePointSweep) {
   EXPECT_DOUBLE_EQ(best.mix_utilization, 1.0);
 }
 
-TEST(DesignSpace, EmptyAxesGiveEmptyGrid) {
-  EXPECT_TRUE(explore_design_space({}, {1, 2, 4}).empty());
-  EXPECT_TRUE(explore_design_space({1, 2}, {}).empty());
-  EXPECT_TRUE(design_grid({}, {}).empty());
-}
-
 TEST(DesignSpace, GridMatchesExploreOrder) {
-  const std::vector<int> alphas{1, 2};
-  const std::vector<int> lanes{1, 4, 16};
-  const auto grid = design_grid(alphas, lanes);
-  const auto points = explore_design_space(alphas, lanes);
-  ASSERT_EQ(grid.size(), points.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_EQ(grid[i].slice_bits, points[i].geometry.slice_bits);
-    EXPECT_EQ(grid[i].lanes, points[i].geometry.lanes);
+  // Fig. 4's order: slice widths outer, lanes inner, at 8-bit maximum.
+  const auto points = sequential_sweep({1, 2}, {1, 4, 16});
+  const std::vector<std::pair<int, int>> expected{
+      {1, 1}, {1, 4}, {1, 16}, {2, 1}, {2, 4}, {2, 16}};
+  ASSERT_EQ(points.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(points[i].geometry.slice_bits, expected[i].first);
+    EXPECT_EQ(points[i].geometry.lanes, expected[i].second);
+    EXPECT_EQ(points[i].geometry.max_bits, 8);
   }
 }
 
 TEST(DesignSpace, PricePointMatchesExplore) {
-  const auto points = explore_design_space({1, 2}, {1, 2, 4, 8, 16});
+  const auto points = sequential_sweep({1, 2}, {1, 2, 4, 8, 16});
   for (const auto& p : points) {
     const auto repriced = price_design_point(p.geometry);
     EXPECT_EQ(repriced.cost.power_total(), p.cost.power_total());
@@ -172,8 +170,8 @@ TEST(DesignSpace, PricePointWithMixFillsUtilization) {
 }
 
 TEST(DesignSpace, InvalidGeometryInGridThrows) {
-  // 3 does not divide 8 — geometry validation must reject the axis.
-  EXPECT_THROW(design_grid({3}, {16}), Error);
+  // 3 does not divide 8 — geometry validation must reject the point.
+  EXPECT_THROW(price_design_point(bitslice::CvuGeometry{3, 8, 16}), Error);
 }
 
 }  // namespace

@@ -564,11 +564,11 @@ std::vector<Scenario> mixed_batch() {
        {dnn::make_alexnet(dnn::BitwidthMode::kHeterogeneous),
         dnn::make_rnn(dnn::BitwidthMode::kHomogeneous8b)}) {
     batch.push_back(
-        make_scenario(Platform::kTpuLike, core::Memory::kDdr4, net));
+        make_scenario(Platform::kTpuLike, Memory::kDdr4, net));
     batch.push_back(
-        make_scenario(Platform::kBpvec, core::Memory::kHbm2, net));
+        make_scenario(Platform::kBpvec, Memory::kHbm2, net));
     batch.push_back(make_scenario("bit_serial", Platform::kBpvec,
-                                  core::Memory::kDdr4, net));
+                                  Memory::kDdr4, net));
   }
   batch.push_back(
       make_gpu_scenario(dnn::make_resnet18(dnn::BitwidthMode::kHomogeneous8b)));

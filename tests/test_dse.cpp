@@ -1,5 +1,5 @@
 // DSE subsystem end to end: strategy determinism, grid-strategy
-// bit-identity against the sequential core::explore_design_space path,
+// bit-identity against a sequential core::price_design_point sweep,
 // engine-cache dedup of repeat-heavy searches, budgets, constraints, and
 // the bpvec_run `search` subcommand (cold/warm byte-identity through the
 // disk cache, --validate dry runs).
@@ -19,6 +19,7 @@
 #include "src/dnn/model_zoo.h"
 #include "src/engine/sim_engine.h"
 #include "tests/run_result_identical.h"
+#include "tests/sequential_sweep.h"
 
 namespace bpvec::dse {
 namespace {
@@ -41,11 +42,12 @@ ParamSpace lstm_space() {
 }
 
 engine::Scenario lstm_base() {
-  return engine::make_scenario(engine::Platform::kBpvec, core::Memory::kDdr4,
-                               dnn::make_lstm(dnn::BitwidthMode::kHeterogeneous));
+  return engine::make_scenario(
+      engine::Platform::kBpvec, engine::Memory::kDdr4,
+      dnn::make_lstm(dnn::BitwidthMode::kHeterogeneous));
 }
 
-// ----- grid bit-identity against the legacy path ---------------------
+// ----- grid bit-identity against the sequential sweep ----------------
 
 /// The parallel Fig. 4 sweep: a grid over geometry_space priced by
 /// GeometryEvaluator on `eng`'s pool.
@@ -73,19 +75,18 @@ TEST(GridSearch, BitIdenticalToLegacyExploreDesignSpace) {
       run_search(strategy, evaluator, kGeomObjectives);
   const auto via_dse = design_points(outcome);
 
-  // Legacy sequential pass: same grid, same pricing function.
-  std::vector<core::DesignPoint> legacy;
-  for (const auto& g : core::design_grid(alphas, lanes)) {
-    legacy.push_back(core::price_design_point(g, mix));
-  }
-  ASSERT_EQ(via_dse.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(via_dse[i].geometry.slice_bits, legacy[i].geometry.slice_bits);
-    EXPECT_EQ(via_dse[i].geometry.lanes, legacy[i].geometry.lanes);
+  // Sequential pass: same grid, same pricing function.
+  const auto sequential = sequential_sweep(alphas, lanes, mix);
+  ASSERT_EQ(via_dse.size(), sequential.size());
+  for (std::size_t i = 0; i < sequential.size(); ++i) {
+    EXPECT_EQ(via_dse[i].geometry.slice_bits,
+              sequential[i].geometry.slice_bits);
+    EXPECT_EQ(via_dse[i].geometry.lanes, sequential[i].geometry.lanes);
     // Exact double equality: identical arithmetic, not merely close.
-    EXPECT_EQ(via_dse[i].cost.power_total(), legacy[i].cost.power_total());
-    EXPECT_EQ(via_dse[i].cost.area_total(), legacy[i].cost.area_total());
-    EXPECT_EQ(via_dse[i].mix_utilization, legacy[i].mix_utilization);
+    EXPECT_EQ(via_dse[i].cost.power_total(),
+              sequential[i].cost.power_total());
+    EXPECT_EQ(via_dse[i].cost.area_total(), sequential[i].cost.area_total());
+    EXPECT_EQ(via_dse[i].mix_utilization, sequential[i].mix_utilization);
   }
 
   // Grid searches propose each point exactly once.
@@ -98,7 +99,7 @@ TEST(GridSearch, ParallelSweepWithoutMixMatchesCoreSequential) {
   const std::vector<int> alphas{1, 2, 4};
   const std::vector<int> lanes{1, 2, 4, 8, 16};
   const auto parallel = parallel_sweep(eng, alphas, lanes);
-  const auto sequential = core::explore_design_space(alphas, lanes);
+  const auto sequential = sequential_sweep(alphas, lanes);
   ASSERT_EQ(parallel.size(), sequential.size());
   for (std::size_t i = 0; i < parallel.size(); ++i) {
     EXPECT_EQ(parallel[i].geometry.slice_bits,
@@ -246,7 +247,7 @@ ParamSpace smoke_space() {
 /// The dse_smoke base: the 2-bit AlexNet on the BPVeC platform.
 engine::Scenario smoke_base() {
   engine::Scenario s = engine::make_scenario(
-      engine::Platform::kBpvec, core::Memory::kDdr4,
+      engine::Platform::kBpvec, engine::Memory::kDdr4,
       dnn::make_alexnet(dnn::BitwidthMode::kHeterogeneous));
   for (dnn::Layer& layer : s.network.layers()) {
     layer.x_bits = 2;

@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "src/baselines/gpu_model.h"
+#include "src/backend/gpu_backend.h"
 #include "src/common/mathutil.h"
 #include "src/dnn/model_zoo.h"
 #include "src/sim/simulator.h"
@@ -122,7 +122,7 @@ TEST(Figure8, Hbm2AmplifiesTheBitFusionGap) {
 TEST(Figure9, PerfPerWattDwarfsTheGpu) {
   // Paper: geomean 28–34× better Performance-per-Watt than RTX 2080 Ti
   // across the four design points; RNN/LSTM see the largest ratios.
-  baselines::GpuModel gpu;
+  const backend::GpuBackend gpu;
   for (auto mode :
        {BitwidthMode::kHomogeneous8b, BitwidthMode::kHeterogeneous}) {
     std::vector<double> ratios;
@@ -148,7 +148,7 @@ TEST(Figure9, PerfPerWattDwarfsTheGpu) {
 }
 
 TEST(Figure9, Hbm2KeepsTheAdvantage) {
-  baselines::GpuModel gpu;
+  const backend::GpuBackend gpu;
   std::vector<double> ratios;
   for (const auto& net : dnn::all_models(BitwidthMode::kHomogeneous8b)) {
     const auto bp = run(sim::bpvec_accelerator(), arch::hbm2(), net);

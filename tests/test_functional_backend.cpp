@@ -312,7 +312,7 @@ TEST(FunctionalBackend, EngineStatsSurfaceWeightCacheCounters) {
   auto& cache = kernels::WeightPlaneCache::instance();
   std::vector<engine::Scenario> batch;
   batch.push_back(engine::make_scenario(
-      "functional", engine::Platform::kBpvec, core::Memory::kDdr4,
+      "functional", engine::Platform::kBpvec, engine::Memory::kDdr4,
       dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b)));
 
   engine::SimEngine eng(engine::EngineOptions{});
@@ -428,7 +428,7 @@ TEST(FunctionalBackend, WarmEngineRunReplaysMeasuredValuesAndPricesNothing) {
 
   std::vector<engine::Scenario> batch;
   batch.push_back(engine::make_scenario(
-      "functional", engine::Platform::kBpvec, core::Memory::kHbm2,
+      "functional", engine::Platform::kBpvec, engine::Memory::kHbm2,
       dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b)));
 
   engine::EngineOptions opts;

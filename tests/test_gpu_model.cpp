@@ -1,10 +1,13 @@
-#include "src/baselines/gpu_model.h"
+// The RTX 2080 Ti roofline model (Table II, Fig. 9), layer by layer
+// through GpuBackend::price_layer and whole networks through
+// GpuBackend::run.
+#include "src/backend/gpu_backend.h"
 
 #include <gtest/gtest.h>
 
 #include "src/dnn/model_zoo.h"
 
-namespace bpvec::baselines {
+namespace bpvec::backend {
 namespace {
 
 TEST(GpuSpec, PeakRates) {
@@ -17,44 +20,50 @@ TEST(GpuSpec, PeakRates) {
 }
 
 TEST(GpuModel, ConvLayersComputeScaled) {
-  GpuModel gpu;
+  const GpuSpec spec;
+  const GpuBackend gpu(spec);
   const auto conv = dnn::make_conv("c", {64, 56, 56, 64, 3, 3, 1, 1});
-  const auto t = gpu.layer_time(conv);
-  EXPECT_GT(t.seconds, gpu.spec().kernel_overhead_us * 1e-6);
-  EXPECT_FALSE(t.bandwidth_bound);
+  const auto t = gpu.price_layer(conv);
+  EXPECT_GT(t.runtime_s, spec.kernel_overhead_us * 1e-6);
+  EXPECT_FALSE(t.memory_bound);
 }
 
 TEST(GpuModel, FcLayersBandwidthBound) {
-  GpuModel gpu;
+  const GpuSpec spec;
+  const GpuBackend gpu(spec);
   const auto fc = dnn::make_fc("fc", {9216, 4096});
-  const auto t = gpu.layer_time(fc);
-  EXPECT_TRUE(t.bandwidth_bound);
+  const auto t = gpu.price_layer(fc);
+  EXPECT_TRUE(t.memory_bound);
   // Time at least the weight-streaming bound.
-  const double bw = gpu.spec().memory_bandwidth_gbps * 1e9 *
-                    gpu.spec().gemv_bandwidth_fraction;
-  EXPECT_GE(t.seconds, 9216.0 * 4096 / bw);
+  const double bw =
+      spec.memory_bandwidth_gbps * 1e9 * spec.gemv_bandwidth_fraction;
+  EXPECT_GE(t.runtime_s, 9216.0 * 4096 / bw);
 }
 
 TEST(GpuModel, RecurrentPaysPerStepOverhead) {
-  GpuModel gpu;
+  const GpuSpec spec;
+  const GpuBackend gpu(spec);
   auto rnn = dnn::make_recurrent(
       "r", {dnn::RecurrentCellKind::kVanillaRnn, 256, 256, 100});
-  const double t100 = gpu.layer_time(rnn).seconds;
+  const double t100 = gpu.price_layer(rnn).runtime_s;
   rnn = dnn::make_recurrent(
       "r", {dnn::RecurrentCellKind::kVanillaRnn, 256, 256, 200});
-  const double t200 = gpu.layer_time(rnn).seconds;
+  const double t200 = gpu.price_layer(rnn).runtime_s;
   EXPECT_NEAR(t200 / t100, 2.0, 1e-6);
-  EXPECT_GE(t100, 100 * gpu.spec().kernel_overhead_us * 1e-6);
+  EXPECT_GE(t100, 100 * spec.kernel_overhead_us * 1e-6);
 }
 
 TEST(GpuModel, PoolIsFused) {
-  GpuModel gpu;
+  const GpuBackend gpu;
   const auto pool = dnn::make_pool("p", {64, 56, 56, 2, 2});
-  EXPECT_DOUBLE_EQ(gpu.layer_time(pool).seconds, 0.0);
+  const auto t = gpu.price_layer(pool);
+  EXPECT_DOUBLE_EQ(t.runtime_s, 0.0);
+  EXPECT_EQ(t.total_cycles, 0);
+  EXPECT_DOUBLE_EQ(t.energy.total_pj(), 0.0);
 }
 
 TEST(GpuModel, Int4ModeSpeedsUpConvNets) {
-  GpuModel gpu;
+  const GpuBackend gpu;
   const auto homog =
       gpu.run(dnn::make_resnet50(dnn::BitwidthMode::kHomogeneous8b));
   const auto heter =
@@ -63,7 +72,7 @@ TEST(GpuModel, Int4ModeSpeedsUpConvNets) {
 }
 
 TEST(GpuModel, RealisticBatchOneLatencies) {
-  GpuModel gpu;
+  const GpuBackend gpu;
   // Sanity band: batch-1 TensorRT-class latencies are hundreds of µs to a
   // few ms for these CNNs, tens of ms for the 512-step recurrent models.
   const auto rn18 =
@@ -77,7 +86,7 @@ TEST(GpuModel, RealisticBatchOneLatencies) {
 
 TEST(GpuModel, RnnEfficiencyFarBelowCnns) {
   // The Fig. 9 driver: GEMV-shaped recurrent nets waste the GPU.
-  GpuModel gpu;
+  const GpuBackend gpu;
   const auto rn50 =
       gpu.run(dnn::make_resnet50(dnn::BitwidthMode::kHomogeneous8b));
   const auto lstm =
@@ -86,11 +95,12 @@ TEST(GpuModel, RnnEfficiencyFarBelowCnns) {
 }
 
 TEST(GpuModel, MetricsConsistent) {
-  GpuModel gpu;
+  const GpuSpec spec;
+  const GpuBackend gpu(spec);
   const auto r = gpu.run(dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b));
-  EXPECT_NEAR(r.gops_per_w, r.gops_per_s / gpu.spec().board_power_w, 1e-9);
+  EXPECT_NEAR(r.gops_per_w, r.gops_per_s / spec.board_power_w, 1e-9);
   EXPECT_GT(r.gops_per_s, 0.0);
 }
 
 }  // namespace
-}  // namespace bpvec::baselines
+}  // namespace bpvec::backend

@@ -415,6 +415,12 @@ const Row kRows[] = {
      R"({"name": "m", "search": {"network": "lstm", "space": {"rows": [8.5]}}})",
      "manifest: search: ParamSpace: axis \"rows\" requires integer values, "
      "got 8.5"},
+    // Search axes read int64 knobs as grid overrides do: no rounding.
+    {Reader::kManifest,
+     R"({"name": "m", "search": {"network": "lstm", "space": )"
+     R"({"scratchpad_bytes": [65536, 9007199254740993]}}})",
+     "manifest: search: \"scratchpad_bytes\" out of range (beyond 2^53, "
+     "which a knob value cannot hold exactly)"},
     // Bitwidth-policy call site: the search workload generator.
     {Reader::kManifest, SEARCH_WORKLOAD(R"(, "bitwidth_policy": "int8")"),
      "manifest: search: unknown bitwidth_policy \"int8\"; expected "

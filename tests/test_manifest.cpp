@@ -93,9 +93,9 @@ TEST(Manifest, ExpansionMatchesHandWrittenFig5Batch) {
   std::vector<engine::Scenario> expected;
   for (const auto& net : nets) {
     expected.push_back(engine::make_scenario(engine::Platform::kTpuLike,
-                                             core::Memory::kDdr4, net));
+                                             engine::Memory::kDdr4, net));
     expected.push_back(engine::make_scenario(engine::Platform::kBpvec,
-                                             core::Memory::kDdr4, net));
+                                             engine::Memory::kDdr4, net));
   }
   ASSERT_EQ(scenarios.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -447,6 +447,21 @@ TEST(SearchManifest, SpaceAndBaseResolve) {
   const engine::Scenario base = search_base_scenario(*m.search);
   EXPECT_EQ(base.backend, "bpvec");
   EXPECT_EQ(base.network.name(), "AlexNet");
+}
+
+TEST(SearchManifest, Int64AxisKeepsTwoToThe53Exactly) {
+  // 2^53 is the last integer a knob value holds exactly; one past it is
+  // an error (test_input_errors), never a silent round.
+  const Manifest m = from_text(R"({
+    "name": "big",
+    "search": {"network": "lstm",
+               "space": {"scratchpad_bytes": [9007199254740992]}}
+  })");
+  ASSERT_EQ(m.search->space.size(), 1u);
+  EXPECT_EQ(m.search->space[0].values,
+            (std::vector<double>{9007199254740992.0}));
+  EXPECT_EQ(static_cast<std::int64_t>(m.search->space[0].values[0]),
+            std::int64_t{1} << 53);
 }
 
 TEST(SearchManifest, GridsAndSearchMayCoexist) {

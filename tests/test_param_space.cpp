@@ -1,6 +1,5 @@
 // ParamSpace: axis validation, canonical enumeration order, candidate
-// keys, scenario materialization, and the geometry_space ↔
-// core::design_grid correspondence.
+// keys, scenario materialization, and geometry_space's Fig. 4 order.
 #include "src/dse/param_space.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +8,7 @@
 #include "src/core/design_space.h"
 #include "src/dnn/model_zoo.h"
 #include "src/engine/scenario.h"
+#include "tests/sequential_sweep.h"
 
 namespace bpvec::dse {
 namespace {
@@ -94,7 +94,7 @@ TEST(ParamSpace, MaterializeAppliesEveryKnobKind) {
   space.add_axis(Knob::kBatchSize, {4});
   space.add_axis(Knob::kMemBandwidthGbps, {32.0});
   const engine::Scenario base = engine::make_scenario(
-      engine::Platform::kBpvec, core::Memory::kDdr4,
+      engine::Platform::kBpvec, engine::Memory::kDdr4,
       dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b));
   const engine::Scenario s = space.materialize(space.at(0), base);
   EXPECT_EQ(s.platform.cvu.slice_bits, 4);
@@ -116,7 +116,7 @@ TEST(ParamSpace, MaterializeRejectsInvalidConfigs) {
   ParamSpace space;
   space.add_axis(Knob::kCvuSliceBits, {3});  // 3 does not divide 8
   const engine::Scenario base = engine::make_scenario(
-      engine::Platform::kBpvec, core::Memory::kDdr4,
+      engine::Platform::kBpvec, engine::Memory::kDdr4,
       dnn::make_lstm(dnn::BitwidthMode::kHomogeneous8b));
   EXPECT_THROW(space.materialize(space.at(0), base), Error);
 
@@ -129,20 +129,33 @@ TEST(GeometrySpace, MatchesDesignGridOrder) {
   const std::vector<int> alphas{1, 2, 4};
   const std::vector<int> lanes{1, 4, 16};
   const ParamSpace space = geometry_space(alphas, lanes);
-  const auto grid = core::design_grid(alphas, lanes);
+  const auto grid = sequential_sweep(alphas, lanes);
   ASSERT_EQ(space.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const bitslice::CvuGeometry g =
         space.geometry(space.at(i), bitslice::CvuGeometry{});
-    EXPECT_EQ(g.slice_bits, grid[i].slice_bits);
-    EXPECT_EQ(g.lanes, grid[i].lanes);
-    EXPECT_EQ(g.max_bits, grid[i].max_bits);
+    EXPECT_EQ(g.slice_bits, grid[i].geometry.slice_bits);
+    EXPECT_EQ(g.lanes, grid[i].geometry.lanes);
+    EXPECT_EQ(g.max_bits, grid[i].geometry.max_bits);
   }
 }
 
 TEST(GeometrySpace, ValidatesEagerlyLikeDesignGrid) {
-  EXPECT_THROW(geometry_space({3}, {16}), Error);
-  EXPECT_THROW(core::design_grid({3}, {16}), Error);
+  // 3 does not divide 8: the space throws before any point is priced,
+  // with the error that pricing the geometry would raise.
+  const auto message = [](const auto& f) {
+    try {
+      f();
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string eager = message([] { (void)geometry_space({3}, {16}); });
+  EXPECT_NE(eager, "no error");
+  EXPECT_EQ(eager, message([] {
+              (void)core::price_design_point(bitslice::CvuGeometry{3, 8, 16});
+            }));
 }
 
 TEST(ParamSpace, WorkloadAxesRegenerateTheNetwork) {
@@ -152,7 +165,7 @@ TEST(ParamSpace, WorkloadAxesRegenerateTheNetwork) {
   space.add_axis(Knob::kNetBits, {4});
   space.add_axis(Knob::kCvuLanes, {4, 16});
   const auto base = engine::make_scenario(
-      engine::Platform::kBpvec, core::Memory::kDdr4,
+      engine::Platform::kBpvec, engine::Memory::kDdr4,
       dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b));
   const workload::GeneratorSpec generator{"mlp_family", 0, 0, "", ""};
 
@@ -175,7 +188,7 @@ TEST(ParamSpace, WorkloadAxesWithoutAGeneratorThrow) {
   ParamSpace space;
   space.add_axis(Knob::kNetDepth, {2});
   const auto base = engine::make_scenario(
-      engine::Platform::kBpvec, core::Memory::kDdr4,
+      engine::Platform::kBpvec, engine::Memory::kDdr4,
       dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b));
   try {
     (void)space.materialize(space.at(0), base);

@@ -23,7 +23,7 @@ std::vector<Scenario> sample_grid() {
   std::vector<Scenario> grid;
   for (Platform p :
        {Platform::kTpuLike, Platform::kBitFusion, Platform::kBpvec}) {
-    for (core::Memory m : {core::Memory::kDdr4, core::Memory::kHbm2}) {
+    for (Memory m : {Memory::kDdr4, Memory::kHbm2}) {
       grid.push_back(make_scenario(
           p, m, dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b)));
       grid.push_back(make_scenario(
@@ -91,7 +91,7 @@ TEST(SimEngine, CacheServesRepeatedDesignPoints) {
 
 TEST(SimEngine, DuplicatesWithinOneBatchSimulateOnce) {
   const auto one = make_scenario(
-      Platform::kBpvec, core::Memory::kDdr4,
+      Platform::kBpvec, Memory::kDdr4,
       dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b));
   std::vector<Scenario> batch(5, one);
   SimEngine eng({2});
@@ -105,7 +105,7 @@ TEST(SimEngine, DuplicatesWithinOneBatchSimulateOnce) {
 
 TEST(SimEngine, ClearCacheForcesResimulation) {
   const auto one = make_scenario(
-      Platform::kTpuLike, core::Memory::kHbm2,
+      Platform::kTpuLike, Memory::kHbm2,
       dnn::make_rnn(dnn::BitwidthMode::kHomogeneous8b));
   SimEngine eng({2});
   (void)eng.run(one);
@@ -142,10 +142,10 @@ TEST(SimEngine, EmptyBatchIsFine) {
 
 TEST(Scenario, FingerprintIsStableAndSensitive) {
   const auto base = make_scenario(
-      Platform::kBpvec, core::Memory::kDdr4,
+      Platform::kBpvec, Memory::kDdr4,
       dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b));
   const auto same = make_scenario(
-      Platform::kBpvec, core::Memory::kDdr4,
+      Platform::kBpvec, Memory::kDdr4,
       dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b));
   EXPECT_EQ(base.fingerprint(), same.fingerprint());
 
@@ -168,18 +168,18 @@ TEST(Scenario, FingerprintIsStableAndSensitive) {
 
 TEST(Scenario, DefaultIdNamesBackendPlatformNetworkMemory) {
   const auto s = make_scenario(
-      Platform::kBpvec, core::Memory::kHbm2,
+      Platform::kBpvec, Memory::kHbm2,
       dnn::make_rnn(dnn::BitwidthMode::kHomogeneous8b));
   EXPECT_EQ(s.backend, "bpvec");
   EXPECT_EQ(s.id, "bpvec:" + s.platform.name + "/" + s.network.name() + "/" +
                       s.memory.name);
   const auto labeled = make_scenario(
-      Platform::kBpvec, core::Memory::kHbm2,
+      Platform::kBpvec, Memory::kHbm2,
       dnn::make_rnn(dnn::BitwidthMode::kHomogeneous8b), "custom-label");
   EXPECT_EQ(labeled.id, "custom-label");
 
   const auto serial = make_scenario(
-      "bit_serial", Platform::kTpuLike, core::Memory::kDdr4,
+      "bit_serial", Platform::kTpuLike, Memory::kDdr4,
       dnn::make_rnn(dnn::BitwidthMode::kHomogeneous8b));
   EXPECT_EQ(serial.backend, "bit_serial");
   EXPECT_EQ(serial.id.rfind("bit_serial:", 0), 0u);
@@ -190,10 +190,15 @@ TEST(Scenario, DefaultIdNamesBackendPlatformNetworkMemory) {
   EXPECT_EQ(gpu.id.rfind("gpu:", 0), 0u);
 }
 
+TEST(Scenario, MakeMemorySelectsThePaperMemorySystems) {
+  EXPECT_EQ(make_memory(Memory::kDdr4).name, "DDR4");
+  EXPECT_EQ(make_memory(Memory::kHbm2).name, "HBM2");
+}
+
 TEST(Scenario, FingerprintIncludesBackendId) {
   const auto net = dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b);
   const auto bpvec =
-      make_scenario(Platform::kTpuLike, core::Memory::kDdr4, net);
+      make_scenario(Platform::kTpuLike, Memory::kDdr4, net);
   auto serial = bpvec;
   serial.backend = "bit_serial";
   // Same platform/memory/network, different cost model: the fingerprints
@@ -211,11 +216,11 @@ std::vector<Scenario> mixed_backend_grid() {
   for (const auto& net :
        {dnn::make_alexnet(dnn::BitwidthMode::kHeterogeneous),
         dnn::make_lstm(dnn::BitwidthMode::kHomogeneous8b)}) {
-    grid.push_back(make_scenario(Platform::kBpvec, core::Memory::kDdr4, net));
+    grid.push_back(make_scenario(Platform::kBpvec, Memory::kDdr4, net));
     grid.push_back(make_scenario("bit_serial", Platform::kTpuLike,
-                                 core::Memory::kDdr4, net));
+                                 Memory::kDdr4, net));
     grid.push_back(make_scenario("bit_serial_loom", Platform::kTpuLike,
-                                 core::Memory::kDdr4, net));
+                                 Memory::kDdr4, net));
     grid.push_back(make_gpu_scenario(net));
   }
   return grid;
@@ -239,9 +244,9 @@ TEST(SimEngineBackends, MixedBatchBitIdenticalToDirectBackendRuns) {
 TEST(SimEngineBackends, SameScenarioDifferentBackendDoesNotCollide) {
   const auto net = dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b);
   const auto bpvec =
-      make_scenario(Platform::kTpuLike, core::Memory::kDdr4, net);
+      make_scenario(Platform::kTpuLike, Memory::kDdr4, net);
   const auto serial = make_scenario("bit_serial", Platform::kTpuLike,
-                                    core::Memory::kDdr4, net);
+                                    Memory::kDdr4, net);
   SimEngine eng({2});
   const auto results = eng.run_batch({bpvec, serial, bpvec, serial});
   EXPECT_EQ(eng.stats().simulations_run, 2u);  // one per backend
@@ -261,7 +266,7 @@ TEST(SimEngineBackends, LayerCacheBitIdenticalOnVsOffWithHits) {
   std::vector<Scenario> grid;
   for (Platform p :
        {Platform::kTpuLike, Platform::kBitFusion, Platform::kBpvec}) {
-    for (core::Memory m : {core::Memory::kDdr4, core::Memory::kHbm2}) {
+    for (Memory m : {Memory::kDdr4, Memory::kHbm2}) {
       grid.push_back(make_scenario(
           p, m, dnn::make_resnet18(dnn::BitwidthMode::kHomogeneous8b)));
       grid.push_back(make_scenario(
@@ -285,7 +290,7 @@ TEST(SimEngineBackends, LayerCacheBitIdenticalOnVsOffWithHits) {
 
 TEST(SimEngineBackends, ClearCacheDropsLayerCacheToo) {
   const auto one = memoized(make_scenario(
-      Platform::kBpvec, core::Memory::kDdr4,
+      Platform::kBpvec, Memory::kDdr4,
       dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b)));
   SimEngine eng({2});
   (void)eng.run(one);

@@ -9,8 +9,7 @@ namespace {
 
 TEST(UmbrellaHeader, ExposesEveryPublicArea) {
   // core
-  const auto acc = core::Accelerator::bpvec(core::Memory::kDdr4);
-  EXPECT_EQ(acc.config().equivalent_macs(), 1024);
+  EXPECT_LT(core::price_design_point({2, 8, 16}).cost.power_total(), 1.0);
   // bitslice
   EXPECT_EQ(bitslice::plan_composition({2, 8, 16}, 4, 4).clusters, 4);
   // arch
@@ -23,9 +22,11 @@ TEST(UmbrellaHeader, ExposesEveryPublicArea) {
             1);
   // sim
   EXPECT_EQ(sim::bpvec_accelerator().num_pes(), 64);
-  // baselines
-  EXPECT_EQ(baselines::GpuSpec{}.tensor_cores, 544);
-  EXPECT_EQ(baselines::BitSerialConfig{}.lanes, 16);
+  // engine
+  EXPECT_EQ(engine::make_memory(engine::Memory::kDdr4).name, "DDR4");
+  // backend
+  EXPECT_EQ(backend::GpuSpec{}.tensor_cores, 544);
+  EXPECT_EQ(backend::BitSerialConfig{}.lanes, 16);
 }
 
 }  // namespace

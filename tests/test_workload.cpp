@@ -521,13 +521,13 @@ TEST(WorkloadEngine, JsonCopyOfAlexnetPricesBitIdenticallyViaLayerCache) {
 
   engine::SimEngine zoo_engine;
   const auto zoo_result = zoo_engine.run_batch({engine::make_scenario(
-      engine::Platform::kBpvec, core::Memory::kDdr4, zoo_net)});
+      engine::Platform::kBpvec, engine::Memory::kDdr4, zoo_net)});
   EXPECT_EQ(zoo_engine.stats().layers_priced, zoo_net.layers().size());
   EXPECT_EQ(zoo_engine.stats().layer_cache_hits, 0u);
 
   engine::SimEngine json_engine;
   const auto json_result = json_engine.run_batch({memoized(
-      engine::make_scenario(engine::Platform::kBpvec, core::Memory::kDdr4,
+      engine::make_scenario(engine::Platform::kBpvec, engine::Memory::kDdr4,
                             json_net))});
   EXPECT_EQ(json_engine.stats().layers_priced +
                 json_engine.stats().layer_cache_hits,
@@ -543,9 +543,9 @@ TEST(WorkloadEngine, RenamedStructuralTwinDedupesInTheScenarioCache) {
   twin.set_bitwidth_note(original.bitwidth_note());
 
   const auto a = engine::make_scenario(engine::Platform::kBpvec,
-                                       core::Memory::kDdr4, original);
+                                       engine::Memory::kDdr4, original);
   const auto b = engine::make_scenario(engine::Platform::kBpvec,
-                                       core::Memory::kDdr4, twin);
+                                       engine::Memory::kDdr4, twin);
   EXPECT_EQ(a.fingerprint(), b.fingerprint());  // structural identity
 
   engine::SimEngine engine;
@@ -567,9 +567,9 @@ TEST(WorkloadEngine, DifferentNetsSharingANameNeverCollide) {
   dnn::Network b("SameName", dnn::NetworkType::kCnn);
   b.add(dnn::make_fc("f", {64, 128}));
   const auto sa = engine::make_scenario(engine::Platform::kBpvec,
-                                        core::Memory::kDdr4, a, "a");
+                                        engine::Memory::kDdr4, a, "a");
   const auto sb = engine::make_scenario(engine::Platform::kBpvec,
-                                        core::Memory::kDdr4, b, "b");
+                                        engine::Memory::kDdr4, b, "b");
   EXPECT_NE(sa.fingerprint(), sb.fingerprint());
   engine::SimEngine engine;
   const auto results = engine.run_batch({sa, sb});
