@@ -27,17 +27,25 @@
 // ops themselves are measured against bench-local copies of their
 // int64-only loops (conv_reference_wide, fc_reference_wide) on the conv
 // and fc tiles: metrics.geomean_reference_vs_wide, CI gates >= 1.0.
-// Each side of those two gated ratios is timed in alternating reps of one
-// min-of-reps loop (timed_pair), so host noise hits both sides alike.
+// The scalar CVU executor itself is measured against a bench-local copy
+// of its per-lane-branch loop (cvu_gemm_per_lane: two range branches per
+// lane, one out-of-line call per NBVE cycle) on the functional probe's
+// 2×8×K check blocks of the same tiles at 8 and 4 bits:
+// metrics.geomean_cvu_check_vs_per_lane, CI gates >= 1.0.
+// Each side of those three gated ratios is timed in alternating reps of
+// one min-of-reps loop (timed_pair), so host noise hits both sides alike.
 // The runtime-selected SIMD variant
 // (kernels::simd_variant — cpuid at first call, BPVEC_SIMD override)
 // rides along in metrics.simd_variant so perf trajectories across
 // machines stay attributable.
 #include <cstdio>
+#include <span>
 #include <thread>
 #include <utility>
 
 #include "bench/bench_common.h"
+#include "src/bitslice/bit_slicing.h"
+#include "src/bitslice/composition.h"
 #include "src/bitslice/cvu.h"
 #include "src/common/rng.h"
 #include "src/core/gemm_executor.h"
@@ -313,6 +321,112 @@ std::vector<std::int64_t> fc_reference_wide(
   return out;
 }
 
+/// Nbve as it was before its one-flag range test: two range branches per
+/// lane, and an out-of-line call per cycle.
+struct PerLaneNbve {
+  int lanes = 0;
+  int slice_bits = 0;
+  std::int64_t mult_ops = 0;
+  std::int64_t cycles = 0;
+
+  [[gnu::noinline]] std::int64_t dot_cycle(std::span<const std::int32_t> x,
+                                           std::span<const std::int32_t> w) {
+    BPVEC_CHECK_MSG(x.size() == w.size(),
+                    "operand sub-vectors differ in size");
+    BPVEC_CHECK_MSG(static_cast<int>(x.size()) <= lanes,
+                    "sub-vector longer than NBVE lane count");
+    const std::int32_t lo = -(std::int32_t{1} << (slice_bits - 1));
+    const std::int32_t hi = (std::int32_t{1} << slice_bits) - 1;
+    std::int64_t acc = 0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      BPVEC_CHECK_MSG(x[i] >= lo && x[i] <= hi, "x slice exceeds datapath");
+      BPVEC_CHECK_MSG(w[i] >= lo && w[i] <= hi, "w slice exceeds datapath");
+      acc += static_cast<std::int64_t>(x[i]) * static_cast<std::int64_t>(w[i]);
+    }
+    mult_ops += static_cast<std::int64_t>(x.size());
+    cycles += 1;
+    return acc;
+  }
+};
+
+/// slice_vector_signed as it was: fits_signed (with its own check) per
+/// element, then the element's slices written across the slice rows.
+bitslice::SlicedVector slice_row_per_element(const dnn::Matrix& mat,
+                                             std::int64_t r, int bits,
+                                             int alpha) {
+  bitslice::SlicedVector sv;
+  sv.operand_bits = bits;
+  sv.slice_bits = alpha;
+  const int n = bitslice::num_slices(bits, alpha);
+  const auto k = static_cast<std::size_t>(mat.cols);
+  sv.sub.assign(n, std::vector<std::int32_t>(k));
+  const std::uint64_t mask = (std::uint64_t{1} << alpha) - 1;
+  const int top_shift = (n - 1) * alpha;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::int64_t v = mat.data[static_cast<std::size_t>(r) * k + i];
+    BPVEC_CHECK_MSG(bitslice::fits_signed(v, bits),
+                    "value out of range for operand_bits");
+    const auto pattern = static_cast<std::uint64_t>(v);
+    for (int j = 0; j + 1 < n; ++j) {
+      sv.sub[j][i] = static_cast<std::int32_t>((pattern >> (j * alpha)) & mask);
+    }
+    sv.sub[n - 1][i] = static_cast<std::int32_t>(v >> top_shift);
+  }
+  return sv;
+}
+
+/// core::execute_gemm as it was before the one-flag NBVE cycle: the
+/// baseline geomean_cvu_check_vs_per_lane times the library against.
+/// Every dot product plans its composition again, and every cycle
+/// resolves each assignment's segment, engine and slice rows again.
+std::vector<std::int64_t> cvu_gemm_per_lane(const bitslice::CvuGeometry& g,
+                                            const dnn::Matrix& a,
+                                            const dnn::Matrix& b, int x_bits,
+                                            int w_bits) {
+  std::vector<PerLaneNbve> engines(
+      static_cast<std::size_t>(g.num_nbves()),
+      PerLaneNbve{g.lanes, g.slice_bits});
+  std::vector<bitslice::SlicedVector> x_rows;
+  for (std::int64_t m = 0; m < a.rows; ++m) {
+    x_rows.push_back(slice_row_per_element(a, m, x_bits, g.slice_bits));
+  }
+  const auto n = static_cast<std::size_t>(a.cols);
+  const auto lanes = static_cast<std::size_t>(g.lanes);
+  std::vector<std::int64_t> out(static_cast<std::size_t>(a.rows * b.rows));
+  for (std::int64_t col = 0; col < b.rows; ++col) {
+    const bitslice::SlicedVector ws =
+        slice_row_per_element(b, col, w_bits, g.slice_bits);
+    for (std::int64_t m = 0; m < a.rows; ++m) {
+      const bitslice::SlicedVector& xs = x_rows[static_cast<std::size_t>(m)];
+      const bitslice::CompositionPlan plan =
+          bitslice::plan_composition(g, x_bits, w_bits);
+      const auto per_cycle =
+          static_cast<std::size_t>(plan.elements_per_cycle());
+      std::int64_t value = 0;
+      for (std::size_t base = 0; base < n; base += per_cycle) {
+        std::int64_t cycle_sum = 0;
+        for (const bitslice::NbveAssignment& as : plan.assignments) {
+          const std::size_t seg_begin =
+              std::min(n, base + static_cast<std::size_t>(as.cluster) * lanes);
+          const std::size_t len = std::min(n, seg_begin + lanes) - seg_begin;
+          if (len == 0) continue;
+          PerLaneNbve& engine =
+              engines[static_cast<std::size_t>(as.nbve_index)];
+          cycle_sum += engine.dot_cycle(
+                           std::span<const std::int32_t>(
+                               &xs.sub[as.x_slice][seg_begin], len),
+                           std::span<const std::int32_t>(
+                               &ws.sub[as.w_slice][seg_begin], len))
+                       << as.shift;
+        }
+        value += cycle_sum;
+      }
+      out[static_cast<std::size_t>(m * b.rows + col)] = value;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 int main() {
@@ -448,6 +562,49 @@ int main() {
   }
   t.print();
 
+  // The scalar CVU check on the probe's block (2 rows × 8 columns × full
+  // K) of every tile, at 8 and 4 bits: the library executor against
+  // cvu_gemm_per_lane, outputs compared first.
+  std::vector<double> cvu_check_vs_per_lane;
+  {
+    Rng rng(2022);
+    Table ct("Scalar CVU check: 2x8xK blocks of the same tiles");
+    ct.set_header({"Layer", "Bits", "K", "Executor us", "Per-lane us",
+                   "Per-lane/Executor"});
+    for (const Shape& s : shapes) {
+      for (const int bits : {8, 4}) {
+        const std::int64_t k = s.a.cols;
+        const dnn::Matrix a{2, k, rng.signed_vector(
+                                      static_cast<std::size_t>(2 * k), bits)};
+        const dnn::Matrix b{8, k, rng.signed_vector(
+                                      static_cast<std::size_t>(8 * k), bits)};
+        BPVEC_CHECK_MSG(core::execute_gemm(cvu, a, b, bits, bits) ==
+                            cvu_gemm_per_lane(cvu.geometry(), a, b, bits,
+                                              bits),
+                        "functional kernel bench: CVU check paths disagree "
+                        "on " + s.id);
+        const auto [exec_s, per_lane_s] = timed_pair(
+            [&] { (void)core::execute_gemm(cvu, a, b, bits, bits); },
+            [&] {
+              (void)cvu_gemm_per_lane(cvu.geometry(), a, b, bits, bits);
+            });
+        const double ratio = exec_s > 0 ? per_lane_s / exec_s : 0.0;
+        cvu_check_vs_per_lane.push_back(ratio);
+        const std::string id = "cvu_check_" + s.id + "_" +
+                               std::to_string(bits) + "b";
+        ct.add_row({s.id, std::to_string(bits), std::to_string(k),
+                    Table::num(exec_s * 1e6, 1),
+                    Table::num(per_lane_s * 1e6, 1), Table::ratio(ratio)});
+        json.add_entry(id, {{"k", static_cast<double>(k)},
+                            {"bits", static_cast<double>(bits)},
+                            {"executor_us", exec_s * 1e6},
+                            {"per_lane_us", per_lane_s * 1e6},
+                            {"cvu_check_vs_per_lane", ratio}});
+      }
+    }
+    ct.print();
+  }
+
   // Direct conv vs im2col on AlexNet's conv geometry: wall time and the
   // analytic peak kernel bytes (the memory win the direct path exists
   // for). Verified against conv2d_reference before timing.
@@ -539,6 +696,8 @@ int main() {
   json.add_metric("geomean_packed_1t_vs_reference", geomean(vs_reference));
   json.add_metric("geomean_direct_vs_im2col", geomean(direct_vs_im2col));
   json.add_metric("geomean_reference_vs_wide", geomean(reference_vs_wide));
+  json.add_metric("geomean_cvu_check_vs_per_lane",
+                  geomean(cvu_check_vs_per_lane));
   json.write();
 
   std::printf("min packed-1T speedup vs scalar CVU: %.1fx (gate: >= 4x)\n",
@@ -554,6 +713,9 @@ int main() {
   std::printf("geomean reference ops vs their int64 loops: %.2fx "
               "(gate: >= 1.0x)\n",
               geomean(reference_vs_wide));
+  std::printf("geomean CVU check vs its per-lane-branch loop: %.2fx "
+              "(gate: >= 1.0x)\n",
+              geomean(cvu_check_vs_per_lane));
   std::printf("geomean direct conv vs im2col: %.2fx (recorded, not gated)\n",
               geomean(direct_vs_im2col));
   return 0;

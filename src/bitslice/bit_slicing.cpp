@@ -91,36 +91,65 @@ std::int64_t recompose(const std::vector<std::int32_t>& slices,
 }
 
 namespace {
-// Writes each element's slices straight into sv.sub[j][i], from one
-// two's-complement pattern per element; element for element the same
-// slices as slice_signed / slice_unsigned, with no per-element allocation.
+// Writes slice j of every element into sv.sub[j], one slice row at a
+// time; element for element the same slices as slice_signed /
+// slice_unsigned, with no per-element allocation.
 SlicedVector slice_vector_impl(const std::vector<std::int32_t>& values,
                                int operand_bits, int slice_bits,
                                bool is_signed) {
   check_widths(operand_bits, slice_bits);
+  // The operand's range, once per vector (fits_signed / fits_unsigned).
+  // In uint32, v - lo > hi - lo exactly when v lies outside [lo, hi]; an
+  // unsigned operand is the int32's bit pattern.
+  const std::uint32_t lo =
+      is_signed ? ~std::uint32_t{0} << (operand_bits - 1) : 0;
+  const std::uint32_t range =
+      static_cast<std::uint32_t>((std::uint64_t{1} << operand_bits) - 1);
+  std::uint32_t outside = 0;
+  for (const std::int32_t v : values) {
+    outside |= static_cast<std::uint32_t>(static_cast<std::uint32_t>(v) -
+                                          lo > range);
+  }
+  if (outside != 0) {
+    for (const std::int32_t value : values) {
+      const std::int64_t v =
+          is_signed ? std::int64_t{value}
+                    : std::int64_t{static_cast<std::uint32_t>(value)};
+      BPVEC_CHECK_MSG(is_signed ? fits_signed(v, operand_bits)
+                                : fits_unsigned(v, operand_bits),
+                      "value out of range for operand_bits");
+    }
+  }
+
   SlicedVector sv;
   sv.operand_bits = operand_bits;
   sv.slice_bits = slice_bits;
   sv.is_signed = is_signed;
   const int n = num_slices(operand_bits, slice_bits);
   sv.sub.assign(n, std::vector<std::int32_t>(values.size()));
-  const std::uint64_t mask = (std::uint64_t{1} << slice_bits) - 1;
-  const int top_shift = (n - 1) * slice_bits;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const std::int64_t v =
-        is_signed ? std::int64_t{values[i]}
-                  : std::int64_t{static_cast<std::uint32_t>(values[i])};
-    BPVEC_CHECK_MSG(is_signed ? fits_signed(v, operand_bits)
-                              : fits_unsigned(v, operand_bits),
-                    "value out of range for operand_bits");
-    const auto pattern = static_cast<std::uint64_t>(v);
-    for (int j = 0; j + 1 < n; ++j) {
-      sv.sub[j][i] =
-          static_cast<std::int32_t>((pattern >> (j * slice_bits)) & mask);
+  const std::size_t len = values.size();
+  const std::int32_t* const in = values.data();
+  // Every lower slice sits below bit operand_bits <= 32, so it reads the
+  // same bits from the int32 as from the operand's two's-complement
+  // pattern.
+  for (int j = 0; j + 1 < n; ++j) {
+    const int shift = j * slice_bits;
+    const std::uint32_t mask = (std::uint32_t{1} << slice_bits) - 1;
+    std::int32_t* const out = sv.sub[j].data();
+    for (std::size_t i = 0; i < len; ++i) {
+      out[i] = static_cast<std::int32_t>(
+          (static_cast<std::uint32_t>(in[i]) >> shift) & mask);
     }
-    // v fits operand_bits, so the arithmetic shift leaves exactly the top
-    // slice: sign-extended when signed, zero-extended when unsigned.
-    sv.sub[n - 1][i] = static_cast<std::int32_t>(v >> top_shift);
+  }
+  // The value fits operand_bits, so the shift leaves exactly the top
+  // slice: sign-extended (arithmetic) when signed, zero-extended when
+  // unsigned.
+  const int top_shift = (n - 1) * slice_bits;
+  std::int32_t* const top = sv.sub[n - 1].data();
+  for (std::size_t i = 0; i < len; ++i) {
+    top[i] = is_signed ? in[i] >> top_shift
+                       : static_cast<std::int32_t>(
+                             static_cast<std::uint32_t>(in[i]) >> top_shift);
   }
   return sv;
 }

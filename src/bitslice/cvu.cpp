@@ -7,6 +7,17 @@
 
 namespace bpvec::bitslice {
 
+namespace {
+/// One assignment of a plan, resolved for one dot product.
+struct Route {
+  Nbve* engine;
+  const std::int32_t* x;  // the x slice row it reads
+  const std::int32_t* w;  // the w slice row it reads
+  std::size_t offset;     // cluster · L: its first element in a cycle
+  int shift;              // α·(j + k)
+};
+}  // namespace
+
 Cvu::Cvu(CvuGeometry geometry) : geometry_(geometry) {
   geometry_.validate();
   engines_.reserve(static_cast<std::size_t>(geometry_.num_nbves()));
@@ -50,39 +61,46 @@ CvuResult Cvu::dot_product(const SlicedVector& xs, const SlicedVector& ws) {
   CvuResult result;
   result.utilization = plan.utilization();
 
-  const int lanes = geometry_.lanes;
+  // Resolve each assignment's engine, slice rows and cluster offset once
+  // per dot product, not once per cycle.
+  const std::size_t lanes = static_cast<std::size_t>(geometry_.lanes);
+  std::vector<Route> routes;
+  routes.reserve(plan.assignments.size());
+  for (const NbveAssignment& a : plan.assignments) {
+    routes.push_back({&engines_[static_cast<std::size_t>(a.nbve_index)],
+                      xs.sub[static_cast<std::size_t>(a.x_slice)].data(),
+                      ws.sub[static_cast<std::size_t>(a.w_slice)].data(),
+                      static_cast<std::size_t>(a.cluster) * lanes, a.shift});
+  }
+
   const std::size_t n = xs.length();
   const std::size_t per_cycle =
       static_cast<std::size_t>(plan.elements_per_cycle());
-
+  std::int64_t active_lanes = 0;
   for (std::size_t base = 0; base < n; base += per_cycle) {
     // One CVU cycle: each cluster c covers elements
     // [base + c·L, base + (c+1)·L) of the vectors.
     std::int64_t cycle_sum = 0;
-    for (const NbveAssignment& a : plan.assignments) {
-      const std::size_t seg_begin = std::min(
-          n, base + static_cast<std::size_t>(a.cluster) * lanes);
-      const std::size_t seg_end =
-          std::min(n, seg_begin + static_cast<std::size_t>(lanes));
-      const std::size_t len = seg_end - seg_begin;
+    for (const Route& r : routes) {
+      const std::size_t seg_begin = std::min(n, base + r.offset);
+      const std::size_t len = std::min(n - seg_begin, lanes);
       if (len == 0) continue;
-
-      Nbve& engine = engines_[static_cast<std::size_t>(a.nbve_index)];
-      const std::int64_t partial = engine.dot_cycle(
-          std::span<const std::int32_t>(&xs.sub[a.x_slice][seg_begin], len),
-          std::span<const std::int32_t>(&ws.sub[a.w_slice][seg_begin], len));
+      const std::int64_t partial = r.engine->dot_cycle(
+          std::span<const std::int32_t>(r.x + seg_begin, len),
+          std::span<const std::int32_t>(r.w + seg_begin, len));
       // Shift by the combined significance position (Eq. 3 factor 2^(j+k)α)
       // and aggregate. Cluster-private vs global aggregation is a hardware
       // cost distinction (see arch::CvuCostModel); the sum is associative,
       // so the functional model folds both levels together.
-      cycle_sum += partial << a.shift;
-      result.mult_ops += static_cast<std::int64_t>(len);
-      result.add_ops += static_cast<std::int64_t>(len);
+      cycle_sum += partial << r.shift;
+      active_lanes += static_cast<std::int64_t>(len);
       result.shift_ops += 1;
     }
     result.value += cycle_sum;
     result.cycles += 1;
   }
+  result.mult_ops = active_lanes;
+  result.add_ops = active_lanes;
   return result;
 }
 

@@ -54,8 +54,11 @@ class Cvu {
   /// bitwidths are xs.operand_bits / ws.operand_bits. Throws bpvec::Error
   /// unless the lengths are equal, both slice_bits equal the geometry's α,
   /// the bitwidths have a composition plan, and the slice counts equal the
-  /// plan's x_slices / w_slices. Every cycle still runs Nbve::dot_cycle
-  /// with its per-lane datapath range check.
+  /// plan's x_slices / w_slices. Every cycle runs Nbve::dot_cycle on each
+  /// engine the plan engages, and each such NBVE cycle range-checks every
+  /// lane it consumes: one folded flag per cycle, the lanes walked again
+  /// only when it is set, so a bad slice throws the per-lane check's
+  /// error for the first bad lane in cycle, assignment, lane order.
   CvuResult dot_product(const SlicedVector& xs, const SlicedVector& ws);
 
   /// The plan the CVU would use for a bitwidth pair (for inspection).

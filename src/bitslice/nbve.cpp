@@ -4,33 +4,31 @@
 
 namespace bpvec::bitslice {
 
+// Physical multiplier input range: a slice is either an unsigned α-bit
+// value or (top slice) a signed α-bit value, so any input lies in
+// [-2^(α-1), 2^α). The largest |product| is hi², hi = 2^α - 1.
 Nbve::Nbve(int lanes, int slice_bits)
     : lanes_(lanes), slice_bits_(slice_bits) {
   BPVEC_CHECK(lanes >= 1);
   BPVEC_CHECK(slice_bits >= 1 && slice_bits <= 8);
+  const std::int64_t hi = (std::int64_t{1} << slice_bits) - 1;
+  lo_ = ~std::uint32_t{0} << (slice_bits - 1);  // -2^(α-1)
+  range_ = static_cast<std::uint32_t>(hi) - lo_;
+  narrow_ = lanes * hi * hi <= std::int64_t{INT32_MAX};
 }
 
-std::int64_t Nbve::dot_cycle(std::span<const std::int32_t> x,
-                             std::span<const std::int32_t> w) {
+void Nbve::reject_cycle(std::span<const std::int32_t> x,
+                        std::span<const std::int32_t> w) const {
   BPVEC_CHECK_MSG(x.size() == w.size(), "operand sub-vectors differ in size");
   BPVEC_CHECK_MSG(static_cast<int>(x.size()) <= lanes_,
                   "sub-vector longer than NBVE lane count");
-
-  // Physical multiplier input range: a slice is either an unsigned α-bit
-  // value or (top slice) a signed α-bit value, so any input lies in
-  // [-2^(α-1), 2^α).
-  const std::int32_t lo = -(std::int32_t{1} << (slice_bits_ - 1));
-  const std::int32_t hi = (std::int32_t{1} << slice_bits_) - 1;
-
-  std::int64_t acc = 0;
+  const int lo = -(1 << (slice_bits_ - 1)), hi = (1 << slice_bits_) - 1;
   for (std::size_t i = 0; i < x.size(); ++i) {
     BPVEC_CHECK_MSG(x[i] >= lo && x[i] <= hi, "x slice exceeds datapath");
     BPVEC_CHECK_MSG(w[i] >= lo && w[i] <= hi, "w slice exceeds datapath");
-    acc += static_cast<std::int64_t>(x[i]) * static_cast<std::int64_t>(w[i]);
   }
-  mult_ops_ += static_cast<std::int64_t>(x.size());
-  cycles_ += 1;
-  return acc;
+  detail::fail_check("reject_cycle", __FILE__, __LINE__,
+                     "cycle rejected with every lane in range");
 }
 
 void Nbve::reset_stats() {

@@ -35,19 +35,50 @@ std::uint64_t Rng::next_u64() {
   return result;
 }
 
+namespace {
+// uniform's draw over a power-of-two span (2^0 … 2^63) without either
+// 64-bit division: its limit UINT64_MAX - UINT64_MAX % span is then
+// 2^64 - span, and r % span is r & (span - 1). Same draws rejected, same
+// value, so the stream is uniform's.
+std::uint64_t offset_pow2(Rng& rng, std::uint64_t span) {
+  const std::uint64_t limit = 0 - span;
+  std::uint64_t r;
+  do {
+    r = rng.next_u64();
+  } while (r >= limit);
+  return r & (span - 1);
+}
+
+// signed_value's draw: uniform(-span/2, span/2 - 1) is lo + offset, taken
+// in uint64.
+std::int32_t signed_pow2(Rng& rng, std::uint64_t span) {
+  return static_cast<std::int32_t>(
+      static_cast<std::int64_t>(offset_pow2(rng, span) - (span >> 1)));
+}
+}  // namespace
+
 std::int64_t Rng::uniform(std::int64_t lo, std::int64_t hi) {
   BPVEC_CHECK(lo <= hi);
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+  // Span and offset in uint64: hi - lo overflows int64 once the span
+  // passes INT64_MAX, and lo + offset can pass INT64_MAX on the way back.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   if (span == 0) {  // full 64-bit range
     return static_cast<std::int64_t>(next_u64());
   }
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = UINT64_MAX - UINT64_MAX % span;
-  std::uint64_t r;
-  do {
-    r = next_u64();
-  } while (r >= limit);
-  return lo + static_cast<std::int64_t>(r % span);
+  std::uint64_t offset = 0;
+  if ((span & (span - 1)) == 0) {
+    offset = offset_pow2(*this, span);
+  } else {
+    // Rejection sampling to avoid modulo bias.
+    const std::uint64_t limit = UINT64_MAX - UINT64_MAX % span;
+    std::uint64_t r;
+    do {
+      r = next_u64();
+    } while (r >= limit);
+    offset = r % span;
+  }
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + offset);
 }
 
 double Rng::uniform01() {
@@ -56,15 +87,14 @@ double Rng::uniform01() {
 
 std::int32_t Rng::signed_value(int bits) {
   BPVEC_CHECK(bits >= 1 && bits <= 32);
-  const std::int64_t hi = (std::int64_t{1} << (bits - 1)) - 1;
-  const std::int64_t lo = -(std::int64_t{1} << (bits - 1));
-  return static_cast<std::int32_t>(uniform(lo, hi));
+  return signed_pow2(*this, std::uint64_t{1} << bits);
 }
 
 std::uint32_t Rng::unsigned_value(int bits) {
   BPVEC_CHECK(bits >= 1 && bits <= 32);
-  const std::int64_t hi = (std::int64_t{1} << bits) - 1;
-  return static_cast<std::uint32_t>(uniform(0, hi));
+  // uniform(0, 2^bits - 1).
+  return static_cast<std::uint32_t>(
+      offset_pow2(*this, std::uint64_t{1} << bits));
 }
 
 Rng Rng::fork(std::uint64_t stream) const {
@@ -81,8 +111,11 @@ Rng Rng::fork(std::uint64_t stream) const {
 }
 
 std::vector<std::int32_t> Rng::signed_vector(std::size_t n, int bits) {
+  BPVEC_CHECK(bits >= 1 && bits <= 32);
+  // n draws of signed_value(bits), its check hoisted out of the loop.
+  const std::uint64_t span = std::uint64_t{1} << bits;
   std::vector<std::int32_t> v(n);
-  for (auto& x : v) x = signed_value(bits);
+  for (auto& x : v) x = signed_pow2(*this, span);
   return v;
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "src/common/error.h"
@@ -141,6 +142,94 @@ INSTANTIATE_TEST_SUITE_P(
              "_x" + std::to_string(p.x_bits) + "_w" +
              std::to_string(p.w_bits);
     });
+
+// ---- The datapath range check: every lane of every NBVE cycle ----
+//
+// Each NBVE cycle folds its lanes' range tests into one flag and walks
+// its lanes again only when the flag is set. The error must name the
+// first bad lane in cycle, assignment, lane order, with the per-lane
+// check's message: expression, file and line.
+
+/// `what` with the directory part of __FILE__ cut, which depends on
+/// where the sources were built.
+std::string without_source_dir(const std::string& what) {
+  const std::size_t at = what.find(" at ");
+  const std::size_t src = what.find("src/bitslice/", at);
+  if (at == std::string::npos || src == std::string::npos) return what;
+  return what.substr(0, at + 4) + what.substr(src);
+}
+
+std::string datapath_error(Cvu& cvu, const SlicedVector& xs,
+                           const SlicedVector& ws) {
+  try {
+    (void)cvu.dot_product(xs, ws);
+  } catch (const Error& e) {
+    return without_source_dir(e.what());
+  }
+  return "no error";
+}
+
+/// An 8-bit operand sliced by hand, every slice 1.
+SlicedVector ones_8bit(std::size_t n) {
+  SlicedVector s;
+  s.operand_bits = 8;
+  s.slice_bits = 2;
+  s.sub.assign(4, std::vector<std::int32_t>(n, 1));
+  return s;
+}
+
+const std::string kXError =
+    "BPVEC_CHECK failed: (x[i] >= lo && x[i] <= hi) at "
+    "src/bitslice/nbve.cpp:27 — x slice exceeds datapath";
+const std::string kWError =
+    "BPVEC_CHECK failed: (w[i] >= lo && w[i] <= hi) at "
+    "src/bitslice/nbve.cpp:28 — w slice exceeds datapath";
+
+TEST(CvuDatapathCheck, OneBadSliceThrowsTheSameErrorAtAnyLane) {
+  // The probe's CVU (α = 2, B = 16, L = 16) at 8 × 8 bits: 4 clusters,
+  // 64 elements per cycle. n = 100 leaves a partial final cycle; its last
+  // lane is element 99 (cluster 2, lane 3). The 2-bit datapath takes
+  // slices in [-2, 3].
+  Cvu cvu({2, 16, 16});
+  constexpr std::size_t kN = 100;
+  const SlicedVector good = ones_8bit(kN);
+  ASSERT_EQ(cvu.dot_product(good, good).value,
+            static_cast<std::int64_t>(kN) * 85 * 85);  // 85 = 0b01010101
+  for (const std::size_t lane : {std::size_t{0}, std::size_t{40}, kN - 1}) {
+    for (const int slice : {0, 1, 3}) {
+      for (const std::int32_t bad : {4, -3}) {
+        SCOPED_TRACE("lane " + std::to_string(lane) + ", slice " +
+                     std::to_string(slice) + ", value " +
+                     std::to_string(bad));
+        SlicedVector x = good;
+        x.sub[static_cast<std::size_t>(slice)][lane] = bad;
+        EXPECT_EQ(datapath_error(cvu, x, good), kXError);
+        EXPECT_EQ(datapath_error(cvu, good, x), kWError);
+      }
+    }
+  }
+}
+
+TEST(CvuDatapathCheck, TheFirstBadLaneNamesTheError) {
+  Cvu cvu({2, 16, 16});
+  SlicedVector x = ones_8bit(100), w = ones_8bit(100);
+  // One NBVE cycle with a bad x lane after a bad w lane: lane order wins.
+  x.sub[0][9] = 7;
+  w.sub[0][2] = -9;
+  EXPECT_EQ(datapath_error(cvu, x, w), kWError);
+  // A bad x lane in the first cycle comes before a bad w lane in the last.
+  x = ones_8bit(100);
+  w = ones_8bit(100);
+  x.sub[2][63] = 4;
+  w.sub[0][64] = 4;
+  EXPECT_EQ(datapath_error(cvu, x, w), kXError);
+  // The datapath's extremes pass: a lower slice at 3, the top slice at -2.
+  x = ones_8bit(100);
+  w = ones_8bit(100);
+  x.sub[0][5] = 3;
+  x.sub[3][6] = -2;
+  EXPECT_EQ(datapath_error(cvu, x, w), "no error");
+}
 
 // ---- The sliced overload is the same dot product, sliced by the caller ----
 

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "src/common/error.h"
 #include "src/common/rng.h"
 #include "src/dnn/quantize.h"
@@ -112,6 +116,88 @@ TEST(GemmExecutor, OutOfRangeOperandInAnyRowThrows) {
   dnn::Matrix bad_b = b;
   bad_b.at(3, 0) = -9;
   EXPECT_THROW(execute_gemm(cvu, a, bad_b, 4, 4), Error);
+}
+
+// ---- Exact at the edge of the NBVE's int32 accumulator ----
+//
+// An NBVE sums a cycle in int32 only when lanes · max|slice product| ≤
+// INT32_MAX, with max|slice product| = hi², hi = 2^α - 1; otherwise in
+// int64. Each case runs one cycle of 2α-bit operands (two α-bit slices)
+// on a CVU with exactly K lanes, at the operand extremes: the maximum
+// puts the lower slice at hi, the minimum puts the top slice at lo =
+// -2^(α-1). The (hi, hi) engine's sum is then K · hi², which fits int32
+// at the largest K the bound admits and leaves it one lane later.
+// For α ≤ 5 that K is at least 2.2M lanes, more than a unit test under
+// the sanitizers should allocate and sum, so those α run at 2^16 lanes,
+// inside the bound.
+
+std::int64_t largest_narrow_lanes(int alpha) {
+  const std::int64_t hi = (std::int64_t{1} << alpha) - 1;
+  return INT32_MAX / (hi * hi);
+}
+
+TEST(GemmExecutor, ExactAtTheNbveAccumulatorBound) {
+  constexpr std::int64_t kMaxTestLanes = std::int64_t{1} << 20;
+  for (int alpha = 1; alpha <= 8; ++alpha) {
+    const std::int64_t bound = largest_narrow_lanes(alpha);
+    std::vector<std::int64_t> lane_counts{std::int64_t{1} << 16};
+    if (bound + 1 <= kMaxTestLanes) lane_counts = {bound, bound + 1};
+    const int bits = 2 * alpha;
+    const std::int32_t max_v = (std::int32_t{1} << (bits - 1)) - 1;
+    const std::int32_t min_v = -(std::int32_t{1} << (bits - 1));
+    for (const std::int64_t k : lane_counts) {
+      bitslice::Cvu cvu({alpha, bits, static_cast<int>(k)});
+      for (const std::int32_t xv : {max_v, min_v}) {
+        for (const std::int32_t wv : {max_v, min_v}) {
+          SCOPED_TRACE("alpha " + std::to_string(alpha) + ", K " +
+                       std::to_string(k) + ", x " + std::to_string(xv) +
+                       ", w " + std::to_string(wv));
+          const dnn::Matrix a{1, k, std::vector<std::int32_t>(
+                                        static_cast<std::size_t>(k), xv)};
+          const dnn::Matrix b{1, k, std::vector<std::int32_t>(
+                                        static_cast<std::size_t>(k), wv)};
+          GemmExecutionStats stats;
+          EXPECT_EQ(execute_gemm(cvu, a, b, bits, bits, &stats),
+                    std::vector<std::int64_t>{k * xv * wv});
+          EXPECT_EQ(stats.cvu_cycles, 1);
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmExecutor, ExactWithEverySliceAtTheDatapathExtremes) {
+  // Slices built by hand, every slice (lower ones too) at lo or at hi:
+  // every engine then sums K · lo², K · lo · hi or K · hi², at and one
+  // lane past the int32 bound. The oracle recomposes each element.
+  for (int alpha = 6; alpha <= 8; ++alpha) {
+    const std::int32_t lo = -(std::int32_t{1} << (alpha - 1));
+    const std::int32_t hi = (std::int32_t{1} << alpha) - 1;
+    const std::int64_t bound = largest_narrow_lanes(alpha);
+    for (const std::int64_t k : {bound, bound + 1}) {
+      bitslice::Cvu cvu({alpha, 2 * alpha, static_cast<int>(k)});
+      const auto sliced = [&](std::int32_t slice) {
+        bitslice::SlicedVector s;
+        s.operand_bits = 2 * alpha;
+        s.slice_bits = alpha;
+        s.sub.assign(2, std::vector<std::int32_t>(
+                            static_cast<std::size_t>(k), slice));
+        return s;
+      };
+      for (const std::int32_t xs : {lo, hi}) {
+        for (const std::int32_t ws : {lo, hi}) {
+          SCOPED_TRACE("alpha " + std::to_string(alpha) + ", K " +
+                       std::to_string(k) + ", slices " + std::to_string(xs) +
+                       " x " + std::to_string(ws));
+          const bitslice::SlicedVector x = sliced(xs), w = sliced(ws);
+          const std::int64_t oracle = k *
+                                      bitslice::recompose_element(x, 0) *
+                                      bitslice::recompose_element(w, 0);
+          EXPECT_EQ(cvu.dot_product(x, w).value, oracle);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
