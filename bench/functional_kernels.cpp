@@ -48,10 +48,10 @@
 #include "src/bitslice/composition.h"
 #include "src/bitslice/cvu.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/core/gemm_executor.h"
 #include "src/dnn/gemm_lowering.h"
 #include "src/dnn/reference_ops.h"
-#include "src/engine/thread_pool.h"
 #include "src/kernels/packed_kernels.h"
 #include "src/kernels/simd.h"
 
@@ -434,7 +434,7 @@ int main() {
 
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   const int n_threads = std::max(2, hw);
-  engine::ThreadPool pool(n_threads);
+  common::ThreadPool pool(n_threads);
   // B = 16 covers every bitwidth the packer accepts, same geometry the
   // functional backend uses for its cross-checks.
   bitslice::Cvu cvu({/*slice_bits=*/2, /*max_bits=*/16, /*lanes=*/16});

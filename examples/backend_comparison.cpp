@@ -11,8 +11,8 @@
 //      pick it up with no engine changes.
 #include <cstdio>
 
+#include "src/bpvec.h"
 #include "src/common/table.h"
-#include "src/core/bpvec.h"
 
 namespace {
 

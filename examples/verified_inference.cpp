@@ -6,8 +6,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "src/bpvec.h"
 #include "src/common/rng.h"
-#include "src/core/bpvec.h"
 
 int main() {
   using namespace bpvec;

@@ -1,7 +1,7 @@
 // Umbrella header: everything a downstream user of the BPVeC library
 // needs. Include this and link against bpvec_core.
 //
-//   #include "src/core/bpvec.h"
+//   #include "src/bpvec.h"
 //
 //   using namespace bpvec;
 //   const auto run =
@@ -42,6 +42,6 @@
 #include "src/backend/gpu_backend.h"
 
 // Parallel batch simulation engine.
+#include "src/common/thread_pool.h"
 #include "src/engine/scenario.h"
 #include "src/engine/sim_engine.h"
-#include "src/engine/thread_pool.h"

@@ -2,7 +2,7 @@
 // outcomes into the machine-readable JSON documents CI diffs and gates
 // on. Both front ends share it:
 //
-//   * the batch CLI (src/cli/driver.cpp, `bpvec_run`) writes
+//   * the batch CLI (src/serve/driver.cpp, `bpvec_run`) writes
 //     build_report/build_search_report output to REPORT_*.json;
 //   * the serving daemon (src/serve/, `bpvec_serve`) embeds the same
 //     documents in its response envelopes.
@@ -13,7 +13,7 @@
 // deterministic-report semantics its bytes must equal the batch CLI's —
 // the CI serve-mode replay gate cmp's them against one committed golden.
 //
-// Contract details (unchanged from the driver era):
+// Contract details:
 //   * Scenario rows carry id/backend/platform/network/memory plus the
 //     exact cycles, MACs, runtime, energy, and throughput numbers
 //     (doubles %.17g — values round-trip bit-exactly through any JSON

@@ -1,4 +1,4 @@
-#include "src/engine/thread_pool.h"
+#include "src/common/thread_pool.h"
 
 #include <algorithm>
 #include <atomic>
@@ -9,7 +9,7 @@
 
 #include "src/common/error.h"
 
-namespace bpvec::engine {
+namespace bpvec::common {
 
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads > kMaxThreads) {
@@ -130,4 +130,4 @@ void ThreadPool::parallel_for(std::size_t n,
   }
 }
 
-}  // namespace bpvec::engine
+}  // namespace bpvec::common

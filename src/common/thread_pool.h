@@ -18,7 +18,7 @@
 #include <thread>
 #include <vector>
 
-namespace bpvec::engine {
+namespace bpvec::common {
 
 class ThreadPool {
  public:
@@ -58,4 +58,4 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-}  // namespace bpvec::engine
+}  // namespace bpvec::common

@@ -59,9 +59,9 @@
 #include "src/backend/cost_backend.h"
 #include "src/common/json.h"
 #include "src/common/memo.h"
+#include "src/common/thread_pool.h"
 #include "src/engine/disk_cache.h"
 #include "src/engine/scenario.h"
-#include "src/engine/thread_pool.h"
 #include "src/sim/simulator.h"
 
 namespace bpvec::engine {
@@ -158,7 +158,7 @@ class SimEngine {
   void clear_cache();
 
   int num_threads() const { return pool_.num_threads(); }
-  ThreadPool& pool() { return pool_; }
+  common::ThreadPool& pool() { return pool_; }
 
   /// The persistent cache layer, or nullptr when not configured.
   const DiskCache* disk_cache() const { return disk_.get(); }
@@ -182,7 +182,7 @@ class SimEngine {
   // Before pool_: scan shards before threads start (growing the fd table
   // of a threaded process waits in synchronize_rcu).
   std::unique_ptr<DiskCache> disk_;  // null when not configured
-  ThreadPool pool_;
+  common::ThreadPool pool_;
 
   // Scenario cache: fingerprint × backend generation → shared result.
   common::Memo<std::shared_ptr<const sim::RunResult>> scenario_cache_{

@@ -14,7 +14,7 @@ namespace {
 /// Runs fn(0..n-1) over the pool (or inline when pool is null), choosing
 /// a grain that amortizes queue overhead when each output is cheap.
 /// Outputs are independent, so any schedule yields identical results.
-void for_each_output(engine::ThreadPool* pool, std::size_t n,
+void for_each_output(common::ThreadPool* pool, std::size_t n,
                      std::int64_t word_ops_per_output,
                      const std::function<void(std::size_t)>& fn) {
   if (pool == nullptr || n <= 1) {
@@ -31,7 +31,7 @@ void for_each_output(engine::ThreadPool* pool, std::size_t n,
 /// parallel_for is caller-participating, so a k-thread pool runs k+1
 /// tasks at once. Part of the analytic peak_bytes model — a pure
 /// function of the pool, never a sampled high-water mark.
-std::int64_t workers(engine::ThreadPool* pool) {
+std::int64_t workers(common::ThreadPool* pool) {
   return pool == nullptr ? 1 : pool->num_threads() + 1;
 }
 
@@ -108,7 +108,7 @@ void gemm_tile(const BitPlanes& a, std::int64_t m0, std::int64_t m1,
 /// task, one gathered int32 window tile, its packed planes and one tile
 /// accumulator.
 std::int64_t conv_transient_bytes(const dnn::ConvParams& p, int x_bits,
-                                  engine::ThreadPool* pool) {
+                                  common::ThreadPool* pool) {
   const std::int64_t k = static_cast<std::int64_t>(p.in_c) * p.kh * p.kw;
   const std::int64_t pixels =
       static_cast<std::int64_t>(p.out_h()) * p.out_w();
@@ -122,7 +122,7 @@ std::int64_t conv_transient_bytes(const dnn::ConvParams& p, int x_bits,
 }  // namespace
 
 std::vector<std::int64_t> packed_gemm(const BitPlanes& a, const BitPlanes& b,
-                                      engine::ThreadPool* pool,
+                                      common::ThreadPool* pool,
                                       KernelStats* stats) {
   BPVEC_CHECK_MSG(a.cols == b.cols, "packed gemm: K dimensions disagree");
   const std::int64_t m_blocks = (a.rows + kGemmBlockM - 1) / kGemmBlockM;
@@ -157,7 +157,7 @@ std::vector<std::int64_t> packed_gemm(const BitPlanes& a, const BitPlanes& b,
 std::vector<std::int64_t> packed_conv(const dnn::Tensor& input,
                                       const BitPlanes& w,
                                       const dnn::ConvParams& p, int x_bits,
-                                      engine::ThreadPool* pool,
+                                      common::ThreadPool* pool,
                                       KernelStats* stats) {
   const std::int64_t k = static_cast<std::int64_t>(p.in_c) * p.kh * p.kw;
   BPVEC_CHECK_MSG(w.rows == p.out_c && w.cols == k,
@@ -228,7 +228,7 @@ std::vector<std::int64_t> packed_conv(const dnn::Tensor& input,
 std::vector<std::int64_t> packed_conv(const dnn::Tensor& input,
                                       const std::vector<std::int32_t>& weights,
                                       const dnn::ConvParams& p, int x_bits,
-                                      int w_bits, engine::ThreadPool* pool,
+                                      int w_bits, common::ThreadPool* pool,
                                       KernelStats* stats) {
   const std::int64_t k = static_cast<std::int64_t>(p.in_c) * p.kh * p.kw;
   BPVEC_CHECK(static_cast<std::int64_t>(weights.size()) == p.out_c * k);
@@ -243,7 +243,7 @@ std::vector<std::int64_t> packed_conv(const dnn::Tensor& input,
 
 std::vector<std::int64_t> packed_fc(const std::vector<std::int32_t>& input,
                                     const BitPlanes& w, const dnn::FcParams& p,
-                                    int x_bits, engine::ThreadPool* pool,
+                                    int x_bits, common::ThreadPool* pool,
                                     KernelStats* stats) {
   BPVEC_CHECK(static_cast<int>(input.size()) == p.in_features);
   BPVEC_CHECK_MSG(w.rows == p.out_features && w.cols == p.in_features,
@@ -259,7 +259,7 @@ std::vector<std::int64_t> packed_fc(const std::vector<std::int32_t>& input,
 std::vector<std::int64_t> packed_fc(const std::vector<std::int32_t>& input,
                                     const std::vector<std::int32_t>& weights,
                                     const dnn::FcParams& p, int x_bits,
-                                    int w_bits, engine::ThreadPool* pool,
+                                    int w_bits, common::ThreadPool* pool,
                                     KernelStats* stats) {
   BPVEC_CHECK(static_cast<std::int64_t>(weights.size()) ==
               static_cast<std::int64_t>(p.in_features) * p.out_features);
@@ -275,7 +275,7 @@ std::vector<std::int32_t> packed_rnn_step(const std::vector<std::int32_t>& x,
                                           const std::vector<std::int32_t>& h,
                                           const BitPlanes& w, int hidden,
                                           int shift, int out_bits, int x_bits,
-                                          engine::ThreadPool* pool,
+                                          common::ThreadPool* pool,
                                           KernelStats* stats) {
   const std::int64_t k = static_cast<std::int64_t>(x.size() + h.size());
   BPVEC_CHECK_MSG(w.rows == hidden && w.cols == k,
@@ -302,7 +302,7 @@ std::vector<std::int32_t> packed_rnn_step(const std::vector<std::int32_t>& x,
 std::vector<std::int32_t> packed_rnn_step(
     const std::vector<std::int32_t>& x, const std::vector<std::int32_t>& h,
     const std::vector<std::int32_t>& weights, int hidden, int shift,
-    int out_bits, int x_bits, int w_bits, engine::ThreadPool* pool,
+    int out_bits, int x_bits, int w_bits, common::ThreadPool* pool,
     KernelStats* stats) {
   const std::int64_t k = static_cast<std::int64_t>(x.size() + h.size());
   BPVEC_CHECK(static_cast<std::int64_t>(weights.size()) ==
@@ -315,7 +315,7 @@ std::vector<std::int32_t> packed_rnn_step(
 }
 
 dnn::Tensor packed_pool(const dnn::Tensor& input, const dnn::PoolParams& p,
-                        engine::ThreadPool* pool, KernelStats* stats) {
+                        common::ThreadPool* pool, KernelStats* stats) {
   BPVEC_CHECK(input.channels() == p.channels && input.height() == p.in_h &&
               input.width() == p.in_w);
   const int oh = p.out_h(), ow = p.out_w();

@@ -24,7 +24,7 @@
 //     amortize packing across probes; the value-vector overloads pack
 //     once and delegate.
 //
-// Parallelism: kernels take an optional engine::ThreadPool and split
+// Parallelism: kernels take an optional common::ThreadPool and split
 // output tiles across it. Tiles write disjoint output ranges and read
 // shared immutable packed operands, so results are bit-identical at any
 // thread count (integer arithmetic, no reduction reordering across
@@ -34,9 +34,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/dnn/layer.h"
 #include "src/dnn/tensor.h"
-#include "src/engine/thread_pool.h"
 #include "src/kernels/bitplane.h"
 
 namespace bpvec::kernels {
@@ -80,7 +80,7 @@ inline constexpr std::size_t kGemmBlockWords = 256;
 /// Output tiles are distributed over `pool` when given; pass nullptr for
 /// the serial loop.
 std::vector<std::int64_t> packed_gemm(const BitPlanes& a, const BitPlanes& b,
-                                      engine::ThreadPool* pool = nullptr,
+                                      common::ThreadPool* pool = nullptr,
                                       KernelStats* stats = nullptr);
 
 /// Output pixels per direct-convolution scratch tile: bounds the only
@@ -99,7 +99,7 @@ inline constexpr std::int64_t kConvPixelTile = 64;
 std::vector<std::int64_t> packed_conv(const dnn::Tensor& input,
                                       const BitPlanes& w,
                                       const dnn::ConvParams& p, int x_bits,
-                                      engine::ThreadPool* pool = nullptr,
+                                      common::ThreadPool* pool = nullptr,
                                       KernelStats* stats = nullptr);
 
 /// Direct packed convolution from raw weights: packs the filters once
@@ -109,7 +109,7 @@ std::vector<std::int64_t> packed_conv(const dnn::Tensor& input,
                                       const std::vector<std::int32_t>& weights,
                                       const dnn::ConvParams& p, int x_bits,
                                       int w_bits,
-                                      engine::ThreadPool* pool = nullptr,
+                                      common::ThreadPool* pool = nullptr,
                                       KernelStats* stats = nullptr);
 
 /// Packed fully-connected layer over pre-packed weight planes (`w` is
@@ -118,7 +118,7 @@ std::vector<std::int64_t> packed_conv(const dnn::Tensor& input,
 std::vector<std::int64_t> packed_fc(const std::vector<std::int32_t>& input,
                                     const BitPlanes& w,
                                     const dnn::FcParams& p, int x_bits,
-                                    engine::ThreadPool* pool = nullptr,
+                                    common::ThreadPool* pool = nullptr,
                                     KernelStats* stats = nullptr);
 
 /// Packed fully-connected layer from raw weights (packs once, no matrix
@@ -127,7 +127,7 @@ std::vector<std::int64_t> packed_fc(const std::vector<std::int32_t>& input,
                                     const std::vector<std::int32_t>& weights,
                                     const dnn::FcParams& p, int x_bits,
                                     int w_bits,
-                                    engine::ThreadPool* pool = nullptr,
+                                    common::ThreadPool* pool = nullptr,
                                     KernelStats* stats = nullptr);
 
 /// One packed recurrent step over pre-packed gate planes (`w` is
@@ -137,7 +137,7 @@ std::vector<std::int64_t> packed_fc(const std::vector<std::int32_t>& input,
 std::vector<std::int32_t> packed_rnn_step(
     const std::vector<std::int32_t>& x, const std::vector<std::int32_t>& h,
     const BitPlanes& w, int hidden, int shift, int out_bits, int x_bits,
-    engine::ThreadPool* pool = nullptr, KernelStats* stats = nullptr);
+    common::ThreadPool* pool = nullptr, KernelStats* stats = nullptr);
 
 /// One packed recurrent step from raw weights ([hidden][x.size() +
 /// h.size()] row-major; packs once, then delegates).
@@ -145,14 +145,14 @@ std::vector<std::int32_t> packed_rnn_step(
     const std::vector<std::int32_t>& x, const std::vector<std::int32_t>& h,
     const std::vector<std::int32_t>& weights, int hidden, int shift,
     int out_bits, int x_bits, int w_bits,
-    engine::ThreadPool* pool = nullptr, KernelStats* stats = nullptr);
+    common::ThreadPool* pool = nullptr, KernelStats* stats = nullptr);
 
 /// Pooling on integer tensors, bit-identical to pool_reference but
 /// structured as an independent window-streaming implementation (the
 /// cross-check would be vacuous if both sides shared one loop). Channels
 /// are tiled over `pool` when given.
 dnn::Tensor packed_pool(const dnn::Tensor& input, const dnn::PoolParams& p,
-                        engine::ThreadPool* pool = nullptr,
+                        common::ThreadPool* pool = nullptr,
                         KernelStats* stats = nullptr);
 
 }  // namespace bpvec::kernels

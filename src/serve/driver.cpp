@@ -1,18 +1,20 @@
-#include "src/cli/driver.h"
+#include "src/serve/driver.h"
 
 #include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <utility>
 
+#include "src/cli/report.h"
 #include "src/common/error.h"
 #include "src/common/table.h"
-#include "src/engine/thread_pool.h"
+#include "src/common/thread_pool.h"
 #include "src/serve/session.h"
 
-namespace bpvec::cli {
+namespace bpvec::serve {
 
 using common::json::Value;
 
@@ -164,8 +166,8 @@ void print_search_csv(std::ostream& out, const dse::ParamSpace& space,
 /// "Manifest:" header) and its CSV.
 void print_search(const DriverOptions& options, const DriverResult& result,
                   std::ostream& out) {
-  const SearchSpec& spec = *result.manifest.search;
-  const dse::ParamSpace space = search_space(spec);
+  const cli::SearchSpec& spec = *result.manifest.search;
+  const dse::ParamSpace space = cli::search_space(spec);
   const dse::SearchOutcome& outcome = *result.search;
   if (options.print_table) {
     out << "search: " << spec.strategy << " over " << space.size()
@@ -204,10 +206,10 @@ DriverResult run_manifest(const DriverOptions& options, std::ostream& out) {
   // One fresh Session per invocation — batch semantics (cold memo
   // caches; the disk cache still persists across runs). The daemon
   // keeps a Session alive instead; both run the same request path.
-  serve::SessionOptions session_options;
+  SessionOptions session_options;
   session_options.threads = options.threads;
   session_options.cache_dir = options.cache_dir;
-  serve::Session session(session_options);
+  Session session(session_options);
   // Extra networks first: their tokens must be valid when the manifest
   // parses. Registration is idempotent for identical files.
   for (const std::string& file : options.network_files) {
@@ -217,7 +219,7 @@ DriverResult run_manifest(const DriverOptions& options, std::ostream& out) {
     out << session.list().text;
     return result;
   }
-  result.manifest = load_manifest(options.manifest_path);
+  result.manifest = cli::load_manifest(options.manifest_path);
 
   const bool search = options.command == Command::kSearch ||
                       options.command == Command::kValidateSearch;
@@ -234,24 +236,24 @@ DriverResult run_manifest(const DriverOptions& options, std::ostream& out) {
 
   if (options.command == Command::kValidate ||
       options.command == Command::kValidateSearch) {
-    serve::ValidateRequest request;
+    ValidateRequest request;
     request.manifest = result.manifest;
     request.search = search;
-    serve::Response response = session.validate(request);
+    Response response = session.validate(request);
     result.scenarios = std::move(response.scenarios);
     out << response.text;
     return result;
   }
 
-  serve::Response response;
+  Response response;
   if (search) {
-    serve::SearchRequest request;
+    SearchRequest request;
     request.manifest = result.manifest;
     request.deterministic_report = options.deterministic_report;
     response = session.search(request);
     result.search = std::move(response.search);
   } else {
-    serve::PriceRequest request;
+    PriceRequest request;
     request.manifest = result.manifest;
     request.deterministic_report = options.deterministic_report;
     response = session.price(request);
@@ -259,7 +261,7 @@ DriverResult run_manifest(const DriverOptions& options, std::ostream& out) {
     result.results = std::move(response.results);
   }
   // The session is fresh, so the per-request delta equals the engine's
-  // totals — the numbers this driver always reported.
+  // totals.
   result.stats = response.delta;
   result.report = std::move(response.report);
 
@@ -376,7 +378,7 @@ int main_cli(int argc, const char* const* argv, std::ostream& out,
         out << usage();
         return 0;
       } else if (arg == "--version") {
-        out << version_json().dump(1) << "\n";
+        out << cli::version_json().dump(1) << "\n";
         return 0;
       } else if (arg == "search" && options.manifest_path.empty() &&
                  !search_sub) {
@@ -410,7 +412,7 @@ int main_cli(int argc, const char* const* argv, std::ostream& out,
         options.threads = static_cast<int>(
             parse_int_flag("--threads", need_value(i, "--threads"),
                            std::numeric_limits<int>::min(),
-                           engine::ThreadPool::kMaxThreads));
+                           common::ThreadPool::kMaxThreads));
       } else if (arg == "--csv") {
         options.print_csv = true;
       } else if (arg == "--no-table") {
@@ -431,7 +433,7 @@ int main_cli(int argc, const char* const* argv, std::ostream& out,
       throw Error("`list` takes no manifest");
     }
     // Resolve subcommand + --validate into the single typed Command
-    // (`list --validate` stays a plain list, as it always was).
+    // (`list --validate` is a plain list).
     if (list_sub) {
       options.command = Command::kList;
     } else if (search_sub) {
@@ -448,4 +450,4 @@ int main_cli(int argc, const char* const* argv, std::ostream& out,
   }
 }
 
-}  // namespace bpvec::cli
+}  // namespace bpvec::serve

@@ -1,14 +1,13 @@
 // The bpvec_run driver: manifest in, priced scenarios + reports out.
 //
-// Since the serve layer landed, the driver is a thin front end over
-// serve::Session — the same Request/Session code path the resident
-// daemon (bpvec_serve) multiplexes. A batch invocation constructs a
-// fresh Session (cold memo caches; the disk cache still persists),
-// runs exactly one typed request, and prints: human-readable comparison
-// table / CSV on stdout + a machine-readable JSON report on disk. That
-// shared path is what makes the serve determinism contract enforceable:
-// a served request and a CLI run are the same computation, so their
-// report bytes must match.
+// The driver is a thin front end over serve::Session, the same request
+// path the resident daemon (Server) multiplexes. A batch invocation
+// constructs a fresh Session (cold memo caches; the disk cache still
+// persists), runs exactly one typed request, and prints: human-readable
+// comparison table / CSV on stdout + a machine-readable JSON report on
+// disk. That shared path is what makes the serve determinism contract
+// enforceable: a served request and a CLI run are the same computation,
+// so their report bytes must match.
 //
 // The JSON report is what CI diffs and gates on, so its contract
 // matters (builders live in src/cli/report.h):
@@ -43,24 +42,20 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/cli/manifest.h"
-#include "src/cli/report.h"
 #include "src/common/json.h"
 #include "src/dse/search.h"
 #include "src/engine/sim_engine.h"
 #include "src/sim/simulator.h"
 
-namespace bpvec::cli {
+namespace bpvec::serve {
 
 /// What one bpvec_run invocation does — resolved from the subcommand
-/// and --validate at parse time (main_cli), replacing the old
-/// search_mode/list_mode/validate_only boolean soup. Exactly one per
-/// invocation; flag behavior and usage text are unchanged.
+/// and --validate at parse time (main_cli). Exactly one per invocation.
 enum class Command {
   kPrice,           // default: price the manifest's grids
   kSearch,          // `search`: run the manifest's "search" block
@@ -94,7 +89,7 @@ struct DriverOptions {
 };
 
 struct DriverResult {
-  Manifest manifest;
+  cli::Manifest manifest;
   std::vector<engine::Scenario> scenarios;
   std::vector<sim::RunResult> results;
   engine::EngineStats stats;
@@ -105,7 +100,7 @@ struct DriverResult {
 };
 
 /// Runs a manifest end to end (per DriverOptions::command) through a
-/// fresh serve::Session. `out` receives the table/CSV output.
+/// fresh Session. `out` receives the table/CSV output.
 DriverResult run_manifest(const DriverOptions& options, std::ostream& out);
 
 /// Parses bpvec_run's argv (argv[0] is skipped) and runs. Usage errors
@@ -119,9 +114,7 @@ std::string usage();
 /// Parses a whole flag value as a base-10 integer in [lo, hi]. Trailing
 /// characters ("3x"), an empty value and a value out of range throw a
 /// bpvec::Error that names `flag`. Shared by bpvec_run and bpvec_serve.
-std::int64_t parse_int_flag(
-    const std::string& flag, const std::string& value,
-    std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
-    std::int64_t hi = std::numeric_limits<std::int64_t>::max());
+std::int64_t parse_int_flag(const std::string& flag, const std::string& value,
+                            std::int64_t lo, std::int64_t hi);
 
-}  // namespace bpvec::cli
+}  // namespace bpvec::serve

@@ -1,15 +1,9 @@
-// Typed request/response shapes for the serving layer.
-//
-// `bpvec_run` used to be the only way in: one process, one manifest,
-// one run-to-completion pass through DriverOptions' boolean-mode soup
-// (search_mode / list_mode / validate_only). These types factor that
-// flow into first-class request objects a resident Session can accept
-// over and over on one warm engine:
+// Typed request/response shapes for the serving layer. A resident
+// Session accepts them over and over on one warm engine:
 //
 //   PriceRequest     the manifest's grids through SimEngine::run_batch
 //   SearchRequest    the manifest's "search" block through src/dse
 //   ValidateRequest  parse + expand, price nothing (either mode)
-//   ListRequest      the canonical token vocabularies
 //
 // Every request carries a parsed cli::Manifest — the identical shape
 // the batch CLI builds from a file — so a served request and a CLI run
@@ -27,14 +21,13 @@
 //           whole session's history, what a fleet operator monitors.
 //
 // Cancellation is cooperative: a CancelToken is a shared flag the
-// Session checks between engine batches (price chunks, search rounds).
+// Session checks between engine batches (price batches, search rounds).
 // Cancelling never poisons the engine — everything priced before the
 // check landed in the caches normally and stays valid, so the engine
 // is immediately reusable (tested).
 #pragma once
 
 #include <atomic>
-#include <cstddef>
 #include <memory>
 #include <optional>
 #include <string>
@@ -70,11 +63,6 @@ struct PriceRequest {
   /// requests yield byte-identical documents (what the CI serve-mode
   /// gate cmp's against the batch CLI's golden).
   bool deterministic_report = false;
-  /// Scenarios per engine batch — the cancellation granularity (the
-  /// token is checked between batches). 0 = SessionOptions::price_chunk.
-  /// Results and every report-visible counter are chunk-invariant (the
-  /// memo caches dedupe across chunks exactly as within one batch).
-  std::size_t chunk = 0;
 };
 
 /// Run the manifest's "search" block (the `search` subcommand).
@@ -89,9 +77,6 @@ struct ValidateRequest {
   /// Validate the "search" block instead of the grids.
   bool search = false;
 };
-
-/// The canonical token vocabularies (no manifest involved).
-struct ListRequest {};
 
 /// What every Session call returns. Fields are populated per operation;
 /// unused ones stay default (report: JSON null, vectors empty).

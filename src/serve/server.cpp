@@ -8,13 +8,14 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <future>
-#include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "src/cli/report.h"
 #include "src/common/error.h"
-#include "src/common/token.h"
 
 namespace bpvec::serve {
 
@@ -51,23 +52,43 @@ bool write_line(int fd, std::string line) {
   return true;
 }
 
-/// A request envelope, read and validated whole before dispatch acts on
-/// any of it.
-struct Envelope {
+/// Parses one request line; a parse failure throws with its reason.
+Value parse_line(const std::string& line) {
+  try {
+    return common::json::parse(line);
+  } catch (const std::exception& e) {
+    throw Error(std::string("request is not valid JSON: ") + e.what());
+  }
+}
+
+/// An ok/cancelled response carrying a Response's report and counters.
+Value finalize(Response&& r) {
+  Value v = Value::object();
+  v.set("status", r.cancelled ? "cancelled" : "ok");
+  if (!r.report.is_null()) v.set("report", std::move(r.report));
+  if (!r.text.empty()) v.set("text", r.text);
+  v.set("delta", engine::to_json(r.delta));
+  v.set("fleet", engine::to_json(r.fleet));
+  v.set("wall_s", r.wall_s);
+  return v;
+}
+
+}  // namespace
+
+struct Server::Envelope {
   std::string op;
   const Value* manifest = nullptr;
   std::string base_dir;
   bool deterministic_report = false;
   bool search = false;
-  std::size_t chunk = 0;
   std::vector<std::string> network_files;
 };
 
-Envelope read_envelope(const Value& v) {
+Server::Envelope Server::read_envelope(const Value& v) {
   const common::json::FieldReader r("");
   if (!v.is_object()) r.fail("request must be a JSON object envelope");
   r.check_keys(v, {"op", "manifest", "base_dir", "deterministic_report",
-                   "search", "chunk", "network_files"});
+                   "search", "network_files"});
   Envelope e;
   const Value* op = v.find("op");
   if (op == nullptr || !op->is_string()) {
@@ -89,18 +110,11 @@ Envelope read_envelope(const Value& v) {
     e.deterministic_report = r.get_bool(*f, "deterministic_report");
   }
   if (const Value* f = v.find("search")) e.search = r.get_bool(*f, "search");
-  if (const Value* f = v.find("chunk")) {
-    const std::int64_t n = r.get_int64(*f, "chunk");
-    if (n < 0) r.fail("\"chunk\" must be >= 0");
-    e.chunk = static_cast<std::size_t>(n);
-  }
   if (const Value* f = v.find("network_files")) {
     e.network_files = r.get_string_list(*f, "network_files");
   }
   return e;
 }
-
-}  // namespace
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)), session_(options_.session) {
@@ -129,54 +143,46 @@ void Server::reap_connections() {
 
 Value Server::handle(const Value& envelope) {
   try {
-    return dispatch(envelope, CancelToken{});
+    return execute(read_envelope(envelope), -1);
   } catch (const std::exception& e) {
     return error_response(e.what());
   }
 }
 
 Value Server::handle_line(const std::string& line) {
-  Value envelope;
   try {
-    envelope = common::json::parse(line);
+    return handle(parse_line(line));
   } catch (const std::exception& e) {
-    return error_response(std::string("request is not valid JSON: ") +
-                          e.what());
+    return error_response(e.what());
   }
-  return handle(envelope);
 }
 
-Value Server::dispatch(const Value& envelope, const CancelToken& token) {
-  const Envelope e = read_envelope(envelope);
+Value Server::execute(const Envelope& e, int fd) {
   for (const std::string& file : e.network_files) {
     session_.register_network_file(file);
   }
 
-  // Engine-touching ops return the Response's report + both counter
-  // blocks; administrative ops return their own payloads.
-  auto finalize = [](Response&& r) {
-    Value v = Value::object();
-    v.set("status", r.cancelled ? "cancelled" : "ok");
-    if (!r.report.is_null()) v.set("report", std::move(r.report));
-    if (!r.text.empty()) v.set("text", r.text);
-    v.set("delta", engine::to_json(r.delta));
-    v.set("fleet", engine::to_json(r.fleet));
-    v.set("wall_s", r.wall_s);
-    return v;
-  };
-
-  if (e.op == "price") {
-    PriceRequest request;
-    request.manifest = cli::parse_manifest(*e.manifest, e.base_dir);
-    request.deterministic_report = e.deterministic_report;
-    request.chunk = e.chunk;
-    return finalize(session_.price(request, token));
-  }
-  if (e.op == "search") {
-    SearchRequest request;
-    request.manifest = cli::parse_manifest(*e.manifest, e.base_dir);
-    request.deterministic_report = e.deterministic_report;
-    return finalize(session_.search(request, token));
+  if (e.op == "price" || e.op == "search") {
+    const CancelToken token;
+    std::function<Value()> work;
+    if (e.op == "price") {
+      PriceRequest request;
+      request.manifest = cli::parse_manifest(*e.manifest, e.base_dir);
+      request.deterministic_report = e.deterministic_report;
+      work = [this, request = std::move(request), token] {
+        return finalize(session_.price(request, token));
+      };
+    } else {
+      SearchRequest request;
+      request.manifest = cli::parse_manifest(*e.manifest, e.base_dir);
+      request.deterministic_report = e.deterministic_report;
+      work = [this, request = std::move(request), token] {
+        return finalize(session_.search(request, token));
+      };
+    }
+    return fd < 0 ? work()
+                  : await_streaming(fd, token,
+                                    session_.submit(std::move(work)));
   }
   if (e.op == "validate") {
     ValidateRequest request;
@@ -187,42 +193,28 @@ Value Server::dispatch(const Value& envelope, const CancelToken& token) {
   if (e.op == "list") {
     return finalize(session_.list());
   }
-  if (e.op == "stats") {
-    Value v = Value::object();
-    v.set("status", "ok");
-    v.set("stats", session_.stats_json());
-    return v;
-  }
-  if (e.op == "version") {
-    Value v = Value::object();
-    v.set("status", "ok");
-    v.set("version", cli::version_json());
-    return v;
-  }
-  if (e.op == "ping") {
-    Value v = Value::object();
-    v.set("status", "ok");
-    return v;
-  }
-  BPVEC_CHECK_MSG(e.op == "shutdown", "read_envelope admits an unserved op");
-  request_stop();
   Value v = Value::object();
   v.set("status", "ok");
-  v.set("draining", true);
+  if (e.op == "stats") {
+    v.set("stats", session_.stats_json());
+  } else if (e.op == "version") {
+    v.set("version", cli::version_json());
+  } else if (e.op == "shutdown") {
+    request_stop();
+    v.set("draining", true);
+  } else {
+    BPVEC_CHECK_MSG(e.op == "ping", "read_envelope admits an unserved op");
+  }
   return v;
 }
 
-Value Server::run_streaming(int fd, const CancelToken& token,
-                            std::function<Value()> work) {
-  auto task = std::make_shared<std::packaged_task<Value()>>(std::move(work));
-  std::future<Value> future = task->get_future();
-  session_.engine().pool().submit([task] { (*task)(); });
-
+Value Server::await_streaming(int fd, const CancelToken& token,
+                              std::future<Value> pending) {
   const auto start = SteadyClock::now();
   const auto beat = std::chrono::duration<double>(
       options_.heartbeat_s > 0 ? options_.heartbeat_s : 0.5);
   bool client_gone = false;
-  while (future.wait_for(beat) != std::future_status::ready) {
+  while (pending.wait_for(beat) != std::future_status::ready) {
     Value hb = Value::object();
     hb.set("status", "running");
     hb.set("elapsed_s", seconds_since(start));
@@ -234,15 +226,12 @@ Value Server::run_streaming(int fd, const CancelToken& token,
       client_gone = true;
     }
   }
-  try {
-    return future.get();
-  } catch (const std::exception& e) {
-    return error_response(e.what());
-  }
+  return pending.get();
 }
 
 void Server::serve_connection(int fd, Connection* conn) {
   std::string buffer;
+  std::size_t scanned = 0;  // leading bytes of `buffer` known to hold no '\n'
   char chunk[4096];
   bool open = true;
   while (open && !stopping()) {
@@ -259,38 +248,38 @@ void Server::serve_connection(int fd, Connection* conn) {
     if (n <= 0) break;
     buffer.append(chunk, static_cast<std::size_t>(n));
 
-    std::size_t pos;
-    while (open && (pos = buffer.find('\n')) != std::string::npos) {
+    while (open) {
+      const std::size_t pos = buffer.find('\n', scanned);
+      if ((pos == std::string::npos ? buffer.size() : pos) > kMaxLineBytes) {
+        (void)write_line(fd, error_response("request line exceeds " +
+                                            std::to_string(kMaxLineBytes) +
+                                            " bytes")
+                                 .dump());
+        open = false;
+        break;
+      }
+      if (pos == std::string::npos) {
+        scanned = buffer.size();
+        break;
+      }
       const std::string line = buffer.substr(0, pos);
       buffer.erase(0, pos + 1);
+      scanned = 0;
       if (line.empty()) continue;
 
-      Value envelope;
-      std::string op;
-      Value final_response;
+      Value reply;
+      bool drain = false;
       try {
-        envelope = common::json::parse(line);
-        if (envelope.is_object()) {
-          if (const Value* f = envelope.find("op")) {
-            // Canonical form, as read_envelope resolves it.
-            if (f->is_string()) op = common::normalize_token(f->as_string());
-          }
-        }
-      } catch (const std::exception& e) {
-        final_response = error_response(
-            std::string("request is not valid JSON: ") + e.what());
+        const Value doc = parse_line(line);
+        const Envelope e = read_envelope(doc);
+        reply = execute(e, fd);
+        drain = e.op == "shutdown";
+      } catch (const std::exception& ex) {
+        reply = error_response(ex.what());
       }
-      if (final_response.is_null() && op != "price" && op != "search") {
-        final_response = handle(envelope);
-      }
-      if (final_response.is_null()) {
-        CancelToken token;
-        final_response = run_streaming(
-            fd, token,
-            [this, envelope, token] { return dispatch(envelope, token); });
-      }
-      if (!write_line(fd, final_response.dump())) open = false;
-      if (op == "shutdown") open = false;  // dispatch began the drain
+      // Only an accepted shutdown closes the connection; an error reply
+      // leaves it open for the next request.
+      open = write_line(fd, reply.dump()) && !drain;
     }
   }
   ::close(fd);

@@ -10,8 +10,7 @@
 //                           optional "base_dir" (resolves relative
 //                           workload "file" paths), optional
 //                           "deterministic_report" (bool), optional
-//                           "chunk" (int, cancellation granularity),
-//                           optional "network_files" (array of paths
+//                           "network_files" (array of paths
 //                           registered before the manifest parses)
 //               "search"    same fields; runs the manifest's "search"
 //                           block
@@ -26,7 +25,9 @@
 //             The envelope is read whole before anything runs: a key
 //             outside those fields, a wrong-typed field or an empty
 //             "network_files" is an error naming the field, and no
-//             network file registers from a rejected envelope.
+//             network file registers from a rejected envelope. A line
+//             longer than Server::kMaxLineBytes gets an error naming the
+//             limit, and then that connection closes.
 //
 //   response  zero or more {"status":"running","elapsed_s":<double>}
 //             heartbeats (price/search only, one per heartbeat_s while
@@ -44,7 +45,9 @@
 //                 cancel); also logged, never sent (no reader)
 //               {"status":"error","error":<message>} malformed
 //                 envelopes, bad manifests, unknown ops. The connection
-//                 stays open — errors are data, not disconnects.
+//                 stays open — errors are data, not disconnects. Only
+//                 an accepted "shutdown" (or an over-long line) closes
+//                 it.
 //
 // A connection serves its requests sequentially; concurrency comes from
 // multiple connections, each on its own thread, all sharing the one
@@ -56,6 +59,8 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
+#include <future>
 #include <list>
 #include <string>
 #include <thread>
@@ -81,6 +86,9 @@ struct ServerOptions {
 
 class Server {
  public:
+  /// Longest request line a connection buffers (16 MiB).
+  static constexpr std::size_t kMaxLineBytes = std::size_t{16} << 20;
+
   explicit Server(ServerOptions options);
   ~Server();
 
@@ -126,6 +134,9 @@ class Server {
     std::atomic<bool> done{false};
   };
 
+  /// A request envelope, read and validated whole (server.cpp).
+  struct Envelope;
+
   /// One connection's request/response loop (own thread). Sets
   /// `conn->done` on exit.
   void serve_connection(int fd, Connection* conn);
@@ -134,18 +145,20 @@ class Server {
   /// thread (and run()'s drain, after the loop exits) touches the list.
   void reap_connections();
 
-  /// The dispatch core behind handle(): envelope -> final response,
-  /// throwing bpvec::Error on anything malformed. The token reaches the
-  /// session's price/search loops.
-  common::json::Value dispatch(const common::json::Value& envelope,
-                               const CancelToken& token);
+  /// Reads `v` as an envelope; throws bpvec::Error naming the bad field.
+  static Envelope read_envelope(const common::json::Value& v);
 
-  /// Runs a price/search dispatch on the session pool, streaming
-  /// heartbeats to `fd` while it executes; returns the final response.
-  /// A failed heartbeat write cancels the token (the client is gone)
-  /// and the cancelled response is returned for the log, never sent.
-  common::json::Value run_streaming(int fd, const CancelToken& token,
-                                    std::function<common::json::Value()> work);
+  /// Runs a read envelope and returns the final response, throwing on
+  /// failure. With `fd` >= 0, a price/search runs through
+  /// Session::submit while heartbeats stream to `fd`; a failed
+  /// heartbeat write cancels it (the client is gone), and the cancelled
+  /// response is returned for the log, never sent. With `fd` < 0 it runs
+  /// on the calling thread.
+  common::json::Value execute(const Envelope& e, int fd);
+
+  /// Waits for a submitted request, streaming heartbeats to `fd`.
+  common::json::Value await_streaming(int fd, const CancelToken& token,
+                                      std::future<common::json::Value> pending);
 
   ServerOptions options_;
   Session session_;

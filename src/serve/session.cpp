@@ -24,6 +24,12 @@ double seconds_since(SteadyClock::time_point start) {
   return std::chrono::duration<double>(SteadyClock::now() - start).count();
 }
 
+/// Scenarios per engine batch of a price request: the token is checked
+/// between batches. Results and every report-visible counter are the
+/// same as one whole batch (the memo caches dedupe across batches
+/// exactly as within one).
+constexpr std::size_t kPriceBatch = 256;
+
 }  // namespace
 
 Session::Session(SessionOptions options) : options_(std::move(options)) {}
@@ -56,14 +62,6 @@ void Session::register_network_file(const std::string& path) {
                                                          std::move(net));
 }
 
-std::future<Response> Session::submit(std::function<Response()> work) {
-  auto task =
-      std::make_shared<std::packaged_task<Response()>>(std::move(work));
-  std::future<Response> future = task->get_future();
-  engine().pool().submit([task] { (*task)(); });
-  return future;
-}
-
 void Session::record(const char* op, const Response& response) {
   std::lock_guard<std::mutex> lock(mu_);
   OpCounters& c = history_[op];
@@ -94,17 +92,15 @@ Response Session::price(const PriceRequest& request, CancelToken token) {
   Response response;
   std::vector<sim::RunResult> results;
   results.reserve(scenarios.size());
-  const std::size_t chunk =
-      request.chunk > 0 ? request.chunk : options_.price_chunk;
-  for (std::size_t i = 0; i < scenarios.size(); i += chunk) {
+  for (std::size_t i = 0; i < scenarios.size(); i += kPriceBatch) {
     if (token.cancelled()) {
       response.cancelled = true;
       break;
     }
-    const std::size_t n = std::min(chunk, scenarios.size() - i);
+    const std::size_t n = std::min(kPriceBatch, scenarios.size() - i);
     if (i == 0 && n == scenarios.size()) {
-      // Whole batch in one engine call: the common case (and the batch
-      // CLI's historical behavior) — no sub-range copies.
+      // Whole batch in one engine call, the common case: no sub-range
+      // copies.
       results = eng.run_batch(scenarios);
       break;
     }

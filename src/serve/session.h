@@ -1,30 +1,24 @@
 // Session — one warm engine serving many requests.
 //
-// The batch CLI pays engine construction, registry setup, and cold memo
-// caches on every invocation — throwing away exactly the state the
-// layer/delta-pricing caches (PR 6) and the persistent disk cache (PR 3)
-// were built to exploit. A Session keeps that state resident: it owns
-// one SimEngine (thread pool + scenario/layer memo caches + optional
-// disk cache) and the process-wide Network/Backend registries' warm
-// contents, and serves typed Request objects against them for the
-// process's lifetime.
+// A Session owns one SimEngine (thread pool + scenario/layer memo
+// caches + optional disk cache) and the process-wide Network/Backend
+// registries' warm contents, and serves typed Request objects against
+// them for the process's lifetime.
 //
 // Two front ends share it — this is the enforced single code path:
-//   * cli::run_manifest constructs a fresh Session per invocation (batch
-//     semantics: cold memo caches, the disk cache still persists), so
-//     `bpvec_run` output is byte-identical to what it was before this
-//     layer existed;
-//   * serve::Server keeps one Session for the daemon's lifetime and
+//   * run_manifest (src/serve/driver.h, bpvec_run) constructs a fresh
+//     Session per invocation: batch semantics, cold memo caches, the
+//     disk cache still persists;
+//   * Server keeps one Session for the daemon's lifetime and
 //     multiplexes socket requests onto it — repeat manifests are served
 //     from the warm caches (a warm repeat's delta shows
 //     simulations_run == 0).
 //
 // Accounting: every Response carries the per-request EngineStats delta
-// (engine snapshot before/after, subtracted — see the operator- contract
+// (engine snapshot before/after, subtracted — see the operator contract
 // in sim_engine.h for concurrency caveats) and the fleet-wide cumulative
 // counters. The report's optional "stats" block is the DELTA, which for
-// a fresh Session equals the engine totals — preserving the batch CLI's
-// historical report bytes exactly.
+// a fresh Session equals the engine totals.
 //
 // Concurrency: price/search/validate/list are safe to call from any
 // thread concurrently (SimEngine::run_batch is concurrency-safe; the
@@ -35,21 +29,21 @@
 // deadlock the pool or run inside one another.
 //
 // Cancellation: cooperative, between engine batches. price() runs its
-// scenario list in chunks (SessionOptions::price_chunk) and checks the
-// token before each; search() threads the token into
-// dse::SearchOptions::should_stop, checked before each propose/evaluate
-// round. A cancelled request returns Response::cancelled with no report;
-// everything priced before the check stays in the caches (it was priced
-// normally), so the engine is immediately reusable.
+// scenario list in fixed-size batches and checks the token before each;
+// search() threads the token into dse::SearchOptions::should_stop,
+// checked before each propose/evaluate round. A cancelled request
+// returns Response::cancelled with no report; everything priced before
+// the check stays in the caches (it was priced normally), so the engine
+// is immediately reusable.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "src/common/json.h"
 #include "src/engine/sim_engine.h"
@@ -61,9 +55,6 @@ struct SessionOptions {
   int threads = 0;  // engine worker threads; <= 0: hardware concurrency
   /// Persistent result-cache directory (engine disk cache); empty = off.
   std::string cache_dir;
-  /// Default scenarios per engine batch for price requests — the
-  /// cancellation granularity. Counters and results are chunk-invariant.
-  std::size_t price_chunk = 256;
 };
 
 class Session {
@@ -87,8 +78,18 @@ class Session {
   /// Queues `work` onto the engine's ThreadPool and returns its future.
   /// Exceptions thrown by `work` surface through the future. This is how
   /// the server runs requests while its connection thread streams
-  /// heartbeats.
-  std::future<Response> submit(std::function<Response()> work);
+  /// heartbeats; the server's work returns the final reply, so a
+  /// Response's scenarios and results are freed on the pool thread that
+  /// built them.
+  template <class Work>
+  auto submit(Work work) -> std::future<decltype(work())> {
+    using Result = decltype(work());
+    auto task =
+        std::make_shared<std::packaged_task<Result()>>(std::move(work));
+    std::future<Result> future = task->get_future();
+    engine().pool().submit([task] { (*task)(); });
+    return future;
+  }
 
   /// The shared engine (constructed lazily on first use, so validate/
   /// list-only sessions never spin up a thread pool).

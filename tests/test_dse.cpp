@@ -12,12 +12,12 @@
 #include <limits>
 #include <sstream>
 
-#include "src/cli/driver.h"
 #include "src/cli/manifest.h"
 #include "src/common/error.h"
 #include "src/core/design_space.h"
 #include "src/dnn/model_zoo.h"
 #include "src/engine/sim_engine.h"
+#include "src/serve/driver.h"
 #include "tests/run_result_identical.h"
 #include "tests/sequential_sweep.h"
 
@@ -460,8 +460,8 @@ class SearchCliTest : public ::testing::Test {
     std::vector<const char*> argv{"bpvec_run"};
     for (const auto& a : args) argv.push_back(a.c_str());
     std::ostringstream out, err;
-    const int rc = cli::main_cli(static_cast<int>(argv.size()), argv.data(),
-                                 out, err);
+    const int rc = serve::main_cli(static_cast<int>(argv.size()),
+                                   argv.data(), out, err);
     if (out_text != nullptr) *out_text = out.str() + err.str();
     return rc;
   }
@@ -499,14 +499,14 @@ TEST_F(SearchCliTest, ColdAndWarmReportsAreByteIdentical) {
   EXPECT_EQ(cold_bytes, slurp(warm));
 
   // The warm run priced nothing: every scenario came from disk.
-  cli::DriverOptions options;
+  serve::DriverOptions options;
   options.manifest_path = manifest_path_;
-  options.command = cli::Command::kSearch;
+  options.command = serve::Command::kSearch;
   options.cache_dir = cache;
   options.write_report = false;
   options.print_table = false;
   std::ostringstream sink;
-  const cli::DriverResult result = cli::run_manifest(options, sink);
+  const serve::DriverResult result = serve::run_manifest(options, sink);
   EXPECT_EQ(result.stats.simulations_run, 0u);
   EXPECT_EQ(result.stats.disk_hits, 4u);
 }

@@ -21,11 +21,11 @@
 
 #include "src/backend/backend_registry.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/dnn/model_zoo.h"
 #include "src/dnn/reference_ops.h"
 #include "src/engine/scenario.h"
 #include "src/engine/sim_engine.h"
-#include "src/engine/thread_pool.h"
 #include "src/kernels/packed_kernels.h"
 #include "src/kernels/simd.h"
 #include "src/kernels/weight_cache.h"
@@ -53,7 +53,7 @@ FunctionalConfig small_probes() {
 /// — on freshly generated data and checks both against the reference
 /// operator. Thread-count independence on real zoo shapes.
 void expect_threaded_matches_reference(const dnn::Layer& probe,
-                                       engine::ThreadPool& pool, Rng& rng) {
+                                       common::ThreadPool& pool, Rng& rng) {
   switch (probe.kind) {
     case dnn::LayerKind::kConv: {
       const auto& p = probe.conv();
@@ -135,7 +135,7 @@ TEST(FunctionalBackend, EveryUniqueZooLayerVerifiesInBothBitwidthModes) {
   // shapes across modes) to keep the sweep tractable under sanitizers.
   const FunctionalBackend be(small_probes(), sim::bpvec_accelerator(),
                              arch::ddr4());
-  engine::ThreadPool pool(4);
+  common::ThreadPool pool(4);
   Rng rng(97);
   std::set<std::uint64_t> seen;
   int priced = 0;

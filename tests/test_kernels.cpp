@@ -270,7 +270,7 @@ TEST(PackedGemm, MatchesGemmReferenceSeriallyAndThreaded) {
   EXPECT_EQ(stats.macs, a.rows * b.rows * a.cols);
   EXPECT_GT(stats.word_ops, 0);
 
-  engine::ThreadPool pool(4);
+  common::ThreadPool pool(4);
   EXPECT_EQ(packed_gemm(ap, bp, &pool), expected);
 }
 
@@ -289,7 +289,7 @@ TEST(PackedConv, MatchesConvReferenceSeriallyAndThreaded) {
   EXPECT_EQ(stats.macs, static_cast<std::int64_t>(p.out_h()) * p.out_w() *
                             p.out_c * p.in_c * p.kh * p.kw);
 
-  engine::ThreadPool pool(4);
+  common::ThreadPool pool(4);
   EXPECT_EQ(packed_conv(input, weights, p, 4, 4, &pool), expected);
 }
 
@@ -317,7 +317,7 @@ TEST(PackedFc, MatchesFcReferenceSeriallyAndThreaded) {
   EXPECT_EQ(stats.macs,
             static_cast<std::int64_t>(p.in_features) * p.out_features);
 
-  engine::ThreadPool pool(4);
+  common::ThreadPool pool(4);
   EXPECT_EQ(packed_fc(input, weights, p, 6, 8, &pool), expected);
 }
 
@@ -328,7 +328,7 @@ TEST(PackedRnnStep, MatchesRnnStepReferenceOverAChainedRecurrence) {
       static_cast<std::size_t>(hidden) * (input + hidden), 4);
   auto h_packed = rng.signed_vector(static_cast<std::size_t>(hidden), 8);
   auto h_ref = h_packed;
-  engine::ThreadPool pool(4);
+  common::ThreadPool pool(4);
   for (int t = 0; t < 5; ++t) {
     const auto x = rng.signed_vector(static_cast<std::size_t>(input), 8);
     // Chained: step t's output feeds step t+1, so one wrong bit anywhere
@@ -353,7 +353,7 @@ TEST(PackedPool, MatchesPoolReferenceForMaxAndAverage) {
     const dnn::Tensor expected = dnn::pool_reference(input, p);
 
     EXPECT_EQ(packed_pool(input, p).data(), expected.data());
-    engine::ThreadPool pool(4);
+    common::ThreadPool pool(4);
     EXPECT_EQ(packed_pool(input, p, &pool).data(), expected.data());
   }
 }
@@ -394,7 +394,7 @@ TEST(PackedGemm, TileBoundaryShapesMatchReference) {
         const BitPlanes bp = pack_rows(b, 4);
         EXPECT_EQ(packed_gemm(ap, bp), expected)
             << "m=" << m << " n=" << n << " cols=" << cols;
-        engine::ThreadPool pool(3);
+        common::ThreadPool pool(3);
         EXPECT_EQ(packed_gemm(ap, bp, &pool), expected)
             << "m=" << m << " n=" << n << " cols=" << cols << " threaded";
       }
@@ -441,7 +441,7 @@ TEST(PackedConv, BoundaryShapesMatchReference) {
     };
     EXPECT_EQ(packed_conv(input, weights, p, x_bits, w_bits), expected)
         << label();
-    engine::ThreadPool pool(3);
+    common::ThreadPool pool(3);
     EXPECT_EQ(packed_conv(input, weights, p, x_bits, w_bits, &pool), expected)
         << label() << " threaded";
   }
@@ -532,7 +532,7 @@ TEST(PackedGemm, ThreadedResultIsBitIdenticalAtAnyPoolSize) {
   const BitPlanes bp = pack_rows(b, 8);
   const auto serial = packed_gemm(ap, bp);
   for (int threads : {1, 2, 4}) {
-    engine::ThreadPool pool(threads);
+    common::ThreadPool pool(threads);
     EXPECT_EQ(packed_gemm(ap, bp, &pool), serial) << threads;
   }
 }

@@ -13,11 +13,11 @@
 #include <utility>
 
 #include "src/backend/backend_registry.h"
-#include "src/cli/driver.h"
 #include "src/common/error.h"
 #include "src/common/json.h"
 #include "src/dnn/model_zoo.h"
 #include "src/engine/scenario.h"
+#include "src/serve/driver.h"
 
 namespace bpvec::cli {
 namespace {
@@ -971,7 +971,7 @@ TEST(SearchManifest, CustomNetworkTokenNeedsAnExplicitBitwidthMode) {
 TEST(CliList, PrintsEveryVocabulary) {
   std::ostringstream out, err;
   const char* argv[] = {"bpvec_run", "list"};
-  ASSERT_EQ(main_cli(2, argv, out, err), 0) << err.str();
+  ASSERT_EQ(serve::main_cli(2, argv, out, err), 0) << err.str();
   const std::string text = out.str();
   for (const char* needle :
        {"backends:", "bpvec", "functional", "platforms:", "tpu_like",
@@ -987,7 +987,7 @@ TEST(CliList, NetworkFileRegistersAndShowsUp) {
   std::ostringstream out, err;
   const char* argv[] = {"bpvec_run", "list", "--network-file",
                         path.c_str()};
-  ASSERT_EQ(main_cli(4, argv, out, err), 0) << err.str();
+  ASSERT_EQ(serve::main_cli(4, argv, out, err), 0) << err.str();
   EXPECT_NE(out.str().find("cli-list-net"), std::string::npos);
   // Once registered, a manifest can name it without a workloads block.
   const Manifest m = from_text(R"({
@@ -1002,7 +1002,7 @@ TEST(CliList, NetworkFileRegistersAndShowsUp) {
 TEST(CliList, RejectsAManifestArgument) {
   std::ostringstream out, err;
   const char* argv[] = {"bpvec_run", "list", "extra.json"};
-  EXPECT_NE(main_cli(3, argv, out, err), 0);
+  EXPECT_NE(serve::main_cli(3, argv, out, err), 0);
   EXPECT_NE(err.str().find("`list` takes no manifest"), std::string::npos)
       << err.str();
   // Both orderings of the two subcommands conflict explicitly (neither
@@ -1011,7 +1011,7 @@ TEST(CliList, RejectsAManifestArgument) {
                             std::pair{"list", "search"}}) {
     std::ostringstream out2, err2;
     const char* args[] = {"bpvec_run", argv2.first, argv2.second};
-    EXPECT_NE(main_cli(3, args, out2, err2), 0);
+    EXPECT_NE(serve::main_cli(3, args, out2, err2), 0);
     EXPECT_NE(err2.str().find("mutually exclusive subcommands"),
               std::string::npos)
         << err2.str();

@@ -3,24 +3,37 @@
 // to the fleet totals, cooperative cancellation leaving the engine
 // reusable, served report bytes matching the batch CLI's (the
 // determinism contract), malformed protocol envelopes becoming
-// structured errors, and main_cli's usage-error paths.
+// structured errors, Server::run's socket loop, and main_cli's
+// usage-error paths.
 #include "src/serve/session.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "src/cli/driver.h"
 #include "src/cli/manifest.h"
+#include "src/cli/report.h"
 #include "src/common/error.h"
 #include "src/common/json.h"
+#include "src/common/thread_pool.h"
 #include "src/engine/disk_cache.h"
-#include "src/engine/thread_pool.h"
+#include "src/engine/sim_engine.h"
+#include "src/serve/driver.h"
 #include "src/serve/server.h"
 #include "src/workload/network_registry.h"
 
@@ -151,18 +164,34 @@ TEST(Session, ConcurrentRequestsShareWarmCaches) {
 }
 
 TEST(Session, ChunkedPricingIsCounterInvariant) {
-  PriceRequest one_shot;
-  one_shot.manifest = grid_manifest();
-  one_shot.deterministic_report = true;
-  PriceRequest chunked = one_shot;
-  chunked.chunk = 1;
+  // 50 networks × 3 platforms × 2 memories = 300 scenarios: more than
+  // one of price()'s 256-scenario batches.
+  PriceRequest request;
+  request.manifest = cli::parse_manifest(common::json::parse(R"({
+    "name": "serve_batches",
+    "workloads": [{"generator": "mlp_family",
+                   "depth": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+                   "width": [16, 32, 64, 128, 256]}],
+    "grids": [{"platforms": ["bpvec", "tpu_like", "bitfusion"],
+               "memories": ["ddr4", "hbm2"], "networks": ["workloads"],
+               "bitwidth_modes": ["heterogeneous"]}]
+  })"));
+  request.deterministic_report = true;
+  const std::vector<engine::Scenario> scenarios =
+      cli::expand(request.manifest);
+  ASSERT_GT(scenarios.size(), 256u);
 
-  Session a;
-  Session b;
-  const Response whole = a.price(one_shot);
-  const Response parts = b.price(chunked);
-  expect_counters_eq(whole.delta, parts.delta);
-  EXPECT_EQ(whole.report.dump(1), parts.report.dump(1));
+  Session session;
+  const Response batched = session.price(request);
+  ASSERT_FALSE(batched.cancelled);
+
+  engine::SimEngine direct;
+  const std::vector<sim::RunResult> results = direct.run_batch(scenarios);
+  expect_counters_eq(batched.delta, direct.stats());
+  EXPECT_EQ(batched.report.dump(1),
+            cli::build_report(request.manifest.name, scenarios, results,
+                              direct.stats(), false)
+                .dump(1));
 }
 
 // ----- cancellation ----------------------------------------------------
@@ -240,8 +269,8 @@ class ServeCliTest : public ::testing::Test {
     std::vector<const char*> argv{"bpvec_run"};
     for (const auto& a : args) argv.push_back(a.c_str());
     std::ostringstream out, err;
-    const int rc = cli::main_cli(static_cast<int>(argv.size()), argv.data(),
-                                 out, err);
+    const int rc = main_cli(static_cast<int>(argv.size()), argv.data(),
+                            out, err);
     if (out_text != nullptr) *out_text = out.str();
     if (err_text != nullptr) *err_text = err.str();
     return rc;
@@ -309,13 +338,9 @@ TEST(Server, MalformedEnvelopesAreStructuredErrorsNotDisconnects) {
        "must be a bool"},
       {R"({"op": "price", "manifest": {"name": "x"}})",
        "manifest needs \"grids\""},
+      {R"({"op": "price", "chunk": 4, "manifest": {"name": "x"}})",
+       "unknown key \"chunk\""},
       // Wrong-typed fields name the field.
-      {R"({"op": "price", "chunk": "4", "manifest": {"name": "x"}})",
-       "\"chunk\" must be an integer"},
-      {R"({"op": "price", "chunk": 1.5, "manifest": {"name": "x"}})",
-       "\"chunk\" must be an integer"},
-      {R"({"op": "price", "chunk": -1, "manifest": {"name": "x"}})",
-       "\"chunk\" must be >= 0"},
       {R"({"op": "validate", "network_files": [3], "manifest": {}})",
        "\"network_files\" must contain only strings"},
       {R"({"op": "validate", "network_files": "a.json", "manifest": {}})",
@@ -355,7 +380,8 @@ TEST(Server, EnvelopesAreValidatedWholeBeforeNetworkFilesRegister) {
 
   for (const std::string& bad :
        {R"({"op": "frobnicate", )" + files + "}",
-        R"({"op": "price", "chunk": "4", "manifest": {}, )" + files + "}",
+        R"({"op": "price", "deterministic_report": "yes", "manifest": {}, )" +
+            files + "}",
         R"({"op": "ping", "typo": 1, )" + files + "}"}) {
     EXPECT_EQ(server.handle_line(bad).at("status").as_string(), "error")
         << bad;
@@ -398,6 +424,173 @@ TEST(Server, VersionStatsAndPriceOpsRoundTrip) {
   EXPECT_EQ(body.at("requests").at("price").at("completed").as_int(), 1);
   EXPECT_EQ(body.at("fleet").at("simulations_run").as_int(), 1);
   EXPECT_EQ(body.at("cache_hit_rates").at("scenario_memo").as_double(), 0.0);
+}
+
+// ----- the socket loop (Server::run) ------------------------------------
+
+/// Server::run() on its own thread over a short temp socket path. The
+/// destructor always requests a stop and joins, so a failing test
+/// cannot leave the loop running.
+class RunningServer {
+ public:
+  RunningServer() {
+    ServerOptions options;
+    options.socket_path =
+        (fs::temp_directory_path() /
+         ("bpvec_" + std::to_string(::getpid()) + ".sock"))
+            .string();
+    options.session.threads = 1;
+    server_ = std::make_unique<Server>(options);
+    path_ = options.socket_path;
+    thread_ = std::thread([this] {
+      try {
+        server_->run();
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "Server::run: " << e.what();
+      }
+      returned_.store(true);
+    });
+  }
+  ~RunningServer() {
+    server_->request_stop();
+    thread_.join();
+  }
+  RunningServer(const RunningServer&) = delete;
+  RunningServer& operator=(const RunningServer&) = delete;
+
+  /// A connected client socket with 10 s send/receive timeouts; retries
+  /// while the server thread is still binding.
+  int connect() const {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    if (path_.size() >= sizeof addr.sun_path) {
+      ADD_FAILURE() << "socket path too long: " << path_;
+      return -1;
+    }
+    std::memcpy(addr.sun_path, path_.c_str(), path_.size() + 1);
+    const timeval timeout{10, 0};
+    for (int attempt = 0; attempt < 500; ++attempt) {
+      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      if (fd < 0) break;
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
+      if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof addr) == 0) {
+        return fd;
+      }
+      ::close(fd);
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ADD_FAILURE() << "cannot connect to " << path_;
+    return -1;
+  }
+
+  /// Whether run() has returned, waiting up to 10 s for it.
+  bool returned() const {
+    for (int i = 0; i < 1000 && !returned_.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return returned_.load();
+  }
+
+ private:
+  std::unique_ptr<Server> server_;
+  std::string path_;
+  std::atomic<bool> returned_{false};
+  std::thread thread_;  // last: it uses the members above
+};
+
+/// Sends all of `data`; false once the peer is gone.
+bool send_bytes(int fd, const std::string& data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// The next reply line, parsed; JSON null on EOF, error or timeout.
+Value read_reply(int fd) {
+  std::string line;
+  char c = 0;
+  while (::recv(fd, &c, 1, 0) == 1) {
+    if (c == '\n') return common::json::parse(line);
+    line.push_back(c);
+  }
+  return Value();
+}
+
+Value round_trip(int fd, const std::string& line) {
+  return send_bytes(fd, line + "\n") ? read_reply(fd) : Value();
+}
+
+std::string status_of(const Value& reply) {
+  const Value* status = reply.is_object() ? reply.find("status") : nullptr;
+  return status != nullptr ? status->as_string() : "(no reply)";
+}
+
+TEST(ServerSocket, RejectedShutdownLeavesTheConnectionUsable) {
+  RunningServer server;
+  const int fd = server.connect();
+  ASSERT_GE(fd, 0);
+  const Value rejected = round_trip(fd, R"({"op":"shutdown","bogus":1})");
+  EXPECT_EQ(status_of(rejected), "error");
+  // Errors are data, not disconnects: the same connection still serves,
+  // and the daemon did not begin draining.
+  EXPECT_EQ(status_of(round_trip(fd, R"({"op":"ping"})")), "ok");
+  ::close(fd);
+}
+
+TEST(ServerSocket, OverLongLineIsAnErrorAndNewConnectionsServe) {
+  RunningServer server;
+  const int fd = server.connect();
+  ASSERT_GE(fd, 0);
+  (void)send_bytes(fd, std::string(Server::kMaxLineBytes + 1, ' '));
+  const Value reply = read_reply(fd);
+  ASSERT_EQ(status_of(reply), "error");
+  EXPECT_NE(reply.at("error").as_string().find(
+                std::to_string(Server::kMaxLineBytes) + " bytes"),
+            std::string::npos)
+      << reply.at("error").as_string();
+  EXPECT_TRUE(read_reply(fd).is_null());  // that connection is closed
+  ::close(fd);
+
+  const int next = server.connect();
+  ASSERT_GE(next, 0);
+  EXPECT_EQ(status_of(round_trip(next, R"({"op":"ping"})")), "ok");
+  ::close(next);
+}
+
+TEST(ServerSocket, PriceRepliesMatchTheInProcessOnes) {
+  const std::string line =
+      R"({"op": "price", "deterministic_report": true, "manifest": )"
+      R"({"name": "serve_grid", "grids": [{"platforms": ["bpvec"], )"
+      R"("memories": ["ddr4"], "networks": ["lstm"], )"
+      R"("bitwidth_modes": ["heterogeneous"]}]}})";
+  RunningServer server;
+  const int fd = server.connect();
+  ASSERT_GE(fd, 0);
+  Value reply = round_trip(fd, line);
+  while (status_of(reply) == "running") reply = read_reply(fd);
+  ASSERT_EQ(status_of(reply), "ok");
+  EXPECT_EQ(reply.at("report").dump(1),
+            Server(ServerOptions{}).handle_line(line).at("report").dump(1));
+  ::close(fd);
+}
+
+TEST(ServerSocket, ShutdownRepliesDrainingAndRunReturns) {
+  RunningServer server;
+  const int fd = server.connect();
+  ASSERT_GE(fd, 0);
+  const Value reply = round_trip(fd, R"({"op":"shutdown"})");
+  ASSERT_EQ(status_of(reply), "ok");
+  EXPECT_TRUE(reply.at("draining").as_bool());
+  EXPECT_TRUE(read_reply(fd).is_null());  // the accepted shutdown closes
+  ::close(fd);
+  EXPECT_TRUE(server.returned());
 }
 
 TEST(Session, StatsJsonReportsWeightPlaneHitRate) {
@@ -465,22 +658,27 @@ TEST_F(ServeCliTest, UsageErrorPaths) {
   // A count above the pool's bound is refused before any thread starts.
   const std::string at_most =
       "--threads must be at most " +
-      std::to_string(engine::ThreadPool::kMaxThreads) + ", got ";
+      std::to_string(common::ThreadPool::kMaxThreads) + ", got ";
   EXPECT_EQ(run_cli({manifest_path_, "--threads", "100000"}, &out, &err), 1);
   EXPECT_NE(err.find(at_most + "100000"), std::string::npos) << err;
   EXPECT_EQ(run_cli({manifest_path_, "--threads", "99999999999"}, &out, &err),
             1);
   EXPECT_NE(err.find(at_most + "99999999999"), std::string::npos) << err;
 
-  // The same parser reads bpvec_serve's --threads and --chunk.
-  EXPECT_EQ(cli::parse_int_flag("--chunk", "-7"), -7);
-  EXPECT_THROW(cli::parse_int_flag("--chunk", "7 "), Error);
-  EXPECT_THROW(cli::parse_int_flag("--chunk", "+7"), Error);
+  // The same parser reads bpvec_serve's --threads.
+  const auto parse_threads = [](const std::string& value) {
+    return parse_int_flag("--threads", value,
+                          std::numeric_limits<int>::min(),
+                          common::ThreadPool::kMaxThreads);
+  };
+  EXPECT_EQ(parse_threads("-7"), -7);
+  EXPECT_THROW(parse_threads("7 "), Error);
+  EXPECT_THROW(parse_threads("+7"), Error);
   try {
-    cli::parse_int_flag("--chunk", "-99999999999999999999");
+    parse_threads("-99999999999999999999");
     ADD_FAILURE() << "expected a bpvec::Error";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("--chunk must be at least "),
+    EXPECT_NE(std::string(e.what()).find("--threads must be at least "),
               std::string::npos)
         << e.what();
   }

@@ -1,4 +1,4 @@
-#include "src/engine/thread_pool.h"
+#include "src/common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@
 
 #include "src/common/error.h"
 
-namespace bpvec::engine {
+namespace bpvec::common {
 namespace {
 
 TEST(ThreadPool, ReportsThreadCount) {
@@ -198,4 +198,4 @@ TEST(ThreadPool, ParallelForInsideASubmittedTaskCompletesWhileWorkersAreBusy) {
 }
 
 }  // namespace
-}  // namespace bpvec::engine
+}  // namespace bpvec::common

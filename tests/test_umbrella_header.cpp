@@ -1,6 +1,6 @@
 // Compile-time guarantee that the umbrella header exposes the whole public
 // surface, plus a smoke test touching one symbol from each area.
-#include "src/core/bpvec.h"
+#include "src/bpvec.h"
 
 #include <gtest/gtest.h>
 

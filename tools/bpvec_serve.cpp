@@ -6,8 +6,8 @@
 //       gracefully (in-flight requests finish, then the socket closes).
 //
 //   bpvec_serve request --socket PATH [--op OP] [--manifest FILE]
-//               [--deterministic-report] [--search] [--chunk N]
-//               [--report OUT] [--network-file FILE]...
+//               [--deterministic-report] [--search] [--report OUT]
+//               [--network-file FILE]...
 //       Send one request envelope and print/write the response. With
 //       --report, the served report document is written with the same
 //       serialization the batch CLI uses — byte-identical output is the
@@ -29,11 +29,11 @@
 #include <string>
 #include <vector>
 
-#include "src/cli/driver.h"
 #include "src/cli/report.h"
 #include "src/common/error.h"
 #include "src/common/json.h"
-#include "src/engine/thread_pool.h"
+#include "src/common/thread_pool.h"
+#include "src/serve/driver.h"
 #include "src/serve/server.h"
 
 namespace {
@@ -69,7 +69,6 @@ void usage(std::ostream& out) {
          "  --deterministic-report omit the run-dependent stats block\n"
          "  --search               validate the \"search\" block (with --op "
          "validate)\n"
-         "  --chunk N              price cancellation granularity\n"
          "  --report OUT           write the served report document here\n"
          "  --network-file FILE    ask the daemon to register this file\n"
          "\n"
@@ -152,7 +151,6 @@ struct ClientOptions {
   std::vector<std::string> network_files;
   bool deterministic_report = false;
   bool search = false;
-  std::int64_t chunk = 0;
 };
 
 int run_client(const ClientOptions& options) {
@@ -170,7 +168,6 @@ int run_client(const ClientOptions& options) {
   }
   if (options.deterministic_report) envelope.set("deterministic_report", true);
   if (options.search) envelope.set("search", true);
-  if (options.chunk > 0) envelope.set("chunk", options.chunk);
   if (!options.network_files.empty()) {
     Value files = Value::array();
     for (const std::string& f : options.network_files) files.push_back(f);
@@ -266,9 +263,9 @@ int main_serve(int argc, char** argv) {
       server_options.session.cache_dir = value_of(arg);
     } else if (!client_mode && arg == "--threads") {
       server_options.session.threads = static_cast<int>(
-          bpvec::cli::parse_int_flag(arg, value_of(arg),
-                                     std::numeric_limits<int>::min(),
-                                     bpvec::engine::ThreadPool::kMaxThreads));
+          bpvec::serve::parse_int_flag(arg, value_of(arg),
+                                       std::numeric_limits<int>::min(),
+                                       bpvec::common::ThreadPool::kMaxThreads));
     } else if (client_mode && arg == "--op") {
       client.op = value_of(arg);
     } else if (client_mode && arg == "--manifest") {
@@ -279,8 +276,6 @@ int main_serve(int argc, char** argv) {
       client.deterministic_report = true;
     } else if (client_mode && arg == "--search") {
       client.search = true;
-    } else if (client_mode && arg == "--chunk") {
-      client.chunk = bpvec::cli::parse_int_flag(arg, value_of(arg));
     } else {
       throw Error("unknown flag: " + arg);
     }
