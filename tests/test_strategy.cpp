@@ -1,5 +1,6 @@
-// Search strategies in isolation: batch-size invariance and seed
-// determinism for every stochastic strategy, hill-climb's cached
+// Search strategies in isolation: batch-size invariance, seed
+// determinism and pinned proposal streams for every stochastic
+// strategy, hill-climb's cached
 // neighbor enumeration, annealing/genetic proposal mechanics, and the
 // StrategyOptions factory's validation.
 #include "src/dse/strategy.h"
@@ -197,6 +198,41 @@ TEST(Strategies, HillClimbMatchesPreviousEnumeration) {
   // an implementation detail, not a behavior change.
   auto replay = make_strategy("hill_climb", space, options(0, 2));
   EXPECT_EQ(drive(space, *replay, 256), proposed);
+}
+
+TEST(Strategies, ProposalStreamsArePinned) {
+  // Each stochastic strategy's full proposal stream under drive()'s hash
+  // scores, as a length and a digest. A refactor of the strategies must
+  // reproduce these exactly; a deliberate change to a strategy's draws
+  // updates them.
+  struct Pinned {
+    const char* token;
+    StrategyOptions options;
+    std::size_t length;
+    std::uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {"random", options(40), 40, 0xff79b071df1fb6fdull},
+      {"hill_climb", options(0, 4), 21, 0x9cdd0785f8daf2eaull},
+      {"hill_climb", options(0, 1, 8, 7), 7, 0x014527fbc92c861aull},
+      {"annealing", options(60, 4), 60, 0x1ba3694168af71beull},
+      {"annealing", options(37, 1, 8, 7), 37, 0x6787f54fe3821221ull},
+      {"genetic", options(60, 4, 8), 60, 0x3c11fb5bb09b7c1bull},
+      {"genetic", options(41, 4, 6, 7), 41, 0xbacb8309907fac59ull},
+  };
+  const ParamSpace space = small_space();
+  for (const Pinned& p : pinned) {
+    auto strategy = make_strategy(p.token, space, p.options);
+    const auto stream = drive(space, *strategy, 5);
+    std::uint64_t digest = stream.size();
+    for (const auto& choice : stream) {
+      for (std::size_t v : choice) digest = common::hash_combine(digest, v);
+    }
+    EXPECT_EQ(stream.size(), p.length) << p.token;
+    EXPECT_EQ(digest, p.digest)
+        << p.token << " seed " << p.options.seed << ": digest 0x" << std::hex
+        << digest;
+  }
 }
 
 TEST(Strategies, FactoryValidatesOptions) {
