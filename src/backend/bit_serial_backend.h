@@ -84,9 +84,6 @@ class BitSerialBackend : public CostBackend {
                           std::vector<sim::LayerResult> layers) const override;
 
   const BitSerialConfig& serial() const { return serial_; }
-  /// Design-style label used as RunResult::platform ("BitSerial-Stripes"
-  /// or "BitSerial-Loom").
-  const std::string& display_name() const { return display_name_; }
 
  private:
   BitSerialConfig serial_;
@@ -94,6 +91,8 @@ class BitSerialBackend : public CostBackend {
   arch::DramModel dram_;
   arch::CvuCostModel cost_;
   sim::EnergyModel energy_;
+  /// Design-style label used as RunResult::platform ("BitSerial-Stripes"
+  /// or "BitSerial-Loom").
   std::string display_name_;
   /// Energy one lane burns per serial cycle of one MAC (pJ); per-MAC
   /// energy at (x, w) is this times cycles_per_mac(x, w).

@@ -29,6 +29,11 @@ FieldReader reader(std::string context = {}) {
 
 // ----- token tables --------------------------------------------------
 
+// Token index → Table II selector. engine::platform_config and
+// engine::make_memory resolve the configs, as they do for make_scenario,
+// so grid expansion, the search block and the library can never resolve
+// one token to different configs.
+
 engine::Platform platform_from_index(std::size_t i) {
   switch (i) {
     case 0: return engine::Platform::kTpuLike;
@@ -37,21 +42,8 @@ engine::Platform platform_from_index(std::size_t i) {
   }
 }
 
-// Token-index → config resolution, shared by grid expansion and the
-// search block's base scenario so the two modes can never resolve the
-// same token to different configs.
-
-sim::AcceleratorConfig platform_config_from_index(std::size_t i) {
-  switch (platform_from_index(i)) {
-    case engine::Platform::kTpuLike: return sim::tpu_like_baseline();
-    case engine::Platform::kBitFusion: return sim::bitfusion_accelerator();
-    case engine::Platform::kBpvec: break;
-  }
-  return sim::bpvec_accelerator();
-}
-
-arch::DramModel memory_from_index(std::size_t i) {
-  return i == 0 ? arch::ddr4() : arch::hbm2();
+engine::Memory memory_from_index(std::size_t i) {
+  return i == 0 ? engine::Memory::kDdr4 : engine::Memory::kHbm2;
 }
 
 dnn::BitwidthMode mode_from_index(std::size_t i) {
@@ -712,10 +704,6 @@ SearchSpec parse_search(const Value& v,
 
 }  // namespace
 
-const std::vector<std::string>& network_tokens() {
-  return workload::NetworkRegistry::builtin_tokens();
-}
-
 const std::vector<std::string>& platform_tokens() {
   static const std::vector<std::string> tokens{"tpu_like", "bitfusion",
                                                "bpvec"};
@@ -966,8 +954,8 @@ std::vector<engine::Scenario> expand(const Manifest& manifest) {
     // each axis applies its overrides beside a throwaway of the other.
     std::vector<sim::AcceleratorConfig> platforms;
     for (const std::string& p : g.platforms) {
-      sim::AcceleratorConfig config = platform_config_from_index(
-          r.token_index(p, "platform", platform_tokens()));
+      sim::AcceleratorConfig config = engine::platform_config(
+          platform_from_index(r.token_index(p, "platform", platform_tokens())));
       arch::DramModel unused;
       for (const dse::KnobSetting& k : g.platform_overrides) {
         dse::apply_knob(k.knob, k.value, config, unused);
@@ -982,8 +970,8 @@ std::vector<engine::Scenario> expand(const Manifest& manifest) {
     }
     std::vector<arch::DramModel> memories;
     for (const std::string& m : g.memories) {
-      arch::DramModel memory =
-          memory_from_index(r.token_index(m, "memory", memory_tokens()));
+      arch::DramModel memory = engine::make_memory(
+          memory_from_index(r.token_index(m, "memory", memory_tokens())));
       sim::AcceleratorConfig unused;
       for (const dse::KnobSetting& k : g.memory_overrides) {
         dse::apply_knob(k.knob, k.value, unused, memory);
@@ -1049,10 +1037,10 @@ engine::Scenario search_base_scenario(const SearchSpec& spec) {
     r.fail("unknown backend \"" + spec.backend + "\"; registered backends: " +
            quoted_token_list(registry.keys()));
   }
-  sim::AcceleratorConfig config = platform_config_from_index(
-      r.token_index(spec.platform, "platform", platform_tokens()));
-  arch::DramModel memory = memory_from_index(
-      r.token_index(spec.memory, "memory", memory_tokens()));
+  sim::AcceleratorConfig config = engine::platform_config(platform_from_index(
+      r.token_index(spec.platform, "platform", platform_tokens())));
+  arch::DramModel memory = engine::make_memory(memory_from_index(
+      r.token_index(spec.memory, "memory", memory_tokens())));
   dnn::Network net = [&] {
     if (spec.workload) {
       // The generator's bitwidth_policy owns the bits; no mode applies.

@@ -238,13 +238,9 @@ std::vector<engine::Scenario> expand(const Manifest& manifest);
 /// instantiated or registered).
 std::size_t scenario_count(const Manifest& manifest);
 
-/// The canonical zoo tokens ("alexnet", …, in Table I order) that "all"
-/// expands to. Network/platform/memory tokens are matched
-/// case-insensitively, ignoring '-' and '_' (so "ResNet-18" == "resnet18").
-const std::vector<std::string>& network_tokens();
-
-/// Canonical vocabularies for the other grid axes (what `bpvec_run
-/// list` prints and error messages cite).
+/// Canonical vocabularies for the grid axes other than networks (what
+/// `bpvec_run list` prints and error messages cite). Tokens are matched
+/// case-insensitively, ignoring '-' and '_' (so "TPU-like" == "tpu_like").
 const std::vector<std::string>& platform_tokens();
 const std::vector<std::string>& memory_tokens();
 const std::vector<std::string>& bitwidth_mode_tokens();

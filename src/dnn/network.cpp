@@ -2,22 +2,7 @@
 
 #include <utility>
 
-#include "src/common/error.h"
-#include "src/common/hash.h"
-
 namespace bpvec::dnn {
-
-namespace {
-/// Binds a memoized fingerprint to the time_chunk it was computed for.
-/// Never 0 in practice (0 is the empty-slot sentinel; a real checksum of
-/// 0 merely turns the memo into a permanent miss, never a wrong hit).
-std::uint64_t fp_checksum(int time_chunk, std::uint64_t fp) {
-  return common::hash_combine(fp,
-                              0x6e65746670ull ^  // "netfp"
-                                  static_cast<std::uint64_t>(
-                                      static_cast<std::uint32_t>(time_chunk)));
-}
-}  // namespace
 
 const char* to_string(NetworkType type) {
   switch (type) {
@@ -38,78 +23,7 @@ const char* to_string(BitwidthMode mode) {
 Network::Network(std::string name, NetworkType type)
     : name_(std::move(name)), type_(type) {}
 
-Network::Network(const Network& other)
-    : name_(other.name_),
-      type_(other.type_),
-      layers_(other.layers_),
-      bitwidth_note_(other.bitwidth_note_) {
-  // Copies share structural identity, so the memo rides along. Load the
-  // checksum second (the release order of memoize_fingerprint): a torn
-  // pair fails validation in cached_fingerprint rather than misleading.
-  fp_memo_.store(other.fp_memo_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  fp_check_.store(other.fp_check_.load(std::memory_order_acquire),
-                  std::memory_order_relaxed);
-}
-
-Network::Network(Network&& other) noexcept
-    : name_(std::move(other.name_)),
-      type_(other.type_),
-      layers_(std::move(other.layers_)),
-      bitwidth_note_(std::move(other.bitwidth_note_)) {
-  fp_memo_.store(other.fp_memo_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  fp_check_.store(other.fp_check_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-}
-
-Network& Network::operator=(const Network& other) {
-  if (this == &other) return *this;
-  name_ = other.name_;
-  type_ = other.type_;
-  layers_ = other.layers_;
-  bitwidth_note_ = other.bitwidth_note_;
-  fp_memo_.store(other.fp_memo_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  fp_check_.store(other.fp_check_.load(std::memory_order_acquire),
-                  std::memory_order_relaxed);
-  return *this;
-}
-
-Network& Network::operator=(Network&& other) noexcept {
-  if (this == &other) return *this;
-  name_ = std::move(other.name_);
-  type_ = other.type_;
-  layers_ = std::move(other.layers_);
-  bitwidth_note_ = std::move(other.bitwidth_note_);
-  fp_memo_.store(other.fp_memo_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  fp_check_.store(other.fp_check_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-  return *this;
-}
-
-void Network::add(Layer layer) {
-  invalidate_fingerprint();
-  layers_.push_back(std::move(layer));
-}
-
-std::optional<std::uint64_t> Network::cached_fingerprint(
-    int time_chunk) const {
-  // Acquire the checksum first so a validated pair is the pair one
-  // memoize_fingerprint call published together; any interleaving with a
-  // concurrent writer fails the checksum and reads as a miss.
-  const std::uint64_t check = fp_check_.load(std::memory_order_acquire);
-  if (check == 0) return std::nullopt;
-  const std::uint64_t fp = fp_memo_.load(std::memory_order_relaxed);
-  if (check != fp_checksum(time_chunk, fp)) return std::nullopt;
-  return fp;
-}
-
-void Network::memoize_fingerprint(int time_chunk, std::uint64_t fp) const {
-  fp_memo_.store(fp, std::memory_order_relaxed);
-  fp_check_.store(fp_checksum(time_chunk, fp), std::memory_order_release);
-}
+void Network::add(Layer layer) { layers_.push_back(std::move(layer)); }
 
 NetworkStats Network::stats() const {
   NetworkStats s;

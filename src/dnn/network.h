@@ -3,9 +3,7 @@
 // regime).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,21 +35,13 @@ class Network {
  public:
   Network(std::string name, NetworkType type);
 
-  Network(const Network& other);
-  Network(Network&& other) noexcept;
-  Network& operator=(const Network& other);
-  Network& operator=(Network&& other) noexcept;
-
   const std::string& name() const { return name_; }
   NetworkType type() const { return type_; }
 
   void add(Layer layer);
 
   const std::vector<Layer>& layers() const { return layers_; }
-  std::vector<Layer>& layers() {
-    invalidate_fingerprint();
-    return layers_;
-  }
+  std::vector<Layer>& layers() { return layers_; }
 
   NetworkStats stats() const;
 
@@ -62,35 +52,11 @@ class Network {
     bitwidth_note_ = std::move(note);
   }
 
-  /// Memoized structural fingerprint (workload::network_fingerprint) for
-  /// `time_chunk`, or nullopt when none is cached. The memo rides copies
-  /// and is invalidated by add() and by every non-const layers() call, so
-  /// a mutable layers() reference must not be written through after a
-  /// later fingerprint computation (take the reference again instead).
-  std::optional<std::uint64_t> cached_fingerprint(int time_chunk) const;
-
-  /// Records the fingerprint for `time_chunk` (single slot — the last
-  /// time_chunk wins). Const because fingerprinting is logically const;
-  /// safe to call concurrently for distinct Network objects, and
-  /// concurrent calls on one object resolve via the checksum protocol
-  /// below (worst case: the memo reads as empty).
-  void memoize_fingerprint(int time_chunk, std::uint64_t fp) const;
-
  private:
-  void invalidate_fingerprint() {
-    fp_check_.store(0, std::memory_order_relaxed);
-  }
-
   std::string name_;
   NetworkType type_;
   std::vector<Layer> layers_;
   std::string bitwidth_note_;
-  // Fingerprint memo: `fp_memo_` holds the hash, `fp_check_` a checksum
-  // binding it to its time_chunk (0 = empty). Readers validate the
-  // checksum, so a torn read against a concurrent memoize on the same
-  // object degrades to a miss instead of serving a mismatched value.
-  mutable std::atomic<std::uint64_t> fp_memo_{0};
-  mutable std::atomic<std::uint64_t> fp_check_{0};
 };
 
 }  // namespace bpvec::dnn

@@ -7,13 +7,15 @@
 
 #include "src/arch/cvu_cost.h"
 #include "src/common/error.h"
-#include "src/workload/schema.h"
 
 namespace bpvec::dse {
 
 namespace {
 
-constexpr std::size_t kDefaultBatch = 256;
+/// Candidates per propose/evaluate round: one big parallel batch for
+/// grid/random (hill_climb rounds are naturally smaller). Strategies
+/// propose the same candidates at any batch size.
+constexpr std::size_t kBatch = 256;
 
 double geometry_metric(Metric metric, const core::DesignPoint& design) {
   switch (metric) {
@@ -87,12 +89,6 @@ ScenarioEvaluator::ScenarioEvaluator(
   if (mix_from_network_) {
     mix_ = derive_mix(base_.network);
   }
-  // Prewarm the base network's structural fingerprint memo: every
-  // candidate that keeps the base workload copies the memo along with
-  // the network, so the engine's fingerprint pass hashes the workload
-  // once per search instead of once per candidate.
-  (void)workload::network_fingerprint(base_.network,
-                                      base_.platform.time_chunk);
 }
 
 std::vector<core::BitwidthMixEntry> ScenarioEvaluator::derive_mix(
@@ -189,13 +185,11 @@ SearchOutcome run_search(SearchStrategy& strategy, Evaluator& evaluator,
                         0,                    0,  0};
 
   std::unordered_set<std::uint64_t> unique_keys;
-  const std::size_t cap =
-      options.batch_size > 0 ? options.batch_size : kDefaultBatch;
   while (options.budget == 0 || outcome.candidates < options.budget) {
     if (options.should_stop && options.should_stop()) break;
-    std::size_t max_batch = cap;
+    std::size_t max_batch = kBatch;
     if (options.budget > 0) {
-      max_batch = std::min(cap, options.budget - outcome.candidates);
+      max_batch = std::min(kBatch, options.budget - outcome.candidates);
     }
     const std::vector<Candidate> batch = strategy.propose(max_batch);
     if (batch.empty()) break;

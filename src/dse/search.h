@@ -127,9 +127,6 @@ class ScenarioEvaluator final : public Evaluator {
 struct SearchOptions {
   /// Max candidate evaluations; 0 = unlimited (the strategy decides).
   std::size_t budget = 0;
-  /// Candidates per propose/evaluate round; 0 = 256 (one big parallel
-  /// batch for grid/random; hill_climb rounds are naturally smaller).
-  std::size_t batch_size = 0;
   /// Cooperative cancellation hook: checked before every
   /// propose/evaluate round. Returning true stops the search early; the
   /// outcome carries whatever was evaluated up to that point. Unset (the

@@ -78,16 +78,39 @@ std::vector<Candidate> RandomStrategy::propose(std::size_t max_batch) {
   return out;
 }
 
+// ----- score-driven rounds --------------------------------------------
+
+ScoredStrategy::ScoredStrategy(const ParamSpace& space, std::uint64_t seed,
+                               std::vector<Objective> objectives)
+    : space_(space), rng_(seed), objectives_(std::move(objectives)) {}
+
+std::vector<Candidate> ScoredStrategy::propose(std::size_t max_batch) {
+  BPVEC_CHECK(max_batch > 0);
+  if (pending_cursor_ >= pending_.size()) {
+    pending_ = plan_round();
+    pending_cursor_ = 0;
+  }
+  std::vector<Candidate> out;
+  while (pending_cursor_ < pending_.size() && out.size() < max_batch) {
+    out.push_back(pending_[pending_cursor_++]);
+  }
+  return out;
+}
+
+void ScoredStrategy::observe(const std::vector<Evaluation>& batch) {
+  for (const Evaluation& e : batch) {
+    score_by_key_.emplace(e.key, scalarize(objectives_, e));
+  }
+}
+
 // ----- hill climb ----------------------------------------------------
 
 HillClimbStrategy::HillClimbStrategy(const ParamSpace& space,
                                      std::size_t restarts,
                                      std::uint64_t seed,
                                      std::vector<Objective> objectives)
-    : space_(space),
-      restarts_(restarts),
-      rng_(seed),
-      objectives_(std::move(objectives)) {
+    : ScoredStrategy(space, seed, std::move(objectives)),
+      restarts_(restarts) {
   BPVEC_CHECK_MSG(restarts_ > 0, "hill_climb needs restarts > 0");
   BPVEC_CHECK_MSG(!objectives_.empty(),
                   "hill_climb needs objectives to rank neighbors");
@@ -116,25 +139,23 @@ void HillClimbStrategy::cache_neighbors(Climber& c) const {
   c.neighbors_cached = true;
 }
 
-void HillClimbStrategy::plan_round() {
-  pending_.clear();
-  pending_cursor_ = 0;
-
+std::vector<Candidate> HillClimbStrategy::plan_round() {
+  std::vector<Candidate> round;
   if (!starts_planned_) {
     // Round 0: the start points (drawn exactly like random's first
     // `restarts` samples).
     starts_planned_ = true;
     for (std::size_t r = 0; r < restarts_; ++r) {
       climbers_[r].current = draw(space_, rng_, r);
-      pending_.push_back(climbers_[r].current);
+      round.push_back(climbers_[r].current);
     }
-    return;
+    return round;
   }
 
   // Keep stepping climbers whose neighbor scores are all known already;
   // only unknown-score candidates are proposed. Every move strictly
   // improves the score, so this loop terminates.
-  while (pending_.empty()) {
+  while (true) {
     bool any_active = false;
     for (Climber& c : climbers_) {
       if (c.done) continue;
@@ -147,7 +168,7 @@ void HillClimbStrategy::plan_round() {
       }
       any_active = true;
     }
-    if (!any_active) return;  // all climbers stalled — exhausted
+    if (!any_active) return round;  // all climbers stalled — exhausted
 
     // Collect the neighbors whose scores we don't know yet — an O(1)
     // key lookup each, against the per-position neighbor cache.
@@ -158,10 +179,11 @@ void HillClimbStrategy::plan_round() {
       for (const Neighbor& nb : c.neighbors) {
         if (score_by_key_.count(nb.key)) continue;
         all_known = false;
-        pending_.push_back(nb.candidate);
+        round.push_back(nb.candidate);
       }
     }
-    if (!all_known) return;  // propose the unknowns, resume after observe
+    // Propose the unknowns; resume after they are observed.
+    if (!all_known) return round;
 
     // All neighbor scores are known: apply one greedy step per climber.
     for (Climber& c : climbers_) {
@@ -186,31 +208,12 @@ void HillClimbStrategy::plan_round() {
   }
 }
 
-std::vector<Candidate> HillClimbStrategy::propose(std::size_t max_batch) {
-  BPVEC_CHECK(max_batch > 0);
-  if (pending_cursor_ >= pending_.size()) plan_round();
-  std::vector<Candidate> out;
-  while (pending_cursor_ < pending_.size() && out.size() < max_batch) {
-    out.push_back(pending_[pending_cursor_++]);
-  }
-  return out;
-}
-
-void HillClimbStrategy::observe(const std::vector<Evaluation>& batch) {
-  for (const Evaluation& e : batch) {
-    score_by_key_.emplace(e.key, scalarize(objectives_, e));
-  }
-}
-
 // ----- simulated annealing -------------------------------------------
 
 SimulatedAnnealingStrategy::SimulatedAnnealingStrategy(
     const ParamSpace& space, std::size_t chains, std::size_t budget,
     std::uint64_t seed, std::vector<Objective> objectives)
-    : space_(space),
-      budget_(budget),
-      rng_(seed),
-      objectives_(std::move(objectives)) {
+    : ScoredStrategy(space, seed, std::move(objectives)), budget_(budget) {
   BPVEC_CHECK_MSG(chains > 0, "annealing needs chains (restarts) > 0");
   BPVEC_CHECK_MSG(budget_ > 0,
                   "annealing needs a budget (its proposal count)");
@@ -244,19 +247,17 @@ bool SimulatedAnnealingStrategy::accept(const Chain& c,
   return c.accept_u < p;
 }
 
-void SimulatedAnnealingStrategy::plan_round() {
-  pending_.clear();
-  pending_cursor_ = 0;
-
+std::vector<Candidate> SimulatedAnnealingStrategy::plan_round() {
+  std::vector<Candidate> round;
   if (!starts_planned_) {
     // Round 0: starts, drawn exactly like random's / hill_climb's.
     starts_planned_ = true;
     for (std::size_t k = 0; k < chains_.size(); ++k) {
       chains_[k].current = draw(space_, rng_, k);
-      pending_.push_back(chains_[k].current);
+      round.push_back(chains_[k].current);
       ++proposed_;
     }
-    return;
+    return round;
   }
 
   // Absorb the previous round: adopt start scores, then settle each
@@ -277,7 +278,7 @@ void SimulatedAnnealingStrategy::plan_round() {
     }
   }
 
-  if (proposed_ >= budget_ || movable_axes_.empty()) return;  // exhausted
+  if (proposed_ >= budget_ || movable_axes_.empty()) return {};  // exhausted
 
   // Plan one neighbor per chain. Every random draw comes from a stream
   // keyed on (round, chain), so proposals — and the acceptance draws
@@ -306,28 +307,11 @@ void SimulatedAnnealingStrategy::plan_round() {
     c.accept_u = stream.uniform01();
     c.accept_temp = temp;
     c.has_proposal = true;
-    pending_.push_back(c.proposal);
+    round.push_back(c.proposal);
     ++proposed_;
   }
   ++step_;
-}
-
-std::vector<Candidate> SimulatedAnnealingStrategy::propose(
-    std::size_t max_batch) {
-  BPVEC_CHECK(max_batch > 0);
-  if (pending_cursor_ >= pending_.size()) plan_round();
-  std::vector<Candidate> out;
-  while (pending_cursor_ < pending_.size() && out.size() < max_batch) {
-    out.push_back(pending_[pending_cursor_++]);
-  }
-  return out;
-}
-
-void SimulatedAnnealingStrategy::observe(
-    const std::vector<Evaluation>& batch) {
-  for (const Evaluation& e : batch) {
-    score_by_key_.emplace(e.key, scalarize(objectives_, e));
-  }
+  return round;
 }
 
 // ----- genetic -------------------------------------------------------
@@ -336,32 +320,27 @@ GeneticStrategy::GeneticStrategy(const ParamSpace& space,
                                  std::size_t population, std::size_t budget,
                                  std::uint64_t seed,
                                  std::vector<Objective> objectives)
-    : space_(space),
+    : ScoredStrategy(space, seed, std::move(objectives)),
       population_(population),
-      budget_(budget),
-      rng_(seed),
-      objectives_(std::move(objectives)) {
+      budget_(budget) {
   BPVEC_CHECK_MSG(population_ >= 2, "genetic needs a population >= 2");
   BPVEC_CHECK_MSG(budget_ > 0, "genetic needs a budget (its proposal count)");
   BPVEC_CHECK_MSG(!objectives_.empty(),
                   "genetic needs objectives to rank the population");
 }
 
-void GeneticStrategy::plan_generation() {
-  pending_.clear();
-  pending_cursor_ = 0;
-  if (proposed_ >= budget_) return;  // exhausted
+std::vector<Candidate> GeneticStrategy::plan_round() {
+  if (proposed_ >= budget_) return {};  // exhausted
 
   if (generation_ == 0) {
     // Generation 0: drawn exactly like random's first P samples.
     const std::size_t n = std::min(population_, budget_);
     for (std::size_t j = 0; j < n; ++j) {
-      pending_.push_back(draw(space_, rng_, j));
+      parents_.push_back(draw(space_, rng_, j));
     }
-    parents_ = pending_;
     proposed_ += n;
     ++generation_;
-    return;
+    return parents_;
   }
 
   // Rank the previous generation by (scalarized score, candidate key):
@@ -426,25 +405,9 @@ void GeneticStrategy::plan_generation() {
     next.push_back(std::move(child));
     ++proposed_;
   }
-  pending_ = next;
   parents_ = std::move(next);
   ++generation_;
-}
-
-std::vector<Candidate> GeneticStrategy::propose(std::size_t max_batch) {
-  BPVEC_CHECK(max_batch > 0);
-  if (pending_cursor_ >= pending_.size()) plan_generation();
-  std::vector<Candidate> out;
-  while (pending_cursor_ < pending_.size() && out.size() < max_batch) {
-    out.push_back(pending_[pending_cursor_++]);
-  }
-  return out;
-}
-
-void GeneticStrategy::observe(const std::vector<Evaluation>& batch) {
-  for (const Evaluation& e : batch) {
-    score_by_key_.emplace(e.key, scalarize(objectives_, e));
-  }
+  return parents_;
 }
 
 // ----- factory -------------------------------------------------------

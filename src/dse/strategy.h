@@ -105,14 +105,42 @@ class RandomStrategy final : public SearchStrategy {
   Rng rng_;
 };
 
-class HillClimbStrategy final : public SearchStrategy {
+/// The round mechanism shared by the score-driven strategies
+/// (hill_climb, annealing, genetic). A subclass plans each round whole
+/// in plan_round(); propose() slices it to max_batch and asks for the
+/// next round only once this one is fully proposed, and observe() books
+/// each evaluation's scalarize() score by candidate key.
+class ScoredStrategy : public SearchStrategy {
+ public:
+  std::vector<Candidate> propose(std::size_t max_batch) final;
+  void observe(const std::vector<Evaluation>& batch) final;
+
+ protected:
+  ScoredStrategy(const ParamSpace& space, std::uint64_t seed,
+                 std::vector<Objective> objectives);
+
+  /// The next round, planned once every earlier round is observed.
+  /// Empty means the strategy is exhausted.
+  virtual std::vector<Candidate> plan_round() = 0;
+
+  const ParamSpace& space_;
+  Rng rng_;
+  std::vector<Objective> objectives_;
+  /// Scores observed so far, by candidate key (scalarize()).
+  std::unordered_map<std::uint64_t, double> score_by_key_;
+
+ private:
+  /// The current round and how much of it has been proposed.
+  std::vector<Candidate> pending_;
+  std::size_t pending_cursor_ = 0;
+};
+
+class HillClimbStrategy final : public ScoredStrategy {
  public:
   HillClimbStrategy(const ParamSpace& space, std::size_t restarts,
                     std::uint64_t seed, std::vector<Objective> objectives);
 
   const char* name() const override { return "hill_climb"; }
-  std::vector<Candidate> propose(std::size_t max_batch) override;
-  void observe(const std::vector<Evaluation>& batch) override;
 
  private:
   /// A ±1-step axis neighbor with its candidate_key computed once — the
@@ -134,26 +162,17 @@ class HillClimbStrategy final : public SearchStrategy {
     bool neighbors_cached = false;
   };
 
-  /// Refills pending_ with the next round of proposals (starts, then
-  /// neighbor rounds) once the previous round is fully observed.
-  void plan_round();
+  /// Starts, then neighbor rounds.
+  std::vector<Candidate> plan_round() override;
   /// (Re)enumerates `c.current`'s neighbors with their keys.
   void cache_neighbors(Climber& c) const;
 
-  const ParamSpace& space_;
   std::size_t restarts_;
-  Rng rng_;
-  std::vector<Objective> objectives_;
   std::vector<Climber> climbers_;
   bool starts_planned_ = false;
-  /// Candidates planned for the current round but not yet proposed.
-  std::vector<Candidate> pending_;
-  std::size_t pending_cursor_ = 0;
-  /// Scores observed so far, by candidate key (scalarize()).
-  std::unordered_map<std::uint64_t, double> score_by_key_;
 };
 
-class SimulatedAnnealingStrategy final : public SearchStrategy {
+class SimulatedAnnealingStrategy final : public ScoredStrategy {
  public:
   /// `chains` lock-stepped annealing chains (started like hill_climb's
   /// restarts), `budget` total proposals across all chains (> 0; sets
@@ -163,8 +182,6 @@ class SimulatedAnnealingStrategy final : public SearchStrategy {
                              std::vector<Objective> objectives);
 
   const char* name() const override { return "annealing"; }
-  std::vector<Candidate> propose(std::size_t max_batch) override;
-  void observe(const std::vector<Evaluation>& batch) override;
 
  private:
   struct Chain {
@@ -179,13 +196,10 @@ class SimulatedAnnealingStrategy final : public SearchStrategy {
     double accept_temp = 1.0;
   };
 
-  void plan_round();
+  std::vector<Candidate> plan_round() override;
   bool accept(const Chain& c, double proposal_score) const;
 
-  const ParamSpace& space_;
   std::size_t budget_;
-  Rng rng_;
-  std::vector<Objective> objectives_;
   std::vector<Chain> chains_;
   /// Axes with >= 2 values (the only ones a neighbor step can move).
   std::vector<std::size_t> movable_axes_;
@@ -193,12 +207,9 @@ class SimulatedAnnealingStrategy final : public SearchStrategy {
   std::size_t step_ = 0;   // neighbor rounds planned so far
   std::size_t proposed_ = 0;
   bool starts_planned_ = false;
-  std::vector<Candidate> pending_;
-  std::size_t pending_cursor_ = 0;
-  std::unordered_map<std::uint64_t, double> score_by_key_;
 };
 
-class GeneticStrategy final : public SearchStrategy {
+class GeneticStrategy final : public ScoredStrategy {
  public:
   /// `population` candidates per generation (>= 2), `budget` total
   /// proposals (> 0). Generation 0 is drawn exactly like random's first
@@ -208,24 +219,17 @@ class GeneticStrategy final : public SearchStrategy {
                   std::vector<Objective> objectives);
 
   const char* name() const override { return "genetic"; }
-  std::vector<Candidate> propose(std::size_t max_batch) override;
-  void observe(const std::vector<Evaluation>& batch) override;
 
  private:
-  void plan_generation();
+  /// One generation per round.
+  std::vector<Candidate> plan_round() override;
 
-  const ParamSpace& space_;
   std::size_t population_;
   std::size_t budget_;
-  Rng rng_;
-  std::vector<Objective> objectives_;
   /// The previous generation, proposal order (the parent pool).
   std::vector<Candidate> parents_;
   std::size_t generation_ = 0;
   std::size_t proposed_ = 0;
-  std::vector<Candidate> pending_;
-  std::size_t pending_cursor_ = 0;
-  std::unordered_map<std::uint64_t, double> score_by_key_;
 };
 
 /// Valid strategy tokens:

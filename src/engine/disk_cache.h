@@ -165,7 +165,6 @@ class DiskCache {
   };
 
   void scan_dir();
-  bool index_shard(std::uint32_t shard_idx, const std::string& bytes);
 
   std::string dir_;
 

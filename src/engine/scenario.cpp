@@ -39,7 +39,6 @@ std::uint64_t Scenario::fingerprint() const {
   return f.h;
 }
 
-namespace {
 sim::AcceleratorConfig platform_config(Platform platform) {
   switch (platform) {
     case Platform::kTpuLike: return sim::tpu_like_baseline();
@@ -48,7 +47,6 @@ sim::AcceleratorConfig platform_config(Platform platform) {
   }
   return sim::bpvec_accelerator();
 }
-}  // namespace
 
 Scenario make_scenario(Platform platform, Memory memory,
                        dnn::Network net, std::string id) {

@@ -24,6 +24,9 @@ enum class Platform { kTpuLike, kBitFusion, kBpvec };
 
 const char* to_string(Platform platform);
 
+/// The Table II accelerator config of `platform`.
+sim::AcceleratorConfig platform_config(Platform platform);
+
 /// The paper's two memory systems (Table II).
 enum class Memory { kDdr4, kHbm2 };
 

@@ -135,8 +135,7 @@ std::vector<sim::RunResult> SimEngine::run_batch(
   // disk cache keys off the raw fingerprint (registry generations are
   // process-local; the disk key instead folds the backend instance's own
   // fingerprint, see below), the scenario memo folds the generation in.
-  // Networks memoize their structural fingerprint, so a batch of
-  // candidates copied off one base scenario hashes the workload once.
+  // Each scenario hashes its whole network here, O(layers) apiece.
   t_phase = SteadyClock::now();
   std::vector<std::uint64_t> raw_prints(batch.size());
   std::vector<std::uint64_t> prints(batch.size());

@@ -373,19 +373,11 @@ std::uint64_t network_fingerprint(const dnn::Network& net, int time_chunk) {
   // results but never change pricing, so structural twins share every
   // engine cache entry (the engine restores per-scenario labels on
   // cached results).
-  //
-  // Memoized on the Network itself: a DSE sweep fingerprints the same
-  // workload once per candidate, and candidates copy the base scenario,
-  // so the memo turns O(layers) hashing per lookup into O(1) for every
-  // candidate that doesn't regenerate the network (see Network's
-  // invalidation contract).
-  if (const auto memo = net.cached_fingerprint(time_chunk)) return *memo;
   common::ConfigHash f;
   f.u64(net.layers().size());
   for (const dnn::Layer& layer : net.layers()) {
     f.u64(backend::layer_fingerprint(layer, time_chunk));
   }
-  net.memoize_fingerprint(time_chunk, f.h);
   return f.h;
 }
 

@@ -126,32 +126,24 @@ TEST(GridSearch, ParallelSweepWithMixFindsThePaperOptimum) {
 
 // ----- determinism ----------------------------------------------------
 
-TEST(RandomSearch, DrawsAreIndependentOfBatchSize) {
+TEST(RandomSearch, SeedDecidesTheDraws) {
+  // Batch-size invariance itself is Strategies.BatchSizeInvariance's;
+  // this checks the seed decides the draws a search prices.
   const ParamSpace space = lstm_space();
-  auto keys_with_batch = [&](std::size_t batch) {
+  auto keys_with_seed = [&](std::uint64_t seed) {
     engine::SimEngine eng;
-    RandomStrategy strategy(space, /*samples=*/17, /*seed=*/99);
+    RandomStrategy strategy(space, /*samples=*/17, seed);
     GeometryEvaluator evaluator(eng, space, kGeomObjectives);
-    SearchOptions options;
-    options.batch_size = batch;
     const SearchOutcome outcome =
-        run_search(strategy, evaluator, kGeomObjectives, options);
+        run_search(strategy, evaluator, kGeomObjectives);
     std::vector<std::uint64_t> keys;
     for (const auto& e : outcome.evaluations) keys.push_back(e.key);
     return keys;
   };
-  const auto one = keys_with_batch(1);
-  const auto big = keys_with_batch(64);
-  EXPECT_EQ(one, big);
-  EXPECT_EQ(one.size(), 17u);
-  // Different seed, different sequence.
-  engine::SimEngine eng;
-  RandomStrategy other(space, 17, /*seed=*/100);
-  GeometryEvaluator evaluator(eng, space, kGeomObjectives);
-  const auto outcome = run_search(other, evaluator, kGeomObjectives);
-  std::vector<std::uint64_t> keys;
-  for (const auto& e : outcome.evaluations) keys.push_back(e.key);
-  EXPECT_NE(one, keys);
+  const auto keys = keys_with_seed(99);
+  EXPECT_EQ(keys.size(), 17u);
+  EXPECT_EQ(keys, keys_with_seed(99));
+  EXPECT_NE(keys, keys_with_seed(100));
 }
 
 // ----- engine-cache dedup of repeat-heavy searches -------------------

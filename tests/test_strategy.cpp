@@ -1,8 +1,7 @@
 // Search strategies in isolation: batch-size invariance, seed
 // determinism and pinned proposal streams for every stochastic
-// strategy, hill-climb's cached
-// neighbor enumeration, annealing/genetic proposal mechanics, and the
-// StrategyOptions factory's validation.
+// strategy, hill-climb's cached neighbor enumeration, annealing/genetic
+// proposal mechanics, and the StrategyOptions factory's validation.
 #include "src/dse/strategy.h"
 
 #include <gtest/gtest.h>

@@ -327,6 +327,18 @@ TEST(WorkloadFingerprint, SensitiveToShapesBitsAndOrder) {
   EXPECT_EQ(network_fingerprint(base, 16), network_fingerprint(base, 16));
 }
 
+TEST(WorkloadFingerprint, FollowsInPlaceLayerEdits) {
+  // A mutable layers() reference taken before hashing and written
+  // through after it must still change the fingerprint: every engine
+  // cache keys on it, so a stale hash would serve another network's
+  // results.
+  dnn::Network net = tiny();
+  std::vector<dnn::Layer>& layers = net.layers();
+  const std::uint64_t before = network_fingerprint(net);
+  layers[0].x_bits = layers[0].x_bits == 4 ? 2 : 4;
+  EXPECT_NE(network_fingerprint(net), before);
+}
+
 // ----- NetworkRegistry ------------------------------------------------
 
 TEST(NetworkRegistry, BuiltinsComeFirstInTableOneOrder) {
