@@ -240,12 +240,10 @@ int main(int argc, char** argv) {
     for (int pass = 0; pass < 3; ++pass) {
       for (std::size_t i = 0; i < scenarios.size(); ++i) {
         const engine::Scenario& s = scenarios[i];
-        const auto resolved = registry.resolve(s.backend);
         const std::uint64_t key = common::hash_combine(
             s.fingerprint(),
-            resolved.factory(s.platform, s.memory)->fingerprint());
-        seals += sealer.disk_cache()->store(key, resolved.generation,
-                                            cold_results[i]);
+            registry.create(s.backend, s.platform, s.memory)->fingerprint());
+        seals += sealer.disk_cache()->store(key, cold_results[i]);
       }
     }
   }

@@ -49,14 +49,16 @@ void BackendRegistry::register_backend(std::string key,
   BPVEC_CHECK_MSG(!key.empty(), "backend key must be non-empty");
   BPVEC_CHECK_MSG(static_cast<bool>(factory), "backend factory must be set");
   std::lock_guard<std::mutex> lock(mu_);
-  factories_[std::move(key)] =
-      Resolved{std::move(factory), next_generation_++};
+  if (factories_.count(key) != 0) {
+    throw Error("cost backend \"" + key + "\" is already registered");
+  }
+  factories_.emplace(std::move(key), std::move(factory));
 }
 
 std::unique_ptr<CostBackend> BackendRegistry::create(
     const std::string& key, const sim::AcceleratorConfig& platform,
     const arch::DramModel& memory) const {
-  auto backend = resolve(key).factory(platform, memory);
+  auto backend = resolve(key)(platform, memory);
   BPVEC_CHECK_MSG(backend != nullptr,
                   "backend factory returned null for: " + key);
   return backend;
@@ -67,8 +69,7 @@ bool BackendRegistry::contains(const std::string& key) const {
   return factories_.count(key) != 0;
 }
 
-BackendRegistry::Resolved BackendRegistry::resolve(
-    const std::string& key) const {
+BackendFactory BackendRegistry::resolve(const std::string& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = factories_.find(key);
   BPVEC_CHECK_MSG(it != factories_.end(), "unknown cost backend: " + key);

@@ -13,9 +13,10 @@
 //
 // A factory receives the scenario's resolved platform + memory configs;
 // backends that don't consume them (the GPU roofline) simply ignore
-// them. Re-registering a key overwrites it — cache correctness is
-// preserved because the engine folds each backend instance's
-// fingerprint() into its cache keys.
+// them. A key names one factory for the life of the process (as
+// workload::NetworkRegistry does for network names): the engine's
+// scenario memo names a backend only by its key, so registering a taken
+// key throws instead of overwriting it.
 #pragma once
 
 #include <functional>
@@ -37,7 +38,8 @@ class BackendRegistry {
   /// Process-wide registry (thread-safe).
   static BackendRegistry& instance();
 
-  /// Registers (or overwrites) a factory under `key`.
+  /// Registers a factory under `key`; throws bpvec::Error naming `key`
+  /// when it is already taken.
   void register_backend(std::string key, BackendFactory factory);
 
   /// Instantiates the backend registered under `key` for the given
@@ -48,22 +50,9 @@ class BackendRegistry {
 
   bool contains(const std::string& key) const;
 
-  /// A consistent (factory, registration-stamp) snapshot of one key.
-  /// `generation` is bumped every time the key is (re-)registered; the
-  /// engine folds it into scenario-cache keys so re-registering a key
-  /// with different knobs abandons stale entries — and constructs
-  /// backends from the snapshotted factory, so a batch can never cache
-  /// one registration's numbers under another's stamp, even if a
-  /// re-registration races the batch. Snapshotting also spares the
-  /// engine constructing a backend (and hashing its fingerprint) for
-  /// scenarios a cache will serve anyway.
-  struct Resolved {
-    BackendFactory factory;
-    std::uint64_t generation = 0;
-  };
-
-  /// Atomic lookup of `key`. Fails loudly on unknown keys.
-  Resolved resolve(const std::string& key) const;
+  /// The factory registered under `key`, copied out so callers construct
+  /// backends outside the registry lock. Fails loudly on unknown keys.
+  BackendFactory resolve(const std::string& key) const;
 
   /// Registered keys, sorted — benches iterate this to grow a backend
   /// column automatically.
@@ -73,8 +62,7 @@ class BackendRegistry {
   BackendRegistry();  // registers the builtins
 
   mutable std::mutex mu_;
-  std::map<std::string, Resolved> factories_;
-  std::uint64_t next_generation_ = 1;
+  std::map<std::string, BackendFactory> factories_;
 };
 
 }  // namespace bpvec::backend

@@ -55,8 +55,9 @@ class CostBackend {
 
   /// 64-bit hash over every knob that can change this backend's pricing
   /// (its own config plus whatever platform/memory state it uses). The
-  /// engine folds it into the scenario hash — two different cost models
-  /// of the same scenario must not collide — and into layer-memo keys.
+  /// engine folds it into disk-cache keys and layer-memo keys, so two
+  /// different cost models of one scenario or layer never share an entry.
+  /// (The scenario memo names a backend by its registry key instead.)
   virtual std::uint64_t fingerprint() const = 0;
 
   /// Prices one layer in isolation. Must be pure and re-entrant: the

@@ -132,7 +132,7 @@ struct WorkloadSpec {
   // entry's networks are their cross product, depth-outermost.
   std::vector<int> depths, widths;
   std::vector<std::string> policies;
-  // Resolved at parse, 1:1: names[i] registers prototypes[i].
+  // Filled at parse, 1:1: names[i] registers prototypes[i].
   std::vector<std::string> names;
   std::vector<dnn::Network> prototypes;
 };

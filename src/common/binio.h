@@ -1,4 +1,4 @@
-// Packed little-endian binary codec backing the disk cache's v3 shard
+// Packed little-endian binary codec backing the disk cache's shard
 // format (src/engine/disk_cache.h).
 //
 // The JSON entry format it replaces round-tripped doubles through %.17g

@@ -29,7 +29,7 @@ namespace binio = common::binio;
 namespace {
 
 // --------------------------------------------------------------------------
-// Binary codec — the v3 record body.
+// Binary codec — the record payload after its key.
 
 std::uint8_t kind_to_u8(dnn::LayerKind k) {
   switch (k) {
@@ -203,7 +203,6 @@ std::vector<std::pair<std::uint64_t, std::string>> list_shards(
 
 struct RawRecord {
   std::uint64_t key = 0;
-  std::uint64_t generation = 0;
   std::size_t payload_off = 0;
   std::uint32_t payload_len = 0;
 };
@@ -219,14 +218,12 @@ std::size_t walk_shard_records(const std::string& bytes, Fn&& fn) {
     if (bytes.size() - pos < 4) return 1;
     binio::Reader len_r(bytes.data() + pos, 4);
     const std::uint32_t len = len_r.u32();
-    if (bytes.size() - pos < kRecordOverhead + len || len < 16) return 1;
+    if (bytes.size() - pos < kRecordOverhead + len || len < 8) return 1;
     const char* payload = bytes.data() + pos + 4;
     binio::Reader ck_r(payload + len, 8);
     if (ck_r.u64() != binio::checksum(payload, len)) return 1;
     RawRecord rec;
-    binio::Reader head(payload, 16);
-    rec.key = head.u64();
-    rec.generation = head.u64();
+    rec.key = binio::Reader(payload, 8).u64();
     rec.payload_off = pos + 4;
     rec.payload_len = len;
     fn(rec);
@@ -236,11 +233,9 @@ std::size_t walk_shard_records(const std::string& bytes, Fn&& fn) {
 }
 
 /// One serialized record (length prefix + payload + checksum).
-std::string encode_record(std::uint64_t key, std::uint64_t generation,
-                          const sim::RunResult& result) {
+std::string encode_record(std::uint64_t key, const sim::RunResult& result) {
   binio::Writer payload;
   payload.u64(key);
-  payload.u64(generation);
   run_result_encode(payload, result);
   binio::Writer rec;
   rec.str(payload.bytes());  // u32 payload_len + payload
@@ -480,7 +475,7 @@ void DiskCache::scan_dir() {
 }
 
 std::shared_ptr<const sim::RunResult> DiskCache::load(
-    std::uint64_t key, std::uint64_t generation) const {
+    std::uint64_t key) const {
   Loc loc;
   std::string buf;
   bool read = false;
@@ -507,16 +502,14 @@ std::shared_ptr<const sim::RunResult> DiskCache::load(
       throw Error("checksum mismatch");
     }
     binio::Reader r(buf.data(), loc.len);
-    if (r.u64() != key || r.u64() != generation) {
-      throw Error("stale record");
-    }
+    if (r.u64() != key) throw Error("record holds another key");
     auto result = std::make_shared<sim::RunResult>(run_result_decode(r));
     if (!r.done()) throw Error("trailing bytes in record");
     hits_.fetch_add(1, std::memory_order_relaxed);
     return result;
   } catch (const std::exception&) {
-    // Corrupted-on-disk-since-scan or generation-stale: a miss, never a
-    // failure — the caller re-prices and a later batch re-stores it.
+    // Corrupted on disk since the scan: a miss, never a failure — the
+    // caller re-prices and a later batch re-stores it.
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
@@ -534,7 +527,7 @@ std::size_t DiskCache::store_batch(
       store_failures_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    const std::string rec = encode_record(p.key, p.generation, *p.result);
+    const std::string rec = encode_record(p.key, *p.result);
     entries.emplace_back(
         p.key,
         Loc{0, fresh.size() + 4,
@@ -602,9 +595,8 @@ std::size_t DiskCache::store_batch(
   return entries.size();
 }
 
-bool DiskCache::store(std::uint64_t key, std::uint64_t generation,
-                      const sim::RunResult& result) const {
-  return store_batch({PendingStore{key, generation, &result}}) == 1;
+bool DiskCache::store(std::uint64_t key, const sim::RunResult& result) const {
+  return store_batch({PendingStore{key, &result}}) == 1;
 }
 
 DiskCacheStats DiskCache::stats() const {

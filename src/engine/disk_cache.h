@@ -8,12 +8,12 @@
 // `bpvec_run --cache-dir` serves every repeated scenario without
 // simulating at all.
 //
-// Format v3: append-only packed binary shard files. A shard
+// Format v4: append-only packed binary shard files. A shard
 // (`shard-NNNN.bpc`) is
 //
-//   header:  magic "BPC3" + u32 format version
+//   header:  magic "BPC3" (kept across versions) + u32 format version
 //   records: u32 payload_len
-//            payload  = u64 key, u64 generation, packed RunResult
+//            payload  = u64 key, packed RunResult
 //                       (common::binio: fixed-width LE ints, bit-exact
 //                       doubles)
 //            u64 checksum(payload)
@@ -36,20 +36,10 @@
 //
 // Entry key: hash_combine(Scenario::fingerprint(), backend->fingerprint())
 // — both stable across processes (pure functions of the configs), and the
-// backend instance fingerprint covers every pricing knob, so two
-// registrations of one backend key with different knobs can never share
-// an entry. Each record additionally carries:
-//   * the shard header's format version — bumping kFormatVersion orphans
-//     every old shard (rejected on scan, never misread), and
-//   * the backend key's registry generation — records written under one
-//     registration are ignored after a re-registration, mirroring the
-//     in-memory scenario cache's staleness rule. Generations are a
-//     process-local counter: builtin backends register in a fixed order,
-//     so their stamps agree across processes and records round-trip; a
-//     process whose *custom* registration history differs sees foreign
-//     stamps and conservatively re-prices (counted `rejected` — a
-//     performance caveat, never a correctness one; records are rewritten
-//     with the local stamp).
+// backend instance fingerprint covers every pricing knob. The shard
+// header's format version guards the record schema: bumping
+// kFormatVersion orphans every older shard, which each scan rejects whole
+// (one reject per shard) and never misreads, rewrites or deletes.
 //
 // Guarantees:
 //   * Bit-identity: a loaded RunResult equals the stored one bit for bit
@@ -63,10 +53,10 @@
 //     last-shard-wins with identical payloads. A cache opened mid-run by
 //     another process simply doesn't see shards published after its scan
 //     (misses, re-prices — never wrong numbers).
-//   * Corruption tolerance: truncated shards, checksum-mismatched or
-//     stale records are counted `rejected` and treated as misses — the
-//     cache can only ever cost a re-simulation, never wrong numbers or a
-//     crash.
+//   * Corruption tolerance: truncated shards, checksum-mismatched
+//     records and foreign-version shards are counted `rejected` and
+//     treated as misses — the cache can only ever cost a re-simulation,
+//     never wrong numbers or a crash.
 #pragma once
 
 #include <atomic>
@@ -86,7 +76,7 @@ namespace bpvec::engine {
 struct DiskCacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;    // absent entries
-  std::size_t rejected = 0;  // corrupt, version-stale, or generation-stale
+  std::size_t rejected = 0;  // corrupt records or foreign-version shards
   std::size_t stores = 0;
   std::size_t store_failures = 0;  // I/O errors (cache stays best-effort)
   std::size_t file_opens = 0;      // shard files opened (scan + seals)
@@ -98,7 +88,7 @@ class DiskCache {
  public:
   /// Bump when the record schema changes; all older shards/entries are
   /// rejected.
-  static constexpr std::int64_t kFormatVersion = 3;  // v3: packed shards
+  static constexpr std::int64_t kFormatVersion = 4;  // v4: key + RunResult
 
   /// Most shards a cache indexes after a seal. Each holds an open fd, so
   /// this stays far below the kernel's 64-entry default fd table: growing
@@ -109,7 +99,6 @@ class DiskCache {
   /// for the duration of the call.
   struct PendingStore {
     std::uint64_t key = 0;
-    std::uint64_t generation = 0;
     const sim::RunResult* result = nullptr;
   };
 
@@ -124,10 +113,8 @@ class DiskCache {
   DiskCache& operator=(const DiskCache&) = delete;
 
   /// Returns the cached RunResult for `key`, or nullptr on miss.
-  /// `generation` must match the record's stamped registry generation.
   /// Never throws on bad cache contents — those count as `rejected`.
-  std::shared_ptr<const sim::RunResult> load(std::uint64_t key,
-                                             std::uint64_t generation) const;
+  std::shared_ptr<const sim::RunResult> load(std::uint64_t key) const;
 
   /// Seals every entry into one new shard (temp file + atomic link
   /// publish), merging past kMaxShards, and indexes them. Entries with
@@ -140,8 +127,7 @@ class DiskCache {
 
   /// Single-entry convenience wrapper over store_batch: one record, one
   /// shard. Returns true when the record was stored.
-  bool store(std::uint64_t key, std::uint64_t generation,
-             const sim::RunResult& result) const;
+  bool store(std::uint64_t key, const sim::RunResult& result) const;
 
   /// Consistent-enough snapshot of the counters (safe to call while pool
   /// threads probe/store).
@@ -181,10 +167,10 @@ class DiskCache {
   mutable std::atomic<std::size_t> file_opens_{0};
 };
 
-/// Packed binary serialization of a RunResult (common::binio; the v3
-/// record body). decode is the strict inverse and throws bpvec::Error on
-/// truncation, and on a layer count too large for the bytes left, before
-/// it allocates for the layers.
+/// Packed binary serialization of a RunResult (common::binio; the record
+/// payload after its key). decode is the strict inverse and throws
+/// bpvec::Error on truncation, and on a layer count too large for the
+/// bytes left, before it allocates for the layers.
 void run_result_encode(common::binio::Writer& w, const sim::RunResult& r);
 sim::RunResult run_result_decode(common::binio::Reader& r);
 

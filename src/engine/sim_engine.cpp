@@ -107,42 +107,29 @@ std::vector<sim::RunResult> SimEngine::run_batch(
   std::vector<sim::RunResult> results(batch.size());
   if (batch.empty()) return results;
 
-  // Snapshot each backend key's (factory, generation) once per batch.
-  // Cache keys fold the generation into the scenario hash (which
-  // already covers the backend id + platform + memory + network), and
-  // jobs construct from the snapshotted factory — so a re-registration,
-  // even one racing this batch, can neither serve stale results nor
-  // cache one registration's numbers under another's stamp. Scenarios
-  // the cache serves never construct a backend at all. Unknown backend
-  // keys fail loudly here, before any pricing.
+  // Snapshot each backend key's factory once per batch, so jobs construct
+  // outside the registry lock. Scenarios the caches serve never construct
+  // a backend at all. Unknown backend keys fail loudly here, before any
+  // pricing.
   auto t_phase = SteadyClock::now();
   auto& registry = backend::BackendRegistry::instance();
-  std::unordered_map<std::string, backend::BackendRegistry::Resolved>
-      resolved;
-  std::vector<std::uint64_t> generations(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    auto it = resolved.find(batch[i].backend);
-    if (it == resolved.end()) {
-      it = resolved.emplace(batch[i].backend,
-                            registry.resolve(batch[i].backend)).first;
+  std::unordered_map<std::string, backend::BackendFactory> factories;
+  for (const Scenario& s : batch) {
+    if (factories.count(s.backend) == 0) {
+      factories.emplace(s.backend, registry.resolve(s.backend));
     }
-    generations[i] = it->second.generation;
   }
   double plan_s = seconds_since(t_phase);
 
-  // Scenario fingerprints are pure per-scenario work — hash them on the
-  // pool so the cache feature doesn't serialize the parallel region. The
-  // disk cache keys off the raw fingerprint (registry generations are
-  // process-local; the disk key instead folds the backend instance's own
-  // fingerprint, see below), the scenario memo folds the generation in.
-  // Each scenario hashes its whole network here, O(layers) apiece.
+  // Scenario fingerprints key the scenario memo (a backend key names one
+  // factory for the life of the process). They are pure per-scenario
+  // work — hash them on the pool so the cache feature doesn't serialize
+  // the parallel region. Each scenario hashes its whole network here,
+  // O(layers) apiece.
   t_phase = SteadyClock::now();
-  std::vector<std::uint64_t> raw_prints(batch.size());
   std::vector<std::uint64_t> prints(batch.size());
-  for_each(batch.size(), [&](std::size_t i) {
-    raw_prints[i] = batch[i].fingerprint();
-    prints[i] = common::hash_combine(raw_prints[i], generations[i]);
-  });
+  for_each(batch.size(),
+           [&](std::size_t i) { prints[i] = batch[i].fingerprint(); });
   const double hash_s = seconds_since(t_phase);
 
   // Plan: resolve each scenario against the cache, keeping only the first
@@ -217,16 +204,15 @@ std::vector<sim::RunResult> SimEngine::run_batch(
     const std::size_t i = jobs[j];
     const Scenario& s = batch[i];
     JobState& js = state[j];
-    js.be = resolved.at(s.backend).factory(s.platform, s.memory);
+    js.be = factories.at(s.backend)(s.platform, s.memory);
     BPVEC_CHECK_MSG(js.be != nullptr,
                     "backend factory returned null for: " + s.backend);
     if (disk_ != nullptr) {
       // Key: scenario fingerprint × this backend instance's own
       // fingerprint — both stable across processes, and the latter
-      // covers every pricing knob, so two registrations of one key
-      // with different models can never share an entry.
-      js.disk_key = common::hash_combine(raw_prints[i], js.be->fingerprint());
-      if (auto cached = disk_->load(js.disk_key, generations[i])) {
+      // covers every pricing knob of the instance.
+      js.disk_key = common::hash_combine(prints[i], js.be->fingerprint());
+      if (auto cached = disk_->load(js.disk_key)) {
         results[i] = *cached;
         js.disk_served = true;
         // Reuse the loaded copy as the scenario memo's shared entry —
@@ -351,8 +337,8 @@ std::vector<sim::RunResult> SimEngine::run_batch(
       if (state[j].disk_served) continue;
       // `results` is sized once up front, so the pointers stay stable
       // for the duration of the call.
-      pending.push_back(DiskCache::PendingStore{
-          state[j].disk_key, generations[jobs[j]], &results[jobs[j]]});
+      pending.push_back(
+          DiskCache::PendingStore{state[j].disk_key, &results[jobs[j]]});
     }
     if (!pending.empty()) disk_->store_batch(pending);
   }

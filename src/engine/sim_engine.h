@@ -7,9 +7,9 @@
 // SimEngine prices whole batches at once on a ThreadPool (one FIFO queue)
 // behind up to three caches:
 //
-//   * scenario memo — keyed by Scenario::fingerprint × the backend
-//     key's registry generation (re-registering a backend abandons its
-//     stale entries); repeated design points price once. Fingerprints
+//   * scenario memo — keyed by Scenario::fingerprint, which names the
+//     backend by its registry key (a key names one factory for the life
+//     of the process); repeated design points price once. Fingerprints
 //     are structural on the workload axis (names excluded), so a JSON
 //     copy of a zoo network dedupes against the builtin; run_batch
 //     restores each scenario's own network/layer labels on the way out.
@@ -26,7 +26,8 @@
 //     only for scenarios the scenario memo misses, and fed back into it
 //     on hit. Survives the process — warm `bpvec_run --cache-dir`
 //     replays serve whole grids without simulating (see
-//     src/engine/disk_cache.h for the staleness and atomicity story).
+//     src/engine/disk_cache.h for the format-version and atomicity
+//     story).
 //
 // Guarantees:
 //   * run_batch results are bit-identical to resolving each scenario's
@@ -81,7 +82,7 @@ struct EngineStats {
   // scenarios_submitted once every run_batch has returned.
   std::size_t disk_hits = 0;        // scenarios served from disk
   std::size_t disk_misses = 0;      // probed but absent
-  std::size_t disk_rejected = 0;    // corrupt or stale entries skipped
+  std::size_t disk_rejected = 0;    // corrupt records, foreign shards
   std::size_t disk_stores = 0;      // fresh results persisted
   std::size_t disk_store_failures = 0;  // refused/failed persists
   std::size_t disk_file_opens = 0;  // shard files opened (scan + seals)
@@ -184,7 +185,7 @@ class SimEngine {
   std::unique_ptr<DiskCache> disk_;  // null when not configured
   common::ThreadPool pool_;
 
-  // Scenario cache: fingerprint × backend generation → shared result.
+  // Scenario cache: Scenario::fingerprint → shared result.
   common::Memo<std::shared_ptr<const sim::RunResult>> scenario_cache_{
       kMaxScenarioEntries};
   // Scenario counters. Ordering matters (see stats()), so these use the

@@ -86,8 +86,11 @@ Response Session::price(const PriceRequest& request, CancelToken token) {
   // expand() registers the manifest's declared workloads (idempotently)
   // before any token resolves — same as the batch CLI always did.
   std::vector<engine::Scenario> scenarios = cli::expand(manifest);
+  // Taken before engine(): a request that builds the engine measures from
+  // the zero state, so the cache dir scan's opens and rejects land in
+  // its delta.
+  const engine::EngineStats before = fleet_stats();
   engine::SimEngine& eng = engine();
-  const engine::EngineStats before = eng.stats();
 
   Response response;
   std::vector<sim::RunResult> results;
@@ -135,8 +138,8 @@ Response Session::search(const SearchRequest& request, CancelToken token) {
   const cli::SearchSpec& spec = *manifest.search;
   const dse::ParamSpace space = cli::search_space(spec);
   engine::Scenario base = cli::search_base_scenario(spec);
+  const engine::EngineStats before = fleet_stats();  // as in price()
   engine::SimEngine& eng = engine();
-  const engine::EngineStats before = eng.stats();
 
   dse::StrategyOptions strategy_options;
   strategy_options.budget = spec.budget;

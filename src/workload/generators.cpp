@@ -34,15 +34,15 @@ const FamilyInfo& resolve_family(const std::string& token) {
 }
 
 /// Knobs with defaults resolved and ranges enforced.
-struct Resolved {
+struct GeneratorKnobs {
   const FamilyInfo* info;
   int depth, width;
   std::string policy;
   std::string name;
 };
 
-Resolved resolve(const GeneratorSpec& spec) {
-  Resolved r;
+GeneratorKnobs resolve(const GeneratorSpec& spec) {
+  GeneratorKnobs r;
   r.info = &resolve_family(spec.family);
   r.depth = spec.depth == 0 ? r.info->default_depth : spec.depth;
   r.width = spec.width == 0 ? r.info->default_width : spec.width;
@@ -76,12 +76,12 @@ std::string policy_slug(const std::string& policy) {
 
 /// The one derived-name rule (generated_name's injectivity contract —
 /// manifests resolve generated tokens by recomputing exactly this).
-std::string derived_name(const Resolved& r) {
+std::string derived_name(const GeneratorKnobs& r) {
   return std::string(r.info->token) + "-d" + std::to_string(r.depth) + "-w" +
          std::to_string(r.width) + "-" + policy_slug(r.policy);
 }
 
-dnn::Network make_cnn(const Resolved& r) {
+dnn::Network make_cnn(const GeneratorKnobs& r) {
   dnn::Network net(r.name, dnn::NetworkType::kCnn);
   int hw = 64, in_c = 3;
   for (int s = 0; s < r.depth; ++s) {
@@ -103,7 +103,7 @@ dnn::Network make_cnn(const Resolved& r) {
   return net;
 }
 
-dnn::Network make_mlp(const Resolved& r) {
+dnn::Network make_mlp(const GeneratorKnobs& r) {
   dnn::Network net(r.name, dnn::NetworkType::kCnn);
   const int input = 784, classes = 10;
   if (r.depth == 1) {
@@ -119,7 +119,7 @@ dnn::Network make_mlp(const Resolved& r) {
   return net;
 }
 
-dnn::Network make_transformer(const Resolved& r) {
+dnn::Network make_transformer(const GeneratorKnobs& r) {
   dnn::Network net(r.name, dnn::NetworkType::kCnn);
   const int w = r.width;
   for (int b = 0; b < r.depth; ++b) {
@@ -148,7 +148,7 @@ std::string generated_name(const GeneratorSpec& spec) {
 }
 
 dnn::Network generate(const GeneratorSpec& spec) {
-  Resolved r = resolve(spec);
+  GeneratorKnobs r = resolve(spec);
   if (r.name.empty()) r.name = derived_name(r);
   dnn::Network net = [&] {
     switch (r.info->family) {

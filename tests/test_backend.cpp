@@ -181,17 +181,37 @@ TEST(BackendRegistry, UnknownKeyFailsLoudly) {
 
 TEST(BackendRegistry, CustomBackendRegistersAndRuns) {
   auto& reg = BackendRegistry::instance();
-  reg.register_backend(
-      "test_custom", [](const sim::AcceleratorConfig& platform,
-                        const arch::DramModel& memory) {
-        return std::make_unique<BpvecBackend>(platform, memory);
-      });
-  EXPECT_TRUE(reg.contains("test_custom"));
-  const auto be =
-      reg.create("test_custom", sim::bpvec_accelerator(), arch::ddr4());
+  // A fresh key per run: a key stays taken for the life of the process
+  // (--gtest_repeat runs this body again).
+  static int runs = 0;
+  const std::string key = "test_custom_" + std::to_string(runs++);
+  reg.register_backend(key, [](const sim::AcceleratorConfig& platform,
+                               const arch::DramModel& memory) {
+    return std::make_unique<BpvecBackend>(platform, memory);
+  });
+  EXPECT_TRUE(reg.contains(key));
+  const auto be = reg.create(key, sim::bpvec_accelerator(), arch::ddr4());
   const auto r =
       be->run(dnn::make_alexnet(dnn::BitwidthMode::kHomogeneous8b));
   EXPECT_GT(r.total_cycles, 0);
+}
+
+TEST(BackendRegistry, ATakenKeyCannotBeRegisteredAgain) {
+  // The scenario memo names a backend only by its key, so a key must name
+  // one factory for the life of the process.
+  auto& reg = BackendRegistry::instance();
+  try {
+    reg.register_backend("bpvec", [](const sim::AcceleratorConfig&,
+                                     const arch::DramModel&) {
+      return std::make_unique<GpuBackend>();
+    });
+    ADD_FAILURE() << "re-registering \"bpvec\" did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("\"bpvec\""), std::string::npos)
+        << e.what();
+  }
+  const auto be = reg.create("bpvec", sim::bpvec_accelerator(), arch::ddr4());
+  EXPECT_NE(dynamic_cast<const BpvecBackend*>(be.get()), nullptr);
 }
 
 TEST(CostBackend, RunEqualsPriceLayersPlusAssemble) {

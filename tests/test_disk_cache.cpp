@@ -1,10 +1,11 @@
 // DiskCache tests: the packed-record round trip, hit/miss accounting,
-// corrupt-shard tolerance, format-version and registry-generation
-// invalidation, one-shard-per-batch sealing, merging past the shard
-// bound (and healing a merge killed before its unlinks), inspection,
-// foreign files in the directory, concurrent writers, and — the contract
-// everything else leans on — run_batch bit-identity with the disk cache
-// off, cold, and warm.
+// corrupt-shard tolerance, format-version invalidation (a well-formed
+// previous-format shard is rejected and left in place),
+// one-shard-per-batch sealing, merging past the shard bound (and healing
+// a merge killed before its unlinks), inspection, foreign files in the
+// directory, concurrent writers, and — the contract everything else
+// leans on — run_batch bit-identity with the disk cache off, cold, and
+// warm.
 #include "src/engine/disk_cache.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <thread>
@@ -85,8 +87,8 @@ TEST_F(DiskCacheTest, BinarySerializationIsTheIdentity) {
 TEST_F(DiskCacheTest, StoreThenLoadIsBitIdentical) {
   DiskCache cache(dir_);
   const sim::RunResult original = sample_result();
-  ASSERT_TRUE(cache.store(/*key=*/42, /*generation=*/7, original));
-  const auto loaded = cache.load(42, 7);
+  ASSERT_TRUE(cache.store(/*key=*/42, original));
+  const auto loaded = cache.load(42);
   ASSERT_NE(loaded, nullptr);
   expect_bit_identical(original, *loaded);
   const DiskCacheStats s = cache.stats();
@@ -100,7 +102,7 @@ TEST_F(DiskCacheTest, StoreThenLoadIsBitIdentical) {
 
 TEST_F(DiskCacheTest, AbsentKeyIsAMiss) {
   DiskCache cache(dir_);
-  EXPECT_EQ(cache.load(1234, 1), nullptr);
+  EXPECT_EQ(cache.load(1234), nullptr);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
 }
@@ -109,10 +111,10 @@ TEST_F(DiskCacheTest, EntriesSurviveTheCacheObject) {
   const sim::RunResult original = sample_result();
   {
     DiskCache cache(dir_);
-    ASSERT_TRUE(cache.store(9, 3, original));
+    ASSERT_TRUE(cache.store(9, original));
   }
   DiskCache reopened(dir_);  // fresh object, same directory
-  const auto loaded = reopened.load(9, 3);
+  const auto loaded = reopened.load(9);
   ASSERT_NE(loaded, nullptr);
   expect_bit_identical(original, *loaded);
 }
@@ -122,7 +124,7 @@ TEST_F(DiskCacheTest, StoreBatchSealsOneShard) {
   const sim::RunResult a = sample_result();
   const sim::RunResult b = other_result();
   const std::vector<DiskCache::PendingStore> pending{
-      {1, 1, &a}, {2, 1, &b}, {3, 1, &a}};
+      {1, &a}, {2, &b}, {3, &a}};
   EXPECT_EQ(cache.store_batch(pending), 3u);
   EXPECT_EQ(shard_files().size(), 1u);  // one seal, not one file per entry
   const DiskCacheStats s = cache.stats();
@@ -130,7 +132,7 @@ TEST_F(DiskCacheTest, StoreBatchSealsOneShard) {
   EXPECT_EQ(s.records, 3u);
   EXPECT_EQ(s.file_opens, 1u);  // the seal; loads reuse the open fd
   for (const std::uint64_t key : {1u, 2u, 3u}) {
-    ASSERT_NE(cache.load(key, 1), nullptr) << "key " << key;
+    ASSERT_NE(cache.load(key), nullptr) << "key " << key;
   }
   EXPECT_EQ(cache.stats().file_opens, 1u);
 }
@@ -141,14 +143,14 @@ TEST_F(DiskCacheTest, WarmReopenIsOneFileOpenPerShard) {
     const sim::RunResult r = sample_result();
     std::vector<DiskCache::PendingStore> pending;
     for (std::uint64_t key = 0; key < 20; ++key) {
-      pending.push_back({key, 1, &r});
+      pending.push_back({key, &r});
     }
     ASSERT_EQ(cache.store_batch(pending), 20u);
   }
   DiskCache warm(dir_);
   EXPECT_EQ(warm.stats().file_opens, 1u);  // the scan, not one per key
   for (std::uint64_t key = 0; key < 20; ++key) {
-    ASSERT_NE(warm.load(key, 1), nullptr);
+    ASSERT_NE(warm.load(key), nullptr);
   }
   EXPECT_EQ(warm.stats().file_opens, 1u);
 }
@@ -157,14 +159,14 @@ TEST_F(DiskCacheTest, LastWriterWinsAcrossShards) {
   const sim::RunResult first = sample_result();
   const sim::RunResult second = other_result();
   DiskCache cache(dir_);
-  ASSERT_TRUE(cache.store(5, 1, first));
-  ASSERT_TRUE(cache.store(5, 1, second));  // a later shard, same key
-  const auto live = cache.load(5, 1);
+  ASSERT_TRUE(cache.store(5, first));
+  ASSERT_TRUE(cache.store(5, second));  // a later shard, same key
+  const auto live = cache.load(5);
   ASSERT_NE(live, nullptr);
   expect_bit_identical(second, *live);
   // The reopened index resolves the duplicate the same way.
   DiskCache reopened(dir_);
-  const auto reloaded = reopened.load(5, 1);
+  const auto reloaded = reopened.load(5);
   ASSERT_NE(reloaded, nullptr);
   expect_bit_identical(second, *reloaded);
 }
@@ -172,7 +174,7 @@ TEST_F(DiskCacheTest, LastWriterWinsAcrossShards) {
 TEST_F(DiskCacheTest, ChecksumRejectsAFlippedByte) {
   DiskCache cache(dir_);
   const sim::RunResult original = sample_result();
-  ASSERT_TRUE(cache.store(5, 1, original));
+  ASSERT_TRUE(cache.store(5, original));
   const std::string shard = cache.shard_paths().at(0);
 
   // Flip one payload byte in place (header is 8 bytes, then the u32
@@ -187,18 +189,18 @@ TEST_F(DiskCacheTest, ChecksumRejectsAFlippedByte) {
     f.write(&byte, 1);
   }
   // The open cache catches it at load time (pread + checksum)...
-  EXPECT_EQ(cache.load(5, 1), nullptr);
+  EXPECT_EQ(cache.load(5), nullptr);
   EXPECT_GE(cache.stats().rejected, 1u);
   // ...and a store heals the key via a fresh shard.
-  ASSERT_TRUE(cache.store(5, 1, original));
-  const auto healed = cache.load(5, 1);
+  ASSERT_TRUE(cache.store(5, original));
+  const auto healed = cache.load(5);
   ASSERT_NE(healed, nullptr);
   expect_bit_identical(original, *healed);
 
   // A fresh scan rejects the corrupt record and serves the healed shard.
   DiskCache reopened(dir_);
   EXPECT_GE(reopened.stats().rejected, 1u);
-  const auto reloaded = reopened.load(5, 1);
+  const auto reloaded = reopened.load(5);
   ASSERT_NE(reloaded, nullptr);
   expect_bit_identical(original, *reloaded);
 }
@@ -214,8 +216,8 @@ TEST_F(DiskCacheTest, GarbageShardIsRejectedAndNeverOverwritten) {
   EXPECT_EQ(cache.stats().rejected, 1u);
   EXPECT_EQ(cache.stats().shards, 0u);
   // A store publishes ABOVE the garbage file's claimed number.
-  ASSERT_TRUE(cache.store(1, 1, sample_result()));
-  EXPECT_NE(cache.load(1, 1), nullptr);
+  ASSERT_TRUE(cache.store(1, sample_result()));
+  EXPECT_NE(cache.load(1), nullptr);
   const std::vector<std::string> files = shard_files();
   ASSERT_EQ(files.size(), 2u);
   EXPECT_EQ(files[0], "shard-0007.bpc");
@@ -228,16 +230,68 @@ TEST_F(DiskCacheTest, GarbageShardIsRejectedAndNeverOverwritten) {
   EXPECT_EQ(still_garbage, "this is not a shard");
 }
 
+TEST_F(DiskCacheTest, PreviousFormatShardIsRejectedAndLeftInPlace) {
+  // A well-formed v3 shard: the same magic, format version 3, and one
+  // record whose payload carried a u64 registry generation after its key.
+  const sim::RunResult original = sample_result();
+  std::string v3;
+  {
+    common::binio::Writer payload;
+    payload.u64(42);  // key
+    payload.u64(1);   // registry generation
+    run_result_encode(payload, original);
+    common::binio::Writer shard;
+    for (const char c : {'B', 'P', 'C', '3'}) {
+      shard.u8(static_cast<std::uint8_t>(c));
+    }
+    shard.u32(3);
+    shard.str(payload.bytes());  // u32 payload_len + payload
+    shard.u64(common::binio::checksum(payload.bytes()));
+    v3 = shard.take();
+  }
+  fs::create_directories(dir_);
+  const std::string v3_path = dir_ + "/shard-0000.bpc";
+  std::ofstream(v3_path, std::ios::binary) << v3;
+  const auto v3_bytes = [&] {
+    std::ifstream in(v3_path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+
+  DiskCache cache(dir_);
+  EXPECT_EQ(cache.stats().rejected, 1u);  // the whole shard, once
+  EXPECT_EQ(cache.stats().shards, 0u);
+  EXPECT_EQ(cache.load(42), nullptr);
+  ASSERT_TRUE(cache.store(42, original));  // seals the next number
+  EXPECT_EQ(shard_files(),
+            (std::vector<std::string>{"shard-0000.bpc", "shard-0001.bpc"}));
+  // Enough seals to force a merge: it folds only the shards it indexed.
+  for (std::uint64_t key = 100; key < 100 + DiskCache::kMaxShards; ++key) {
+    ASSERT_TRUE(cache.store(key, other_result(key)));
+  }
+  EXPECT_EQ(cache.stats().shards, 1u);
+  EXPECT_EQ(shard_files().front(), "shard-0000.bpc");
+  EXPECT_EQ(v3_bytes(), v3);
+
+  // Every open counts the old shard again and serves the v4 records.
+  DiskCache reopened(dir_);
+  EXPECT_EQ(reopened.stats().rejected, 1u);
+  const auto loaded = reopened.load(42);
+  ASSERT_NE(loaded, nullptr);
+  expect_bit_identical(original, *loaded);
+  EXPECT_EQ(inspect_cache_dir(dir_).rejected_total, 1u);
+  EXPECT_EQ(v3_bytes(), v3);
+}
+
 TEST_F(DiskCacheTest, TruncatedShardRejectsItsTail) {
   {
     DiskCache cache(dir_);
-    ASSERT_TRUE(cache.store(5, 1, sample_result()));
+    ASSERT_TRUE(cache.store(5, sample_result()));
   }
   const std::string shard = dir_ + "/" + shard_files().at(0);
   fs::resize_file(shard, fs::file_size(shard) - 4);  // torn final record
   DiskCache reopened(dir_);
   EXPECT_GE(reopened.stats().rejected, 1u);
-  EXPECT_EQ(reopened.load(5, 1), nullptr);  // a miss, not a crash
+  EXPECT_EQ(reopened.load(5), nullptr);  // a miss, not a crash
 }
 
 TEST_F(DiskCacheTest, RefusesToStoreNonFiniteResults) {
@@ -246,24 +300,14 @@ TEST_F(DiskCacheTest, RefusesToStoreNonFiniteResults) {
   DiskCache cache(dir_);
   sim::RunResult r = sample_result();
   r.gops_per_w = std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(cache.store(8, 1, r));
+  EXPECT_FALSE(cache.store(8, r));
   EXPECT_EQ(cache.stats().store_failures, 1u);
   EXPECT_TRUE(shard_files().empty());
   r.gops_per_w = 0.0;
   r.layers.front().utilization = std::nan("");
-  EXPECT_FALSE(cache.store(8, 1, r));
+  EXPECT_FALSE(cache.store(8, r));
   EXPECT_EQ(cache.stats().store_failures, 2u);
-  EXPECT_EQ(cache.load(8, 1), nullptr);  // a miss, not a poisoned entry
-}
-
-TEST_F(DiskCacheTest, RejectsStaleGenerations) {
-  DiskCache cache(dir_);
-  ASSERT_TRUE(cache.store(6, /*generation=*/1, sample_result()));
-  // Same key, different registration stamp — e.g. the backend was
-  // re-registered with different knobs since the record was written.
-  EXPECT_EQ(cache.load(6, /*generation=*/2), nullptr);
-  EXPECT_EQ(cache.stats().rejected, 1u);
-  EXPECT_NE(cache.load(6, 1), nullptr);
+  EXPECT_EQ(cache.load(8), nullptr);  // a miss, not a poisoned entry
 }
 
 TEST_F(DiskCacheTest, ConcurrentWritersNeverTearARecord) {
@@ -275,11 +319,11 @@ TEST_F(DiskCacheTest, ConcurrentWritersNeverTearARecord) {
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&cache, &original] {
       for (int r = 0; r < kRounds; ++r) {
-        cache.store(77, 1, original);
+        cache.store(77, original);
         // Interleave loads: a reader must only ever see a complete
         // record (shards are sealed before link(2) publishes them) —
         // nullptr would count as rejected.
-        const auto loaded = cache.load(77, 1);
+        const auto loaded = cache.load(77);
         ASSERT_NE(loaded, nullptr);
       }
     });
@@ -288,7 +332,7 @@ TEST_F(DiskCacheTest, ConcurrentWritersNeverTearARecord) {
   EXPECT_EQ(cache.stats().rejected, 0u);
   EXPECT_EQ(cache.stats().stores,
             static_cast<std::size_t>(kWriters) * kRounds);
-  const auto final_load = cache.load(77, 1);
+  const auto final_load = cache.load(77);
   ASSERT_NE(final_load, nullptr);
   expect_bit_identical(original, *final_load);
 }
@@ -303,7 +347,7 @@ TEST_F(DiskCacheTest, SealsPastTheBoundMergeIntoOneShard) {
   // 20 single-record seals, then 8 more that supersede keys 0..7.
   for (int seal = 0; seal < 28; ++seal) {
     const std::uint64_t key = seal < 20 ? seal : seal - 20;
-    ASSERT_TRUE(cache.store(key, 1, results[seal]));
+    ASSERT_TRUE(cache.store(key, results[seal]));
     EXPECT_LE(cache.stats().shards, DiskCache::kMaxShards);
     EXPECT_LE(shard_files().size(), DiskCache::kMaxShards);
     if (seal > 0 && cache.stats().shards == 1) {
@@ -321,7 +365,7 @@ TEST_F(DiskCacheTest, SealsPastTheBoundMergeIntoOneShard) {
   DiskCache fresh(dir_);
   EXPECT_EQ(fresh.stats().rejected, 0u);
   for (std::uint64_t key = 0; key < 20; ++key) {
-    const auto loaded = fresh.load(key, 1);
+    const auto loaded = fresh.load(key);
     ASSERT_NE(loaded, nullptr) << "key " << key;
     expect_bit_identical(results[key < 8 ? key + 20 : key], *loaded);
   }
@@ -332,14 +376,14 @@ TEST_F(DiskCacheTest, ReaderKeepsItsShardsAcrossAnotherCachesMerge) {
   for (int k = 0; k < 9; ++k) results.push_back(other_result(k));
   DiskCache writer(dir_);
   for (std::uint64_t key = 0; key < 8; ++key) {
-    ASSERT_TRUE(writer.store(key, 1, results[key]));
+    ASSERT_TRUE(writer.store(key, results[key]));
   }
   DiskCache reader(dir_);
   ASSERT_EQ(reader.stats().shards, 8u);
-  ASSERT_TRUE(writer.store(8, 1, results[8]));  // merges and unlinks all 8
+  ASSERT_TRUE(writer.store(8, results[8]));  // merges and unlinks all 8
   ASSERT_EQ(shard_files().size(), 1u);
   for (std::uint64_t key = 0; key < 8; ++key) {
-    const auto loaded = reader.load(key, 1);
+    const auto loaded = reader.load(key);
     ASSERT_NE(loaded, nullptr) << "key " << key;
     expect_bit_identical(results[key], *loaded);
   }
@@ -352,21 +396,21 @@ TEST_F(DiskCacheTest, MergeNeverDeletesAShardItDidNotIndex) {
   // own merge must leave the new file alone.
   DiskCache stale(dir_);
   DiskCache a(dir_);
-  ASSERT_TRUE(a.store(0, 1, other_result(0)));
+  ASSERT_TRUE(a.store(0, other_result(0)));
   DiskCache b(dir_);
   ASSERT_EQ(b.stats().shards, 1u);
   for (std::uint64_t key = 1; key <= DiskCache::kMaxShards; ++key) {
-    ASSERT_TRUE(a.store(key, 1, other_result(key)));
+    ASSERT_TRUE(a.store(key, other_result(key)));
   }
   ASSERT_EQ(a.stats().shards, 1u);  // merged; shard-0000 is unlinked
   const sim::RunResult kept = other_result(100);
-  ASSERT_TRUE(stale.store(100, 1, kept));
+  ASSERT_TRUE(stale.store(100, kept));
   ASSERT_EQ(stale.shard_paths().at(0), dir_ + "/shard-0000.bpc");
   for (std::uint64_t key = 200; key < 200 + DiskCache::kMaxShards; ++key) {
-    ASSERT_TRUE(b.store(key, 1, other_result(key)));
+    ASSERT_TRUE(b.store(key, other_result(key)));
   }
   ASSERT_EQ(b.stats().shards, 1u);  // merged what it indexed
-  const auto loaded = DiskCache(dir_).load(100, 1);
+  const auto loaded = DiskCache(dir_).load(100);
   ASSERT_NE(loaded, nullptr);
   expect_bit_identical(kept, *loaded);
 }
@@ -376,14 +420,14 @@ TEST_F(DiskCacheTest, TwoCachesSealingPastTheBoundLoseNoKey) {
   const sim::RunResult result = sample_result();
   DiskCache first(dir_);
   for (std::uint64_t key = 0; key < 3; ++key) {
-    ASSERT_TRUE(first.store(key, 1, result));
+    ASSERT_TRUE(first.store(key, result));
   }
   // The second cache indexes the first's three shards, so both merges
   // fold them.
   DiskCache second(dir_);
   const auto seal = [&result](const DiskCache& cache, std::uint64_t base) {
     for (std::uint64_t key = base; key < base + kSeals; ++key) {
-      ASSERT_TRUE(cache.store(key, 1, result));
+      ASSERT_TRUE(cache.store(key, result));
       ASSERT_LE(cache.stats().shards, DiskCache::kMaxShards);
     }
   };
@@ -397,7 +441,7 @@ TEST_F(DiskCacheTest, TwoCachesSealingPastTheBoundLoseNoKey) {
   for (const std::uint64_t base : {0u, 1000u, 2000u}) {
     for (std::uint64_t key = base; key < base + (base == 0 ? 3 : kSeals);
          ++key) {
-      const auto loaded = fresh.load(key, 1);
+      const auto loaded = fresh.load(key);
       ASSERT_NE(loaded, nullptr) << "key " << key;
       expect_bit_identical(result, *loaded);
     }
@@ -415,13 +459,13 @@ TEST_F(DiskCacheTest, MergeKilledBetweenLinkAndUnlinksHeals) {
   {
     DiskCache cache(dir_);
     for (std::uint64_t key = 0; key < DiskCache::kMaxShards; ++key) {
-      ASSERT_TRUE(cache.store(key, 1, results[key]));
+      ASSERT_TRUE(cache.store(key, results[key]));
     }
     fs::create_directory(saved);
     for (const std::string& name : shard_files()) {
       fs::copy_file(dir_ + "/" + name, saved + "/" + name);
     }
-    ASSERT_TRUE(cache.store(8, 1, results[8]));  // merges all nine
+    ASSERT_TRUE(cache.store(8, results[8]));  // merges all nine
     ASSERT_EQ(shard_files().size(), 1u);
   }
   for (const auto& entry : fs::directory_iterator(saved)) {
@@ -434,7 +478,7 @@ TEST_F(DiskCacheTest, MergeKilledBetweenLinkAndUnlinksHeals) {
     DiskCache fresh(dir_);
     EXPECT_EQ(fresh.stats().rejected, 0u);
     for (std::uint64_t key = 0; key < keys; ++key) {
-      const auto loaded = fresh.load(key, 1);
+      const auto loaded = fresh.load(key);
       ASSERT_NE(loaded, nullptr) << "key " << key;
       expect_bit_identical(results[key], *loaded);
     }
@@ -442,7 +486,7 @@ TEST_F(DiskCacheTest, MergeKilledBetweenLinkAndUnlinksHeals) {
   expect_every_key(9);
   {
     DiskCache cache(dir_);
-    ASSERT_TRUE(cache.store(9, 1, results[9]));  // merges back under the bound
+    ASSERT_TRUE(cache.store(9, results[9]));  // merges back under the bound
     EXPECT_LE(cache.stats().shards, DiskCache::kMaxShards);
   }
   EXPECT_LE(shard_files().size(), DiskCache::kMaxShards);
@@ -473,7 +517,7 @@ TEST_F(DiskCacheTest, ForeignFilesAreIgnoredAndLeftInPlace) {
   // link(2)) and a shard- name without a number. Plus a stray JSON file.
   {
     DiskCache donor(dir_);
-    ASSERT_TRUE(donor.store(77, 1, a));
+    ASSERT_TRUE(donor.store(77, a));
   }
   const fs::path dir(dir_);
   ASSERT_EQ(shard_files(), std::vector<std::string>{"shard-0000.bpc"});
@@ -503,9 +547,9 @@ TEST_F(DiskCacheTest, ForeignFilesAreIgnoredAndLeftInPlace) {
     DiskCache cache(dir_);
     EXPECT_EQ(cache.stats().shards, 0u);
     EXPECT_EQ(cache.stats().rejected, 0u);
-    EXPECT_EQ(cache.load(77, 1), nullptr);  // never published
-    ASSERT_EQ(cache.store_batch({{1, 1, &a}, {2, 1, &b}}), 2u);
-    const auto one = cache.load(1, 1);
+    EXPECT_EQ(cache.load(77), nullptr);  // never published
+    ASSERT_EQ(cache.store_batch({{1, &a}, {2, &b}}), 2u);
+    const auto one = cache.load(1);
     ASSERT_NE(one, nullptr);
     expect_bit_identical(a, *one);
   }
@@ -517,10 +561,10 @@ TEST_F(DiskCacheTest, ForeignFilesAreIgnoredAndLeftInPlace) {
   DiskCache reopened(dir_);
   EXPECT_EQ(reopened.stats().shards, 1u);
   EXPECT_EQ(reopened.stats().rejected, 0u);
-  const auto two = reopened.load(2, 1);
+  const auto two = reopened.load(2);
   ASSERT_NE(two, nullptr);
   expect_bit_identical(b, *two);
-  EXPECT_EQ(reopened.load(77, 1), nullptr);
+  EXPECT_EQ(reopened.load(77), nullptr);
 
   const CacheDirInfo after = inspect_cache_dir(dir_);
   ASSERT_EQ(after.shards.size(), 1u);
@@ -539,7 +583,7 @@ TEST_F(DiskCacheTest, ForeignFilesAreIgnoredAndLeftInPlace) {
     EXPECT_EQ(merger.stats().shards, 1u);
     EXPECT_EQ(merger.stats().rejected, 1u);
     for (std::uint64_t key = 10; key < 10 + DiskCache::kMaxShards; ++key) {
-      ASSERT_TRUE(merger.store(key, 1, a));
+      ASSERT_TRUE(merger.store(key, a));
     }
     EXPECT_EQ(merger.stats().shards, 1u);
   }
@@ -551,9 +595,9 @@ TEST_F(DiskCacheTest, ForeignFilesAreIgnoredAndLeftInPlace) {
   std::getline(std::ifstream(dir / "shard-0009.bpc"), still_garbage);
   EXPECT_EQ(still_garbage, "this is not a shard");
   DiskCache merged(dir_);
-  ASSERT_NE(merged.load(2, 1), nullptr);
-  expect_bit_identical(b, *merged.load(2, 1));
-  EXPECT_EQ(merged.load(77, 1), nullptr);
+  ASSERT_NE(merged.load(2), nullptr);
+  expect_bit_identical(b, *merged.load(2));
+  EXPECT_EQ(merged.load(77), nullptr);
 }
 
 // ----- engine integration --------------------------------------------

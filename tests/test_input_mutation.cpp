@@ -13,6 +13,13 @@
 // must come back from engine::run_result_decode the same way, and no
 // single allocation made while decoding may exceed a small multiple of
 // the mutant's size.
+//
+// Sealed disk-cache shards: one shard of zoo RunResults, mutated by byte
+// flips in its header, length prefixes, payloads and checksums, by
+// truncation, by appended garbage and by length prefixes set to 0, 7 and
+// 0xFFFFFFFF. Every mutant must open as an engine::DiskCache without
+// throwing, serve each stored key bit-identical or as a miss, survive
+// engine::inspect_cache_dir, and still serve back a fresh store.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,6 +44,7 @@
 #include "src/serve/server.h"
 #include "src/sim/simulator.h"
 #include "src/workload/schema.h"
+#include "tests/run_result_identical.h"
 
 namespace {
 
@@ -240,14 +248,23 @@ TEST(InputMutation, EveryReaderYieldsAResultOrABpvecError) {
 // ---------------------------------------------------------------------------
 // engine::run_result_decode
 
-/// One encoded RunResult per zoo network, priced on BPVeC with DDR4.
-std::vector<std::string> encoded_zoo_results() {
+/// One RunResult per zoo network, priced on BPVeC with DDR4.
+std::vector<sim::RunResult> zoo_results() {
   const sim::Simulator simulator(sim::bpvec_accelerator(), arch::ddr4());
-  std::vector<std::string> encoded;
+  std::vector<sim::RunResult> results;
   for (const dnn::Network& net :
        dnn::all_models(dnn::BitwidthMode::kHeterogeneous)) {
+    results.push_back(simulator.run(net));
+  }
+  return results;
+}
+
+/// zoo_results(), each encoded on its own.
+std::vector<std::string> encoded_zoo_results() {
+  std::vector<std::string> encoded;
+  for (const sim::RunResult& r : zoo_results()) {
     common::binio::Writer w;
-    engine::run_result_encode(w, simulator.run(net));
+    engine::run_result_encode(w, r);
     encoded.push_back(w.take());
   }
   return encoded;
@@ -384,6 +401,148 @@ TEST(RunResultDecode, EveryMutantDecodesOrThrowsABpvecError) {
   // Both outcomes occur: the suite reaches past the first bad field.
   EXPECT_GT(decoded, 0u);
   EXPECT_GT(rejected, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Sealed engine::DiskCache shards
+
+/// Where each record of a well-formed shard sits: the offset of its u32
+/// length prefix and its payload length (the checksum follows the
+/// payload).
+struct RecordSpan {
+  std::size_t at = 0;
+  std::uint32_t len = 0;
+};
+
+std::vector<RecordSpan> record_spans(const std::string& shard) {
+  constexpr std::size_t kHeader = 8;  // magic + u32 format version
+  std::vector<RecordSpan> spans;
+  for (std::size_t at = kHeader; at + 4 <= shard.size();) {
+    const std::uint32_t len = common::binio::Reader(shard.data() + at, 4).u32();
+    spans.push_back({at, len});
+    at += 4 + len + 8;
+  }
+  return spans;
+}
+
+/// Usually one edit, sometimes up to three, every choice drawn from
+/// `rng`.
+std::string mutate_shard(std::string bytes,
+                         const std::vector<RecordSpan>& spans, Rng& rng) {
+  const auto pick = [&rng](std::size_t lo, std::size_t hi) {  // [lo, hi)
+    return static_cast<std::size_t>(rng.uniform(
+        static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi) - 1));
+  };
+  const auto flip = [&](std::size_t lo, std::size_t hi) {
+    if (hi > bytes.size() || lo >= hi) return;
+    const std::size_t pos = pick(lo, hi);
+    bytes[pos] = static_cast<char>(bytes[pos] ^ (1 << rng.uniform(0, 7)));
+  };
+  const std::int64_t edits = rng.uniform(0, 3) == 0 ? rng.uniform(2, 3) : 1;
+  for (std::int64_t k = 0; k < edits; ++k) {
+    const RecordSpan rec = spans[pick(0, spans.size())];
+    const std::size_t payload = rec.at + 4;
+    const std::size_t checksum = payload + rec.len;
+    switch (rng.uniform(0, 6)) {
+      case 0:
+        flip(0, 8);  // header: magic or format version
+        break;
+      case 1:
+        flip(rec.at, payload);  // length prefix
+        break;
+      case 2:
+        flip(payload, checksum);  // key or RunResult
+        break;
+      case 3:
+        flip(checksum, checksum + 8);
+        break;
+      case 4:
+        bytes.resize(pick(0, bytes.size() + 1));  // truncate
+        break;
+      case 5: {  // append garbage
+        const std::size_t n = pick(1, 65);
+        for (std::size_t i = 0; i < n; ++i) {
+          bytes.push_back(static_cast<char>(rng.uniform(0, 255)));
+        }
+        break;
+      }
+      default: {  // set a length prefix to an extreme
+        if (payload > bytes.size()) break;
+        const std::uint32_t extremes[] = {0, 7, 0xffffffffu};
+        put_u32(bytes, rec.at, extremes[pick(0, std::size(extremes))]);
+        break;
+      }
+    }
+  }
+  return bytes;
+}
+
+/// Shard mutants. On a 4-vCPU x86-64 host they take about a second in
+/// the Debug ASan+UBSan build.
+constexpr std::uint64_t kShardMutants = 400;
+
+TEST(DiskCacheShard, EveryMutantOpensAndServesExactRecordsOrMisses) {
+  const std::vector<sim::RunResult> results = zoo_results();
+  const std::string dir = "input_mutation_shards";
+  const std::string shard_path = dir + "/shard-0000.bpc";
+  const auto read_file = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+  };
+  // Keys 1..6 in one sealed shard.
+  fs::remove_all(dir);
+  std::string sealed;
+  {
+    const engine::DiskCache cache(dir);
+    std::vector<engine::DiskCache::PendingStore> pending;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      pending.push_back({i + 1, &results[i]});
+    }
+    ASSERT_EQ(cache.store_batch(pending), results.size());
+    ASSERT_EQ(cache.shard_paths(), std::vector<std::string>{shard_path});
+    sealed = read_file(shard_path);
+  }
+  const std::vector<RecordSpan> spans = record_spans(sealed);
+  ASSERT_EQ(spans.size(), results.size());
+  constexpr std::uint64_t kFreshKey = 1000;
+
+  const Rng root(20261019);
+  std::size_t served = 0, missed = 0;
+  for (std::uint64_t k = 0; k < kShardMutants; ++k) {
+    Rng rng = root.fork(k);
+    const std::string mutant = mutate_shard(sealed, spans, rng);
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::ofstream(shard_path, std::ios::binary) << mutant;
+    try {
+      const engine::DiskCache cache(dir);
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        if (const auto loaded = cache.load(i + 1)) {
+          ++served;
+          expect_bit_identical(results[i], *loaded);
+        } else {
+          ++missed;
+        }
+      }
+      (void)engine::inspect_cache_dir(dir);
+      ASSERT_TRUE(cache.store(kFreshKey, results.front())) << "mutant " << k;
+      const auto fresh = cache.load(kFreshKey);
+      ASSERT_NE(fresh, nullptr) << "mutant " << k;
+      expect_bit_identical(results.front(), *fresh);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << k << " threw: " << e.what();
+    }
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "first failing mutant: " << k;
+      break;
+    }
+  }
+  fs::remove_all(dir);
+  // Both outcomes occur: some mutants leave records intact.
+  EXPECT_GT(served, 0u);
+  EXPECT_GT(missed, 0u);
 }
 
 }  // namespace

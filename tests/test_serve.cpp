@@ -106,7 +106,19 @@ TEST(Session, WarmRepeatRequestPricesNothing) {
 }
 
 TEST(Session, SerialRequestDeltasSumToFleetTotals) {
-  Session session;
+  // Over a cache dir holding a torn shard: the first request builds the
+  // engine, so its delta carries the dir scan's open and reject.
+  const std::string dir = "serve_session_deltas_cache";
+  fs::remove_all(dir);
+  {
+    const engine::DiskCache torn(dir);
+    ASSERT_TRUE(torn.store(1, sim::RunResult{}));
+    const std::string shard = torn.shard_paths().at(0);
+    fs::resize_file(shard, fs::file_size(shard) - 4);
+  }
+  SessionOptions options;
+  options.cache_dir = dir;
+  Session session(options);
   PriceRequest price;
   price.manifest = grid_manifest();
   SearchRequest search;
@@ -128,9 +140,15 @@ TEST(Session, SerialRequestDeltasSumToFleetTotals) {
     sum.disk_hits += d.disk_hits;
     sum.disk_misses += d.disk_misses;
     sum.disk_stores += d.disk_stores;
+    sum.disk_rejected += d.disk_rejected;
+    sum.disk_file_opens += d.disk_file_opens;
   }
+  EXPECT_GE(deltas.front().disk_rejected, 1u);
   expect_counters_eq(sum, last.fleet);
+  EXPECT_EQ(sum.disk_rejected, last.fleet.disk_rejected);
+  EXPECT_EQ(sum.disk_file_opens, last.fleet.disk_file_opens);
   expect_counters_eq(last.fleet, session.fleet_stats());
+  fs::remove_all(dir);
 }
 
 TEST(Session, ConcurrentRequestsShareWarmCaches) {
