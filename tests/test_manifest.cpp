@@ -980,6 +980,13 @@ TEST(CliList, PrintsEveryVocabulary) {
         "net_depth", "metrics:", "cycles", "strategies:", "hill_climb"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
+  // The Table II selector lines byte-exactly: order and spelling are
+  // what manifests and reports write.
+  EXPECT_NE(text.find("\nplatforms:           tpu_like, bitfusion, bpvec\n"
+                      "memories:            ddr4, hbm2\n"
+                      "bitwidth_modes:      homogeneous8b, heterogeneous\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(CliList, NetworkFileRegistersAndShowsUp) {
