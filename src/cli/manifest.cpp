@@ -27,28 +27,24 @@ FieldReader reader(std::string context = {}) {
   return FieldReader("manifest", std::move(context));
 }
 
-// ----- token tables --------------------------------------------------
+/// The enumerator `value` names in `tokens`, a token table indexed by
+/// Enum (engine::platform_tokens(), engine::memory_tokens(),
+/// dnn::bitwidth_mode_tokens()).
+template <typename Enum>
+Enum read_enum(const FieldReader& r, const std::string& value,
+               const std::string& what,
+               const std::vector<std::string>& tokens) {
+  return static_cast<Enum>(r.token_index(value, what, tokens));
+}
 
-// Token index → Table II selector. engine::platform_config and
-// engine::make_memory resolve the configs, as they do for make_scenario,
-// so grid expansion, the search block and the library can never resolve
-// one token to different configs.
-
-engine::Platform platform_from_index(std::size_t i) {
-  switch (i) {
-    case 0: return engine::Platform::kTpuLike;
-    case 1: return engine::Platform::kBitFusion;
-    default: return engine::Platform::kBpvec;
+/// Fails naming `key` and the registered backends unless the live
+/// BackendRegistry holds it.
+void require_backend(const FieldReader& r, const std::string& key) {
+  const auto& registry = backend::BackendRegistry::instance();
+  if (!registry.contains(key)) {
+    r.fail("unknown backend \"" + key + "\"; registered backends: " +
+           quoted_token_list(registry.keys()));
   }
-}
-
-engine::Memory memory_from_index(std::size_t i) {
-  return i == 0 ? engine::Memory::kDdr4 : engine::Memory::kHbm2;
-}
-
-dnn::BitwidthMode mode_from_index(std::size_t i) {
-  return i == 0 ? dnn::BitwidthMode::kHomogeneous8b
-                : dnn::BitwidthMode::kHeterogeneous;
 }
 
 void apply_bitwidth_override(dnn::Network& net, const BitwidthOverride& o) {
@@ -89,8 +85,8 @@ std::vector<std::string> network_vocabulary(
 /// Resolves a networks axis to canonical registry tokens. Meta tokens:
 /// "all" → the six zoo builtins, "workloads" → every network the
 /// manifest's workloads block declares (each must be the sole entry).
-/// `workload_names` are valid even before registration, so parse-time
-/// validation and scenario_count need no registry side effects.
+/// `workload_names` are valid even before registration, so parsing has
+/// no registry side effects.
 std::vector<std::string> resolve_networks(
     const FieldReader& r, const std::vector<std::string>& names,
     const std::vector<std::string>& workload_names) {
@@ -194,14 +190,6 @@ std::vector<dse::KnobSetting> parse_overrides(
   return settings;
 }
 
-/// A knob value as manifests write it: integer knobs as JSON integers.
-Value knob_json(dse::Knob knob, double value) {
-  if (dse::knob_is_integer(knob)) {
-    return static_cast<std::int64_t>(std::llround(value));
-  }
-  return value;
-}
-
 BitwidthOverride parse_bitwidth_override(const FieldReader& r,
                                          const Value& v) {
   if (!v.is_object()) r.fail("\"bitwidth_override\" must be an object");
@@ -225,18 +213,23 @@ GridSpec parse_grid(const FieldReader& r, const Value& v,
   if (const Value* f = v.find("backends")) {
     g.backends = r.get_string_list(*f, "backends");
   }
-  g.platforms = r.get_string_list(r.require(v, "platforms"), "platforms");
-  g.memories = r.get_string_list(r.require(v, "memories"), "memories");
-  g.networks = r.get_string_list(r.require(v, "networks"), "networks");
+  const std::vector<std::string> platforms =
+      r.get_string_list(r.require(v, "platforms"), "platforms");
+  const std::vector<std::string> memories =
+      r.get_string_list(r.require(v, "memories"), "memories");
+  const std::vector<std::string> networks =
+      r.get_string_list(r.require(v, "networks"), "networks");
+  std::vector<std::string> modes;  // absent: GridSpec's default
   if (const Value* f = v.find("bitwidth_modes")) {
-    g.bitwidth_modes = r.get_string_list(*f, "bitwidth_modes");
+    modes = r.get_string_list(*f, "bitwidth_modes");
   }
+  std::vector<dse::KnobSetting> platform_overrides, memory_overrides;
   if (const Value* f = v.find("platform_overrides")) {
-    g.platform_overrides =
+    platform_overrides =
         parse_overrides(r, *f, "platform_overrides", dse::platform_knobs());
   }
   if (const Value* f = v.find("memory_overrides")) {
-    g.memory_overrides =
+    memory_overrides =
         parse_overrides(r, *f, "memory_overrides", dse::memory_knobs());
   }
   if (const Value* f = v.find("bitwidth_override")) {
@@ -246,24 +239,54 @@ GridSpec parse_grid(const FieldReader& r, const Value& v,
     g.id_suffix = r.get_string(*f, "id_suffix");
   }
 
-  // Validate every axis token now — expansion errors should name the
-  // manifest problem, not surface later as an engine failure. Backends
-  // are checked against the registry at expand() time instead (custom
-  // backends may be registered between parse and expand).
-  for (const std::string& p : g.platforms) {
-    (void)r.token_index(p, "platform", platform_tokens());
+  // Resolve every axis now — errors should name the manifest problem,
+  // not surface later as an engine failure. engine::platform_config and
+  // engine::make_memory build the configs, as they do for make_scenario,
+  // so a token can never resolve to different configs. Backends are
+  // checked against the registry when the workloads register instead
+  // (custom backends may be registered between parse and expand).
+  for (const std::string& p : platforms) {
+    g.platforms.push_back(engine::platform_config(read_enum<engine::Platform>(
+        r, p, "platform", engine::platform_tokens())));
   }
-  for (const std::string& m : g.memories) {
-    (void)r.token_index(m, "memory", memory_tokens());
+  for (const std::string& m : memories) {
+    g.memories.push_back(engine::make_memory(read_enum<engine::Memory>(
+        r, m, "memory", engine::memory_tokens())));
   }
-  require_mode_for_custom_networks(
-      r, v, "bitwidth_modes",
-      resolve_networks(r, g.networks, workload_names));
-  for (const std::string& m : g.bitwidth_modes) {
-    (void)r.token_index(m, "bitwidth mode", bitwidth_mode_tokens());
+  g.networks = resolve_networks(r, networks, workload_names);
+  require_mode_for_custom_networks(r, v, "bitwidth_modes", g.networks);
+  if (!modes.empty()) g.bitwidth_modes.clear();
+  for (const std::string& m : modes) {
+    g.bitwidth_modes.push_back(read_enum<dnn::BitwidthMode>(
+        r, m, "bitwidth mode", dnn::bitwidth_mode_tokens()));
   }
   for (const std::string& b : g.backends) {
     if (b.empty()) r.fail("backend keys must be non-empty");
+  }
+
+  // A platform knob sets no memory field and a memory knob no platform
+  // field, so each axis applies its overrides beside a throwaway of the
+  // other.
+  for (sim::AcceleratorConfig& config : g.platforms) {
+    arch::DramModel unused;
+    for (const dse::KnobSetting& k : platform_overrides) {
+      dse::apply_knob(k.knob, k.value, config, unused);
+    }
+    try {
+      config.validate();
+    } catch (const Error& e) {
+      r.fail(std::string("platform_overrides produce an invalid platform: ") +
+             e.what());
+    }
+  }
+  for (arch::DramModel& memory : g.memories) {
+    sim::AcceleratorConfig unused;
+    for (const dse::KnobSetting& k : memory_overrides) {
+      dse::apply_knob(k.knob, k.value, unused, memory);
+    }
+    if (!memory.valid()) {
+      r.fail("memory_overrides produce an invalid memory system");
+    }
   }
   return g;
 }
@@ -421,8 +444,7 @@ std::vector<WorkloadSpec> parse_workloads(const Value& v,
 
 // ----- search block ---------------------------------------------------
 
-std::vector<dse::Axis> parse_search_space(const FieldReader& r,
-                                          const Value& v) {
+dse::ParamSpace parse_search_space(const FieldReader& r, const Value& v) {
   if (!v.is_object() || v.members().empty()) {
     r.fail("\"space\" must be a non-empty object mapping knob names to "
            "value arrays");
@@ -452,13 +474,13 @@ std::vector<dse::Axis> parse_search_space(const FieldReader& r,
     }
     axes.push_back(std::move(axis));
   }
-  // Re-validate through ParamSpace now so the error carries manifest
-  // context (duplicate knobs, integral knobs with fractional values…).
-  r.nest([&] {
+  // Build the ParamSpace now so its errors carry manifest context
+  // (duplicate knobs, integral knobs with fractional values…).
+  return r.nest([&] {
     dse::ParamSpace space;
-    for (const dse::Axis& a : axes) space.add_axis(a.knob, a.values);
+    for (dse::Axis& a : axes) space.add_axis(a.knob, std::move(a.values));
+    return space;
   });
-  return axes;
 }
 
 std::vector<dse::Objective> parse_objectives(const FieldReader& r,
@@ -595,12 +617,12 @@ SearchSpec parse_search(const Value& v,
     if (s.backend.empty()) r.fail("backend key must be non-empty");
   }
   if (const Value* f = v.find("platform")) {
-    s.platform = r.token(r.get_string(*f, "platform"), "platform",
-                         platform_tokens());
+    s.platform = read_enum<engine::Platform>(
+        r, r.get_string(*f, "platform"), "platform", engine::platform_tokens());
   }
   if (const Value* f = v.find("memory")) {
-    s.memory =
-        r.token(r.get_string(*f, "memory"), "memory", memory_tokens());
+    s.memory = read_enum<engine::Memory>(r, r.get_string(*f, "memory"),
+                                         "memory", engine::memory_tokens());
   }
   if (const Value* f = v.find("workload")) {
     if (v.find("network") != nullptr) {
@@ -630,14 +652,15 @@ SearchSpec parse_search(const Value& v,
     require_mode_for_custom_networks(r, v, "bitwidth_mode", resolved);
   }
   if (const Value* f = v.find("bitwidth_mode")) {
-    s.bitwidth_mode = r.token(r.get_string(*f, "bitwidth_mode"),
-                              "bitwidth mode", bitwidth_mode_tokens());
+    s.bitwidth_mode = read_enum<dnn::BitwidthMode>(
+        r, r.get_string(*f, "bitwidth_mode"), "bitwidth mode",
+        dnn::bitwidth_mode_tokens());
   }
   if (const Value* f = v.find("bitwidth_override")) {
     s.bitwidth_override = parse_bitwidth_override(r, *f);
   }
   s.space = parse_search_space(r, r.require(v, "space"));
-  for (const dse::Axis& a : s.space) {
+  for (const dse::Axis& a : s.space.axes()) {
     if (!dse::is_workload_knob(a.knob)) continue;
     if (!s.workload) {
       r.fail(std::string("knob \"") + dse::to_string(a.knob) +
@@ -704,23 +727,6 @@ SearchSpec parse_search(const Value& v,
 
 }  // namespace
 
-const std::vector<std::string>& platform_tokens() {
-  static const std::vector<std::string> tokens{"tpu_like", "bitfusion",
-                                               "bpvec"};
-  return tokens;
-}
-
-const std::vector<std::string>& memory_tokens() {
-  static const std::vector<std::string> tokens{"ddr4", "hbm2"};
-  return tokens;
-}
-
-const std::vector<std::string>& bitwidth_mode_tokens() {
-  static const std::vector<std::string> tokens{"homogeneous8b",
-                                               "heterogeneous"};
-  return tokens;
-}
-
 Manifest parse_manifest(const Value& root, const std::string& base_dir) {
   const FieldReader r = reader();
   if (!root.is_object()) r.fail("document must be an object");
@@ -772,8 +778,8 @@ Manifest load_manifest(const std::string& path) {
 common::json::Value to_json(const SearchSpec& s) {
   Value sv = Value::object();
   sv.set("backend", s.backend);
-  sv.set("platform", s.platform);
-  sv.set("memory", s.memory);
+  sv.set("platform", engine::to_string(s.platform));
+  sv.set("memory", engine::to_string(s.memory));
   if (s.workload) {
     Value wv = Value::object();
     wv.set("generator", s.workload->family);
@@ -785,7 +791,7 @@ common::json::Value to_json(const SearchSpec& s) {
     sv.set("workload", std::move(wv));
   } else {
     sv.set("network", s.network);
-    sv.set("bitwidth_mode", s.bitwidth_mode);
+    sv.set("bitwidth_mode", dnn::to_string(s.bitwidth_mode));
   }
   if (s.bitwidth_override) {
     Value o = Value::object();
@@ -794,9 +800,16 @@ common::json::Value to_json(const SearchSpec& s) {
     sv.set("bitwidth_override", std::move(o));
   }
   Value space = Value::object();
-  for (const dse::Axis& axis : s.space) {
+  for (const dse::Axis& axis : s.space.axes()) {
     Value values = Value::array();
-    for (double v : axis.values) values.push_back(knob_json(axis.knob, v));
+    for (double v : axis.values) {
+      // Integer knobs as JSON integers, as manifests write them.
+      if (dse::knob_is_integer(axis.knob)) {
+        values.push_back(static_cast<std::int64_t>(std::llround(v)));
+      } else {
+        values.push_back(v);
+      }
+    }
     space.set(dse::to_string(axis.knob), std::move(values));
   }
   sv.set("space", std::move(space));
@@ -841,83 +854,15 @@ common::json::Value to_json(const SearchSpec& s) {
   return sv;
 }
 
-common::json::Value to_json(const Manifest& manifest) {
-  Value root = Value::object();
-  root.set("name", manifest.name);
-  if (!manifest.description.empty()) {
-    root.set("description", manifest.description);
-  }
-  if (!manifest.workloads.empty()) {
-    Value workloads = Value::array();
-    for (const WorkloadSpec& w : manifest.workloads) {
-      Value wv = Value::object();
-      switch (w.kind) {
-        case WorkloadSpec::Kind::kFile:
-          wv.set("file", w.file);
-          break;
-        case WorkloadSpec::Kind::kInline:
-          wv.set("network", workload::to_json(w.prototypes.front()));
-          break;
-        case WorkloadSpec::Kind::kGenerator: {
-          wv.set("generator", w.generator);
-          auto int_list = [](const std::vector<int>& v) {
-            Value a = Value::array();
-            for (int i : v) a.push_back(i);
-            return a;
-          };
-          if (!w.depths.empty()) wv.set("depth", int_list(w.depths));
-          if (!w.widths.empty()) wv.set("width", int_list(w.widths));
-          if (!w.policies.empty()) {
-            Value a = Value::array();
-            for (const std::string& p : w.policies) a.push_back(p);
-            wv.set("bitwidth_policy", std::move(a));
-          }
-          break;
-        }
-      }
-      workloads.push_back(std::move(wv));
-    }
-    root.set("workloads", std::move(workloads));
-  }
-  Value grids = Value::array();
-  for (const GridSpec& g : manifest.grids) {
-    Value grid = Value::object();
-    auto string_list = [](const std::vector<std::string>& v) {
-      Value a = Value::array();
-      for (const std::string& s : v) a.push_back(s);
-      return a;
-    };
-    grid.set("backends", string_list(g.backends));
-    grid.set("platforms", string_list(g.platforms));
-    grid.set("memories", string_list(g.memories));
-    grid.set("networks", string_list(g.networks));
-    grid.set("bitwidth_modes", string_list(g.bitwidth_modes));
-    const auto overrides = [&grid](const char* key,
-                                   const std::vector<dse::KnobSetting>& s) {
-      if (s.empty()) return;
-      Value o = Value::object();
-      for (const dse::KnobSetting& k : s) {
-        o.set(dse::to_string(k.knob), knob_json(k.knob, k.value));
-      }
-      grid.set(key, std::move(o));
-    };
-    overrides("platform_overrides", g.platform_overrides);
-    overrides("memory_overrides", g.memory_overrides);
-    if (g.bitwidth_override) {
-      Value o = Value::object();
-      o.set("x_bits", g.bitwidth_override->x_bits);
-      o.set("w_bits", g.bitwidth_override->w_bits);
-      grid.set("bitwidth_override", std::move(o));
-    }
-    if (!g.id_suffix.empty()) grid.set("id_suffix", g.id_suffix);
-    grids.push_back(std::move(grid));
-  }
-  if (!manifest.grids.empty()) root.set("grids", std::move(grids));
-  if (manifest.search) root.set("search", to_json(*manifest.search));
-  return root;
-}
-
 std::vector<std::string> register_workloads(const Manifest& manifest) {
+  // Every backend key first: a manifest the registry rejects must leave
+  // the process-wide NetworkRegistry as it found it.
+  for (std::size_t gi = 0; gi < manifest.grids.size(); ++gi) {
+    for (const std::string& b : manifest.grids[gi].backends) {
+      require_backend(reader(grid_context(gi)), b);
+    }
+  }
+  if (manifest.search) require_backend(reader("search"), manifest.search->backend);
   auto& registry = workload::NetworkRegistry::instance();
   std::vector<std::string> names;
   for (std::size_t wi = 0; wi < manifest.workloads.size(); ++wi) {
@@ -933,67 +878,18 @@ std::vector<std::string> register_workloads(const Manifest& manifest) {
 }
 
 std::vector<engine::Scenario> expand(const Manifest& manifest) {
-  const std::vector<std::string> workload_names =
-      register_workloads(manifest);
-  auto& registry = backend::BackendRegistry::instance();
+  (void)register_workloads(manifest);
   auto& networks = workload::NetworkRegistry::instance();
   std::vector<engine::Scenario> scenarios;
-  for (std::size_t gi = 0; gi < manifest.grids.size(); ++gi) {
-    const GridSpec& g = manifest.grids[gi];
-    const FieldReader r = reader(grid_context(gi));
-
-    for (const std::string& b : g.backends) {
-      if (!registry.contains(b)) {
-        r.fail("unknown backend \"" + b + "\"; registered backends: " +
-               quoted_token_list(registry.keys()));
-      }
-    }
-
-    // Resolve each axis once; the loops below only combine. A platform
-    // knob sets no memory field and a memory knob no platform field, so
-    // each axis applies its overrides beside a throwaway of the other.
-    std::vector<sim::AcceleratorConfig> platforms;
-    for (const std::string& p : g.platforms) {
-      sim::AcceleratorConfig config = engine::platform_config(
-          platform_from_index(r.token_index(p, "platform", platform_tokens())));
-      arch::DramModel unused;
-      for (const dse::KnobSetting& k : g.platform_overrides) {
-        dse::apply_knob(k.knob, k.value, config, unused);
-      }
-      try {
-        config.validate();
-      } catch (const Error& e) {
-        r.fail(std::string("platform_overrides produce an invalid platform: ") +
-               e.what());
-      }
-      platforms.push_back(std::move(config));
-    }
-    std::vector<arch::DramModel> memories;
-    for (const std::string& m : g.memories) {
-      arch::DramModel memory = engine::make_memory(
-          memory_from_index(r.token_index(m, "memory", memory_tokens())));
-      sim::AcceleratorConfig unused;
-      for (const dse::KnobSetting& k : g.memory_overrides) {
-        dse::apply_knob(k.knob, k.value, unused, memory);
-      }
-      if (!memory.valid()) {
-        r.fail("memory_overrides produce an invalid memory system");
-      }
-      memories.push_back(std::move(memory));
-    }
-    const std::vector<std::string> net_tokens =
-        resolve_networks(r, g.networks, workload_names);
-
-    for (const std::string& mode_name : g.bitwidth_modes) {
-      const dnn::BitwidthMode mode = mode_from_index(
-          r.token_index(mode_name, "bitwidth mode", bitwidth_mode_tokens()));
-      for (const std::string& net_token : net_tokens) {
+  for (const GridSpec& g : manifest.grids) {
+    for (const dnn::BitwidthMode mode : g.bitwidth_modes) {
+      for (const std::string& net_token : g.networks) {
         dnn::Network net = networks.create(net_token, mode);
         if (g.bitwidth_override) {
           apply_bitwidth_override(net, *g.bitwidth_override);
         }
-        for (const sim::AcceleratorConfig& platform : platforms) {
-          for (const arch::DramModel& memory : memories) {
+        for (const sim::AcceleratorConfig& platform : g.platforms) {
+          for (const arch::DramModel& memory : g.memories) {
             for (const std::string& backend : g.backends) {
               engine::Scenario s = engine::make_scenario(
                   backend, platform, memory, net, /*id=*/"");
@@ -1010,53 +906,29 @@ std::vector<engine::Scenario> expand(const Manifest& manifest) {
 
 std::size_t scenario_count(const Manifest& manifest) {
   std::size_t total = 0;
-  const std::vector<std::string> workload_names = workload_names_of(manifest);
-  for (std::size_t gi = 0; gi < manifest.grids.size(); ++gi) {
-    const GridSpec& g = manifest.grids[gi];
-    const std::size_t nets =
-        resolve_networks(reader(grid_context(gi)), g.networks, workload_names)
-            .size();
-    total += g.bitwidth_modes.size() * nets * g.platforms.size() *
-             g.memories.size() * g.backends.size();
+  for (const GridSpec& g : manifest.grids) {
+    total += g.bitwidth_modes.size() * g.networks.size() *
+             g.platforms.size() * g.memories.size() * g.backends.size();
   }
   return total;
 }
 
-dse::ParamSpace search_space(const SearchSpec& spec) {
-  dse::ParamSpace space;
-  reader("search").nest([&] {
-    for (const dse::Axis& a : spec.space) space.add_axis(a.knob, a.values);
-  });
-  return space;
-}
+dse::ParamSpace search_space(const SearchSpec& spec) { return spec.space; }
 
 engine::Scenario search_base_scenario(const SearchSpec& spec) {
   const FieldReader r = reader("search");
-  auto& registry = backend::BackendRegistry::instance();
-  if (!registry.contains(spec.backend)) {
-    r.fail("unknown backend \"" + spec.backend + "\"; registered backends: " +
-           quoted_token_list(registry.keys()));
-  }
-  sim::AcceleratorConfig config = engine::platform_config(platform_from_index(
-      r.token_index(spec.platform, "platform", platform_tokens())));
-  arch::DramModel memory = engine::make_memory(memory_from_index(
-      r.token_index(spec.memory, "memory", memory_tokens())));
-  dnn::Network net = [&] {
-    if (spec.workload) {
-      // The generator's bitwidth_policy owns the bits; no mode applies.
-      return r.nest([&] { return workload::generate(*spec.workload); });
-    }
-    const dnn::BitwidthMode mode = mode_from_index(r.token_index(
-        spec.bitwidth_mode, "bitwidth mode", bitwidth_mode_tokens()));
-    return r.nest([&] {
-      return workload::NetworkRegistry::instance().create(spec.network, mode);
-    });
-  }();
+  require_backend(r, spec.backend);
+  dnn::Network net = r.nest([&] {
+    // A generator's bitwidth_policy owns the bits; no mode applies.
+    return spec.workload ? workload::generate(*spec.workload)
+                         : workload::NetworkRegistry::instance().create(
+                               spec.network, spec.bitwidth_mode);
+  });
   if (spec.bitwidth_override) {
     apply_bitwidth_override(net, *spec.bitwidth_override);
   }
-  return engine::make_scenario(spec.backend, std::move(config),
-                               std::move(memory), std::move(net), /*id=*/"");
+  return engine::make_scenario(spec.backend, spec.platform, spec.memory,
+                               std::move(net), /*id=*/"");
 }
 
 }  // namespace bpvec::cli

@@ -34,12 +34,19 @@
 // and concatenates the grids in manifest order. Non-cross-product
 // figures (Fig. 6's three platform×memory columns) are several grids.
 //
-// Validation is strict and failure messages name the offending key or
-// value and what was expected — manifests are hand-written and the CLI
-// is the first thing a new user touches. Unknown object keys are errors
-// (they are silent typos otherwise). Backend keys are validated against
-// the live BackendRegistry at expansion time, so custom registered
-// backends work without touching this file.
+// parse_manifest resolves everything that needs no registry lookup into
+// typed values: each grid's platforms and memories become Table II
+// configs with their overrides applied and validated, its networks
+// canonical tokens (meta tokens expanded), its modes dnn::BitwidthModes;
+// the search block's selectors become enums and its space a
+// dse::ParamSpace. expand() and search_base_scenario() only combine
+// them. Validation is strict and failure messages name the offending key
+// or value and what was expected — manifests are hand-written and the
+// CLI is the first thing a new user touches. Unknown object keys are
+// errors (they are silent typos otherwise). Backend keys are validated
+// against the live BackendRegistry when the manifest's workloads
+// register, before any of them does, so custom registered backends work
+// without touching this file and a rejected manifest registers nothing.
 //
 // The "workloads" block declares networks the manifest brings along,
 // in three source kinds (see src/workload/):
@@ -54,7 +61,7 @@
 //                one registered network per combination, named by
 //                workload::generated_name ("mlp_family-d4-w1024-u4").
 // Declared workloads register into the NetworkRegistry when the
-// manifest expands (idempotently — re-expanding is a no-op; a name
+// manifest expands or searches (idempotently — re-expanding is a no-op; a name
 // collision with different content is an error). A grid's "networks"
 // axis then accepts any registered token, plus two meta tokens: "all"
 // (the six Table I zoo models) and "workloads" (every network this
@@ -92,6 +99,10 @@
 //     }
 //   }
 //
+// Platform, memory and bitwidth-mode tokens are engine::platform_tokens(),
+// engine::memory_tokens() and dnn::bitwidth_mode_tokens(), the tables
+// `bpvec_run list` prints, matched case-insensitively ignoring '-' and
+// '_' (so "TPU-like" == "tpu_like").
 // Knob tokens are the dse::Knob tokens; axis order in the manifest is the
 // space's canonical axis order. The grid override keys are the same
 // tokens: src/dse/param_space defines once how each token reads from JSON
@@ -137,22 +148,26 @@ struct WorkloadSpec {
   std::vector<dnn::Network> prototypes;
 };
 
+/// One grid, resolved at parse: expand() only takes the cross product.
 struct GridSpec {
+  /// BackendRegistry keys, checked against the live registry by
+  /// register_workloads (custom backends may register after parse).
   std::vector<std::string> backends{"bpvec"};
-  std::vector<std::string> platforms;       // tpu_like | bitfusion | bpvec
-  std::vector<std::string> memories;        // ddr4 | hbm2
-  /// NetworkRegistry tokens (zoo builtins, user registrations, this
-  /// manifest's workloads), or the meta tokens "all" (the Table I zoo)
-  /// / "workloads" (every network the manifest's workloads block
-  /// declares).
+  /// The Table II configs the "platforms" tokens name, with
+  /// "platform_overrides" applied through dse::apply_knob in
+  /// dse::platform_knobs() order and re-validated.
+  std::vector<sim::AcceleratorConfig> platforms;
+  /// The memory systems the "memories" tokens name, with
+  /// "memory_overrides" applied in dse::memory_knobs() order and checked
+  /// by arch::DramModel::valid().
+  std::vector<arch::DramModel> memories;
+  /// Canonical network tokens: NetworkRegistry tokens (zoo builtins,
+  /// user registrations) and this manifest's workload names, with the
+  /// meta tokens expanded — "all" to the Table I zoo, "workloads" to
+  /// every network the manifest's workloads block declares.
   std::vector<std::string> networks;
-  std::vector<std::string> bitwidth_modes{"homogeneous8b"};
-  /// "platform_overrides" / "memory_overrides": knob settings applied to
-  /// every platform / memory cell of the grid (after the named Table II
-  /// factory runs) through dse::apply_knob, in dse::platform_knobs() /
-  /// dse::memory_knobs() order. The overridden configs are re-validated.
-  std::vector<dse::KnobSetting> platform_overrides;
-  std::vector<dse::KnobSetting> memory_overrides;
+  std::vector<dnn::BitwidthMode> bitwidth_modes{
+      dnn::BitwidthMode::kHomogeneous8b};
   std::optional<BitwidthOverride> bitwidth_override;
   /// Appended to every generated scenario id (default ids are
   /// <backend>:<platform>/<network>/<memory>, which collide between two
@@ -160,12 +175,13 @@ struct GridSpec {
   std::string id_suffix;
 };
 
-/// The "search" block: one base scenario plus a typed knob space and the
-/// strategy/budget/objectives/constraints that drive the dse subsystem.
+/// The "search" block, resolved at parse: one base scenario's selectors
+/// plus a typed knob space and the strategy/budget/objectives/constraints
+/// that drive the dse subsystem.
 struct SearchSpec {
-  std::string backend{"bpvec"};
-  std::string platform{"bpvec"};           // canonical platform token
-  std::string memory{"ddr4"};              // canonical memory token
+  std::string backend{"bpvec"};  // checked like GridSpec::backends
+  engine::Platform platform = engine::Platform::kBpvec;
+  engine::Memory memory = engine::Memory::kDdr4;
   std::string network;                     // canonical network token
   /// Workload generator ("workload" block): the base network comes from
   /// workload::generate and the space may sweep net_depth / net_width /
@@ -173,9 +189,9 @@ struct SearchSpec {
   /// "bitwidth_mode", and "bitwidth_override" (the generator's
   /// bitwidth_policy — and the net_bits axis — own the bits).
   std::optional<workload::GeneratorSpec> workload;
-  std::string bitwidth_mode{"homogeneous8b"};
+  dnn::BitwidthMode bitwidth_mode = dnn::BitwidthMode::kHomogeneous8b;
   std::optional<BitwidthOverride> bitwidth_override;
-  std::vector<dse::Axis> space;            // manifest order == axis order
+  dse::ParamSpace space;                   // manifest order == axis order
   std::string strategy{"grid"};            // dse::strategy_tokens()
   std::size_t budget = 0;                  // 0 = strategy decides
   std::size_t restarts = 4;                // hill_climb starts / annealing chains
@@ -196,8 +212,9 @@ struct Manifest {
   std::optional<SearchSpec> search;
 };
 
-/// Parses and validates a manifest document. Throws bpvec::Error with
-/// the grid index and offending key/value on any schema violation.
+/// Parses, resolves and validates a manifest document (overrides
+/// included). Throws bpvec::Error with the grid index and offending
+/// key/value on any schema violation.
 /// `base_dir` resolves relative workload "file" paths (load_manifest
 /// passes the manifest's directory; empty = the working directory).
 Manifest parse_manifest(const common::json::Value& root,
@@ -206,27 +223,24 @@ Manifest parse_manifest(const common::json::Value& root,
 /// parse_manifest of a file (errors include the path).
 Manifest load_manifest(const std::string& path);
 
-/// Inverse of parse_manifest: a JSON document that parses back to an
-/// equivalent manifest (defaulted fields are emitted explicitly;
-/// omitted overrides are omitted). Lets tools generate manifests
-/// programmatically.
-common::json::Value to_json(const Manifest& manifest);
-
-/// The search block alone, same round-trip contract (also the "search"
-/// echo inside search-mode reports).
+/// The search block as a "search" document that parses back to an
+/// equivalent block (defaulted fields are emitted explicitly) — the
+/// "search" echo inside search-mode reports.
 common::json::Value to_json(const SearchSpec& spec);
 
-/// Registers the manifest's declared workloads into the process-wide
-/// NetworkRegistry (idempotent for identical content — expand() calls
-/// this on every run) and returns the registered names in declaration
-/// order. Throws bpvec::Error on a name collision with different
-/// content.
+/// Checks every backend key the manifest names (grids and search)
+/// against the live BackendRegistry, then registers the declared
+/// workloads into the process-wide NetworkRegistry (idempotent for
+/// identical content — expand() calls this on every run) and returns the
+/// registered names in declaration order. Throws bpvec::Error naming the
+/// grid, the search block or the workload entry on an unknown backend or
+/// a name collision with different content; an unknown backend registers
+/// nothing.
 std::vector<std::string> register_workloads(const Manifest& manifest);
 
 /// Expands every grid into scenarios, in the documented deterministic
-/// order (registering declared workloads first). Validates backend keys
-/// against the BackendRegistry and the overridden configs; throws
-/// bpvec::Error naming the grid on failure.
+/// order (register_workloads first, which validates the backend keys).
+/// Throws bpvec::Error naming the grid on failure.
 /// Default ids (<backend>:<platform>/<network>/<memory>) do not name the
 /// bitwidth mode, so they are unique only within one bitwidth mode: a
 /// manifest pricing the same cell in two modes repeats the id with
@@ -238,17 +252,11 @@ std::vector<engine::Scenario> expand(const Manifest& manifest);
 /// instantiated or registered).
 std::size_t scenario_count(const Manifest& manifest);
 
-/// Canonical vocabularies for the grid axes other than networks (what
-/// `bpvec_run list` prints and error messages cite). Tokens are matched
-/// case-insensitively, ignoring '-' and '_' (so "TPU-like" == "tpu_like").
-const std::vector<std::string>& platform_tokens();
-const std::vector<std::string>& memory_tokens();
-const std::vector<std::string>& bitwidth_mode_tokens();
-
-/// The search block's ParamSpace (axes in manifest order, re-validated).
+/// The search block's ParamSpace (axes in manifest order), built at
+/// parse.
 dse::ParamSpace search_space(const SearchSpec& spec);
 
-/// The search block's base scenario: platform/memory/network resolved
+/// The search block's base scenario: platform/memory/network built
 /// exactly like grid expansion (bitwidth_override applied), backend
 /// validated against the live BackendRegistry. A "workload" block
 /// generates the base network instead of resolving a registry token

@@ -12,12 +12,14 @@ const char* to_string(NetworkType type) {
   return "?";
 }
 
+const std::vector<std::string>& bitwidth_mode_tokens() {
+  static const std::vector<std::string> tokens{"homogeneous8b",
+                                               "heterogeneous"};
+  return tokens;
+}
+
 const char* to_string(BitwidthMode mode) {
-  switch (mode) {
-    case BitwidthMode::kHomogeneous8b: return "homogeneous-8b";
-    case BitwidthMode::kHeterogeneous: return "heterogeneous";
-  }
-  return "?";
+  return bitwidth_mode_tokens()[static_cast<std::size_t>(mode)].c_str();
 }
 
 Network::Network(std::string name, NetworkType type)

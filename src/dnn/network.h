@@ -21,6 +21,8 @@ enum class BitwidthMode {
   kHeterogeneous,   // Table I per-layer quantized bitwidths
 };
 
+/// The manifest token of each BitwidthMode, indexed by enumerator.
+const std::vector<std::string>& bitwidth_mode_tokens();
 const char* to_string(BitwidthMode mode);
 
 struct NetworkStats {

@@ -8,13 +8,23 @@
 
 namespace bpvec::engine {
 
+const std::vector<std::string>& platform_tokens() {
+  static const std::vector<std::string> tokens{"tpu_like", "bitfusion",
+                                               "bpvec"};
+  return tokens;
+}
+
 const char* to_string(Platform platform) {
-  switch (platform) {
-    case Platform::kTpuLike: return "tpu_like";
-    case Platform::kBitFusion: return "bitfusion";
-    case Platform::kBpvec: return "bpvec";
-  }
-  return "?";
+  return platform_tokens()[static_cast<std::size_t>(platform)].c_str();
+}
+
+const std::vector<std::string>& memory_tokens() {
+  static const std::vector<std::string> tokens{"ddr4", "hbm2"};
+  return tokens;
+}
+
+const char* to_string(Memory memory) {
+  return memory_tokens()[static_cast<std::size_t>(memory)].c_str();
 }
 
 arch::DramModel make_memory(Memory memory) {

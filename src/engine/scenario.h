@@ -22,6 +22,9 @@ namespace bpvec::engine {
 /// Table II platform selector for the factory helpers.
 enum class Platform { kTpuLike, kBitFusion, kBpvec };
 
+/// The manifest token of each Platform, indexed by enumerator:
+/// platform_tokens()[i] names static_cast<Platform>(i).
+const std::vector<std::string>& platform_tokens();
 const char* to_string(Platform platform);
 
 /// The Table II accelerator config of `platform`.
@@ -29,6 +32,10 @@ sim::AcceleratorConfig platform_config(Platform platform);
 
 /// The paper's two memory systems (Table II).
 enum class Memory { kDdr4, kHbm2 };
+
+/// The manifest token of each Memory, indexed by enumerator.
+const std::vector<std::string>& memory_tokens();
+const char* to_string(Memory memory);
 
 arch::DramModel make_memory(Memory memory);
 

@@ -83,8 +83,8 @@ Response Session::price(const PriceRequest& request, CancelToken token) {
                 "\" has no grids (send a search request for its \"search\" "
                 "block)");
   }
-  // expand() registers the manifest's declared workloads (idempotently)
-  // before any token resolves — same as the batch CLI always did.
+  // expand() checks the backend keys, then registers the manifest's
+  // declared workloads (idempotently) — same as the batch CLI.
   std::vector<engine::Scenario> scenarios = cli::expand(manifest);
   // Taken before engine(): a request that builds the engine measures from
   // the zero state, so the cache dir scan's opens and rejects land in
@@ -133,7 +133,8 @@ Response Session::search(const SearchRequest& request, CancelToken token) {
   if (!manifest.search.has_value()) {
     throw Error("manifest \"" + manifest.name + "\" has no \"search\" block");
   }
-  // Declared workloads may be the search's base network.
+  // Declared workloads may be the search's base network; an unknown
+  // backend key fails here, before any of them registers.
   (void)cli::register_workloads(manifest);
   const cli::SearchSpec& spec = *manifest.search;
   const dse::ParamSpace space = cli::search_space(spec);
@@ -227,9 +228,9 @@ Response Session::list() {
     out << "\n";
   };
   line("backends:            ", backend::BackendRegistry::instance().keys());
-  line("platforms:           ", cli::platform_tokens());
-  line("memories:            ", cli::memory_tokens());
-  line("bitwidth_modes:      ", cli::bitwidth_mode_tokens());
+  line("platforms:           ", engine::platform_tokens());
+  line("memories:            ", engine::memory_tokens());
+  line("bitwidth_modes:      ", dnn::bitwidth_mode_tokens());
   line("networks:            ",
        workload::NetworkRegistry::instance().tokens());
   line("workload_generators: ", workload::generator_tokens());

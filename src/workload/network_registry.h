@@ -16,7 +16,7 @@
 //     homogeneous regime), kHeterogeneous keeps the declared per-layer
 //     bitwidths.
 //
-// Unlike BackendRegistry, registration is *not* last-wins — a silently
+// As in BackendRegistry, registration is *not* last-wins — a silently
 // replaced network would repoint every manifest that names the token.
 // The documented error contract (see tests/test_workload.cpp):
 //   * registering a key whose normalized token is already taken throws

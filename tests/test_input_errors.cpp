@@ -177,13 +177,15 @@ const Row kRows[] = {
      GRID(R"(, "bitwidth_override": {"x_bits": 4, "w_bits": 9})"),
      "manifest: grids[0]: bitwidth_override bits must be in [1, 8]"},
 
+    {Reader::kManifest,
+     GRID(R"(, "memory_overrides": {"bandwidth_gbps": 0})"),
+     "manifest: grids[0]: memory_overrides produce an invalid memory system"},
+
     // ----- manifest: expansion -----
     {Reader::kExpand, GRID(R"(, "backends": ["tpu"])"),
      "manifest: grids[0]: unknown backend \"tpu\"; registered backends: "
      "\"bit_serial\", \"bit_serial_loom\", \"bpvec\", \"functional\", "
      "\"gpu\""},
-    {Reader::kExpand, GRID(R"(, "memory_overrides": {"bandwidth_gbps": 0})"),
-     "manifest: grids[0]: memory_overrides produce an invalid memory system"},
 
     // ----- manifest: workloads -----
     {Reader::kManifest, R"({"name": "m", "workloads": {}})",
@@ -600,10 +602,10 @@ TEST(InputErrors, InvalidPlatformOverridesNameTheGrid) {
       "manifest: grids[0]: platform_overrides produce an invalid platform: "
       "BPVEC_CHECK failed: (rows >= 1 && cols >= 1) at ";
   try {
-    (void)cli::expand(cli::parse_manifest(common::json::parse(
+    (void)cli::parse_manifest(common::json::parse(
         R"({"name": "m", "grids": [{"platforms": ["bpvec"], )"
         R"("memories": ["ddr4"], "networks": ["lstm"], )"
-        R"("platform_overrides": {"rows": 0}}]})")));
+        R"("platform_overrides": {"rows": 0}}]})"));
     ADD_FAILURE() << "accepted rows = 0";
   } catch (const Error& e) {
     EXPECT_EQ(std::string(e.what()).substr(0, prefix.size()), prefix);

@@ -1,6 +1,6 @@
 // Manifest schema tests: grid expansion counts and ordering,
-// unknown-key/bad-value error quality, override application, and
-// to_json/parse_manifest round trips of every field.
+// unknown-key/bad-value error quality, override application, every
+// field resolved at parse, and the search block's to_json round trip.
 #include "src/cli/manifest.h"
 
 #include <gtest/gtest.h>
@@ -13,11 +13,14 @@
 #include <utility>
 
 #include "src/backend/backend_registry.h"
+#include "src/backend/cost_backend.h"
 #include "src/common/error.h"
+#include "src/common/hash.h"
 #include "src/common/json.h"
 #include "src/dnn/model_zoo.h"
 #include "src/engine/scenario.h"
 #include "src/serve/driver.h"
+#include "src/workload/network_registry.h"
 
 namespace bpvec::cli {
 namespace {
@@ -26,6 +29,26 @@ using common::json::parse;
 
 Manifest from_text(const std::string& text) {
   return parse_manifest(parse(text));
+}
+
+/// The manifest a search block's to_json echo parses back to.
+Manifest reparse_search(const Manifest& m) {
+  common::json::Value doc = common::json::Value::object();
+  doc.set("name", m.name);
+  doc.set("search", to_json(*m.search));
+  return parse_manifest(parse(doc.dump(2)));
+}
+
+std::uint64_t platform_hash(const sim::AcceleratorConfig& c) {
+  common::ConfigHash f;
+  backend::hash_platform(f, c);
+  return f.h;
+}
+
+std::uint64_t memory_hash(const arch::DramModel& m) {
+  common::ConfigHash f;
+  backend::hash_memory(f, m);
+  return f.h;
 }
 
 constexpr const char* kFig5Text = R"({
@@ -45,9 +68,18 @@ TEST(Manifest, ParsesWithDefaults) {
   ASSERT_EQ(m.grids.size(), 1u);
   const GridSpec& g = m.grids[0];
   EXPECT_EQ(g.backends, std::vector<std::string>{"bpvec"});
-  EXPECT_EQ(g.bitwidth_modes, std::vector<std::string>{"homogeneous8b"});
-  EXPECT_TRUE(g.platform_overrides.empty());
-  EXPECT_TRUE(g.memory_overrides.empty());
+  EXPECT_EQ(g.bitwidth_modes,
+            std::vector<dnn::BitwidthMode>{dnn::BitwidthMode::kHomogeneous8b});
+  // The axes hold the Table II configs themselves, the "all" meta token
+  // the zoo tokens.
+  ASSERT_EQ(g.platforms.size(), 2u);
+  EXPECT_EQ(platform_hash(g.platforms[0]),
+            platform_hash(sim::tpu_like_baseline()));
+  EXPECT_EQ(platform_hash(g.platforms[1]),
+            platform_hash(sim::bpvec_accelerator()));
+  ASSERT_EQ(g.memories.size(), 1u);
+  EXPECT_EQ(memory_hash(g.memories[0]), memory_hash(arch::ddr4()));
+  EXPECT_EQ(g.networks, workload::NetworkRegistry::builtin_tokens());
   EXPECT_FALSE(g.bitwidth_override.has_value());
   EXPECT_TRUE(g.id_suffix.empty());
 }
@@ -160,13 +192,10 @@ TEST(Manifest, IntegerOverridesAreExactUpTo2To53) {
   const Manifest m = from_text(R"({"name": "big", "grids": [
     {"platforms": ["bpvec"], "memories": ["ddr4"], "networks": ["rnn"],
      "platform_overrides": {"scratchpad_bytes": 9007199254740992}}]})");
+  EXPECT_EQ(m.grids[0].platforms[0].scratchpad_bytes,
+            std::int64_t{9007199254740992});
   EXPECT_EQ(expand(m)[0].platform.scratchpad_bytes,
             std::int64_t{9007199254740992});
-  const std::string text = to_json(m).dump();
-  EXPECT_NE(text.find("\"scratchpad_bytes\":9007199254740992"),
-            std::string::npos)
-      << text;
-  EXPECT_EQ(to_json(parse_manifest(parse(text))).dump(), text);
 }
 
 TEST(Manifest, AppliesBitwidthOverrideToComputeLayersOnly) {
@@ -264,10 +293,10 @@ TEST(Manifest, RejectsStructuralMistakes) {
   EXPECT_THROW(from_text(R"({"name": "x", "grids": [
     {"platforms": ["bpvec"], "memories": ["ddr4"], "networks": ["rnn"],
      "bitwidth_override": {"x_bits": 9, "w_bits": 4}}]})"), Error);
-  // Invalid override combination (rows must be >= 1).
-  EXPECT_THROW(expand(from_text(R"({"name": "x", "grids": [
+  // Invalid override combination (rows must be >= 1), caught at parse.
+  EXPECT_THROW(from_text(R"({"name": "x", "grids": [
     {"platforms": ["bpvec"], "memories": ["ddr4"], "networks": ["rnn"],
-     "platform_overrides": {"rows": 0}}]})")), Error);
+     "platform_overrides": {"rows": 0}}]})"), Error);
 }
 
 TEST(Manifest, ExpandRejectsUnknownBackends) {
@@ -289,15 +318,15 @@ TEST(Manifest, ExpandRejectsUnknownBackends) {
   }
 }
 
-TEST(Manifest, EveryFieldRoundTripsThroughToJson) {
-  const Manifest original = from_text(R"({
-    "name": "round_trip",
+TEST(Manifest, EveryFieldResolvesAtParse) {
+  const Manifest m = from_text(R"({
+    "name": "resolved",
     "description": "every field set",
     "grids": [{
       "backends": ["bpvec", "bit_serial"],
-      "platforms": ["tpu_like", "bitfusion", "bpvec"],
-      "memories": ["ddr4", "hbm2"],
-      "networks": ["alexnet", "lstm"],
+      "platforms": ["tpu_like", "BitFusion", "bpvec"],
+      "memories": ["ddr4", "HBM-2"],
+      "networks": ["AlexNet", "lstm"],
       "bitwidth_modes": ["homogeneous8b", "heterogeneous"],
       "platform_overrides": {"rows": 4, "cols": 8, "scratchpad_bytes": 1024,
                              "frequency_hz": 750000000.0, "time_chunk": 8,
@@ -311,33 +340,65 @@ TEST(Manifest, EveryFieldRoundTripsThroughToJson) {
       "id_suffix": " @rt"
     }]
   })");
-  // Manifest → JSON → text → JSON → Manifest must preserve everything.
-  const Manifest reparsed =
-      parse_manifest(parse(to_json(original).dump(2)));
-  EXPECT_EQ(reparsed.name, original.name);
-  EXPECT_EQ(reparsed.description, original.description);
-  ASSERT_EQ(reparsed.grids.size(), 1u);
-  const GridSpec& a = original.grids[0];
-  const GridSpec& b = reparsed.grids[0];
-  EXPECT_EQ(a.backends, b.backends);
-  EXPECT_EQ(a.platforms, b.platforms);
-  EXPECT_EQ(a.memories, b.memories);
-  EXPECT_EQ(a.networks, b.networks);
-  EXPECT_EQ(a.bitwidth_modes, b.bitwidth_modes);
-  EXPECT_EQ(a.id_suffix, b.id_suffix);
-  EXPECT_EQ(a.bitwidth_override->x_bits, b.bitwidth_override->x_bits);
-  EXPECT_EQ(a.bitwidth_override->w_bits, b.bitwidth_override->w_bits);
-  // The two expansions are scenario-for-scenario identical.
-  const auto ea = expand(original);
-  const auto eb = expand(reparsed);
-  ASSERT_EQ(ea.size(), eb.size());
-  for (std::size_t i = 0; i < ea.size(); ++i) {
-    EXPECT_EQ(ea[i].id, eb[i].id);
-    EXPECT_EQ(ea[i].fingerprint(), eb[i].fingerprint()) << ea[i].id;
+  EXPECT_EQ(m.name, "resolved");
+  EXPECT_EQ(m.description, "every field set");
+  ASSERT_EQ(m.grids.size(), 1u);
+  const GridSpec& g = m.grids[0];
+  EXPECT_EQ(g.backends, (std::vector<std::string>{"bpvec", "bit_serial"}));
+  const std::pair<const char*, sim::AcceleratorConfig> platforms[] = {
+      {"TPU-like", sim::tpu_like_baseline()},
+      {"BitFusion", sim::bitfusion_accelerator()},
+      {"BPVeC", sim::bpvec_accelerator()}};
+  ASSERT_EQ(g.platforms.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const sim::AcceleratorConfig& p = g.platforms[i];
+    EXPECT_EQ(p.name, platforms[i].first);
+    EXPECT_EQ(p.rows, 4);
+    EXPECT_EQ(p.cols, 8);
+    EXPECT_EQ(p.scratchpad_bytes, 1024);
+    EXPECT_EQ(p.frequency_hz, 750000000.0);
+    EXPECT_EQ(p.time_chunk, 8);
+    EXPECT_EQ(p.batch_size, 2);
+    EXPECT_EQ(p.static_core_mw, 12.25);
+    EXPECT_EQ(p.cvu.slice_bits, 2);
+    EXPECT_EQ(p.cvu.max_bits, 8);
+    EXPECT_EQ(p.cvu.lanes, 16);
+    // Knobs the overrides leave alone keep the Table II value.
+    EXPECT_EQ(p.pe_kind, platforms[i].second.pe_kind);
   }
-  // And the JSON form itself is a fixed point (dump → parse → dump).
-  const auto dumped = to_json(original).dump(2);
-  EXPECT_EQ(to_json(parse_manifest(parse(dumped))).dump(2), dumped);
+  ASSERT_EQ(g.memories.size(), 2u);
+  EXPECT_EQ(g.memories[0].name, arch::ddr4().name);
+  EXPECT_EQ(g.memories[1].name, arch::hbm2().name);
+  for (const arch::DramModel& mem : g.memories) {
+    EXPECT_EQ(mem.bandwidth_gbps, 48.0);
+    EXPECT_EQ(mem.energy_pj_per_bit, 3.5);
+    EXPECT_EQ(mem.startup_latency_ns, 55.0);
+    EXPECT_EQ(mem.background_power_w, 0.125);
+  }
+  EXPECT_EQ(g.networks, (std::vector<std::string>{"alexnet", "lstm"}));
+  EXPECT_EQ(g.bitwidth_modes,
+            (std::vector<dnn::BitwidthMode>{
+                dnn::BitwidthMode::kHomogeneous8b,
+                dnn::BitwidthMode::kHeterogeneous}));
+  ASSERT_TRUE(g.bitwidth_override.has_value());
+  EXPECT_EQ(g.bitwidth_override->x_bits, 4);
+  EXPECT_EQ(g.bitwidth_override->w_bits, 2);
+  EXPECT_EQ(g.id_suffix, " @rt");
+  // expand() only combines the resolved axes, modes outermost and
+  // backends innermost.
+  const auto scenarios = expand(m);
+  ASSERT_EQ(scenarios.size(), 2u * 2u * 3u * 2u * 2u);
+  ASSERT_EQ(scenarios.size(), scenario_count(m));
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const engine::Scenario& s = scenarios[i];
+    EXPECT_EQ(s.backend, g.backends[i % 2]) << i;
+    EXPECT_EQ(memory_hash(s.memory), memory_hash(g.memories[i / 2 % 2])) << i;
+    EXPECT_EQ(platform_hash(s.platform),
+              platform_hash(g.platforms[i / 4 % 3]))
+        << i;
+    EXPECT_EQ(s.id.substr(s.id.size() - 4), " @rt") << s.id;
+  }
+  EXPECT_EQ(scenarios[0].id, "bpvec:TPU-like/AlexNet/DDR4 @rt");
 }
 
 TEST(Manifest, LoadManifestReportsPath) {
@@ -399,14 +460,14 @@ TEST(SearchManifest, ParsesEveryField) {
   ASSERT_TRUE(m.search.has_value());
   const SearchSpec& s = *m.search;
   EXPECT_EQ(s.backend, "bpvec");
-  EXPECT_EQ(s.platform, "bpvec");
-  EXPECT_EQ(s.memory, "ddr4");
+  EXPECT_EQ(s.platform, engine::Platform::kBpvec);
+  EXPECT_EQ(s.memory, engine::Memory::kDdr4);
   EXPECT_EQ(s.network, "alexnet");  // canonical token, case-folded
-  EXPECT_EQ(s.bitwidth_mode, "heterogeneous");
-  ASSERT_EQ(s.space.size(), 3u);
-  EXPECT_EQ(s.space[0].knob, dse::Knob::kCvuSliceBits);
-  EXPECT_EQ(s.space[0].values, (std::vector<double>{1, 2, 4}));
-  EXPECT_EQ(s.space[2].knob, dse::Knob::kMemBandwidthGbps);
+  EXPECT_EQ(s.bitwidth_mode, dnn::BitwidthMode::kHeterogeneous);
+  ASSERT_EQ(s.space.num_axes(), 3u);
+  EXPECT_EQ(s.space.axes()[0].knob, dse::Knob::kCvuSliceBits);
+  EXPECT_EQ(s.space.axes()[0].values, (std::vector<double>{1, 2, 4}));
+  EXPECT_EQ(s.space.axes()[2].knob, dse::Knob::kMemBandwidthGbps);
   EXPECT_EQ(s.strategy, "hill_climb");  // separator-insensitive token
   EXPECT_EQ(s.budget, 10u);
   EXPECT_EQ(s.seed, 7u);
@@ -457,11 +518,10 @@ TEST(SearchManifest, Int64AxisKeepsTwoToThe53Exactly) {
     "search": {"network": "lstm",
                "space": {"scratchpad_bytes": [9007199254740992]}}
   })");
-  ASSERT_EQ(m.search->space.size(), 1u);
-  EXPECT_EQ(m.search->space[0].values,
-            (std::vector<double>{9007199254740992.0}));
-  EXPECT_EQ(static_cast<std::int64_t>(m.search->space[0].values[0]),
-            std::int64_t{1} << 53);
+  ASSERT_EQ(m.search->space.num_axes(), 1u);
+  const std::vector<double>& values = m.search->space.axes()[0].values;
+  EXPECT_EQ(values, (std::vector<double>{9007199254740992.0}));
+  EXPECT_EQ(static_cast<std::int64_t>(values[0]), std::int64_t{1} << 53);
 }
 
 TEST(SearchManifest, GridsAndSearchMayCoexist) {
@@ -594,19 +654,23 @@ TEST(SearchManifest, ErrorsNameTheOffender) {
 
 TEST(SearchManifest, RoundTripsThroughToJson) {
   const Manifest original = from_text(kSearchText);
-  const Manifest reparsed = parse_manifest(to_json(original));
+  const Manifest reparsed = reparse_search(original);
   ASSERT_TRUE(reparsed.search.has_value());
   const SearchSpec& a = *original.search;
   const SearchSpec& b = *reparsed.search;
+  EXPECT_EQ(a.backend, b.backend);
+  EXPECT_EQ(a.platform, b.platform);
+  EXPECT_EQ(a.memory, b.memory);
   EXPECT_EQ(a.network, b.network);
+  EXPECT_EQ(a.bitwidth_mode, b.bitwidth_mode);
   EXPECT_EQ(a.strategy, b.strategy);
   EXPECT_EQ(a.budget, b.budget);
   EXPECT_EQ(a.seed, b.seed);
   EXPECT_EQ(a.restarts, b.restarts);
-  ASSERT_EQ(a.space.size(), b.space.size());
-  for (std::size_t i = 0; i < a.space.size(); ++i) {
-    EXPECT_EQ(a.space[i].knob, b.space[i].knob);
-    EXPECT_EQ(a.space[i].values, b.space[i].values);
+  ASSERT_EQ(a.space.num_axes(), b.space.num_axes());
+  for (std::size_t i = 0; i < a.space.num_axes(); ++i) {
+    EXPECT_EQ(a.space.axes()[i].knob, b.space.axes()[i].knob);
+    EXPECT_EQ(a.space.axes()[i].values, b.space.axes()[i].values);
   }
   ASSERT_EQ(a.objectives.size(), b.objectives.size());
   for (std::size_t i = 0; i < a.objectives.size(); ++i) {
@@ -617,8 +681,9 @@ TEST(SearchManifest, RoundTripsThroughToJson) {
   ASSERT_EQ(a.mix.size(), b.mix.size());
   EXPECT_EQ(a.mix[0].weight, b.mix[0].weight);
   // The JSON form is a fixed point.
-  const auto dumped = to_json(original).dump(2);
-  EXPECT_EQ(to_json(parse_manifest(parse(dumped))).dump(2), dumped);
+  EXPECT_EQ(to_json(b).dump(2), to_json(a).dump(2));
+  EXPECT_EQ(to_json(*reparse_search(reparsed).search).dump(2),
+            to_json(a).dump(2));
 }
 
 TEST(SearchManifest, PopulationStrategiesParseAndValidate) {
@@ -635,18 +700,14 @@ TEST(SearchManifest, PopulationStrategiesParseAndValidate) {
   EXPECT_EQ(s.population, 6u);
   EXPECT_EQ(s.budget, 32u);
   // population survives the JSON round trip for genetic searches...
-  const Manifest reparsed = parse_manifest(to_json(m));
-  EXPECT_EQ(reparsed.search->population, 6u);
+  EXPECT_EQ(reparse_search(m).search->population, 6u);
   // ...but is not echoed for strategies that never read it, so existing
   // grid/hill_climb search reports stay byte-stable.
   const Manifest grid = from_text(R"({
     "name": "g",
     "search": {"network": "lstm", "space": {"cvu_lanes": [4, 16]}}
   })");
-  const common::json::Value grid_json = to_json(grid);
-  const auto* sv = grid_json.find("search");
-  ASSERT_NE(sv, nullptr);
-  EXPECT_EQ(sv->find("population"), nullptr);
+  EXPECT_EQ(to_json(*grid.search).find("population"), nullptr);
 
   EXPECT_EQ(from_text(R"({"name": "a", "search": {
     "network": "lstm", "space": {"cvu_lanes": [4, 16]},
@@ -838,33 +899,51 @@ TEST(WorkloadManifest, UnknownNetworkErrorListsTheVocabulary) {
   }
 }
 
-TEST(WorkloadManifest, RoundTripsThroughToJson) {
-  const std::string path = write_net_file("wm_roundtrip.json", "wm-rt-net");
-  const Manifest original = from_text(R"({
+TEST(WorkloadManifest, EveryKindResolvesAtParse) {
+  const std::string path = write_net_file("wm_resolved.json", "wm-rt-net");
+  const Manifest m = from_text(R"({
     "name": "wm_rt",
     "workloads": [
       {"file": ")" + path + R"("},
       {"network": {"name": "wm-rt-inline", "layers": [
         {"kind": "conv", "name": "c", "in_c": 1, "in_h": 4, "in_w": 4,
          "out_c": 2, "kh": 3, "kw": 3, "pad": 1}]}},
-      {"generator": "cnn_family", "depth": [1, 2], "width": [4, 8],
+      {"generator": "CNN-family", "depth": [1, 2], "width": [4, 8],
        "bitwidth_policy": ["uniform:4", "first_last_8"]}
     ],
     "grids": [{"platforms": ["bpvec"], "memories": ["ddr4"],
                "networks": ["workloads"],
                "bitwidth_modes": ["heterogeneous"]}]
   })");
-  // 2 depths × 2 widths × 2 policies = 8 generated + file + inline.
-  EXPECT_EQ(original.workloads[2].names.size(), 8u);
-  EXPECT_EQ(scenario_count(original), 10u);
-  const auto dumped = to_json(original).dump(2);
-  const Manifest reparsed = parse_manifest(parse(dumped));
-  ASSERT_EQ(reparsed.workloads.size(), original.workloads.size());
-  for (std::size_t i = 0; i < original.workloads.size(); ++i) {
-    EXPECT_EQ(reparsed.workloads[i].kind, original.workloads[i].kind);
-    EXPECT_EQ(reparsed.workloads[i].names, original.workloads[i].names);
-  }
-  EXPECT_EQ(to_json(reparsed).dump(2), dumped);  // fixed point
+  ASSERT_EQ(m.workloads.size(), 3u);
+  const WorkloadSpec& file = m.workloads[0];
+  EXPECT_EQ(file.kind, WorkloadSpec::Kind::kFile);
+  EXPECT_EQ(file.file, path);
+  EXPECT_EQ(file.names, std::vector<std::string>{"wm-rt-net"});
+  EXPECT_EQ(file.prototypes.at(0).layers()[0].x_bits, 4);  // its policy
+  const WorkloadSpec& inline_net = m.workloads[1];
+  EXPECT_EQ(inline_net.kind, WorkloadSpec::Kind::kInline);
+  EXPECT_EQ(inline_net.names, std::vector<std::string>{"wm-rt-inline"});
+  ASSERT_EQ(inline_net.prototypes.size(), 1u);
+  EXPECT_EQ(inline_net.prototypes[0].layers().size(), 1u);
+  const WorkloadSpec& gen = m.workloads[2];
+  EXPECT_EQ(gen.kind, WorkloadSpec::Kind::kGenerator);
+  EXPECT_EQ(gen.generator, "cnn_family");  // canonical family token
+  EXPECT_EQ(gen.depths, (std::vector<int>{1, 2}));
+  EXPECT_EQ(gen.widths, (std::vector<int>{4, 8}));
+  EXPECT_EQ(gen.policies,
+            (std::vector<std::string>{"uniform:4", "first_last_8"}));
+  // 2 depths × 2 widths × 2 policies, depth-outermost, one prototype each.
+  ASSERT_EQ(gen.names.size(), 8u);
+  EXPECT_EQ(gen.prototypes.size(), 8u);
+  EXPECT_EQ(gen.names.front(), "cnn_family-d1-w4-u4");
+  EXPECT_EQ(gen.names.back(), "cnn_family-d2-w8-fl8");
+  // The "workloads" meta token resolved to every declared name, in
+  // declaration order.
+  std::vector<std::string> declared{"wm-rt-net", "wm-rt-inline"};
+  declared.insert(declared.end(), gen.names.begin(), gen.names.end());
+  EXPECT_EQ(m.grids.at(0).networks, declared);
+  EXPECT_EQ(scenario_count(m), 10u);
 }
 
 TEST(SearchManifest, WorkloadGeneratorBlock) {
@@ -885,11 +964,13 @@ TEST(SearchManifest, WorkloadGeneratorBlock) {
   EXPECT_EQ(base.network.name(), "mlp_family-d2-w16-u4");
   EXPECT_EQ(base.network.layers()[0].x_bits, 4);
   // Round trip: the workload block replaces network/bitwidth_mode.
-  const auto dumped = to_json(m).dump(2);
-  const Manifest reparsed = parse_manifest(parse(dumped));
+  const common::json::Value echo = to_json(*m.search);
+  EXPECT_EQ(echo.find("network"), nullptr);
+  EXPECT_EQ(echo.find("bitwidth_mode"), nullptr);
+  const Manifest reparsed = reparse_search(m);
   ASSERT_TRUE(reparsed.search->workload.has_value());
   EXPECT_EQ(reparsed.search->workload->family, "mlp_family");
-  EXPECT_EQ(to_json(reparsed).dump(2), dumped);
+  EXPECT_EQ(to_json(*reparsed.search).dump(2), echo.dump(2));
 }
 
 TEST(SearchManifest, WorkloadBlockExclusionsAndNetAxisGuards) {

@@ -444,6 +444,62 @@ TEST(Server, VersionStatsAndPriceOpsRoundTrip) {
   EXPECT_EQ(body.at("cache_hit_rates").at("scenario_memo").as_double(), 0.0);
 }
 
+TEST(Server, RejectedRequestRegistersNoWorkload) {
+  // A request that fails must leave the resident registry as it found
+  // it: a later request may declare the same workload name with other
+  // layers.
+  const auto envelope = [](const std::string& op, const std::string& name,
+                           int out_features, const std::string& body) {
+    return common::json::parse(
+        R"({"op": ")" + op + R"(", "deterministic_report": true,
+            "manifest": {"name": "reject_probe", "workloads": [
+              {"network": {"name": ")" + name + R"(", "layers": [
+                {"kind": "fc", "name": "f", "in_features": 8,
+                 "out_features": )" + std::to_string(out_features) +
+        R"(}]}}], )" + body + "}}");
+  };
+  const auto grid = [](const std::string& extra) {
+    return R"("grids": [{"platforms": ["bpvec"], "memories": ["ddr4"],
+               "networks": ["workloads"],
+               "bitwidth_modes": ["heterogeneous"])" + extra + "}]";
+  };
+  const auto search = [](const std::string& name, const std::string& extra) {
+    return R"("search": {"network": ")" + name +
+           R"(", "bitwidth_mode": "heterogeneous",
+               "space": {"cvu_lanes": [4, 16]})" + extra + "}";
+  };
+  const struct {
+    const char* op;
+    const char* name;
+    std::string bad_body;
+    std::string good_body;
+    const char* expect;
+  } cases[] = {
+      {"price", "reject_probe_override",
+       grid(R"(, "memory_overrides": {"bandwidth_gbps": 0})"), grid(""),
+       "memory_overrides produce an invalid memory system"},
+      {"price", "reject_probe_backend", grid(R"(, "backends": ["nope"])"),
+       grid(""), "unknown backend \"nope\""},
+      {"search", "reject_probe_search",
+       search("reject_probe_search", R"(, "backend": "nope")"),
+       search("reject_probe_search", ""), "unknown backend \"nope\""},
+  };
+  Server server(ServerOptions{});
+  for (const auto& c : cases) {
+    const Value rejected =
+        server.handle(envelope(c.op, c.name, 2, c.bad_body));
+    ASSERT_EQ(rejected.at("status").as_string(), "error") << c.name;
+    EXPECT_NE(rejected.at("error").as_string().find(c.expect),
+              std::string::npos)
+        << rejected.at("error").as_string();
+    EXPECT_FALSE(workload::NetworkRegistry::instance().contains(c.name))
+        << c.name;
+    const Value served = server.handle(envelope(c.op, c.name, 4, c.good_body));
+    EXPECT_EQ(served.at("status").as_string(), "ok")
+        << c.name << ": " << served.dump();
+  }
+}
+
 // ----- the socket loop (Server::run) ------------------------------------
 
 /// Server::run() on its own thread over a short temp socket path. The
