@@ -862,7 +862,9 @@ std::vector<std::string> register_workloads(const Manifest& manifest) {
       require_backend(reader(grid_context(gi)), b);
     }
   }
-  if (manifest.search) require_backend(reader("search"), manifest.search->backend);
+  if (manifest.search) {
+    require_backend(reader("search"), manifest.search->backend);
+  }
   auto& registry = workload::NetworkRegistry::instance();
   std::vector<std::string> names;
   for (std::size_t wi = 0; wi < manifest.workloads.size(); ++wi) {

@@ -61,11 +61,12 @@
 //                one registered network per combination, named by
 //                workload::generated_name ("mlp_family-d4-w1024-u4").
 // Declared workloads register into the NetworkRegistry when the
-// manifest expands or searches (idempotently — re-expanding is a no-op; a name
-// collision with different content is an error). A grid's "networks"
-// axis then accepts any registered token, plus two meta tokens: "all"
-// (the six Table I zoo models) and "workloads" (every network this
-// manifest's workloads block declares, in declaration order).
+// manifest expands or searches (idempotently — re-expanding is a no-op;
+// a name collision with different content is an error). A grid's
+// "networks" axis then accepts any registered token, plus two meta
+// tokens: "all" (the six Table I zoo models) and "workloads" (every
+// network this manifest's workloads block declares, in declaration
+// order).
 // A manifest may also (or instead) carry a "search" block — a declarative
 // design-space search the `bpvec_run search` subcommand executes through
 // the dse subsystem:
