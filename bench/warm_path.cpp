@@ -28,9 +28,22 @@
 //      one-shard dir of section 1. It is printed, not gated: a process
 //      never shrinks its fd table, so a ratio measured inside one process
 //      cannot reproduce the stall a fresh process pays for many shards.
+//
+//   4. Cache open — distinct keys of the ci_gate results sealed one grid
+//      per batch into a fresh dir of about 2 MB (merging past the shard
+//      bound, as a search does). cache_open_ms is the min over reps of
+//      constructing a DiskCache over it: the directory scan that
+//      checksums every record. cache_read_ms is the min of a plain pread
+//      of the same files into one reused buffer, run in the same
+//      alternating reps; cache_open_vs_read is their ratio. CI prints
+//      them without gating until CI hosts have shown their spread.
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -92,6 +105,27 @@ double open_and_replay_s(const std::vector<engine::Scenario>& scenarios,
   });
   *sims += eng->stats().simulations_run;
   return wall_s;
+}
+
+/// Wall seconds to read every file in `paths` whole, with pread, into
+/// `buf` (sized for the largest beforehand).
+double read_files_s(const std::vector<std::string>& paths, std::string& buf) {
+  return bench::time_s([&] {
+    for (const std::string& path : paths) {
+      const int fd = ::open(path.c_str(), O_RDONLY);
+      BPVEC_CHECK_MSG(fd >= 0, "cannot open " + path);
+      const auto size =
+          static_cast<std::size_t>(std::filesystem::file_size(path));
+      std::size_t got = 0;
+      while (got < size) {
+        const ssize_t n = ::pread(fd, buf.data() + got, size - got,
+                                  static_cast<off_t>(got));
+        BPVEC_CHECK_MSG(n > 0, "cannot read " + path);
+        got += static_cast<std::size_t>(n);
+      }
+      ::close(fd);
+    }
+  });
 }
 
 double median(std::vector<double> v) {
@@ -280,6 +314,54 @@ int main(int argc, char** argv) {
   std::printf("shard bound: %zu seals -> %zu shards; open + warm replay "
               "%.2fx the one-shard dir\n",
               seals, shards_end, replay_ratio);
+
+  // ----- 4. cache open -------------------------------------------------
+  // Keys need only be distinct here: the dir is opened, never replayed.
+  const std::string open_dir = (scratch / "open").string();
+  std::uint64_t open_bytes = 0;
+  std::size_t open_records = 0;
+  {
+    const engine::DiskCache sealer(open_dir);
+    for (std::uint64_t pass = 0; open_bytes < 2'000'000; ++pass) {
+      std::vector<engine::DiskCache::PendingStore> batch;
+      for (std::size_t i = 0; i < cold_results.size(); ++i) {
+        batch.push_back({common::hash_combine(pass, i), &cold_results[i]});
+      }
+      open_records += sealer.store_batch(batch);
+      open_bytes = engine::inspect_cache_dir(open_dir).bytes_total;
+    }
+  }
+  std::vector<std::string> open_paths;
+  std::size_t largest = 0;
+  for (const engine::CacheShardInfo& shard :
+       engine::inspect_cache_dir(open_dir).shards) {
+    open_paths.push_back(shard.path);
+    largest = std::max<std::size_t>(largest, shard.bytes);
+  }
+  std::string read_buf(largest, '\0');
+  double open_s = std::numeric_limits<double>::infinity();
+  double read_s = std::numeric_limits<double>::infinity();
+  std::size_t open_rejected = 0;
+  for (int rep = 0; rep < 15; ++rep) {
+    std::optional<engine::DiskCache> opened;
+    open_s = std::min(open_s, time_s([&] { opened.emplace(open_dir); }));
+    open_rejected += opened->stats().rejected;
+    read_s = std::min(read_s, read_files_s(open_paths, read_buf));
+  }
+  if (open_rejected != 0) {
+    std::printf("ERROR: opening the sealed dir rejected %zu records\n",
+                open_rejected);
+    ok = false;
+  }
+  json.add_metric("cache_open_bytes", static_cast<double>(open_bytes));
+  json.add_metric("cache_open_shards", static_cast<double>(open_paths.size()));
+  json.add_metric("cache_open_ms", open_s * 1e3);
+  json.add_metric("cache_read_ms", read_s * 1e3);
+  json.add_metric("cache_open_vs_read", open_s / read_s);
+  std::printf("cache open: %zu records, %.2f MB in %zu shards: open %.3f ms, "
+              "plain read %.3f ms (%.2fx)\n",
+              open_records, static_cast<double>(open_bytes) / 1e6,
+              open_paths.size(), open_s * 1e3, read_s * 1e3, open_s / read_s);
 
   json.add_metric("ok", ok ? 1.0 : 0.0);
   json.write();

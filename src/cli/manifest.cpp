@@ -906,15 +906,6 @@ std::vector<engine::Scenario> expand(const Manifest& manifest) {
   return scenarios;
 }
 
-std::size_t scenario_count(const Manifest& manifest) {
-  std::size_t total = 0;
-  for (const GridSpec& g : manifest.grids) {
-    total += g.bitwidth_modes.size() * g.networks.size() *
-             g.platforms.size() * g.memories.size() * g.backends.size();
-  }
-  return total;
-}
-
 dse::ParamSpace search_space(const SearchSpec& spec) { return spec.space; }
 
 engine::Scenario search_base_scenario(const SearchSpec& spec) {

@@ -133,8 +133,7 @@ struct BitwidthOverride {
 
 /// One entry of the manifest's "workloads" block, parsed eagerly: the
 /// network prototypes (declared bitwidths) and the names they register
-/// under are resolved at parse time, so grid validation can see them
-/// and scenario_count stays cheap.
+/// under are resolved at parse time, so grid validation can see them.
 struct WorkloadSpec {
   enum class Kind { kFile, kInline, kGenerator };
   Kind kind = Kind::kFile;
@@ -248,10 +247,6 @@ std::vector<std::string> register_workloads(const Manifest& manifest);
 /// different numbers. Give one of the grids an id_suffix (fig9.json uses
 /// " @heterogeneous") when ids must tell the modes apart.
 std::vector<engine::Scenario> expand(const Manifest& manifest);
-
-/// Number of scenarios expand() would produce (cheap — no networks are
-/// instantiated or registered).
-std::size_t scenario_count(const Manifest& manifest);
 
 /// The search block's ParamSpace (axes in manifest order), built at
 /// parse.

@@ -138,9 +138,20 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-/// 64-bit content checksum over a byte range (word-at-a-time murmur-style
-/// mix, same family as common::ConfigHash). Detects the torn/overwritten
-/// records a length-prefixed scan alone cannot.
+/// Independent chains in checksum(); a stripe is one 8-byte word per lane.
+inline constexpr std::size_t kChecksumLanes = 4;
+
+/// 64-bit content checksum over a byte range (murmur-style mix, same
+/// family as common::ConfigHash). Detects the torn/overwritten records a
+/// length-prefixed scan alone cannot.
+///
+/// Each 32-byte stripe feeds word l to lane l; every lane is its own
+/// serial mix chain from its own seed, with the length folded into each
+/// seed. The four chains are independent, so their multiplies overlap
+/// instead of waiting on one chain's latency. The lanes fold in order
+/// through the same mix, then the word and byte tail past the last whole
+/// stripe continues that one chain. Every step is a bijection of its
+/// lane, so a change confined to one word always changes the sum.
 std::uint64_t checksum(const char* data, std::size_t size);
 
 inline std::uint64_t checksum(std::string_view bytes) {

@@ -14,7 +14,9 @@
 #include <filesystem>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <system_error>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 
@@ -133,6 +135,9 @@ constexpr char kShardMagic[4] = {'B', 'P', 'C', '3'};
 constexpr std::size_t kShardHeaderSize = 8;  // magic + u32 version
 // Per record: u32 payload_len before the payload, u64 checksum after.
 constexpr std::size_t kRecordOverhead = 12;
+// Scans read, and seals write, through buffers of this size, so opening
+// or merging a cache never holds a whole shard in memory.
+constexpr std::size_t kIoChunk = 64 * 1024;
 
 std::string shard_file_name(std::uint64_t number) {
   char buf[32];
@@ -148,12 +153,10 @@ std::string shard_header() {
   return w.take();
 }
 
-bool shard_header_ok(const std::string& bytes) {
-  if (bytes.size() < kShardHeaderSize) return false;
-  if (std::memcmp(bytes.data(), kShardMagic, sizeof kShardMagic) != 0) {
-    return false;
-  }
-  binio::Reader r(bytes.data() + 4, 4);
+/// `header` points at kShardHeaderSize bytes.
+bool shard_header_ok(const char* header) {
+  if (std::memcmp(header, kShardMagic, sizeof kShardMagic) != 0) return false;
+  binio::Reader r(header + 4, 4);
   return r.u32() == static_cast<std::uint32_t>(DiskCache::kFormatVersion);
 }
 
@@ -201,37 +204,6 @@ std::vector<std::pair<std::uint64_t, std::string>> list_shards(
   return shards;
 }
 
-struct RawRecord {
-  std::uint64_t key = 0;
-  std::size_t payload_off = 0;
-  std::uint32_t payload_len = 0;
-};
-
-/// Walks the records of an already-header-checked shard, calling `fn` for
-/// each checksum-valid one. Returns the number of rejected records —
-/// a torn tail or in-place corruption yields exactly one reject and stops
-/// the walk (records past a bad length prefix cannot be re-synchronized).
-template <typename Fn>
-std::size_t walk_shard_records(const std::string& bytes, Fn&& fn) {
-  std::size_t pos = kShardHeaderSize;
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < 4) return 1;
-    binio::Reader len_r(bytes.data() + pos, 4);
-    const std::uint32_t len = len_r.u32();
-    if (bytes.size() - pos < kRecordOverhead + len || len < 8) return 1;
-    const char* payload = bytes.data() + pos + 4;
-    binio::Reader ck_r(payload + len, 8);
-    if (ck_r.u64() != binio::checksum(payload, len)) return 1;
-    RawRecord rec;
-    rec.key = binio::Reader(payload, 8).u64();
-    rec.payload_off = pos + 4;
-    rec.payload_len = len;
-    fn(rec);
-    pos += kRecordOverhead + len;
-  }
-  return 0;
-}
-
 /// One serialized record (length prefix + payload + checksum).
 std::string encode_record(std::uint64_t key, const sim::RunResult& result) {
   binio::Writer payload;
@@ -258,27 +230,7 @@ bool pread_exact(int fd, char* buf, std::size_t len, std::uint64_t offset) {
   return true;
 }
 
-/// Positional whole-file read (never moves the offset of a shard fd that
-/// load() preads); `out` is empty on failure.
-bool read_whole_fd(int fd, std::string& out) {
-  struct stat st;
-  out.clear();
-  if (::fstat(fd, &st) != 0) return false;
-  out.resize(static_cast<std::size_t>(st.st_size));
-  if (pread_exact(fd, out.data(), out.size(), 0)) return true;
-  out.clear();
-  return false;
-}
-
-bool read_whole_file(const std::string& path, std::string& out) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return false;
-  const bool ok = read_whole_fd(fd, out);
-  ::close(fd);
-  return ok;
-}
-
-bool write_all(int fd, const std::string& bytes) {
+bool write_all(int fd, std::string_view bytes) {
   std::size_t put = 0;
   while (put < bytes.size()) {
     const ssize_t n = ::write(fd, bytes.data() + put, bytes.size() - put);
@@ -291,18 +243,132 @@ bool write_all(int fd, const std::string& bytes) {
   return true;
 }
 
+struct RawRecord {
+  std::uint64_t key = 0;
+  std::uint64_t payload_off = 0;
+  std::uint32_t payload_len = 0;
+};
+
+struct ShardWalk {
+  bool header_ok = false;
+  std::size_t rejected = 0;  // 1 for a bad header or a bad record, else 0
+  std::uint64_t bytes = 0;   // the file's size
+};
+
+/// Walks the records of the shard open as `fd`, calling `fn` for each
+/// checksum-valid one. The file is read with pread (never moving the
+/// offset of a shard fd that load() preads) into `buf`, a buffer reused
+/// across shards: kIoChunk bytes at a time, grown only to fit a record
+/// larger than itself, and never past the bytes left in the file. A bad
+/// header rejects the whole shard. A torn tail, a bad length prefix or a
+/// checksum mismatch counts one reject and stops the walk (records past a
+/// bad length prefix cannot be re-synchronized).
+template <typename Fn>
+ShardWalk walk_shard(int fd, std::string& buf, Fn&& fn) {
+  ShardWalk walk;
+  walk.rejected = 1;
+  struct stat st;
+  if (::fstat(fd, &st) != 0) return walk;
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  walk.bytes = size;
+  // buf holds the file bytes [held_off, held_off + held_len).
+  std::uint64_t held_off = 0;
+  std::size_t held_len = 0;
+  // The n (<= size - pos) file bytes at pos, refilled from pos unless buf
+  // holds them all; nullptr on a read error. The walk only moves forward.
+  const auto view = [&](std::uint64_t pos, std::size_t n) -> const char* {
+    if (pos + n > held_off + held_len) {
+      held_off = pos;
+      held_len = static_cast<std::size_t>(
+          std::min<std::uint64_t>(std::max(n, kIoChunk), size - pos));
+      if (buf.size() < held_len) buf.resize(held_len);
+      if (!pread_exact(fd, buf.data(), held_len, pos)) {
+        held_len = 0;
+        return nullptr;
+      }
+    }
+    return buf.data() + (pos - held_off);
+  };
+  const char* header =
+      size < kShardHeaderSize ? nullptr : view(0, kShardHeaderSize);
+  if (header == nullptr || !shard_header_ok(header)) return walk;
+  walk.header_ok = true;
+  for (std::uint64_t pos = kShardHeaderSize; pos < size;) {
+    const char* prefix = size - pos < 4 ? nullptr : view(pos, 4);
+    if (prefix == nullptr) return walk;
+    const std::uint32_t len = binio::Reader(prefix, 4).u32();
+    if (size - pos < kRecordOverhead + len || len < 8) return walk;
+    const char* payload = view(pos, kRecordOverhead + len);
+    if (payload == nullptr) return walk;
+    payload += 4;
+    if (binio::Reader(payload + len, 8).u64() !=
+        binio::checksum(payload, len)) {
+      return walk;
+    }
+    fn(RawRecord{binio::Reader(payload, 8).u64(), pos + 4, len});
+    pos += kRecordOverhead + len;
+  }
+  walk.rejected = 0;
+  return walk;
+}
+
+/// True when `rec` (length prefix, payload, checksum, as pread back from
+/// an indexed location) is intact and holds `key`.
+bool record_ok(const std::string& rec, std::uint64_t key) {
+  const std::size_t len = rec.size() - kRecordOverhead;
+  const char* payload = rec.data() + 4;
+  return binio::Reader(rec.data(), 4).u32() == len &&
+         binio::Reader(payload + len, 8).u64() ==
+             binio::checksum(payload, len) &&
+         binio::Reader(payload, 8).u64() == key;
+}
+
+/// Sequential writer of a shard being sealed: bytes reach the file in
+/// kIoChunk pieces. offset() is the file offset of the next byte.
+class ShardWriter {
+ public:
+  explicit ShardWriter(int fd) : fd_(fd) {}
+
+  void append(std::string_view bytes) {
+    if (buf_.size() + bytes.size() > kIoChunk) flush();
+    if (bytes.size() < kIoChunk) {
+      buf_.append(bytes);
+      return;
+    }
+    ok_ = ok_ && write_all(fd_, bytes);
+    written_ += bytes.size();
+  }
+
+  /// Writes out what is buffered; false once any write has failed.
+  bool flush() {
+    ok_ = ok_ && write_all(fd_, buf_);
+    written_ += buf_.size();
+    buf_.clear();
+    return ok_;
+  }
+
+  std::uint64_t offset() const { return written_ + buf_.size(); }
+
+ private:
+  int fd_;
+  std::string buf_;
+  std::uint64_t written_ = 0;
+  bool ok_ = true;
+};
+
 struct Published {
   std::string path;
   int fd = -1;  // -1: nothing was published
 };
 
-/// Seals `bytes` as a new shard: written to a unique temp file in `dir`,
-/// then published with link(2) at the first free shard number ≥
-/// `next_number` (link fails with EEXIST instead of clobbering a shard a
-/// concurrent process published first). The temp file's fd is returned
-/// open, so serving the new shard needs no second open. Advances
-/// `next_number` past the claimed slot.
-Published publish_shard(const std::string& dir, const std::string& bytes,
+/// Seals a new shard: `fill` writes its bytes through a ShardWriter into a
+/// unique temp file in `dir`, which is then published with link(2) at the
+/// first free shard number ≥ `next_number` (link fails with EEXIST
+/// instead of clobbering a shard a concurrent process published first).
+/// The temp file's fd is returned open, so serving the new shard needs no
+/// second open. Advances `next_number` past the claimed slot.
+template <typename Fill>
+Published publish_shard(const std::string& dir, Fill&& fill,
                         std::uint64_t& next_number) {
   static std::atomic<std::uint64_t> tmp_seq{0};
   const std::string tmp =
@@ -311,7 +377,15 @@ Published publish_shard(const std::string& dir, const std::string& bytes,
           .string();
   const int fd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0666);
   if (fd < 0) return {};
-  bool ok = write_all(fd, bytes);
+  ShardWriter out(fd);
+  try {
+    fill(out);
+  } catch (...) {
+    ::unlink(tmp.c_str());
+    ::close(fd);
+    throw;
+  }
+  bool ok = out.flush();
   for (std::uint64_t n = next_number; ok; ++n) {
     const std::string path = (fs::path(dir) / shard_file_name(n)).string();
     if (::link(tmp.c_str(), path.c_str()) == 0) {
@@ -446,6 +520,7 @@ DiskCache::~DiskCache() {
 void DiskCache::scan_dir() {
   // Single-threaded (constructor), but keep the lock discipline uniform.
   std::unique_lock lock(index_mu_);
+  std::string buf;  // one read buffer for every shard
   for (const auto& [number, path] : list_shards(dir_)) {
     next_shard_ = std::max(next_shard_, number + 1);
     const int fd = ::open(path.c_str(), O_RDONLY);
@@ -454,30 +529,26 @@ void DiskCache::scan_dir() {
       continue;
     }
     file_opens_.fetch_add(1, std::memory_order_relaxed);
-    std::string bytes;
-    if (!read_whole_fd(fd, bytes) || !shard_header_ok(bytes)) {
+    const auto shard_idx = static_cast<std::uint32_t>(shards_.size());
+    const ShardWalk walk = walk_shard(fd, buf, [&](const RawRecord& rec) {
+      index_[rec.key] = Loc{shard_idx, rec.payload_off, rec.payload_len};
+    });
+    rejected_.fetch_add(walk.rejected, std::memory_order_relaxed);
+    if (walk.header_ok) {
+      shards_.push_back(Shard{path, fd});
+    } else {
       // Foreign format version, garbage, or unreadable: skip the whole
       // file (one reject) and never serve from it. Its number stays
       // claimed so we never write over it.
-      rejected_.fetch_add(1, std::memory_order_relaxed);
       ::close(fd);
-      continue;
     }
-    const auto shard_idx = static_cast<std::uint32_t>(shards_.size());
-    shards_.push_back(Shard{path, fd});
-    const std::size_t bad =
-        walk_shard_records(bytes, [&](const RawRecord& rec) {
-          index_[rec.key] =
-              Loc{shard_idx, rec.payload_off, rec.payload_len};
-        });
-    rejected_.fetch_add(bad, std::memory_order_relaxed);
   }
 }
 
 std::shared_ptr<const sim::RunResult> DiskCache::load(
     std::uint64_t key) const {
   Loc loc;
-  std::string buf;
+  std::string rec;
   bool read = false;
   {
     std::shared_lock lock(index_mu_);
@@ -487,22 +558,14 @@ std::shared_ptr<const sim::RunResult> DiskCache::load(
       return nullptr;
     }
     loc = it->second;
-    buf.resize(loc.len + 8);
+    rec.resize(kRecordOverhead + loc.len);
     // Read under the lock: a merge closes the fds of the shards it folds.
-    read = pread_exact(shards_[loc.shard].fd, buf.data(), buf.size(),
-                       loc.offset);
-  }
-  if (!read) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+    read = pread_exact(shards_[loc.shard].fd, rec.data(), rec.size(),
+                       loc.offset - 4);
   }
   try {
-    binio::Reader ck(buf.data() + loc.len, 8);
-    if (ck.u64() != binio::checksum(buf.data(), loc.len)) {
-      throw Error("checksum mismatch");
-    }
-    binio::Reader r(buf.data(), loc.len);
-    if (r.u64() != key) throw Error("record holds another key");
+    if (!read || !record_ok(rec, key)) throw Error("record changed on disk");
+    binio::Reader r(rec.data() + 4 + 8, loc.len - 8);  // past the key
     auto result = std::make_shared<sim::RunResult>(run_result_decode(r));
     if (!r.done()) throw Error("trailing bytes in record");
     hits_.fetch_add(1, std::memory_order_relaxed);
@@ -537,38 +600,49 @@ std::size_t DiskCache::store_batch(
   if (entries.empty()) return 0;
 
   std::unique_lock lock(index_mu_);
-  std::string bytes = shard_header();
   // One more shard would pass the bound: the new shard also carries every
   // live record of the shards this cache indexes, and replaces them.
   const bool merge = shards_.size() >= kMaxShards;
   std::optional<DirLock> dir_lock;
   std::unordered_map<std::uint64_t, Loc> merged;
+  std::vector<std::pair<std::uint64_t, Loc>> carried;
   if (merge) {
     dir_lock.emplace(dir_);
     // Seeded with this batch's keys (re-pointed below), so no record the
     // batch replaces is carried.
     merged.insert(entries.begin(), entries.end());
-    for (std::uint32_t i = 0; i < shards_.size(); ++i) {
-      std::string old;
-      if (!read_whole_fd(shards_[i].fd, old)) continue;
-      // A live record (the index still points at it) moves verbatim:
-      // length prefix, payload and checksum, never re-encoded.
-      walk_shard_records(old, [&](const RawRecord& rec) {
-        const auto it = index_.find(rec.key);
-        if (it == index_.end() || it->second.shard != i ||
-            it->second.offset != rec.payload_off ||
-            merged.count(rec.key) != 0) {
-          return;
-        }
-        merged[rec.key] = Loc{0, bytes.size() + 4, rec.payload_len};
-        bytes.append(old, rec.payload_off - 4,
-                     rec.payload_len + kRecordOverhead);
-      });
+    for (const auto& entry : index_) {
+      if (merged.count(entry.first) == 0) carried.push_back(entry);
     }
+    // In (shard, offset) order: the order the records sit in the shards.
+    std::sort(carried.begin(), carried.end(),
+              [](const auto& a, const auto& b) {
+                return std::tie(a.second.shard, a.second.offset) <
+                       std::tie(b.second.shard, b.second.offset);
+              });
   }
-  const std::uint64_t base = bytes.size();
-  bytes += fresh;
-  const Published shard = publish_shard(dir_, bytes, next_shard_);
+  std::uint64_t base = 0;
+  const auto fill = [&](ShardWriter& out) {
+    out.append(shard_header());
+    // A live record moves verbatim (length prefix, payload and checksum,
+    // never re-encoded) once it re-verifies. One corrupted since the scan
+    // is dropped: a miss from now on, never a carried bad record.
+    std::string rec;
+    for (const auto& [key, loc] : carried) {
+      rec.resize(kRecordOverhead + loc.len);
+      if (!pread_exact(shards_[loc.shard].fd, rec.data(), rec.size(),
+                       loc.offset - 4) ||
+          !record_ok(rec, key)) {
+        rejected_.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      merged[key] = Loc{0, out.offset() + 4, loc.len};
+      out.append(rec);
+    }
+    base = out.offset();
+    out.append(fresh);
+  };
+  const Published shard = publish_shard(dir_, fill, next_shard_);
   if (shard.fd < 0) {
     store_failures_.fetch_add(entries.size(), std::memory_order_relaxed);
     return 0;
@@ -627,22 +701,24 @@ std::vector<std::string> DiskCache::shard_paths() const {
 CacheDirInfo inspect_cache_dir(const std::string& dir) {
   CacheDirInfo info;
   std::unordered_set<std::uint64_t> live;
+  std::string buf;  // one read buffer for every shard
   for (const auto& [number, path] : list_shards(dir)) {
     (void)number;
     CacheShardInfo si;
     si.path = path;
-    std::string bytes;
-    const bool readable = read_whole_file(path, bytes);
-    si.bytes = bytes.size();
-    info.bytes_total += bytes.size();
-    if (!readable || !shard_header_ok(bytes)) {
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) {
       si.rejected = 1;
     } else {
-      si.rejected = walk_shard_records(bytes, [&](const RawRecord& rec) {
+      const ShardWalk walk = walk_shard(fd, buf, [&](const RawRecord& rec) {
         si.records += 1;
         live.insert(rec.key);
       });
+      ::close(fd);
+      si.rejected = walk.rejected;
+      si.bytes = walk.bytes;
     }
+    info.bytes_total += si.bytes;
     info.records_total += si.records;
     info.rejected_total += si.rejected;
     info.shards.push_back(std::move(si));

@@ -8,7 +8,7 @@
 // `bpvec_run --cache-dir` serves every repeated scenario without
 // simulating at all.
 //
-// Format v4: append-only packed binary shard files. A shard
+// Format v5: append-only packed binary shard files. A shard
 // (`shard-NNNN.bpc`) is
 //
 //   header:  magic "BPC3" (kept across versions) + u32 format version
@@ -16,28 +16,36 @@
 //            payload  = u64 key, packed RunResult
 //                       (common::binio: fixed-width LE ints, bit-exact
 //                       doubles)
-//            u64 checksum(payload)
+//            u64 checksum(payload)  (binio's four-lane checksum; v4
+//                                    used a single chain)
 //
-// At construction one directory scan reads every shard, verifies each
-// record's length and checksum, and builds an in-memory
-// key → (shard, offset) index; the shard file descriptors stay open so a
-// warm load is one positional pread + a memcpy walk — no per-entry open,
-// no JSON parse. Writes are batched: SimEngine::run_batch collects every
-// freshly priced result and seals them into ONE new shard per batch
-// (written to a temp file, published atomically via link(2), never
-// appended in place), so a warm replay of an M-scenario grid does
-// O(shards) file opens instead of O(M).
+// At construction one directory scan walks every shard through one
+// reused 64 KiB pread buffer (grown only for a larger record), verifies
+// each record's length and checksum, and builds an in-memory
+// key → (shard, offset) index; no shard is ever held whole in memory. The
+// shard file descriptors stay open so a warm load is one positional
+// pread + a memcpy walk — no per-entry open, no JSON parse. Writes are
+// batched: SimEngine::run_batch collects every freshly priced result and
+// seals them into ONE new shard per batch (written to a temp file,
+// published atomically via link(2), never appended in place), so a warm
+// replay of an M-scenario grid does O(shards) file opens instead of O(M).
 //
 // Sealing is the only compaction: a seal that would leave this cache
 // indexing more than kMaxShards shards writes one merged shard of every
-// live indexed record (copied verbatim) plus the new ones. Once that is
-// published it unlinks exactly the shards it folded — never one it did
-// not index — and readers elsewhere keep serving from their open fds.
+// live indexed record plus the new ones. The merge copies from the
+// index, not from a re-read of the shards: each live entry, in
+// (shard, offset) order, is pread into one reused buffer, re-verified
+// (length prefix, checksum, key) and streamed verbatim into the new
+// shard through a bounded write buffer. A record corrupted since the
+// scan is dropped (counted `rejected`), never carried. Once the merged
+// shard is published it unlinks exactly the shards it folded — never one
+// it did not index — and readers elsewhere keep serving from their open
+// fds.
 //
 // Entry key: hash_combine(Scenario::fingerprint(), backend->fingerprint())
 // — both stable across processes (pure functions of the configs), and the
 // backend instance fingerprint covers every pricing knob. The shard
-// header's format version guards the record schema: bumping
+// header's format version guards the record schema and checksum: bumping
 // kFormatVersion orphans every older shard, which each scan rejects whole
 // (one reject per shard) and never misreads, rewrites or deletes.
 //
@@ -86,9 +94,9 @@ struct DiskCacheStats {
 
 class DiskCache {
  public:
-  /// Bump when the record schema changes; all older shards/entries are
-  /// rejected.
-  static constexpr std::int64_t kFormatVersion = 4;  // v4: key + RunResult
+  /// Bump when the record schema or checksum changes; all older shards
+  /// are rejected.
+  static constexpr std::int64_t kFormatVersion = 5;  // v5: 4-lane checksum
 
   /// Most shards a cache indexes after a seal. Each holds an open fd, so
   /// this stays far below the kernel's 64-entry default fd table: growing

@@ -1,8 +1,9 @@
-// binio tests: the fixed-width little-endian codec under the v3 disk
-// cache. The load-bearing properties: every write reads back exactly
-// (doubles as raw IEEE-754 bit patterns, including the values text
-// formats mangle), truncation throws instead of misreading, and the
-// checksum notices single-bit damage.
+// binio tests: the fixed-width little-endian codec under the disk cache.
+// The load-bearing properties: every write reads back exactly (doubles as
+// raw IEEE-754 bit patterns, including the values text formats mangle),
+// truncation throws instead of misreading, and the checksum notices
+// single-bit damage, reordered words and truncation in every part of its
+// four-lane stripe structure.
 #include "src/common/binio.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "src/common/error.h"
 
@@ -156,6 +158,93 @@ TEST(BinioTest, ChecksumIsStableAndSensitive) {
   // the sum, and the empty payload has a well-defined one.
   EXPECT_NE(checksum(payload.data(), payload.size() - 1), base);
   EXPECT_EQ(checksum(payload.data(), 0), checksum(nullptr, 0));
+}
+
+/// `n` bytes of a fixed pseudo-random pattern.
+std::string pattern(std::size_t n) {
+  std::string s(n, '\0');
+  std::uint32_t x = 0x9E3779B9u;
+  for (char& c : s) {
+    x = x * 1664525u + 1013904223u;
+    c = static_cast<char>(x >> 24);
+  }
+  return s;
+}
+
+std::uint64_t checksum_of(const std::string& s) {
+  return checksum(s.data(), s.size());
+}
+
+/// `s` with the 8-byte words at byte offsets `a` and `b` exchanged.
+std::string swap_words(std::string s, std::size_t a, std::size_t b) {
+  for (std::size_t i = 0; i < 8; ++i) std::swap(s[a + i], s[b + i]);
+  return s;
+}
+
+constexpr std::size_t kStripe = 8 * kChecksumLanes;
+
+TEST(BinioTest, ChecksumCatchesEveryBitFlipAtEveryLength) {
+  // Lengths 0-200 cover empty input, the byte and word tails alone, and
+  // one to six whole stripes with every tail shape.
+  for (std::size_t n = 0; n <= 200; ++n) {
+    std::string payload = pattern(n);
+    const std::uint64_t base = checksum_of(payload);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        payload[i] = static_cast<char>(payload[i] ^ (1 << bit));
+        ASSERT_NE(checksum_of(payload), base)
+            << "length " << n << " byte " << i << " bit " << bit;
+        payload[i] = static_cast<char>(payload[i] ^ (1 << bit));
+      }
+    }
+  }
+}
+
+TEST(BinioTest, ChecksumSeesWordsSwappedAcrossLanesOfOneStripe) {
+  // A lone stripe is where lanes must differ by seed or by fold order;
+  // the longer payload adds earlier, later and tail context.
+  for (const std::size_t n : {kStripe, 3 * kStripe + 5}) {
+    const std::string payload = pattern(n);
+    const std::uint64_t base = checksum_of(payload);
+    for (std::size_t at = 0; at + kStripe <= n; at += kStripe) {
+      for (std::size_t a = 0; a < kChecksumLanes; ++a) {
+        for (std::size_t b = a + 1; b < kChecksumLanes; ++b) {
+          EXPECT_NE(checksum_of(swap_words(payload, at + 8 * a, at + 8 * b)),
+                    base)
+              << "length " << n << " stripe at " << at << " lanes " << a
+              << "," << b;
+        }
+      }
+    }
+  }
+}
+
+TEST(BinioTest, ChecksumSeesWordsSwappedWithinOneLaneAcrossStripes) {
+  const std::string payload = pattern(4 * kStripe);
+  const std::uint64_t base = checksum_of(payload);
+  for (std::size_t lane = 0; lane < kChecksumLanes; ++lane) {
+    for (std::size_t s = 0; s < 4; ++s) {
+      for (std::size_t t = s + 1; t < 4; ++t) {
+        EXPECT_NE(checksum_of(swap_words(payload, s * kStripe + 8 * lane,
+                                         t * kStripe + 8 * lane)),
+                  base)
+            << "lane " << lane << " stripes " << s << "," << t;
+      }
+    }
+  }
+}
+
+TEST(BinioTest, ChecksumSeesTruncationAtEveryLaneBoundary) {
+  // The byte before every lane boundary is zero, so a word past the last
+  // stripe that loses it zero-pads back to the same tail value: only the
+  // length folded into the seeds tells those truncations apart.
+  std::string payload = pattern(4 * kStripe + 24);
+  for (std::size_t i = 7; i < payload.size(); i += 8) payload[i] = '\0';
+  for (std::size_t boundary = 8; boundary <= payload.size(); boundary += 8) {
+    const std::string whole = payload.substr(0, boundary);
+    EXPECT_NE(checksum_of(whole), checksum_of(whole.substr(0, boundary - 1)))
+        << "boundary " << boundary;
+  }
 }
 
 TEST(BinioTest, ChecksumDiffersAcrossPermutations) {

@@ -2,10 +2,11 @@
 // corrupt-shard tolerance, format-version invalidation (a well-formed
 // previous-format shard is rejected and left in place),
 // one-shard-per-batch sealing, merging past the shard bound (and healing
-// a merge killed before its unlinks), inspection, foreign files in the
-// directory, concurrent writers, and — the contract everything else
-// leans on — run_batch bit-identity with the disk cache off, cold, and
-// warm.
+// a merge killed before its unlinks), records larger than the scan's read
+// buffer, merges that re-verify each record they copy, inspection,
+// foreign files in the directory, concurrent writers, and — the contract
+// everything else leans on — run_batch bit-identity with the disk cache
+// off, cold, and warm.
 #include "src/engine/disk_cache.h"
 
 #include <gtest/gtest.h>
@@ -231,29 +232,28 @@ TEST_F(DiskCacheTest, GarbageShardIsRejectedAndNeverOverwritten) {
 }
 
 TEST_F(DiskCacheTest, PreviousFormatShardIsRejectedAndLeftInPlace) {
-  // A well-formed v3 shard: the same magic, format version 3, and one
-  // record whose payload carried a u64 registry generation after its key.
+  // A v4 shard: the same magic and record layout, format version 4. Its
+  // records carried a single-chain checksum; the header alone rejects it.
   const sim::RunResult original = sample_result();
-  std::string v3;
+  std::string v4;
   {
     common::binio::Writer payload;
     payload.u64(42);  // key
-    payload.u64(1);   // registry generation
     run_result_encode(payload, original);
     common::binio::Writer shard;
     for (const char c : {'B', 'P', 'C', '3'}) {
       shard.u8(static_cast<std::uint8_t>(c));
     }
-    shard.u32(3);
+    shard.u32(4);
     shard.str(payload.bytes());  // u32 payload_len + payload
     shard.u64(common::binio::checksum(payload.bytes()));
-    v3 = shard.take();
+    v4 = shard.take();
   }
   fs::create_directories(dir_);
-  const std::string v3_path = dir_ + "/shard-0000.bpc";
-  std::ofstream(v3_path, std::ios::binary) << v3;
-  const auto v3_bytes = [&] {
-    std::ifstream in(v3_path, std::ios::binary);
+  const std::string v4_path = dir_ + "/shard-0000.bpc";
+  std::ofstream(v4_path, std::ios::binary) << v4;
+  const auto v4_bytes = [&] {
+    std::ifstream in(v4_path, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(in), {});
   };
 
@@ -270,16 +270,16 @@ TEST_F(DiskCacheTest, PreviousFormatShardIsRejectedAndLeftInPlace) {
   }
   EXPECT_EQ(cache.stats().shards, 1u);
   EXPECT_EQ(shard_files().front(), "shard-0000.bpc");
-  EXPECT_EQ(v3_bytes(), v3);
+  EXPECT_EQ(v4_bytes(), v4);
 
-  // Every open counts the old shard again and serves the v4 records.
+  // Every open counts the old shard again and serves the v5 records.
   DiskCache reopened(dir_);
   EXPECT_EQ(reopened.stats().rejected, 1u);
   const auto loaded = reopened.load(42);
   ASSERT_NE(loaded, nullptr);
   expect_bit_identical(original, *loaded);
   EXPECT_EQ(inspect_cache_dir(dir_).rejected_total, 1u);
-  EXPECT_EQ(v3_bytes(), v3);
+  EXPECT_EQ(v4_bytes(), v4);
 }
 
 TEST_F(DiskCacheTest, TruncatedShardRejectsItsTail) {
@@ -491,6 +491,154 @@ TEST_F(DiskCacheTest, MergeKilledBetweenLinkAndUnlinksHeals) {
   }
   EXPECT_LE(shard_files().size(), DiskCache::kMaxShards);
   expect_every_key(10);
+}
+
+// ----- chunked scan and index merge -------------------------------------
+
+/// A result whose record outgrows the scan's 64 KiB read buffer: 600
+/// layers of at least 134 encoded bytes each.
+sim::RunResult big_result() {
+  sim::RunResult r = sample_result();
+  const std::vector<sim::LayerResult> base = r.layers;
+  for (std::size_t i = 0; r.layers.size() < 600; ++i) {
+    sim::LayerResult l = base[i % base.size()];
+    l.name += "_copy" + std::to_string(i);
+    r.layers.push_back(std::move(l));
+  }
+  return r;
+}
+
+TEST_F(DiskCacheTest, RecordLargerThanTheScanBufferRoundTrips) {
+  const sim::RunResult big = big_result();
+  common::binio::Writer w;
+  run_result_encode(w, big);
+  ASSERT_GT(w.size(), 64u * 1024u);
+  const sim::RunResult small = sample_result();
+  {
+    DiskCache cache(dir_);
+    ASSERT_EQ(cache.store_batch({{1, &small}, {2, &big}, {3, &small}}), 3u);
+  }
+  {
+    DiskCache reopened(dir_);
+    EXPECT_EQ(reopened.stats().rejected, 0u);
+    EXPECT_EQ(reopened.stats().records, 3u);
+    const auto loaded = reopened.load(2);
+    ASSERT_NE(loaded, nullptr);
+    expect_bit_identical(big, *loaded);
+    // Enough seals to force a merge, which carries the big record.
+    for (std::uint64_t key = 10; key < 10 + DiskCache::kMaxShards; ++key) {
+      ASSERT_TRUE(reopened.store(key, other_result(key)));
+    }
+    ASSERT_EQ(reopened.stats().shards, 1u);
+    const auto merged = reopened.load(2);
+    ASSERT_NE(merged, nullptr);
+    expect_bit_identical(big, *merged);
+  }
+  DiskCache fresh(dir_);
+  EXPECT_EQ(fresh.stats().rejected, 0u);
+  EXPECT_EQ(fresh.stats().records, 3u + DiskCache::kMaxShards);
+  for (const std::uint64_t key : {1u, 3u}) {
+    const auto loaded = fresh.load(key);
+    ASSERT_NE(loaded, nullptr) << "key " << key;
+    expect_bit_identical(small, *loaded);
+  }
+  const auto loaded = fresh.load(2);
+  ASSERT_NE(loaded, nullptr);
+  expect_bit_identical(big, *loaded);
+}
+
+TEST_F(DiskCacheTest, ShardTruncatedInsideABigRecordServesTheRecordsBefore) {
+  const sim::RunResult big = big_result();
+  const sim::RunResult small = sample_result();
+  {
+    DiskCache cache(dir_);
+    ASSERT_EQ(cache.store_batch({{1, &small}, {2, &small}, {3, &big}}), 3u);
+  }
+  // Cut 1 KiB off the end: inside the big record, which the scan must
+  // read past its first 64 KiB buffer to find torn.
+  const std::string shard = dir_ + "/" + shard_files().at(0);
+  const std::uintmax_t cut = fs::file_size(shard) - 1024;
+  ASSERT_GT(cut, 64u * 1024u);
+  fs::resize_file(shard, cut);
+
+  DiskCache reopened(dir_);
+  EXPECT_EQ(reopened.stats().rejected, 1u);
+  EXPECT_EQ(reopened.stats().records, 2u);
+  for (const std::uint64_t key : {1u, 2u}) {
+    const auto loaded = reopened.load(key);
+    ASSERT_NE(loaded, nullptr) << "key " << key;
+    expect_bit_identical(small, *loaded);
+  }
+  EXPECT_EQ(reopened.load(3), nullptr);
+  const CacheDirInfo info = inspect_cache_dir(dir_);
+  EXPECT_EQ(info.rejected_total, 1u);
+  EXPECT_EQ(info.records_total, 2u);
+  EXPECT_EQ(info.bytes_total, cut);
+}
+
+TEST_F(DiskCacheTest, MergeCopiesLiveRecordsVerbatimInShardOrder) {
+  // Eight one-record shards: keys 0-6, then key 2 again (its first record
+  // is dead). The merge a ninth seal forces must hold the header, every
+  // live record byte for byte in (shard, offset) order, then the new one.
+  const auto file_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  DiskCache cache(dir_);
+  const std::vector<std::uint64_t> keys{0, 1, 2, 3, 4, 5, 6, 2};
+  std::string expected;
+  for (std::size_t seal = 0; seal < keys.size(); ++seal) {
+    ASSERT_TRUE(cache.store(keys[seal], other_result(seal)));
+    const std::string shard = file_bytes(cache.shard_paths().back());
+    if (seal == 0) expected = shard.substr(0, 8);  // the header
+    if (seal != 2) expected += shard.substr(8);    // seal 7 replaces seal 2
+  }
+  ASSERT_TRUE(cache.store(8, other_result(8)));
+  ASSERT_EQ(cache.shard_paths().size(), 1u);
+  const std::string merged = file_bytes(cache.shard_paths().at(0));
+  ASSERT_GT(merged.size(), expected.size());
+  EXPECT_TRUE(merged.compare(0, expected.size(), expected) == 0);
+  const auto loaded = DiskCache(dir_).load(8);
+  ASSERT_NE(loaded, nullptr);
+  expect_bit_identical(other_result(8), *loaded);
+}
+
+TEST_F(DiskCacheTest, MergeDropsARecordCorruptedSinceTheScan) {
+  std::vector<sim::RunResult> results;
+  for (int k = 0; k < 9; ++k) results.push_back(other_result(k));
+  DiskCache cache(dir_);
+  for (std::uint64_t key = 0; key < DiskCache::kMaxShards; ++key) {
+    ASSERT_TRUE(cache.store(key, results[key]));
+  }
+  // Flip a payload byte of key 3's record (its own one-record shard)
+  // after the cache indexed it.
+  {
+    std::fstream f(cache.shard_paths().at(3),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(8 + 4 + 40);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x10);
+    f.seekp(8 + 4 + 40);
+    f.write(&byte, 1);
+  }
+  ASSERT_TRUE(cache.store(8, results[8]));  // merges all nine
+  ASSERT_EQ(cache.stats().shards, 1u);
+  EXPECT_EQ(cache.stats().rejected, 1u);  // the dropped record
+  EXPECT_EQ(cache.stats().records, 8u);
+  const std::size_t misses = cache.stats().misses;
+  EXPECT_EQ(cache.load(3), nullptr);
+  EXPECT_EQ(cache.stats().misses, misses + 1);  // dropped, not indexed
+
+  DiskCache reopened(dir_);
+  EXPECT_EQ(reopened.stats().rejected, 0u);  // nothing bad was carried
+  EXPECT_EQ(reopened.load(3), nullptr);
+  for (std::uint64_t key = 0; key < 9; ++key) {
+    if (key == 3) continue;
+    const auto loaded = reopened.load(key);
+    ASSERT_NE(loaded, nullptr) << "key " << key;
+    expect_bit_identical(results[key], *loaded);
+  }
 }
 
 // ----- inspection ------------------------------------------------------
