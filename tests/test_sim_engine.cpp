@@ -350,5 +350,72 @@ TEST(SimEngineBackends, StatsStayConsistentUnderConcurrentRunBatch) {
   EXPECT_EQ(s.simulations_run + s.cache_hits, s.scenarios_submitted);
 }
 
+/// Every field distinct; `scale` multiplies each value so two records
+/// can be subtracted field by field. Doubles are dyadic, so differences
+/// are exact.
+EngineStats distinct_stats(std::size_t scale) {
+  EngineStats s;
+  s.scenarios_submitted = 1 * scale;
+  s.simulations_run = 2 * scale;
+  s.cache_hits = 3 * scale;
+  s.layers_priced = 4 * scale;
+  s.layer_cache_hits = 5 * scale;
+  s.delta_scenarios = 6 * scale;
+  s.disk_hits = 7 * scale;
+  s.disk_misses = 8 * scale;
+  s.disk_rejected = 9 * scale;
+  s.disk_stores = 10 * scale;
+  s.disk_store_failures = 11 * scale;
+  s.disk_file_opens = 12 * scale;
+  s.weight_cache_hits = 13 * scale;
+  s.weight_cache_misses = 14 * scale;
+  const double k = static_cast<double>(scale);
+  s.construct_s = 0.5 * k;
+  s.hash_s = 0.25 * k;
+  s.plan_s = 0.125 * k;
+  s.price_s = 2.5 * k;
+  s.assemble_s = 4.75 * k;
+  return s;
+}
+
+TEST(EngineStats, ToJsonKeysAndOrderArePinned) {
+  // The CLI report's "stats" block, BENCH_*.json and the serve deltas
+  // all print this object; its keys and their order are part of the
+  // report bytes the goldens pin.
+  EXPECT_EQ(to_json(distinct_stats(1)).dump(),
+            "{\"scenarios_submitted\":1,\"simulations_run\":2,"
+            "\"cache_hits\":3,\"layers_priced\":4,\"layer_cache_hits\":5,"
+            "\"delta_scenarios\":6,\"disk_hits\":7,\"disk_misses\":8,"
+            "\"disk_rejected\":9,\"disk_stores\":10,"
+            "\"disk_store_failures\":11,\"disk_file_opens\":12,"
+            "\"weight_cache_hits\":13,\"weight_cache_misses\":14,"
+            "\"construct_s\":0.5,\"hash_s\":0.25,\"plan_s\":0.125,"
+            "\"price_s\":2.5,\"assemble_s\":4.75}");
+}
+
+TEST(EngineStats, SubtractionCoversEveryField) {
+  const EngineStats d = distinct_stats(3) - distinct_stats(1);
+  const EngineStats want = distinct_stats(2);
+  EXPECT_EQ(d.scenarios_submitted, want.scenarios_submitted);
+  EXPECT_EQ(d.simulations_run, want.simulations_run);
+  EXPECT_EQ(d.cache_hits, want.cache_hits);
+  EXPECT_EQ(d.layers_priced, want.layers_priced);
+  EXPECT_EQ(d.layer_cache_hits, want.layer_cache_hits);
+  EXPECT_EQ(d.delta_scenarios, want.delta_scenarios);
+  EXPECT_EQ(d.disk_hits, want.disk_hits);
+  EXPECT_EQ(d.disk_misses, want.disk_misses);
+  EXPECT_EQ(d.disk_rejected, want.disk_rejected);
+  EXPECT_EQ(d.disk_stores, want.disk_stores);
+  EXPECT_EQ(d.disk_store_failures, want.disk_store_failures);
+  EXPECT_EQ(d.disk_file_opens, want.disk_file_opens);
+  EXPECT_EQ(d.weight_cache_hits, want.weight_cache_hits);
+  EXPECT_EQ(d.weight_cache_misses, want.weight_cache_misses);
+  EXPECT_EQ(d.construct_s, want.construct_s);
+  EXPECT_EQ(d.hash_s, want.hash_s);
+  EXPECT_EQ(d.plan_s, want.plan_s);
+  EXPECT_EQ(d.price_s, want.price_s);
+  EXPECT_EQ(d.assemble_s, want.assemble_s);
+}
+
 }  // namespace
 }  // namespace bpvec::engine
