@@ -1,11 +1,11 @@
 #include "src/backend/functional_backend.h"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <utility>
 
 #include "src/bitslice/cvu.h"
+#include "src/common/clock.h"
 #include "src/common/error.h"
 #include "src/common/hash.h"
 #include "src/common/rng.h"
@@ -21,11 +21,8 @@ namespace bpvec::backend {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
+using common::seconds_since;
+using common::SteadyClock;
 
 int ceil_log2(std::int64_t v) {
   int b = 0;
@@ -73,7 +70,7 @@ void probe_conv(const dnn::Layer& probe, const FunctionalConfig& fc,
   });
   const std::vector<std::int32_t>& weights = entry->values;
 
-  const auto t0 = Clock::now();
+  const auto t0 = SteadyClock::now();
   const auto packed = kernels::packed_conv(input, entry->planes[0], p,
                                            probe.x_bits,
                                            /*pool=*/nullptr, stats);
@@ -120,7 +117,7 @@ void probe_fc(const dnn::Layer& probe, const FunctionalConfig& fc,
   });
   const std::vector<std::int32_t>& weights = entry->values;
 
-  const auto t0 = Clock::now();
+  const auto t0 = SteadyClock::now();
   const auto packed = kernels::packed_fc(input, entry->planes[0], p,
                                          probe.x_bits, /*pool=*/nullptr,
                                          stats);
@@ -151,7 +148,7 @@ void probe_pool(const dnn::Layer& probe, Rng& input_rng,
   dnn::Tensor input(p.channels, p.in_h, p.in_w);
   for (auto& v : input.data()) v = input_rng.signed_value(probe.x_bits);
 
-  const auto t0 = Clock::now();
+  const auto t0 = SteadyClock::now();
   const dnn::Tensor packed =
       kernels::packed_pool(input, p, /*pool=*/nullptr, stats);
   *wall_s += seconds_since(t0);
@@ -206,7 +203,7 @@ void probe_recurrent(const dnn::Layer& probe, const FunctionalConfig& fc,
         entry->values.begin() + static_cast<std::ptrdiff_t>(off),
         entry->values.begin() + static_cast<std::ptrdiff_t>(off + gate_size));
 
-    const auto t0 = Clock::now();
+    const auto t0 = SteadyClock::now();
     const auto packed = kernels::packed_rnn_step(
         x, h, entry->planes[static_cast<std::size_t>(gate)], p.hidden_size,
         shift, out_bits, probe.x_bits, /*pool=*/nullptr, stats);

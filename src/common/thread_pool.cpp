@@ -64,6 +64,27 @@ void ThreadPool::worker_loop() {
 
 namespace {
 
+constexpr std::size_t kNoError = std::numeric_limits<std::size_t>::max();
+
+/// Runs fn(lo) … fn(hi-1), every index even when some throw. Returns the
+/// lowest throwing index with its exception in `error`, or kNoError.
+std::size_t run_range(const std::function<void(std::size_t)>& fn,
+                      std::size_t lo, std::size_t hi,
+                      std::exception_ptr& error) {
+  std::size_t error_index = kNoError;
+  for (std::size_t i = lo; i < hi; ++i) {
+    try {
+      fn(i);
+    } catch (...) {
+      if (error_index == kNoError) {
+        error_index = i;
+        error = std::current_exception();
+      }
+    }
+  }
+  return error_index;
+}
+
 // One parallel_for call; chunks are claimed last-first. A helper that
 // starts after the last claim never touches `fn`, so it may outlive the call.
 struct ForState {
@@ -72,23 +93,19 @@ struct ForState {
   std::atomic<std::size_t> claimed{0};
   std::mutex mu;  // guards done, error_index, error
   std::condition_variable all_done;
-  std::size_t done = 0, error_index = std::numeric_limits<std::size_t>::max();
+  std::size_t done = 0, error_index = kNoError;
   std::exception_ptr error;
 
   void run_chunk(std::size_t chunk) {
-    const std::size_t hi = std::min(n, (chunk + 1) * grain);
-    for (std::size_t i = chunk * grain; i < hi; ++i) {
-      try {
-        (*fn)(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (i < error_index) {
-          error_index = i;
-          error = std::current_exception();
-        }
-      }
-    }
+    std::exception_ptr chunk_error;
+    const std::size_t at = run_range(*fn, chunk * grain,
+                                     std::min(n, (chunk + 1) * grain),
+                                     chunk_error);
     std::lock_guard<std::mutex> lock(mu);
+    if (at < error_index) {
+      error_index = at;
+      error = std::move(chunk_error);
+    }
     if (++done == chunks) all_done.notify_all();
   }
 
@@ -106,11 +123,18 @@ void ThreadPool::parallel_for(std::size_t n,
                               std::size_t grain) {
   if (n == 0) return;
   BPVEC_CHECK(fn != nullptr);
+  grain = std::max<std::size_t>(grain, 1);
+  if (n <= grain) {
+    // One chunk: the caller runs it, with no shared state and no helper.
+    std::exception_ptr error;
+    if (run_range(fn, 0, n, error) != kNoError) std::rethrow_exception(error);
+    return;
+  }
   auto state = std::make_shared<ForState>();
   state->fn = &fn;
   state->n = n;
-  state->grain = std::max<std::size_t>(grain, 1);
-  state->chunks = (n + state->grain - 1) / state->grain;
+  state->grain = grain;
+  state->chunks = (n + grain - 1) / grain;
   state->claimed = 1;  // the caller's claim on the last chunk comes first
 
   const std::size_t helpers =

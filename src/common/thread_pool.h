@@ -43,8 +43,10 @@ class ThreadPool {
   /// Runs fn(0) … fn(n-1) in chunks of `grain` consecutive indices and
   /// blocks until every call has returned. The caller claims chunks too
   /// (last chunk first), so a k-thread pool uses k+1 lanes and a call
-  /// from inside a task finishes even while every worker is busy. The
-  /// exception thrown by the lowest index is rethrown in the caller.
+  /// from inside a task finishes even while every worker is busy. A call
+  /// that fits in one chunk runs on the caller alone. Every index runs
+  /// even when some throw; the lowest index's exception is rethrown in
+  /// the caller.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t grain = 1);
 

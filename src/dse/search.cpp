@@ -1,11 +1,11 @@
 #include "src/dse/search.h"
 
 #include <algorithm>
-#include <chrono>
 #include <unordered_set>
 #include <utility>
 
 #include "src/arch/cvu_cost.h"
+#include "src/common/clock.h"
 #include "src/common/error.h"
 
 namespace bpvec::dse {
@@ -109,16 +109,14 @@ std::vector<Evaluation> ScenarioEvaluator::evaluate(
   // Materialize into reused buffers (capacities survive across batches)
   // and report the construction wall time to the engine's phase timers
   // — the "construct" share of the dispatch-cost split.
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = common::SteadyClock::now();
   scratch_.resize(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     space_.materialize_into(batch[i], base_,
                             generator_ ? &*generator_ : nullptr,
                             scratch_[i]);
   }
-  engine_.record_construct_seconds(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count());
+  engine_.record_construct_seconds(common::seconds_since(t0));
   const std::vector<engine::Scenario>& scenarios = scratch_;
   std::vector<sim::RunResult> results = engine_.run_batch(scenarios);
 

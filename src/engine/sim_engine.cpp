@@ -1,12 +1,12 @@
 #include "src/engine/sim_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
 #include "src/backend/backend_registry.h"
+#include "src/common/clock.h"
 #include "src/common/error.h"
 #include "src/common/hash.h"
 #include "src/kernels/weight_cache.h"
@@ -15,59 +15,49 @@ namespace bpvec::engine {
 
 namespace {
 
-using SteadyClock = std::chrono::steady_clock;
+using common::seconds_since;
+using common::SteadyClock;
 
-double seconds_since(SteadyClock::time_point start) {
-  return std::chrono::duration<double>(SteadyClock::now() - start).count();
+/// Calls fn(json_key, &EngineStats::field) for every field, in report
+/// order. to_json, operator- and SimEngine::commit walk this one list,
+/// so a new counter is added to the struct and here.
+template <typename Fn>
+void for_each_field(Fn&& fn) {
+  fn("scenarios_submitted", &EngineStats::scenarios_submitted);
+  fn("simulations_run", &EngineStats::simulations_run);
+  fn("cache_hits", &EngineStats::cache_hits);
+  fn("layers_priced", &EngineStats::layers_priced);
+  fn("layer_cache_hits", &EngineStats::layer_cache_hits);
+  fn("delta_scenarios", &EngineStats::delta_scenarios);
+  fn("disk_hits", &EngineStats::disk_hits);
+  fn("disk_misses", &EngineStats::disk_misses);
+  fn("disk_rejected", &EngineStats::disk_rejected);
+  fn("disk_stores", &EngineStats::disk_stores);
+  fn("disk_store_failures", &EngineStats::disk_store_failures);
+  fn("disk_file_opens", &EngineStats::disk_file_opens);
+  fn("weight_cache_hits", &EngineStats::weight_cache_hits);
+  fn("weight_cache_misses", &EngineStats::weight_cache_misses);
+  fn("construct_s", &EngineStats::construct_s);
+  fn("hash_s", &EngineStats::hash_s);
+  fn("plan_s", &EngineStats::plan_s);
+  fn("price_s", &EngineStats::price_s);
+  fn("assemble_s", &EngineStats::assemble_s);
 }
 
 }  // namespace
 
 common::json::Value to_json(const EngineStats& stats) {
   common::json::Value v = common::json::Value::object();
-  v.set("scenarios_submitted", stats.scenarios_submitted);
-  v.set("simulations_run", stats.simulations_run);
-  v.set("cache_hits", stats.cache_hits);
-  v.set("layers_priced", stats.layers_priced);
-  v.set("layer_cache_hits", stats.layer_cache_hits);
-  v.set("delta_scenarios", stats.delta_scenarios);
-  v.set("disk_hits", stats.disk_hits);
-  v.set("disk_misses", stats.disk_misses);
-  v.set("disk_rejected", stats.disk_rejected);
-  v.set("disk_stores", stats.disk_stores);
-  v.set("disk_store_failures", stats.disk_store_failures);
-  v.set("disk_file_opens", stats.disk_file_opens);
-  v.set("weight_cache_hits", stats.weight_cache_hits);
-  v.set("weight_cache_misses", stats.weight_cache_misses);
-  v.set("construct_s", stats.construct_s);
-  v.set("hash_s", stats.hash_s);
-  v.set("plan_s", stats.plan_s);
-  v.set("price_s", stats.price_s);
-  v.set("assemble_s", stats.assemble_s);
+  for_each_field(
+      [&](const char* key, auto field) { v.set(key, stats.*field); });
   return v;
 }
 
 EngineStats operator-(const EngineStats& after, const EngineStats& before) {
   EngineStats d;
-  d.scenarios_submitted = after.scenarios_submitted - before.scenarios_submitted;
-  d.simulations_run = after.simulations_run - before.simulations_run;
-  d.cache_hits = after.cache_hits - before.cache_hits;
-  d.layers_priced = after.layers_priced - before.layers_priced;
-  d.layer_cache_hits = after.layer_cache_hits - before.layer_cache_hits;
-  d.delta_scenarios = after.delta_scenarios - before.delta_scenarios;
-  d.disk_hits = after.disk_hits - before.disk_hits;
-  d.disk_misses = after.disk_misses - before.disk_misses;
-  d.disk_rejected = after.disk_rejected - before.disk_rejected;
-  d.disk_stores = after.disk_stores - before.disk_stores;
-  d.disk_store_failures = after.disk_store_failures - before.disk_store_failures;
-  d.disk_file_opens = after.disk_file_opens - before.disk_file_opens;
-  d.weight_cache_hits = after.weight_cache_hits - before.weight_cache_hits;
-  d.weight_cache_misses = after.weight_cache_misses - before.weight_cache_misses;
-  d.construct_s = after.construct_s - before.construct_s;
-  d.hash_s = after.hash_s - before.hash_s;
-  d.plan_s = after.plan_s - before.plan_s;
-  d.price_s = after.price_s - before.price_s;
-  d.assemble_s = after.assemble_s - before.assemble_s;
+  for_each_field([&](const char*, auto field) {
+    d.*field = after.*field - before.*field;
+  });
   return d;
 }
 
@@ -86,20 +76,20 @@ std::size_t SimEngine::batch_grain(std::size_t jobs) const {
 
 void SimEngine::for_each(std::size_t n,
                          const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (n == 1) {
-    // run() and tiny batches skip the pool entirely: no helper task, no
-    // queue round-trip, no wake. Identical semantics (parallel_for
-    // runs caller-side too and rethrows the same exceptions).
-    fn(0);
-    return;
-  }
   pool_.parallel_for(n, fn, batch_grain(n));
 }
 
+void SimEngine::commit(const EngineStats& work) {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  for_each_field([&](const char*, auto field) {
+    stats_.*field += work.*field;
+  });
+}
+
 void SimEngine::record_construct_seconds(double seconds) {
-  std::lock_guard<std::mutex> lock(timer_mu_);
-  timers_.construct_s += seconds;
+  EngineStats work;
+  work.construct_s = seconds;
+  commit(work);
 }
 
 std::vector<sim::RunResult> SimEngine::run_batch(
@@ -110,7 +100,9 @@ std::vector<sim::RunResult> SimEngine::run_batch(
   // Snapshot each backend key's factory once per batch, so jobs construct
   // outside the registry lock. Scenarios the caches serve never construct
   // a backend at all. Unknown backend keys fail loudly here, before any
-  // pricing.
+  // pricing. `work` collects this batch's share of the engine's counters;
+  // it is committed once, at the end.
+  EngineStats work;
   auto t_phase = SteadyClock::now();
   auto& registry = backend::BackendRegistry::instance();
   std::unordered_map<std::string, backend::BackendFactory> factories;
@@ -119,7 +111,7 @@ std::vector<sim::RunResult> SimEngine::run_batch(
       factories.emplace(s.backend, registry.resolve(s.backend));
     }
   }
-  double plan_s = seconds_since(t_phase);
+  work.plan_s = seconds_since(t_phase);
 
   // Scenario fingerprints key the scenario memo (a backend key names one
   // factory for the life of the process). They are pure per-scenario
@@ -130,7 +122,7 @@ std::vector<sim::RunResult> SimEngine::run_batch(
   std::vector<std::uint64_t> prints(batch.size());
   for_each(batch.size(),
            [&](std::size_t i) { prints[i] = batch[i].fingerprint(); });
-  const double hash_s = seconds_since(t_phase);
+  work.hash_s = seconds_since(t_phase);
 
   // Plan: resolve each scenario against the cache, keeping only the first
   // occurrence of each fingerprint as a real job; later occurrences alias
@@ -144,31 +136,31 @@ std::vector<sim::RunResult> SimEngine::run_batch(
   std::vector<std::shared_ptr<const sim::RunResult>> hits(batch.size());
 
   t_phase = SteadyClock::now();
-  // Submissions are counted before any hit or simulation of this batch
-  // (the counter order stats() relies on).
-  scenarios_submitted_ += batch.size();
   // Serial in-input-order probe + dedup: a cache hit or an in-batch
   // duplicate of an earlier miss is a hit; the rest become jobs.
-  std::size_t batch_hits = 0;
+  EngineStats planned;
+  planned.scenarios_submitted = batch.size();
   std::unordered_map<std::uint64_t, std::size_t> first_job;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (auto hit = scenario_cache_.find(prints[i])) {
       hits[i] = std::move(*hit);
       slots[i].cached = true;
-      ++batch_hits;
+      ++planned.cache_hits;
       continue;
     }
     if (auto it = first_job.find(prints[i]); it != first_job.end()) {
       slots[i].job = it->second;  // duplicate within this batch
-      ++batch_hits;
+      ++planned.cache_hits;
       continue;
     }
     first_job.emplace(prints[i], jobs.size());
     slots[i].job = jobs.size();
     jobs.push_back(i);
   }
-  cache_hits_ += batch_hits;
-  plan_s += seconds_since(t_phase);
+  // Committed before any disk probe of this batch, so a snapshot never
+  // sees a disk hit without its submission.
+  commit(planned);
+  work.plan_s += seconds_since(t_phase);
 
   // Pricing pipeline over the unique jobs, in four phases. Each job
   // constructs and owns its backend instance. A job whose backend does
@@ -193,7 +185,6 @@ std::vector<sim::RunResult> SimEngine::run_batch(
   };
   std::vector<JobState> state(jobs.size());
   std::vector<std::shared_ptr<const sim::RunResult>> fresh(jobs.size());
-  std::atomic<std::size_t> probe_hits{0};
 
   // Phase 1 — per job: construct the backend, probe the disk cache, then
   // either price the whole network directly or probe the layer memo for
@@ -223,7 +214,6 @@ std::vector<sim::RunResult> SimEngine::run_batch(
     }
     const auto& net_layers = s.network.layers();
     if (!js.be->memoize_layers()) {
-      layers_priced_.fetch_add(net_layers.size(), std::memory_order_relaxed);
       results[i] = js.be->run(s.network);
       fresh[j] = std::make_shared<const sim::RunResult>(results[i]);
       return;
@@ -243,10 +233,8 @@ std::vector<sim::RunResult> SimEngine::run_batch(
       }
       js.need.emplace_back(k, 0);
     }
-    probe_hits.fetch_add(net_layers.size() - js.need.size(),
-                         std::memory_order_relaxed);
   });
-  double price_s = seconds_since(t_phase);
+  work.price_s = seconds_since(t_phase);
 
   // Phase 2 — serial dedup: collect the unique missing layer keys across
   // the batch's memoizing jobs. A key shared by several jobs (a net_depth
@@ -283,7 +271,7 @@ std::vector<sim::RunResult> SimEngine::run_batch(
     // (the rest came from the memo or a batch sibling).
     js.delta = owned < js.keys.size();
   }
-  plan_s += seconds_since(t_phase);
+  work.plan_s += seconds_since(t_phase);
 
   // Phase 3 — price the unique misses in parallel at *layer*
   // granularity (balances uneven networks better than per-scenario
@@ -300,16 +288,12 @@ std::vector<sim::RunResult> SimEngine::run_batch(
       priced[u] =
           state[ref.job].be->price_layer(s.network.layers()[ref.layer]);
     });
-    layers_priced_.fetch_add(unique.size(), std::memory_order_relaxed);
     for (std::size_t u = 0; u < unique.size(); ++u) {
       layer_cache_.insert(state[unique[u].job].keys[unique[u].layer],
                           priced[u]);
     }
   }
-  layer_cache_hits_.fetch_add(
-      probe_hits.load(std::memory_order_relaxed) + aliased,
-      std::memory_order_relaxed);
-  price_s += seconds_since(t_phase);
+  work.price_s += seconds_since(t_phase);
 
   // Phase 4 — assemble each memoizing job from its cached + freshly
   // priced layers and make the scenario memo's shared copy. Fresh
@@ -367,27 +351,26 @@ std::vector<sim::RunResult> SimEngine::run_batch(
       }
     }
   }
-  const double assemble_s = seconds_since(t_phase);
+  work.assemble_s = seconds_since(t_phase);
 
   // Accounted after the fact so disk-served jobs don't inflate
-  // simulations_run; counters lag work, so a mid-batch snapshot still
-  // sees simulations_run + cache_hits <= scenarios_submitted.
-  std::size_t batch_sims = 0;
-  std::size_t batch_deltas = 0;
+  // simulations_run. A layer is priced once per unique miss, or once per
+  // layer of a job priced directly; every other layer came from the memo
+  // or a batch sibling.
+  work.layers_priced = unique.size();
+  work.layer_cache_hits = aliased;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (!state[j].disk_served) ++batch_sims;
-    if (state[j].delta) ++batch_deltas;
+    const JobState& js = state[j];
+    if (!js.disk_served) ++work.simulations_run;
+    if (js.delta) ++work.delta_scenarios;
+    if (js.memoized) {
+      work.layer_cache_hits += js.keys.size() - js.need.size();
+    } else if (!js.disk_served) {
+      work.layers_priced += batch[jobs[j]].network.layers().size();
+    }
     scenario_cache_.insert(prints[jobs[j]], std::move(fresh[j]));
   }
-  simulations_run_ += batch_sims;
-  delta_scenarios_ += batch_deltas;
-  {
-    std::lock_guard<std::mutex> lock(timer_mu_);
-    timers_.hash_s += hash_s;
-    timers_.plan_s += plan_s;
-    timers_.price_s += price_s;
-    timers_.assemble_s += assemble_s;
-  }
+  commit(work);
   return results;
 }
 
@@ -396,14 +379,8 @@ sim::RunResult SimEngine::run(const Scenario& scenario) {
 }
 
 EngineStats SimEngine::stats() const {
-  EngineStats s;
-  // Read order: disk counters, then hits, simulations and deltas, then
-  // scenarios_submitted last. Every hit, simulation or disk hit is
-  // ticked after its scenario's submission, so whatever this snapshot
-  // sees of the former, it sees the submissions behind them — keeping
-  // scenarios_submitted >= cache_hits + simulations_run + disk_hits at
-  // every instant. The reverse order could catch a tick whose
-  // submission it missed.
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  EngineStats s = stats_;
   if (disk_ != nullptr) {
     const DiskCacheStats d = disk_->stats();
     s.disk_hits = d.hits;
@@ -413,20 +390,6 @@ EngineStats SimEngine::stats() const {
     s.disk_store_failures = d.store_failures;
     s.disk_file_opens = d.file_opens;
   }
-  s.cache_hits = cache_hits_.load();
-  s.simulations_run = simulations_run_.load();
-  s.delta_scenarios = delta_scenarios_.load();
-  s.scenarios_submitted = scenarios_submitted_.load();
-  {
-    std::lock_guard<std::mutex> lock(timer_mu_);
-    s.construct_s = timers_.construct_s;
-    s.hash_s = timers_.hash_s;
-    s.plan_s = timers_.plan_s;
-    s.price_s = timers_.price_s;
-    s.assemble_s = timers_.assemble_s;
-  }
-  s.layers_priced = layers_priced_.load(std::memory_order_relaxed);
-  s.layer_cache_hits = layer_cache_hits_.load(std::memory_order_relaxed);
   s.weight_cache_hits = kernels::WeightPlaneCache::instance().hits();
   s.weight_cache_misses = kernels::WeightPlaneCache::instance().misses();
   return s;

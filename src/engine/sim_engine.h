@@ -42,15 +42,15 @@
 // Thread safety: concurrent run_batch/stats/clear_cache calls on one
 // engine are safe (see tests/test_sim_engine.cpp racing test and
 // tests/test_cache_shards.cpp stress test). Both memo caches are
-// common::Memo maps, each behind one reader-writer lock. The scenario
-// counters are atomics: run_batch counts a submission before any hit or
-// simulation for that scenario, and stats() reads scenarios_submitted
-// last, so every snapshot satisfies scenarios_submitted >= cache_hits +
-// simulations_run + disk_hits without a lock. Layer counters are relaxed
-// atomics.
+// common::Memo maps, each behind one reader-writer lock. The engine's
+// counters are one EngineStats record behind one mutex: a batch commits
+// its submissions and scenario-memo hits at plan time and the rest of
+// its work once at the end, and stats() copies the record under that
+// lock. A batch probes the disk cache only after its plan commit, so
+// every snapshot satisfies scenarios_submitted >= cache_hits +
+// simulations_run + disk_hits.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -123,7 +123,10 @@ common::json::Value to_json(const EngineStats& stats);
 EngineStats operator-(const EngineStats& after, const EngineStats& before);
 
 struct EngineOptions {
-  int num_threads = 0;  // <= 0: hardware concurrency
+  /// Pool workers; <= 0: hardware concurrency. The calling thread
+  /// computes too (ThreadPool::parallel_for), so num_threads + 1 chunks
+  /// can run at once.
+  int num_threads = 0;
   /// Non-empty: persist scenario results under this directory and serve
   /// repeats from it across processes (created on demand).
   std::string disk_cache_dir{};
@@ -148,8 +151,7 @@ class SimEngine {
   sim::RunResult run(const Scenario& scenario);
 
   /// Counter snapshot, safe to call concurrently with run_batch; it
-  /// satisfies the engine invariant at every instant (see the thread
-  /// safety note above).
+  /// satisfies the engine invariant (see the thread safety note above).
   EngineStats stats() const;
 
   /// Drops both in-memory memos (scenario and layer). The disk cache is
@@ -171,14 +173,17 @@ class SimEngine {
 
   /// Runs fn(0..n-1) on the pool at the batch grain — the engine's one
   /// scheduling policy, shared with callers that fan their own work out
-  /// (dse::GeometryEvaluator). A single unit skips the pool (the run()
-  /// fast path: no queue round-trip for one job).
+  /// (dse::GeometryEvaluator). A single unit runs on the caller (see
+  /// ThreadPool::parallel_for).
   void for_each(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
   /// Indices per parallel_for chunk for a batch of `jobs` parallel units:
   /// jobs / (threads × 4), so each worker claims ~4 chunks.
   std::size_t batch_grain(std::size_t jobs) const;
+
+  /// Adds every field of `work` to stats_ under stats_mu_.
+  void commit(const EngineStats& work);
 
   // Before pool_: scan shards before threads start (growing the fd table
   // of a threaded process waits in synchronize_rcu).
@@ -188,29 +193,14 @@ class SimEngine {
   // Scenario cache: Scenario::fingerprint → shared result.
   common::Memo<std::shared_ptr<const sim::RunResult>> scenario_cache_{
       kMaxScenarioEntries};
-  // Scenario counters. Ordering matters (see stats()), so these use the
-  // default sequentially consistent operations.
-  std::atomic<std::size_t> scenarios_submitted_{0};
-  std::atomic<std::size_t> cache_hits_{0};
-  std::atomic<std::size_t> simulations_run_{0};
-  std::atomic<std::size_t> delta_scenarios_{0};
-
-  // Phase timers: batch-scoped wall-clock sums under their own lock.
-  struct PhaseTimers {
-    double construct_s = 0.0;
-    double hash_s = 0.0;
-    double plan_s = 0.0;
-    double price_s = 0.0;
-    double assemble_s = 0.0;
-  };
-  mutable std::mutex timer_mu_;
-  PhaseTimers timers_;
-
   // Layer memo, stored by value — LayerResults are small (a RunResult
   // is bulky and stays behind a shared_ptr above).
   common::Memo<sim::LayerResult> layer_cache_{kMaxLayerEntries};
-  std::atomic<std::size_t> layers_priced_{0};
-  std::atomic<std::size_t> layer_cache_hits_{0};
+
+  // The engine's own counters and phase timers. The disk and weight-plane
+  // fields stay zero here; stats() reads them from their caches.
+  mutable std::mutex stats_mu_;
+  EngineStats stats_;
 };
 
 }  // namespace bpvec::engine

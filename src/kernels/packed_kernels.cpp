@@ -17,7 +17,7 @@ namespace {
 void for_each_output(common::ThreadPool* pool, std::size_t n,
                      std::int64_t word_ops_per_output,
                      const std::function<void(std::size_t)>& fn) {
-  if (pool == nullptr || n <= 1) {
+  if (pool == nullptr) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }

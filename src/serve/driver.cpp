@@ -329,7 +329,9 @@ std::string usage() {
       "                     omit the run-dependent stats block from the\n"
       "                     report so identical configs yield byte-identical\n"
       "                     files (what the CI gate cmp's)\n"
-      "  --threads N        worker threads (default: hardware concurrency)\n"
+      "  --threads N        N pool workers (default: hardware concurrency);\n"
+      "                     the calling thread computes too, so N + 1\n"
+      "                     chunks can run at once\n"
       "  --csv              print a full-precision scenario CSV to stdout\n"
       "  --no-table         skip the human-readable table\n"
       "  --version          print build identity (SIMD variant, disk-cache\n"

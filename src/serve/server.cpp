@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/cli/report.h"
+#include "src/common/clock.h"
 #include "src/common/error.h"
 
 namespace bpvec::serve {
@@ -23,11 +24,8 @@ using common::json::Value;
 
 namespace {
 
-using SteadyClock = std::chrono::steady_clock;
-
-double seconds_since(SteadyClock::time_point start) {
-  return std::chrono::duration<double>(SteadyClock::now() - start).count();
-}
+using common::seconds_since;
+using common::SteadyClock;
 
 Value error_response(const std::string& message) {
   Value v = Value::object();
@@ -211,8 +209,7 @@ Value Server::execute(const Envelope& e, int fd) {
 Value Server::await_streaming(int fd, const CancelToken& token,
                               std::future<Value> pending) {
   const auto start = SteadyClock::now();
-  const auto beat = std::chrono::duration<double>(
-      options_.heartbeat_s > 0 ? options_.heartbeat_s : 0.5);
+  const std::chrono::duration<double> beat(kHeartbeatSeconds);
   bool client_gone = false;
   while (pending.wait_for(beat) != std::future_status::ready) {
     Value hb = Value::object();

@@ -30,9 +30,9 @@
 //             limit, and then that connection closes.
 //
 //   response  zero or more {"status":"running","elapsed_s":<double>}
-//             heartbeats (price/search only, one per heartbeat_s while
-//             the request executes on the engine pool), then exactly one
-//             final line:
+//             heartbeats (price/search only, one per
+//             Server::kHeartbeatSeconds while the request executes on
+//             the engine pool), then exactly one final line:
 //               {"status":"ok", ...}        op-specific payload:
 //                 "report" (price/search — the exact document bpvec_run
 //                 writes; re-serializing it with dump(1) reproduces the
@@ -79,15 +79,15 @@ struct ServerOptions {
   /// Workload-schema files registered at startup (the daemon-side
   /// equivalent of bpvec_run --network-file).
   std::vector<std::string> network_files;
-  /// Seconds between {"status":"running"} heartbeats while a price or
-  /// search request executes.
-  double heartbeat_s = 0.5;
 };
 
 class Server {
  public:
   /// Longest request line a connection buffers (16 MiB).
   static constexpr std::size_t kMaxLineBytes = std::size_t{16} << 20;
+  /// Seconds between {"status":"running"} heartbeats while a price or
+  /// search request executes.
+  static constexpr double kHeartbeatSeconds = 0.5;
 
   explicit Server(ServerOptions options);
   ~Server();

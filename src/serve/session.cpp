@@ -1,13 +1,13 @@
 #include "src/serve/session.h"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "src/backend/backend_registry.h"
 #include "src/cli/report.h"
+#include "src/common/clock.h"
 #include "src/common/error.h"
 #include "src/dse/strategy.h"
 #include "src/workload/generators.h"
@@ -18,11 +18,8 @@ namespace bpvec::serve {
 
 namespace {
 
-using SteadyClock = std::chrono::steady_clock;
-
-double seconds_since(SteadyClock::time_point start) {
-  return std::chrono::duration<double>(SteadyClock::now() - start).count();
-}
+using common::seconds_since;
+using common::SteadyClock;
 
 /// Scenarios per engine batch of a price request: the token is checked
 /// between batches. Results and every report-visible counter are the

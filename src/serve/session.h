@@ -52,7 +52,9 @@
 namespace bpvec::serve {
 
 struct SessionOptions {
-  int threads = 0;  // engine worker threads; <= 0: hardware concurrency
+  /// Engine pool workers; <= 0: hardware concurrency. The calling thread
+  /// computes too, so threads + 1 chunks can run at once.
+  int threads = 0;
   /// Persistent result-cache directory (engine disk cache); empty = off.
   std::string cache_dir;
 };

@@ -1,15 +1,19 @@
-// Engine-cache stress tests (run under TSan in CI — see the tsan job's
-// binary list). The scenario counters are lock-free atomics; these tests
-// hammer run_batch / clear_cache / stats from concurrent threads and
-// assert the counter contract sim_engine.h promises:
+// Engine-cache stress tests (run under TSan and ASan+UBSan in CI — see
+// those jobs' binary lists). The engine keeps its counters in one
+// EngineStats record under one mutex: a batch commits its submissions
+// and scenario-memo hits at plan time, before any disk probe, and the
+// rest of its work at the end. These tests hammer run_batch /
+// clear_cache / stats from concurrent threads and assert the counter
+// contract sim_engine.h promises:
 //
-//   at any instant:
+//   in every snapshot:
 //     scenarios_submitted >= cache_hits + simulations_run + disk_hits
 //   once every batch has returned:
 //     scenarios_submitted == cache_hits + simulations_run + disk_hits
 //
-// The inequality is the load-bearing one — it is what makes a lock-free
-// stats() snapshot meaningful while batches are in flight.
+// The inequality is what a stats() snapshot taken while batches are in
+// flight must keep: a batch's two commits, and the disk hits in between,
+// must never show work without its submission.
 #include <gtest/gtest.h>
 
 #include <atomic>

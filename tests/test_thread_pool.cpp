@@ -90,6 +90,30 @@ TEST(ThreadPool, AllTasksRunEvenWhenSomeThrow) {
   EXPECT_EQ(ran.load(), 50);
 }
 
+TEST(ThreadPool, SingleChunkRunsEveryIndexOnTheCallerAndRethrowsLowest) {
+  ThreadPool pool(4);
+  std::vector<int> ran(16, 0);
+  std::atomic<int> off_caller{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  try {
+    pool.parallel_for(
+        16,
+        [&](std::size_t i) {
+          ++ran[i];
+          if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+          if (i == 3 || i == 11) {
+            throw std::runtime_error("boom " + std::to_string(i));
+          }
+        },
+        /*grain=*/16);
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom 3");
+  }
+  EXPECT_EQ(ran, std::vector<int>(16, 1));
+  EXPECT_EQ(off_caller.load(), 0);
+}
+
 TEST(ThreadPool, SubmitExecutesDetachedWork) {
   ThreadPool pool(2);
   std::atomic<int> done{0};

@@ -55,8 +55,11 @@ void usage(std::ostream& out) {
          "  --socket PATH          Unix domain socket to listen on\n"
          "  --cache-dir DIR        persistent result cache (shared with "
          "bpvec_run)\n"
-         "  --threads N            engine worker threads (default: "
-         "hardware)\n"
+         "  --threads N            N engine pool workers (default: "
+         "hardware); the\n"
+         "                         calling thread computes too, so N + 1 "
+         "chunks can\n"
+         "                         run at once\n"
          "  --network-file FILE    register a workload-schema network at "
          "startup\n"
          "\n"
