@@ -45,10 +45,10 @@
 // common::Memo maps, each behind one reader-writer lock. The engine's
 // counters are one EngineStats record behind one mutex: a batch commits
 // its submissions and scenario-memo hits at plan time and the rest of
-// its work once at the end, and stats() copies the record under that
-// lock. A batch probes the disk cache only after its plan commit, so
-// every snapshot satisfies scenarios_submitted >= cache_hits +
-// simulations_run + disk_hits.
+// its work once at the end, and stats() copies the record and reads the
+// disk cache's counters under that lock. A batch probes the disk cache
+// only after its plan commit, so every snapshot satisfies
+// scenarios_submitted >= cache_hits + simulations_run + disk_hits.
 #pragma once
 
 #include <cstdint>
