@@ -3,19 +3,16 @@
 // per 8-bit × 8-bit MAC, normalized to a conventional 8-bit digital MAC,
 // broken down over multiplication / addition / shifting / registering.
 //
-// Both sweeps run through the DSE subsystem (GridStrategy over
-// dse::geometry_space priced by GeometryEvaluator on the engine pool);
-// a sequential loop over core::price_design_point is kept (timed) to
-// anchor the speedup-vs-sequential number in BENCH_fig4.json — the two
-// are bit-identical by the subsystem's determinism contract. The full sweep
-// additionally maintains the power/area/utilization Pareto frontier, and
-// core::best_design's pick is checked to sit on it.
+// Both sweeps are a plain nested loop over core::price_design_point,
+// slice widths outer and lanes inner. The full sweep, scored over a
+// deep-quantized bitwidth mix, also feeds a power/area/utilization
+// dse::ParetoFrontier, and core::best_design's pick is checked to sit on
+// it.
 #include <cstdio>
 
 #include "bench/bench_common.h"
 #include "src/core/design_space.h"
-#include "src/dse/search.h"
-#include "src/engine/sim_engine.h"
+#include "src/dse/pareto.h"
 
 int main() {
   using namespace bpvec;
@@ -24,54 +21,38 @@ int main() {
       "Figure 4: power/area per 8bx8b MAC vs slice width and vector "
       "length,\nnormalized to a conventional 8-bit MAC (lower is better)");
 
-  engine::SimEngine eng;
   BenchJson json("fig4");
 
   // §III-B conclusion input: the deep-quantized bitwidth mix.
   const std::vector<core::BitwidthMixEntry> mix{
       {8, 8, 0.2}, {4, 4, 0.6}, {8, 2, 0.1}, {2, 2, 0.1}};
 
-  const std::vector<int> fig_alphas{1, 2}, fig_lanes{1, 2, 4, 8, 16};
-  const std::vector<int> full_alphas{1, 2, 4}, full_lanes{1, 2, 4, 8, 16};
-
-  // The Fig. 4 grid (no mix) and the full mix-scored sweep, both as DSE
-  // grid searches. The full sweep's frontier trades per-MAC power and
-  // area against mix utilization.
-  const std::vector<dse::Objective> objectives{
-      dse::objective(dse::Metric::kMacPower),
-      dse::objective(dse::Metric::kMacArea),
-      dse::objective(dse::Metric::kUtilization)};
-  const auto sweep = [&](const std::vector<int>& alphas,
-                         const std::vector<int>& lanes,
-                         const std::vector<core::BitwidthMixEntry>& m) {
-    const dse::ParamSpace space = dse::geometry_space(alphas, lanes);
-    dse::GridStrategy strategy(space);
-    dse::GeometryEvaluator evaluator(eng, space, objectives, m);
-    return dse::run_search(strategy, evaluator, objectives);
-  };
+  // The Fig. 4 grid, then the full sweep scored over the mix.
   std::vector<core::DesignPoint> points, full;
-  std::vector<dse::Evaluation> frontier_entries;
-  std::size_t frontier_size = 0;
-  const double batch_s = time_s([&] {
-    points = dse::design_points(sweep(fig_alphas, fig_lanes, {}));
-    const dse::SearchOutcome outcome = sweep(full_alphas, full_lanes, mix);
-    full = dse::design_points(outcome);
-    frontier_entries = outcome.frontier.entries();
-    frontier_size = outcome.frontier.size();
-  });
-  const double sequential_s = time_s([&] {
-    for (int alpha : fig_alphas) {
-      for (int l : fig_lanes) (void)core::price_design_point({alpha, 8, l});
+  for (int alpha : {1, 2}) {
+    for (int l : {1, 2, 4, 8, 16}) {
+      points.push_back(core::price_design_point({alpha, 8, l}));
     }
-    for (int alpha : full_alphas) {
-      for (int l : full_lanes) {
-        (void)core::price_design_point({alpha, 8, l}, mix);
-      }
+  }
+  for (int alpha : {1, 2, 4}) {
+    for (int l : {1, 2, 4, 8, 16}) {
+      full.push_back(core::price_design_point({alpha, 8, l}, mix));
     }
-  });
-  json.set_batch_timing(batch_s, sequential_s, eng.num_threads());
-  json.set_engine_stats(eng.stats());  // design sweeps bypass the caches:
-                                       // all-zero counters, by design
+  }
+
+  // The full sweep's frontier trades per-MAC power and area against mix
+  // utilization.
+  dse::ParetoFrontier frontier({dse::objective(dse::Metric::kMacPower),
+                                dse::objective(dse::Metric::kMacArea),
+                                dse::objective(dse::Metric::kUtilization)});
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    dse::Evaluation e;
+    e.key = i;
+    e.design = full[i];
+    e.objectives = {full[i].cost.power_total(), full[i].cost.area_total(),
+                    full[i].mix_utilization};
+    (void)frontier.insert(e);
+  }
 
   for (const char* metric : {"Power/op", "Area/op"}) {
     const bool power = metric[0] == 'P';
@@ -107,7 +88,7 @@ int main() {
   // the three frontier objectives, so its pick must be non-dominated. A
   // violation means the scalar and multi-objective paths disagree.
   bool best_on_frontier = false;
-  for (const auto& e : frontier_entries) {
+  for (const auto& e : frontier.entries()) {
     if (e.design.geometry.slice_bits == best.geometry.slice_bits &&
         e.design.geometry.lanes == best.geometry.lanes) {
       best_on_frontier = true;
@@ -121,10 +102,12 @@ int main() {
   }
   std::printf("\nBest design over the quantized bitwidth mix: %s"
               " (on the Pareto frontier: %zu of %zu points)\n",
-              best.geometry.to_string().c_str(), frontier_size, full.size());
+              best.geometry.to_string().c_str(), frontier.size(),
+              full.size());
   json.add_metric("best_slice_bits", best.geometry.slice_bits);
   json.add_metric("best_lanes", best.geometry.lanes);
-  json.add_metric("pareto_frontier_size", static_cast<double>(frontier_size));
+  json.add_metric("pareto_frontier_size",
+                  static_cast<double>(frontier.size()));
   json.write();
   return 0;
 }

@@ -4,9 +4,8 @@
 // single scalar score.
 //
 // Three passes, cheapest to richest:
-//   1. the classic Fig. 4 geometry sweep (cost model only, parallel,
-//      bit-identical to pricing each point with core::price_design_point)
-//      + best_design;
+//   1. the classic Fig. 4 geometry sweep (cost model only: a nested loop
+//      over core::price_design_point) + best_design;
 //   2. a full-pipeline grid search over geometry × batch size, priced by
 //      SimEngine::run_batch (so the scenario/layer caches apply), with a
 //      cycles/energy/area frontier;
@@ -31,17 +30,13 @@ int main() {
       {8, 8, 0.10}, {4, 4, 0.65}, {8, 2, 0.15}, {2, 2, 0.10}};
 
   // ---- pass 1: geometry-only sweep (the Fig. 4 cost model) ----------
-  // A grid over the geometry axes, priced on the engine's pool.
-  engine::SimEngine eng;
-  const dse::ParamSpace geometry =
-      dse::geometry_space({1, 2, 4}, {1, 2, 4, 8, 16, 32});
-  const std::vector<dse::Objective> per_mac{
-      dse::objective(dse::Metric::kMacPower),
-      dse::objective(dse::Metric::kMacArea)};
-  dse::GridStrategy sweep(geometry);
-  dse::GeometryEvaluator priced(eng, geometry, per_mac, mix);
-  const auto points =
-      dse::design_points(dse::run_search(sweep, priced, per_mac));
+  // Slice widths outer, lanes inner, each point scored over the mix.
+  std::vector<core::DesignPoint> points;
+  for (int alpha : {1, 2, 4}) {
+    for (int l : {1, 2, 4, 8, 16, 32}) {
+      points.push_back(core::price_design_point({alpha, 8, l}, mix));
+    }
+  }
 
   Table t("CVU design space (per 8bx8b MAC, normalized to conventional)");
   t.set_header({"Geometry", "Power/op", "Area/op"});
@@ -74,6 +69,7 @@ int main() {
   // Candidates materialize into Scenarios and ride run_batch, so the
   // objectives are real end-to-end numbers (cycles include the memory
   // system), not per-MAC proxies.
+  engine::SimEngine eng;
   dse::ParamSpace space;
   space.add_axis(dse::Knob::kCvuSliceBits, {1, 2, 4});
   space.add_axis(dse::Knob::kCvuLanes, {4, 8, 16});

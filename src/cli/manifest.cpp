@@ -865,16 +865,25 @@ std::vector<std::string> register_workloads(const Manifest& manifest) {
   if (manifest.search) {
     require_backend(reader("search"), manifest.search->backend);
   }
-  auto& registry = workload::NetworkRegistry::instance();
-  std::vector<std::string> names;
+  // All workloads in one batch, so a collision on a later one leaves no
+  // earlier one registered.
+  std::vector<workload::NetworkRegistry::Prototype> batch;
+  std::vector<std::size_t> owner;  // batch index → workloads[] index
   for (std::size_t wi = 0; wi < manifest.workloads.size(); ++wi) {
     const WorkloadSpec& w = manifest.workloads[wi];
     for (std::size_t i = 0; i < w.prototypes.size(); ++i) {
-      reader(workload_context(wi)).nest([&] {
-        registry.register_network(w.names[i], w.prototypes[i]);
-      });
-      names.push_back(w.names[i]);
+      batch.push_back({w.names[i], w.prototypes[i]});
+      owner.push_back(wi);
     }
+  }
+  std::vector<std::string> names;
+  for (const auto& p : batch) names.push_back(p.key);
+  std::size_t failed = 0;
+  try {
+    workload::NetworkRegistry::instance().register_networks(std::move(batch),
+                                                            &failed);
+  } catch (const Error& e) {
+    reader(workload_context(owner[failed])).fail(e.what());
   }
   return names;
 }

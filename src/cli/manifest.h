@@ -230,12 +230,12 @@ common::json::Value to_json(const SearchSpec& spec);
 
 /// Checks every backend key the manifest names (grids and search)
 /// against the live BackendRegistry, then registers the declared
-/// workloads into the process-wide NetworkRegistry (idempotent for
-/// identical content — expand() calls this on every run) and returns the
-/// registered names in declaration order. Throws bpvec::Error naming the
-/// grid, the search block or the workload entry on an unknown backend or
-/// a name collision with different content; an unknown backend registers
-/// nothing.
+/// workloads into the process-wide NetworkRegistry in one batch
+/// (idempotent for identical content — expand() calls this on every run)
+/// and returns the registered names in declaration order. Throws
+/// bpvec::Error naming the grid, the search block or the workload entry
+/// on an unknown backend or a name collision with different content;
+/// either failure registers nothing.
 std::vector<std::string> register_workloads(const Manifest& manifest);
 
 /// Expands every grid into scenarios, in the documented deterministic

@@ -1,7 +1,8 @@
 // Design-point pricing over CVU geometries (slice width α, vector length
 // L) — the per-point cost behind the paper's Fig. 4 and §III-B analysis.
-// The sweep over the α×L grid is dse::GridStrategy over
-// dse::geometry_space, priced point by point here.
+// The Fig. 4 sweep is a nested loop over price_design_point (slice widths
+// outer, lanes inner; bench/fig4_design_space); in the library, only
+// dse::ScenarioEvaluator calls it, for a candidate's per-MAC metrics.
 #pragma once
 
 #include <vector>
@@ -26,9 +27,8 @@ struct BitwidthMixEntry {
   double weight = 1.0;  // fraction of MACs at this mode
 };
 
-/// Prices one geometry. Pure and re-entrant: builds its own cost model,
-/// touches no shared mutable state — safe to call from many threads at
-/// once (dse::GeometryEvaluator fans the grid out this way).
+/// Prices one geometry. Pure and re-entrant: builds its own cost model
+/// and touches no shared mutable state.
 DesignPoint price_design_point(const bitslice::CvuGeometry& geometry);
 
 /// Variant that also fills `mix_utilization` over a bitwidth mix.

@@ -241,20 +241,6 @@ std::string ParamSpace::label(const Candidate& c) const {
   return out;
 }
 
-bitslice::CvuGeometry ParamSpace::geometry(const Candidate& c,
-                                           bitslice::CvuGeometry base) const {
-  if (auto v = value(c, Knob::kCvuSliceBits)) {
-    base.slice_bits = static_cast<int>(std::llround(*v));
-  }
-  if (auto v = value(c, Knob::kCvuMaxBits)) {
-    base.max_bits = static_cast<int>(std::llround(*v));
-  }
-  if (auto v = value(c, Knob::kCvuLanes)) {
-    base.lanes = static_cast<int>(std::llround(*v));
-  }
-  return base;
-}
-
 engine::Scenario ParamSpace::materialize(
     const Candidate& c, const engine::Scenario& base,
     const workload::GeneratorSpec* generator) const {
@@ -315,26 +301,6 @@ void ParamSpace::materialize_into(const Candidate& c,
   s.id += " [";
   s.id += label(c);
   s.id += ']';
-}
-
-ParamSpace geometry_space(const std::vector<int>& slice_widths,
-                          const std::vector<int>& lanes, int max_bits) {
-  // Validate the full cross product eagerly, before any candidate is
-  // priced.
-  for (int alpha : slice_widths) {
-    for (int l : lanes) {
-      bitslice::CvuGeometry g{alpha, max_bits, l};
-      g.validate();
-    }
-  }
-  ParamSpace space;
-  auto to_doubles = [](const std::vector<int>& v) {
-    return std::vector<double>(v.begin(), v.end());
-  };
-  space.add_axis(Knob::kCvuSliceBits, to_doubles(slice_widths));
-  space.add_axis(Knob::kCvuLanes, to_doubles(lanes));
-  space.add_axis(Knob::kCvuMaxBits, {static_cast<double>(max_bits)});
-  return space;
 }
 
 }  // namespace bpvec::dse

@@ -6,16 +6,13 @@
 // energy). A ParamSpace unifies all of them as an ordered list of typed
 // axes, each naming a knob and its candidate values. A Candidate picks
 // one value per axis; materialize() applies those picks to a base
-// engine::Scenario (so candidates ride SimEngine::run_batch and every
-// cache layer below it), and geometry() projects the CVU axes onto a
-// CvuGeometry (so the Fig. 4 cost model can price the same candidate).
+// engine::Scenario, so candidates ride SimEngine::run_batch and every
+// cache layer below it.
 //
 // Enumeration order is canonical: flat index → candidate is row-major
-// with the *first* axis outermost. geometry_space() orders its axes
-// [slice_bits, lanes], so grid enumeration is the Fig. 4 order (slice
-// widths outer, lanes inner) — the contract the parallel Fig. 4 sweep (a
-// GridStrategy priced by GeometryEvaluator) and a sequential nested loop
-// over core::price_design_point both rely on.
+// with the *first* axis outermost, so a space with axes [cvu_slice_bits,
+// cvu_lanes] enumerates in the Fig. 4 order (slice widths outer, lanes
+// inner).
 #pragma once
 
 #include <cstdint>
@@ -24,7 +21,6 @@
 #include <vector>
 
 #include "src/arch/dram.h"
-#include "src/bitslice/composition.h"
 #include "src/engine/scenario.h"
 #include "src/sim/config.h"
 #include "src/workload/generators.h"
@@ -153,10 +149,6 @@ class ParamSpace {
   /// "cvu_slice_bits=2 cvu_lanes=16 batch_size=4".
   std::string label(const Candidate& c) const;
 
-  /// The candidate's CVU geometry: `base` with any cvu_* axes applied.
-  bitslice::CvuGeometry geometry(const Candidate& c,
-                                 bitslice::CvuGeometry base) const;
-
   /// Applies every chosen knob to a copy of `base`, re-validates the
   /// platform config, and appends " [label]" to the scenario id (ids
   /// must be unique per candidate for reports). Throws bpvec::Error when
@@ -188,12 +180,5 @@ class ParamSpace {
 /// Formats an axis value the way labels and reports print it (integer
 /// knobs without a decimal point, doubles shortest-round-trip).
 std::string knob_value_string(Knob knob, double value);
-
-/// The Fig. 4 geometry space: axes [cvu_slice_bits, cvu_lanes] plus a
-/// fixed cvu_max_bits axis, slice widths outer and lanes inner. Every
-/// α×L×B combination is validated eagerly: an inconsistent axis throws
-/// CvuGeometry::validate's error here, before any candidate is priced.
-ParamSpace geometry_space(const std::vector<int>& slice_widths,
-                          const std::vector<int>& lanes, int max_bits = 8);
 
 }  // namespace bpvec::dse

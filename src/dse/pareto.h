@@ -37,9 +37,9 @@
 
 namespace bpvec::dse {
 
-/// Everything a search can rank on. Scenario searches (run_batch-priced)
-/// support all of them; geometry sweeps (Fig. 4 cost model only) support
-/// just the per-MAC and utilization metrics.
+/// Everything a search can rank on. The per-MAC and utilization metrics
+/// come from core::price_design_point over the candidate's CVU geometry;
+/// the rest from its run_batch RunResult.
 enum class Metric {
   kCycles,       // RunResult::total_cycles          (minimize)
   kEnergy,       // RunResult::energy_j              (minimize)
@@ -75,8 +75,9 @@ struct Evaluation {
   std::uint64_t key = 0;     // ParamSpace::candidate_key
   std::string id;            // scenario id, or the knob label
   core::DesignPoint design;  // Fig. 4 cost + mix utilization of the geometry
-  double core_area_um2 = 0;  // platform core area (scenario searches only)
-  /// Full run metrics; null for geometry-only sweeps.
+  double core_area_um2 = 0;  // platform core area
+  /// Full run metrics; null for an evaluation built from a design point
+  /// alone (fig4_design_space's cost-model frontier).
   std::shared_ptr<const sim::RunResult> result;
   /// Raw metric values in the search's objective order.
   std::vector<double> objectives;

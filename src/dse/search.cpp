@@ -17,58 +17,11 @@ namespace {
 /// propose the same candidates at any batch size.
 constexpr std::size_t kBatch = 256;
 
-double geometry_metric(Metric metric, const core::DesignPoint& design) {
-  switch (metric) {
-    case Metric::kMacPower: return design.cost.power_total();
-    case Metric::kMacArea: return design.cost.area_total();
-    case Metric::kUtilization: return design.mix_utilization;
-    default:
-      throw Error(std::string("metric \"") + to_string(metric) +
-                  "\" requires a scenario search (it is priced by "
-                  "SimEngine::run_batch, not the Fig. 4 cost model)");
-  }
-}
-
 }  // namespace
 
 bool Constraints::any() const {
   return min_utilization || max_power_w || max_energy_j || max_runtime_s ||
          max_cycles;
-}
-
-// ----- GeometryEvaluator ---------------------------------------------
-
-GeometryEvaluator::GeometryEvaluator(engine::SimEngine& engine,
-                                     const ParamSpace& space,
-                                     std::vector<Objective> objectives,
-                                     std::vector<core::BitwidthMixEntry> mix)
-    : engine_(engine),
-      space_(space),
-      objectives_(std::move(objectives)),
-      mix_(std::move(mix)) {
-  for (const Objective& o : objectives_) {
-    (void)geometry_metric(o.metric, core::DesignPoint{});  // validate now
-  }
-}
-
-std::vector<Evaluation> GeometryEvaluator::evaluate(
-    const std::vector<Candidate>& batch) {
-  std::vector<Evaluation> out(batch.size());
-  engine_.for_each(batch.size(), [&](std::size_t i) {
-    Evaluation& e = out[i];
-    e.candidate = batch[i];
-    e.key = space_.candidate_key(batch[i]);
-    const bitslice::CvuGeometry g =
-        space_.geometry(batch[i], bitslice::CvuGeometry{});
-    e.design = mix_.empty() ? core::price_design_point(g)
-                            : core::price_design_point(g, mix_);
-    e.id = g.to_string();
-    e.objectives.reserve(objectives_.size());
-    for (const Objective& o : objectives_) {
-      e.objectives.push_back(geometry_metric(o.metric, e.design));
-    }
-  });
-  return out;
 }
 
 // ----- ScenarioEvaluator ---------------------------------------------
@@ -151,11 +104,9 @@ std::vector<Evaluation> ScenarioEvaluator::evaluate(
         case Metric::kCoreArea: v = e.core_area_um2; break;
         case Metric::kGopsPerW: v = r.gops_per_w; break;
         case Metric::kGopsPerS: v = r.gops_per_s; break;
-        case Metric::kMacPower:
-        case Metric::kMacArea:
-        case Metric::kUtilization:
-          v = geometry_metric(o.metric, e.design);
-          break;
+        case Metric::kMacPower: v = e.design.cost.power_total(); break;
+        case Metric::kMacArea: v = e.design.cost.area_total(); break;
+        case Metric::kUtilization: v = e.design.mix_utilization; break;
       }
       e.objectives.push_back(v);
     }
@@ -175,7 +126,8 @@ std::vector<Evaluation> ScenarioEvaluator::evaluate(
 
 // ----- driver --------------------------------------------------------
 
-SearchOutcome run_search(SearchStrategy& strategy, Evaluator& evaluator,
+SearchOutcome run_search(SearchStrategy& strategy,
+                         ScenarioEvaluator& evaluator,
                          std::vector<Objective> objectives,
                          const SearchOptions& options) {
   ParetoFrontier frontier(objectives);
@@ -209,15 +161,6 @@ SearchOutcome run_search(SearchStrategy& strategy, Evaluator& evaluator,
   }
   outcome.unique_candidates = unique_keys.size();
   return outcome;
-}
-
-std::vector<core::DesignPoint> design_points(const SearchOutcome& outcome) {
-  std::vector<core::DesignPoint> points;
-  points.reserve(outcome.evaluations.size());
-  for (const Evaluation& e : outcome.evaluations) {
-    points.push_back(e.design);
-  }
-  return points;
 }
 
 }  // namespace bpvec::dse

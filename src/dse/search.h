@@ -2,30 +2,23 @@
 //
 // run_search loops { propose → evaluate → frontier.insert → observe }
 // until the strategy is exhausted or the evaluation budget is spent.
-// Two evaluators cover the two pricing paths:
+// ScenarioEvaluator prices every candidate on the full path: candidates
+// materialize into engine::Scenarios and ride SimEngine::run_batch, so
+// the scenario memo, the layer memo (for backends that opt in) and the
+// persistent disk cache apply. Repeat-heavy strategies (random,
+// hill_climb) re-propose candidates freely: the engine prices each
+// unique scenario once (EngineStats::simulations_run stays below the
+// candidate count) and warm disk-cached searches price nothing at all.
+// The per-MAC metrics (mac_power, mac_area, utilization) come from
+// core::price_design_point over each candidate's CVU geometry; the
+// Fig. 4 sweep itself is a plain loop over that function
+// (bench/fig4_design_space), not a search.
 //
-//   GeometryEvaluator  the Fig. 4 path — core::price_design_point fanned
-//                      out on the engine's thread pool. Pure per-MAC
-//                      cost-model pricing; bit-identical to a sequential
-//                      loop over the same grid when driven by a
-//                      GridStrategy (the Fig. 4 sweep).
-//                      Scheduled at the engine's batch grain
-//                      (SimEngine::for_each).
-//   ScenarioEvaluator  the full path — candidates materialize into
-//                      engine::Scenarios and ride SimEngine::run_batch,
-//                      so the scenario memo, the layer memo (for
-//                      backends that opt in) and the persistent disk
-//                      cache apply. Repeat-heavy
-//                      strategies (random, hill_climb) re-propose
-//                      candidates freely: the engine prices each unique
-//                      scenario once (EngineStats::simulations_run stays
-//                      below the candidate count) and warm disk-cached
-//                      searches price nothing at all.
-//
-// Determinism: strategies are deterministic (see strategy.h), evaluators
-// are pure, and the frontier's canonical order is insertion-independent
-// — a search outcome is a pure function of (space, strategy, seed,
-// budget, objectives, constraints), at any thread count or cache state.
+// Determinism: strategies are deterministic (see strategy.h), the
+// evaluator is pure, and the frontier's canonical order is
+// insertion-independent — a search outcome is a pure function of
+// (space, strategy, seed, budget, objectives, constraints), at any
+// thread count or cache state.
 #pragma once
 
 #include <cstdint>
@@ -54,37 +47,9 @@ struct Constraints {
   bool any() const;
 };
 
-class Evaluator {
- public:
-  virtual ~Evaluator() = default;
-  /// Prices a batch: one Evaluation per candidate, same order.
-  virtual std::vector<Evaluation> evaluate(
-      const std::vector<Candidate>& batch) = 0;
-};
-
-/// Fig. 4 cost-model pricing (per-MAC power/area + mix utilization).
-/// Supports only the kMacPower / kMacArea / kUtilization metrics.
-class GeometryEvaluator final : public Evaluator {
- public:
-  /// `mix` may be empty: utilization is then left at its 1.0 default
-  /// (exactly core::price_design_point's single-argument behavior).
-  GeometryEvaluator(engine::SimEngine& engine, const ParamSpace& space,
-                    std::vector<Objective> objectives,
-                    std::vector<core::BitwidthMixEntry> mix = {});
-
-  std::vector<Evaluation> evaluate(
-      const std::vector<Candidate>& batch) override;
-
- private:
-  engine::SimEngine& engine_;
-  const ParamSpace& space_;
-  std::vector<Objective> objectives_;
-  std::vector<core::BitwidthMixEntry> mix_;
-};
-
 /// Full-pipeline pricing through SimEngine::run_batch. Supports every
 /// metric.
-class ScenarioEvaluator final : public Evaluator {
+class ScenarioEvaluator {
  public:
   /// `mix` drives the kUtilization metric and the min_utilization
   /// constraint. Empty derives it from the base network: one entry per
@@ -99,8 +64,8 @@ class ScenarioEvaluator final : public Evaluator {
                     Constraints constraints = {},
                     std::optional<workload::GeneratorSpec> generator = {});
 
-  std::vector<Evaluation> evaluate(
-      const std::vector<Candidate>& batch) override;
+  /// Prices a batch: one Evaluation per candidate, same order.
+  std::vector<Evaluation> evaluate(const std::vector<Candidate>& batch);
 
   /// The base mix (explicit, or derived from the base network). When a
   /// derived mix meets workload axes, evaluate() re-derives it per
@@ -147,12 +112,9 @@ struct SearchOutcome {
   std::size_t infeasible = 0;         // constraint-violating evaluations
 };
 
-SearchOutcome run_search(SearchStrategy& strategy, Evaluator& evaluator,
+SearchOutcome run_search(SearchStrategy& strategy,
+                         ScenarioEvaluator& evaluator,
                          std::vector<Objective> objectives,
                          const SearchOptions& options = {});
-
-/// Projects an outcome onto core::DesignPoints: one per evaluation, in
-/// proposal order.
-std::vector<core::DesignPoint> design_points(const SearchOutcome& outcome);
 
 }  // namespace bpvec::dse

@@ -10,9 +10,7 @@
 // proposes: rounds are planned whole and merely sliced to max_batch.
 //
 //   grid        exhaustive enumeration in the space's canonical
-//               (row-major, first-axis-outermost) order. Over
-//               geometry_space this is the Fig. 4 order: slice
-//               widths outer, lanes inner.
+//               (row-major, first-axis-outermost) order.
 //   random      `samples` independent draws; draw j picks each axis
 //               uniformly from rng.fork(j). Batch size never changes
 //               which candidates are drawn. Repeats are possible by

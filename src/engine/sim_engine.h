@@ -1,9 +1,10 @@
 // SimEngine — the parallel batch simulation engine.
 //
 // The paper's evaluation is a pile of embarrassingly parallel scenario
-// matrices (Fig. 4's α×L sweep, Figs. 5–9's platform×network×memory
-// grids — now × cost backend: the Fig. 9 GPU roofline and the Fig. 1
-// bit-serial baselines ride the same batch as the cycle simulator).
+// matrices (Figs. 5–9's platform×network×memory grids — now × cost
+// backend: the Fig. 9 GPU roofline and the Fig. 1 bit-serial baselines
+// ride the same batch as the cycle simulator). Fig. 4's α×L sweep is
+// closed-form cost-model pricing and does not run on the engine.
 // SimEngine prices whole batches at once on a ThreadPool (one FIFO queue)
 // behind up to three caches:
 //
@@ -171,13 +172,12 @@ class SimEngine {
   /// one EngineStats block carries the whole dispatch-cost split).
   void record_construct_seconds(double seconds);
 
-  /// Runs fn(0..n-1) on the pool at the batch grain — the engine's one
-  /// scheduling policy, shared with callers that fan their own work out
-  /// (dse::GeometryEvaluator). A single unit runs on the caller (see
+ private:
+  /// Runs fn(0..n-1) on the pool at the batch grain — the schedule of
+  /// every run_batch phase. A single unit runs on the caller (see
   /// ThreadPool::parallel_for).
   void for_each(std::size_t n, const std::function<void(std::size_t)>& fn);
 
- private:
   /// Indices per parallel_for chunk for a batch of `jobs` parallel units:
   /// jobs / (threads × 4), so each worker claims ~4 chunks.
   std::size_t batch_grain(std::size_t jobs) const;

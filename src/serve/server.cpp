@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -48,6 +49,33 @@ bool write_line(int fd, std::string line) {
     off += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+/// Clears `path` for bind: nothing there is fine, and a socket that
+/// refuses connections (a killed daemon's) is unlinked. Anything else
+/// throws and stays untouched: a file that is not a socket, or a socket
+/// a live server still accepts on.
+void remove_stale_socket(const std::string& path, const sockaddr_un& addr) {
+  struct stat st {};
+  if (::lstat(path.c_str(), &st) != 0) return;
+  if (!S_ISSOCK(st.st_mode)) {
+    throw Error("socket path " + path + " exists and is not a socket");
+  }
+  const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (probe < 0) {
+    throw Error(std::string("socket(): ") + std::strerror(errno));
+  }
+  const int rc = ::connect(probe, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr));
+  const int err = errno;
+  ::close(probe);
+  if (rc == 0) {
+    throw Error("socket path " + path + " is in use by a running server");
+  }
+  if (err != ECONNREFUSED) {
+    throw Error("connect(" + path + "): " + std::strerror(err));
+  }
+  ::unlink(path.c_str());
 }
 
 /// Parses one request line; a parse failure throws with its reason.
@@ -295,12 +323,12 @@ void Server::run() {
   }
   std::memcpy(addr.sun_path, options_.socket_path.c_str(),
               options_.socket_path.size() + 1);
+  remove_stale_socket(options_.socket_path, addr);
 
   listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     throw Error(std::string("socket(): ") + std::strerror(errno));
   }
-  ::unlink(options_.socket_path.c_str());  // a killed daemon's stale socket
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0) {
     const int err = errno;

@@ -72,8 +72,11 @@
 namespace bpvec::serve {
 
 struct ServerOptions {
-  /// Filesystem path for the AF_UNIX listening socket. Unlinked on
-  /// bind (stale sockets from a killed daemon) and on shutdown.
+  /// Filesystem path for the AF_UNIX listening socket. run() unlinks a
+  /// stale socket there (one that refuses connections, left by a killed
+  /// daemon) before bind, and its own socket on shutdown; it throws,
+  /// touching nothing, when the path names something else or a socket a
+  /// live server accepts on.
   std::string socket_path;
   SessionOptions session;
   /// Workload-schema files registered at startup (the daemon-side
@@ -97,7 +100,8 @@ class Server {
 
   /// Binds the socket and serves until request_stop(), then drains:
   /// stops accepting, lets in-flight requests finish, joins connection
-  /// threads. Throws bpvec::Error if the socket cannot be bound.
+  /// threads. Throws bpvec::Error if the socket cannot be bound,
+  /// including when socket_path is taken (see ServerOptions).
   void run();
 
   /// Begins graceful drain. Async-signal-safe (one relaxed atomic

@@ -31,6 +31,19 @@ void check_has_layers(const std::string& key, const dnn::Network& net) {
   }
 }
 
+/// Runs body(i) for i in [0, n); a bpvec::Error from entry i is rethrown
+/// after storing i in `*failed` (when non-null).
+template <typename Body>
+void for_each_entry(std::size_t n, std::size_t* failed, Body&& body) {
+  std::size_t i = 0;
+  try {
+    for (; i < n; ++i) body(i);
+  } catch (const Error&) {
+    if (failed != nullptr) *failed = i;
+    throw;
+  }
+}
+
 }  // namespace
 
 NetworkRegistry::NetworkRegistry() {
@@ -53,49 +66,85 @@ const std::vector<std::string>& NetworkRegistry::builtin_tokens() {
   return tokens;
 }
 
-void NetworkRegistry::insert(std::string key, Entry entry) {
-  BPVEC_CHECK_MSG(!key.empty(), "network key must be non-empty");
-  const std::string norm = common::normalize_token(key);
-  BPVEC_CHECK_MSG(!norm.empty(), "network key must contain a token "
-                                 "character: " + key);
+void NetworkRegistry::insert(std::vector<std::pair<std::string, Entry>> batch,
+                             std::size_t* failed) {
+  std::vector<std::string> norms(batch.size());
+  for_each_entry(batch.size(), failed, [&](std::size_t i) {
+    const std::string& key = batch[i].first;
+    BPVEC_CHECK_MSG(!key.empty(), "network key must be non-empty");
+    norms[i] = common::normalize_token(key);
+    BPVEC_CHECK_MSG(!norms[i].empty(), "network key must contain a token "
+                                       "character: " + key);
+  });
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(norm);
-  if (it != entries_.end()) {
-    // Identical prototype content: a manifest re-registering its own
-    // workloads (every expand() call) must be a no-op, not an error.
-    if (entry.prototype_stamp && it->second.prototype_stamp &&
-        *entry.prototype_stamp == *it->second.prototype_stamp) {
+  // Every key is checked before any is inserted.
+  std::map<std::string, std::size_t> staged;  // norm → first batch index
+  std::vector<bool> fresh(batch.size(), false);
+  for_each_entry(batch.size(), failed, [&](std::size_t i) {
+    const Entry* taken = nullptr;
+    if (auto it = entries_.find(norms[i]); it != entries_.end()) {
+      taken = &it->second;
+    } else if (auto s = staged.find(norms[i]); s != staged.end()) {
+      taken = &batch[s->second].second;
+    }
+    if (taken == nullptr) {
+      staged.emplace(norms[i], i);
+      fresh[i] = true;
       return;
     }
-    throw Error("NetworkRegistry: network \"" + key +
+    // Identical prototype content: a manifest re-registering its own
+    // workloads (every expand() call) must be a no-op, not an error.
+    const Entry& entry = batch[i].second;
+    if (entry.prototype_stamp && taken->prototype_stamp &&
+        *entry.prototype_stamp == *taken->prototype_stamp) {
+      return;
+    }
+    throw Error("NetworkRegistry: network \"" + batch[i].first +
                 "\" is already registered (tokens match case- and "
                 "separator-insensitively)");
+  });
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (!fresh[i]) continue;
+    entries_.emplace(std::move(norms[i]), std::move(batch[i].second));
+    order_.push_back(std::move(batch[i].first));
   }
-  entries_.emplace(norm, std::move(entry));
-  order_.push_back(std::move(key));
 }
 
 void NetworkRegistry::register_factory(std::string key,
                                        NetworkFactory factory) {
   BPVEC_CHECK_MSG(static_cast<bool>(factory),
                   "network factory must be set: " + key);
-  insert(std::move(key), Entry{std::move(factory), std::nullopt});
+  std::vector<std::pair<std::string, Entry>> batch;
+  batch.emplace_back(std::move(key), Entry{std::move(factory), std::nullopt});
+  insert(std::move(batch), nullptr);
 }
 
 void NetworkRegistry::register_network(std::string key,
                                        dnn::Network prototype) {
-  check_has_layers(key, prototype);
-  const std::uint64_t stamp = prototype_stamp(prototype);
-  auto factory = [proto = std::move(prototype)](dnn::BitwidthMode mode) {
-    dnn::Network net = proto;
-    if (mode == dnn::BitwidthMode::kHomogeneous8b) {
-      // The zoo's homogeneous regime, applied uniformly to user
-      // networks: declared bitwidths are the heterogeneous regime.
-      apply_bitwidth_policy(net, "uniform:8");
-    }
-    return net;
-  };
-  insert(std::move(key), Entry{std::move(factory), stamp});
+  std::vector<Prototype> batch;
+  batch.push_back({std::move(key), std::move(prototype)});
+  register_networks(std::move(batch));
+}
+
+void NetworkRegistry::register_networks(std::vector<Prototype> batch,
+                                        std::size_t* failed) {
+  std::vector<std::pair<std::string, Entry>> entries(batch.size());
+  for_each_entry(batch.size(), failed, [&](std::size_t i) {
+    check_has_layers(batch[i].key, batch[i].network);
+    const std::uint64_t stamp = prototype_stamp(batch[i].network);
+    auto factory = [proto = std::move(batch[i].network)](
+                       dnn::BitwidthMode mode) {
+      dnn::Network net = proto;
+      if (mode == dnn::BitwidthMode::kHomogeneous8b) {
+        // The zoo's homogeneous regime, applied uniformly to user
+        // networks: declared bitwidths are the heterogeneous regime.
+        apply_bitwidth_policy(net, "uniform:8");
+      }
+      return net;
+    };
+    entries[i] = {std::move(batch[i].key), Entry{std::move(factory), stamp}};
+  });
+  insert(std::move(entries), failed);
 }
 
 dnn::Network NetworkRegistry::create(const std::string& token,

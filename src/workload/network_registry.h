@@ -18,6 +18,7 @@
 //
 // As in BackendRegistry, registration is *not* last-wins — a silently
 // replaced network would repoint every manifest that names the token.
+// A batch (a manifest's declared workloads) registers all or nothing.
 // The documented error contract (see tests/test_workload.cpp):
 //   * registering a key whose normalized token is already taken throws
 //       `network "<key>" is already registered`
@@ -36,6 +37,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/dnn/network.h"
@@ -53,11 +55,25 @@ class NetworkRegistry {
   /// an empty key/factory or a duplicate (normalized) key.
   void register_factory(std::string key, NetworkFactory factory);
 
+  /// One fixed prototype and the key it registers under.
+  struct Prototype {
+    std::string key;
+    dnn::Network network;
+  };
+
   /// Registers a fixed prototype (declared bitwidths = its heterogeneous
   /// regime). Re-registering the identical prototype under the same key
   /// is a no-op; a different network under a taken key throws. Throws on
-  /// an empty layer list.
+  /// an empty layer list. A batch of one for register_networks.
   void register_network(std::string key, dnn::Network prototype);
+
+  /// Registers every prototype or none: each key is checked, under one
+  /// lock, against the registry and the batch's earlier entries before
+  /// any is inserted. Throws register_network's error for the first
+  /// entry that fails, after storing its index in `*failed` (when
+  /// non-null), so a manifest names the workload entry it came from.
+  void register_networks(std::vector<Prototype> batch,
+                         std::size_t* failed = nullptr);
 
   /// Instantiates the network registered under `token` at `mode`.
   /// Throws bpvec::Error listing the registered tokens on an unknown
@@ -91,7 +107,10 @@ class NetworkRegistry {
     std::optional<std::uint64_t> prototype_stamp;
   };
 
-  void insert(std::string key, Entry entry);
+  /// The one insertion path: all of `batch` or none of it (see
+  /// register_networks).
+  void insert(std::vector<std::pair<std::string, Entry>> batch,
+              std::size_t* failed);
 
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;  // by normalized token

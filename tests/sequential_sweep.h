@@ -1,8 +1,7 @@
-// Shared test helper: the sequential Fig. 4 sweep. Every (slice width,
-// lanes) geometry at 8-bit maximum precision, slice widths outer and
-// lanes inner, priced one point at a time with core::price_design_point.
-// It is the reference the parallel dse grid (GridStrategy over
-// geometry_space, priced by GeometryEvaluator) must match bit for bit.
+// Shared test helper: the Fig. 4 sweep. Every (slice width, lanes)
+// geometry at 8-bit maximum precision, slice widths outer and lanes
+// inner, priced one point at a time with core::price_design_point — the
+// same loop bench/fig4_design_space runs.
 #pragma once
 
 #include <vector>

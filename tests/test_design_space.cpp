@@ -53,14 +53,25 @@ TEST(MixUtilization, RejectsEmptyMix) {
 }
 
 TEST(BestDesign, PicksTwoBitSixteenLanes) {
-  // The paper's conclusion (§III-B): over the Table-I bitwidth mix, the
-  // optimum is α = 2, L = 16.
-  const auto points = sequential_sweep({1, 2, 4}, {1, 2, 4, 8, 16});
-  const std::vector<BitwidthMixEntry> mix{
+  // The paper's conclusion (§III-B): the optimum is α = 2, L = 16, over
+  // the Table-I bitwidth mix and over fig4_design_space's deep-quantized
+  // mix, whose points that bench prices over the mix itself.
+  const std::vector<BitwidthMixEntry> table1{
       {8, 8, 0.2}, {4, 4, 0.7}, {8, 2, 0.1}};
-  const auto best = best_design(points, mix);
-  EXPECT_EQ(best.geometry.slice_bits, 2);
-  EXPECT_EQ(best.geometry.lanes, 16);
+  const std::vector<BitwidthMixEntry> fig4{
+      {8, 8, 0.2}, {4, 4, 0.6}, {8, 2, 0.1}, {2, 2, 0.1}};
+  const struct {
+    const std::vector<BitwidthMixEntry>& mix;
+    std::vector<DesignPoint> points;
+  } cases[] = {
+      {table1, sequential_sweep({1, 2, 4}, {1, 2, 4, 8, 16})},
+      {fig4, sequential_sweep({1, 2, 4}, {1, 2, 4, 8, 16}, fig4)},
+  };
+  for (const auto& c : cases) {
+    const auto best = best_design(c.points, c.mix, 0.99);
+    EXPECT_EQ(best.geometry.slice_bits, 2) << c.mix.size() << "-entry mix";
+    EXPECT_EQ(best.geometry.lanes, 16) << c.mix.size() << "-entry mix";
+  }
 }
 
 TEST(BestDesign, UtilizationBarFiltersDesigns) {

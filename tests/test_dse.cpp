@@ -1,8 +1,7 @@
-// DSE subsystem end to end: strategy determinism, grid-strategy
-// bit-identity against a sequential core::price_design_point sweep,
-// engine-cache dedup of repeat-heavy searches, budgets, constraints, and
-// the bpvec_run `search` subcommand (cold/warm byte-identity through the
-// disk cache, --validate dry runs).
+// DSE subsystem end to end: strategy determinism, engine-cache dedup of
+// repeat-heavy searches, budgets, constraints, and the bpvec_run `search`
+// subcommand (cold/warm byte-identity through the disk cache, --validate
+// dry runs).
 #include "src/dse/search.h"
 
 #include <gtest/gtest.h>
@@ -14,20 +13,15 @@
 
 #include "src/cli/manifest.h"
 #include "src/common/error.h"
-#include "src/core/design_space.h"
 #include "src/dnn/model_zoo.h"
 #include "src/engine/sim_engine.h"
 #include "src/serve/driver.h"
 #include "tests/run_result_identical.h"
-#include "tests/sequential_sweep.h"
 
 namespace bpvec::dse {
 namespace {
 
 namespace fs = std::filesystem;
-
-const std::vector<Objective> kGeomObjectives{
-    objective(Metric::kMacPower), objective(Metric::kMacArea)};
 
 std::vector<Objective> kScenObjectives() {
   return {objective(Metric::kCycles), objective(Metric::kEnergy)};
@@ -47,83 +41,6 @@ engine::Scenario lstm_base() {
       dnn::make_lstm(dnn::BitwidthMode::kHeterogeneous));
 }
 
-// ----- grid bit-identity against the sequential sweep ----------------
-
-/// The parallel Fig. 4 sweep: a grid over geometry_space priced by
-/// GeometryEvaluator on `eng`'s pool.
-std::vector<core::DesignPoint> parallel_sweep(
-    engine::SimEngine& eng, const std::vector<int>& alphas,
-    const std::vector<int>& lanes,
-    const std::vector<core::BitwidthMixEntry>& mix = {}) {
-  const ParamSpace space = geometry_space(alphas, lanes);
-  GridStrategy strategy(space);
-  GeometryEvaluator evaluator(eng, space, kGeomObjectives, mix);
-  return design_points(run_search(strategy, evaluator, kGeomObjectives));
-}
-
-TEST(GridSearch, BitIdenticalToLegacyExploreDesignSpace) {
-  const std::vector<int> alphas{1, 2, 4};
-  const std::vector<int> lanes{1, 2, 4, 8, 16};
-  const std::vector<core::BitwidthMixEntry> mix{
-      {8, 8, 0.2}, {4, 4, 0.6}, {2, 2, 0.2}};
-
-  engine::SimEngine eng;
-  const ParamSpace space = geometry_space(alphas, lanes);
-  GridStrategy strategy(space);
-  GeometryEvaluator evaluator(eng, space, kGeomObjectives, mix);
-  const SearchOutcome outcome =
-      run_search(strategy, evaluator, kGeomObjectives);
-  const auto via_dse = design_points(outcome);
-
-  // Sequential pass: same grid, same pricing function.
-  const auto sequential = sequential_sweep(alphas, lanes, mix);
-  ASSERT_EQ(via_dse.size(), sequential.size());
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(via_dse[i].geometry.slice_bits,
-              sequential[i].geometry.slice_bits);
-    EXPECT_EQ(via_dse[i].geometry.lanes, sequential[i].geometry.lanes);
-    // Exact double equality: identical arithmetic, not merely close.
-    EXPECT_EQ(via_dse[i].cost.power_total(),
-              sequential[i].cost.power_total());
-    EXPECT_EQ(via_dse[i].cost.area_total(), sequential[i].cost.area_total());
-    EXPECT_EQ(via_dse[i].mix_utilization, sequential[i].mix_utilization);
-  }
-
-  // Grid searches propose each point exactly once.
-  EXPECT_EQ(outcome.candidates, space.size());
-  EXPECT_EQ(outcome.unique_candidates, space.size());
-}
-
-TEST(GridSearch, ParallelSweepWithoutMixMatchesCoreSequential) {
-  engine::SimEngine eng({4});
-  const std::vector<int> alphas{1, 2, 4};
-  const std::vector<int> lanes{1, 2, 4, 8, 16};
-  const auto parallel = parallel_sweep(eng, alphas, lanes);
-  const auto sequential = sequential_sweep(alphas, lanes);
-  ASSERT_EQ(parallel.size(), sequential.size());
-  for (std::size_t i = 0; i < parallel.size(); ++i) {
-    EXPECT_EQ(parallel[i].geometry.slice_bits,
-              sequential[i].geometry.slice_bits);
-    EXPECT_EQ(parallel[i].geometry.lanes, sequential[i].geometry.lanes);
-    EXPECT_EQ(parallel[i].cost.power_total(), sequential[i].cost.power_total());
-    EXPECT_EQ(parallel[i].cost.area_total(), sequential[i].cost.area_total());
-  }
-}
-
-TEST(GridSearch, ParallelSweepWithMixFindsThePaperOptimum) {
-  engine::SimEngine eng({4});
-  const std::vector<core::BitwidthMixEntry> mix{
-      {8, 8, 0.2}, {4, 4, 0.6}, {8, 2, 0.1}, {2, 2, 0.1}};
-  const auto points = parallel_sweep(eng, {1, 2, 4}, {1, 2, 4, 8, 16}, mix);
-  for (const auto& p : points) {
-    EXPECT_EQ(p.mix_utilization, core::mix_utilization(p.geometry, mix));
-  }
-  // best_design over the parallel points reproduces the paper's optimum.
-  const auto best = core::best_design(points, mix, 0.99);
-  EXPECT_EQ(best.geometry.slice_bits, 2);
-  EXPECT_EQ(best.geometry.lanes, 16);
-}
-
 // ----- determinism ----------------------------------------------------
 
 TEST(RandomSearch, SeedDecidesTheDraws) {
@@ -133,9 +50,9 @@ TEST(RandomSearch, SeedDecidesTheDraws) {
   auto keys_with_seed = [&](std::uint64_t seed) {
     engine::SimEngine eng;
     RandomStrategy strategy(space, /*samples=*/17, seed);
-    GeometryEvaluator evaluator(eng, space, kGeomObjectives);
+    ScenarioEvaluator evaluator(eng, space, lstm_base(), kScenObjectives());
     const SearchOutcome outcome =
-        run_search(strategy, evaluator, kGeomObjectives);
+        run_search(strategy, evaluator, kScenObjectives());
     std::vector<std::uint64_t> keys;
     for (const auto& e : outcome.evaluations) keys.push_back(e.key);
     return keys;
@@ -317,16 +234,16 @@ TEST(PopulationStrategies, ReachTheGridOptimumDeterministically) {
 // ----- budgets and constraints ---------------------------------------
 
 TEST(Search, BudgetCapsEvaluations) {
-  const std::vector<int> alphas{1, 2, 4};
-  const std::vector<int> lanes{1, 2, 4, 8, 16};
+  ParamSpace space;  // six candidates, one more than the budget
+  space.add_axis(Knob::kCvuSliceBits, {1, 2, 4});
+  space.add_axis(Knob::kCvuLanes, {4, 16});
   engine::SimEngine eng;
-  const ParamSpace space = geometry_space(alphas, lanes);
   GridStrategy strategy(space);
-  GeometryEvaluator evaluator(eng, space, kGeomObjectives);
+  ScenarioEvaluator evaluator(eng, space, lstm_base(), kScenObjectives());
   SearchOptions options;
   options.budget = 5;
   const SearchOutcome outcome =
-      run_search(strategy, evaluator, kGeomObjectives, options);
+      run_search(strategy, evaluator, kScenObjectives(), options);
   EXPECT_EQ(outcome.candidates, 5u);
   // The five that ran are the first five grid points.
   for (std::size_t i = 0; i < 5; ++i) {
@@ -413,13 +330,6 @@ TEST(ScenarioSearch, DerivedMixFollowsTheRegeneratedNetwork) {
   // visible only if the mix follows each candidate's regenerated net.
   EXPECT_DOUBLE_EQ(outcome.evaluations[0].design.mix_utilization, 0.25);
   EXPECT_DOUBLE_EQ(outcome.evaluations[1].design.mix_utilization, 1.0);
-}
-
-TEST(GeometryEvaluator, RejectsScenarioOnlyMetrics) {
-  engine::SimEngine eng;
-  const ParamSpace space = geometry_space({2}, {16});
-  EXPECT_THROW(
-      GeometryEvaluator(eng, space, {objective(Metric::kCycles)}), Error);
 }
 
 // ----- the bpvec_run search subcommand -------------------------------

@@ -1,14 +1,12 @@
 // ParamSpace: axis validation, canonical enumeration order, candidate
-// keys, scenario materialization, and geometry_space's Fig. 4 order.
+// keys and scenario materialization.
 #include "src/dse/param_space.h"
 
 #include <gtest/gtest.h>
 
 #include "src/common/error.h"
-#include "src/core/design_space.h"
 #include "src/dnn/model_zoo.h"
 #include "src/engine/scenario.h"
-#include "tests/sequential_sweep.h"
 
 namespace bpvec::dse {
 namespace {
@@ -123,39 +121,6 @@ TEST(ParamSpace, MaterializeRejectsInvalidConfigs) {
   ParamSpace bad_mem;
   bad_mem.add_axis(Knob::kMemBandwidthGbps, {-1.0});
   EXPECT_THROW(bad_mem.materialize(bad_mem.at(0), base), Error);
-}
-
-TEST(GeometrySpace, MatchesDesignGridOrder) {
-  const std::vector<int> alphas{1, 2, 4};
-  const std::vector<int> lanes{1, 4, 16};
-  const ParamSpace space = geometry_space(alphas, lanes);
-  const auto grid = sequential_sweep(alphas, lanes);
-  ASSERT_EQ(space.size(), grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const bitslice::CvuGeometry g =
-        space.geometry(space.at(i), bitslice::CvuGeometry{});
-    EXPECT_EQ(g.slice_bits, grid[i].geometry.slice_bits);
-    EXPECT_EQ(g.lanes, grid[i].geometry.lanes);
-    EXPECT_EQ(g.max_bits, grid[i].geometry.max_bits);
-  }
-}
-
-TEST(GeometrySpace, ValidatesEagerlyLikeDesignGrid) {
-  // 3 does not divide 8: the space throws before any point is priced,
-  // with the error that pricing the geometry would raise.
-  const auto message = [](const auto& f) {
-    try {
-      f();
-    } catch (const Error& e) {
-      return std::string(e.what());
-    }
-    return std::string("no error");
-  };
-  const std::string eager = message([] { (void)geometry_space({3}, {16}); });
-  EXPECT_NE(eager, "no error");
-  EXPECT_EQ(eager, message([] {
-              (void)core::price_design_point(bitslice::CvuGeometry{3, 8, 16});
-            }));
 }
 
 TEST(ParamSpace, WorkloadAxesRegenerateTheNetwork) {

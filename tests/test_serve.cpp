@@ -498,29 +498,64 @@ TEST(Server, RejectedRequestRegistersNoWorkload) {
     EXPECT_EQ(served.at("status").as_string(), "ok")
         << c.name << ": " << served.dump();
   }
+
+  // A name collision on a manifest's second workload registers the first
+  // one neither.
+  const auto net = [](const std::string& name, int out_features) {
+    return R"({"network": {"name": ")" + name + R"(", "layers": [
+              {"kind": "fc", "name": "f", "in_features": 8,
+               "out_features": )" + std::to_string(out_features) + "}]}}";
+  };
+  const auto price_nets = [&](const std::string& workloads) {
+    return server.handle(common::json::parse(
+        R"({"op": "price", "deterministic_report": true, "manifest":
+            {"name": "reject_probe", "workloads": [)" + workloads + "], " +
+        grid("") + "}}"));
+  };
+  ASSERT_EQ(price_nets(net("reject_probe_taken", 2)).at("status").as_string(),
+            "ok");
+  const Value collided = price_nets(net("reject_probe_fresh", 2) + ", " +
+                                    net("reject_probe_taken", 4));
+  ASSERT_EQ(collided.at("status").as_string(), "error");
+  EXPECT_NE(collided.at("error").as_string().find(
+                "workloads[1]: NetworkRegistry: network "
+                "\"reject_probe_taken\" is already registered"),
+            std::string::npos)
+      << collided.at("error").as_string();
+  EXPECT_FALSE(
+      workload::NetworkRegistry::instance().contains("reject_probe_fresh"));
+  const Value fresh = price_nets(net("reject_probe_fresh", 4));
+  EXPECT_EQ(fresh.at("status").as_string(), "ok") << fresh.dump();
 }
 
 // ----- the socket loop (Server::run) ------------------------------------
 
-/// Server::run() on its own thread over a short temp socket path. The
-/// destructor always requests a stop and joins, so a failing test
-/// cannot leave the loop running.
+/// A short per-process temp path for a test socket.
+std::string temp_socket_path() {
+  return (fs::temp_directory_path() /
+          ("bpvec_" + std::to_string(::getpid()) + ".sock"))
+      .string();
+}
+
+/// Server::run() on its own thread over `path`. The destructor always
+/// requests a stop and joins, so a failing test cannot leave the loop
+/// running. A throw from run() fails the test unless `expect_error`;
+/// error() returns its message.
 class RunningServer {
  public:
-  RunningServer() {
+  explicit RunningServer(std::string path = temp_socket_path(),
+                         bool expect_error = false)
+      : path_(std::move(path)) {
     ServerOptions options;
-    options.socket_path =
-        (fs::temp_directory_path() /
-         ("bpvec_" + std::to_string(::getpid()) + ".sock"))
-            .string();
+    options.socket_path = path_;
     options.session.threads = 1;
     server_ = std::make_unique<Server>(options);
-    path_ = options.socket_path;
-    thread_ = std::thread([this] {
+    thread_ = std::thread([this, expect_error] {
       try {
         server_->run();
       } catch (const std::exception& e) {
-        ADD_FAILURE() << "Server::run: " << e.what();
+        if (!expect_error) ADD_FAILURE() << "Server::run: " << e.what();
+        error_ = e.what();
       }
       returned_.store(true);
     });
@@ -567,9 +602,14 @@ class RunningServer {
     return returned_.load();
   }
 
+  /// What run() threw, once it has returned (see returned()); empty when
+  /// it is still serving or returned normally.
+  std::string error() const { return returned() ? error_ : std::string(); }
+
  private:
-  std::unique_ptr<Server> server_;
   std::string path_;
+  std::unique_ptr<Server> server_;
+  std::string error_;  // written by the thread before returned_
   std::atomic<bool> returned_{false};
   std::thread thread_;  // last: it uses the members above
 };
@@ -665,6 +705,36 @@ TEST(ServerSocket, ShutdownRepliesDrainingAndRunReturns) {
   EXPECT_TRUE(read_reply(fd).is_null());  // the accepted shutdown closes
   ::close(fd);
   EXPECT_TRUE(server.returned());
+}
+
+TEST(ServerSocket, PathThatIsNotASocketIsLeftAlone) {
+  const std::string path = temp_socket_path();
+  std::ofstream(path) << "not a socket\n";
+  const std::string error = RunningServer(path, /*expect_error=*/true).error();
+  EXPECT_NE(error.find("socket path " + path + " exists and is not a socket"),
+            std::string::npos)
+      << error;
+  std::ifstream in(path);
+  std::string content;
+  std::getline(in, content);
+  EXPECT_EQ(content, "not a socket");
+  fs::remove(path);
+}
+
+TEST(ServerSocket, LiveDaemonKeepsItsSocket) {
+  RunningServer live;
+  const int fd = live.connect();  // bound and accepting
+  ASSERT_GE(fd, 0);
+  ::close(fd);
+  const std::string error =
+      RunningServer(temp_socket_path(), /*expect_error=*/true).error();
+  EXPECT_NE(error.find("is in use by a running server"), std::string::npos)
+      << error;
+  // The live daemon still answers on its path.
+  const int next = live.connect();
+  ASSERT_GE(next, 0);
+  EXPECT_EQ(status_of(round_trip(next, R"({"op":"ping"})")), "ok");
+  ::close(next);
 }
 
 TEST(Session, StatsJsonReportsWeightPlaneHitRate) {
