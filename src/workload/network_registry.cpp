@@ -68,19 +68,17 @@ const std::vector<std::string>& NetworkRegistry::builtin_tokens() {
 
 void NetworkRegistry::insert(std::vector<std::pair<std::string, Entry>> batch,
                              std::size_t* failed) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // Every key is checked before any is inserted.
   std::vector<std::string> norms(batch.size());
+  std::map<std::string, std::size_t> staged;  // norm → first batch index
+  std::vector<bool> fresh(batch.size(), false);
   for_each_entry(batch.size(), failed, [&](std::size_t i) {
     const std::string& key = batch[i].first;
     BPVEC_CHECK_MSG(!key.empty(), "network key must be non-empty");
     norms[i] = common::normalize_token(key);
     BPVEC_CHECK_MSG(!norms[i].empty(), "network key must contain a token "
                                        "character: " + key);
-  });
-  std::lock_guard<std::mutex> lock(mu_);
-  // Every key is checked before any is inserted.
-  std::map<std::string, std::size_t> staged;  // norm → first batch index
-  std::vector<bool> fresh(batch.size(), false);
-  for_each_entry(batch.size(), failed, [&](std::size_t i) {
     const Entry* taken = nullptr;
     if (auto it = entries_.find(norms[i]); it != entries_.end()) {
       taken = &it->second;
@@ -99,7 +97,7 @@ void NetworkRegistry::insert(std::vector<std::pair<std::string, Entry>> batch,
         *entry.prototype_stamp == *taken->prototype_stamp) {
       return;
     }
-    throw Error("NetworkRegistry: network \"" + batch[i].first +
+    throw Error("NetworkRegistry: network \"" + key +
                 "\" is already registered (tokens match case- and "
                 "separator-insensitively)");
   });
