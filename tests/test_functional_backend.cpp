@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <set>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "src/backend/backend_registry.h"
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/dnn/model_zoo.h"
@@ -203,6 +205,67 @@ TEST(FunctionalBackend, ZooLayersVerifyOnEveryReachableDispatchVariant) {
   for (std::size_t i = 1; i < macs_per_variant.size(); ++i) {
     EXPECT_EQ(macs_per_variant[i], macs_per_variant[0])
         << kernels::simd_available_variants()[i];
+  }
+}
+
+/// Digest of one cached probe weight draw: every value, then every
+/// plane's shape and words.
+std::uint64_t weight_digest(const kernels::PackedWeights& w) {
+  common::ConfigHash f;
+  f.u64(w.values.size());
+  for (const std::int32_t v : w.values) f.i32(v);
+  f.u64(w.planes.size());
+  for (const kernels::BitPlanes& planes : w.planes) {
+    f.i64(planes.rows);
+    f.i64(planes.cols);
+    f.i32(planes.bits);
+    f.i32(planes.is_signed ? 1 : 0);
+    f.u64(planes.words);
+    for (const std::uint64_t word : planes.data) f.u64(word);
+  }
+  return f.h;
+}
+
+TEST(FunctionalBackend, ProbeWeightsAndMacsArePinned) {
+  // One zoo layer of each kind, at the default and the small probe
+  // bounds: the measured MACs and the weight-plane cache entry the probe
+  // builds (values and every plane word) are pinned, so a change to how
+  // the probe draws, slices or packs its weights shows up here. Pool
+  // probes draw no weights and leave no entry.
+  struct Pin {
+    const char* layer;
+    bool small;
+    std::int64_t macs;
+    std::uint64_t digest;  // 0: no cache entry
+  };
+  const Pin pins[] = {
+      {"conv2", false, 2457600, 3103067478919193580ull},
+      {"conv2", true, 115200, 10249788045963207765ull},
+      {"pool2", false, 0, 0},
+      {"pool2", true, 0, 0},
+      {"fc7", false, 262144, 6371050579035812335ull},
+      {"fc7", true, 49152, 9376554641189730471ull},
+      {"lstm", false, 32768, 10104803586188286856ull},
+      {"lstm", true, 576, 7614321429108226205ull},
+  };
+  const auto mode = dnn::BitwidthMode::kHeterogeneous;
+  const dnn::Network alexnet = dnn::make_alexnet(mode);
+  const dnn::Network lstm = dnn::make_lstm(mode);
+  auto& cache = kernels::WeightPlaneCache::instance();
+  for (const Pin& pin : pins) {
+    const dnn::Network& net = pin.layer == std::string("lstm") ? lstm : alexnet;
+    const auto it = std::find_if(
+        net.layers().begin(), net.layers().end(),
+        [&](const dnn::Layer& l) { return l.name == pin.layer; });
+    ASSERT_NE(it, net.layers().end()) << pin.layer;
+    const FunctionalBackend be(pin.small ? small_probes() : FunctionalConfig{},
+                               sim::bpvec_accelerator(), arch::ddr4());
+    const std::string label =
+        std::string(pin.layer) + (pin.small ? " small" : " default");
+    cache.clear();
+    EXPECT_EQ(be.price_layer(*it).measured_macs, pin.macs) << label;
+    const auto entry = cache.find(be.weight_key(*it));
+    EXPECT_EQ(entry ? weight_digest(**entry) : 0, pin.digest) << label;
   }
 }
 
