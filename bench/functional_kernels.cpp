@@ -626,17 +626,25 @@ int main() {
       BPVEC_CHECK_MSG(conv_reference_wide(input, weights, c.p) == expected,
                       "functional kernel bench: conv references disagree on " +
                           c.id);
+      const std::int64_t k = std::int64_t{c.p.in_c} * c.p.kh * c.p.kw;
+      // Direct conv from raw weights, like the lowering: pack the filters,
+      // then run the kernel on the planes.
+      const auto direct = [&](kernels::KernelStats* stats) {
+        return kernels::packed_conv(
+            input, kernels::pack_values(weights.data(), c.p.out_c, k, c.w_bits),
+            c.p, c.x_bits, nullptr, stats);
+      };
       kernels::KernelStats direct_stats;
       std::int64_t im2col_peak_bytes = 0;
       BPVEC_CHECK_MSG(
-          kernels::packed_conv(input, weights, c.p, c.x_bits, c.w_bits,
-                               nullptr, &direct_stats) == expected &&
+          direct(&direct_stats) == expected &&
               conv_im2col(input, weights, c.p, c.x_bits, c.w_bits,
                           &im2col_peak_bytes) == expected,
           "functional kernel bench: conv paths disagree on " + c.id);
-      const double direct_s = timed([&] {
-        (void)kernels::packed_conv(input, weights, c.p, c.x_bits, c.w_bits);
-      });
+      // The filter planes it packs count toward its peak, as the
+      // lowering's do toward im2col's.
+      direct_stats.peak_bytes += planes_bytes(c.p.out_c, k, c.w_bits);
+      const double direct_s = timed([&] { (void)direct(nullptr); });
       const double im2col_s = timed([&] {
         (void)conv_im2col(input, weights, c.p, c.x_bits, c.w_bits);
       });
@@ -645,7 +653,6 @@ int main() {
           [&] { (void)conv_reference_wide(input, weights, c.p); });
       const double ref_ratio = ref_s > 0 ? ref_wide_s / ref_s : 0.0;
       reference_vs_wide.push_back(ref_ratio);
-      const std::int64_t k = std::int64_t{c.p.in_c} * c.p.kh * c.p.kw;
       const std::int64_t macs =
           std::int64_t{c.p.out_h()} * c.p.out_w() * c.p.out_c * k;
       const double speed_ratio = direct_s > 0 ? im2col_s / direct_s : 0.0;

@@ -1,8 +1,12 @@
 #include "src/backend/functional_backend.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
+#include <span>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "src/bitslice/cvu.h"
 #include "src/common/clock.h"
@@ -30,116 +34,117 @@ int ceil_log2(std::int64_t v) {
   return b;
 }
 
-/// First min(n, m.rows) rows of `m` — the CVU cross-check sub-block.
-dnn::Matrix head_rows(const dnn::Matrix& m, std::int64_t n) {
-  dnn::Matrix out;
-  out.rows = std::min(n, m.rows);
-  out.cols = m.cols;
-  out.data.assign(m.data.begin(),
-                  m.data.begin() + static_cast<std::size_t>(out.rows * m.cols));
-  return out;
+/// A MAC probe's weights: `gates` row-major [rows][K] matrices drawn as
+/// one signed_vector and packed into one BitPlanes per gate (conv and
+/// fc have one gate; an LSTM has four). Drawn and packed once per (probe
+/// config, layer) key — repeat probes hit the WeightPlaneCache and skip
+/// both. The draw rides its own Rng stream, so skipping it never
+/// perturbs the activation stream.
+std::shared_ptr<const kernels::PackedWeights> probe_weights(
+    std::uint64_t key, Rng& weight_rng, int gates, std::int64_t rows,
+    std::int64_t k, int w_bits) {
+  return kernels::WeightPlaneCache::instance().get_or_build(key, [&] {
+    const auto gate_size = static_cast<std::size_t>(rows * k);
+    kernels::PackedWeights pw;
+    pw.values = weight_rng.signed_vector(gates * gate_size, w_bits);
+    for (int g = 0; g < gates; ++g) {
+      pw.planes.push_back(kernels::pack_values(
+          pw.values.data() + static_cast<std::size_t>(g) * gate_size, rows, k,
+          w_bits));
+    }
+    return std::make_shared<const kernels::PackedWeights>(std::move(pw));
+  });
 }
 
-/// Small CVU instance for the scalar datapath cross-check. B = 16 covers
-/// every bitwidth the packer accepts, not just the workload schema's
-/// [1, 8] range.
-bitslice::Cvu make_check_cvu() { return bitslice::Cvu({2, 16, 16}); }
+/// The weight values of gate `gate` ([rows][K] row-major), viewed in
+/// place in the cached draw.
+std::span<const std::int32_t> gate_values(const kernels::PackedWeights& w,
+                                          std::size_t gate) {
+  const kernels::BitPlanes& planes = w.planes[gate];
+  const auto size = static_cast<std::size_t>(planes.rows * planes.cols);
+  return std::span<const std::int32_t>(w.values).subspan(gate * size, size);
+}
 
-kernels::WeightPlaneCache& weight_cache() {
-  return kernels::WeightPlaneCache::instance();
+/// Scalar CVU datapath on a sub-block of the probe's GEMM: the
+/// activation rows `a` against the first check_cols weight rows of
+/// `gate`, through a small CVU (B = 16 covers every bitwidth the packer
+/// accepts, not just the workload schema's [1, 8] range). Throws unless
+/// matches(m, n, result) holds for every result.
+template <typename Matches>
+void check_cvu(const dnn::Layer& probe, const FunctionalConfig& fc,
+               const dnn::Matrix& a, const kernels::PackedWeights& w,
+               std::size_t gate, const char* op, Matches matches) {
+  dnn::Matrix b;
+  b.rows = std::min<std::int64_t>(fc.check_cols, w.planes[gate].rows);
+  b.cols = w.planes[gate].cols;
+  const auto head = gate_values(w, gate).first(
+      static_cast<std::size_t>(b.rows * b.cols));
+  b.data.assign(head.begin(), head.end());
+  bitslice::Cvu cvu({2, 16, 16});
+  const auto out = core::execute_gemm(cvu, a, b, probe.x_bits, probe.w_bits);
+  for (std::int64_t m = 0; m < a.rows; ++m) {
+    for (std::int64_t n = 0; n < b.rows; ++n) {
+      BPVEC_CHECK_MSG(
+          matches(m, n, out[static_cast<std::size_t>(m * b.rows + n)]),
+          std::string("functional probe: CVU datapath deviates on ") + op +
+              ": " + probe.name);
+    }
+  }
 }
 
 void probe_conv(const dnn::Layer& probe, const FunctionalConfig& fc,
                 Rng& input_rng, Rng& weight_rng, std::uint64_t weight_key,
                 kernels::KernelStats* stats, double* wall_s) {
   const dnn::ConvParams& p = probe.conv();
-  const std::int64_t k = static_cast<std::int64_t>(p.in_c) * p.kh * p.kw;
   dnn::Tensor input(p.in_c, p.in_h, p.in_w);
   for (auto& v : input.data()) v = input_rng.signed_value(probe.x_bits);
-  // Weight draw + pack, once per (probe config, layer) key — repeat
-  // probes hit the cache and skip both. The draw rides its own Rng
-  // stream, so skipping it never perturbs the input stream above.
-  const auto entry = weight_cache().get_or_build(weight_key, [&] {
-    kernels::PackedWeights pw;
-    pw.values = weight_rng.signed_vector(
-        static_cast<std::size_t>(p.out_c) * p.in_c * p.kh * p.kw,
-        probe.w_bits);
-    pw.planes.push_back(
-        kernels::pack_values(pw.values.data(), p.out_c, k, probe.w_bits));
-    return std::make_shared<const kernels::PackedWeights>(std::move(pw));
-  });
-  const std::vector<std::int32_t>& weights = entry->values;
+  const auto w = probe_weights(weight_key, weight_rng, 1, p.out_c,
+                               std::int64_t{p.in_c} * p.kh * p.kw,
+                               probe.w_bits);
 
   const auto t0 = SteadyClock::now();
-  const auto packed = kernels::packed_conv(input, entry->planes[0], p,
+  const auto packed = kernels::packed_conv(input, w->planes[0], p,
                                            probe.x_bits,
                                            /*pool=*/nullptr, stats);
   *wall_s += seconds_since(t0);
 
-  const auto reference = dnn::conv2d_reference(input, weights, p);
+  const auto reference = dnn::conv2d_reference(input, w->values, p);
   BPVEC_CHECK_MSG(packed == reference,
                   "functional probe: packed conv deviates from reference: " +
                       probe.name);
 
-  // Scalar CVU datapath on a sub-block of the same lowered GEMM.
-  const dnn::Matrix a = dnn::im2col_rows(input, p, 0, fc.check_rows);
-  const dnn::Matrix b =
-      head_rows(dnn::weights_as_matrix(weights, p), fc.check_cols);
-  bitslice::Cvu cvu = make_check_cvu();
-  const auto cvu_out = core::execute_gemm(cvu, a, b, probe.x_bits,
-                                          probe.w_bits);
-  const std::int64_t pixels =
-      static_cast<std::int64_t>(p.out_h()) * p.out_w();
-  for (std::int64_t m = 0; m < a.rows; ++m) {
-    for (std::int64_t n = 0; n < b.rows; ++n) {
-      BPVEC_CHECK_MSG(
-          cvu_out[static_cast<std::size_t>(m * b.rows + n)] ==
-              reference[static_cast<std::size_t>(n * pixels + m)],
-          "functional probe: CVU datapath deviates on conv: " + probe.name);
-    }
-  }
+  // Only the rows the CVU reads are lowered.
+  const std::int64_t pixels = std::int64_t{p.out_h()} * p.out_w();
+  check_cvu(probe, fc, dnn::im2col_rows(input, p, 0, fc.check_rows), *w, 0,
+            "conv", [&](std::int64_t m, std::int64_t n, std::int64_t cvu) {
+              return cvu == reference[static_cast<std::size_t>(n * pixels + m)];
+            });
 }
 
 void probe_fc(const dnn::Layer& probe, const FunctionalConfig& fc,
               Rng& input_rng, Rng& weight_rng, std::uint64_t weight_key,
               kernels::KernelStats* stats, double* wall_s) {
   const dnn::FcParams& p = probe.fc();
-  const auto input = input_rng.signed_vector(
+  auto input = input_rng.signed_vector(
       static_cast<std::size_t>(p.in_features), probe.x_bits);
-  const auto entry = weight_cache().get_or_build(weight_key, [&] {
-    kernels::PackedWeights pw;
-    pw.values = weight_rng.signed_vector(
-        static_cast<std::size_t>(p.in_features) * p.out_features,
-        probe.w_bits);
-    pw.planes.push_back(kernels::pack_values(pw.values.data(), p.out_features,
-                                             p.in_features, probe.w_bits));
-    return std::make_shared<const kernels::PackedWeights>(std::move(pw));
-  });
-  const std::vector<std::int32_t>& weights = entry->values;
+  const auto w = probe_weights(weight_key, weight_rng, 1, p.out_features,
+                               p.in_features, probe.w_bits);
 
   const auto t0 = SteadyClock::now();
-  const auto packed = kernels::packed_fc(input, entry->planes[0], p,
+  const auto packed = kernels::packed_fc(input, w->planes[0], p,
                                          probe.x_bits, /*pool=*/nullptr,
                                          stats);
   *wall_s += seconds_since(t0);
 
-  const auto reference = dnn::fc_reference(input, weights, p);
+  const auto reference = dnn::fc_reference(input, w->values, p);
   BPVEC_CHECK_MSG(packed == reference,
                   "functional probe: packed fc deviates from reference: " +
                       probe.name);
 
-  dnn::Matrix a{1, p.in_features, input};
-  dnn::Matrix wm{p.out_features, p.in_features, weights};
-  const dnn::Matrix b = head_rows(wm, fc.check_cols);
-  bitslice::Cvu cvu = make_check_cvu();
-  const auto cvu_out = core::execute_gemm(cvu, a, b, probe.x_bits,
-                                          probe.w_bits);
-  for (std::int64_t n = 0; n < b.rows; ++n) {
-    BPVEC_CHECK_MSG(
-        cvu_out[static_cast<std::size_t>(n)] ==
-            reference[static_cast<std::size_t>(n)],
-        "functional probe: CVU datapath deviates on fc: " + probe.name);
-  }
+  check_cvu(probe, fc, dnn::Matrix{1, p.in_features, std::move(input)}, *w, 0,
+            "fc", [&](std::int64_t, std::int64_t n, std::int64_t cvu) {
+              return cvu == reference[static_cast<std::size_t>(n)];
+            });
 }
 
 void probe_pool(const dnn::Layer& probe, Rng& input_rng,
@@ -178,42 +183,26 @@ void probe_recurrent(const dnn::Layer& probe, const FunctionalConfig& fc,
                                    probe.x_bits);
   // One weight matrix per gate; LSTM probes cycle through all four (step
   // t uses gate t mod gates), so every gate matrix meets a real
-  // reference recurrence. The cache entry carries one packed BitPlanes
-  // per gate.
+  // reference recurrence.
   const int gates = p.gates();
-  const std::size_t gate_size =
-      static_cast<std::size_t>(p.hidden_size) * static_cast<std::size_t>(k);
-  const auto entry = weight_cache().get_or_build(weight_key, [&] {
-    kernels::PackedWeights pw;
-    pw.values = weight_rng.signed_vector(gates * gate_size, probe.w_bits);
-    for (int g = 0; g < gates; ++g) {
-      pw.planes.push_back(kernels::pack_values(
-          pw.values.data() + static_cast<std::size_t>(g) * gate_size,
-          p.hidden_size, k, probe.w_bits));
-    }
-    return std::make_shared<const kernels::PackedWeights>(std::move(pw));
-  });
+  const auto w = probe_weights(weight_key, weight_rng, gates, p.hidden_size,
+                               k, probe.w_bits);
 
   for (int t = 0; t < p.time_steps; ++t) {
     const auto x = input_rng.signed_vector(
         static_cast<std::size_t>(p.input_size), probe.x_bits);
-    const int gate = t % gates;
-    const std::size_t off = static_cast<std::size_t>(gate) * gate_size;
-    const std::vector<std::int32_t> weights(
-        entry->values.begin() + static_cast<std::ptrdiff_t>(off),
-        entry->values.begin() + static_cast<std::ptrdiff_t>(off + gate_size));
+    const auto gate = static_cast<std::size_t>(t % gates);
 
     const auto t0 = SteadyClock::now();
-    const auto packed = kernels::packed_rnn_step(
-        x, h, entry->planes[static_cast<std::size_t>(gate)], p.hidden_size,
-        shift, out_bits, probe.x_bits, /*pool=*/nullptr, stats);
+    auto packed = kernels::packed_rnn_step(x, h, w->planes[gate],
+                                           p.hidden_size, shift, out_bits,
+                                           probe.x_bits, /*pool=*/nullptr,
+                                           stats);
     *wall_s += seconds_since(t0);
 
-    const auto reference = dnn::rnn_step_reference(x, h, weights,
-                                                   p.hidden_size, shift,
-                                                   out_bits);
     BPVEC_CHECK_MSG(
-        packed == reference,
+        packed == dnn::rnn_step_reference(x, h, gate_values(*w, gate),
+                                          p.hidden_size, shift, out_bits),
         "functional probe: packed recurrent step deviates from reference: " +
             probe.name);
 
@@ -221,21 +210,14 @@ void probe_recurrent(const dnn::Layer& probe, const FunctionalConfig& fc,
       // CVU datapath on this step's pre-activation accumulators.
       std::vector<std::int32_t> xh = x;
       xh.insert(xh.end(), h.begin(), h.end());
-      dnn::Matrix a{1, k, std::move(xh)};
-      dnn::Matrix wm{p.hidden_size, k, weights};
-      const dnn::Matrix b = head_rows(wm, fc.check_cols);
-      bitslice::Cvu cvu = make_check_cvu();
-      const auto cvu_out = core::execute_gemm(cvu, a, b, probe.x_bits,
-                                              probe.w_bits);
-      for (std::int64_t n = 0; n < b.rows; ++n) {
-        BPVEC_CHECK_MSG(
-            dnn::requantize(cvu_out[static_cast<std::size_t>(n)], shift,
-                            out_bits) == packed[static_cast<std::size_t>(n)],
-            "functional probe: CVU datapath deviates on recurrent step: " +
-                probe.name);
-      }
+      check_cvu(probe, fc, dnn::Matrix{1, k, std::move(xh)}, *w, gate,
+                "recurrent step",
+                [&](std::int64_t, std::int64_t n, std::int64_t cvu) {
+                  return dnn::requantize(cvu, shift, out_bits) ==
+                         packed[static_cast<std::size_t>(n)];
+                });
     }
-    h = packed;
+    h = std::move(packed);
   }
 }
 

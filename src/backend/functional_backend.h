@@ -10,9 +10,13 @@
 //
 // Agreement is the paper's Eq. 1–4 exactness property, enforced on every
 // priced layer (a mismatch throws — pricing fails loudly rather than
-// emit unverified numbers). On top of the modeled cycles the result
-// carries measured_wall_s / measured_macs from the packed probe, giving
-// reports a measured-vs-modeled column.
+// emit unverified numbers). Every MAC probe (conv, fc, recurrent) takes
+// the same four steps through two shared helpers: draw and pack its
+// weights through the cache, time the packed kernel, compare with the
+// reference op, and run a check_rows × check_cols sub-block on the CVU,
+// built straight from the cached values. On top of the modeled cycles
+// the result carries measured_wall_s / measured_macs from the packed
+// probe, giving reports a measured-vs-modeled column.
 //
 // Determinism contract: probe operands come from
 // Rng(seed).fork(layer_fingerprint(layer)), split into two independent

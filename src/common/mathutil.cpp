@@ -11,18 +11,6 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
 }
 
-bool is_pow2(std::int64_t v) { return v > 0 && (v & (v - 1)) == 0; }
-
-int ilog2(std::int64_t v) {
-  BPVEC_CHECK(v > 0);
-  int r = 0;
-  while (v > 1) {
-    v >>= 1;
-    ++r;
-  }
-  return r;
-}
-
 double geomean(const std::vector<double>& v) {
   BPVEC_CHECK(!v.empty());
   double acc = 0.0;
@@ -31,11 +19,6 @@ double geomean(const std::vector<double>& v) {
     acc += std::log(x);
   }
   return std::exp(acc / static_cast<double>(v.size()));
-}
-
-std::int64_t round_up(std::int64_t v, std::int64_t m) {
-  BPVEC_CHECK(v >= 0 && m > 0);
-  return ceil_div(v, m) * m;
 }
 
 }  // namespace bpvec

@@ -9,16 +9,7 @@ namespace bpvec {
 /// ceil(a / b) for positive integers.
 std::int64_t ceil_div(std::int64_t a, std::int64_t b);
 
-/// True iff v is a power of two (v > 0).
-bool is_pow2(std::int64_t v);
-
-/// floor(log2(v)) for v > 0.
-int ilog2(std::int64_t v);
-
 /// Geometric mean of a nonempty vector of positive values.
 double geomean(const std::vector<double>& v);
-
-/// Round `v` up to the next multiple of `m` (m > 0).
-std::int64_t round_up(std::int64_t v, std::int64_t m);
 
 }  // namespace bpvec

@@ -1,5 +1,5 @@
-// Console table and CSV emission used by benchmark binaries to print the
-// rows/series corresponding to each table and figure of the paper.
+// Console table used by benchmark binaries to print the rows and series
+// of each table and figure of the paper.
 #pragma once
 
 #include <string>
@@ -25,9 +25,6 @@ class Table {
 
   /// Renders to an aligned ASCII table.
   std::string to_string() const;
-
-  /// Renders as CSV (header + rows), suitable for plotting scripts.
-  std::string to_csv() const;
 
   /// Prints to stdout (table form).
   void print() const;

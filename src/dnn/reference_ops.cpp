@@ -231,7 +231,7 @@ Tensor pool_reference(const Tensor& input, const PoolParams& p) {
 
 std::vector<std::int32_t> rnn_step_reference(
     const std::vector<std::int32_t>& x, const std::vector<std::int32_t>& h,
-    const std::vector<std::int32_t>& weights, int hidden, int shift,
+    std::span<const std::int32_t> weights, int hidden, int shift,
     int out_bits) {
   const std::size_t k = x.size() + h.size();
   BPVEC_CHECK(static_cast<std::int64_t>(weights.size()) ==

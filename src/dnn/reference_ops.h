@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/dnn/layer.h"
@@ -53,10 +54,11 @@ Tensor pool_reference(const Tensor& input, const PoolParams& p);
 
 /// One vanilla-RNN step on integer state (tanh replaced by a hard clamp to
 /// the activation bitwidth — standard for quantized recurrent inference):
-/// h' = clamp(Wx·x + Wh·h >> shift). Weights: [hidden][input+hidden].
+/// h' = clamp(Wx·x + Wh·h >> shift). Weights: [hidden][input+hidden],
+/// a view, so a caller can pass one gate of a larger draw without a copy.
 std::vector<std::int32_t> rnn_step_reference(
     const std::vector<std::int32_t>& x, const std::vector<std::int32_t>& h,
-    const std::vector<std::int32_t>& weights, int hidden, int shift,
+    std::span<const std::int32_t> weights, int hidden, int shift,
     int out_bits);
 
 }  // namespace bpvec::dnn

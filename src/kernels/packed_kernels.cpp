@@ -104,21 +104,6 @@ void gemm_tile(const BitPlanes& a, std::int64_t m0, std::int64_t m1,
   }
 }
 
-/// Peak transient bytes of the pre-packed packed_conv: per concurrent
-/// task, one gathered int32 window tile, its packed planes and one tile
-/// accumulator.
-std::int64_t conv_transient_bytes(const dnn::ConvParams& p, int x_bits,
-                                  common::ThreadPool* pool) {
-  const std::int64_t k = static_cast<std::int64_t>(p.in_c) * p.kh * p.kw;
-  const std::int64_t pixels =
-      static_cast<std::int64_t>(p.out_h()) * p.out_w();
-  const std::int64_t tile_rows =
-      std::min(kConvPixelTile, std::max<std::int64_t>(pixels, 1));
-  return workers(pool) *
-         (tile_rows * k * static_cast<std::int64_t>(sizeof(std::int32_t)) +
-          planes_bytes(tile_rows, k, x_bits) + kTileAccBytes);
-}
-
 }  // namespace
 
 std::vector<std::int64_t> packed_gemm(const BitPlanes& a, const BitPlanes& b,
@@ -221,23 +206,15 @@ std::vector<std::int64_t> packed_conv(const dnn::Tensor& input,
     stats->word_ops += pixels * p.out_c * static_cast<std::int64_t>(x_bits) *
                        w.bits * static_cast<std::int64_t>(w.words);
   }
-  note_peak(stats, conv_transient_bytes(p, x_bits, pool));
-  return out;
-}
-
-std::vector<std::int64_t> packed_conv(const dnn::Tensor& input,
-                                      const std::vector<std::int32_t>& weights,
-                                      const dnn::ConvParams& p, int x_bits,
-                                      int w_bits, common::ThreadPool* pool,
-                                      KernelStats* stats) {
-  const std::int64_t k = static_cast<std::int64_t>(p.in_c) * p.kh * p.kw;
-  BPVEC_CHECK(static_cast<std::int64_t>(weights.size()) == p.out_c * k);
-  // The weight vector is already row-major [out_c][in_c·kh·kw] — pack it
-  // in place, no weights_as_matrix copy.
-  const BitPlanes w = pack_values(weights.data(), p.out_c, k, w_bits);
-  auto out = packed_conv(input, w, p, x_bits, pool, stats);
-  note_peak(stats, planes_bytes(p.out_c, k, w_bits) +
-                       conv_transient_bytes(p, x_bits, pool));
+  // Transients: per concurrent task, one gathered int32 window tile, its
+  // packed planes and one tile accumulator.
+  const std::int64_t tile_rows =
+      std::min(kConvPixelTile, std::max<std::int64_t>(pixels, 1));
+  const std::int64_t window_bytes =
+      tile_rows * k * static_cast<std::int64_t>(sizeof(std::int32_t));
+  note_peak(stats, workers(pool) * (window_bytes +
+                                    planes_bytes(tile_rows, k, x_bits) +
+                                    kTileAccBytes));
   return out;
 }
 
@@ -253,21 +230,6 @@ std::vector<std::int64_t> packed_fc(const std::vector<std::int32_t>& input,
   // order.
   auto out = packed_gemm(x, w, pool, stats);
   note_peak(stats, planes_bytes(1, p.in_features, x_bits));
-  return out;
-}
-
-std::vector<std::int64_t> packed_fc(const std::vector<std::int32_t>& input,
-                                    const std::vector<std::int32_t>& weights,
-                                    const dnn::FcParams& p, int x_bits,
-                                    int w_bits, common::ThreadPool* pool,
-                                    KernelStats* stats) {
-  BPVEC_CHECK(static_cast<std::int64_t>(weights.size()) ==
-              static_cast<std::int64_t>(p.in_features) * p.out_features);
-  const BitPlanes w =
-      pack_values(weights.data(), p.out_features, p.in_features, w_bits);
-  auto out = packed_fc(input, w, p, x_bits, pool, stats);
-  note_peak(stats, planes_bytes(p.out_features, p.in_features, w_bits) +
-                       planes_bytes(1, p.in_features, x_bits));
   return out;
 }
 
@@ -296,21 +258,6 @@ std::vector<std::int32_t> packed_rnn_step(const std::vector<std::int32_t>& x,
                 planes_bytes(1, k, x_bits) +
                 static_cast<std::int64_t>(acc.size()) *
                     static_cast<std::int64_t>(sizeof(std::int64_t)));
-  return out;
-}
-
-std::vector<std::int32_t> packed_rnn_step(
-    const std::vector<std::int32_t>& x, const std::vector<std::int32_t>& h,
-    const std::vector<std::int32_t>& weights, int hidden, int shift,
-    int out_bits, int x_bits, int w_bits, common::ThreadPool* pool,
-    KernelStats* stats) {
-  const std::int64_t k = static_cast<std::int64_t>(x.size() + h.size());
-  BPVEC_CHECK(static_cast<std::int64_t>(weights.size()) ==
-              static_cast<std::int64_t>(hidden) * k);
-  const BitPlanes w = pack_values(weights.data(), hidden, k, w_bits);
-  auto out = packed_rnn_step(x, h, w, hidden, shift, out_bits, x_bits, pool,
-                             stats);
-  note_peak(stats, planes_bytes(hidden, k, w_bits));
   return out;
 }
 

@@ -19,10 +19,11 @@
 //     against the filter planes — the O(out_h·out_w·k²·C) im2col
 //     materialization never exists. bench/functional_kernels keeps an
 //     im2col lowering as the baseline it is measured against.
-//   * conv/fc/rnn kernels take pre-packed weight planes (BitPlanes)
-//     overloads so a persistent weight cache (weight_cache.h) can
-//     amortize packing across probes; the value-vector overloads pack
-//     once and delegate.
+//   * conv/fc/rnn kernels take only pre-packed weight planes
+//     (BitPlanes), so a persistent weight cache (weight_cache.h) can
+//     amortize packing across probes. A caller holding raw weights packs
+//     them once with pack_values: [out_c][in_c·kh·kw], [out][in] and
+//     [hidden][input+hidden] are already the GEMM row layouts.
 //
 // Parallelism: kernels take an optional common::ThreadPool and split
 // output tiles across it. Tiles write disjoint output ranges and read
@@ -48,8 +49,8 @@ struct KernelStats {
   std::int64_t word_ops = 0;  // 64-bit AND+popcount words consumed
   /// Peak transient working-set bytes the kernel allocated beyond its
   /// inputs and final output (packed operand planes, scratch window
-  /// tiles, per-task tile accumulators). Pre-packed weight planes are an
-  /// input; the raw-weights overloads, which pack them, count them.
+  /// tiles, per-task tile accumulators). Weight planes are an input and
+  /// are never counted.
   /// Computed analytically from the shapes and the worker count —
   /// deterministic, never sampled — and folded with max() across calls,
   /// so one KernelStats can track a whole probe. This is the number that
@@ -102,31 +103,12 @@ std::vector<std::int64_t> packed_conv(const dnn::Tensor& input,
                                       common::ThreadPool* pool = nullptr,
                                       KernelStats* stats = nullptr);
 
-/// Direct packed convolution from raw weights: packs the filters once
-/// (straight from the vector — [out_c][in_c·kh·kw] is already the GEMM
-/// row layout) and delegates to the pre-packed overload.
-std::vector<std::int64_t> packed_conv(const dnn::Tensor& input,
-                                      const std::vector<std::int32_t>& weights,
-                                      const dnn::ConvParams& p, int x_bits,
-                                      int w_bits,
-                                      common::ThreadPool* pool = nullptr,
-                                      KernelStats* stats = nullptr);
-
 /// Packed fully-connected layer over pre-packed weight planes (`w` is
 /// pack_values over the [out_features][in_features] vector),
 /// fc_reference order.
 std::vector<std::int64_t> packed_fc(const std::vector<std::int32_t>& input,
                                     const BitPlanes& w,
                                     const dnn::FcParams& p, int x_bits,
-                                    common::ThreadPool* pool = nullptr,
-                                    KernelStats* stats = nullptr);
-
-/// Packed fully-connected layer from raw weights (packs once, no matrix
-/// copy, then delegates).
-std::vector<std::int64_t> packed_fc(const std::vector<std::int32_t>& input,
-                                    const std::vector<std::int32_t>& weights,
-                                    const dnn::FcParams& p, int x_bits,
-                                    int w_bits,
                                     common::ThreadPool* pool = nullptr,
                                     KernelStats* stats = nullptr);
 
@@ -137,14 +119,6 @@ std::vector<std::int64_t> packed_fc(const std::vector<std::int32_t>& input,
 std::vector<std::int32_t> packed_rnn_step(
     const std::vector<std::int32_t>& x, const std::vector<std::int32_t>& h,
     const BitPlanes& w, int hidden, int shift, int out_bits, int x_bits,
-    common::ThreadPool* pool = nullptr, KernelStats* stats = nullptr);
-
-/// One packed recurrent step from raw weights ([hidden][x.size() +
-/// h.size()] row-major; packs once, then delegates).
-std::vector<std::int32_t> packed_rnn_step(
-    const std::vector<std::int32_t>& x, const std::vector<std::int32_t>& h,
-    const std::vector<std::int32_t>& weights, int hidden, int shift,
-    int out_bits, int x_bits, int w_bits,
     common::ThreadPool* pool = nullptr, KernelStats* stats = nullptr);
 
 /// Pooling on integer tensors, bit-identical to pool_reference but

@@ -312,7 +312,7 @@ void Server::serve_connection(int fd, Connection* conn) {
   conn->done.store(true, std::memory_order_release);
 }
 
-void Server::run() {
+void Server::listen() {
   if (options_.socket_path.empty()) {
     throw Error("bpvec_serve needs a socket path");
   }
@@ -343,7 +343,10 @@ void Server::run() {
     throw Error("listen(" + options_.socket_path +
                 "): " + std::strerror(err));
   }
+}
 
+void Server::run() {
+  if (listen_fd_ < 0) listen();
   while (!stopping()) {
     pollfd pfd{};
     pfd.fd = listen_fd_;

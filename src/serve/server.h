@@ -72,11 +72,11 @@
 namespace bpvec::serve {
 
 struct ServerOptions {
-  /// Filesystem path for the AF_UNIX listening socket. run() unlinks a
-  /// stale socket there (one that refuses connections, left by a killed
-  /// daemon) before bind, and its own socket on shutdown; it throws,
-  /// touching nothing, when the path names something else or a socket a
-  /// live server accepts on.
+  /// Filesystem path for the AF_UNIX listening socket. listen() unlinks
+  /// a stale socket there (one that refuses connections, left by a
+  /// killed daemon) before bind, and run() its own socket on shutdown;
+  /// listen() throws, touching nothing, when the path names something
+  /// else or a socket a live server accepts on.
   std::string socket_path;
   SessionOptions session;
   /// Workload-schema files registered at startup (the daemon-side
@@ -98,10 +98,14 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the socket and serves until request_stop(), then drains:
-  /// stops accepting, lets in-flight requests finish, joins connection
-  /// threads. Throws bpvec::Error if the socket cannot be bound,
+  /// Binds and listens on socket_path; once it returns, clients can
+  /// connect. Throws bpvec::Error if the socket cannot be bound,
   /// including when socket_path is taken (see ServerOptions).
+  void listen();
+
+  /// Serves until request_stop(), then drains: stops accepting, lets
+  /// in-flight requests finish, joins connection threads. Calls listen()
+  /// first unless the caller already has.
   void run();
 
   /// Begins graceful drain. Async-signal-safe (one relaxed atomic

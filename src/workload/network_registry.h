@@ -8,8 +8,9 @@
 //   "alexnet" "inception_v1" "resnet18" "resnet50" "rnn" "lstm"
 //
 // Two registration shapes:
-//   * a Factory(BitwidthMode) — how the zoo registers (the mode picks
-//     the Table I homogeneous/heterogeneous regime);
+//   * a Factory(BitwidthMode) — private: only the zoo builtins register
+//     this way (the mode picks the Table I homogeneous/heterogeneous
+//     regime);
 //   * a fixed prototype Network (how JSON files, inline manifest blocks,
 //     and generators register). The mode still applies:
 //     kHomogeneous8b forces every layer to 8/8 (exactly the zoo's
@@ -50,10 +51,6 @@ class NetworkRegistry {
  public:
   /// Process-wide registry (thread-safe).
   static NetworkRegistry& instance();
-
-  /// Registers a mode-aware factory under `key`. Throws bpvec::Error on
-  /// an empty key/factory or a duplicate (normalized) key.
-  void register_factory(std::string key, NetworkFactory factory);
 
   /// One fixed prototype and the key it registers under.
   struct Prototype {
@@ -99,6 +96,11 @@ class NetworkRegistry {
 
  private:
   NetworkRegistry();  // registers the zoo builtins
+
+  /// Registers a mode-aware factory under `key` (the zoo builtins).
+  /// Throws bpvec::Error on an empty key/factory or a duplicate
+  /// (normalized) key.
+  void register_factory(std::string key, NetworkFactory factory);
 
   struct Entry {
     NetworkFactory factory;

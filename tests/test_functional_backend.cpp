@@ -64,13 +64,12 @@ void expect_threaded_matches_reference(const dnn::Layer& probe,
       const auto weights = rng.signed_vector(
           static_cast<std::size_t>(p.out_c) * p.in_c * p.kh * p.kw,
           probe.w_bits);
+      const auto w = kernels::pack_values(
+          weights.data(), p.out_c, p.in_c * p.kh * p.kw, probe.w_bits);
       const auto expected = dnn::conv2d_reference(input, weights, p);
-      EXPECT_EQ(kernels::packed_conv(input, weights, p, probe.x_bits,
-                                     probe.w_bits),
-                expected)
+      EXPECT_EQ(kernels::packed_conv(input, w, p, probe.x_bits), expected)
           << probe.name;
-      EXPECT_EQ(kernels::packed_conv(input, weights, p, probe.x_bits,
-                                     probe.w_bits, &pool),
+      EXPECT_EQ(kernels::packed_conv(input, w, p, probe.x_bits, &pool),
                 expected)
           << probe.name;
       break;
@@ -82,13 +81,12 @@ void expect_threaded_matches_reference(const dnn::Layer& probe,
       const auto weights = rng.signed_vector(
           static_cast<std::size_t>(p.in_features) * p.out_features,
           probe.w_bits);
+      const auto w = kernels::pack_values(weights.data(), p.out_features,
+                                          p.in_features, probe.w_bits);
       const auto expected = dnn::fc_reference(input, weights, p);
-      EXPECT_EQ(kernels::packed_fc(input, weights, p, probe.x_bits,
-                                   probe.w_bits),
-                expected)
+      EXPECT_EQ(kernels::packed_fc(input, w, p, probe.x_bits), expected)
           << probe.name;
-      EXPECT_EQ(kernels::packed_fc(input, weights, p, probe.x_bits,
-                                   probe.w_bits, &pool),
+      EXPECT_EQ(kernels::packed_fc(input, w, p, probe.x_bits, &pool),
                 expected)
           << probe.name;
       break;
@@ -114,14 +112,16 @@ void expect_threaded_matches_reference(const dnn::Layer& probe,
           static_cast<std::size_t>(p.hidden_size), probe.x_bits);
       const auto weights = rng.signed_vector(
           static_cast<std::size_t>(p.hidden_size) * k, probe.w_bits);
+      const auto w = kernels::pack_values(weights.data(), p.hidden_size, k,
+                                          probe.w_bits);
       const auto expected = dnn::rnn_step_reference(x, h, weights,
                                                     p.hidden_size, 6, 8);
-      EXPECT_EQ(kernels::packed_rnn_step(x, h, weights, p.hidden_size, 6, 8,
-                                         probe.x_bits, probe.w_bits),
+      EXPECT_EQ(kernels::packed_rnn_step(x, h, w, p.hidden_size, 6, 8,
+                                         probe.x_bits),
                 expected)
           << probe.name;
-      EXPECT_EQ(kernels::packed_rnn_step(x, h, weights, p.hidden_size, 6, 8,
-                                         probe.x_bits, probe.w_bits, &pool),
+      EXPECT_EQ(kernels::packed_rnn_step(x, h, w, p.hidden_size, 6, 8,
+                                         probe.x_bits, &pool),
                 expected)
           << probe.name;
       break;

@@ -284,13 +284,16 @@ TEST(PackedConv, MatchesConvReferenceSeriallyAndThreaded) {
       static_cast<std::size_t>(p.out_c) * p.in_c * p.kh * p.kw, 4);
   const auto expected = dnn::conv2d_reference(input, weights, p);
 
+  const BitPlanes w =
+      pack_values(weights.data(), p.out_c, p.in_c * p.kh * p.kw, 4);
+
   KernelStats stats;
-  EXPECT_EQ(packed_conv(input, weights, p, 4, 4, nullptr, &stats), expected);
+  EXPECT_EQ(packed_conv(input, w, p, 4, nullptr, &stats), expected);
   EXPECT_EQ(stats.macs, static_cast<std::int64_t>(p.out_h()) * p.out_w() *
                             p.out_c * p.in_c * p.kh * p.kw);
 
   common::ThreadPool pool(4);
-  EXPECT_EQ(packed_conv(input, weights, p, 4, 4, &pool), expected);
+  EXPECT_EQ(packed_conv(input, w, p, 4, &pool), expected);
 }
 
 TEST(PackedConv, StridedUnpaddedConvMatchesReference) {
@@ -300,7 +303,9 @@ TEST(PackedConv, StridedUnpaddedConvMatchesReference) {
   for (auto& v : input.data()) v = rng.signed_value(8);
   const auto weights = rng.signed_vector(
       static_cast<std::size_t>(p.out_c) * p.in_c * p.kh * p.kw, 3);
-  EXPECT_EQ(packed_conv(input, weights, p, 8, 3),
+  const BitPlanes w =
+      pack_values(weights.data(), p.out_c, p.in_c * p.kh * p.kw, 3);
+  EXPECT_EQ(packed_conv(input, w, p, 8),
             dnn::conv2d_reference(input, weights, p));
 }
 
@@ -312,13 +317,16 @@ TEST(PackedFc, MatchesFcReferenceSeriallyAndThreaded) {
       static_cast<std::size_t>(p.in_features) * p.out_features, 8);
   const auto expected = dnn::fc_reference(input, weights, p);
 
+  const BitPlanes w =
+      pack_values(weights.data(), p.out_features, p.in_features, 8);
+
   KernelStats stats;
-  EXPECT_EQ(packed_fc(input, weights, p, 6, 8, nullptr, &stats), expected);
+  EXPECT_EQ(packed_fc(input, w, p, 6, nullptr, &stats), expected);
   EXPECT_EQ(stats.macs,
             static_cast<std::int64_t>(p.in_features) * p.out_features);
 
   common::ThreadPool pool(4);
-  EXPECT_EQ(packed_fc(input, weights, p, 6, 8, &pool), expected);
+  EXPECT_EQ(packed_fc(input, w, p, 6, &pool), expected);
 }
 
 TEST(PackedRnnStep, MatchesRnnStepReferenceOverAChainedRecurrence) {
@@ -326,6 +334,7 @@ TEST(PackedRnnStep, MatchesRnnStepReferenceOverAChainedRecurrence) {
   const int input = 24, hidden = 12, shift = 6, out_bits = 8;
   const auto weights = rng.signed_vector(
       static_cast<std::size_t>(hidden) * (input + hidden), 4);
+  const BitPlanes w = pack_values(weights.data(), hidden, input + hidden, 4);
   auto h_packed = rng.signed_vector(static_cast<std::size_t>(hidden), 8);
   auto h_ref = h_packed;
   common::ThreadPool pool(4);
@@ -333,8 +342,8 @@ TEST(PackedRnnStep, MatchesRnnStepReferenceOverAChainedRecurrence) {
     const auto x = rng.signed_vector(static_cast<std::size_t>(input), 8);
     // Chained: step t's output feeds step t+1, so one wrong bit anywhere
     // cascades instead of averaging out.
-    h_packed = packed_rnn_step(x, h_packed, weights, hidden, shift, out_bits,
-                               8, 4, t % 2 == 0 ? nullptr : &pool);
+    h_packed = packed_rnn_step(x, h_packed, w, hidden, shift, out_bits, 8,
+                               t % 2 == 0 ? nullptr : &pool);
     h_ref = dnn::rnn_step_reference(x, h_ref, weights, hidden, shift,
                                     out_bits);
     EXPECT_EQ(h_packed, h_ref) << "t=" << t;
@@ -439,10 +448,11 @@ TEST(PackedConv, BoundaryShapesMatchReference) {
              "x" + std::to_string(p.kw) + " stride=" +
              std::to_string(p.stride) + " pad=" + std::to_string(p.pad);
     };
-    EXPECT_EQ(packed_conv(input, weights, p, x_bits, w_bits), expected)
-        << label();
+    const BitPlanes w =
+        pack_values(weights.data(), p.out_c, p.in_c * p.kh * p.kw, w_bits);
+    EXPECT_EQ(packed_conv(input, w, p, x_bits), expected) << label();
     common::ThreadPool pool(3);
-    EXPECT_EQ(packed_conv(input, weights, p, x_bits, w_bits, &pool), expected)
+    EXPECT_EQ(packed_conv(input, w, p, x_bits, &pool), expected)
         << label() << " threaded";
   }
 }
@@ -457,8 +467,10 @@ TEST(PackedConv, DirectConvPeakBytesBeatIm2col) {
   for (auto& v : input.data()) v = rng.signed_value(4);
   const auto weights = rng.signed_vector(
       static_cast<std::size_t>(p.out_c) * p.in_c * p.kh * p.kw, 4);
+  const BitPlanes w =
+      pack_values(weights.data(), p.out_c, p.in_c * p.kh * p.kw, 4);
   KernelStats direct;
-  EXPECT_EQ(packed_conv(input, weights, p, 4, 4, nullptr, &direct),
+  EXPECT_EQ(packed_conv(input, w, p, 4, nullptr, &direct),
             dnn::conv2d_reference(input, weights, p));
   // An im2col lowering holds, at once: the int32 patch matrix and weight
   // matrix, both packed operands and the int64 pixels×out_c GEMM output.
@@ -469,7 +481,10 @@ TEST(PackedConv, DirectConvPeakBytesBeatIm2col) {
                                     (pixels + p.out_c) * 4 * words * 8 +
                                     pixels * p.out_c * 8;
   EXPECT_GT(direct.peak_bytes, 0);
-  EXPECT_LT(direct.peak_bytes, im2col_bytes);
+  // The filter planes are an input to packed_conv, not a transient, but
+  // the lowering packs them too: count them on both sides.
+  const std::int64_t filter_bytes = p.out_c * 4 * words * 8;
+  EXPECT_LT(direct.peak_bytes + filter_bytes, im2col_bytes);
 }
 
 TEST(PackedConv, StatsReportTiledPeakBytes) {
@@ -494,11 +509,6 @@ TEST(PackedConv, StatsReportTiledPeakBytes) {
                                  kConvPixelTile * x_bits * 1 * 8 +
                                  kGemmBlockM * kGemmBlockN * 8;
   EXPECT_EQ(prepacked.peak_bytes, transient);
-
-  // The raw-weights overload packs the filters, so it adds their planes.
-  KernelStats raw;
-  (void)packed_conv(input, weights, p, x_bits, w_bits, nullptr, &raw);
-  EXPECT_EQ(raw.peak_bytes, transient + p.out_c * w_bits * 1 * 8);
 }
 
 TEST(PackedGemm, StatsReportBlockedPeakBytes) {

@@ -24,23 +24,6 @@ TEST(CeilDiv, RejectsNonPositiveDivisor) {
   EXPECT_THROW(ceil_div(-1, 2), Error);
 }
 
-TEST(IsPow2, Basics) {
-  EXPECT_TRUE(is_pow2(1));
-  EXPECT_TRUE(is_pow2(2));
-  EXPECT_TRUE(is_pow2(1024));
-  EXPECT_FALSE(is_pow2(0));
-  EXPECT_FALSE(is_pow2(-4));
-  EXPECT_FALSE(is_pow2(6));
-}
-
-TEST(Ilog2, Values) {
-  EXPECT_EQ(ilog2(1), 0);
-  EXPECT_EQ(ilog2(2), 1);
-  EXPECT_EQ(ilog2(3), 1);
-  EXPECT_EQ(ilog2(16), 4);
-  EXPECT_THROW(ilog2(0), Error);
-}
-
 TEST(Geomean, SingleValue) { EXPECT_DOUBLE_EQ(geomean({3.0}), 3.0); }
 
 TEST(Geomean, TwoValues) {
@@ -51,13 +34,6 @@ TEST(Geomean, RejectsEmptyAndNonPositive) {
   EXPECT_THROW(geomean({}), Error);
   EXPECT_THROW(geomean({1.0, 0.0}), Error);
   EXPECT_THROW(geomean({1.0, -2.0}), Error);
-}
-
-TEST(RoundUp, Values) {
-  EXPECT_EQ(round_up(0, 8), 0);
-  EXPECT_EQ(round_up(1, 8), 8);
-  EXPECT_EQ(round_up(8, 8), 8);
-  EXPECT_EQ(round_up(9, 8), 16);
 }
 
 class CeilDivProperty : public ::testing::TestWithParam<std::int64_t> {};

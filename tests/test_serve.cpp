@@ -737,6 +737,26 @@ TEST(ServerSocket, LiveDaemonKeepsItsSocket) {
   ::close(next);
 }
 
+TEST(ServerSocket, ListenBindsBeforeRunAndThrowsOnATakenPath) {
+  // bpvec_serve prints its "listening on" line between listen() and
+  // run(), so listen() alone must bind, and must throw on a taken path.
+  const std::string path = temp_socket_path();
+  std::ofstream(path) << "not a socket\n";
+  ServerOptions options;
+  options.socket_path = path;
+  options.session.threads = 1;
+  EXPECT_THROW(Server(options).listen(), Error);
+  EXPECT_TRUE(fs::is_regular_file(path));
+  fs::remove(path);
+
+  Server server(options);
+  server.listen();
+  EXPECT_TRUE(fs::is_socket(path));
+  server.request_stop();
+  server.run();  // already bound: drains at once and removes its socket
+  EXPECT_FALSE(fs::exists(path));
+}
+
 TEST(Session, StatsJsonReportsWeightPlaneHitRate) {
   Session session;
   PriceRequest request;

@@ -18,13 +18,6 @@ TEST(Table, FormatsAlignedColumns) {
   EXPECT_NE(s.find("name"), std::string::npos);
 }
 
-TEST(Table, CsvOutput) {
-  Table t;
-  t.set_header({"a", "b"});
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.to_csv(), "a,b\n1,2\n");
-}
-
 TEST(Table, RejectsArityMismatch) {
   Table t;
   t.set_header({"a", "b"});

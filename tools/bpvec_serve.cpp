@@ -294,6 +294,7 @@ int main_serve(int argc, char** argv) {
   g_server = &server;
   std::signal(SIGTERM, handle_stop_signal);
   std::signal(SIGINT, handle_stop_signal);
+  server.listen();
   std::cout << "[bpvec_serve] listening on " << server_options.socket_path
             << "\n"
             << std::flush;
