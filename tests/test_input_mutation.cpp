@@ -93,8 +93,8 @@ using common::json::Value;
 const fs::path kManifestDir =
     fs::path(__FILE__).parent_path().parent_path() / "bench/manifests";
 
-/// Mutants per seed input (ten files). On a 4-vCPU x86-64 host the 3000
-/// mutants take about 3 s in the Debug ASan+UBSan build, 0.2 s in
+/// Mutants per seed input (twelve files). On a 4-vCPU x86-64 host the
+/// 3600 mutants take about 3 s in the Debug ASan+UBSan build, 0.2 s in
 /// Release.
 constexpr std::uint64_t kMutantsPerInput = 300;
 
@@ -201,7 +201,7 @@ bool returns(const char* reader, const std::string& mutant, Read read) {
 
 TEST(InputMutation, EveryReaderYieldsAResultOrABpvecError) {
   const std::vector<std::string> inputs = seed_inputs();
-  ASSERT_EQ(inputs.size(), 10u);
+  ASSERT_EQ(inputs.size(), 12u);
   serve::Server server(serve::ServerOptions{});
   const Rng root(20240607);
   std::size_t parsed = 0, manifests = 0, networks = 0, validated = 0;

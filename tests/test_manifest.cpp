@@ -410,13 +410,15 @@ TEST(Manifest, LoadManifestReportsPath) {
 }
 
 TEST(Manifest, CommittedFigureManifestsHaveUniqueIds) {
-  // bench/paper_figures looks figure results up by scenario id, so every
-  // id must name one scenario within its figure.
+  // bench/paper_figures looks figure results up by scenario id, and a
+  // sweep's cells are read from its report by id, so every id must name
+  // one scenario within its manifest.
   const auto dir =
       std::filesystem::path(__FILE__).parent_path().parent_path() /
       "bench/manifests";
   const std::pair<const char*, std::size_t> figures[] = {
-      {"fig5", 12}, {"fig6", 18}, {"fig7", 12}, {"fig8", 18}, {"fig9", 36}};
+      {"fig5", 12}, {"fig6", 18}, {"fig7", 12}, {"fig8", 18}, {"fig9", 36},
+      {"sweep_bandwidth", 96}, {"sweep_scratchpad", 42}};
   for (const auto& [name, count] : figures) {
     const auto scenarios =
         expand(load_manifest((dir / (std::string(name) + ".json")).string()));
