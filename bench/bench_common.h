@@ -169,21 +169,6 @@ inline std::vector<sim::RunResult> run_batch_timed(
   return results;
 }
 
-/// Guard for the index arithmetic that maps batch results back to table
-/// rows: asserts the result at `index` really is `net` on a platform whose
-/// name starts with `platform_prefix`. Catches build-loop/consume-loop
-/// drift loudly instead of publishing another scenario's numbers.
-inline const sim::RunResult& picked(const std::vector<sim::RunResult>& results,
-                                    std::size_t index, const dnn::Network& net,
-                                    const std::string& platform_prefix) {
-  BPVEC_CHECK_MSG(index < results.size(), "bench result index out of range");
-  const sim::RunResult& r = results[index];
-  BPVEC_CHECK_MSG(r.network == net.name() &&
-                      r.platform.rfind(platform_prefix, 0) == 0,
-                  "bench result/scenario index drift");
-  return r;
-}
-
 /// Speedup of b over a in cycles (a is the reference/denominator design).
 inline double speedup(const sim::RunResult& reference,
                       const sim::RunResult& candidate) {

@@ -2,10 +2,13 @@
 // src/ may include its own headers and those of the directories before it
 // in kLayers, never one after it, so the graph has no cycle. The umbrella
 // header src/bpvec.h is the only file at the root of src/ and may include
-// anything. The README's architecture map lists the same order.
+// anything. The README's architecture map lists the same order. The last
+// case holds bench/ to a rule of the same kind: every bench binary is run
+// by a CI step, so none can drift unseen.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -100,6 +103,37 @@ TEST(Layering, ReadmeMapListsTheTableOrder) {
     }
   }
   EXPECT_EQ(map, kLayers);
+}
+
+TEST(Layering, EveryBenchRunsInCi) {
+  // Each bench/<stem>.cpp must be named, as a whole word, in the CI
+  // workflow, which pins it by a stdout golden, a report golden or a gate.
+  std::ostringstream text;
+  text << std::ifstream(kRepo / ".github/workflows/ci.yml").rdbuf();
+  const std::string workflow = text.str();
+  ASSERT_FALSE(workflow.empty());
+  const auto is_word = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+  };
+  const auto named = [&](const std::string& stem) {
+    for (std::size_t at = workflow.find(stem); at != std::string::npos;
+         at = workflow.find(stem, at + 1)) {
+      const std::size_t end = at + stem.size();
+      if ((at == 0 || !is_word(workflow[at - 1])) &&
+          (end == workflow.size() || !is_word(workflow[end]))) {
+        return true;
+      }
+    }
+    return false;
+  };
+  std::size_t benches = 0;
+  for (const fs::directory_entry& e : fs::directory_iterator(kRepo / "bench")) {
+    if (e.path().extension() != ".cpp") continue;
+    ++benches;
+    const std::string stem = e.path().stem().string();
+    EXPECT_TRUE(named(stem)) << "bench/" << stem << ".cpp is run by no CI step";
+  }
+  EXPECT_GT(benches, 0u);
 }
 
 }  // namespace
