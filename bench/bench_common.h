@@ -1,5 +1,5 @@
 // Shared helpers for the figure/table reproduction binaries: table
-// formatting glue, batch-vs-sequential timing, and machine-readable
+// formatting glue, a wall-clock timer, and machine-readable
 // BENCH_<name>.json emission so the perf trajectory is tracked across PRs.
 #pragma once
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/arch/dram.h"
-#include "src/backend/backend_registry.h"
 #include "src/common/error.h"
 #include "src/common/json.h"
 #include "src/common/mathutil.h"
@@ -41,9 +40,7 @@ double time_s(Fn&& fn) {
 
 /// Accumulates one benchmark's machine-readable record and writes it to
 /// `BENCH_<name>.json` in the working directory. Schema:
-///   {"bench": ..., "threads": N,
-///    "batch_wall_s": ..., "sequential_wall_s": ..,
-///    "speedup_vs_sequential": ...,
+///   {"bench": ...,
 ///    "engine_stats": {simulations_run, cache_hits, layer counters...},
 ///    "scenarios": [{"id": ..., "backend": ..., numeric fields...}, ...],
 ///    "metrics": {...}}
@@ -88,13 +85,6 @@ class BenchJson {
     metrics_.set(key, value);
   }
 
-  void set_batch_timing(double batch_wall_s, double sequential_wall_s,
-                        int threads) {
-    batch_wall_s_ = batch_wall_s;
-    sequential_wall_s_ = sequential_wall_s;
-    threads_ = threads;
-  }
-
   /// Engine counters after the batch — lets the perf trajectory attribute
   /// speedups to scenario-level vs layer-level vs disk caching.
   void set_engine_stats(const engine::EngineStats& stats) {
@@ -107,13 +97,6 @@ class BenchJson {
     using common::json::Value;
     Value doc = Value::object();
     doc.set("bench", name_);
-    if (threads_ > 0) {
-      doc.set("threads", threads_);
-      doc.set("batch_wall_s", batch_wall_s_);
-      doc.set("sequential_wall_s", sequential_wall_s_);
-      doc.set("speedup_vs_sequential",
-              batch_wall_s_ > 0 ? sequential_wall_s_ / batch_wall_s_ : 0.0);
-    }
     if (has_engine_stats_) doc.set("engine_stats", to_json(engine_stats_));
     Value scenarios = Value::array();
     for (const Value& row : scenarios_) scenarios.push_back(row);
@@ -135,33 +118,16 @@ class BenchJson {
   std::string name_;
   std::vector<common::json::Value> scenarios_;
   common::json::Value metrics_ = common::json::Value::object();
-  double batch_wall_s_ = 0.0;
-  double sequential_wall_s_ = 0.0;
-  int threads_ = 0;
   engine::EngineStats engine_stats_;
   bool has_engine_stats_ = false;
 };
 
-/// Prices `batch` through the engine (timed), reprices it sequentially
-/// through each scenario's cost backend (timed) to anchor the
-/// speedup-vs-sequential metric, records every scenario plus the timing
-/// and engine stats in `json`, and returns the batch results — which are
-/// bit-identical to the sequential rerun by the engine's determinism
-/// contract.
-inline std::vector<sim::RunResult> run_batch_timed(
+/// Prices `batch` through the engine, records every scenario plus the
+/// engine stats in `json`, and returns the results.
+inline std::vector<sim::RunResult> price_batch(
     engine::SimEngine& eng, const std::vector<engine::Scenario>& batch,
     BenchJson& json) {
-  std::vector<sim::RunResult> results;
-  const double batch_s =
-      time_s([&] { results = eng.run_batch(batch); });
-  const double sequential_s = time_s([&] {
-    for (const auto& s : batch) {
-      (void)backend::BackendRegistry::instance()
-          .create(s.backend, s.platform, s.memory)
-          ->run(s.network);
-    }
-  });
-  json.set_batch_timing(batch_s, sequential_s, eng.num_threads());
+  std::vector<sim::RunResult> results = eng.run_batch(batch);
   json.set_engine_stats(eng.stats());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     json.add_result(batch[i].id, results[i]);

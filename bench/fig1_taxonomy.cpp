@@ -76,7 +76,7 @@ int main() {
 
   engine::SimEngine eng;
   BenchJson json("fig1");
-  const auto results = run_batch_timed(eng, batch, json);
+  const auto results = price_batch(eng, batch, json);
 
   // Compute cycles only: the quantization boost is the compute-side law
   // (bit-serial linear, spatial composability up to 4x, fixed MAC 1x);

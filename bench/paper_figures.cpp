@@ -131,7 +131,7 @@ void run_figure(const Figure& fig, const std::filesystem::path& dir) {
 
   engine::SimEngine eng;
   bench::BenchJson json(fig.name);
-  const auto results = bench::run_batch_timed(eng, batch, json);
+  const auto results = bench::price_batch(eng, batch, json);
 
   std::map<std::string, const sim::RunResult*> by_id;
   std::vector<std::string> nets;  // distinct, in manifest order
