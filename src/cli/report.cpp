@@ -32,7 +32,7 @@ Value scenario_row(const engine::Scenario& scenario,
   // Measured fields exist only for backends that execute (the functional
   // backend's packed probes); modeled-only rows keep the historical
   // shape, so reports from manifests without functional scenarios stay
-  // byte-identical across this change (the CI golden gate relies on it).
+  // byte-identical (the determinism contract tests/test_goldens holds).
   if (r.measured_macs > 0) {
     row.set("measured_wall_s", r.measured_wall_s);
     row.set("measured_macs", r.measured_macs);

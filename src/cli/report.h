@@ -1,6 +1,6 @@
 // The report contract — the one TU that turns priced batches and search
-// outcomes into the machine-readable JSON documents CI diffs and gates
-// on. Both front ends share it:
+// outcomes into the machine-readable JSON documents tests/test_goldens
+// diffs. Both front ends share it:
 //
 //   * the batch CLI (src/serve/driver.cpp, `bpvec_run`) writes
 //     build_report/build_search_report output to REPORT_*.json;
@@ -11,7 +11,7 @@
 // determinism contract enforceable: a served request's report is built
 // by the identical code from the identical inputs, so under
 // deterministic-report semantics its bytes must equal the batch CLI's —
-// the CI serve-mode replay gate cmp's them against one committed golden.
+// tests/test_goldens compares both against one committed golden.
 //
 // Contract details:
 //   * Scenario rows carry id/backend/platform/network/memory plus the

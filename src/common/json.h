@@ -14,7 +14,7 @@
 //     disk cache's bit-identity guarantee rests on this).
 //   * Object members preserve insertion order and the writer is fully
 //     deterministic, so two runs producing equal values produce
-//     byte-identical files (the CI gate compares reports with cmp).
+//     byte-identical files (tests/test_goldens compares reports bytewise).
 //   * Parse errors carry line/column and a message — manifests are
 //     hand-written, so "unexpected token" alone is not acceptable.
 //

@@ -328,7 +328,7 @@ std::string usage() {
       "  --deterministic-report\n"
       "                     omit the run-dependent stats block from the\n"
       "                     report so identical configs yield byte-identical\n"
-      "                     files (what the CI gate cmp's)\n"
+      "                     files (the determinism contract)\n"
       "  --threads N        N pool workers (default: hardware concurrency);\n"
       "                     the calling thread computes too, so N + 1\n"
       "                     chunks can run at once\n"

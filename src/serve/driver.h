@@ -9,7 +9,7 @@
 // enforceable: a served request and a CLI run are the same computation,
 // so their report bytes must match.
 //
-// The JSON report is what CI diffs and gates on, so its contract
+// The JSON report is what tests/test_goldens diffs, so its contract
 // matters (builders live in src/cli/report.h):
 //   * The "scenarios" array is a pure function of the manifest — same
 //     manifest, same build ⇒ byte-identical bytes, whatever the thread
@@ -18,7 +18,7 @@
 //   * The "stats" block (engine + disk-cache counters) is run-dependent
 //     by nature (cold vs warm). --deterministic-report omits it so two
 //     runs can be compared with cmp(1); --stats-out writes it to its
-//     own file so the CI gate can still assert warm-run disk hits.
+//     own file so tests/test_goldens can still assert warm disk hits.
 //
 // All functions throw bpvec::Error on bad input; main_cli catches and
 // prints it, so tools/bpvec_run.cpp stays a two-liner.
@@ -27,7 +27,7 @@
 // materialize from the typed ParamSpace, ride the same engine (and disk
 // cache), and the report carries the Pareto frontier in its canonical
 // order — also a pure function of the manifest under
-// --deterministic-report, so the CI dse-regression gate cmp's it cold vs
+// --deterministic-report, so tests/test_goldens compares it cold vs
 // warm vs the committed golden.
 //
 // `--validate` dry-runs either mode: parse + expand, print the scenario

@@ -60,8 +60,8 @@ class CancelToken {
 struct PriceRequest {
   cli::Manifest manifest;
   /// Omit the run-dependent "stats" block from the report, so identical
-  /// requests yield byte-identical documents (what the CI serve-mode
-  /// gate cmp's against the batch CLI's golden).
+  /// requests yield byte-identical documents (the determinism contract:
+  /// tests/test_goldens compares them with the batch CLI's golden).
   bool deterministic_report = false;
 };
 

@@ -36,8 +36,8 @@
 //               {"status":"ok", ...}        op-specific payload:
 //                 "report" (price/search — the exact document bpvec_run
 //                 writes; re-serializing it with dump(1) reproduces the
-//                 CLI's report bytes, the determinism contract CI
-//                 gates), "text" (validate/list — the CLI's stdout),
+//                 CLI's report bytes, the determinism contract
+//                 tests/test_goldens holds), "text" (validate/list — the CLI's stdout),
 //                 "delta"/"fleet" (engine counter snapshots),
 //                 "wall_s", "stats", "version"
 //               {"status":"cancelled", ...} the client vanished

@@ -14,6 +14,12 @@
 // A manifest without a golden must price only functional-backend rows
 // that measured real MACs: measured wall-clock is the one reason a
 // report cannot be pinned, and the warm byte-identity still pins it.
+//
+// The figure, table and ablation benches are pinned by their stdout: each
+// tests/golden/<stem>.txt names a bench/<stem>.cpp, whose built binary runs
+// with the bench dir as its cwd (its BENCH_*.json lands there), must exit 0
+// and must print the golden byte for byte.
+//
 // To regenerate a golden after an intentional model change, see the
 // README's CI section.
 #include <gtest/gtest.h>
@@ -31,6 +37,7 @@
 #include "src/engine/disk_cache.h"
 #include "src/serve/driver.h"
 #include "src/serve/server.h"
+#include "tests/child_process.h"
 
 namespace bpvec {
 namespace {
@@ -41,6 +48,7 @@ using common::json::Value;
 const fs::path kRepo = fs::path(__FILE__).parent_path().parent_path();
 const fs::path kManifests = kRepo / "bench/manifests";
 const fs::path kGoldens = kRepo / "tests/golden";
+const fs::path kBenchBin = BPVEC_BENCH_DIR;  // the built bench binaries
 
 /// Stems of the files in `dir` with extension `ext`, sorted.
 std::vector<std::string> stems_in(const fs::path& dir, const char* ext) {
@@ -171,14 +179,50 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param;
     });
 
+class StdoutGolden : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(StdoutGolden, ExitsZeroAndMatches) {
+  const std::string stem = GetParam();
+  const fs::path out = fs::temp_directory_path() /
+                       ("bpvec_stdout_" + stem + "_" +
+                        std::to_string(::getpid()));
+  const fs::path err = out.string() + ".err";
+  const int rc = test::ChildProcess({(kBenchBin / stem).string()},
+                                    kBenchBin.string(), out.string(),
+                                    err.string())
+                     .wait();
+  EXPECT_EQ(rc, 0) << kBenchBin / stem << " failed:\n" << slurp(err);
+  EXPECT_EQ(slurp(out), slurp(kGoldens / (stem + ".txt")))
+      << "stdout of bench/" << stem << " differs from tests/golden/" << stem
+      << ".txt";
+  fs::remove(out);
+  fs::remove(err);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BenchStdout, StdoutGolden, ::testing::ValuesIn(stems_in(kGoldens, ".txt")),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
 TEST(Goldens, EveryGoldenNamesAManifest) {
+  // A report golden names a manifest, a stdout golden a bench source; an
+  // orphan would pin nothing.
   const std::vector<std::string> manifests = stems_in(kManifests, ".json");
-  const std::vector<std::string> goldens = stems_in(kGoldens, ".json");
-  EXPECT_FALSE(goldens.empty());
-  for (const std::string& stem : goldens) {
+  const std::vector<std::string> benches = stems_in(kRepo / "bench", ".cpp");
+  const std::vector<std::string> reports = stems_in(kGoldens, ".json");
+  const std::vector<std::string> stdouts = stems_in(kGoldens, ".txt");
+  EXPECT_FALSE(reports.empty());
+  EXPECT_FALSE(stdouts.empty());
+  for (const std::string& stem : reports) {
     EXPECT_TRUE(std::binary_search(manifests.begin(), manifests.end(), stem))
         << "tests/golden/" << stem << ".json names no bench/manifests/"
         << stem << ".json";
+  }
+  for (const std::string& stem : stdouts) {
+    EXPECT_TRUE(std::binary_search(benches.begin(), benches.end(), stem))
+        << "tests/golden/" << stem << ".txt names no bench/" << stem
+        << ".cpp";
   }
 }
 

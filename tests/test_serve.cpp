@@ -3,8 +3,9 @@
 // to the fleet totals, cooperative cancellation leaving the engine
 // reusable, served report bytes matching the batch CLI's (the
 // determinism contract), malformed protocol envelopes becoming
-// structured errors, Server::run's socket loop, and main_cli's
-// usage-error paths.
+// structured errors, Server::run's socket loop, main_cli's usage-error
+// paths, and the built bpvec_serve daemon and request client run as
+// processes against the committed report goldens.
 #include "src/serve/session.h"
 
 #include <gtest/gtest.h>
@@ -36,6 +37,7 @@
 #include "src/serve/driver.h"
 #include "src/serve/server.h"
 #include "src/workload/network_registry.h"
+#include "tests/child_process.h"
 
 namespace bpvec::serve {
 namespace {
@@ -63,6 +65,15 @@ cli::Manifest search_manifest() {
       "objectives": ["cycles", "energy"]
     }
   })"));
+}
+
+const fs::path kRepo = fs::path(__FILE__).parent_path().parent_path();
+
+std::string slurp(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
 /// Counter fields only (timings are run-dependent by nature).
@@ -292,13 +303,6 @@ class ServeCliTest : public ::testing::Test {
     if (out_text != nullptr) *out_text = out.str();
     if (err_text != nullptr) *err_text = err.str();
     return rc;
-  }
-
-  static std::string slurp(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
   }
 
   std::string dir_;
@@ -755,6 +759,158 @@ TEST(ServerSocket, ListenBindsBeforeRunAndThrowsOnATakenPath) {
   server.request_stop();
   server.run();  // already bound: drains at once and removes its socket
   EXPECT_FALSE(fs::exists(path));
+}
+
+// ----- the built daemon and its request client -------------------------
+
+std::string golden(const std::string& stem) {
+  return slurp(kRepo / "tests/golden" / (stem + ".json"));
+}
+
+/// bpvec_serve run as processes. Each test has its own directory (the
+/// processes' cwd, their output files and the cache dir) and its own
+/// socket path; a daemon still running at the end is killed.
+class ServeBinary : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const std::string tag = "bpvec_bin_" + std::to_string(::getpid());
+    dir_ = fs::temp_directory_path() / tag;
+    socket_ = (fs::temp_directory_path() / (tag + ".sock")).string();
+    fs::remove_all(dir_);
+    fs::remove(socket_);
+    fs::create_directories(dir_);
+  }
+  void TearDown() override {
+    daemon_.reset();
+    fs::remove(socket_);
+    fs::remove_all(dir_);
+  }
+
+  std::string path(const std::string& name) const {
+    return (dir_ / name).string();
+  }
+
+  /// A `bpvec_serve` run to completion with stdout and stderr to
+  /// `<dir>/<name>.log`; returns its exit code.
+  int serve(const std::string& name, std::vector<std::string> args) {
+    args.insert(args.begin(), BPVEC_SERVE_BIN);
+    return test::ChildProcess(args, dir_.string(), path(name + ".log"))
+        .wait();
+  }
+
+  /// `bpvec_serve request` on this test's socket; see serve().
+  int request(const std::string& name, std::vector<std::string> args) {
+    args.insert(args.begin(), {"request", "--socket", socket_});
+    return serve(name, std::move(args));
+  }
+
+  /// Starts the daemon, output to serve.log, and waits until it has bound
+  /// its socket and said so; false if it exits or takes 30 s instead.
+  bool start_daemon() {
+    daemon_ = std::make_unique<test::ChildProcess>(
+        std::vector<std::string>{BPVEC_SERVE_BIN, "--socket", socket_,
+                                 "--threads", "2", "--cache-dir",
+                                 path("cache")},
+        dir_.string(), path("serve.log"));
+    const std::string line = "[bpvec_serve] listening on " + socket_ + "\n";
+    for (int i = 0; i < 3000; ++i) {
+      if (daemon_->wait(std::chrono::milliseconds(0)) !=
+          test::ChildProcess::kRunning) {
+        return false;
+      }
+      if (fs::is_socket(socket_) &&
+          slurp(path("serve.log")).find(line) != std::string::npos) {
+        return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+  }
+
+  fs::path dir_;
+  std::string socket_;
+  std::unique_ptr<test::ChildProcess> daemon_;
+};
+
+TEST_F(ServeBinary, StartOnARegularFileFailsWithoutListening) {
+  std::ofstream(socket_) << "not a socket\n";
+  const int rc = serve("taken", {"--socket", socket_});
+  const std::string log = slurp(path("taken.log"));
+  EXPECT_EQ(rc, 1) << log;
+  EXPECT_EQ(slurp(socket_), "not a socket\n");
+  EXPECT_EQ(log.find("listening on"), std::string::npos) << log;
+}
+
+TEST_F(ServeBinary, SecondDaemonOnALiveSocketFailsWithoutListening) {
+  ASSERT_TRUE(start_daemon()) << slurp(path("serve.log"));
+  const int rc = serve("second", {"--socket", socket_});
+  const std::string log = slurp(path("second.log"));
+  EXPECT_EQ(rc, 1) << log;
+  EXPECT_EQ(log.find("listening on"), std::string::npos) << log;
+  // The first daemon keeps its socket, its log line, and serves.
+  EXPECT_TRUE(fs::is_socket(socket_));
+  EXPECT_NE(slurp(path("serve.log")).find("listening on " + socket_),
+            std::string::npos);
+  EXPECT_EQ(request("ping", {"--op", "ping"}), 0) << slurp(path("ping.log"));
+}
+
+TEST_F(ServeBinary, ServesTheGoldensColdAndWarmThenDrains) {
+  ASSERT_TRUE(start_daemon()) << slurp(path("serve.log"));
+  const std::string manifests = (kRepo / "bench/manifests").string();
+  const std::string ci_gate = golden("ci_gate");
+  ASSERT_FALSE(ci_gate.empty());
+
+  // The committed ci_gate manifest served twice by one daemon: the cold
+  // and the warm report both equal the golden (served == batch CLI).
+  for (const std::string pass : {"cold", "warm"}) {
+    ASSERT_EQ(request(pass, {"--manifest", manifests + "/ci_gate.json",
+                             "--deterministic-report", "--report",
+                             path(pass + ".json")}),
+              0)
+        << slurp(path(pass + ".log"));
+    EXPECT_EQ(slurp(path(pass + ".json")), ci_gate) << pass << " report";
+  }
+
+  // Both requests submitted every scenario; only the first simulated.
+  ASSERT_EQ(request("stats", {"--op", "stats"}), 0)
+      << slurp(path("stats.log"));
+  const Value stats = common::json::parse(slurp(path("stats.log")));
+  const std::int64_t n =
+      common::json::parse(ci_gate).at("scenario_count").as_int();
+  const Value& fleet = stats.at("fleet");
+  EXPECT_EQ(stats.at("requests").at("price").at("completed").as_int(), 2);
+  EXPECT_EQ(fleet.at("scenarios_submitted").as_int(), 2 * n);
+  EXPECT_EQ(fleet.at("simulations_run").as_int(), n);
+  EXPECT_EQ(fleet.at("cache_hits").as_int(), n);
+
+  // A price request whose file workloads resolve against the envelope's
+  // base_dir, and a search request.
+  ASSERT_EQ(request("custom_net", {"--manifest",
+                                   manifests + "/custom_net.json",
+                                   "--deterministic-report", "--report",
+                                   path("custom_net.json")}),
+            0)
+      << slurp(path("custom_net.log"));
+  EXPECT_EQ(slurp(path("custom_net.json")), golden("custom_net"));
+  ASSERT_EQ(request("dse_smoke", {"--op", "search", "--manifest",
+                                  manifests + "/dse_smoke.json",
+                                  "--deterministic-report", "--report",
+                                  path("dse_smoke.json")}),
+            0)
+      << slurp(path("dse_smoke.log"));
+  EXPECT_EQ(slurp(path("dse_smoke.json")), golden("dse_smoke"));
+
+  // shutdown drains: the daemon exits 0 and removes its socket.
+  ASSERT_EQ(request("shutdown", {"--op", "shutdown"}), 0)
+      << slurp(path("shutdown.log"));
+  EXPECT_EQ(daemon_->wait(std::chrono::seconds(30)), 0);
+  EXPECT_FALSE(fs::exists(socket_));
+  const std::string log = slurp(path("serve.log"));
+  const std::string drained = "[bpvec_serve] drained\n";
+  EXPECT_TRUE(log.size() >= drained.size() &&
+              log.compare(log.size() - drained.size(), drained.size(),
+                          drained) == 0)
+      << log;
 }
 
 TEST(Session, StatsJsonReportsWeightPlaneHitRate) {

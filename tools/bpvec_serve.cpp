@@ -11,7 +11,7 @@
 //       Send one request envelope and print/write the response. With
 //       --report, the served report document is written with the same
 //       serialization the batch CLI uses — byte-identical output is the
-//       determinism contract CI gates.
+//       determinism contract tests/test_goldens holds.
 //
 // Protocol reference: src/serve/server.h.
 #include <poll.h>
